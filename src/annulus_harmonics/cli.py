@@ -8,7 +8,10 @@ Commands:
     check    gate one series file against the applicable bound
     sample   write a deterministic pseudo-random series to JSON
 
-Exit codes: 0 pass, 1 usage error, 2 failed checks, 3 not applicable.
+Exit codes: 0 pass, 1 usage error or numeric fault, 2 failed checks, 3 not
+applicable.  A verification report whose residual is NaN or infinite is a
+numeric fault: it is still written, with that residual as the string
+"nan", "inf" or "-inf" (JSON has no such numbers), and exits with 1.
 All floating-point output is written in round-trip precision, so re-reading
 emitted JSON reproduces bit-identical values.
 """
@@ -221,13 +224,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             tolerances[key] = override
     cfg = _quad_config(args)
     checks = run_suite(args.suite, args.seed, args.trials, cfg, tolerances)
+    nonfinite = [c.name for c in checks if not math.isfinite(c.residual)]
     payload = {
         "manifest": _manifest(args, tolerances),
         "suite": args.suite,
-        "checks": [c.to_dict() for c in checks],
+        "checks": [
+            {**c.to_dict(), "residual": repr(c.residual)}
+            if c.name in nonfinite else c.to_dict()
+            for c in checks
+        ],
         "all_passed": all(c.passed for c in checks),
     }
     _emit(_as_json(payload), args.out)
+    if nonfinite:
+        print(f"error: non-finite residual in {', '.join(nonfinite)}",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_PASS if payload["all_passed"] else EXIT_FAIL
 
 

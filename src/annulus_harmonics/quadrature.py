@@ -4,7 +4,13 @@ Angular integrals use the equally spaced trapezoidal rule, which on a full
 period integrates trigonometric polynomials of degree < M exactly.  Since
 every integrand built from a truncated series is band-limited, circle means
 computed here are exact up to rounding once M exceeds twice the integrand
-degree; the default M = max(256, 4N + 8) leaves a wide margin.
+degree; the default M = max(256, 4N + 8) leaves a wide margin.  The fields
+on the M angles come from the inverse-FFT circle kernel of the series
+module (mode n in bin n mod M, no aliasing at these M), and the Dirichlet
+energy evaluates its Gauss nodes' circles in batches of radii.  The means
+are computed as trapezoid sums over the sampled fields, never from the
+spectrum by Parseval, so they stay an independent check of the closed
+forms in the means module.
 
 Radial integrals use composite Gauss-Legendre panels whose edges are
 cosine-graded (clustered toward both endpoints), with a doubling refinement
@@ -25,12 +31,21 @@ from .errors import (
     WindingNotIntegerError,
     ZeroOnCircleError,
 )
-from .series import HarmonicSeries, circle_fields, grad_norm_sq_circle
+from .series import (
+    HarmonicSeries,
+    circle_angles,
+    circle_fields,
+    circle_grid_fields,
+)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 _MIN_MODULUS_ON_CIRCLE = 1e-9
 _WINDING_TOL = 1e-6
+
+# Radii per batched circle evaluation in dirichlet_energy: caps the
+# (radii, 3, M) field arrays at a few MiB for the largest angle counts.
+_ENERGY_RADII_PER_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -63,10 +78,6 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
-
-
-def circle_angles(M: int) -> np.ndarray:
-    return 2.0 * np.pi * np.arange(M) / M
 
 
 def circular_mean(
@@ -112,12 +123,18 @@ def winding_number(
     """
     M = cfg.angular_count(2 * h.N)
     f = circle_fields(h, rho, circle_angles(M))
-    min_mod = float(np.min(np.abs(f.values)))
+    return winding_from_fields(f.values, f.d_theta, rho)
+
+
+def winding_from_fields(values: np.ndarray, d_theta: np.ndarray, rho: float) -> int:
+    """Winding number from h and h_theta on an equally spaced circle grid,
+    with the checks and errors of winding_number."""
+    min_mod = float(np.min(np.abs(values)))
     if min_mod <= _MIN_MODULUS_ON_CIRCLE:
         raise ZeroOnCircleError(
             f"|h| reaches {min_mod:.3e} on C_{rho}; winding undefined"
         )
-    w = complex(np.mean(f.d_theta / (1j * f.values)))
+    w = complex(np.mean(d_theta / (1j * values)))
     nearest = round(w.real)
     if abs(w - nearest) > _WINDING_TOL:
         raise WindingNotIntegerError(
@@ -203,14 +220,13 @@ def dirichlet_energy(
     if not (0.0 < rho1 < rho2):
         raise ParameterDomainError("need 0 < rho1 < rho2")
     M = cfg.angular_count(2 * h.N)
-    thetas = circle_angles(M)
 
     def ring_density(rhos: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhos)
-        for i, r in enumerate(rhos):
-            out[i] = 2.0 * np.pi * r * float(
-                np.mean(grad_norm_sq_circle(h, float(r), thetas))
-            )
+        for lo in range(0, rhos.size, _ENERGY_RADII_PER_BATCH):
+            r = rhos[lo:lo + _ENERGY_RADII_PER_BATCH]
+            g = circle_grid_fields(h, r, M).grad_norm_sq(r)
+            out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out
 
     return radial_integrate(ring_density, rho1, rho2, cfg)

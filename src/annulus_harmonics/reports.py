@@ -79,7 +79,19 @@ class CheckResult:
 
 def _check(name: str, statement: str, residual: float, tol: float) -> CheckResult:
     residual = float(residual)
-    return CheckResult(name, statement, residual, tol, residual <= tol)
+    return CheckResult(name, statement, residual, tol,
+                       math.isfinite(residual) and residual <= tol)
+
+
+def _worst(*values: float) -> float:
+    """The largest of `values`, or NaN if any of them is NaN.
+
+    Python's max drops a NaN that is not its first argument (max(0.0, nan)
+    is 0.0), which would let a NaN residual pass; every running worst case
+    and every clamp at zero in the suites goes through this instead.
+    """
+    vals = [float(v) for v in values]
+    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
 def _seeds(seed: int, count: int) -> np.ndarray:
@@ -109,7 +121,7 @@ def run_identities(
     for lam in (-0.9, -0.5, 0.0, 0.5, 1.0):
         op = LambdaOperator(lam)
         profile = quadratic_mean_profile(extremal_map(lam))
-        worst = max(worst, float(np.max(np.abs(op.apply(profile, grid)))))
+        worst = _worst(worst, np.max(np.abs(op.apply(profile, grid))))
     checks.append(_check(
         "extremal-annihilation",
         "L_lam applied to the quadratic mean of h^lam vanishes on (1, e^1.5]",
@@ -124,10 +136,10 @@ def run_identities(
             lam = rng.uniform(-0.9, 1.0)
             rho = rng.uniform(1.02, E32)
             g, a = identity_residuals(h, lam, rho, cfg)
-            worst_grad = max(worst_grad, g)
-            worst_ang = max(worst_ang, a)
+            worst_grad = _worst(worst_grad, g)
+            worst_ang = _worst(worst_ang, a)
         op = LambdaOperator(rng.uniform(-0.5, 1.0))
-        worst_div = max(worst_div, op.divergence_form_residual(
+        worst_div = _worst(worst_div, op.divergence_form_residual(
             quadratic_mean_profile(h), rng.uniform(1.2, 3.0)))
     checks.append(_check(
         "gradient-form-identity",
@@ -141,7 +153,7 @@ def run_identities(
     ))
     checks.append(_check(
         "divergence-form-agreement",
-        "direct and divergence forms of L_lam agree to O(step^2)",
+        "direct and divergence forms of L_lam agree to O(step^4) (Richardson)",
         worst_div, t["divergence"],
     ))
     return checks
@@ -176,14 +188,15 @@ def run_subsolution(
     t = {**DEFAULT_TOLERANCES, **(tol or {})}
     rng = np.random.default_rng(seed)
     grid = np.linspace(1.01, 5.0, 200)
-    floor = math.inf
+    floor_deficit = 0.0
     chain_excess = 0.0
-    d2_min = math.inf
+    d2_deficit = 0.0
     d2_mismatch = 0.0
     for s in _seeds(seed + 2, trials):
         h = _tame_series(s, N=10, decay=0.15)
         lam = rng.uniform(-0.9, 1.0)
-        floor = min(floor, variance_subsolution_min(h, lam, grid))
+        floor_deficit = _worst(
+            floor_deficit, -variance_subsolution_min(h, lam, grid))
         op = LambdaOperator(lam)
         lv = np.asarray(op.apply(variance_profile(h), grid))
         ns = h.mode_numbers.astype(np.float64)
@@ -196,23 +209,23 @@ def run_subsolution(
             + cross
         )
         chain = (2.0 / grid**2) * np.sum((ns**2 - 1.0) * mode_means, axis=1)
-        chain_excess = max(chain_excess, float(np.max(chain - lv)))
+        chain_excess = _worst(chain_excess, np.max(chain - lv))
         d2 = np.asarray(variance_deriv2_termwise(h, grid))
-        d2_min = min(d2_min, float(np.min(d2)))
-        d2_mismatch = max(d2_mismatch, float(
-            np.max(np.abs(d2 - np.asarray(variance_profile(h).deriv2(grid))))
+        d2_deficit = _worst(d2_deficit, -np.min(d2))
+        d2_mismatch = _worst(d2_mismatch, np.max(
+            np.abs(d2 - np.asarray(variance_profile(h).deriv2(grid)))
         ))
     family_worst = 0.0
     for _ in range(trials):
         h, lam = _equality_family(rng)
-        family_worst = max(family_worst, float(np.max(np.abs(
+        family_worst = _worst(family_worst, np.max(np.abs(
             LambdaOperator(lam).apply(variance_profile(h), grid)
-        ))))
+        )))
     return [
         _check(
             "variance-floor",
             "L_lam applied to the variance is nonnegative on the grid",
-            max(0.0, -floor), t["subsolution"],
+            floor_deficit, t["subsolution"],
         ),
         _check(
             "equality-family",
@@ -222,12 +235,12 @@ def run_subsolution(
         _check(
             "mode-chain",
             "(2/rho^2) sum (n^2-1) U_n is a lower bound for L_lam[V]",
-            max(0.0, chain_excess), t["mode_chain"],
+            chain_excess, t["mode_chain"],
         ),
         _check(
             "variance-deriv2-positive",
             "termwise second derivative of the variance is nonnegative",
-            max(0.0, -d2_min), 0.0,
+            d2_deficit, 0.0,
         ),
         _check(
             "variance-deriv2-match",
@@ -253,10 +266,10 @@ def run_kfunctional(
         R = rng.uniform(1.1, E32)
         ke = k_endpoint(h, lam, R)
         kq = k_quadrature(h, lam, R, cfg)
-        endpoint_worst = max(endpoint_worst, abs(kq - ke) / (1.0 + abs(ke)))
+        endpoint_worst = _worst(endpoint_worst, abs(kq - ke) / (1.0 + abs(ke)))
     extremal_worst = 0.0
     for lam in (-0.9, -0.5, 0.0, 0.5, 1.0):
-        extremal_worst = max(extremal_worst, abs(
+        extremal_worst = _worst(extremal_worst, abs(
             k_quadrature(extremal_map(lam), lam, 2.5, cfg)
         ))
     mode_worst = 0.0
@@ -267,7 +280,7 @@ def run_kfunctional(
                 a={n: scale * (rng.normal() + 1j * rng.normal())},
                 b={n: scale * (rng.normal() + 1j * rng.normal())},
             )
-            mode_worst = max(
+            mode_worst = _worst(
                 mode_worst, bnd.mode_quadratic_form_residual(h, n, R, cfg)
             )
     variance_violation = 0.0
@@ -275,11 +288,11 @@ def run_kfunctional(
         h = _tame_series(s, N=6, decay=0.2)
         R = rng.uniform(E + 1e-6, E32)
         lhs, rhs = bnd.variance_k_bound(h, R, cfg)
-        variance_violation = max(variance_violation, rhs - lhs)
+        variance_violation = _worst(variance_violation, rhs - lhs)
     boundary_worst = 0.0
     for s in _seeds(seed + 5, trials):
         h = _tame_series(s, N=10, decay=0.4)
-        boundary_worst = max(
+        boundary_worst = _worst(
             boundary_worst, bnd.inner_circle_identity_residual(h, cfg)
         )
     area_residual = abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5, cfg) - math.pi)
@@ -302,7 +315,7 @@ def run_kfunctional(
         _check(
             "variance-lower-bound",
             "K_1[V] dominates (R^2-1) times the mode energy excess for R > e",
-            max(0.0, variance_violation), t["variance_k"],
+            variance_violation, t["variance_k"],
         ),
         _check(
             "inner-circle-identity",
@@ -332,9 +345,9 @@ def run_certificates(
     checks.append(_check(
         "wide-certificate-positive",
         "the wide-annulus sign certificate is positive on [e, e^1.5]",
-        max(0.0, -float(np.min(phi_vals))), t["certificate"],
+        _worst(0.0, -np.min(phi_vals)), t["certificate"],
     ))
-    endpoint_res = max(
+    endpoint_res = _worst(
         abs(bnd.wide_annulus_certificate(E) - (13 * E**4 - E**6 - 19 * E**2 - 1)),
         abs(bnd.wide_annulus_certificate(E32) - (22 * E**6 - E**9 - 38 * E**3 - 1)),
     )
@@ -350,31 +363,29 @@ def run_certificates(
     checks.append(_check(
         "wide-certificate-concavity",
         "the R^-4-scaled certificate is concave for R >= e",
-        max(0.0, float(np.max(fd2))), 1e-6,
+        _worst(0.0, np.max(fd2)), 1e-6,
     ))
 
-    d_min = math.inf
+    d_deficit = 0.0
     expand_rel = 0.0
     monotone_violation = 0.0
     for R in np.linspace(E, 10.0, 40):
         vals = np.array([bnd.mode_form_certificate(n, R) for n in range(2, 51)])
-        d_min = min(d_min, float(np.min(vals)))
+        d_deficit = _worst(d_deficit, -np.min(vals))
         expanded = np.array(
             [bnd.mode_form_certificate_expanded(n, R) for n in range(2, 51)]
         )
-        expand_rel = max(expand_rel, float(np.max(
+        expand_rel = _worst(expand_rel, np.max(
             np.abs(vals - expanded) / np.maximum(1.0, np.abs(expanded))
-        )))
+        ))
         diffs = np.diff(vals)
-        monotone_violation = max(
-            monotone_violation,
-            max(0.0, -float(np.min(diffs))),
-            max(0.0, -float(np.min(np.diff(diffs)))),
+        monotone_violation = _worst(
+            monotone_violation, -np.min(diffs), -np.min(np.diff(diffs)),
         )
     checks.append(_check(
         "mode-certificate-positive",
         "the per-mode determinant certificate is positive on [2,50]x[e,10]",
-        max(0.0, -d_min) if math.isfinite(d_min) else math.inf, t["certificate"],
+        d_deficit, t["certificate"],
     ))
     checks.append(_check(
         "mode-certificate-expansion",
@@ -384,7 +395,7 @@ def run_certificates(
     n2_rel = 0.0
     for R in np.linspace(E, 10.0, 40):
         factored = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
-        n2_rel = max(n2_rel, abs(bnd.mode_form_certificate(2, R) - factored)
+        n2_rel = _worst(n2_rel, abs(bnd.mode_form_certificate(2, R) - factored)
                      / max(1.0, abs(factored)))
     checks.append(_check(
         "mode-certificate-n2-factored",
@@ -397,20 +408,21 @@ def run_certificates(
         monotone_violation, t["certificate"],
     ))
 
-    weight_min = math.inf
+    weight_deficit = 0.0
     for R in np.linspace(1.05, E32, 10):
         for lam in np.linspace(-1 + 1e-6, 1.0, 9):
             rho = np.linspace(1.0, R, 50)
-            weight_min = min(weight_min, float(np.min(bnd.gz_weight(R, lam, rho))))
+            weight_deficit = _worst(
+                weight_deficit, -np.min(bnd.gz_weight(R, lam, rho)))
     checks.append(_check(
         "gz-weight-positive",
         "the conformal-part weight is nonnegative on 1 <= rho <= R",
-        max(0.0, -weight_min), t["weight"],
+        weight_deficit, t["weight"],
     ))
-    gate_res = max(
+    gate_res = _worst(
         abs(bnd.gzbar_gate_margin(E, 1.0)),
         abs(bnd.gzbar_gate_margin(2.0, 0.0) - (3.0 - 4.0 * math.log(2.0))),
-        max(0.0, -bnd.gzbar_gate_margin(1.5, 1.0)),
+        -bnd.gzbar_gate_margin(1.5, 1.0),
     )
     checks.append(_check(
         "gzbar-gate-samples",
@@ -421,11 +433,11 @@ def run_certificates(
     order_violation = 0.0
     for R in np.linspace(1.001, 20.0, 400):
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
-        order_violation = max(order_violation, w - k, k - n)
+        order_violation = _worst(order_violation, w - k, k - n)
     checks.append(_check(
         "bound-ordering",
         "weitsman <= kalaj <= nitsche on (1, 20]",
-        max(0.0, order_violation), t["ordering"],
+        order_violation, t["ordering"],
     ))
     return checks
 
@@ -439,9 +451,9 @@ def run_schottky(
         return []
     t = {**DEFAULT_TOLERANCES, **(tol or {})}
     R = 2.0
-    radius_margin = math.inf
-    area_margin = math.inf
-    mode_margin = math.inf
+    radius_deficit = 0.0
+    area_deficit = 0.0
+    mode_deficit = 0.0
     speed_dev = 0.0
     all_ok = True
     for s in _seeds(seed + 6, trials):
@@ -451,12 +463,12 @@ def run_schottky(
                 and report.jacobian_min > 0.0):
             all_ok = False
             continue
-        radius_margin = min(radius_margin, report.mean_radius - R)
-        area_margin = min(area_margin, report.area - report.area_bound)
-        mode_margin = min(mode_margin, report.mode_sum_margin)
+        radius_deficit = _worst(radius_deficit, -(report.mean_radius - R))
+        area_deficit = _worst(area_deficit, -(report.area - report.area_bound))
+        mode_deficit = _worst(mode_deficit, -report.mode_sum_margin)
         from .means import initial_speed  # deferred to keep module imports light
 
-        speed_dev = max(speed_dev, abs(initial_speed(normalize_inner(h)) - 1.0))
+        speed_dev = _worst(speed_dev, abs(initial_speed(normalize_inner(h)) - 1.0))
     return [
         _check(
             "probes-applicable",
@@ -466,17 +478,17 @@ def run_schottky(
         _check(
             "outer-radius-bound",
             "mean outer radius of a normalized conformal map is at least R",
-            max(0.0, -radius_margin), t["schottky_radius"],
+            radius_deficit, t["schottky_radius"],
         ),
         _check(
             "area-bound",
             "image area is at least the area pi (R^2 - 1) of the annulus",
-            max(0.0, -area_margin), t["schottky_area"],
+            area_deficit, t["schottky_area"],
         ),
         _check(
             "mode-sum-bound",
             "sum |a_n|^2 (R^2n - 1) over n != 0 is at least R^2 - 1",
-            max(0.0, -mode_margin), t["schottky_radius"],
+            mode_deficit, t["schottky_radius"],
         ),
         _check(
             "unit-initial-speed",

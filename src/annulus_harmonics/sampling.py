@@ -9,8 +9,8 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError, ToolkitError
 from .means import quadratic_mean_profile
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, winding_number
-from .series import HarmonicSeries, extremal_map, jacobian_circle, scale_rotate
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, winding_from_fields
+from .series import HarmonicSeries, circle_grid_fields, extremal_map, scale_rotate
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,25 @@ def _draw(rng: np.random.Generator, scale: float) -> complex:
 
 
 def random_series(cfg: SamplerConfig) -> HarmonicSeries:
-    """Deterministic pseudo-random series for the given config."""
-    rng = np.random.default_rng(cfg.seed)
-    a: dict[int, complex] = {}
-    b: dict[int, complex] = {}
-    for n in range(1, cfg.N + 1):
-        scale = cfg.decay**n
-        a[n] = _draw(rng, scale)
-        b[n] = _draw(rng, scale)
-        a[-n] = _draw(rng, scale)
-        b[-n] = _draw(rng, scale)
-    a0 = _draw(rng, 1.0) if cfg.include_log else 0j
-    b0 = _draw(rng, 1.0) if cfg.include_const else 0j
-    return HarmonicSeries.from_coeffs(N=cfg.N, a=a, b=b, a0=a0, b0=b0)
+    """Deterministic pseudo-random series for the given config.
+
+    Each coefficient takes two uniforms, magnitude then phase, in the order
+    a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0 when included; one
+    draw of the whole table gives the same stream as drawing them singly.
+    """
+    N = cfg.N
+    rows = 4 * N + int(cfg.include_log) + int(cfg.include_const)
+    u = np.random.default_rng(cfg.seed).uniform(size=(rows, 2))
+    scales = np.ones(rows)
+    # Python-float powers: numpy's array power can differ in the last bit
+    scales[:4 * N] = np.repeat([cfg.decay**n for n in range(1, N + 1)], 4)
+    coeffs = scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
+    a0 = coeffs[4 * N] if cfg.include_log else 0j
+    b0 = coeffs[-1] if cfg.include_const else 0j
+    return HarmonicSeries(
+        N=N, a_pos=coeffs[0:4 * N:4], b_pos=coeffs[1:4 * N:4],
+        a_neg=coeffs[2:4 * N:4], b_neg=coeffs[3:4 * N:4], a0=a0, b0=b0,
+    )
 
 
 def normalize_inner(h: HarmonicSeries) -> HarmonicSeries:
@@ -145,14 +151,15 @@ def injectivity_probe(
     if not R > 1.0:
         raise ParameterDomainError("R must exceed 1")
     rhos = np.linspace(1.0, R, rho_samples + 2)[1:-1]
-    thetas = 2.0 * np.pi * np.arange(theta_samples) / theta_samples
-    jac_min = min(
-        float(np.min(jacobian_circle(h, float(r), thetas))) for r in rhos
-    )
+    jac_min = float(np.min(
+        circle_grid_fields(h, rhos, theta_samples).jacobian(rhos)
+    ))
     windings_ok = True
-    for r in np.linspace(1.0, R, circles + 2)[1:-1]:
+    radii = np.linspace(1.0, R, circles + 2)[1:-1]
+    f = circle_grid_fields(h, radii, cfg.angular_count(2 * h.N))
+    for r, values, d_theta in zip(radii, f.values, f.d_theta):
         try:
-            if winding_number(h, float(r), cfg) != 1:
+            if winding_from_fields(values, d_theta, float(r)) != 1:
                 windings_ok = False
                 break
         except ToolkitError:

@@ -16,6 +16,15 @@ whose member for lam = 1 is the critical map (z + 1/conj(z)) / 2 with
 Jacobian vanishing on the unit circle.  A stable JSON encoding of the
 coefficient data is included.
 
+Every evaluation goes through one circle kernel.  On C_rho the series is a
+Fourier sum whose mode-n coefficient is c_n(rho) = a_n rho^n + b_n rho^-n
+(a0 log(rho) + b0 for n = 0); d_rho and d_theta have the coefficients
+c_n'(rho) and i n c_n(rho).  On the M equally spaced angles 2 pi j / M the
+three fields are one inverse FFT of this spectrum, mode n folded into bin
+n mod M, which is exact for every M (circle_fields, and circle_grid_fields
+for many radii at once).  Other angles, as in the pointwise API, take an
+explicit phase sum over the same spectrum.
+
 All types are immutable and all functions are pure; everything is safe to
 call concurrently.
 """
@@ -25,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
@@ -150,6 +159,18 @@ class HarmonicSeries:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def _kernel_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mode numbers 0, 1..N, -1..-N (as floats) with their a_n and b_n,
+        a_0 = b_0 = 0: the mode order of the circle kernel."""
+        zero = np.zeros(1)
+        out = (np.concatenate([zero, self.mode_numbers]),
+               np.concatenate([zero, self.a_modes]),
+               np.concatenate([zero, self.b_modes]))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
+
     def coeff(self, n: int) -> tuple[complex, complex]:
         """Return (a_n, b_n) for a nonzero mode n with |n| <= N."""
         if n == 0 or abs(n) > self.N:
@@ -212,11 +233,23 @@ class PolarPoint:
 
 
 class CircleFields(NamedTuple):
-    """Values and first polar derivatives of a series along one circle."""
+    """Values and first polar derivatives of a series along one circle, or
+    along several circles with one row per radius."""
 
     values: np.ndarray
     d_rho: np.ndarray
     d_theta: np.ndarray
+
+    def jacobian(self, rho) -> np.ndarray:
+        """Jacobian determinant Im(conj(h_rho) h_theta) / rho; `rho` is the
+        radius, or the array of radii of the rows."""
+        r = np.asarray(rho, dtype=np.float64)[..., None]
+        return (np.conj(self.d_rho) * self.d_theta).imag / r
+
+    def grad_norm_sq(self, rho) -> np.ndarray:
+        """Squared Hilbert-Schmidt norm |h_rho|^2 + |h_theta|^2 / rho^2."""
+        r = np.asarray(rho, dtype=np.float64)[..., None]
+        return np.abs(self.d_rho) ** 2 + np.abs(self.d_theta) ** 2 / r**2
 
 
 class Derivatives(NamedTuple):
@@ -226,36 +259,120 @@ class Derivatives(NamedTuple):
     h_zbar: complex
 
 
+# ---------------------------------------------------------------------------
+# The circle kernel.  On C_rho the series is the Fourier sum
+#
+#     h(rho e^{i theta}) = sum_n c_n(rho) e^{i n theta},
+#     c_n(rho) = a_n rho^n + b_n rho^-n,   c_0(rho) = a0 log(rho) + b0,
+#
+# so d_rho has the coefficients c_n'(rho) and d_theta the coefficients
+# i n c_n(rho).  The kernel stores these three rows as one spectrum whose
+# bin n mod L holds mode n.  On the grid of M equally spaced angles
+# 2 pi j / M, e^{i n theta_j} depends on n mod M only, so folding the
+# spectrum onto M bins and taking one unscaled inverse FFT gives the exact
+# pointwise values for any M, also when M <= 2N.  Other angles use an
+# explicit phase sum over the same spectrum.
+# ---------------------------------------------------------------------------
+
+def circle_angles(M: int) -> np.ndarray:
+    """The M equally spaced angles 2 pi j / M, j = 0, ..., M-1."""
+    return 2.0 * np.pi * np.arange(M) / M
+
+
+def _is_grid(thetas: np.ndarray) -> bool:
+    """Whether `thetas` is exactly circle_angles(thetas.size)."""
+    return (thetas.ndim == 1 and thetas.size > 0 and thetas[0] == 0.0
+            and np.array_equal(thetas, circle_angles(thetas.size)))
+
+
+@lru_cache(maxsize=64)
+def _bins(N: int, L: int) -> np.ndarray:
+    """Bin n mod L of each mode n = 0, 1..N, -1..-N."""
+    n = np.concatenate([[0], np.arange(1, N + 1), -np.arange(1, N + 1)])
+    bins = n % L
+    bins.setflags(write=False)
+    return bins
+
+
+def _mode_spectrum(h: HarmonicSeries, rho) -> np.ndarray:
+    """Coefficients of values, d_rho and d_theta on C_rho for the modes
+    n = 0, 1..N, -1..-N, shape rho.shape + (3, 2N + 1).
+
+    Overflow is tolerated here (it yields inf/nan fields); the pointwise
+    API turns non-finite results into NumericOverflowError.
+    """
+    ns, a, b = h._kernel_modes
+    r = np.asarray(rho, dtype=np.float64)[..., None]
+    x = a * r**ns
+    y = b * r**-ns
+    spec = np.empty(r.shape[:-1] + (3, ns.size), dtype=np.complex128)
+    values, d_rho, d_theta = spec[..., 0, :], spec[..., 1, :], spec[..., 2, :]
+    np.add(x, y, out=values)
+    np.subtract(x, y, out=d_rho)
+    d_rho *= ns
+    d_rho /= r
+    np.multiply(values, 1j * ns, out=d_theta)
+    values[..., 0] = h.a0 * np.log(r[..., 0]) + h.b0
+    d_rho[..., 0] = h.a0 / r[..., 0]
+    return spec
+
+
+def _grid_fields(h: HarmonicSeries, rho, M: int) -> np.ndarray:
+    """Fields on circle_angles(M) of every circle, shape rho.shape + (3, M).
+
+    The modes go to bins n mod L of a spectrum of L = folds * M > 2N bins,
+    one mode per bin; summing the folds gives bin n mod M.
+    """
+    folds = -(-(2 * h.N + 1) // M)
+    compact = _mode_spectrum(h, rho)
+    spec = np.zeros(compact.shape[:-1] + (folds * M,), dtype=np.complex128)
+    spec[..., _bins(h.N, folds * M)] = compact
+    if folds > 1:
+        spec = spec.reshape(spec.shape[:-1] + (folds, M)).sum(axis=-2)
+    return np.fft.ifft(spec, axis=-1, norm="forward")
+
+
+def _phase_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
+    """Fields at arbitrary angles by an explicit phase sum, shape (3, size)."""
+    ns = h._kernel_modes[0]
+    return _mode_spectrum(h, rho) @ np.exp(1j * np.outer(ns, thetas))
+
+
 def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFields:
     """Evaluate h, dh/drho and dh/dtheta at the angles `thetas` on C_rho.
 
     Differentiation is termwise on the series, so the derivatives are exact
-    up to rounding.  This is the vectorized workhorse behind the pointwise
-    API and all circle quadratures.
+    up to rounding.  When `thetas` equals circle_angles(M) the fields come
+    from one inverse FFT of the mode spectrum; other angles are summed
+    explicitly.  This is the workhorse behind the pointwise API and all
+    circle quadratures.
     """
     if rho <= 0.0:
         raise ParameterDomainError("rho must be positive")
     thetas = np.asarray(thetas, dtype=np.float64)
-    log_rho = math.log(rho)
-    zero = h.a0 * log_rho + h.b0
-    zero_rho = h.a0 / rho
-    if h.N == 0:
-        ones = np.ones_like(thetas, dtype=np.complex128)
-        return CircleFields(zero * ones, zero_rho * ones, np.zeros_like(ones))
-    ns = h.mode_numbers
-    # Radial factors c_n(rho) = a_n rho^n + b_n rho^-n and their derivatives.
-    # Overflow is tolerated here (it yields inf/nan values); the pointwise
-    # API turns non-finite results into NumericOverflowError.
     with np.errstate(over="ignore", invalid="ignore"):
-        pow_pos = rho ** ns.astype(np.float64)
-        pow_neg = rho ** (-ns.astype(np.float64))
-        c = h.a_modes * pow_pos + h.b_modes * pow_neg
-        c_rho = ns * (h.a_modes * pow_pos - h.b_modes * pow_neg) / rho
-        phases = np.exp(1j * np.outer(thetas, ns))
-        values = phases @ c + zero
-        d_rho = phases @ c_rho + zero_rho
-        d_theta = phases @ (1j * ns * c)
-    return CircleFields(values, d_rho, d_theta)
+        if _is_grid(thetas):
+            out = _grid_fields(h, rho, thetas.size)
+        else:
+            out = _phase_fields(h, rho, thetas.ravel())
+    return CircleFields(out[0], out[1], out[2])
+
+
+def circle_grid_fields(h: HarmonicSeries, rhos, M: int) -> CircleFields:
+    """Fields on the angles circle_angles(M) of every circle C_rho, rho in
+    `rhos`, from one batched inverse FFT.
+
+    Each array has shape rhos.shape + (M,); row i holds the fields of
+    circle_fields(h, rhos[i], circle_angles(M)).
+    """
+    rhos = np.asarray(rhos, dtype=np.float64)
+    if not np.all(rhos > 0.0):
+        raise ParameterDomainError("every rho must be positive")
+    if M < 1:
+        raise ParameterDomainError("need at least one angle per circle")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _grid_fields(h, rhos, M)
+    return CircleFields(out[..., 0, :], out[..., 1, :], out[..., 2, :])
 
 
 def wirtinger_from_polar(
@@ -294,8 +411,7 @@ def derivatives(h: HarmonicSeries, p: PolarPoint) -> Derivatives:
 
 def jacobian_circle(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
     """Jacobian determinant |h_z|^2 - |h_zbar|^2 along a circle (fast path)."""
-    f = circle_fields(h, rho, thetas)
-    return (np.conj(f.d_rho) * f.d_theta).imag / rho
+    return circle_fields(h, rho, thetas).jacobian(rho)
 
 
 def jacobian(h: HarmonicSeries, p: PolarPoint) -> float:
@@ -319,8 +435,7 @@ def jacobian(h: HarmonicSeries, p: PolarPoint) -> float:
 
 def grad_norm_sq_circle(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
     """Squared Hilbert-Schmidt norm |h_rho|^2 + |h_theta|^2 / rho^2 on C_rho."""
-    f = circle_fields(h, rho, thetas)
-    return np.abs(f.d_rho) ** 2 + np.abs(f.d_theta) ** 2 / rho**2
+    return circle_fields(h, rho, thetas).grad_norm_sq(rho)
 
 
 def grad_norm_sq(h: HarmonicSeries, p: PolarPoint) -> float:

@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: outputs, exit codes, reproducibility."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from annulus_harmonics import extremal_map, save_series
-from annulus_harmonics.cli import main
+from annulus_harmonics import extremal_map, reports, save_series
+from annulus_harmonics.cli import EXIT_USAGE, main
 from annulus_harmonics.series import HarmonicSeries
 
 
@@ -75,6 +76,26 @@ def test_sample_deterministic(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
     data = json.loads(out1.read_text())
     assert data["N"] == 5
+
+
+# Bytes written by `sample` before the sampler drew its uniforms in one
+# call; the stream and the JSON text must not change.
+SAMPLE_SHA256 = {
+    ("0", "8", "0.6"): "6daf118af7d1780ae57cc9e82171c084535608a2515fceab43c1f1984f849235",
+    ("7", "1", "0.6"): "0471b9dd1f32b467219cc741d8eb5611c87f380f44a35857ed5be0f9790ff0e0",
+    ("42", "12", "0.6"): "5db350a58a758cef8f00980ab4b7d9d031bcfb54c1ad383c27b11a1a079c1401",
+    ("123", "40", "0.6"): "cc1f93fdb00052b4c22f7d3962de1242b3eef4f00812daf9d79723ab89e2f054",
+    ("5", "3", "0.25"): "9015d32956a20c56775d5561cc50f7938f94662c1189394d3db00abc6db8f345",
+}
+
+
+@pytest.mark.parametrize("seed,N,decay", sorted(SAMPLE_SHA256))
+def test_sample_bytes_are_pinned(tmp_path, capsys, seed, N, decay):
+    out = tmp_path / "s.json"
+    assert run(capsys, "sample", "--seed", seed, "--N", N, "--decay", decay,
+               "--out", str(out))[0] == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == SAMPLE_SHA256[(seed, N, decay)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +178,51 @@ def test_verify_embeds_manifest(capsys):
     assert manifest["seed"] == 9
     assert "tolerances" in manifest and manifest["tolerances"]
     assert "timestamp" in manifest and "version" in manifest
+
+
+def nan_on_call(monkeypatch, name, call, pick=lambda x: math.nan):
+    """Replace reports.<name> by a wrapper whose `call`-th result (1-based)
+    goes through `pick`."""
+    real = getattr(reports, name)
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(None)
+        result = real(*args, **kwargs)
+        return pick(result) if len(calls) == call else result
+
+    monkeypatch.setattr(reports, name, flaky)
+
+
+def test_nan_after_first_draw_fails_the_check(monkeypatch, capsys):
+    nan_on_call(monkeypatch, "identity_residuals", 5,
+                pick=lambda pair: (math.nan, pair[1]))
+    checks = {c.name: c for c in reports.run_suite("identities", 0, 3)}
+    assert math.isnan(checks["gradient-form-identity"].residual)
+    assert not checks["gradient-form-identity"].passed
+    assert checks["angular-form-identity"].passed
+
+
+def test_nan_floor_fails_the_clamped_check(monkeypatch):
+    # max(0.0, -nan) is 0.0 in Python: the clamp must keep the NaN
+    nan_on_call(monkeypatch, "variance_subsolution_min", 2)
+    checks = {c.name: c for c in reports.run_suite("subsolution", 0, 3)}
+    assert math.isnan(checks["variance-floor"].residual)
+    assert not checks["variance-floor"].passed
+
+
+def test_verify_nan_residual_exits_1_with_report(monkeypatch, capsys):
+    nan_on_call(monkeypatch, "identity_residuals", 5,
+                pick=lambda pair: (math.nan, pair[1]))
+    code = main(["verify", "identities", "--trials", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    payload = json.loads(captured.out)
+    assert payload["all_passed"] is False
+    by_name = {c["name"]: c for c in payload["checks"]}
+    assert by_name["gradient-form-identity"]["residual"] == "nan"
+    assert by_name["gradient-form-identity"]["passed"] is False
+    assert "gradient-form-identity" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,14 @@ from annulus_harmonics import (
     scale_rotate,
     to_json_dict,
 )
-from annulus_harmonics.series import dumps_series
+from annulus_harmonics.quadrature import DEFAULT_CONFIG
+from annulus_harmonics.sampling import SamplerConfig, random_series
+from annulus_harmonics.series import (
+    circle_angles,
+    circle_fields,
+    circle_grid_fields,
+    dumps_series,
+)
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
@@ -321,3 +328,106 @@ def test_evaluate_overflow_raises_typed_error():
     big = HarmonicSeries.from_coeffs(a={8: 1e300})
     with pytest.raises(NumericOverflowError):
         evaluate(big, PolarPoint(100.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# circle kernel against a termwise direct sum
+# ---------------------------------------------------------------------------
+
+def direct_fields(h, rho, thetas=None, M=None):
+    """Termwise sums of h, h_rho and h_theta, each with the sum of the
+    moduli of its terms as scale.  On the grid 2 pi j / M the phase of
+    mode n is reduced exactly, as 2 pi ((j n) mod M) / M."""
+    ns = np.concatenate([np.arange(1, h.N + 1), -np.arange(1, h.N + 1)])
+    up, down = rho ** ns.astype(float), rho ** -ns.astype(float)
+    a, b = np.concatenate([h.a_pos, h.a_neg]), np.concatenate([h.b_pos, h.b_neg])
+    if M is None:
+        phases = np.exp(1j * np.outer(thetas, ns))
+    else:
+        phases = np.exp(2j * np.pi * (np.outer(np.arange(M), ns) % M) / M)
+    c = a * up + b * down
+    terms = (c, ns * (a * up - b * down) / rho, 1j * ns * c)
+    zero = (h.a0 * math.log(rho) + h.b0, h.a0 / rho, 0j)
+    return [(phases @ t + z, np.sum(np.abs(t)) + abs(z)) for t, z in zip(terms, zero)]
+
+
+def kernel_series(N):
+    if N == 0:
+        return HarmonicSeries(N=0, a0=0.3 - 0.2j, b0=1.5 + 0.5j)
+    return random_series(SamplerConfig(seed=100 + N, N=N, decay=0.5))
+
+
+def assert_matches_direct(fields, reference):
+    for got, (want, scale) in zip(fields, reference):
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale
+
+
+KERNEL_ORDERS = (0, 1, 4, 12, 64, 128)
+
+
+def kernel_grids(N):
+    """Angle counts that fold modes together (M <= 2N) and the count the
+    quadratures use."""
+    folding = {M for M in (1, 3, N, 2 * N) if 1 <= M <= 2 * N} or {1}
+    return sorted(folding | {DEFAULT_CONFIG.angular_count(2 * N)})
+
+
+@pytest.mark.parametrize("N", KERNEL_ORDERS)
+def test_circle_kernel_matches_direct_sum_on_grids(N):
+    h = kernel_series(N)
+    for M in kernel_grids(N):
+        for rho in (0.8, 1.0, 1.7):
+            fields = circle_fields(h, rho, circle_angles(M))
+            assert fields.values.shape == (M,)
+            assert_matches_direct(fields, direct_fields(h, rho, M=M))
+
+
+@pytest.mark.parametrize("N", KERNEL_ORDERS)
+def test_batched_radii_match_per_radius_loop(N):
+    h = kernel_series(N)
+    rhos = np.array([0.8, 1.0, 1.3, 1.7, 2.9])
+    for M in kernel_grids(N):
+        batch = circle_grid_fields(h, rhos, M)
+        assert batch.values.shape == (rhos.size, M)
+        for i, rho in enumerate(rhos):
+            single = circle_fields(h, float(rho), circle_angles(M))
+            for got, want in zip(batch, single):
+                scale = np.max(np.abs(want), initial=0.0)
+                assert np.max(np.abs(got[i] - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("N", KERNEL_ORDERS)
+def test_off_grid_angles_match_direct_sum(N):
+    h = kernel_series(N)
+    thetas = np.random.default_rng(N).uniform(-7.0, 7.0, size=9)
+    for rho in (0.8, 1.7):
+        fields = circle_fields(h, rho, thetas)
+        assert_matches_direct(fields, direct_fields(h, rho, thetas=thetas))
+
+
+def test_batched_derived_fields_match_pointwise():
+    h = kernel_series(12)
+    rhos = np.array([1.1, 2.0])
+    f = circle_grid_fields(h, rhos, 64)
+    for i, rho in enumerate(rhos):
+        for j in (0, 17, 63):
+            p = PolarPoint(float(rho), float(circle_angles(64)[j]))
+            assert f.jacobian(rhos)[i, j] == pytest.approx(jacobian(h, p), rel=1e-12)
+            assert f.grad_norm_sq(rhos)[i, j] == pytest.approx(grad_norm_sq(h, p), rel=1e-12)
+
+
+def test_circle_kernel_overflow_gives_nonfinite_fields():
+    big = HarmonicSeries.from_coeffs(a={8: 1e300})
+    fields = circle_fields(big, 100.0, circle_angles(256))
+    for arr in fields:
+        assert not np.any(np.isfinite(arr))
+    batch = circle_grid_fields(big, np.array([1.0, 100.0]), 256)
+    for arr in batch:
+        assert np.all(np.isfinite(arr[0])) and not np.any(np.isfinite(arr[1]))
+
+
+def test_circle_grid_fields_rejects_bad_input():
+    with pytest.raises(ParameterDomainError):
+        circle_grid_fields(IDENTITY, np.array([1.0, 0.0]), 8)
+    with pytest.raises(ParameterDomainError):
+        circle_grid_fields(IDENTITY, np.array([1.0]), 0)
