@@ -19,6 +19,7 @@ emitted JSON reproduces bit-identical values.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .bounds import kalaj_bound, nitsche_bound, theorem_gate, weitsman_bound
-from .errors import ToolkitError
+from .errors import ParameterDomainError, ToolkitError
 from .means import initial_speed, quadratic_mean_profile, variance_profile
 from .operators import lambda_from_speed
 from .quadrature import QuadratureConfig
@@ -173,13 +174,36 @@ def _emit_rows(rows: list[dict], args: argparse.Namespace, manifest: dict,
         _emit(_as_json({"manifest": manifest, key: rows}), args.out)
 
 
+def _read_quad_config(path: Path) -> dict:
+    """QuadratureConfig fields from a --quad-config file, each key known and
+    each value of its default's type (an integer where that is an int)."""
+    try:
+        loaded = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParameterDomainError(
+            f"--quad-config {path}: not valid JSON ({exc})") from None
+    if not isinstance(loaded, dict):
+        raise ParameterDomainError("--quad-config must hold a JSON object")
+    defaults = {f.name: f.default for f in dataclasses.fields(QuadratureConfig)}
+    for key, value in loaded.items():
+        if key not in defaults:
+            raise ParameterDomainError(
+                f"--quad-config: unknown key {key!r}; known: {', '.join(defaults)}")
+        kinds = int if isinstance(defaults[key], int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ParameterDomainError(
+                f"--quad-config: {key} must be {type(defaults[key]).__name__}, "
+                f"got {value!r}")
+    return loaded
+
+
 def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
     fields = {
         "angular_nodes": args.angular_nodes,
         "radial_nodes_per_unit": args.radial_nodes,
     }
     if args.quad_config is not None:
-        fields.update(json.loads(args.quad_config.read_text(encoding="utf-8")))
+        fields.update(_read_quad_config(args.quad_config))
     return QuadratureConfig(**fields)
 
 
@@ -292,12 +316,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     rows = []
     for i in range(args.steps + 1):
         rho = 1.0 + (args.R - 1.0) * i / args.steps
-        rows.append({
-            "rho": rho,
-            "value": float(profile.value(rho)),
-            "deriv1": float(profile.deriv1(rho)),
-            "deriv2": float(profile.deriv2(rho)),
-        })
+        value, d1, d2 = profile.jet(rho)
+        rows.append({"rho": rho, "value": value, "deriv1": d1, "deriv2": d2})
     manifest = _manifest(args)
     manifest["profile"] = profile.label
     _emit_rows(rows, args, manifest)
@@ -338,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,6 +12,14 @@ n = 0 term.  Everything here is exact closed form (value plus first and
 second derivative in rho), packaged in RadialProfile objects; the quadrature
 module provides the independent numerical oracle for these formulas.
 
+Each profile is one weight table over the basis rho^(2k), rho^(-2k)
+(k = 1..N, modes n and -n sharing k = |n|), 1, log(rho) and log(rho)^2.
+Column d of the table holds the coefficients of rho^d times the d-th
+derivative, so an evaluation takes one power table rho^(2k), its
+reciprocal and one matmul, and divides column d by rho^d: value and both
+derivatives come from the same powers (RadialProfile.jet).  The termwise
+second derivative of the variance keeps its own formula as a cross-check.
+
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
 at rho = 1.
@@ -20,7 +28,7 @@ at rho = 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -33,77 +41,90 @@ CLASS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A scalar function of rho > 0 with closed-form derivatives."""
+    """A scalar function of rho > 0 with closed-form derivatives.
+
+    `jet` returns all three orders from one evaluation; a profile built from
+    the three callables alone (no `_jet`) serves it by calling them in turn.
+    """
 
     label: str
     value: Callable[[np.ndarray | float], np.ndarray | float]
     deriv1: Callable[[np.ndarray | float], np.ndarray | float]
     deriv2: Callable[[np.ndarray | float], np.ndarray | float]
+    _jet: Callable[[np.ndarray | float], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
+
+    def jet(self, rho):
+        """(value, deriv1, deriv2) at rho, vectorized over rho."""
+        if self._jet is None:
+            return self.value(rho), self.deriv1(rho), self.deriv2(rho)
+        table = self._jet(rho)
+        return tuple(_unwrap(table[..., k]) for k in range(3))
+
+
+def _unwrap(out: np.ndarray) -> np.ndarray | float:
+    return out if out.shape else float(out)
 
 
 def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                  only_mode: int | None = None) -> RadialProfile:
-    """Profile of a sum of mode means; `only_mode` restricts to one mode."""
+    """Profile of a sum of mode means; `only_mode` restricts to one mode.
+
+    Row j, column d of the weight table is the coefficient of basis function
+    j in rho^d U^(d).  U_n + U_-n weighs rho^(2k) by |a_k|^2 + |b_-k|^2 and
+    rho^(-2k) by |b_k|^2 + |a_-k|^2, with k = |n|.
+    """
+    a0 = b0 = 0j
     if only_mode is None:
-        ns = h.mode_numbers.astype(np.float64)
-        a, b = h.a_modes, h.b_modes
-        with_zero = include_zero
+        ks = np.arange(1, h.N + 1, dtype=np.float64)
+        sq = np.abs(np.concatenate((h.a_pos, h.b_pos, h.b_neg, h.a_neg))) ** 2
+        amp = sq[: 2 * h.N] + sq[2 * h.N:]
+        cross = 2.0 * (np.vdot(h.b_pos, h.a_pos) + np.vdot(h.b_neg, h.a_neg)).real
+        if include_zero:
+            a0, b0 = h.a0, h.b0
     elif only_mode == 0:
-        ns = np.zeros(0)
-        a = b = np.zeros(0, dtype=np.complex128)
-        with_zero = True
+        ks = amp = np.zeros(0)
+        cross = 0.0
+        a0, b0 = h.a0, h.b0
     else:
         an, bn = h.coeff(only_mode)
-        ns = np.array([float(only_mode)])
-        a, b = np.array([an]), np.array([bn])
-        with_zero = False
-    A = np.abs(a) ** 2
-    B = np.abs(b) ** 2
-    C = 2.0 * (a * np.conj(b)).real
-    a0 = h.a0 if with_zero else 0j
-    b0 = h.b0 if with_zero else 0j
+        if only_mode < 0:
+            an, bn = bn, an
+        ks = np.array([float(abs(only_mode))])
+        amp = np.array([abs(an) ** 2, abs(bn) ** 2])
+        cross = 2.0 * (an * bn.conjugate()).real
+    K = ks.size
+    two_k = 2.0 * ks
+    exps = np.concatenate((two_k, -two_k))
+    # |a0 log(rho) + b0|^2 = alpha log^2 + beta log + |b0|^2
+    alpha, beta = abs(a0) ** 2, 2.0 * (a0 * b0.conjugate()).real
+    weights = np.empty((2 * K + 3, 3))
+    weights[:-3, 0] = amp
+    weights[:-3, 1] = amp * exps
+    weights[:-3, 2] = weights[:-3, 1] * (exps - 1.0)
+    weights[-3:] = ((cross + abs(b0) ** 2, beta, 2.0 * alpha - beta),
+                    (beta, 2.0 * alpha, -2.0 * alpha),
+                    (alpha, 0.0, 0.0))
 
-    def value(rho):
+    def jet(rho) -> np.ndarray:
+        """(..., 3) array of U, U', U'' at rho."""
         r = np.asarray(rho, dtype=np.float64)
-        out = np.zeros_like(r)
-        if ns.size:
-            rp = r[..., None] ** (2.0 * ns)
-            rn = r[..., None] ** (-2.0 * ns)
-            out = out + np.sum(A * rp + B * rn + C, axis=-1)
-        if with_zero:
-            c = a0 * np.log(r) + b0
-            out = out + np.abs(c) ** 2
-        return out if out.shape else float(out)
+        basis = np.empty(r.shape + (2 * K + 3,))
+        basis[..., :K] = r[..., None] ** two_k
+        np.divide(1.0, basis[..., :K], out=basis[..., K:-3])
+        basis[..., -3] = 1.0
+        basis[..., -2] = np.log(r)
+        basis[..., -1] = basis[..., -2] ** 2
+        out = basis @ weights
+        out[..., 1] /= r
+        out[..., 2] /= r * r
+        return out
 
-    def deriv1(rho):
-        r = np.asarray(rho, dtype=np.float64)
-        out = np.zeros_like(r)
-        if ns.size:
-            rp = r[..., None] ** (2.0 * ns - 1.0)
-            rn = r[..., None] ** (-2.0 * ns - 1.0)
-            out = out + np.sum(2.0 * ns * (A * rp - B * rn), axis=-1)
-        if with_zero:
-            c = a0 * np.log(r) + b0
-            out = out + 2.0 * (np.conj(a0) * c).real / r
-        return out if out.shape else float(out)
+    def column(d: int):
+        return lambda rho: _unwrap(jet(rho)[..., d])
 
-    def deriv2(rho):
-        r = np.asarray(rho, dtype=np.float64)
-        out = np.zeros_like(r)
-        if ns.size:
-            rp = r[..., None] ** (2.0 * ns - 2.0)
-            rn = r[..., None] ** (-2.0 * ns - 2.0)
-            out = out + np.sum(
-                2.0 * ns * (2.0 * ns - 1.0) * A * rp
-                + 2.0 * ns * (2.0 * ns + 1.0) * B * rn,
-                axis=-1,
-            )
-        if with_zero:
-            c = a0 * np.log(r) + b0
-            out = out + 2.0 * (np.abs(a0) ** 2 - (np.conj(a0) * c).real) / r**2
-        return out if out.shape else float(out)
-
-    return RadialProfile(label=label, value=value, deriv1=deriv1, deriv2=deriv2)
+    return RadialProfile(label=label, value=column(0), deriv1=column(1),
+                         deriv2=column(2), _jet=jet)
 
 
 def quadratic_mean_mode(h: HarmonicSeries, n: int) -> RadialProfile:
@@ -179,11 +200,10 @@ def initial_speed(h: HarmonicSeries) -> float:
     (1 - lam)/(1 + lam); the critical map starts at speed zero and the
     identity at speed one.
     """
-    U = quadratic_mean_profile(h)
-    u1 = float(U.value(1.0))
+    u1, du1, _ = quadratic_mean_profile(h).jet(1.0)
     if u1 <= 0.0:
         raise DegenerateSeriesError("U(1) = 0: inner circle degenerates")
-    return float(U.deriv1(1.0)) / (2.0 * math.sqrt(u1))
+    return du1 / (2.0 * math.sqrt(u1))
 
 
 def mean_outer_radius(h: HarmonicSeries, R: float) -> float:

@@ -85,10 +85,11 @@ class LambdaOperator:
     def apply(self, P: RadialProfile, rho):
         """L_lam[P](rho), vectorized over rho."""
         r, den = self._denominator(rho)
+        value, d1, d2 = P.jet(r)
         return (
-            P.deriv2(r)
-            + (3.0 * self.lam - r**2) / (r * den) * P.deriv1(r)
-            - 8.0 * self.lam / den**2 * P.value(r)
+            d2
+            + (3.0 * self.lam - r**2) / (r * den) * d1
+            - 8.0 * self.lam / den**2 * value
         )
 
     def divergence_form_residual(self, P: RadialProfile, rho: float,
@@ -202,9 +203,8 @@ def k_endpoint(h: HarmonicSeries, lam: float, R: float) -> float:
     if not R > 1.0:
         raise ParameterDomainError("R must exceed 1")
     U = quadratic_mean_profile(h)
-    u_R = float(U.value(R))
-    u_1 = float(U.value(1.0))
-    du_1 = float(U.deriv1(1.0))
+    u_R = U.value(R)
+    u_1, du_1, _ = U.jet(1.0)
     return (
         2.0 * R**2 / (R**2 + lam) * u_R
         - 2.0 * (lam * R**2 + 1.0) / (1.0 + lam) ** 2 * u_1

@@ -25,7 +25,6 @@ from .operators import (
     identity_residuals,
     k_endpoint,
     k_quadrature,
-    variance_subsolution_min,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, enclosed_area
 from .sampling import (
@@ -195,10 +194,9 @@ def run_subsolution(
     for s in _seeds(seed + 2, trials):
         h = _tame_series(s, N=10, decay=0.15)
         lam = rng.uniform(-0.9, 1.0)
-        floor_deficit = _worst(
-            floor_deficit, -variance_subsolution_min(h, lam, grid))
-        op = LambdaOperator(lam)
-        lv = np.asarray(op.apply(variance_profile(h), grid))
+        V = variance_profile(h)
+        lv = np.asarray(LambdaOperator(lam).apply(V, grid))
+        floor_deficit = _worst(floor_deficit, -float(np.min(lv)))
         ns = h.mode_numbers.astype(np.float64)
         amp_a = np.abs(h.a_modes) ** 2
         amp_b = np.abs(h.b_modes) ** 2
@@ -212,9 +210,7 @@ def run_subsolution(
         chain_excess = _worst(chain_excess, np.max(chain - lv))
         d2 = np.asarray(variance_deriv2_termwise(h, grid))
         d2_deficit = _worst(d2_deficit, -np.min(d2))
-        d2_mismatch = _worst(d2_mismatch, np.max(
-            np.abs(d2 - np.asarray(variance_profile(h).deriv2(grid)))
-        ))
+        d2_mismatch = _worst(d2_mismatch, np.max(np.abs(d2 - V.deriv2(grid))))
     family_worst = 0.0
     for _ in range(trials):
         h, lam = _equality_family(rng)

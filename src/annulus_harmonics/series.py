@@ -511,15 +511,27 @@ def scale_rotate(h: HarmonicSeries, alpha: complex) -> HarmonicSeries:
 
 _JSON_KEYS = ("a_pos", "b_pos", "a_neg", "b_neg")
 
+# Largest truncation order accepted from JSON, checked before any array is
+# allocated, so a malformed file cannot ask for an arbitrarily large series.
+MAX_JSON_ORDER = 4096
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
 
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
 def _unpair(v, name: str) -> complex:
-    if (not isinstance(v, (list, tuple))) or len(v) != 2:
-        raise ParameterDomainError(f"{name} must be a [re, im] pair")
-    re, im = float(v[0]), float(v[1])
+    if (not isinstance(v, (list, tuple))) or len(v) != 2 \
+            or not (_is_number(v[0]) and _is_number(v[1])):
+        raise ParameterDomainError(f"{name} must be a [re, im] pair of numbers")
+    try:
+        re, im = float(v[0]), float(v[1])
+    except OverflowError:  # an integer too large for a float
+        raise ParameterDomainError(f"{name} must be finite") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ParameterDomainError(f"{name} must be finite")
     return complex(re, im)
@@ -534,13 +546,28 @@ def to_json_dict(h: HarmonicSeries) -> dict:
 
 
 def from_json_dict(data: Mapping) -> HarmonicSeries:
-    """Inverse of to_json_dict; tolerates missing (= zero) arrays."""
+    """Inverse of to_json_dict; tolerates missing (= zero) arrays.
+
+    Rejects with ParameterDomainError: a non-object, a missing, boolean or
+    non-integral N, N above MAX_JSON_ORDER, and arrays that are not lists
+    of [re, im] number pairs.
+    """
+    if not isinstance(data, Mapping):
+        raise ParameterDomainError("series JSON must be an object")
     if "N" not in data:
         raise ParameterDomainError("series JSON must contain N")
-    N = int(data["N"])
+    N = data["N"]
+    if not _is_number(N) or (isinstance(N, float) and not N.is_integer()):
+        raise ParameterDomainError(f"N must be an integer, got {N!r}")
+    N = int(N)
+    if N > MAX_JSON_ORDER:
+        raise ParameterDomainError(
+            f"N={N} exceeds the largest order read from JSON, {MAX_JSON_ORDER}")
     kwargs: dict = {"N": N}
     for key in _JSON_KEYS:
         entries = data.get(key, [])
+        if not isinstance(entries, list):
+            raise ParameterDomainError(f"{key} must be a list of [re, im] pairs")
         kwargs[key] = np.array(
             [_unpair(v, key) for v in entries], dtype=np.complex128
         )
@@ -560,4 +587,8 @@ def save_series(h: HarmonicSeries, path: str | Path) -> None:
 
 def load_series(path: str | Path) -> HarmonicSeries:
     with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise ParameterDomainError(f"{path}: not valid JSON ({exc})") from None
+    return from_json_dict(data)

@@ -7,6 +7,7 @@ lines.  Every tolerance is fixed here, not calibrated at runtime.
 import math
 
 import numpy as np
+import pytest
 
 from annulus_harmonics import (
     HarmonicSeries,
@@ -44,6 +45,7 @@ from annulus_harmonics.sampling import (
     normalize_inner,
     random_conformal_perturbation,
 )
+from annulus_harmonics.reports import run_suite
 from annulus_harmonics.series import PolarPoint
 
 E = math.e
@@ -306,3 +308,11 @@ def test_c11_oracle_agreement():
             jac_worst, abs(jacobian(CRITICAL, PolarPoint(rho, theta)) - expected)
         )
     report("C11d", "critical-map Jacobian matches closed form", jac_worst, 1e-12)
+
+
+@pytest.mark.parametrize("seed", [40, 41, 42, 43])
+def test_verify_all_passes_for_fresh_seeds(seed):
+    """Every check of the full report passes on seeds no other test pins."""
+    failed = [(c.name, c.residual, c.tolerance)
+              for c in run_suite("all", seed, 100) if not c.passed]
+    assert failed == []

@@ -4,11 +4,12 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
-from annulus_harmonics import extremal_map, reports, save_series
+from annulus_harmonics import RadialProfile, extremal_map, reports, save_series
 from annulus_harmonics.cli import EXIT_USAGE, main
-from annulus_harmonics.series import HarmonicSeries
+from annulus_harmonics.series import MAX_JSON_ORDER, HarmonicSeries, from_json_dict
 
 
 def run(capsys, *argv):
@@ -135,6 +136,66 @@ def test_check_missing_file(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# malformed input: a typed error and exit 1, never a traceback
+# ---------------------------------------------------------------------------
+
+def rejected(capsys, *argv):
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("text", [
+    '{"N": 2, "a_pos": [[1.0, 0.0]]',                 # truncated JSON
+    b"\xff\xfe{",                                      # not UTF-8
+    '[1, 2]',                                          # not an object
+    '{"N": 2.7}',                                      # non-integral N
+    '{"N": true}',                                     # boolean N
+    '{"N": "3"}',                                      # N as a string
+    '{"N": 1e999}',                                    # infinite N
+    f'{{"N": {MAX_JSON_ORDER + 1}}}',                 # over the order bound
+    '{"N": 1' + 400 * '0' + '}',                       # over it, no float
+    '{"N": 1, "a0": [1' + 400 * '0' + ', 0]}',         # coefficient overflows
+    '{"N": 1, "a_pos": 5}',                            # array not a list
+    '{"N": 1, "a_pos": [["x", 0.0]]}',                 # pair not numbers
+])
+def test_malformed_series_file_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rejected(capsys, "profile", "--series", str(path), "--R", "2.0")
+
+
+def test_series_order_bound_and_integral_float(tmp_path, capsys):
+    assert from_json_dict({"N": MAX_JSON_ORDER}).N == MAX_JSON_ORDER
+    path = tmp_path / "s.json"
+    path.write_text('{"N": 2.0, "a_pos": [[1.0, 0.0]]}')
+    code, _ = run(capsys, "profile", "--series", str(path), "--R", "2.0",
+                  "--steps", "2")
+    assert code == 0
+
+
+def test_series_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    rejected(capsys, "check", "--series", str(tmp_path), "--R", "2.0")
+
+
+@pytest.mark.parametrize("text", [
+    '{"angular_nodes": 512',                 # truncated JSON
+    '["angular_nodes", 512]',                # not an object
+    '{"angular_nodez": 512}',                # unknown key
+    '{"angular_nodes": 300.5}',              # non-integral count
+    '{"refinement": true}',                  # boolean count
+    '{"rel_tol": "tight"}',                  # tolerance not a number
+])
+def test_malformed_quad_config_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "quad.json"
+    path.write_text(text)
+    rejected(capsys, "verify", "certificates", "--trials", "1",
+             "--quad-config", str(path))
+
+
+# ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
@@ -204,8 +265,13 @@ def test_nan_after_first_draw_fails_the_check(monkeypatch, capsys):
 
 
 def test_nan_floor_fails_the_clamped_check(monkeypatch):
-    # max(0.0, -nan) is 0.0 in Python: the clamp must keep the NaN
-    nan_on_call(monkeypatch, "variance_subsolution_min", 2)
+    # max(0.0, -nan) is 0.0 in Python: the clamp must keep the NaN.  The
+    # second draw's variance profile reads NaN, so its floor is NaN.
+    def nan_value(V):
+        return RadialProfile(V.label, lambda rho: np.full(np.shape(rho), math.nan),
+                             V.deriv1, V.deriv2)
+
+    nan_on_call(monkeypatch, "variance_profile", 2, pick=nan_value)
     checks = {c.name: c for c in reports.run_suite("subsolution", 0, 3)}
     assert math.isnan(checks["variance-floor"].residual)
     assert not checks["variance-floor"].passed

@@ -6,6 +6,9 @@ import pytest
 from annulus_harmonics import (
     DegenerateSeriesError,
     HarmonicSeries,
+    LambdaOperator,
+    RadialProfile,
+    SamplerConfig,
     extremal_map,
     initial_speed,
     inner_mean,
@@ -16,6 +19,7 @@ from annulus_harmonics import (
     quadratic_mean_mode,
     quadratic_mean_numeric,
     quadratic_mean_profile,
+    random_series,
     variance_profile,
 )
 from annulus_harmonics.means import variance_deriv2_termwise
@@ -95,6 +99,94 @@ def test_profile_derivatives_match_finite_differences(tame_series):
     fd2 = (float(P.deriv1(rho + step)) - float(P.deriv1(rho - step))) / (2 * step)
     assert fd1 == pytest.approx(float(P.deriv1(rho)), abs=1e-8)
     assert fd2 == pytest.approx(float(P.deriv2(rho)), abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# the profile jet against the termwise formulas
+# ---------------------------------------------------------------------------
+
+def reference_jet(ns, a, b, a0, b0, rho):
+    """[(U, size), (U', size), (U'', size)] for the profile
+    sum_n |a_n rho^n + b_n rho^-n|^2 + |a0 log(rho) + b0|^2, by the termwise
+    formulas; each size is the summed magnitude of the terms added."""
+    r = np.asarray(rho, dtype=np.float64)
+    rr = r[..., None]
+    n2 = 2.0 * np.asarray(ns, dtype=np.float64)
+    up = np.abs(a) ** 2 * rr**n2
+    down = np.abs(b) ** 2 * rr**-n2
+    cross = np.broadcast_to(2.0 * (a * np.conj(b)).real, up.shape)
+    c = a0 * np.log(r) + b0
+    g = 2.0 * (np.conj(a0) * c).real
+    size = abs(a0) * np.abs(np.log(r)) + abs(b0)   # |c| before cancellation
+    orders = (
+        ((up, down, cross), np.abs(c) ** 2, size**2),
+        ((n2 * up / rr, -n2 * down / rr), g / r, 2 * abs(a0) * size / r),
+        ((n2 * (n2 - 1) * up / rr**2, n2 * (n2 + 1) * down / rr**2),
+         (2 * abs(a0) ** 2 - g) / r**2, 2 * abs(a0) * (abs(a0) + size) / r**2),
+    )
+    return [(sum(t.sum(-1) for t in terms) + log_term,
+             sum(np.abs(t).sum(-1) for t in terms) + log_size)
+            for terms, log_term, log_size in orders]
+
+
+def jet_cases():
+    """(id, series N) for the orders pinned: none, one, a few, the benchmark's
+    largest, and beyond it."""
+    for N in (0, 1, 4, 12, 40):
+        if N == 0:
+            h = HarmonicSeries(N=0, a0=0.7 - 0.2j, b0=-0.4 + 0.9j)
+        else:
+            h = random_series(SamplerConfig(seed=300 + N, N=N, decay=0.6))
+        ns, a, b = h.mode_numbers, h.a_modes, h.b_modes
+        yield f"U-N{N}", quadratic_mean_profile(h), (ns, a, b, h.a0, h.b0)
+        yield f"V-N{N}", variance_profile(h), (ns, a, b, 0j, 0j)
+        yield f"U_0-N{N}", quadratic_mean_mode(h, 0), ([], [], [], h.a0, h.b0)
+        for n in {1, -N} if N else ():
+            a_n, b_n = h.coeff(n)
+            yield (f"U_{n}-N{N}", quadratic_mean_mode(h, n),
+                   ([n], np.array([a_n]), np.array([b_n]), 0j, 0j))
+
+
+JET_CASES = list(jet_cases())
+JET_RADII = {
+    "scalar": 1.7,
+    "1d": np.linspace(0.6, 4.5, 13),
+    "2d": np.geomspace(0.7, 4.0, 12).reshape(3, 4),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(JET_RADII))
+@pytest.mark.parametrize("case", JET_CASES, ids=[c[0] for c in JET_CASES])
+def test_profile_jet_matches_termwise_reference(case, shape):
+    _, P, terms = case
+    rho = JET_RADII[shape]
+    ref = reference_jet(*terms, rho)
+    jet = P.jet(rho)
+    fields = (P.value(rho), P.deriv1(rho), P.deriv2(rho))
+    for got, field, (want, magnitude) in zip(jet, fields, ref):
+        assert np.shape(got) == np.shape(rho)
+        assert isinstance(got, float) == np.isscalar(rho)
+        assert np.array_equal(got, field)
+        assert np.all(np.abs(got - want) <= 1e-13 * magnitude)
+
+
+@pytest.mark.parametrize("lam", [-0.9, -0.2, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("case", JET_CASES[::3], ids=[c[0] for c in JET_CASES[::3]])
+def test_operator_apply_matches_reference_composition(case, lam):
+    _, P, terms = case
+    rho = np.linspace(1.0, 4.5, 29)
+    (v, v_mag), (d1, d1_mag), (d2, d2_mag) = reference_jet(*terms, rho)
+    op = LambdaOperator(lam)
+    drift, zero = op.drift(rho), op.zero_order(rho)
+    want = d2 + drift * d1 + zero * v
+    magnitude = d2_mag + np.abs(drift) * d1_mag + np.abs(zero) * v_mag
+    assert np.all(np.abs(op.apply(P, rho) - want) <= 1e-13 * magnitude)
+
+
+def test_profile_from_callables_serves_jet_through_them():
+    P = RadialProfile("rho^3", lambda r: r**3, lambda r: 3 * r**2, lambda r: 6 * r)
+    assert P.jet(2.0) == (8.0, 12.0, 12.0)
+    assert LambdaOperator(0.0).apply(P, 2.0) == pytest.approx(12.0 - 12.0 / 2.0)
 
 
 # ---------------------------------------------------------------------------
