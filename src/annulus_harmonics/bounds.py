@@ -32,7 +32,7 @@ from .means import (
     quadratic_mean_profile,
     variance_profile,
 )
-from .operators import k_functional, lambda_from_speed
+from .operators import k_functional, lambda_from_speed, speed_bound
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, circle_angles
 from .series import Annulus, HarmonicSeries, circle_fields
 
@@ -387,7 +387,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
     bound = base
     if class_d and normalized_speed >= 0.0:
         lam = lambda_from_speed(normalized_speed)
-        bound = (R**2 + lam) / ((1.0 + lam) * R)
+        bound = speed_bound(R, lam)
         rule = "initial-speed"
     elif class_n:
         rule = "neumann-mean"

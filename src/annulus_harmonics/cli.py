@@ -30,7 +30,7 @@ from . import __version__
 from .bounds import kalaj_bound, nitsche_bound, theorem_gate, weitsman_bound
 from .errors import ParameterDomainError, ToolkitError
 from .means import initial_speed, quadratic_mean_profile, variance_profile
-from .operators import lambda_from_speed
+from .operators import lambda_from_speed, speed_bound
 from .quadrature import QuadratureConfig
 from .reports import DEFAULT_TOLERANCES, SUITES, run_suite
 from .sampling import SamplerConfig, normalize_inner, random_series
@@ -290,7 +290,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     for i in range(1, args.steps + 1):
         rho = 1.0 + (args.R - 1.0) * i / args.steps
         measured = math.sqrt(float(profile.value(rho)))
-        bound = (rho**2 + lam) / ((1.0 + lam) * rho)
+        bound = speed_bound(rho, lam)
         rows.append({
             "rho": rho,
             "mean_radius": measured,

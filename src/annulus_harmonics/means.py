@@ -20,6 +20,11 @@ reciprocal and one matmul, and divides column d by rho^d: value and both
 derivatives come from the same powers (RadialProfile.jet).  The termwise
 second derivative of the variance keeps its own formula as a cross-check.
 
+quadratic_mean_profile keeps the profiles of the last 32 series it was
+given, keyed by the series' identity: the operators, bounds and sampling
+modules ask for U of the same series many times, and each build costs a
+weight table.
+
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
 at rho = 1.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -140,7 +146,16 @@ def quadratic_mean_mode(h: HarmonicSeries, n: int) -> RadialProfile:
 
 
 def quadratic_mean_profile(h: HarmonicSeries) -> RadialProfile:
-    """Quadratic mean U(rho) of |h|^2 over C_rho, all modes included."""
+    """Quadratic mean U(rho) of |h|^2 over C_rho, all modes included.
+
+    The profile is built once per series and memoised on the series'
+    identity, so repeated calls on one series return the same object.
+    """
+    return _memo_quadratic_mean_profile(h)
+
+
+@lru_cache(maxsize=32)
+def _memo_quadratic_mean_profile(h: HarmonicSeries) -> RadialProfile:
     return _sum_profile(h, "U", include_zero=True)
 
 

@@ -15,7 +15,13 @@ divergence form
 used here as a finite-difference cross-check.  Two integral identities tie
 L_lam applied to the quadratic mean U of an arbitrary series to circle
 means of pointwise fields; both are implemented as residual checks with the
-left side in closed form and the right side by angular quadrature.
+left side in closed form and the right side by angular quadrature.  Both
+right sides are linear combinations, with lambda-dependent weights, of four
+trapezoid means (|h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2), so the
+circle is evaluated once per (series, rho, angle count): a small LRU memo
+keeps those four floats and U's jet at rho, and each lambda costs a few
+scalar operations.  The memo keys the series by identity and stores only
+floats.
 
 The weighted radial integral
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +73,7 @@ class LambdaOperator:
     def _denominator(self, rho):
         r = np.asarray(rho, dtype=np.float64)
         den = r**2 + self.lam
-        if np.any(den <= 0.0):
+        if (den <= 0.0).any():
             raise ParameterDomainError(
                 f"rho^2 + lambda must be positive (lambda={self.lam})"
             )
@@ -85,7 +92,11 @@ class LambdaOperator:
     def apply(self, P: RadialProfile, rho):
         """L_lam[P](rho), vectorized over rho."""
         r, den = self._denominator(rho)
-        value, d1, d2 = P.jet(r)
+        return self._on_jet(r, den, *P.jet(r))
+
+    def _on_jet(self, r, den, value, d1, d2):
+        """L_lam from the jet (value, d1, d2) of a profile at r, with
+        den = r^2 + lam."""
         return (
             d2
             + (3.0 * self.lam - r**2) / (r * den) * d1
@@ -117,6 +128,13 @@ class LambdaOperator:
         return abs(extrapolated - float(self.apply(P, rho)))
 
 
+def speed_bound(rho: float, lam: float) -> float:
+    """Sharp lower bound (rho^2 + lam)/((1 + lam) rho) for the mean radius
+    on C_rho of a normalized map whose initial speed gives lam; the mean
+    radius of h^lam itself."""
+    return (rho**2 + lam) / ((1.0 + lam) * rho)
+
+
 def lambda_from_speed(speed: float) -> float:
     """Parameter lam with initial speed (1-lam)/(1+lam) equal to `speed`.
 
@@ -145,26 +163,54 @@ def identity_residuals(
     angular form:   L[U] = (2/rho^2) mean( |h_theta|^2 - |h|^2
                     + | h + rho h_rho - 2 rho^2 h/(rho^2+lam) |^2 ).
 
-    The left side is the closed-form profile; the right sides use pointwise
-    fields on the quadrature circle with the radial derivative taken
-    termwise.  Returns (gradient_residual, angular_residual).
+    The left side is the closed-form profile; the right sides are
+    trapezoid means of pointwise fields on the quadrature circle, with the
+    radial derivative taken termwise.  Both right sides are linear in the
+    four circle means A = mean |h|^2, B = mean Re(conj(h) h_rho),
+    C = mean |h_rho|^2 and D = mean |h_theta|^2 (the stretched field is
+    -w h + rho h_rho, and w'/rho = 4 lam/(rho^2 + lam)^2), so
+
+        gradient:  2 (C + D/rho^2 - 4 lam A/(rho^2 + lam)^2 - 2 w B/rho),
+        angular:   (2/rho^2) (D + (w^2 - 1) A - 2 w rho B + rho^2 C),
+
+    exactly as for the pointwise integrands, the trapezoid rule being
+    linear.  The four means and U's jet at rho come from _circle_terms,
+    memoised per (series, rho, M), so a circle is evaluated once for every
+    lambda.  Returns (gradient_residual, angular_residual).
     """
+    lam, rho = float(lam), float(rho)
+    # the domain checks run on every call, whether the memo has rho or not
     op = LambdaOperator(lam)
-    lhs = float(op.apply(quadratic_mean_profile(h), rho))
-    M = cfg.angular_count(2 * h.N)
-    f = circle_fields(h, rho, circle_angles(M))
-    habs2 = np.abs(f.values) ** 2
-    grad_sq = np.abs(f.d_rho) ** 2 + np.abs(f.d_theta) ** 2 / rho**2
+    op._denominator(rho)
+    if rho <= 0.0:
+        raise ParameterDomainError("rho must be positive")
+    u, du, d2u, A, B, C, D = _circle_terms(h, rho, cfg.angular_count(2 * h.N))
     den = rho**2 + lam
+    lhs = op._on_jet(rho, den, u, du, d2u)
     w = (rho**2 - lam) / den
-    w_prime = 4.0 * lam * rho / den**2
-    radial_flux = w_prime * habs2 + 2.0 * w * (np.conj(f.values) * f.d_rho).real
-    rhs_gradient = 2.0 * float(np.mean(grad_sq - radial_flux / rho))
-    stretched = f.values + rho * f.d_rho - 2.0 * rho**2 * f.values / den
-    rhs_angular = (2.0 / rho**2) * float(
-        np.mean(np.abs(f.d_theta) ** 2 - habs2 + np.abs(stretched) ** 2)
-    )
+    rhs_gradient = 2.0 * (C + D / rho**2 - 4.0 * lam * A / den**2
+                          - 2.0 * w * B / rho)
+    rhs_angular = (2.0 / rho**2) * (
+        D + (w * w - 1.0) * A - 2.0 * w * rho * B + rho**2 * C)
     return abs(lhs - rhs_gradient), abs(lhs - rhs_angular)
+
+
+@lru_cache(maxsize=32)
+def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
+    """The lambda-free part of identity_residuals, as plain floats:
+    U, U', U'' at rho, then the means A, B, C, D of |h|^2,
+    Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 over circle_angles(M),
+    all from one circle_fields call.  The key holds the series by identity.
+    """
+    u, du, d2u = quadratic_mean_profile(h).jet(rho)
+    f = circle_fields(h, rho, circle_angles(M))
+    return (
+        float(u), float(du), float(d2u),
+        float(np.mean(np.abs(f.values) ** 2)),
+        float(np.mean((np.conj(f.values) * f.d_rho).real)),
+        float(np.mean(np.abs(f.d_rho) ** 2)),
+        float(np.mean(np.abs(f.d_theta) ** 2)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,5 +296,4 @@ def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
         raise ParameterDomainError("s must exceed the inner radius 1")
     lam = lambda_from_speed(initial_speed(h))
     measured = math.sqrt(float(U.value(s)))
-    bound = (s**2 + lam) / ((1.0 + lam) * s)
-    return measured, bound
+    return measured, speed_bound(s, lam)

@@ -10,7 +10,13 @@ import numpy as np
 from .errors import DegenerateSeriesError, ParameterDomainError, ToolkitError
 from .means import quadratic_mean_profile
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, winding_from_fields
-from .series import HarmonicSeries, circle_grid_fields, extremal_map, scale_rotate
+from .series import (
+    MAX_JSON_ORDER,
+    HarmonicSeries,
+    circle_grid_fields,
+    extremal_map,
+    scale_rotate,
+)
 
 
 @dataclass(frozen=True)
@@ -31,6 +37,10 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ParameterDomainError("N must be >= 1")
+        if self.N > MAX_JSON_ORDER:
+            raise ParameterDomainError(
+                f"N={self.N} exceeds the largest order a series file may "
+                f"hold, {MAX_JSON_ORDER}")
         if not (0.0 < self.decay < 1.0):
             raise ParameterDomainError("decay must lie in (0, 1)")
 

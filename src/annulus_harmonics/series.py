@@ -68,9 +68,13 @@ def _as_coeff_array(values, N: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicSeries:
     """Coefficients of a truncated Laurent-log series.
+
+    Equality and hashing are by identity, so a series can key the memos of
+    the means and operators modules; compare coefficients with
+    dumps_series or the arrays themselves.
 
     Attributes:
         N: truncation order; modes n with 1 <= |n| <= N may be nonzero.
@@ -274,15 +278,23 @@ class Derivatives(NamedTuple):
 # explicit phase sum over the same spectrum.
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=64)
 def circle_angles(M: int) -> np.ndarray:
-    """The M equally spaced angles 2 pi j / M, j = 0, ..., M-1."""
-    return 2.0 * np.pi * np.arange(M) / M
+    """The M equally spaced angles 2 pi j / M, j = 0, ..., M-1.
+
+    The array is cached per M and read-only.
+    """
+    thetas = 2.0 * np.pi * np.arange(M) / M
+    thetas.setflags(write=False)
+    return thetas
 
 
 def _is_grid(thetas: np.ndarray) -> bool:
     """Whether `thetas` is exactly circle_angles(thetas.size)."""
-    return (thetas.ndim == 1 and thetas.size > 0 and thetas[0] == 0.0
-            and np.array_equal(thetas, circle_angles(thetas.size)))
+    if thetas.ndim != 1 or thetas.size == 0 or thetas[0] != 0.0:
+        return False
+    grid = circle_angles(thetas.size)
+    return thetas is grid or np.array_equal(thetas, grid)
 
 
 @lru_cache(maxsize=64)

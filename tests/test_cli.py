@@ -79,6 +79,14 @@ def test_sample_deterministic(tmp_path, capsys):
     assert data["N"] == 5
 
 
+def test_sample_order_over_the_bound_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    err = rejected(capsys, "sample", "--seed", "0", "--N",
+                   str(MAX_JSON_ORDER + 1), "--out", str(out))
+    assert str(MAX_JSON_ORDER) in err
+    assert not out.exists()
+
+
 # Bytes written by `sample` before the sampler drew its uniforms in one
 # call; the stream and the JSON text must not change.
 SAMPLE_SHA256 = {
@@ -313,6 +321,15 @@ def test_evolve_identity_mean_radius(capsys):
     assert code == 0
     for row in rows:
         assert row["mean_radius"] == pytest.approx(row["rho"], abs=1e-13)
+
+
+def test_evolve_bound_is_the_speed_bound(capsys):
+    code, out = run(capsys, "evolve", "--lambda", "0.37", "--R", "2.5",
+                    "--steps", "5", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        rho = row["rho"]
+        assert row["bound"] == (rho**2 + 0.37) / ((1.0 + 0.37) * rho)
 
 
 def test_evolve_perturbed_series_positive_margin(tmp_path, capsys):

@@ -22,6 +22,7 @@ from annulus_harmonics import (
     random_series,
     variance_profile,
 )
+from annulus_harmonics import means
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.quadrature import circle_angles
 from annulus_harmonics.series import grad_norm_sq_circle
@@ -319,3 +320,16 @@ def test_variance_deriv2_positive_property(a2, b1, rho):
     if abs(a2) + abs(b1) == 0.0:
         return
     assert float(variance_deriv2_termwise(h, rho)) >= 0.0
+
+
+def test_quadratic_mean_profile_is_memoised_per_series():
+    h = random_series(SamplerConfig(seed=3, N=5))
+    twin = random_series(SamplerConfig(seed=3, N=5))
+    U = quadratic_mean_profile(h)
+    assert quadratic_mean_profile(h) is U
+    assert quadratic_mean_profile(twin) is not U
+    assert np.array_equal(quadratic_mean_profile(twin).jet(1.7), U.jet(1.7))
+    for seed in range(100):
+        quadratic_mean_profile(random_series(SamplerConfig(seed=seed, N=2)))
+    info = means._memo_quadratic_mean_profile.cache_info()
+    assert info.currsize <= info.maxsize == 32

@@ -9,16 +9,21 @@ from annulus_harmonics import (
     HarmonicSeries,
     LambdaOperator,
     ParameterDomainError,
+    SamplerConfig,
     SpeedSignError,
     evolution_lower_bound,
     extremal_map,
     k_endpoint,
     k_quadrature,
     quadratic_mean_profile,
+    random_series,
     variance_subsolution_min,
 )
-from annulus_harmonics.operators import identity_residuals
+from annulus_harmonics import operators
+from annulus_harmonics.operators import identity_residuals, speed_bound
+from annulus_harmonics.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from annulus_harmonics.sampling import normalize_inner, perturb_extremal
+from annulus_harmonics.series import circle_angles, circle_fields
 
 E32 = math.exp(1.5)
 CRITICAL = extremal_map(1.0)
@@ -114,6 +119,105 @@ def test_identities_random(tame_series, rng):
         assert a < 1e-9
 
 
+def pointwise_identity_residuals(h, lam, rho):
+    """The identities as means of the pointwise integrands, with the
+    magnitude of the largest term: the reference for identity_residuals."""
+    lhs = float(LambdaOperator(lam).apply(quadratic_mean_profile(h), rho))
+    f = circle_fields(h, rho, circle_angles(DEFAULT_CONFIG.angular_count(2 * h.N)))
+    habs2 = np.abs(f.values) ** 2
+    grad_sq = np.abs(f.d_rho) ** 2 + np.abs(f.d_theta) ** 2 / rho**2
+    den = rho**2 + lam
+    w = (rho**2 - lam) / den
+    w_prime = 4.0 * lam * rho / den**2
+    radial_flux = w_prime * habs2 + 2.0 * w * (np.conj(f.values) * f.d_rho).real
+    rhs_gradient = 2.0 * float(np.mean(grad_sq - radial_flux / rho))
+    stretched = f.values + rho * f.d_rho - 2.0 * rho**2 * f.values / den
+    angular = np.abs(f.d_theta) ** 2 - habs2 + np.abs(stretched) ** 2
+    rhs_angular = (2.0 / rho**2) * float(np.mean(angular))
+    scale = max(abs(lhs), 2.0 * float(np.mean(grad_sq + np.abs(radial_flux) / rho)),
+                (2.0 / rho**2) * float(np.mean(np.abs(f.d_theta) ** 2 + habs2
+                                               + np.abs(stretched) ** 2)))
+    return abs(lhs - rhs_gradient), abs(lhs - rhs_angular), scale
+
+
+def fresh_identity_residuals(h, lam, rho, cfg=DEFAULT_CONFIG):
+    """identity_residuals on an empty circle-term memo (a cache miss)."""
+    operators._circle_terms.cache_clear()
+    return identity_residuals(h, lam, rho, cfg)
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 16, 128])
+def test_four_means_match_pointwise_reference(N):
+    rng = np.random.default_rng(100 + N)
+    if N == 0:
+        h = HarmonicSeries(N=0, a0=0.3 - 0.7j, b0=1.1 + 0.2j)
+    else:
+        h = random_series(SamplerConfig(seed=N, N=N, decay=0.2))
+    for lam in (-0.95, -0.5, 0.0, 0.4, 1.0):
+        for rho in rng.uniform(1.02, E32, size=4):
+            g, a = identity_residuals(h, lam, float(rho))
+            g_ref, a_ref, scale = pointwise_identity_residuals(h, lam, float(rho))
+            assert abs(g - g_ref) <= 1e-13 * scale
+            assert abs(a - a_ref) <= 1e-13 * scale
+
+
+def test_memoised_circle_terms_in_both_loop_orders(tame_series):
+    h = tame_series(seed=7, N=12)
+    lams = [-0.9, -0.3, 0.0, 0.25, 0.7, 1.0]
+    rhos = [1.05, 1.7, 2.9, 4.1]
+    want = {(lam, rho): fresh_identity_residuals(h, lam, rho)
+            for lam in lams for rho in rhos}
+    operators._circle_terms.cache_clear()
+    for lam in lams:
+        for rho in rhos:
+            assert identity_residuals(h, lam, rho) == want[lam, rho]
+    for rho in rhos:
+        for lam in lams:
+            assert identity_residuals(h, lam, rho) == want[lam, rho]
+    info = operators._circle_terms.cache_info()
+    assert info.misses == len(rhos)
+    assert info.hits == 2 * len(lams) * len(rhos) - len(rhos)
+
+
+def test_memo_keys_on_series_identity_and_angle_count(tame_series):
+    h = tame_series(seed=8, N=6)
+    twin = tame_series(seed=8, N=6)  # equal coefficients, another object
+    fine = QuadratureConfig(angular_nodes=1024)
+    want_fine = fresh_identity_residuals(h, 0.5, 2.0, fine)
+    operators._circle_terms.cache_clear()
+    first = identity_residuals(h, 0.5, 2.0)
+    assert identity_residuals(twin, 0.5, 2.0) == first
+    assert identity_residuals(h, 0.5, 2.0, fine) == want_fine
+    info = operators._circle_terms.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+
+
+@pytest.mark.parametrize("lam,rho", [
+    (-1.0, 2.0), (1.5, 2.0),         # lambda outside (-1, 1]
+    (-0.5, 0.6),                      # rho^2 + lambda < 0
+    (0.5, 0.0), (0.5, -1.5),          # rho not positive
+])
+def test_identity_domain_errors_on_miss_and_hit(lam, rho):
+    operators._circle_terms.cache_clear()
+    with pytest.raises(ParameterDomainError):  # nothing memoised yet
+        identity_residuals(IDENTITY, lam, rho)
+    if rho > 0.0:
+        identity_residuals(IDENTITY, 0.5, rho)  # memoise this circle
+        assert operators._circle_terms.cache_info().currsize == 1
+    with pytest.raises(ParameterDomainError):
+        identity_residuals(IDENTITY, lam, rho)
+
+
+def test_circle_term_memo_stays_bounded():
+    h = HarmonicSeries.from_coeffs(a={1: 1.0}, b={-1: 0.2})
+    operators._circle_terms.cache_clear()
+    for rho in np.linspace(1.01, 3.0, 1000):
+        identity_residuals(h, 0.3, float(rho))
+    info = operators._circle_terms.cache_info()
+    assert info.misses == 1000
+    assert info.currsize <= info.maxsize == 32
+
+
 # ---------------------------------------------------------------------------
 # the weighted integral and its endpoint form
 # ---------------------------------------------------------------------------
@@ -193,6 +297,15 @@ def test_evolution_bound_equality_for_extremal(lam):
     for s in (1.2, 2.0, 3.5):
         measured, bound = evolution_lower_bound(h, s)
         assert measured == pytest.approx(bound, abs=1e-13)
+
+
+@pytest.mark.parametrize("lam", [-0.9, 0.0, 0.37, 1.0])
+def test_speed_bound_formula(lam):
+    # exact equality: the bounds of evolve, theorem_gate and
+    # evolution_lower_bound must not move by a bit
+    for rho in (1.0, 1.3, 2.0, math.e):
+        assert speed_bound(rho, lam) == (rho**2 + lam) / ((1.0 + lam) * rho)
+    assert speed_bound(1.0, lam) == 1.0
 
 
 def test_evolution_bound_strict_for_perturbation():

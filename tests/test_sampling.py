@@ -6,6 +6,7 @@ import pytest
 from annulus_harmonics import (
     DegenerateSeriesError,
     HarmonicSeries,
+    ParameterDomainError,
     SamplerConfig,
     extremal_map,
     initial_speed,
@@ -18,7 +19,7 @@ from annulus_harmonics import (
     random_series,
 )
 from annulus_harmonics.sampling import ensure_nonneg_speed, random_conformal_perturbation
-from annulus_harmonics.series import dumps_series
+from annulus_harmonics.series import MAX_JSON_ORDER, dumps_series
 
 
 def test_same_seed_identical_series():
@@ -44,6 +45,13 @@ def test_sampler_config_validation():
         SamplerConfig(seed=0, N=0)
     with pytest.raises(Exception):
         SamplerConfig(seed=0, decay=1.5)
+
+
+def test_sampler_order_bound():
+    assert SamplerConfig(seed=0, N=MAX_JSON_ORDER).N == MAX_JSON_ORDER
+    for N in (MAX_JSON_ORDER + 1, 10**12):
+        with pytest.raises(ParameterDomainError):
+            SamplerConfig(seed=0, N=N)
 
 
 def test_flags_suppress_log_and_const():

@@ -416,6 +416,32 @@ def test_batched_derived_fields_match_pointwise():
             assert f.grad_norm_sq(rhos)[i, j] == pytest.approx(grad_norm_sq(h, p), rel=1e-12)
 
 
+def test_circle_angles_cached_and_read_only():
+    thetas = circle_angles(64)
+    assert circle_angles(64) is thetas
+    assert not thetas.flags.writeable
+    with pytest.raises(ValueError):
+        thetas[0] = 1.0
+    assert np.array_equal(thetas, 2.0 * np.pi * np.arange(64) / 64)
+
+
+def test_grid_copy_takes_the_same_kernel_as_the_cached_grid():
+    h = kernel_series(12)
+    thetas = circle_angles(96)
+    cached = circle_fields(h, 1.4, thetas)
+    for copy in (thetas.copy(), list(thetas)):
+        for got, want in zip(circle_fields(h, 1.4, copy), cached):
+            assert np.array_equal(got, want)
+
+
+def test_series_equality_and_hash_are_by_identity():
+    h = kernel_series(4)
+    twin = kernel_series(4)
+    assert h == h and hash(h) == hash(h)
+    assert h != twin and dumps_series(h) == dumps_series(twin)
+    assert len({h, twin, h}) == 2
+
+
 def test_circle_kernel_overflow_gives_nonfinite_fields():
     big = HarmonicSeries.from_coeffs(a={8: 1e300})
     fields = circle_fields(big, 100.0, circle_angles(256))
