@@ -189,7 +189,7 @@ def mode_energy_excess(h: HarmonicSeries) -> float:
     if h.N == 0:
         return 0.0
     ns = h.mode_numbers.astype(np.float64)
-    return float(np.sum((ns - 1.0) * np.abs(h.a_modes + h.b_modes) ** 2))
+    return float(np.sum((ns - 1.0) * np.abs(h.a + h.b) ** 2))
 
 
 def inner_circle_identity_residual(
@@ -293,7 +293,7 @@ def schottky_check(
             jacobian_min=math.nan, windings_ok=False, passed=False,
         )
 
-    if float(np.max(np.abs(h.b_modes), initial=0.0)) > 1e-12:
+    if float(np.max(np.abs(h.b), initial=0.0)) > 1e-12:
         return not_applicable("series is not conformal (some b_n != 0)")
     if abs(h.a0) > 1e-12 or abs(h.b0) > 1e-12:
         return not_applicable("log or constant term present")
@@ -307,7 +307,7 @@ def schottky_check(
     probe = injectivity_probe(h, R)
 
     ns = h.mode_numbers.astype(np.float64)
-    amps = np.abs(h.a_modes) ** 2
+    amps = np.abs(h.a) ** 2
     mode_sum = float(np.sum(amps * (R ** (2.0 * ns) - 1.0)))
     area = float(np.pi * np.sum(ns * amps * (R ** (2.0 * ns) - 1.0)))
     area_bound = math.pi * (R**2 - 1.0)

@@ -83,9 +83,10 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
     a0 = b0 = 0j
     if only_mode is None:
         ks = np.arange(1, h.N + 1, dtype=np.float64)
-        sq = np.abs(np.concatenate((h.a_pos, h.b_pos, h.b_neg, h.a_neg))) ** 2
-        amp = sq[: 2 * h.N] + sq[2 * h.N:]
-        cross = 2.0 * (np.vdot(h.b_pos, h.a_pos) + np.vdot(h.b_neg, h.a_neg)).real
+        a, b, N = h.a, h.b, h.N
+        sq = np.abs(np.concatenate((a[:N], b[:N], b[N:], a[N:]))) ** 2
+        amp = sq[:2 * N] + sq[2 * N:]
+        cross = 2.0 * (np.vdot(b[:N], a[:N]) + np.vdot(b[N:], a[N:])).real
         if include_zero:
             a0, b0 = h.a0, h.b0
     elif only_mode == 0:
@@ -177,8 +178,8 @@ def variance_deriv2_termwise(h: HarmonicSeries, rho) -> np.ndarray | float:
         out = np.zeros_like(r)
         return out if out.shape else 0.0
     ns = h.mode_numbers.astype(np.float64)
-    A = np.abs(h.a_modes) ** 2
-    B = np.abs(h.b_modes) ** 2
+    A = np.abs(h.a) ** 2
+    B = np.abs(h.b) ** 2
     rp = r[..., None] ** (2.0 * ns)
     rn = r[..., None] ** (-2.0 * ns)
     out = (2.0 / r**2) * np.sum(

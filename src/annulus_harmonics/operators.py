@@ -181,11 +181,13 @@ def identity_residuals(
     lam, rho = float(lam), float(rho)
     # the domain checks run on every call, whether the memo has rho or not
     op = LambdaOperator(lam)
-    op._denominator(rho)
     if rho <= 0.0:
         raise ParameterDomainError("rho must be positive")
-    u, du, d2u, A, B, C, D = _circle_terms(h, rho, cfg.angular_count(2 * h.N))
     den = rho**2 + lam
+    if not den > 0.0:
+        raise ParameterDomainError(
+            f"rho^2 + lambda must be positive (lambda={lam})")
+    u, du, d2u, A, B, C, D = _circle_terms(h, rho, cfg.angular_count(2 * h.N))
     lhs = op._on_jet(rho, den, u, du, d2u)
     w = (rho**2 - lam) / den
     rhs_gradient = 2.0 * (C + D / rho**2 - 4.0 * lam * A / den**2

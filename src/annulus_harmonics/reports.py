@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .means import (
+    initial_speed,
     quadratic_mean_profile,
     variance_deriv2_termwise,
     variance_profile,
@@ -198,9 +199,9 @@ def run_subsolution(
         lv = np.asarray(LambdaOperator(lam).apply(V, grid))
         floor_deficit = _worst(floor_deficit, -float(np.min(lv)))
         ns = h.mode_numbers.astype(np.float64)
-        amp_a = np.abs(h.a_modes) ** 2
-        amp_b = np.abs(h.b_modes) ** 2
-        cross = 2.0 * (h.a_modes * np.conj(h.b_modes)).real
+        amp_a = np.abs(h.a) ** 2
+        amp_b = np.abs(h.b) ** 2
+        cross = 2.0 * (h.a * np.conj(h.b)).real
         mode_means = (
             amp_a * grid[:, None] ** (2 * ns)
             + amp_b * grid[:, None] ** (-2 * ns)
@@ -462,8 +463,6 @@ def run_schottky(
         radius_deficit = _worst(radius_deficit, -(report.mean_radius - R))
         area_deficit = _worst(area_deficit, -(report.area - report.area_bound))
         mode_deficit = _worst(mode_deficit, -report.mode_sum_margin)
-        from .means import initial_speed  # deferred to keep module imports light
-
         speed_dev = _worst(speed_dev, abs(initial_speed(normalize_inner(h)) - 1.0))
     return [
         _check(
@@ -510,8 +509,7 @@ def run_suite(
 ) -> list[CheckResult]:
     """Run one named suite, or all of them for name == "all".
 
-    Results are sorted by check name so reports are deterministic even if
-    suites run their checks in parallel.
+    Results are sorted by check name so reports are deterministic.
     """
     if name == "all":
         checks: list[CheckResult] = []

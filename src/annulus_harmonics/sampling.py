@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -65,10 +65,10 @@ def random_series(cfg: SamplerConfig) -> HarmonicSeries:
     coeffs = scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
     a0 = coeffs[4 * N] if cfg.include_log else 0j
     b0 = coeffs[-1] if cfg.include_const else 0j
-    return HarmonicSeries(
-        N=N, a_pos=coeffs[0:4 * N:4], b_pos=coeffs[1:4 * N:4],
-        a_neg=coeffs[2:4 * N:4], b_neg=coeffs[3:4 * N:4], a0=a0, b0=b0,
-    )
+    # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
+    table = coeffs[:4 * N].reshape(N, 2, 2)
+    return HarmonicSeries(N=N, a=table[:, :, 0].T.ravel(),
+                          b=table[:, :, 1].T.ravel(), a0=a0, b0=b0)
 
 
 def normalize_inner(h: HarmonicSeries) -> HarmonicSeries:
@@ -78,10 +78,7 @@ def normalize_inner(h: HarmonicSeries) -> HarmonicSeries:
     DegenerateSeriesError if the series vanishes on the unit circle in the
     quadratic mean after dropping b0.
     """
-    stripped = HarmonicSeries(
-        N=h.N, a_pos=h.a_pos, b_pos=h.b_pos, a_neg=h.a_neg, b_neg=h.b_neg,
-        a0=h.a0, b0=0j,
-    )
+    stripped = replace(h, b0=0j)
     u1 = float(quadratic_mean_profile(stripped).value(1.0))
     if u1 <= 0.0:
         raise DegenerateSeriesError("cannot normalize: U(1) = 0 after dropping b0")
@@ -98,10 +95,7 @@ def ensure_nonneg_speed(h: HarmonicSeries) -> HarmonicSeries:
     du1 = float(quadratic_mean_profile(h).deriv1(1.0))
     if du1 >= 0.0:
         return h
-    return HarmonicSeries(
-        N=h.N, a_pos=h.b_pos, b_pos=h.a_pos, a_neg=h.b_neg, b_neg=h.a_neg,
-        a0=h.a0, b0=h.b0,
-    )
+    return replace(h, a=h.b, b=h.a)
 
 
 def perturb_extremal(
@@ -112,10 +106,7 @@ def perturb_extremal(
     circle."""
     h = extremal_map(lam)
     if n == 0:
-        h = HarmonicSeries(
-            N=h.N, a_pos=h.a_pos, b_pos=h.b_pos, a_neg=h.a_neg, b_neg=h.b_neg,
-            a0=h.a0, b0=h.b0 + eps,
-        )
+        h = replace(h, b0=h.b0 + eps)
     else:
         a_n, _ = (h.coeff(n) if abs(n) <= h.N else (0j, 0j))
         h = h.with_coeff(n, a=a_n + eps)

@@ -13,8 +13,11 @@ h_z and h_zbar), and provides the one-parameter extremal family
     h^lam(z) = (z + lam/conj(z)) / (1 + lam),    -1 < lam <= 1,
 
 whose member for lam = 1 is the critical map (z + 1/conj(z)) / 2 with
-Jacobian vanishing on the unit circle.  A stable JSON encoding of the
-coefficient data is included.
+Jacobian vanishing on the unit circle.  A series holds a_n and b_n as two
+arrays a and b over the 2N modes in mode_numbers order 1..N, -1..-N.  A
+stable JSON encoding of the coefficient data is included; it keeps its four
+half-arrays a_pos, b_pos, a_neg, b_neg, and only the codec splits or pads
+halves.
 
 Every evaluation goes through one circle kernel.  On C_rho the series is a
 Fourier sum whose mode-n coefficient is c_n(rho) = a_n rho^n + b_n rho^-n
@@ -34,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple
 
@@ -53,19 +56,33 @@ LAMBDA_MIN = -1.0 + 1e-9
 _CONSISTENCY_RTOL = 1e-12
 
 
-def _as_coeff_array(values, N: int, name: str) -> np.ndarray:
-    arr = np.zeros(N, dtype=np.complex128)
-    if values is not None:
-        vals = np.asarray(values, dtype=np.complex128)
-        if vals.ndim != 1 or vals.size > N:
-            raise ParameterDomainError(
-                f"{name} must be a 1-d sequence of at most N={N} coefficients"
-            )
-        arr[: vals.size] = vals
+def _coeff_array(values, N: int, name: str) -> np.ndarray:
+    """A read-only copy of `values` as 2N complex coefficients (None = 0)."""
+    arr = (np.zeros(2 * N, dtype=np.complex128) if values is None
+           else np.array(values, dtype=np.complex128))
+    if arr.shape != (2 * N,):
+        raise ParameterDomainError(
+            f"{name} must hold 2N={2 * N} coefficients, one per mode "
+            f"1..N, -1..-N; got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise ParameterDomainError(f"{name} contains a non-finite coefficient")
     arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=64)
+def _kernel_order(N: int) -> np.ndarray:
+    """Mode numbers 0, 1..N, -1..-N: mode 0, then the mode_numbers order of
+    a and b.  The circle kernel's spectrum has this order."""
+    pos = np.arange(1, N + 1)
+    ns = np.concatenate([[0], pos, -pos])
+    ns.setflags(write=False)
+    return ns
+
+
+def _index(n: int, N: int) -> int:
+    """Position of the nonzero mode n in the mode_numbers order."""
+    return n - 1 if n > 0 else N - n - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,28 +95,25 @@ class HarmonicSeries:
 
     Attributes:
         N: truncation order; modes n with 1 <= |n| <= N may be nonzero.
-        a_pos, b_pos: coefficients a_n, b_n for n = 1..N (index i holds n=i+1).
-        a_neg, b_neg: coefficients a_n, b_n for n = -1..-N (index i holds
-            n = -(i+1)).
+        a, b: coefficients a_n, b_n of the 2N modes in mode_numbers order
+            1..N, -1..-N: index i < N holds n = i+1 and index N+i holds
+            n = -(i+1).  The constructor copies them into read-only
+            arrays; None means all zero.
         a0: coefficient of log|z|.
         b0: constant term.
     """
 
     N: int
-    a_pos: np.ndarray = field(default=None)  # type: ignore[assignment]
-    b_pos: np.ndarray = field(default=None)  # type: ignore[assignment]
-    a_neg: np.ndarray = field(default=None)  # type: ignore[assignment]
-    b_neg: np.ndarray = field(default=None)  # type: ignore[assignment]
+    a: np.ndarray = field(default=None)  # type: ignore[assignment]
+    b: np.ndarray = field(default=None)  # type: ignore[assignment]
     a0: complex = 0j
     b0: complex = 0j
 
     def __post_init__(self) -> None:
         if self.N < 0:
             raise ParameterDomainError("truncation order N must be >= 0")
-        for name in ("a_pos", "b_pos", "a_neg", "b_neg"):
-            object.__setattr__(
-                self, name, _as_coeff_array(getattr(self, name), self.N, name)
-            )
+        object.__setattr__(self, "a", _coeff_array(self.a, self.N, "a"))
+        object.__setattr__(self, "b", _coeff_array(self.b, self.N, "b"))
         a0 = complex(self.a0)
         b0 = complex(self.b0)
         if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
@@ -133,59 +147,27 @@ class HarmonicSeries:
             N = inferred
         if inferred > N:
             raise ParameterDomainError(f"mode {inferred} exceeds N={N}")
-        a_pos = np.zeros(N, dtype=np.complex128)
-        b_pos = np.zeros(N, dtype=np.complex128)
-        a_neg = np.zeros(N, dtype=np.complex128)
-        b_neg = np.zeros(N, dtype=np.complex128)
-        for n, val in a.items():
-            (a_pos if n > 0 else a_neg)[abs(n) - 1] = val
-        for n, val in b.items():
-            (b_pos if n > 0 else b_neg)[abs(n) - 1] = val
-        return cls(N=N, a_pos=a_pos, b_pos=b_pos, a_neg=a_neg, b_neg=b_neg,
-                   a0=a0, b0=b0)
+        arrays = np.zeros((2, 2 * N), dtype=np.complex128)
+        for arr, coeffs in zip(arrays, (a, b)):
+            for n, val in coeffs.items():
+                arr[_index(n, N)] = val
+        return cls(N=N, a=arrays[0], b=arrays[1], a0=a0, b0=b0)
 
-    @cached_property
+    @property
     def mode_numbers(self) -> np.ndarray:
         """Nonzero mode indices in the fixed order 1..N, -1..-N."""
-        ns = np.concatenate([np.arange(1, self.N + 1), -np.arange(1, self.N + 1)])
-        ns.setflags(write=False)
-        return ns
-
-    @cached_property
-    def a_modes(self) -> np.ndarray:
-        arr = np.concatenate([self.a_pos, self.a_neg])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def b_modes(self) -> np.ndarray:
-        arr = np.concatenate([self.b_pos, self.b_neg])
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def _kernel_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mode numbers 0, 1..N, -1..-N (as floats) with their a_n and b_n,
-        a_0 = b_0 = 0: the mode order of the circle kernel."""
-        zero = np.zeros(1)
-        out = (np.concatenate([zero, self.mode_numbers]),
-               np.concatenate([zero, self.a_modes]),
-               np.concatenate([zero, self.b_modes]))
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        return _kernel_order(self.N)[1:]
 
     def coeff(self, n: int) -> tuple[complex, complex]:
         """Return (a_n, b_n) for a nonzero mode n with |n| <= N."""
         if n == 0 or abs(n) > self.N:
             raise IndexError(f"mode {n} not stored for a series with N={self.N}")
-        if n > 0:
-            return complex(self.a_pos[n - 1]), complex(self.b_pos[n - 1])
-        return complex(self.a_neg[-n - 1]), complex(self.b_neg[-n - 1])
+        i = _index(n, self.N)
+        return complex(self.a[i]), complex(self.b[i])
 
     def modes(self) -> Iterator[tuple[int, complex, complex]]:
         """Yield (n, a_n, b_n) for every stored nonzero mode."""
-        for n, a, b in zip(self.mode_numbers, self.a_modes, self.b_modes):
+        for n, a, b in zip(self.mode_numbers, self.a, self.b):
             yield int(n), complex(a), complex(b)
 
     def with_coeff(
@@ -300,8 +282,7 @@ def _is_grid(thetas: np.ndarray) -> bool:
 @lru_cache(maxsize=64)
 def _bins(N: int, L: int) -> np.ndarray:
     """Bin n mod L of each mode n = 0, 1..N, -1..-N."""
-    n = np.concatenate([[0], np.arange(1, N + 1), -np.arange(1, N + 1)])
-    bins = n % L
+    bins = _kernel_order(N) % L
     bins.setflags(write=False)
     return bins
 
@@ -313,19 +294,20 @@ def _mode_spectrum(h: HarmonicSeries, rho) -> np.ndarray:
     Overflow is tolerated here (it yields inf/nan fields); the pointwise
     API turns non-finite results into NumericOverflowError.
     """
-    ns, a, b = h._kernel_modes
+    ns = h.mode_numbers
     r = np.asarray(rho, dtype=np.float64)[..., None]
-    x = a * r**ns
-    y = b * r**-ns
-    spec = np.empty(r.shape[:-1] + (3, ns.size), dtype=np.complex128)
-    values, d_rho, d_theta = spec[..., 0, :], spec[..., 1, :], spec[..., 2, :]
+    x = h.a * r**ns
+    y = h.b * r**-ns
+    spec = np.empty(r.shape[:-1] + (3, ns.size + 1), dtype=np.complex128)
+    values, d_rho, d_theta = spec[..., 0, 1:], spec[..., 1, 1:], spec[..., 2, 1:]
     np.add(x, y, out=values)
     np.subtract(x, y, out=d_rho)
     d_rho *= ns
     d_rho /= r
     np.multiply(values, 1j * ns, out=d_theta)
-    values[..., 0] = h.a0 * np.log(r[..., 0]) + h.b0
-    d_rho[..., 0] = h.a0 / r[..., 0]
+    spec[..., 0, 0] = h.a0 * np.log(r[..., 0]) + h.b0
+    spec[..., 1, 0] = h.a0 / r[..., 0]
+    spec[..., 2, 0] = 0.0
     return spec
 
 
@@ -346,8 +328,7 @@ def _grid_fields(h: HarmonicSeries, rho, M: int) -> np.ndarray:
 
 def _phase_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
     """Fields at arbitrary angles by an explicit phase sum, shape (3, size)."""
-    ns = h._kernel_modes[0]
-    return _mode_spectrum(h, rho) @ np.exp(1j * np.outer(ns, thetas))
+    return _mode_spectrum(h, rho) @ np.exp(1j * np.outer(_kernel_order(h.N), thetas))
 
 
 def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFields:
@@ -502,23 +483,18 @@ def lambda_from_radii(R: float, R_star: float) -> float:
 
 def scale_rotate(h: HarmonicSeries, alpha: complex) -> HarmonicSeries:
     """Multiply every coefficient by alpha (h -> alpha * h)."""
-    return HarmonicSeries(
-        N=h.N,
-        a_pos=h.a_pos * alpha,
-        b_pos=h.b_pos * alpha,
-        a_neg=h.a_neg * alpha,
-        b_neg=h.b_neg * alpha,
-        a0=h.a0 * alpha,
-        b0=h.b0 * alpha,
-    )
+    return HarmonicSeries(N=h.N, a=h.a * alpha, b=h.b * alpha,
+                          a0=h.a0 * alpha, b0=h.b0 * alpha)
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding.  Complex numbers are [re, im] pairs; arrays are indexed so
-# that entry i of a_pos/b_pos holds mode n = i+1 and entry i of a_neg/b_neg
-# holds mode n = -(i+1).  Missing arrays mean zero.  NaN and infinity are
-# rejected in both directions, and floats are written in round-trip form so
-# that save/load is byte-stable.
+# JSON encoding.  Complex numbers are [re, im] pairs.  The file splits each
+# of a and b into two halves: entry i of a_pos/b_pos holds mode n = i+1 and
+# entry i of a_neg/b_neg holds mode n = -(i+1); in memory, a is a_pos
+# followed by a_neg and b is b_pos followed by b_neg.  A missing or short
+# half is padded with zeros.
+# NaN and infinity are rejected in both directions, and floats are written
+# in round-trip form so that save/load is byte-stable.
 # ---------------------------------------------------------------------------
 
 _JSON_KEYS = ("a_pos", "b_pos", "a_neg", "b_neg")
@@ -552,17 +528,31 @@ def _unpair(v, name: str) -> complex:
 def to_json_dict(h: HarmonicSeries) -> dict:
     """Plain-JSON representation of the series."""
     out: dict = {"N": int(h.N), "a0": _pair(h.a0), "b0": _pair(h.b0)}
-    for key in _JSON_KEYS:
-        out[key] = [_pair(complex(z)) for z in getattr(h, key)]
+    halves = (h.a[:h.N], h.b[:h.N], h.a[h.N:], h.b[h.N:])
+    for key, half in zip(_JSON_KEYS, halves):
+        out[key] = [_pair(complex(z)) for z in half]
     return out
+
+
+def _json_half(data: Mapping, key: str, N: int) -> np.ndarray:
+    """The array `key` of a series file, padded with zeros to N entries."""
+    entries = data.get(key, [])
+    if not isinstance(entries, list):
+        raise ParameterDomainError(f"{key} must be a list of [re, im] pairs")
+    if len(entries) > N:
+        raise ParameterDomainError(
+            f"{key} holds {len(entries)} coefficients, more than N={N}")
+    half = np.zeros(N, dtype=np.complex128)
+    half[:len(entries)] = [_unpair(v, key) for v in entries]
+    return half
 
 
 def from_json_dict(data: Mapping) -> HarmonicSeries:
     """Inverse of to_json_dict; tolerates missing (= zero) arrays.
 
     Rejects with ParameterDomainError: a non-object, a missing, boolean or
-    non-integral N, N above MAX_JSON_ORDER, and arrays that are not lists
-    of [re, im] number pairs.
+    non-integral N, N outside 0..MAX_JSON_ORDER, and arrays that are not
+    lists of [re, im] number pairs or that hold more than N of them.
     """
     if not isinstance(data, Mapping):
         raise ParameterDomainError("series JSON must be an object")
@@ -572,20 +562,17 @@ def from_json_dict(data: Mapping) -> HarmonicSeries:
     if not _is_number(N) or (isinstance(N, float) and not N.is_integer()):
         raise ParameterDomainError(f"N must be an integer, got {N!r}")
     N = int(N)
-    if N > MAX_JSON_ORDER:
+    if not 0 <= N <= MAX_JSON_ORDER:
         raise ParameterDomainError(
-            f"N={N} exceeds the largest order read from JSON, {MAX_JSON_ORDER}")
-    kwargs: dict = {"N": N}
-    for key in _JSON_KEYS:
-        entries = data.get(key, [])
-        if not isinstance(entries, list):
-            raise ParameterDomainError(f"{key} must be a list of [re, im] pairs")
-        kwargs[key] = np.array(
-            [_unpair(v, key) for v in entries], dtype=np.complex128
-        )
-    kwargs["a0"] = _unpair(data["a0"], "a0") if "a0" in data else 0j
-    kwargs["b0"] = _unpair(data["b0"], "b0") if "b0" in data else 0j
-    return HarmonicSeries(**kwargs)
+            f"N={N} lies outside the orders read from JSON, 0..{MAX_JSON_ORDER}")
+    a_pos, b_pos, a_neg, b_neg = (_json_half(data, key, N) for key in _JSON_KEYS)
+    return HarmonicSeries(
+        N=N,
+        a=np.concatenate([a_pos, a_neg]),
+        b=np.concatenate([b_pos, b_neg]),
+        a0=_unpair(data["a0"], "a0") if "a0" in data else 0j,
+        b0=_unpair(data["b0"], "b0") if "b0" in data else 0j,
+    )
 
 
 def dumps_series(h: HarmonicSeries) -> str:

@@ -45,7 +45,7 @@ from annulus_harmonics.sampling import (
     normalize_inner,
     random_conformal_perturbation,
 )
-from annulus_harmonics.reports import run_suite
+from annulus_harmonics.reports import _worst, run_suite
 from annulus_harmonics.series import PolarPoint
 
 E = math.e
@@ -54,9 +54,15 @@ CRITICAL = extremal_map(1.0)
 
 
 def report(tag: str, label: str, worst: float, tol: float) -> None:
-    verdict = "PASS" if worst <= tol else "FAIL"
-    print(f"[{tag}] {label}: {verdict} (worst {worst:.3e}, tolerance {tol:.1e})")
-    assert worst <= tol, f"{label}: worst residual {worst} exceeds {tol}"
+    """Print and assert one criterion; a non-finite worst residual fails.
+
+    Every running worst case goes through reports._worst, which keeps a
+    NaN from any draw (Python's max and min drop one after the first).
+    """
+    ok = math.isfinite(worst) and worst <= tol
+    print(f"[{tag}] {label}: {'PASS' if ok else 'FAIL'} "
+          f"(worst {worst:.3e}, tolerance {tol:.1e})")
+    assert ok, f"{label}: worst residual {worst} exceeds {tol} or is not finite"
 
 
 def seeded_series(seed, N, decay):
@@ -69,7 +75,7 @@ def test_c01_extremal_annihilation():
     for lam in (-0.9, -0.5, 0.0, 0.5, 1.0):
         op = LambdaOperator(lam)
         profile = quadratic_mean_profile(extremal_map(lam))
-        worst = max(worst, float(np.max(np.abs(op.apply(profile, grid)))))
+        worst = _worst(worst, np.max(np.abs(op.apply(profile, grid))))
     report("C01", "operator annihilates extremal means", worst, 1e-9)
 
 
@@ -84,7 +90,7 @@ def test_c02_circle_mean_identities():
         for lam in lams:
             for rho in rhos:
                 g, a = identity_residuals(h, float(lam), float(rho))
-                worst = max(worst, g, a)
+                worst = _worst(worst, g, a)
     report("C02", "both circle-mean identities for the operator", worst, 1e-9)
 
 
@@ -97,10 +103,10 @@ def test_c03_weighted_integral_endpoint_identity():
         R = float(rng.uniform(1.05, E32))
         ke = k_endpoint(h, lam, R)
         kq = k_quadrature(h, lam, R)
-        worst = max(worst, abs(kq - ke) / (1.0 + abs(ke)))
+        worst = _worst(worst, abs(kq - ke) / (1.0 + abs(ke)))
     extremal_worst = 0.0
     for lam in (-0.9, -0.5, 0.0, 0.5, 1.0):
-        extremal_worst = max(
+        extremal_worst = _worst(
             extremal_worst, abs(k_quadrature(extremal_map(lam), lam, 2.5))
         )
     report("C03a", "weighted integral matches endpoint form", worst, 1e-6)
@@ -115,7 +121,7 @@ def test_c04_variance_subsolution():
     for i in range(1000):
         h = seeded_series(3000 + i, N=int(rng.integers(2, 11)), decay=0.15)
         lam = float(rng.uniform(-0.9, 1.0))
-        worst_floor = max(
+        worst_floor = _worst(
             worst_floor, -variance_subsolution_min(h, lam, grid)
         )
     report("C04a", "variance is a subsolution for every lambda",
@@ -136,10 +142,9 @@ def test_c04_variance_subsolution():
             b={1: alpha * lam / (1 + lam)},
             a0=a0,
         )
-        worst = float(np.max(np.abs(
+        family_worst = _worst(family_worst, np.max(np.abs(
             LambdaOperator(lam).apply(variance_profile(h), grid)
         )))
-        family_worst = max(family_worst, worst)
     report("C04b", "equality family is annihilated identically",
            family_worst, 1e-11)
 
@@ -153,7 +158,7 @@ def test_c05_speed_bound_for_normalized_series():
         h = ensure_nonneg_speed(normalize_inner(h))
         for s in s_values:
             measured, bound = evolution_lower_bound(h, float(s))
-            worst_violation = max(worst_violation, bound - measured)
+            worst_violation = _worst(worst_violation, bound - measured)
     report("C05a", "mean radius dominates the speed bound", worst_violation, 1e-10)
 
     equality_worst = 0.0
@@ -161,7 +166,7 @@ def test_c05_speed_bound_for_normalized_series():
         h = scale_rotate(extremal_map(lam), np.exp(0.9j))
         for s in (1.3, 2.0, 3.1):
             measured, bound = evolution_lower_bound(h, s)
-            equality_worst = max(equality_worst, abs(measured - bound))
+            equality_worst = _worst(equality_worst, abs(measured - bound))
     report("C05b", "rotated extremal maps attain equality", equality_worst, 1e-12)
 
 
@@ -170,26 +175,25 @@ def test_c06_certificates():
     phi_min = float(np.min(wide_annulus_certificate(grid)))
     # Endpoint values recomputed independently at 30 digits:
     # 164.955091058457631... and 8.099126183657315...
-    endpoint_res = max(
+    endpoint_res = _worst(
         abs(wide_annulus_certificate(E) - (13 * E**4 - E**6 - 19 * E**2 - 1)),
         abs(wide_annulus_certificate(E32) - (22 * E**6 - E**9 - 38 * E**3 - 1)),
         abs(wide_annulus_certificate(E) - 164.955091058457631),
         abs(wide_annulus_certificate(E32) - 8.099126183657315),
     )
     report("C06a", "wide-annulus certificate positive with stated endpoints",
-           max(max(0.0, -phi_min), endpoint_res), 1e-9)
+           _worst(0.0, -phi_min, endpoint_res), 1e-9)
 
-    d_min = math.inf
+    deficit = 0.0
     for R in np.linspace(E, 10.0, 40):
         for n in range(2, 51):
-            d_min = min(d_min, mode_form_certificate(n, R))
-    report("C06b", "mode certificate positive on [2,50] x [e,10]",
-           max(0.0, -d_min), 0.0)
+            deficit = _worst(deficit, -mode_form_certificate(n, R))
+    report("C06b", "mode certificate positive on [2,50] x [e,10]", deficit, 0.0)
 
     factored_rel = 0.0
     for R in np.linspace(E, 10.0, 40):
         want = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
-        factored_rel = max(
+        factored_rel = _worst(
             factored_rel,
             abs(mode_form_certificate(2, R) - want) / max(1.0, abs(want)),
         )
@@ -206,7 +210,7 @@ def test_c07_per_mode_form_and_variance_estimate():
                 a={n: scale * complex(rng.normal(), rng.normal())},
                 b={n: scale * complex(rng.normal(), rng.normal())},
             )
-            worst = max(worst, mode_quadratic_form_residual(h, n, R))
+            worst = _worst(worst, mode_quadratic_form_residual(h, n, R))
     report("C07a", "per-mode quadratic-form identity", worst, 1e-6)
 
     violation = 0.0
@@ -214,16 +218,16 @@ def test_c07_per_mode_form_and_variance_estimate():
         h = seeded_series(7000 + i, N=int(rng.integers(2, 7)), decay=0.2)
         R = float(rng.uniform(E + 1e-9, E32))
         lhs, rhs = variance_k_bound(h, R)
-        violation = max(violation, rhs - lhs)
+        violation = _worst(violation, rhs - lhs)
     report("C07b", "variance weighted integral dominates mode excess",
-           max(0.0, violation), 1e-6)
+           violation, 1e-6)
 
 
 def test_c08_inner_boundary_identity_and_area_limit():
     worst = 0.0
     for i in range(200):
         h = seeded_series(8000 + i, N=10, decay=0.4)
-        worst = max(worst, inner_circle_identity_residual(h))
+        worst = _worst(worst, inner_circle_identity_residual(h))
     report("C08a", "inner-circle boundary identity", worst, 1e-10)
 
     area_res = abs(enclosed_area(CRITICAL, 1.0 + 1e-5) - math.pi)
@@ -242,16 +246,15 @@ def test_c09_conformal_refinement():
         probe = injectivity_probe(h, R)
         probes_ok = probes_ok and rep.applicable and probe.windings_ok
         probes_ok = probes_ok and probe.jacobian_min > 0.0
-        radius_violation = max(radius_violation, R - rep.mean_radius)
-        area_violation = max(area_violation, rep.area_bound - rep.area)
-        mode_violation = max(mode_violation, -rep.mode_sum_margin)
+        radius_violation = _worst(radius_violation, R - rep.mean_radius)
+        area_violation = _worst(area_violation, rep.area_bound - rep.area)
+        mode_violation = _worst(mode_violation, -rep.mode_sum_margin)
     assert probes_ok, "a sampled conformal series failed its probe"
     report("C09a", "conformal mean outer radius at least R",
-           max(0.0, radius_violation), 1e-9)
+           radius_violation, 1e-9)
     report("C09b", "conformal image area at least annulus area",
-           max(0.0, area_violation), 1e-6)
-    report("C09c", "mode-sum intermediate inequality",
-           max(0.0, mode_violation), 1e-9)
+           area_violation, 1e-6)
+    report("C09c", "mode-sum intermediate inequality", mode_violation, 1e-9)
 
 
 def test_c10_critical_configuration_and_uniqueness():
@@ -259,11 +262,11 @@ def test_c10_critical_configuration_and_uniqueness():
     for R in (1.5, E, E32):
         rep = theorem_gate(CRITICAL, R)
         assert rep.verdict == "pass"
-        worst_margin = max(worst_margin, abs(rep.margin))
+        worst_margin = _worst(worst_margin, abs(rep.margin))
     report("C10a", "critical configuration has zero margin", worst_margin, 1e-12)
 
     probe = uniqueness_probe(E, epsilons=np.geomspace(1e-4, 1e-2, 9))
-    assert min(probe.gaps) > 0.0, "perturbation gap must be strictly positive"
+    assert np.min(probe.gaps) > 0.0, "perturbation gap must be strictly positive"
     slope_err = abs(probe.loglog_slope - 2.0)
     report("C10b", "perturbation gap grows quadratically (slope 2)",
            slope_err, 0.1)
@@ -277,7 +280,7 @@ def test_c11_oracle_agreement():
         h = seeded_series(11000 + i, N=8, decay=0.4)
         rho = float(rng.uniform(1.0, 2.0))
         closed = float(quadratic_mean_profile(h).value(rho))
-        worst = max(worst, abs(closed - quadratic_mean_numeric(h, rho)))
+        worst = _worst(worst, abs(closed - quadratic_mean_numeric(h, rho)))
     report("C11a", "closed-form quadratic mean matches quadrature", worst, 1e-12)
 
     energy_worst = 0.0
@@ -286,11 +289,11 @@ def test_c11_oracle_agreement():
         U = quadratic_mean_profile(h)
         lhs = 1.8 * float(U.deriv1(1.8)) - 1.2 * float(U.deriv1(1.2))
         rhs = dirichlet_energy(h, 1.2, 1.8) / math.pi
-        energy_worst = max(energy_worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        energy_worst = _worst(energy_worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     U1 = quadratic_mean_profile(CRITICAL)
     lhs = 2.0 * float(U1.deriv1(2.0)) - 1.0 * float(U1.deriv1(1.0))
     rhs = dirichlet_energy(CRITICAL, 1.0, 2.0) / math.pi
-    energy_worst = max(energy_worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
+    energy_worst = _worst(energy_worst, abs(lhs - rhs) / (1.0 + abs(lhs)))
     report("C11b", "energy identity against closed-form derivative",
            energy_worst, 1e-8)
 
@@ -304,7 +307,7 @@ def test_c11_oracle_agreement():
         rho = float(rng.uniform(1.0, E32))
         theta = float(rng.uniform(0.0, 2 * math.pi))
         expected = (rho**4 - 1.0) / (4.0 * rho**4)
-        jac_worst = max(
+        jac_worst = _worst(
             jac_worst, abs(jacobian(CRITICAL, PolarPoint(rho, theta)) - expected)
         )
     report("C11d", "critical-map Jacobian matches closed form", jac_worst, 1e-12)
@@ -316,3 +319,24 @@ def test_verify_all_passes_for_fresh_seeds(seed):
     failed = [(c.name, c.residual, c.tolerance)
               for c in run_suite("all", seed, 100) if not c.passed]
     assert failed == []
+
+
+@pytest.mark.parametrize("worst", [math.nan, math.inf, -math.inf])
+def test_report_fails_a_nonfinite_worst(worst):
+    with pytest.raises(AssertionError, match="not finite"):
+        report("X", "non-finite residual", worst, 1.0)
+
+
+def test_nan_on_a_later_draw_fails_the_criterion(monkeypatch):
+    """A NaN residual after the first draw survives to the report (C02's
+    loop over 100 series x 10 lambdas x 10 radii, NaN on the fourth call)."""
+    calls = []
+
+    def residuals(h, lam, rho):
+        calls.append(rho)
+        return (math.nan, 0.0) if len(calls) == 4 else (0.0, 0.0)
+
+    monkeypatch.setitem(globals(), "identity_residuals", residuals)
+    with pytest.raises(AssertionError, match="worst residual nan"):
+        test_c02_circle_mean_identities()
+    assert len(calls) == 10_000

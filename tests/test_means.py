@@ -138,7 +138,7 @@ def jet_cases():
             h = HarmonicSeries(N=0, a0=0.7 - 0.2j, b0=-0.4 + 0.9j)
         else:
             h = random_series(SamplerConfig(seed=300 + N, N=N, decay=0.6))
-        ns, a, b = h.mode_numbers, h.a_modes, h.b_modes
+        ns, a, b = h.mode_numbers, h.a, h.b
         yield f"U-N{N}", quadratic_mean_profile(h), (ns, a, b, h.a0, h.b0)
         yield f"V-N{N}", variance_profile(h), (ns, a, b, 0j, 0j)
         yield f"U_0-N{N}", quadratic_mean_mode(h, 0), ([], [], [], h.a0, h.b0)

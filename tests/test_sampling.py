@@ -150,7 +150,7 @@ def test_probe_flags_reflection():
 
 def test_conformal_perturbation_family():
     h = random_conformal_perturbation(404)
-    assert float(np.max(np.abs(h.b_modes))) == 0.0
+    assert float(np.max(np.abs(h.b))) == 0.0
     assert h.a0 == 0j and h.b0 == 0j
     from annulus_harmonics.quadrature import circle_angles
     from annulus_harmonics.series import circle_fields

@@ -1,5 +1,6 @@
 """Series evaluation, derivatives, Jacobian, extremal family and JSON I/O."""
 
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,7 @@ from annulus_harmonics import (
     to_json_dict,
 )
 from annulus_harmonics.quadrature import DEFAULT_CONFIG
-from annulus_harmonics.sampling import SamplerConfig, random_series
+from annulus_harmonics.sampling import SamplerConfig, perturb_extremal, random_series
 from annulus_harmonics.series import (
     circle_angles,
     circle_fields,
@@ -244,7 +245,7 @@ def test_lambda_from_radii_rejects_below_bound():
 def test_scale_rotate_one_is_identity(tame_series):
     h = tame_series(seed=5)
     g = scale_rotate(h, 1.0)
-    assert np.array_equal(g.a_pos, h.a_pos)
+    assert np.array_equal(g.a, h.a) and np.array_equal(g.b, h.b)
     assert g.a0 == h.a0 and g.b0 == h.b0
 
 
@@ -280,6 +281,69 @@ def test_coeff_index_errors(tame_series):
         h.coeff(0)
     with pytest.raises(IndexError):
         h.coeff(4)
+
+
+def test_series_fields_are_the_two_mode_arrays():
+    assert [f.name for f in dataclasses.fields(HarmonicSeries)] == [
+        "N", "a", "b", "a0", "b0"]
+    h = HarmonicSeries.from_coeffs(N=2, a={1: 1.0, -2: 2j}, b={2: 3.0, -1: 4.0})
+    assert h.a.tolist() == [1.0, 0j, 0j, 2j]       # modes 1, 2, -1, -2
+    assert h.b.tolist() == [0j, 3.0, 4.0, 0j]
+    assert h.mode_numbers.tolist() == [1, 2, -1, -2]
+    assert list(h.modes()) == [(1, 1, 0), (2, 0, 3), (-1, 0, 4), (-2, 2j, 0)]
+    assert h.coeff(-2) == (2j, 0j) and h.coeff(2) == (0j, 3.0 + 0j)
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.ones(3), None),                     # not 2N entries
+    (None, np.ones(5)),
+    (np.ones((2, 2)), None),                # right size, not 1-d
+    ([1.0, math.nan, 0.0, 0.0], None),
+    (None, [0.0, 0.0, complex(0.0, math.inf), 0.0]),
+    (None, [0.0, -math.inf, 0.0, 0.0]),
+])
+def test_constructor_rejects_bad_coefficient_arrays(a, b):
+    with pytest.raises(ParameterDomainError):
+        HarmonicSeries(N=2, a=a, b=b)
+
+
+def test_constructor_copies_into_read_only_arrays():
+    a = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.complex128)
+    b = np.zeros(4)
+    h = HarmonicSeries(N=2, a=a, b=b)
+    a[:] = 7.0
+    b[:] = 7.0
+    assert h.a.tolist() == [1.0, 2.0, 3.0, 4.0] and not h.b.any()
+    for arr in (h.a, h.b, h.mode_numbers):
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    g = HarmonicSeries(N=1)
+    assert g.a.tolist() == [0j, 0j] and g.b.tolist() == [0j, 0j]
+
+
+def test_growing_N_keeps_every_coefficient_at_its_mode():
+    h = extremal_map(0.5)
+    p = perturb_extremal(0.5, 3, 1e-3)
+    assert p.N == 3 and p.coeff(1) == h.coeff(1)
+    assert p.coeff(3) == (1e-3 + 0j, 0j)
+    assert all(p.coeff(n) == (0j, 0j) for n in (2, -1, -2, -3))
+    g = h.with_coeff(-3, b=0.25)
+    assert g.N == 3 and g.coeff(1) == h.coeff(1)
+    assert g.coeff(-3) == (0j, 0.25 + 0j)
+    assert all(g.coeff(n) == (0j, 0j) for n in (2, 3, -1, -2))
+
+
+def test_json_keeps_the_half_array_layout():
+    h = HarmonicSeries.from_coeffs(N=2, a={1: 1.0, -2: 2j}, b={2: 3.0})
+    d = to_json_dict(h)
+    assert d["a_pos"] == [[1.0, 0.0], [0.0, 0.0]]
+    assert d["a_neg"] == [[0.0, 0.0], [0.0, 2.0]]
+    assert d["b_pos"] == [[0.0, 0.0], [3.0, 0.0]]
+    assert d["b_neg"] == [[0.0, 0.0], [0.0, 0.0]]
+    g = from_json_dict({"N": 2, "a_neg": [[0.0, 0.0], [0.0, 2.0]]})
+    assert g.coeff(-2) == (2j, 0j) and not g.b.any()
+    with pytest.raises(ParameterDomainError):
+        from_json_dict({"N": -1})
 
 
 def test_json_roundtrip_byte_stable(tame_series):
@@ -340,7 +404,7 @@ def direct_fields(h, rho, thetas=None, M=None):
     mode n is reduced exactly, as 2 pi ((j n) mod M) / M."""
     ns = np.concatenate([np.arange(1, h.N + 1), -np.arange(1, h.N + 1)])
     up, down = rho ** ns.astype(float), rho ** -ns.astype(float)
-    a, b = np.concatenate([h.a_pos, h.a_neg]), np.concatenate([h.b_pos, h.b_neg])
+    a, b = h.a, h.b
     if M is None:
         phases = np.exp(1j * np.outer(thetas, ns))
     else:
