@@ -27,7 +27,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import kalaj_bound, nitsche_bound, theorem_gate, weitsman_bound
+from .bounds import (
+    _require_outer,
+    kalaj_bound,
+    nitsche_bound,
+    theorem_gate,
+    weitsman_bound,
+)
 from .errors import ParameterDomainError, ToolkitError
 from .means import initial_speed, quadratic_mean_profile, variance_profile
 from .operators import lambda_from_speed, speed_bound
@@ -268,9 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    if args.R <= 1.0:
-        print("error: --R must exceed 1", file=sys.stderr)
-        return EXIT_USAGE
+    _require_outer(args.R)
     normalized = False
     if args.lam is not None:
         h = extremal_map(args.lam)
@@ -308,9 +312,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.R <= 1.0:
-        print("error: --R must exceed 1", file=sys.stderr)
-        return EXIT_USAGE
+    _require_outer(args.R)
     h = extremal_map(args.lam) if args.lam is not None else load_series(args.series)
     profile = variance_profile(h) if args.variance else quadratic_mean_profile(h)
     rows = []

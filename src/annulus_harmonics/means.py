@@ -181,9 +181,8 @@ def variance_deriv2_termwise(h: HarmonicSeries, rho) -> np.ndarray | float:
     A = np.abs(h.a) ** 2
     B = np.abs(h.b) ** 2
     rp = r[..., None] ** (2.0 * ns)
-    rn = r[..., None] ** (-2.0 * ns)
-    out = (2.0 / r**2) * np.sum(
-        ns * (2.0 * ns - 1.0) * A * rp + ns * (2.0 * ns + 1.0) * B * rn, axis=-1
+    out = (2.0 / r**2) * (
+        rp @ (ns * (2.0 * ns - 1.0) * A) + (1.0 / rp) @ (ns * (2.0 * ns + 1.0) * B)
     )
     return out if out.shape else float(out)
 

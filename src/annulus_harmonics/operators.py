@@ -73,7 +73,7 @@ class LambdaOperator:
     def _denominator(self, rho):
         r = np.asarray(rho, dtype=np.float64)
         den = r**2 + self.lam
-        if (den <= 0.0).any():
+        if not (den > 0.0).all():
             raise ParameterDomainError(
                 f"rho^2 + lambda must be positive (lambda={self.lam})"
             )
@@ -93,6 +93,12 @@ class LambdaOperator:
         """L_lam[P](rho), vectorized over rho."""
         r, den = self._denominator(rho)
         return self._on_jet(r, den, *P.jet(r))
+
+    def apply_jet(self, rho, value, d1, d2):
+        """L_lam from a profile's jet (value, d1, d2), already evaluated at
+        rho, so a caller that needs the jet itself evaluates it once."""
+        r, den = self._denominator(rho)
+        return self._on_jet(r, den, value, d1, d2)
 
     def _on_jet(self, r, den, value, d1, d2):
         """L_lam from the jet (value, d1, d2) of a profile at r, with

@@ -368,6 +368,56 @@ def test_verify_all_passes(capsys):
     assert len(payload["checks"]) == 30
 
 
+# The report contract: every check of `verify all` with its tolerance.
+REPORT_CONTRACT = [
+    ("angular-form-identity", 1e-09),
+    ("area-bound", 1e-06),
+    ("bound-ordering", 1e-12),
+    ("divergence-form-agreement", 1e-05),
+    ("endpoint-match", 1e-06),
+    ("equality-family", 1e-11),
+    ("extremal-annihilation", 1e-09),
+    ("extremal-zero", 1e-08),
+    ("gradient-form-identity", 1e-09),
+    ("gz-weight-positive", 1e-12),
+    ("gzbar-gate-samples", 1e-12),
+    ("inner-area-limit", 1e-08),
+    ("inner-circle-identity", 1e-10),
+    ("mode-certificate-expansion", 1e-06),
+    ("mode-certificate-monotone", 1e-09),
+    ("mode-certificate-n2-factored", 1e-06),
+    ("mode-certificate-positive", 0.0),
+    ("mode-chain", 1e-10),
+    ("mode-form", 1e-06),
+    ("mode-sum-bound", 1e-09),
+    ("outer-radius-bound", 1e-09),
+    ("probes-applicable", 0.0),
+    ("unit-initial-speed", 1e-06),
+    ("variance-deriv2-match", 1e-12),
+    ("variance-deriv2-positive", 0.0),
+    ("variance-floor", 1e-10),
+    ("variance-lower-bound", 1e-06),
+    ("wide-certificate-concavity", 1e-06),
+    ("wide-certificate-endpoints", 1e-09),
+    ("wide-certificate-positive", 1e-09),
+]
+
+
+def test_report_contract_names_and_tolerances():
+    checks = reports.run_suite("all", 0, 2)
+    assert [(c.name, c.tolerance) for c in checks] == REPORT_CONTRACT
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    rejected(capsys, "verify", "schottky", "--seed", "-1", "--trials", "1")
+
+
+@pytest.mark.parametrize("command", ["profile", "evolve"])
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_nonfinite_outer_radius_is_usage_error(capsys, command, radius):
+    rejected(capsys, command, "--lambda", "0.5", "--R", radius)
+
+
 def test_evolve_defaults_to_csv(capsys):
     code, out = run(capsys, "evolve", "--lambda", "0.5", "--R", "2.0",
                     "--steps", "3")

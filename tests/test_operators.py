@@ -58,6 +58,26 @@ def test_operator_singular_point():
         op.apply(quadratic_mean_profile(IDENTITY), 0.5)  # rho^2 + lam < 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda op: op.apply(quadratic_mean_profile(extremal_map(0.3)), math.nan),
+    lambda op: op.drift(math.nan),
+    lambda op: op.zero_order(math.nan),
+    lambda op: op.apply(quadratic_mean_profile(extremal_map(0.3)),
+                        np.array([1.5, math.nan])),
+    lambda op: op.apply_jet(math.nan, 1.0, 1.0, 1.0),
+], ids=["apply", "drift", "zero_order", "apply-array", "apply-jet"])
+def test_operator_rejects_a_nan_radius(call):
+    with pytest.raises(ParameterDomainError):
+        call(LambdaOperator(0.5))
+
+
+def test_apply_jet_equals_apply():
+    U = quadratic_mean_profile(extremal_map(0.3))
+    grid = np.linspace(1.01, 5.0, 50)
+    op = LambdaOperator(-0.4)
+    assert np.array_equal(op.apply_jet(grid, *U.jet(grid)), op.apply(U, grid))
+
+
 @pytest.mark.parametrize("lam", [1.0, 0.0, 0.3, -0.5, 0.9])
 def test_operator_annihilates_extremal_mean(lam):
     op = LambdaOperator(lam)
