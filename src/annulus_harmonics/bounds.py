@@ -34,7 +34,7 @@ from .means import (
 )
 from .operators import k_functional, lambda_from_speed, speed_bound
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, circle_angles
-from .series import Annulus, HarmonicSeries, circle_fields
+from .series import Annulus, HarmonicSeries, circle_fields, require_outer
 
 GATE_TOL = 1e-9
 MODULUS_LIMIT = 1.5
@@ -46,31 +46,26 @@ MODULUS_LIMIT = 1.5
 
 def nitsche_bound(R: float) -> float:
     """The sharp bound (R + 1/R)/2 = cosh(log R)."""
-    _require_outer(R)
+    require_outer(R)
     return 0.5 * (R + 1.0 / R)
 
 
 def weitsman_bound(R: float) -> float:
     """Weitsman's bound 1 + log(R)^2 / (2 R^2)."""
-    _require_outer(R)
+    require_outer(R)
     return 1.0 + 0.5 * math.log(R) ** 2 / R**2
 
 
 def kalaj_bound(R: float) -> float:
     """Kalaj's bound 1 + log(R)^2 / 2."""
-    _require_outer(R)
+    require_outer(R)
     return 1.0 + 0.5 * math.log(R) ** 2
 
 
 def condition_modulus(R: float) -> bool:
     """Whether the unconditional gate log(R) <= 3/2 holds."""
-    _require_outer(R)
+    require_outer(R)
     return math.log(R) <= MODULUS_LIMIT + 1e-12
-
-
-def _require_outer(R: float) -> None:
-    if not (R > 1.0 and math.isfinite(R)):
-        raise ParameterDomainError("outer radius R must satisfy R > 1")
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +91,7 @@ def gzbar_gate_margin(R: float, lam: float) -> float:
     vanishes at rho = R).  For lam = 1 it holds up to R = e, and for lam = 0
     up to R = 2.
     """
-    _require_outer(R)
+    require_outer(R)
     return R**2 - 1.0 - (R**2 - lam) * math.log(R)
 
 
@@ -136,7 +131,7 @@ def mode_form_coeffs(n: int, R: float) -> ModeFormCoeffs:
     """
     if n < 1:
         raise ParameterDomainError("mode index n must be >= 1")
-    _require_outer(R)
+    require_outer(R)
     cross = (R**2 - 3.0) * (R**2 + 1.0)
     A = 4.0 * R ** (2 * n + 2) + cross - 4.0 * n * (R**4 - 1.0)
     B = 4.0 * R ** (2 - 2 * n) + cross
@@ -165,7 +160,7 @@ def mode_form_certificate_expanded(n: int, R: float) -> float:
     """
     if n < 2:
         raise ParameterDomainError("the certificate is defined for n >= 2")
-    _require_outer(R)
+    require_outer(R)
     return 4.0 * (
         R ** (2 * n + 2) * (R**4 - 2.0 * R**2 - 3.0)
         - n**2 * R**8
@@ -282,7 +277,7 @@ def schottky_check(
     """
     from .sampling import injectivity_probe  # local import avoids a cycle
 
-    _require_outer(R)
+    require_outer(R)
 
     def not_applicable(reason: str, deviation: float = math.nan) -> SchottkyReport:
         return SchottkyReport(
@@ -391,7 +386,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
         rule = "initial-speed"
     elif class_n:
         rule = "neumann-mean"
-    elif annulus.modulus <= MODULUS_LIMIT + 1e-12:
+    elif condition_modulus(R):
         rule = "modulus"
 
     margin = measured - bound
@@ -439,7 +434,7 @@ def uniqueness_probe(
 ) -> UniquenessReport:
     from .sampling import perturb_extremal  # local import avoids a cycle
 
-    _require_outer(R)
+    require_outer(R)
     if epsilons is None:
         epsilons = np.geomspace(1e-4, 1e-2, 9)
     eps = np.asarray(epsilons, dtype=np.float64)

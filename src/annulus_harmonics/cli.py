@@ -27,20 +27,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import (
-    _require_outer,
-    kalaj_bound,
-    nitsche_bound,
-    theorem_gate,
-    weitsman_bound,
-)
+from .bounds import kalaj_bound, nitsche_bound, theorem_gate, weitsman_bound
 from .errors import ParameterDomainError, ToolkitError
 from .means import initial_speed, quadratic_mean_profile, variance_profile
 from .operators import lambda_from_speed, speed_bound
 from .quadrature import QuadratureConfig
 from .reports import DEFAULT_TOLERANCES, SUITES, run_suite
 from .sampling import SamplerConfig, normalize_inner, random_series
-from .series import extremal_map, load_series, save_series
+from .series import extremal_map, load_series, require_outer, save_series
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -55,6 +49,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _count(text: str) -> int:
+    """argparse type of --steps: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _build_parser() -> _Parser:
@@ -79,7 +80,7 @@ def _build_parser() -> _Parser:
     p_bounds.add_argument("--R", type=float, default=None)
     p_bounds.add_argument("--R-min", type=float, default=None)
     p_bounds.add_argument("--R-max", type=float, default=None)
-    p_bounds.add_argument("--steps", type=int, default=1)
+    p_bounds.add_argument("--steps", type=_count, default=1)
     add_output(p_bounds)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -100,7 +101,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--series", type=Path, default=None)
     group.add_argument("--lambda", dest="lam", type=float, default=None)
     p_evolve.add_argument("--R", type=float, required=True)
-    p_evolve.add_argument("--steps", type=int, default=50)
+    p_evolve.add_argument("--steps", type=_count, default=50)
     p_evolve.add_argument("--out", type=Path, default=None,
                           help="write to this file instead of stdout")
     p_evolve.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -111,7 +112,7 @@ def _build_parser() -> _Parser:
     pgroup.add_argument("--series", type=Path, default=None)
     pgroup.add_argument("--lambda", dest="lam", type=float, default=None)
     p_profile.add_argument("--R", type=float, required=True)
-    p_profile.add_argument("--steps", type=int, default=50)
+    p_profile.add_argument("--steps", type=_count, default=50)
     p_profile.add_argument("--variance", action="store_true",
                            help="sample the variance instead of the full mean")
     p_profile.add_argument("--out", type=Path, default=None,
@@ -217,9 +218,6 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.R is not None:
         radii = [args.R]
     elif args.R_min is not None and args.R_max is not None:
-        if args.steps < 1:
-            print("error: --steps must be >= 1", file=sys.stderr)
-            return EXIT_USAGE
         if args.steps == 1:
             radii = [args.R_min]
         else:
@@ -228,9 +226,8 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     else:
         print("error: provide --R or both --R-min and --R-max", file=sys.stderr)
         return EXIT_USAGE
-    if any(r <= 1.0 for r in radii):
-        print("error: every R must exceed 1", file=sys.stderr)
-        return EXIT_USAGE
+    for r in radii:
+        require_outer(r)
     rows = [
         {
             "R": r,
@@ -274,7 +271,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    _require_outer(args.R)
+    require_outer(args.R)
     normalized = False
     if args.lam is not None:
         h = extremal_map(args.lam)
@@ -304,15 +301,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     manifest = _manifest(args)
     manifest["lambda"] = lam
     manifest["normalized"] = normalized
-    if args.format == "json":
-        _emit_rows(rows, args, manifest)
-    else:
-        _emit(_as_csv(rows, manifest), args.out)
+    _emit_rows(rows, args, manifest)
     return EXIT_PASS
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    _require_outer(args.R)
+    require_outer(args.R)
     h = extremal_map(args.lam) if args.lam is not None else load_series(args.series)
     profile = variance_profile(h) if args.variance else quadratic_mean_profile(h)
     rows = []

@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .series import HarmonicSeries
+from .series import HarmonicSeries, require_outer
 
 CLASS_TOL = 1e-12
 
@@ -223,4 +223,5 @@ def initial_speed(h: HarmonicSeries) -> float:
 
 def mean_outer_radius(h: HarmonicSeries, R: float) -> float:
     """Mean radius sqrt(U(R)) of the image of the outer circle."""
+    require_outer(R)
     return math.sqrt(float(quadratic_mean_profile(h).value(R)))

@@ -57,7 +57,13 @@ from .quadrature import (
     circle_angles,
     radial_integrate,
 )
-from .series import LAMBDA_MIN, HarmonicSeries, circle_fields
+from .series import (
+    HarmonicSeries,
+    circle_fields,
+    require_lambda,
+    require_outer,
+    require_radii,
+)
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,10 @@ class LambdaOperator:
     lam: float
 
     def __post_init__(self) -> None:
-        if not (LAMBDA_MIN < self.lam <= 1.0):
-            raise ParameterDomainError(f"lambda must lie in (-1, 1], got {self.lam}")
+        require_lambda(self.lam)
 
     def _denominator(self, rho):
+        require_radii(rho)
         r = np.asarray(rho, dtype=np.float64)
         den = r**2 + self.lam
         if not (den > 0.0).all():
@@ -78,16 +84,6 @@ class LambdaOperator:
                 f"rho^2 + lambda must be positive (lambda={self.lam})"
             )
         return r, den
-
-    def drift(self, rho):
-        """First-order coefficient (3 lam - rho^2) / (rho (rho^2 + lam))."""
-        r, den = self._denominator(rho)
-        return (3.0 * self.lam - r**2) / (r * den)
-
-    def zero_order(self, rho):
-        """Zero-order coefficient -8 lam / (rho^2 + lam)^2."""
-        _, den = self._denominator(rho)
-        return -8.0 * self.lam / den**2
 
     def apply(self, P: RadialProfile, rho):
         """L_lam[P](rho), vectorized over rho."""
@@ -187,8 +183,7 @@ def identity_residuals(
     lam, rho = float(lam), float(rho)
     # the domain checks run on every call, whether the memo has rho or not
     op = LambdaOperator(lam)
-    if rho <= 0.0:
-        raise ParameterDomainError("rho must be positive")
+    require_radii(rho)
     den = rho**2 + lam
     if not den > 0.0:
         raise ParameterDomainError(
@@ -232,13 +227,13 @@ def k_functional(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """K_lam[P] by radial quadrature of the weighted operator."""
-    if not R > 1.0:
-        raise ParameterDomainError("R must exceed 1")
+    require_outer(R)
     op = LambdaOperator(lam)
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        weight = r * (R**2 - r**2) / (r**2 + lam)
-        return weight * np.asarray(op.apply(P, r), dtype=np.float64)
+        # the nodes lie in [1, R], inside apply's domain: skip its checks
+        den = r**2 + lam
+        return r * (R**2 - r**2) / den * op._on_jet(r, den, *P.jet(r))
 
     return radial_integrate(integrand, 1.0, R, cfg)
 
@@ -252,10 +247,8 @@ def k_quadrature(
 
 def k_endpoint(h: HarmonicSeries, lam: float, R: float) -> float:
     """K_lam applied to the quadratic mean of h, in endpoint closed form."""
-    if not (LAMBDA_MIN < lam <= 1.0):
-        raise ParameterDomainError(f"lambda must lie in (-1, 1], got {lam}")
-    if not R > 1.0:
-        raise ParameterDomainError("R must exceed 1")
+    require_lambda(lam)
+    require_outer(R)
     U = quadratic_mean_profile(h)
     u_R = U.value(R)
     u_1, du_1, _ = U.jet(1.0)
@@ -300,8 +293,7 @@ def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
     u1 = float(U.value(1.0))
     if abs(u1 - 1.0) > 1e-9:
         raise ParameterDomainError(f"normalization requires U(1) = 1, got {u1}")
-    if s <= 1.0:
-        raise ParameterDomainError("s must exceed the inner radius 1")
+    require_outer(s)  # the outer radius of A(1, s)
     lam = lambda_from_speed(initial_speed(h))
     measured = math.sqrt(float(U.value(s)))
     return measured, speed_bound(s, lam)

@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    NumericOverflowError,
     ParameterDomainError,
     QuadratureConvergenceError,
     WindingNotIntegerError,
@@ -36,6 +37,7 @@ from .series import (
     circle_angles,
     circle_fields,
     circle_grid_fields,
+    require_radii,
 )
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -91,8 +93,7 @@ def circular_mean(
     values at an array of angles.  The mean of a series is a0*log(rho) + b0
     and the rule reproduces it exactly.
     """
-    if rho <= 0.0:
-        raise ParameterDomainError("rho must be positive")
+    require_radii(rho)
     if isinstance(f, HarmonicSeries):
         M = cfg.angular_count(f.N)
         values = circle_fields(f, rho, circle_angles(M)).values
@@ -117,9 +118,9 @@ def winding_number(
     """Winding of the image curve h(C_rho) about the origin.
 
     Computes the contour integral of dh/h over the circle as the mean of
-    h_theta / (i h).  Raises ZeroOnCircleError if min |h| <= 1e-9 on the
-    nodes and WindingNotIntegerError if the mean is farther than 1e-6 from
-    an integer.
+    h_theta / (i h).  Raises NumericOverflowError if the fields are not
+    finite, ZeroOnCircleError if min |h| <= 1e-9 on the nodes and
+    WindingNotIntegerError if the mean is farther than 1e-6 from an integer.
     """
     M = cfg.angular_count(2 * h.N)
     f = circle_fields(h, rho, circle_angles(M))
@@ -129,6 +130,8 @@ def winding_number(
 def winding_from_fields(values: np.ndarray, d_theta: np.ndarray, rho: float) -> int:
     """Winding number from h and h_theta on an equally spaced circle grid,
     with the checks and errors of winding_number."""
+    if not (np.isfinite(values).all() and np.isfinite(d_theta).all()):
+        raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
     min_mod = float(np.min(np.abs(values)))
     if min_mod <= _MIN_MODULUS_ON_CIRCLE:
         raise ZeroOnCircleError(
@@ -187,8 +190,10 @@ def radial_integrate(
     to cfg.rel_tol relative; QuadratureConvergenceError is raised if that
     never happens.
     """
-    if not (0.0 < a < b):
-        raise ParameterDomainError("need 0 < a < b for a radial integral")
+    require_radii(a)
+    require_radii(b)
+    if not a < b:
+        raise ParameterDomainError("need a < b for a radial integral")
     span = max(math.log(b / a), 1e-6)
     panels = max(4, math.ceil(cfg.radial_nodes_per_unit * span / len(_GL_NODES)))
     prev = _composite_gauss(g, a, b, panels)
@@ -217,8 +222,6 @@ def dirichlet_energy(
     direction is integrated by refined Gauss-Legendre panels and each circle
     mean by the exact trapezoidal rule.
     """
-    if not (0.0 < rho1 < rho2):
-        raise ParameterDomainError("need 0 < rho1 < rho2")
     M = cfg.angular_count(2 * h.N)
 
     def ring_density(rhos: np.ndarray) -> np.ndarray:

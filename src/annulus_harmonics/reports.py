@@ -104,6 +104,8 @@ class DrawPlan:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ParameterDomainError(f"seed must be >= 0, got {self.seed}")
+        if self.trials < 1:
+            raise ParameterDomainError(f"trials must be >= 1, got {self.trials}")
 
 
 def _check(name: str, statement: str, residual: float, tol: float) -> CheckResult:
@@ -540,8 +542,6 @@ def _suite(name: str, doc: str, *criteria):
         seed: int, trials: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
         tol: dict[str, float] | None = None,
     ) -> list[CheckResult]:
-        if trials <= 0:
-            return []
         plan = DrawPlan(seed, trials)
         t = {**DEFAULT_TOLERANCES, **(tol or {})}
         return [c for criterion in criteria for c in criterion(plan, cfg, t)]

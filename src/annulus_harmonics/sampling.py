@@ -15,6 +15,7 @@ from .series import (
     HarmonicSeries,
     circle_grid_fields,
     extremal_map,
+    require_outer,
     scale_rotate,
 )
 
@@ -35,6 +36,8 @@ class SamplerConfig:
     include_const: bool = True
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ParameterDomainError(f"seed must be >= 0, got {self.seed}")
         if self.N < 1:
             raise ParameterDomainError("N must be >= 1")
         if self.N > MAX_JSON_ORDER:
@@ -149,8 +152,7 @@ def injectivity_probe(
     together with all windings equal to 1 is evidence (not proof) that the
     series restricts to an orientation-preserving homeomorphism.
     """
-    if not R > 1.0:
-        raise ParameterDomainError("R must exceed 1")
+    require_outer(R)
     rhos = np.linspace(1.0, R, rho_samples + 2)[1:-1]
     jac_min = float(np.min(
         circle_grid_fields(h, rhos, theta_samples).jacobian(rhos)

@@ -190,6 +190,33 @@ class HarmonicSeries:
                                           a0=self.a0, b0=self.b0)
 
 
+# Domain rules: every check of R, lambda or rho calls one of these.  NaN fails
+# every comparison, so each test passes only inside the domain.
+
+def require_outer(R: float) -> None:
+    """Raise ParameterDomainError unless 1 < R < inf (the annulus A(1, R))."""
+    if not 1.0 < R < math.inf:
+        raise ParameterDomainError(f"outer radius R must satisfy 1 < R < inf, got {R}")
+
+
+def require_lambda(lam: float) -> None:
+    """Raise ParameterDomainError unless LAMBDA_MIN < lam <= 1."""
+    if not LAMBDA_MIN < lam <= 1.0:
+        raise ParameterDomainError(f"lambda must lie in (-1, 1], got {lam}")
+
+
+def require_radii(rho) -> None:
+    """Raise ParameterDomainError unless rho, a scalar or an array, is
+    positive and finite; a Python number is checked without an array."""
+    if isinstance(rho, (float, int)):
+        inside = 0.0 < rho < math.inf
+    else:
+        r = np.asarray(rho, dtype=np.float64)  # min and max propagate NaN
+        inside = r.size == 0 or (0.0 < r.min() and r.max() < math.inf)
+    if not inside:
+        raise ParameterDomainError(f"rho must be positive and finite, got {rho}")
+
+
 @dataclass(frozen=True)
 class Annulus:
     """The ring domain 1 < |z| < R, inner radius normalized to 1."""
@@ -197,8 +224,7 @@ class Annulus:
     R: float
 
     def __post_init__(self) -> None:
-        if not (self.R > 1.0 and math.isfinite(self.R)):
-            raise ParameterDomainError("outer radius R must satisfy R > 1")
+        require_outer(self.R)
 
     @property
     def modulus(self) -> float:
@@ -214,8 +240,7 @@ class PolarPoint:
     theta: float
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise ParameterDomainError("rho must be positive and finite")
+        require_radii(self.rho)
 
 
 class CircleFields(NamedTuple):
@@ -340,8 +365,7 @@ def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFi
     explicitly.  This is the workhorse behind the pointwise API and all
     circle quadratures.
     """
-    if rho <= 0.0:
-        raise ParameterDomainError("rho must be positive")
+    require_radii(rho)
     thetas = np.asarray(thetas, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         if _is_grid(thetas):
@@ -359,8 +383,7 @@ def circle_grid_fields(h: HarmonicSeries, rhos, M: int) -> CircleFields:
     circle_fields(h, rhos[i], circle_angles(M)).
     """
     rhos = np.asarray(rhos, dtype=np.float64)
-    if not np.all(rhos > 0.0):
-        raise ParameterDomainError("every rho must be positive")
+    require_radii(rhos)
     if M < 1:
         raise ParameterDomainError("need at least one angle per circle")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -402,11 +425,6 @@ def derivatives(h: HarmonicSeries, p: PolarPoint) -> Derivatives:
                        complex(hz[0]), complex(hzbar[0]))
 
 
-def jacobian_circle(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
-    """Jacobian determinant |h_z|^2 - |h_zbar|^2 along a circle (fast path)."""
-    return circle_fields(h, rho, thetas).jacobian(rho)
-
-
 def jacobian(h: HarmonicSeries, p: PolarPoint) -> float:
     """Jacobian determinant at a point, computed two ways.
 
@@ -424,11 +442,6 @@ def jacobian(h: HarmonicSeries, p: PolarPoint) -> float:
             f"jacobian formulas disagree at {p}: {j_wirtinger} vs {j_polar}"
         )
     return float(j_wirtinger)
-
-
-def grad_norm_sq_circle(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
-    """Squared Hilbert-Schmidt norm |h_rho|^2 + |h_theta|^2 / rho^2 on C_rho."""
-    return circle_fields(h, rho, thetas).grad_norm_sq(rho)
 
 
 def grad_norm_sq(h: HarmonicSeries, p: PolarPoint) -> float:
@@ -455,8 +468,7 @@ def extremal_map(lam: float) -> HarmonicSeries:
     lam = 0 gives the identity and lam = 1 the critical map whose Jacobian
     vanishes on the unit circle.
     """
-    if not (LAMBDA_MIN < lam <= 1.0):
-        raise ParameterDomainError(f"lambda must lie in (-1, 1], got {lam}")
+    require_lambda(lam)
     return HarmonicSeries.from_coeffs(
         N=1, a={1: 1.0 / (1.0 + lam)}, b={1: lam / (1.0 + lam)}
     )
@@ -468,17 +480,16 @@ def lambda_from_radii(R: float, R_star: float) -> float:
     lam = (R^2 - R*R_star) / (R*R_star - 1).  Requires R > 1 and R_star at
     or above the sharp lower bound (R + 1/R)/2, where lam = 1 is attained.
     """
-    if not R > 1.0:
-        raise ParameterDomainError("R must exceed 1")
+    require_outer(R)
     critical = 0.5 * (R + 1.0 / R)
     lam = (R * R - R * R_star) / (R * R_star - 1.0)
     if lam > 1.0 + 1e-12:
         raise ParameterDomainError(
             f"R_star={R_star} lies below the admissible minimum {critical}"
         )
-    if lam <= LAMBDA_MIN:
-        raise ParameterDomainError(f"R_star={R_star} is too large for R={R}")
-    return min(lam, 1.0)
+    lam = min(lam, 1.0)
+    require_lambda(lam)  # an R_star too large for R, or not finite
+    return lam
 
 
 def scale_rotate(h: HarmonicSeries, alpha: complex) -> HarmonicSeries:

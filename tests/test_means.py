@@ -25,7 +25,7 @@ from annulus_harmonics import (
 from annulus_harmonics import means
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.quadrature import circle_angles
-from annulus_harmonics.series import grad_norm_sq_circle
+from annulus_harmonics.series import circle_fields
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
@@ -178,7 +178,9 @@ def test_operator_apply_matches_reference_composition(case, lam):
     rho = np.linspace(1.0, 4.5, 29)
     (v, v_mag), (d1, d1_mag), (d2, d2_mag) = reference_jet(*terms, rho)
     op = LambdaOperator(lam)
-    drift, zero = op.drift(rho), op.zero_order(rho)
+    # the coefficients of L_lam, written out here as an independent reference
+    drift = (3.0 * lam - rho**2) / (rho * (rho**2 + lam))
+    zero = -8.0 * lam / (rho**2 + lam) ** 2
     want = d2 + drift * d1 + zero * v
     magnitude = d2_mag + np.abs(drift) * d1_mag + np.abs(zero) * v_mag
     assert np.all(np.abs(op.apply(P, rho) - want) <= 1e-13 * magnitude)
@@ -290,7 +292,7 @@ def test_base_operator_matches_gradient_mean(tame_series):
     thetas = circle_angles(256)
     for rho in (1.1, 1.6, 2.4):
         lhs = float(U.deriv2(rho)) + float(U.deriv1(rho)) / rho
-        rhs = 2.0 * float(np.mean(grad_norm_sq_circle(h, rho, thetas)))
+        rhs = 2.0 * float(np.mean(circle_fields(h, rho, thetas).grad_norm_sq(rho)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
         assert lhs > 0.0
 

@@ -60,12 +60,10 @@ def test_operator_singular_point():
 
 @pytest.mark.parametrize("call", [
     lambda op: op.apply(quadratic_mean_profile(extremal_map(0.3)), math.nan),
-    lambda op: op.drift(math.nan),
-    lambda op: op.zero_order(math.nan),
     lambda op: op.apply(quadratic_mean_profile(extremal_map(0.3)),
                         np.array([1.5, math.nan])),
     lambda op: op.apply_jet(math.nan, 1.0, 1.0, 1.0),
-], ids=["apply", "drift", "zero_order", "apply-array", "apply-jet"])
+], ids=["apply", "apply-array", "apply-jet"])
 def test_operator_rejects_a_nan_radius(call):
     with pytest.raises(ParameterDomainError):
         call(LambdaOperator(0.5))

@@ -7,6 +7,7 @@ import pytest
 
 from annulus_harmonics import (
     HarmonicSeries,
+    NumericOverflowError,
     ParameterDomainError,
     QuadratureConfig,
     ZeroOnCircleError,
@@ -19,7 +20,7 @@ from annulus_harmonics import (
     radial_integrate,
     winding_number,
 )
-from annulus_harmonics.quadrature import circle_angles
+from annulus_harmonics.quadrature import circle_angles, winding_from_fields
 from annulus_harmonics.series import circle_fields
 
 CRITICAL = extremal_map(1.0)
@@ -128,6 +129,15 @@ def test_winding_rejects_zero_on_circle():
         winding_number(h, 1.5)
 
 
+def test_winding_of_overflowing_fields_is_a_numeric_fault():
+    # a_1 rho = 1e309 overflows, so the fields on C_10 are not finite
+    h = HarmonicSeries.from_coeffs(a={1: 1e308})
+    with pytest.raises(NumericOverflowError):
+        winding_number(h, 10.0)
+    with pytest.raises(NumericOverflowError):
+        winding_from_fields(np.array([1.0, math.nan]), np.array([1j, 1j]), 1.0)
+
+
 # ---------------------------------------------------------------------------
 # enclosed area
 # ---------------------------------------------------------------------------
@@ -146,13 +156,12 @@ def test_area_critical_at_two():
 
 def test_area_derivative_matches_jacobian_flux(tame_series):
     # d/drho of the enclosed-area mean equals 2 rho mean(J) for harmonic h.
-    from annulus_harmonics.series import jacobian_circle
-
     h = tame_series(seed=21, N=6, decay=0.4)
     rho, step = 1.6, 1e-4
     fd = (enclosed_area(h, rho + step) - enclosed_area(h, rho - step)) / (2 * step)
     thetas = circle_angles(256)
-    flux = 2 * math.pi * rho * float(np.mean(jacobian_circle(h, rho, thetas)))
+    jac = circle_fields(h, rho, thetas).jacobian(rho)
+    flux = 2 * math.pi * rho * float(np.mean(jac))
     assert fd == pytest.approx(flux, abs=1e-6)
 
 
