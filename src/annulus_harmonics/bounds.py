@@ -33,8 +33,16 @@ from .means import (
     variance_profile,
 )
 from .operators import k_functional, lambda_from_speed, speed_bound
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, circle_angles
-from .series import Annulus, HarmonicSeries, circle_fields, require_outer
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .series import (
+    Annulus,
+    HarmonicSeries,
+    SeriesStack,
+    circle_grid_fields,
+    require_lambda,
+    require_outer,
+    require_radii,
+)
 
 GATE_TOL = 1e-9
 MODULUS_LIMIT = 1.5
@@ -78,6 +86,9 @@ def gz_weight(R: float, lam: float, rho):
     This multiplies the conformal part of the gradient inside the weighted
     integral; it is nonnegative for 1 <= rho <= R and -1 < lam <= 1.
     """
+    require_outer(R)
+    require_lambda(lam)
+    require_radii(rho)
     r = np.asarray(rho, dtype=np.float64)
     out = (R**2 - lam) * np.log(R / r) + (R**2 - r**2) * lam / r**2
     return out if out.shape else float(out)
@@ -122,15 +133,29 @@ class ModeFormCoeffs(NamedTuple):
     C: float
 
 
-def mode_form_coeffs(n: int, R: float) -> ModeFormCoeffs:
+def _require_modes(n, lowest: int, what: str) -> np.ndarray | int:
+    """n as an int, or an array of ints, after checking that every mode is
+    at least `lowest`."""
+    if isinstance(n, int):
+        if n < lowest:
+            raise ParameterDomainError(what)
+        return n
+    n = np.asarray(n)
+    if (n < lowest).any():
+        raise ParameterDomainError(what)
+    return n
+
+
+def mode_form_coeffs(n, R) -> ModeFormCoeffs:
     """Quadratic-form coefficients for mode n >= 1 at outer radius R.
 
     A_n = 4 R^(2n+2) + (R^2-3)(R^2+1) - 4n(R^4-1)
     B_n = 4 R^(2-2n) + (R^2-3)(R^2+1)
     C_n = -(R^2-1)(2n(R^2+1) - R^2 - 3)
+
+    n and R may be arrays (broadcast against each other).
     """
-    if n < 1:
-        raise ParameterDomainError("mode index n must be >= 1")
+    n = _require_modes(n, 1, "mode index n must be >= 1")
     require_outer(R)
     cross = (R**2 - 3.0) * (R**2 + 1.0)
     A = 4.0 * R ** (2 * n + 2) + cross - 4.0 * n * (R**4 - 1.0)
@@ -139,27 +164,28 @@ def mode_form_coeffs(n: int, R: float) -> ModeFormCoeffs:
     return ModeFormCoeffs(A, B, C)
 
 
-def mode_form_certificate(n: int, R: float) -> float:
+def mode_form_certificate(n, R):
     """Determinant-style certificate A_n * (R^2-3)(R^2+1) - C_n^2.
 
     Positive for every n >= 2 and R >= e; positivity makes the per-mode
     quadratic form positive definite after shrinking B_n to (R^2-3)(R^2+1).
+    n and R may be arrays (broadcast against each other).
     """
-    if n < 2:
-        raise ParameterDomainError("the certificate is defined for n >= 2")
+    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
     coeffs = mode_form_coeffs(n, R)
     reduced_b = (R**2 - 3.0) * (R**2 + 1.0)
     return coeffs.A * reduced_b - coeffs.C**2
 
 
-def mode_form_certificate_expanded(n: int, R: float) -> float:
+def mode_form_certificate_expanded(n, R):
     """Expanded polynomial form of the same certificate.
 
     4 [ R^(2n+2)(R^4 - 2R^2 - 3) - n^2 R^8 + (4n-2) R^6 + 2 n^2 R^4
         + (6-4n) R^2 - n^2 ]
+
+    n and R may be arrays (broadcast against each other).
     """
-    if n < 2:
-        raise ParameterDomainError("the certificate is defined for n >= 2")
+    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
     require_outer(R)
     return 4.0 * (
         R ** (2 * n + 2) * (R**4 - 2.0 * R**2 - 3.0)
@@ -175,33 +201,31 @@ def mode_form_certificate_expanded(n: int, R: float) -> float:
 # Identities feeding the wide-annulus argument.
 # ---------------------------------------------------------------------------
 
-def mode_energy_excess(h: HarmonicSeries) -> float:
-    """sum over n != 0 of (n - 1) |a_n + b_n|^2.
+def mode_energy_excess(h):
+    """sum over n != 0 of (n - 1) |a_n + b_n|^2 (one per member of a stack).
 
     Equal, through the inner-circle identity below, to the boundary data
     (1/i) mean(conj(h) h_theta) - mean(|h|^2) + |mean h|^2 at rho = 1.
     """
-    if h.N == 0:
-        return 0.0
     ns = h.mode_numbers.astype(np.float64)
-    return float(np.sum((ns - 1.0) * np.abs(h.a + h.b) ** 2))
+    out = np.sum((ns - 1.0) * np.abs(h.a + h.b) ** 2, axis=-1)
+    return out if out.shape else float(out)
 
 
-def inner_circle_identity_residual(
-    h: HarmonicSeries, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def inner_circle_identity_residual(h, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Residual of the inner-circle identity tying the boundary data of h
     to the mode sums (left side by quadrature at rho = 1, right side from
-    coefficients)."""
+    coefficients); one per member of a stack."""
     M = cfg.angular_count(2 * h.N)
-    f = circle_fields(h, 1.0, circle_angles(M))
-    rotation_flux = complex(np.mean(np.conj(f.values) * f.d_theta))
+    f = circle_grid_fields(h, 1.0, M, ("values", "d_theta"))
+    rotation_flux = np.mean(np.conj(f.values) * f.d_theta, axis=-1)
     lhs = (
         rotation_flux.imag
-        - float(np.mean(np.abs(f.values) ** 2))
-        + abs(complex(np.mean(f.values))) ** 2
+        - np.mean(np.abs(f.values) ** 2, axis=-1)
+        + np.abs(np.mean(f.values, axis=-1)) ** 2
     )
-    return abs(lhs - mode_energy_excess(h))
+    out = np.abs(lhs - mode_energy_excess(h))
+    return out if out.shape else float(out)
 
 
 def mode_quadratic_form_residual(
@@ -223,15 +247,14 @@ def mode_quadratic_form_residual(
     return abs(lhs - rhs)
 
 
-def variance_k_bound(
-    h: HarmonicSeries, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
+def variance_k_bound(h, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Pair (K_1[V],  (R^2-1) * mode energy excess) for R > e.
 
     The first dominates the second; summing the per-mode inequality gives
-    the variance estimate that drives the wide-annulus bound.
+    the variance estimate that drives the wide-annulus bound.  For a stack,
+    R may hold one radius per member and both entries are arrays.
     """
-    if R <= math.e:
+    if not (np.asarray(R) > math.e).all():
         raise ParameterDomainError("the variance estimate requires R > e")
     lhs = k_functional(variance_profile(h), 1.0, R, cfg)
     rhs = (R**2 - 1.0) * mode_energy_excess(h)
@@ -262,9 +285,7 @@ class SchottkyReport:
         return asdict(self)
 
 
-def schottky_check(
-    h: HarmonicSeries, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> SchottkyReport:
+def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Check the conformal refinement of Schottky's theorem on A(1, R).
 
     For a conformal series (all b_n = 0, no log term) with vanishing
@@ -274,52 +295,56 @@ def schottky_check(
     |a_n|^2 (R^(2n) - 1) >= R^2 - 1 as intermediate step.  The injectivity
     probe results are reported as evidence of class membership but do not
     gate applicability; a failed probe explains a failed bound.
+
+    A series gives one SchottkyReport; a SeriesStack, evaluated as one
+    batch, gives the list of its members' reports.  A series runs as the
+    stack of one.
     """
     from .sampling import injectivity_probe  # local import avoids a cycle
 
     require_outer(R)
-
-    def not_applicable(reason: str, deviation: float = math.nan) -> SchottkyReport:
-        return SchottkyReport(
-            applicable=False, reason=reason, R=R,
-            mean_radius=math.nan, area=math.nan,
-            area_bound=math.pi * (R**2 - 1.0),
-            mode_sum_margin=math.nan, boundary_deviation=deviation,
-            jacobian_min=math.nan, windings_ok=False, passed=False,
-        )
-
-    if float(np.max(np.abs(h.b), initial=0.0)) > 1e-12:
-        return not_applicable("series is not conformal (some b_n != 0)")
-    if abs(h.a0) > 1e-12 or abs(h.b0) > 1e-12:
-        return not_applicable("log or constant term present")
-    thetas = circle_angles(max(1024, cfg.angular_count(h.N)))
-    moduli = np.abs(circle_fields(h, 1.0, thetas).values)
-    deviation = float(np.max(np.abs(moduli - 1.0)))
-    if deviation > 1e-6:
-        return not_applicable(
-            "boundary values of |h| deviate from 1 beyond 1e-6", deviation
-        )
-    probe = injectivity_probe(h, R)
-
-    ns = h.mode_numbers.astype(np.float64)
-    amps = np.abs(h.a) ** 2
-    mode_sum = float(np.sum(amps * (R ** (2.0 * ns) - 1.0)))
-    area = float(np.pi * np.sum(ns * amps * (R ** (2.0 * ns) - 1.0)))
+    stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
     area_bound = math.pi * (R**2 - 1.0)
-    measured = mean_outer_radius(h, R)
-    passed = (
-        measured >= R - 1e-9
-        and area >= area_bound - 1e-6
-        and mode_sum >= R**2 - 1.0 - 1e-9
-    )
-    return SchottkyReport(
-        applicable=True, reason="", R=R,
-        mean_radius=measured, area=area, area_bound=area_bound,
-        mode_sum_margin=mode_sum - (R**2 - 1.0),
-        boundary_deviation=deviation,
-        jacobian_min=probe.jacobian_min, windings_ok=probe.windings_ok,
-        passed=passed,
-    )
+    conformal = np.max(np.abs(stack.b), axis=-1, initial=0.0) <= 1e-12
+    pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
+    deviation = np.full(len(stack), math.nan)
+    screened = conformal & pure
+    M = max(1024, cfg.angular_count(stack.N))
+    moduli = np.abs(circle_grid_fields(stack[screened], 1.0, M, ("values",)).values)
+    deviation[screened] = np.max(np.abs(moduli - 1.0), axis=-1, initial=0.0)
+    applicable = screened & ~(deviation > 1e-6)
+
+    found = stack[applicable]
+    probe = injectivity_probe(found, R)
+    ns = found.mode_numbers.astype(np.float64)
+    amps = np.abs(found.a) ** 2
+    mode_sum = np.sum(amps * (R ** (2.0 * ns) - 1.0), axis=-1)
+    area = np.pi * np.sum(ns * amps * (R ** (2.0 * ns) - 1.0), axis=-1)
+    measured = mean_outer_radius(found, R)
+    passed = ((measured >= R - 1e-9) & (area >= area_bound - 1e-6)
+              & (mode_sum >= R**2 - 1.0 - 1e-9))
+    rows = iter(zip(measured.tolist(), area.tolist(), (mode_sum - (R**2 - 1.0)).tolist(),
+                    probe.jacobian_min.tolist(), probe.windings_ok.tolist(),
+                    passed.tolist()))
+    reports = []
+    for ok, is_conformal, is_pure, dev in zip(applicable, conformal, pure,
+                                              deviation.tolist()):
+        if ok:
+            radius, area_k, margin, jac_min, windings, passed_k = next(rows)
+            reports.append(SchottkyReport(
+                applicable=True, reason="", R=R, mean_radius=radius, area=area_k,
+                area_bound=area_bound, mode_sum_margin=margin, boundary_deviation=dev,
+                jacobian_min=jac_min, windings_ok=windings, passed=passed_k))
+            continue
+        reason = ("series is not conformal (some b_n != 0)" if not is_conformal
+                  else "log or constant term present" if not is_pure
+                  else "boundary values of |h| deviate from 1 beyond 1e-6")
+        reports.append(SchottkyReport(
+            applicable=False, reason=reason, R=R,
+            mean_radius=math.nan, area=math.nan, area_bound=area_bound,
+            mode_sum_margin=math.nan, boundary_deviation=dev,
+            jacobian_min=math.nan, windings_ok=False, passed=False))
+    return reports if isinstance(h, SeriesStack) else reports[0]
 
 
 # ---------------------------------------------------------------------------

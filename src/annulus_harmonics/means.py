@@ -20,6 +20,15 @@ reciprocal and one matmul, and divides column d by rho^d: value and both
 derivatives come from the same powers (RadialProfile.jet).  The termwise
 second derivative of the variance keeps its own formula as a cross-check.
 
+The profiles of a SeriesStack (see the series module) are the same code on
+a stack of weight tables, shape (B, 2K + 3, 3), zero rows padding each
+member to the stack's order; the jet is one batched matmul.  For a stack,
+rho is a scalar (every member at one radius, result shape (B,)), shape (m,)
+(every member at the same radii) or shape (B, m) (m radii per member),
+and each column of the jet has shape (B, m).  Batched callers hand in
+chunks of SERIES_PER_CHUNK members, which keeps the power tables of
+per-member radii (B, m, 2K + 3) small.
+
 quadratic_mean_profile keeps the profiles of the last 32 series it was
 given, keyed by the series' identity: the operators, bounds and sampling
 modules ask for U of the same series many times, and each build costs a
@@ -32,7 +41,6 @@ at rho = 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -40,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .series import HarmonicSeries, require_outer
+from .series import HarmonicSeries, require_outer, require_radii
 
 CLASS_TOL = 1e-12
 
@@ -84,9 +92,11 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
     if only_mode is None:
         ks = np.arange(1, h.N + 1, dtype=np.float64)
         a, b, N = h.a, h.b, h.N
-        sq = np.abs(np.concatenate((a[:N], b[:N], b[N:], a[N:]))) ** 2
-        amp = sq[:2 * N] + sq[2 * N:]
-        cross = 2.0 * (np.vdot(b[:N], a[:N]) + np.vdot(b[N:], a[N:])).real
+        sq = np.abs(np.concatenate((a[..., :N], b[..., :N], b[..., N:], a[..., N:]),
+                                   axis=-1)) ** 2
+        amp = sq[..., :2 * N] + sq[..., 2 * N:]
+        cross = 2.0 * (np.vecdot(b[..., :N], a[..., :N])
+                       + np.vecdot(b[..., N:], a[..., N:])).real
         if include_zero:
             a0, b0 = h.a0, h.b0
     elif only_mode == 0:
@@ -105,16 +115,20 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
     exps = np.concatenate((two_k, -two_k))
     # |a0 log(rho) + b0|^2 = alpha log^2 + beta log + |b0|^2
     alpha, beta = abs(a0) ** 2, 2.0 * (a0 * b0.conjugate()).real
-    weights = np.empty((2 * K + 3, 3))
-    weights[:-3, 0] = amp
-    weights[:-3, 1] = amp * exps
-    weights[:-3, 2] = weights[:-3, 1] * (exps - 1.0)
-    weights[-3:] = ((cross + abs(b0) ** 2, beta, 2.0 * alpha - beta),
-                    (beta, 2.0 * alpha, -2.0 * alpha),
-                    (alpha, 0.0, 0.0))
+    weights = np.zeros(np.shape(cross) + (2 * K + 3, 3))
+    weights[..., :-3, 0] = amp
+    weights[..., :-3, 1] = amp * exps
+    weights[..., :-3, 2] = weights[..., :-3, 1] * (exps - 1.0)
+    weights[..., -3, 0] = cross + abs(b0) ** 2
+    weights[..., -3, 1] = weights[..., -2, 0] = beta
+    weights[..., -3, 2] = 2.0 * alpha - beta
+    weights[..., -2, 1] = 2.0 * alpha
+    weights[..., -2, 2] = -2.0 * alpha
+    weights[..., -1, 0] = alpha
 
     def jet(rho) -> np.ndarray:
-        """(..., 3) array of U, U', U'' at rho."""
+        """(..., 3) array of U, U', U'' at rho; for a stack the member axis
+        leads (rho a scalar, (m,) or (B, m), as in the series module)."""
         r = np.asarray(rho, dtype=np.float64)
         basis = np.empty(r.shape + (2 * K + 3,))
         basis[..., :K] = r[..., None] ** two_k
@@ -165,25 +179,23 @@ def variance_profile(h: HarmonicSeries) -> RadialProfile:
     return _sum_profile(h, "V", include_zero=False)
 
 
-def variance_deriv2_termwise(h: HarmonicSeries, rho) -> np.ndarray | float:
+def variance_deriv2_termwise(h, rho) -> np.ndarray | float:
     """Second derivative of the variance by the explicit termwise formula
 
         (2/rho^2) * sum_n [ n(2n-1)|a_n|^2 rho^(2n) + n(2n+1)|b_n|^2 rho^(-2n) ],
 
     every term of which is nonnegative.  Used as a cross-check against the
-    generic profile derivative.
+    generic profile derivative.  `h` may be a stack, with rho as for jet.
     """
+    require_radii(rho)
     r = np.asarray(rho, dtype=np.float64)
-    if h.N == 0:
-        out = np.zeros_like(r)
-        return out if out.shape else 0.0
     ns = h.mode_numbers.astype(np.float64)
     A = np.abs(h.a) ** 2
     B = np.abs(h.b) ** 2
     rp = r[..., None] ** (2.0 * ns)
-    out = (2.0 / r**2) * (
-        rp @ (ns * (2.0 * ns - 1.0) * A) + (1.0 / rp) @ (ns * (2.0 * ns + 1.0) * B)
-    )
+    terms = rp @ (ns * (2.0 * ns - 1.0) * A)[..., None] \
+        + (1.0 / rp) @ (ns * (2.0 * ns + 1.0) * B)[..., None]
+    out = (2.0 / r**2) * terms[..., 0]
     return out if out.shape else float(out)
 
 
@@ -207,21 +219,24 @@ def is_class_N(h: HarmonicSeries, tol: float = CLASS_TOL) -> bool:
     return abs(h.a0) <= tol
 
 
-def initial_speed(h: HarmonicSeries) -> float:
+def initial_speed(h):
     """Speed of the circle evolution at the inner circle.
 
     Equals dU/drho(1) / (2 sqrt(U(1))), the derivative at rho = 1 of the
     mean radius sqrt(U(rho)).  For the extremal map h^lam this is
     (1 - lam)/(1 + lam); the critical map starts at speed zero and the
-    identity at speed one.
+    identity at speed one.  A stack gives one speed per member.
     """
     u1, du1, _ = quadratic_mean_profile(h).jet(1.0)
-    if u1 <= 0.0:
+    if (np.asarray(u1) <= 0.0).any():
         raise DegenerateSeriesError("U(1) = 0: inner circle degenerates")
-    return du1 / (2.0 * math.sqrt(u1))
+    return du1 / (2.0 * np.sqrt(u1))
 
 
-def mean_outer_radius(h: HarmonicSeries, R: float) -> float:
-    """Mean radius sqrt(U(R)) of the image of the outer circle."""
+def mean_outer_radius(h, R):
+    """Mean radius sqrt(U(R)) of the image of the outer circle; for a stack,
+    one per member (R a scalar or one per member)."""
     require_outer(R)
-    return math.sqrt(float(quadratic_mean_profile(h).value(R)))
+    R = np.asarray(R, dtype=np.float64)
+    out = np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R))
+    return out[..., 0] if R.ndim else _unwrap(np.asarray(out))

@@ -54,12 +54,12 @@ from .means import (
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    circle_angles,
+    _circle_means,
+    _is_scalar,
     radial_integrate,
 )
 from .series import (
     HarmonicSeries,
-    circle_fields,
     require_lambda,
     require_outer,
     require_radii,
@@ -68,7 +68,12 @@ from .series import (
 
 @dataclass(frozen=True)
 class LambdaOperator:
-    """The operator L_lam acting on radial profiles, -1 < lam <= 1."""
+    """The operator L_lam acting on radial profiles, -1 < lam <= 1.
+
+    `lam` may be an array of lambdas, one operator per entry, broadcast
+    against the radii the way a stack's members are (shape (B, 1) for one
+    lambda per member of a stack evaluated at (B, m) or (m,) radii).
+    """
 
     lam: float
 
@@ -99,41 +104,53 @@ class LambdaOperator:
     def _on_jet(self, r, den, value, d1, d2):
         """L_lam from the jet (value, d1, d2) of a profile at r, with
         den = r^2 + lam."""
-        return (
-            d2
-            + (3.0 * self.lam - r**2) / (r * den) * d1
-            - 8.0 * self.lam / den**2 * value
-        )
+        return _on_jet(self.lam, r, den, value, d1, d2)
 
-    def divergence_form_residual(self, P: RadialProfile, rho: float,
-                                 step: float = 1e-3) -> float:
+    def divergence_form_residual(self, P: RadialProfile, rho,
+                                 step: float = 1e-3):
         """|divergence form - direct form| at rho.
 
         The divergence form is evaluated by nested central differences of
         P/(rho^2 + lam), whose error is even in the step: c2 step^2 +
         c4 step^4 + ...  Richardson extrapolation over `step` and `step`/2
         cancels the step^2 term, so the residual is O(step^4) plus rounding.
+        For the profile of a stack, rho and lam hold one entry per member
+        and so does the result.
         """
+        op = LambdaOperator(np.asarray(self.lam, dtype=np.float64)[..., None])
+        r, den = op._denominator(np.asarray(rho, dtype=np.float64)[..., None])
+        # P at the centres r + h, r - h of the outer difference, each taken
+        # at +-h again, for h = step and step/2, and its jet at r: one call
+        steps = (step, 0.5 * step)
+        x = np.concatenate([c + sign * h for h in steps for c in (r + h, r - h)
+                            for sign in (1.0, -1.0)], axis=-1)
+        value, d1, d2 = P.jet(np.concatenate((x, r), axis=-1))
+        scaled = value[..., :-1] / (x * x + op.lam)
 
-        def scaled(r: float) -> float:
-            return float(P.value(r)) / (r * r + self.lam)
+        def div_form(k: int) -> np.ndarray:
+            h = steps[k]
+            s = scaled[..., 4 * k:4 * k + 4]
+            flux_plus = (r + h) ** 3 * (s[..., 0:1] - s[..., 1:2]) / (2.0 * h)
+            flux_minus = (r - h) ** 3 * (s[..., 2:3] - s[..., 3:4]) / (2.0 * h)
+            return den / r**3 * ((flux_plus - flux_minus) / (2.0 * h))
 
-        def div_form(h: float) -> float:
-            def flux(r: float) -> float:
-                return r**3 * (scaled(r + h) - scaled(r - h)) / (2.0 * h)
+        extrapolated = (4.0 * div_form(1) - div_form(0)) / 3.0
+        direct = op._on_jet(r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
+        out = np.abs(extrapolated - direct)[..., 0]
+        return out if out.shape else float(out)
 
-            return (rho**2 + self.lam) / rho**3 * (
-                (flux(rho + h) - flux(rho - h)) / (2.0 * h)
-            )
 
-        extrapolated = (4.0 * div_form(0.5 * step) - div_form(step)) / 3.0
-        return abs(extrapolated - float(self.apply(P, rho)))
+def _on_jet(lam, r, den, value, d1, d2):
+    """L_lam from the jet (value, d1, d2) of a profile at r, den = r^2 + lam."""
+    return d2 + (3.0 * lam - r**2) / (r * den) * d1 - 8.0 * lam / den**2 * value
 
 
 def speed_bound(rho: float, lam: float) -> float:
     """Sharp lower bound (rho^2 + lam)/((1 + lam) rho) for the mean radius
     on C_rho of a normalized map whose initial speed gives lam; the mean
     radius of h^lam itself."""
+    require_radii(rho)
+    require_lambda(lam)
     return (rho**2 + lam) / ((1.0 + lam) * rho)
 
 
@@ -154,10 +171,10 @@ def lambda_from_speed(speed: float) -> float:
 
 def identity_residuals(
     h: HarmonicSeries,
-    lam: float,
+    lam,
     rho: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
+):
     """Residuals of the two circle-mean identities for L_lam[U] at rho.
 
     gradient form:  L[U] = 2 mean( |Dh|^2 - (1/rho) d/drho( w |h|^2 ) )
@@ -178,18 +195,22 @@ def identity_residuals(
     exactly as for the pointwise integrands, the trapezoid rule being
     linear.  The four means and U's jet at rho come from _circle_terms,
     memoised per (series, rho, M), so a circle is evaluated once for every
-    lambda.  Returns (gradient_residual, angular_residual).
+    lambda.  `lam` is a number, kept on scalar arithmetic, or an array of
+    lambdas on the one circle.  Returns (gradient_residual,
+    angular_residual), each a float or an array shaped like `lam`.
     """
-    lam, rho = float(lam), float(rho)
+    scalar = _is_scalar(lam)
+    lam = float(lam) if scalar else np.asarray(lam, dtype=np.float64)
+    rho = float(rho)
     # the domain checks run on every call, whether the memo has rho or not
-    op = LambdaOperator(lam)
+    require_lambda(lam)
     require_radii(rho)
     den = rho**2 + lam
-    if not den > 0.0:
+    if not (den > 0.0 if scalar else (den > 0.0).all()):
         raise ParameterDomainError(
             f"rho^2 + lambda must be positive (lambda={lam})")
     u, du, d2u, A, B, C, D = _circle_terms(h, rho, cfg.angular_count(2 * h.N))
-    lhs = op._on_jet(rho, den, u, du, d2u)
+    lhs = _on_jet(lam, rho, den, u, du, d2u)
     w = (rho**2 - lam) / den
     rhs_gradient = 2.0 * (C + D / rho**2 - 4.0 * lam * A / den**2
                           - 2.0 * w * B / rho)
@@ -202,18 +223,13 @@ def identity_residuals(
 def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
     """The lambda-free part of identity_residuals, as plain floats:
     U, U', U'' at rho, then the means A, B, C, D of |h|^2,
-    Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 over circle_angles(M),
-    all from one circle_fields call.  The key holds the series by identity.
+    Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 over circle_angles(M)
+    from the circle memo of the quadrature module.  The key holds the
+    series by identity.
     """
     u, du, d2u = quadratic_mean_profile(h).jet(rho)
-    f = circle_fields(h, rho, circle_angles(M))
-    return (
-        float(u), float(du), float(d2u),
-        float(np.mean(np.abs(f.values) ** 2)),
-        float(np.mean((np.conj(f.values) * f.d_rho).real)),
-        float(np.mean(np.abs(f.d_rho) ** 2)),
-        float(np.mean(np.abs(f.d_theta) ** 2)),
-    )
+    _, A, B, C, D, _ = _circle_means(h, rho, M)
+    return float(u), float(du), float(d2u), A, B, C, D
 
 
 # ---------------------------------------------------------------------------
@@ -222,35 +238,48 @@ def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
 
 def k_functional(
     P: RadialProfile,
-    lam: float,
-    R: float,
+    lam,
+    R,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
-    """K_lam[P] by radial quadrature of the weighted operator."""
+):
+    """K_lam[P] by radial quadrature of the weighted operator.
+
+    For the profile of a stack, lam and R may hold one entry per member;
+    the members are integrated together and refined until the worst one
+    has converged, and the result holds one entry per member.
+    """
     require_outer(R)
-    op = LambdaOperator(lam)
+    require_lambda(lam)
+    if _is_scalar(lam) and _is_scalar(R):
+        R_col = R
+    else:  # one integrand per member, on radii of shape (members, nodes)
+        lam = np.asarray(lam, dtype=np.float64)[..., None]
+        R_col = np.asarray(R, dtype=np.float64)[..., None]
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        # the nodes lie in [1, R], inside apply's domain: skip its checks
+        # the nodes lie in [1, R], inside L_lam's domain: skip its checks
         den = r**2 + lam
-        return r * (R**2 - r**2) / den * op._on_jet(r, den, *P.jet(r))
+        return r * (R_col**2 - r**2) / den * _on_jet(lam, r, den, *P.jet(r))
 
     return radial_integrate(integrand, 1.0, R, cfg)
 
 
-def k_quadrature(
-    h: HarmonicSeries, lam: float, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def k_quadrature(h, lam, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """K_lam applied to the quadratic mean of h, by quadrature."""
     return k_functional(quadratic_mean_profile(h), lam, R, cfg)
 
 
-def k_endpoint(h: HarmonicSeries, lam: float, R: float) -> float:
-    """K_lam applied to the quadratic mean of h, in endpoint closed form."""
+def k_endpoint(h, lam, R):
+    """K_lam applied to the quadratic mean of h, in endpoint closed form;
+    for a stack, lam and R may hold one entry per member."""
     require_lambda(lam)
     require_outer(R)
     U = quadratic_mean_profile(h)
-    u_R = U.value(R)
+    if _is_scalar(R):
+        u_R = U.value(R)
+    else:
+        R = np.asarray(R, dtype=np.float64)
+        u_R = U.value(R[..., None])[..., 0]
     u_1, du_1, _ = U.jet(1.0)
     return (
         2.0 * R**2 / (R**2 + lam) * u_R

@@ -10,17 +10,23 @@ module (mode n in bin n mod M, no aliasing at these M), and the Dirichlet
 energy evaluates its Gauss nodes' circles in batches of radii.  The means
 are computed as trapezoid sums over the sampled fields, never from the
 spectrum by Parseval, so they stay an independent check of the closed
-forms in the means module.
+forms in the means module.  The circle means of a series are memoised per
+(series, rho, M) (_circle_means), so the quadratic mean, the enclosed
+area, the circular mean and the operator identities of one circle share
+one evaluation.
 
 Radial integrals use composite Gauss-Legendre panels whose edges are
 cosine-graded (clustered toward both endpoints), with a doubling refinement
-loop that serves as the error estimate.
+loop that serves as the error estimate.  An integrand may return a stack of
+integrands at once (one per member of a SeriesStack, each on its own
+interval): they share the panels and refine until the worst has converged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -82,6 +88,23 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+@lru_cache(maxsize=32)
+def _circle_means(h: HarmonicSeries, rho: float, M: int) -> tuple:
+    """Trapezoid means over circle_angles(M) on C_rho of h (complex), then
+    of |h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2 and
+    Im(conj(h) h_theta) (floats), all from one circle_fields call.  The key
+    holds the series by identity; a rho outside the domain never enters
+    the memo, since circle_fields rejects it."""
+    f = circle_fields(h, rho, circle_angles(M))
+    fields = np.stack(f)
+    # np.add.reduce(x) / M is np.mean(x) without its Python-level overhead
+    squares = np.add.reduce(np.abs(fields) ** 2, axis=-1) / M
+    flux = np.conj(f.values) * fields[1:]
+    return (complex(np.add.reduce(f.values) / M), float(squares[0]),
+            float(np.add.reduce(flux[0].real) / M), float(squares[1]),
+            float(squares[2]), float(np.add.reduce(flux[1].imag) / M))
+
+
 def circular_mean(
     f: HarmonicSeries | Callable[[float, np.ndarray], np.ndarray],
     rho: float,
@@ -95,10 +118,8 @@ def circular_mean(
     """
     require_radii(rho)
     if isinstance(f, HarmonicSeries):
-        M = cfg.angular_count(f.N)
-        values = circle_fields(f, rho, circle_angles(M)).values
-    else:
-        values = np.asarray(f(rho, circle_angles(cfg.angular_nodes)))
+        return _circle_means(f, float(rho), cfg.angular_count(f.N))[0]
+    values = np.asarray(f(rho, circle_angles(cfg.angular_nodes)))
     return complex(np.mean(values))
 
 
@@ -107,9 +128,7 @@ def quadratic_mean_numeric(
 ) -> float:
     """Mean of |h|^2 over C_rho by angular quadrature (the oracle for the
     closed-form profile in the means module)."""
-    M = cfg.angular_count(2 * h.N)
-    values = circle_fields(h, rho, circle_angles(M)).values
-    return float(np.mean(np.abs(values) ** 2))
+    return _circle_means(h, float(rho), cfg.angular_count(2 * h.N))[1]
 
 
 def winding_number(
@@ -127,21 +146,47 @@ def winding_number(
     return winding_from_fields(f.values, f.d_theta, rho)
 
 
+def _winding_integrals(values: np.ndarray, d_theta: np.ndarray):
+    """Per circle (the last axis holds the angles): whether h and h_theta
+    are finite, min |h|, and the winding integral mean(h_theta / (i h))."""
+    finite = np.isfinite(values).all(axis=-1) & np.isfinite(d_theta).all(axis=-1)
+    min_mod = np.min(np.abs(values), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ratio = 1j * values
+        w = np.mean(np.divide(d_theta, ratio, out=ratio), axis=-1)
+    return finite, min_mod, w
+
+
+def _nearest_winding(w):
+    """The nearest integer to each winding integral, and whether it lies
+    within 1e-6 of it."""
+    nearest = np.round(np.real(w))
+    return nearest, np.abs(w - nearest) <= _WINDING_TOL
+
+
+def has_winding(values: np.ndarray, d_theta: np.ndarray, n: int) -> np.ndarray:
+    """Per circle of a batch (the last axis holds the angles): whether h and
+    h_theta are finite, |h| stays above 1e-9 and the winding integral lies
+    within 1e-6 of n; the conditions winding_number raises on, as flags."""
+    finite, min_mod, w = _winding_integrals(values, d_theta)
+    nearest, close = _nearest_winding(w)
+    return finite & (min_mod > _MIN_MODULUS_ON_CIRCLE) & close & (nearest == n)
+
+
 def winding_from_fields(values: np.ndarray, d_theta: np.ndarray, rho: float) -> int:
     """Winding number from h and h_theta on an equally spaced circle grid,
     with the checks and errors of winding_number."""
-    if not (np.isfinite(values).all() and np.isfinite(d_theta).all()):
+    finite, min_mod, w = _winding_integrals(values, d_theta)
+    if not finite:
         raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
-    min_mod = float(np.min(np.abs(values)))
     if min_mod <= _MIN_MODULUS_ON_CIRCLE:
         raise ZeroOnCircleError(
             f"|h| reaches {min_mod:.3e} on C_{rho}; winding undefined"
         )
-    w = complex(np.mean(d_theta / (1j * values)))
-    nearest = round(w.real)
-    if abs(w - nearest) > _WINDING_TOL:
+    nearest, close = _nearest_winding(w)
+    if not close:
         raise WindingNotIntegerError(
-            f"winding integral {w} is not within {_WINDING_TOL} of an integer"
+            f"winding integral {complex(w)} is not within {_WINDING_TOL} of an integer"
         )
     return int(nearest)
 
@@ -153,59 +198,73 @@ def enclosed_area(
 
     Equals pi times the circle mean of Im(conj(h) * h_theta).
     """
-    M = cfg.angular_count(2 * h.N)
-    f = circle_fields(h, rho, circle_angles(M))
-    return float(np.pi * np.mean((np.conj(f.values) * f.d_theta).imag))
+    return float(np.pi * _circle_means(h, float(rho), cfg.angular_count(2 * h.N))[5])
 
 
-def _panel_edges(a: float, b: float, panels: int) -> np.ndarray:
+def _is_scalar(x) -> bool:
+    """Whether x is one number (a Python or numpy scalar, or a 0-d array)."""
+    return isinstance(x, (float, int)) or np.ndim(x) == 0
+
+
+def _panel_edges(a: float, b, panels: int) -> np.ndarray:
     # Cosine grading clusters panels toward both endpoints; the weighted
     # integrands used here vanish at the outer edge, so the grading keeps
     # endpoint resolution without adaptive logic.
     t = np.linspace(0.0, np.pi, panels + 1)
-    return a + (b - a) * 0.5 * (1.0 - np.cos(t))
+    width = b - a if _is_scalar(b) else (np.asarray(b) - a)[..., None]
+    return a + width * 0.5 * (1.0 - np.cos(t))
 
 
 def _composite_gauss(g: Callable[[np.ndarray], np.ndarray],
-                     a: float, b: float, panels: int) -> float:
+                     a: float, b, panels: int):
     edges = _panel_edges(a, b, panels)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = np.asarray(g(nodes.ravel()), dtype=np.float64).reshape(nodes.shape)
-    return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = mid[..., None] + half[..., None] * _GL_NODES
+    vals = np.asarray(g(nodes.reshape(nodes.shape[:-2] + (-1,))), dtype=np.float64)
+    terms = half[..., None] * _GL_WEIGHTS * vals.reshape(vals.shape[:-1] + nodes.shape[-2:])
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def radial_integrate(
     g: Callable[[np.ndarray], np.ndarray],
     a: float,
-    b: float,
+    b,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     max_refinements: int = 8,
-) -> float:
+):
     """Integral of g over [a, b] with a refinement-based error estimate.
 
-    `g` must accept a 1-d array of radii and return values elementwise.
+    `g` must accept an array of radii and return values elementwise.
     Panels are doubled (by cfg.refinement) until two successive levels agree
     to cfg.rel_tol relative; QuadratureConvergenceError is raised if that
-    never happens.
+    never happens.  `b` may be an array of upper limits, one per integrand
+    of a stack: g then receives radii of shape b.shape + (nodes,), and
+    every member gets the panel count of the widest interval and is refined
+    until the worst member has converged.  g may also return leading axes
+    of its own (one integrand per member of a stack on one interval).  The
+    result is a float, or an array over those axes.
     """
     require_radii(a)
     require_radii(b)
-    if not a < b:
+    scalar = _is_scalar(b)
+    if not (a < b if scalar else np.all(a < b)):
         raise ParameterDomainError("need a < b for a radial integral")
-    span = max(math.log(b / a), 1e-6)
+    span = max(math.log((b if scalar else np.max(b)) / a), 1e-6)
     panels = max(4, math.ceil(cfg.radial_nodes_per_unit * span / len(_GL_NODES)))
     prev = _composite_gauss(g, a, b, panels)
     for _ in range(max_refinements):
         panels *= cfg.refinement
         cur = _composite_gauss(g, a, b, panels)
-        if abs(cur - prev) <= cfg.rel_tol * (1.0 + abs(cur)):
-            return cur
+        change = abs(cur - prev)
+        # a scalar comparison costs a tenth of an array's .all()
+        ok = change <= cfg.rel_tol * (1.0 + abs(cur))
+        if ok if cur.ndim == 0 else ok.all():
+            return float(cur) if cur.ndim == 0 else cur
         prev = cur
     raise QuadratureConvergenceError(
         f"radial quadrature on [{a}, {b}] did not stabilize "
-        f"(last change {abs(cur - prev):.3e})"
+        f"(last change {np.max(change):.3e})"
     )
 
 

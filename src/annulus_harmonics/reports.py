@@ -16,6 +16,12 @@ from its own generator,
 criterion's draws depend on another's.  Criteria on fixed grids and closed
 forms ignore the plan.  The draw ranges are constants of each criterion.
 
+A criterion first makes all of its draws, in the order a draw-by-draw loop
+would make them, and then evaluates them in batches: the drawn series form
+a SeriesStack, evaluated in chunks of SERIES_PER_CHUNK members, with the
+per-draw parameters as arrays.  Every running worst case is NaN-keeping,
+so a NaN in any draw fails its check.
+
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
 the acceptance tests call the same criteria with pinned plans of their own,
 so the same functions back both.
@@ -48,8 +54,9 @@ from .sampling import (
     normalize_inner,
     random_conformal_perturbation,
     random_series,
+    random_series_stack,
 )
-from .series import HarmonicSeries, extremal_map
+from .series import HarmonicSeries, SeriesStack, extremal_map
 
 E = math.e
 E32 = math.exp(1.5)
@@ -129,13 +136,19 @@ def _rng(plan: DrawPlan, k: int) -> np.random.Generator:
     return np.random.default_rng((plan.seed, k))
 
 
+def _draw_config(rng: np.random.Generator, n_lo: int, n_hi: int,
+                 decay: float) -> SamplerConfig:
+    """The sampler config of a tame random series of order drawn from
+    n_lo..n_hi; its coefficients come from a generator of their own, seeded
+    from `rng`."""
+    N = int(rng.integers(n_lo, n_hi + 1))
+    return SamplerConfig(seed=int(rng.integers(2**62)), N=N, decay=decay)
+
+
 def _draw_series(rng: np.random.Generator, n_lo: int, n_hi: int,
                  decay: float) -> HarmonicSeries:
-    """A tame random series of order drawn from n_lo..n_hi; its coefficients
-    come from a generator of their own, seeded from `rng`."""
-    N = int(rng.integers(n_lo, n_hi + 1))
-    return random_series(SamplerConfig(seed=int(rng.integers(2**62)), N=N,
-                                       decay=decay))
+    """The series of _draw_config(rng, n_lo, n_hi, decay)."""
+    return random_series(_draw_config(rng, n_lo, n_hi, decay))
 
 
 # ---------------------------------------------------------------------------
@@ -159,16 +172,18 @@ def extremal_annihilation(plan: DrawPlan, cfg: QuadratureConfig,
 def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
                       tol: dict[str, float]) -> list[CheckResult]:
     """Both circle-mean identities on 3 circles per series, each circle
-    evaluated once for its 10 lambdas."""
+    evaluated once for its 10 lambdas (one identity_residuals call per
+    lambda, on the circle memo); each series' 30 residual pairs are
+    reduced at once."""
     rng = _rng(plan, 1)
     worst_grad = worst_ang = 0.0
     for _ in range(plan.trials):
         h = _draw_series(rng, 4, 16, 0.2)
-        for rho in rng.uniform(1.02, E32, size=3):
-            for lam in rng.uniform(-0.95, 1.0, size=10):
-                g, a = identity_residuals(h, float(lam), float(rho), cfg)
-                worst_grad = _worst(worst_grad, g)
-                worst_ang = _worst(worst_ang, a)
+        residuals = [identity_residuals(h, lam, rho, cfg)
+                     for rho in rng.uniform(1.02, E32, size=3).tolist()
+                     for lam in rng.uniform(-0.95, 1.0, size=10).tolist()]
+        g, a = np.max(residuals, axis=0)
+        worst_grad, worst_ang = _worst(worst_grad, g), _worst(worst_ang, a)
     return [
         _check(
             "gradient-form-identity",
@@ -186,12 +201,16 @@ def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
 def divergence_form(plan: DrawPlan, cfg: QuadratureConfig,
                     tol: dict[str, float]) -> list[CheckResult]:
     rng = _rng(plan, 2)
-    worst = 0.0
+    configs, lams, rhos = [], [], []
     for _ in range(plan.trials):
-        h = _draw_series(rng, 4, 16, 0.2)
-        op = LambdaOperator(rng.uniform(-0.5, 1.0))
-        worst = _worst(worst, op.divergence_form_residual(
-            quadratic_mean_profile(h), rng.uniform(1.2, 3.0)))
+        configs.append(_draw_config(rng, 4, 16, 0.2))
+        lams.append(rng.uniform(-0.5, 1.0))
+        rhos.append(rng.uniform(1.2, 3.0))
+    lams, rhos = np.array(lams), np.array(rhos)
+    worst = 0.0
+    for rows, h in random_series_stack(configs).chunks():
+        worst = _worst(worst, np.max(LambdaOperator(lams[rows]).divergence_form_residual(
+            quadratic_mean_profile(h), rhos[rows])))
     return [_check(
         "divergence-form-agreement",
         "direct and divergence forms of L_lam agree to O(step^4) (Richardson)",
@@ -206,13 +225,16 @@ def variance_subsolution(plan: DrawPlan, cfg: QuadratureConfig,
     second derivative that V'' is checked against has its own formula."""
     rng = _rng(plan, 3)
     grid = np.linspace(1.01, 5.0, 200)
-    floor_deficit = chain_excess = d2_deficit = d2_mismatch = 0.0
+    configs, lams = [], []
     for _ in range(plan.trials):
-        h = _draw_series(rng, 2, 10, 0.15)
-        lam = rng.uniform(-0.9, 1.0)
+        configs.append(_draw_config(rng, 2, 10, 0.15))
+        lams.append(rng.uniform(-0.9, 1.0))
+    lams = np.array(lams)[:, None]
+    floor_deficit = chain_excess = d2_deficit = d2_mismatch = 0.0
+    for rows, h in random_series_stack(configs).chunks():
         v, dv, d2v = variance_profile(h).jet(grid)
-        lv = LambdaOperator(lam).apply_jet(grid, v, dv, d2v)
-        floor_deficit = _worst(floor_deficit, -float(np.min(lv)))
+        lv = LambdaOperator(lams[rows]).apply_jet(grid, v, dv, d2v)
+        floor_deficit = _worst(floor_deficit, -np.min(lv))
         chain = _mode_chain(h, grid, v, dv, d2v)
         chain_excess = _worst(chain_excess, np.max(chain - lv))
         d2 = variance_deriv2_termwise(h, grid)
@@ -242,15 +264,16 @@ def variance_subsolution(plan: DrawPlan, cfg: QuadratureConfig,
     ]
 
 
-def _mode_chain(h: HarmonicSeries, rho, v, dv, d2v):
-    """(2/rho^2) sum_{n != 0} (n^2-1) U_n, read off V's jet (v, dv, d2v) at rho.
+def _mode_chain(h, rho, v, dv, d2v):
+    """(2/rho^2) sum_{n != 0} (n^2-1) U_n, read off V's jet (v, dv, d2v) at
+    the radii rho (for a stack, one row per member).
 
     U_n = |a_n|^2 rho^2n + |b_n|^2 rho^-2n + c_n with c_n = 2 Re(a_n conj b_n)
     constant, so (rho d/drho)^2 U_n = 4 n^2 (U_n - c_n) and
     sum (n^2-1) U_n = (rho^2 V'' + rho V')/4 + sum n^2 c_n - V.
     """
     ns = h.mode_numbers.astype(np.float64)
-    n2_cross = 2.0 * ns**2 @ (h.a * np.conj(h.b)).real
+    n2_cross = np.asarray((h.a * np.conj(h.b)).real @ (2.0 * ns**2))[..., None]
     return 0.5 * (d2v + dv / rho) + (2.0 / rho**2) * (n2_cross - v)
 
 
@@ -262,18 +285,20 @@ def equality_family(plan: DrawPlan, cfg: QuadratureConfig,
     tolerance is meaningful (the wider-lambda annihilation runs at 1e-9)."""
     rng = _rng(plan, 4)
     grid = np.linspace(1.01, 5.0, 200)
-    worst = 0.0
+    lams, alphas, a0s = [], [], []
     for _ in range(plan.trials):
-        lam = rng.uniform(-0.8, 1.0)
-        alpha = np.exp(2j * np.pi * rng.uniform())
-        h = HarmonicSeries.from_coeffs(
-            N=1,
-            a={1: alpha / (1 + lam)},
-            b={1: alpha * lam / (1 + lam)},
-            a0=complex(rng.normal(), rng.normal()),
-        )
+        lams.append(rng.uniform(-0.8, 1.0))
+        alphas.append(np.exp(2j * np.pi * rng.uniform()))
+        a0s.append(complex(rng.normal(), rng.normal()))
+    lam, alpha = np.array(lams), np.array(alphas)
+    a, b = np.zeros((2, plan.trials, 2), dtype=np.complex128)
+    a[:, 0] = alpha / (1 + lam)
+    b[:, 0] = alpha * lam / (1 + lam)
+    stack = SeriesStack(N=1, a=a, b=b, a0=a0s, b0=np.zeros(plan.trials))
+    worst = 0.0
+    for rows, h in stack.chunks():
         worst = _worst(worst, np.max(np.abs(
-            LambdaOperator(lam).apply(variance_profile(h), grid))))
+            LambdaOperator(lam[rows, None]).apply(variance_profile(h), grid))))
     return [_check(
         "equality-family",
         "L_lam annihilates the variance of log + rotated-extremal series",
@@ -284,13 +309,17 @@ def equality_family(plan: DrawPlan, cfg: QuadratureConfig,
 def endpoint_identity(plan: DrawPlan, cfg: QuadratureConfig,
                       tol: dict[str, float]) -> list[CheckResult]:
     rng = _rng(plan, 5)
-    worst = 0.0
+    configs, lams, Rs = [], [], []
     for _ in range(plan.trials):
-        h = _draw_series(rng, 2, 10, 0.2)
-        lam = rng.uniform(-0.95, 1.0)
-        R = rng.uniform(1.05, E32)
-        ke = k_endpoint(h, lam, R)
-        worst = _worst(worst, abs(k_quadrature(h, lam, R, cfg) - ke) / (1.0 + abs(ke)))
+        configs.append(_draw_config(rng, 2, 10, 0.2))
+        lams.append(rng.uniform(-0.95, 1.0))
+        Rs.append(rng.uniform(1.05, E32))
+    lams, Rs = np.array(lams), np.array(Rs)
+    worst = 0.0
+    for rows, h in random_series_stack(configs).chunks():
+        ke = k_endpoint(h, lams[rows], Rs[rows])
+        kq = k_quadrature(h, lams[rows], Rs[rows], cfg)
+        worst = _worst(worst, np.max(np.abs(kq - ke) / (1.0 + np.abs(ke))))
     return [_check(
         "endpoint-match",
         "weighted integral of L_lam[U] equals its endpoint closed form",
@@ -334,11 +363,15 @@ def variance_lower_bound(plan: DrawPlan, cfg: QuadratureConfig,
                          tol: dict[str, float]) -> list[CheckResult]:
     """One draw per two trials: each draw is an adaptive radial quadrature."""
     rng = _rng(plan, 7)
-    violation = 0.0
+    configs, Rs = [], []
     for _ in range(max(1, plan.trials // 2)):
-        h = _draw_series(rng, 2, 6, 0.2)
-        lhs, rhs = bnd.variance_k_bound(h, rng.uniform(E + 1e-9, E32), cfg)
-        violation = _worst(violation, rhs - lhs)
+        configs.append(_draw_config(rng, 2, 6, 0.2))
+        Rs.append(rng.uniform(E + 1e-9, E32))
+    Rs = np.array(Rs)
+    violation = 0.0
+    for rows, h in random_series_stack(configs).chunks():
+        lhs, rhs = bnd.variance_k_bound(h, Rs[rows], cfg)
+        violation = _worst(violation, np.max(rhs - lhs))
     return [_check(
         "variance-lower-bound",
         "K_1[V] dominates (R^2-1) times the mode energy excess for R > e",
@@ -349,10 +382,11 @@ def variance_lower_bound(plan: DrawPlan, cfg: QuadratureConfig,
 def inner_circle_identity(plan: DrawPlan, cfg: QuadratureConfig,
                           tol: dict[str, float]) -> list[CheckResult]:
     rng = _rng(plan, 8)
+    stack = random_series_stack([_draw_config(rng, 10, 10, 0.4)
+                                 for _ in range(plan.trials)])
     worst = 0.0
-    for _ in range(plan.trials):
-        worst = _worst(worst, bnd.inner_circle_identity_residual(
-            _draw_series(rng, 10, 10, 0.4), cfg))
+    for _, h in stack.chunks():
+        worst = _worst(worst, np.max(bnd.inner_circle_identity_residual(h, cfg)))
     return [_check(
         "inner-circle-identity",
         "inner-circle boundary data equals the mode energy excess",
@@ -408,19 +442,18 @@ def mode_certificate(plan: DrawPlan, cfg: QuadratureConfig,
                      tol: dict[str, float]) -> list[CheckResult]:
     """Positivity, expansion, n = 2 factorization and monotonicity of the
     per-mode certificate, from one table over n in [2, 50] x 40 radii."""
-    deficit = expand_rel = monotone_violation = n2_rel = 0.0
-    for R in np.linspace(E, 10.0, 40):
-        vals = np.array([bnd.mode_form_certificate(n, R) for n in range(2, 51)])
-        deficit = _worst(deficit, -np.min(vals))
-        expanded = np.array(
-            [bnd.mode_form_certificate_expanded(n, R) for n in range(2, 51)])
-        expand_rel = _worst(expand_rel, np.max(
-            np.abs(vals - expanded) / np.maximum(1.0, np.abs(expanded))))
-        diffs = np.diff(vals)
-        monotone_violation = _worst(
-            monotone_violation, -np.min(diffs), -np.min(np.diff(diffs)))
-        factored = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
-        n2_rel = _worst(n2_rel, abs(vals[0] - factored) / max(1.0, abs(factored)))
+    ns = np.arange(2, 51)
+    R = np.linspace(E, 10.0, 40)
+    vals = bnd.mode_form_certificate(ns, R[:, None])
+    expanded = bnd.mode_form_certificate_expanded(ns, R[:, None])
+    deficit = _worst(0.0, -np.min(vals))
+    expand_rel = _worst(0.0, np.max(
+        np.abs(vals - expanded) / np.maximum(1.0, np.abs(expanded))))
+    diffs = np.diff(vals, axis=-1)
+    monotone_violation = _worst(0.0, -np.min(diffs), -np.min(np.diff(diffs, axis=-1)))
+    factored = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
+    n2_rel = _worst(0.0, np.max(
+        np.abs(vals[:, 0] - factored) / np.maximum(1.0, np.abs(factored))))
     return [
         _check(
             "mode-certificate-positive",
@@ -488,22 +521,26 @@ def bound_ordering(plan: DrawPlan, cfg: QuadratureConfig,
 def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
                          tol: dict[str, float]) -> list[CheckResult]:
     """Schottky's conformal refinement on A(1, 2); `schottky_check` runs the
-    injectivity probe once per draw."""
+    injectivity probe once per chunk of draws."""
     rng = _rng(plan, 9)
     R = 2.0
+    stack = random_conformal_perturbation(
+        [int(rng.integers(2**62)) for _ in range(plan.trials)])
     radius_deficit = area_deficit = mode_deficit = speed_dev = 0.0
     all_ok = True
-    for _ in range(plan.trials):
-        h = random_conformal_perturbation(int(rng.integers(2**62)))
-        report = bnd.schottky_check(h, R, cfg)
-        if not (report.applicable and report.windings_ok
-                and report.jacobian_min > 0.0):
-            all_ok = False
+    for _, h in stack.chunks():
+        reports = bnd.schottky_check(h, R, cfg)
+        ok = np.array([r.applicable and r.windings_ok and r.jacobian_min > 0.0
+                       for r in reports])
+        all_ok = all_ok and bool(ok.all())
+        if not ok.any():
             continue
-        radius_deficit = _worst(radius_deficit, -(report.mean_radius - R))
-        area_deficit = _worst(area_deficit, -(report.area - report.area_bound))
-        mode_deficit = _worst(mode_deficit, -report.mode_sum_margin)
-        speed_dev = _worst(speed_dev, abs(initial_speed(normalize_inner(h)) - 1.0))
+        good = [r for r, keep in zip(reports, ok) if keep]
+        radius_deficit = _worst(radius_deficit, *(-(r.mean_radius - R) for r in good))
+        area_deficit = _worst(area_deficit, *(-(r.area - r.area_bound) for r in good))
+        mode_deficit = _worst(mode_deficit, *(-r.mode_sum_margin for r in good))
+        speed_dev = _worst(speed_dev, np.max(np.abs(
+            initial_speed(normalize_inner(h[ok])) - 1.0)))
     return [
         _check(
             "probes-applicable",
@@ -559,7 +596,7 @@ run_identities = _suite(
 run_subsolution = _suite(
     "subsolution",
     "Variance subsolution property, equality family and mode chain.",
-    variance_subsolution, equality_family,
+    equality_family, variance_subsolution,
 )
 run_kfunctional = _suite(
     "kfunctional",

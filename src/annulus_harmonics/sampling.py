@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, ParameterDomainError, ToolkitError
+from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, winding_from_fields
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, has_winding
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
+    SeriesStack,
+    _index,
     circle_grid_fields,
     extremal_map,
     require_outer,
@@ -48,8 +51,44 @@ class SamplerConfig:
             raise ParameterDomainError("decay must lie in (0, 1)")
 
 
-def _draw(rng: np.random.Generator, scale: float) -> complex:
-    return scale * rng.uniform(0.0, 1.0) * np.exp(2j * np.pi * rng.uniform())
+@lru_cache(maxsize=64)
+def _scales(N: int, decay: float, extra: int) -> np.ndarray:
+    """Magnitude scale of each coefficient row: decay**n for a_n, b_n, a_-n
+    and b_-n, n = 1..N, then 1 for the `extra` rows a0 and b0."""
+    scales = np.ones(4 * N + extra)
+    # Python-float powers: numpy's array power can differ in the last bit
+    scales[:4 * N] = np.repeat([decay**n for n in range(1, N + 1)], 4)
+    scales.setflags(write=False)
+    return scales
+
+
+def _row_scales(cfg: SamplerConfig) -> np.ndarray:
+    return _scales(cfg.N, cfg.decay, int(cfg.include_log) + int(cfg.include_const))
+
+
+def _uniforms(cfg: SamplerConfig, out: np.ndarray) -> np.ndarray:
+    """Fill `out` (rows x 2) with the magnitude and phase uniforms of cfg's
+    coefficient rows, from cfg's own generator; random() draws the doubles
+    that uniform(0, 1) returns."""
+    return np.random.default_rng(cfg.seed).random(out=out)
+
+
+def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Coefficient rows from their scales and uniforms: a_n, b_n, a_-n, b_-n
+    for n = 1..N, then a0 and b0 when included.  Elementwise, so rows of
+    several configs stacked together come out as for each config alone."""
+    return scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
+
+
+def _unpack(cfg: SamplerConfig, coeffs: np.ndarray):
+    """a and b as (2, N) arrays (rows: modes 1..N, then -1..-N), a0 and b0
+    from the coefficient rows of one config."""
+    N = cfg.N
+    a0 = coeffs[4 * N] if cfg.include_log else 0j
+    b0 = coeffs[-1] if cfg.include_const else 0j
+    # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
+    table = coeffs[:4 * N].reshape(N, 2, 2)
+    return table[:, :, 0].T, table[:, :, 1].T, a0, b0
 
 
 def random_series(cfg: SamplerConfig) -> HarmonicSeries:
@@ -59,31 +98,43 @@ def random_series(cfg: SamplerConfig) -> HarmonicSeries:
     a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0 when included; one
     draw of the whole table gives the same stream as drawing them singly.
     """
-    N = cfg.N
-    rows = 4 * N + int(cfg.include_log) + int(cfg.include_const)
-    u = np.random.default_rng(cfg.seed).uniform(size=(rows, 2))
-    scales = np.ones(rows)
-    # Python-float powers: numpy's array power can differ in the last bit
-    scales[:4 * N] = np.repeat([cfg.decay**n for n in range(1, N + 1)], 4)
-    coeffs = scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
-    a0 = coeffs[4 * N] if cfg.include_log else 0j
-    b0 = coeffs[-1] if cfg.include_const else 0j
-    # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
-    table = coeffs[:4 * N].reshape(N, 2, 2)
-    return HarmonicSeries(N=N, a=table[:, :, 0].T.ravel(),
-                          b=table[:, :, 1].T.ravel(), a0=a0, b0=b0)
+    scales = _row_scales(cfg)
+    coeffs = _coefficients(scales, _uniforms(cfg, np.empty((scales.size, 2))))
+    a, b, a0, b0 = _unpack(cfg, coeffs)
+    return HarmonicSeries(N=cfg.N, a=a.ravel(), b=b.ravel(), a0=a0, b0=b0)
 
 
-def normalize_inner(h: HarmonicSeries) -> HarmonicSeries:
+def random_series_stack(configs: Sequence[SamplerConfig]) -> SeriesStack:
+    """The stack of random_series(cfg) for every config, zero-padded to the
+    largest N: each member comes from its own generator, so member i has
+    exactly the coefficients of random_series(configs[i])."""
+    N = max(cfg.N for cfg in configs)
+    scales = [_row_scales(cfg) for cfg in configs]
+    ends = np.cumsum([s.size for s in scales]).tolist()
+    starts = [0] + ends[:-1]
+    u = np.empty((ends[-1], 2))
+    for cfg, lo, hi in zip(configs, starts, ends):
+        _uniforms(cfg, u[lo:hi])
+    coeffs = _coefficients(np.concatenate(scales), u)
+    a, b = (np.zeros((len(configs), 2, N), dtype=np.complex128) for _ in range(2))
+    a0, b0 = (np.zeros(len(configs), dtype=np.complex128) for _ in range(2))
+    for i, (cfg, lo, hi) in enumerate(zip(configs, starts, ends)):
+        a[i, :, :cfg.N], b[i, :, :cfg.N], a0[i], b0[i] = _unpack(cfg, coeffs[lo:hi])
+    return SeriesStack(N=N, a=a.reshape(len(configs), 2 * N),
+                       b=b.reshape(len(configs), 2 * N), a0=a0, b0=b0)
+
+
+def normalize_inner(h):
     """Impose the inner normalization: zero mean and unit quadratic mean.
 
     Drops b0, then rescales every coefficient by 1/sqrt(U(1)).  Raises
     DegenerateSeriesError if the series vanishes on the unit circle in the
-    quadratic mean after dropping b0.
+    quadratic mean after dropping b0.  A stack is normalized member by
+    member.
     """
-    stripped = replace(h, b0=0j)
-    u1 = float(quadratic_mean_profile(stripped).value(1.0))
-    if u1 <= 0.0:
+    stripped = replace(h, b0=np.zeros_like(h.b0))
+    u1 = quadratic_mean_profile(stripped).value(1.0)
+    if (np.asarray(u1) <= 0.0).any():
         raise DegenerateSeriesError("cannot normalize: U(1) = 0 after dropping b0")
     return scale_rotate(stripped, 1.0 / np.sqrt(u1))
 
@@ -117,19 +168,30 @@ def perturb_extremal(
 
 
 def random_conformal_perturbation(
-    seed: int, eps: float = 1e-7, modes: tuple[int, ...] = (-3, -2, -1, 2, 3, 4, 5, 6)
-) -> HarmonicSeries:
+    seed, eps: float = 1e-7, modes: tuple[int, ...] = (-3, -2, -1, 2, 3, 4, 5, 6)
+):
     """A rotation of z plus conformal perturbations of size at most eps.
 
     All b coefficients and the log/constant terms stay zero, and the sup
     deviation of |h| from 1 on the unit circle is at most len(modes)*eps,
-    so small eps keeps the series inside the conformal boundary class."""
-    rng = np.random.default_rng(seed)
-    a: dict[int, complex] = {1: 1.0 + 0j}
-    for n in modes:
-        a[n] = _draw(rng, eps)
-    h = HarmonicSeries.from_coeffs(a=a)
-    return scale_rotate(h, np.exp(2j * np.pi * rng.uniform()))
+    so small eps keeps the series inside the conformal boundary class.
+    Each mode takes two uniforms, magnitude then phase, and one more gives
+    the rotation.  A sequence of seeds gives the SeriesStack of their
+    series, each drawn from its own generator.
+    """
+    seeds = np.atleast_1d(seed)
+    u = np.empty((len(seeds), 2 * len(modes) + 1))
+    for row, s in zip(u, seeds.tolist()):
+        np.random.default_rng(s).random(out=row)
+    N = max(1, *(abs(n) for n in modes))
+    a = np.zeros((len(seeds), 2 * N), dtype=np.complex128)
+    a[:, 0] = 1.0
+    a[:, [_index(n, N) for n in modes]] = _coefficients(
+        eps, u[:, :-1].reshape(-1, 2)).reshape(len(seeds), len(modes))
+    zeros = np.zeros(len(seeds), dtype=np.complex128)
+    stack = scale_rotate(SeriesStack(N=N, a=a, b=np.zeros_like(a), a0=zeros, b0=zeros),
+                         np.exp(2j * np.pi * u[:, -1]))
+    return stack if np.ndim(seed) else stack.series(0)
 
 
 class InjectivityProbe(NamedTuple):
@@ -138,7 +200,7 @@ class InjectivityProbe(NamedTuple):
 
 
 def injectivity_probe(
-    h: HarmonicSeries,
+    h,
     R: float,
     rho_samples: int = 24,
     theta_samples: int = 96,
@@ -150,24 +212,30 @@ def injectivity_probe(
     Samples the Jacobian determinant over an interior polar grid and the
     winding number over a family of circles.  A positive minimum Jacobian
     together with all windings equal to 1 is evidence (not proof) that the
-    series restricts to an orientation-preserving homeomorphism.
+    series restricts to an orientation-preserving homeomorphism.  A zero on
+    a circle or a non-integer winding integral counts as failed evidence,
+    not as an error; a Jacobian that is not finite raises
+    NumericOverflowError.  For a SeriesStack both fields are arrays with
+    one entry per member.
     """
     require_outer(R)
     rhos = np.linspace(1.0, R, rho_samples + 2)[1:-1]
-    jac_min = float(np.min(
-        circle_grid_fields(h, rhos, theta_samples).jacobian(rhos)
-    ))
-    windings_ok = True
+    f = circle_grid_fields(h, rhos, theta_samples, ("d_rho", "d_theta"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # f.jacobian(rhos), formed in the probe's own field buffer: a stack's
+        # grid is the largest array of a batched criterion
+        product = np.conjugate(f.d_rho, out=f.d_rho)
+        product *= f.d_theta
+        jac = product.imag / rhos[:, None]
+    del f, product
+    if not np.isfinite(jac).all():
+        raise NumericOverflowError(
+            f"the Jacobian on A(1, {R}) overflowed; injectivity probe undefined")
+    jac_min = jac.min(axis=(-2, -1))
+    del jac  # the winding fields need the room
     radii = np.linspace(1.0, R, circles + 2)[1:-1]
-    f = circle_grid_fields(h, radii, cfg.angular_count(2 * h.N))
-    for r, values, d_theta in zip(radii, f.values, f.d_theta):
-        try:
-            if winding_from_fields(values, d_theta, float(r)) != 1:
-                windings_ok = False
-                break
-        except ToolkitError:
-            # a zero on the circle or a non-integer contour integral both
-            # count as failed evidence, not as errors of the probe
-            windings_ok = False
-            break
-    return InjectivityProbe(jacobian_min=jac_min, windings_ok=windings_ok)
+    f = circle_grid_fields(h, radii, cfg.angular_count(2 * h.N), ("values", "d_theta"))
+    ok = has_winding(f.values, f.d_theta, 1).all(axis=-1)
+    if jac_min.shape:
+        return InjectivityProbe(jacobian_min=jac_min, windings_ok=ok)
+    return InjectivityProbe(jacobian_min=float(jac_min), windings_ok=bool(ok))

@@ -28,6 +28,16 @@ n mod M, which is exact for every M (circle_fields, and circle_grid_fields
 for many radii at once).  Other angles, as in the pointwise API, take an
 explicit phase sum over the same spectrum.
 
+The kernel, like the closed-form profiles of the means module, also takes a
+SeriesStack: B series zero-padded to one order N, with a and b of shape
+(B, 2N) and a0, b0 of shape (B,).  A HarmonicSeries is the stack of one
+with no member axis, so both run the same code.  For a stack the radii are
+a scalar (every member on one circle), shape (m,) (every member on the
+same m circles) or shape (B, m) (m circles per member); the fields then
+lead with the member axis.  Batched callers evaluate a stack in chunks of
+SERIES_PER_CHUNK members, which bounds the field arrays and the radial
+power tables of one evaluation.
+
 All types are immutable and all functions are pure; everything is safe to
 call concurrently.
 """
@@ -54,6 +64,11 @@ LAMBDA_MIN = -1.0 + 1e-9
 
 # Agreement tolerance for the paired formulas in jacobian / grad_norm_sq.
 _CONSISTENCY_RTOL = 1e-12
+
+# Members per chunk when a stack of series is evaluated: eight members keep
+# the largest field array (the injectivity probe's 24 circles x 96 angles x
+# 2 fields, 590 KiB) and the radial power tables under 1 MiB.
+SERIES_PER_CHUNK = 8
 
 
 def _coeff_array(values, N: int, name: str) -> np.ndarray:
@@ -190,30 +205,130 @@ class HarmonicSeries:
                                           a0=self.a0, b0=self.b0)
 
 
+@dataclass(frozen=True, eq=False)
+class SeriesStack:
+    """B series zero-padded to one truncation order, validated once.
+
+    Attributes:
+        N: the largest order of the members; a member of lower order has
+            zero coefficients on the modes above its own.
+        a, b: shape (B, 2N), row i in the mode_numbers order of
+            HarmonicSeries.
+        a0, b0: shape (B,).
+
+    The constructor copies the arrays and checks their shapes and that
+    every coefficient is finite; indexing (a slice, or an index or mask
+    array) copies the selected members without checking them again.  Equality
+    and hashing are by identity, as for HarmonicSeries.
+    """
+
+    N: int
+    a: np.ndarray
+    b: np.ndarray
+    a0: np.ndarray
+    b0: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.N < 0:
+            raise ParameterDomainError("truncation order N must be >= 0")
+        a0 = np.array(self.a0, dtype=np.complex128)
+        if a0.ndim != 1:
+            raise ParameterDomainError("a0 of a stack must hold one entry per member")
+        B = a0.shape[0]
+        arrays = {"a": np.array(self.a, dtype=np.complex128),
+                  "b": np.array(self.b, dtype=np.complex128),
+                  "a0": a0, "b0": np.array(self.b0, dtype=np.complex128)}
+        for name, arr in arrays.items():
+            want = (B, 2 * self.N) if name in ("a", "b") else (B,)
+            if arr.shape != want:
+                raise ParameterDomainError(
+                    f"{name} of a stack must have shape {want} with one row "
+                    f"per member; got {arr.shape}")
+            if not np.all(np.isfinite(arr.view(np.float64))):
+                raise ParameterDomainError(f"{name} contains a non-finite coefficient")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def of(cls, members) -> "SeriesStack":
+        """The stack of the given HarmonicSeries, padded to the largest N."""
+        members = list(members)
+        N = max((h.N for h in members), default=0)
+        a, b = (np.zeros((len(members), 2, N), dtype=np.complex128) for _ in range(2))
+        for i, h in enumerate(members):
+            a[i, :, :h.N] = h.a.reshape(2, h.N)
+            b[i, :, :h.N] = h.b.reshape(2, h.N)
+        return cls(N=N, a=a.reshape(len(members), 2 * N),
+                   b=b.reshape(len(members), 2 * N),
+                   a0=[h.a0 for h in members], b0=[h.b0 for h in members])
+
+    @property
+    def mode_numbers(self) -> np.ndarray:
+        """Nonzero mode indices in the fixed order 1..N, -1..-N."""
+        return _kernel_order(self.N)[1:]
+
+    def __len__(self) -> int:
+        return self.a0.shape[0]
+
+    def __getitem__(self, index) -> "SeriesStack":
+        sub = object.__new__(SeriesStack)
+        object.__setattr__(sub, "N", self.N)
+        for name in ("a", "b", "a0", "b0"):
+            # a copy, so that a memo holding the sub-stack holds no more
+            arr = np.array(getattr(self, name)[index])
+            arr.setflags(write=False)
+            object.__setattr__(sub, name, arr)
+        if sub.a0.ndim != 1:
+            raise IndexError("a stack index must select a 1-d run of members")
+        return sub
+
+    def chunks(self) -> Iterator[tuple[slice, "SeriesStack"]]:
+        """(member slice, sub-stack) for consecutive runs of
+        SERIES_PER_CHUNK members."""
+        for lo in range(0, len(self), SERIES_PER_CHUNK):
+            rows = slice(lo, lo + SERIES_PER_CHUNK)
+            yield rows, self[rows]
+
+    def series(self, i: int) -> HarmonicSeries:
+        """Member i as a HarmonicSeries of the stack's order N."""
+        return HarmonicSeries(N=self.N, a=self.a[i], b=self.b[i],
+                              a0=self.a0[i], b0=self.b0[i])
+
+
 # Domain rules: every check of R, lambda or rho calls one of these.  NaN fails
 # every comparison, so each test passes only inside the domain.
 
-def require_outer(R: float) -> None:
-    """Raise ParameterDomainError unless 1 < R < inf (the annulus A(1, R))."""
-    if not 1.0 < R < math.inf:
+def _within(x, lo: float, hi: float, hi_closed: bool = False) -> bool:
+    """Whether x, a scalar or an array, lies in (lo, hi) (or (lo, hi]); a
+    Python number is checked without an array."""
+    if isinstance(x, (float, int)):
+        return lo < x and (x <= hi if hi_closed else x < hi)
+    r = np.asarray(x, dtype=np.float64)  # min and max propagate NaN
+    if r.size == 0:
+        return True
+    top = r.max()
+    return bool(lo < r.min() and (top <= hi if hi_closed else top < hi))
+
+
+def require_outer(R) -> None:
+    """Raise ParameterDomainError unless 1 < R < inf (the annulus A(1, R)),
+    for a scalar R or every entry of an array."""
+    if not (1.0 < R < math.inf if isinstance(R, float) else _within(R, 1.0, math.inf)):
         raise ParameterDomainError(f"outer radius R must satisfy 1 < R < inf, got {R}")
 
 
-def require_lambda(lam: float) -> None:
-    """Raise ParameterDomainError unless LAMBDA_MIN < lam <= 1."""
-    if not LAMBDA_MIN < lam <= 1.0:
+def require_lambda(lam) -> None:
+    """Raise ParameterDomainError unless LAMBDA_MIN < lam <= 1, for a scalar
+    lam or every entry of an array."""
+    if not (LAMBDA_MIN < lam <= 1.0 if isinstance(lam, float)
+            else _within(lam, LAMBDA_MIN, 1.0, hi_closed=True)):
         raise ParameterDomainError(f"lambda must lie in (-1, 1], got {lam}")
 
 
 def require_radii(rho) -> None:
     """Raise ParameterDomainError unless rho, a scalar or an array, is
-    positive and finite; a Python number is checked without an array."""
-    if isinstance(rho, (float, int)):
-        inside = 0.0 < rho < math.inf
-    else:
-        r = np.asarray(rho, dtype=np.float64)  # min and max propagate NaN
-        inside = r.size == 0 or (0.0 < r.min() and r.max() < math.inf)
-    if not inside:
+    positive and finite."""
+    if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
         raise ParameterDomainError(f"rho must be positive and finite, got {rho}")
 
 
@@ -312,43 +427,57 @@ def _bins(N: int, L: int) -> np.ndarray:
     return bins
 
 
-def _mode_spectrum(h: HarmonicSeries, rho) -> np.ndarray:
+def _coeffs_at(h, r: np.ndarray):
+    """a, b, a0, b0 of a series or stack, shaped to broadcast against the
+    radii r (see the module docstring): a stack's members get an axis for
+    the radii unless r is a scalar."""
+    if h.a.ndim == 1 or r.ndim == 0:
+        return h.a, h.b, h.a0, h.b0
+    return h.a[:, None, :], h.b[:, None, :], h.a0[:, None], h.b0[:, None]
+
+
+def _mode_spectrum(h, rho) -> np.ndarray:
     """Coefficients of values, d_rho and d_theta on C_rho for the modes
-    n = 0, 1..N, -1..-N, shape rho.shape + (3, 2N + 1).
+    n = 0, 1..N, -1..-N, shape (members) + radii + (3, 2N + 1).
 
     Overflow is tolerated here (it yields inf/nan fields); the pointwise
     API turns non-finite results into NumericOverflowError.
     """
     ns = h.mode_numbers
-    r = np.asarray(rho, dtype=np.float64)[..., None]
-    x = h.a * r**ns
-    y = h.b * r**-ns
-    spec = np.empty(r.shape[:-1] + (3, ns.size + 1), dtype=np.complex128)
+    r0 = np.asarray(rho, dtype=np.float64)
+    a, b, a0, b0 = _coeffs_at(h, r0)
+    r = r0[..., None]
+    x = a * r**ns
+    y = b * r**-ns
+    spec = np.empty(x.shape[:-1] + (3, ns.size + 1), dtype=np.complex128)
     values, d_rho, d_theta = spec[..., 0, 1:], spec[..., 1, 1:], spec[..., 2, 1:]
     np.add(x, y, out=values)
     np.subtract(x, y, out=d_rho)
     d_rho *= ns
     d_rho /= r
     np.multiply(values, 1j * ns, out=d_theta)
-    spec[..., 0, 0] = h.a0 * np.log(r[..., 0]) + h.b0
-    spec[..., 1, 0] = h.a0 / r[..., 0]
+    spec[..., 0, 0] = a0 * np.log(r0) + b0
+    spec[..., 1, 0] = a0 / r0
     spec[..., 2, 0] = 0.0
     return spec
 
 
-def _grid_fields(h: HarmonicSeries, rho, M: int) -> np.ndarray:
-    """Fields on circle_angles(M) of every circle, shape rho.shape + (3, M).
+def _grid_fields(h, rho, M: int, rows=slice(None)) -> np.ndarray:
+    """Fields on circle_angles(M) of every circle, shape (rows,) + (members)
+    + radii + (M,); `rows` picks among values, d_rho and d_theta (0, 1, 2),
+    and only those rows are transformed.  Each row is one contiguous block,
+    so in-place arithmetic between rows needs no copy.
 
     The modes go to bins n mod L of a spectrum of L = folds * M > 2N bins,
     one mode per bin; summing the folds gives bin n mod M.
     """
     folds = -(-(2 * h.N + 1) // M)
-    compact = _mode_spectrum(h, rho)
+    compact = np.moveaxis(_mode_spectrum(h, rho)[..., rows, :], -2, 0)
     spec = np.zeros(compact.shape[:-1] + (folds * M,), dtype=np.complex128)
     spec[..., _bins(h.N, folds * M)] = compact
     if folds > 1:
         spec = spec.reshape(spec.shape[:-1] + (folds, M)).sum(axis=-2)
-    return np.fft.ifft(spec, axis=-1, norm="forward")
+    return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
 def _phase_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
@@ -375,20 +504,28 @@ def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFi
     return CircleFields(out[0], out[1], out[2])
 
 
-def circle_grid_fields(h: HarmonicSeries, rhos, M: int) -> CircleFields:
+_FIELD_ROWS = ("values", "d_rho", "d_theta")
+
+
+def circle_grid_fields(h, rhos, M: int,
+                       fields: tuple[str, ...] = _FIELD_ROWS) -> CircleFields:
     """Fields on the angles circle_angles(M) of every circle C_rho, rho in
     `rhos`, from one batched inverse FFT.
 
-    Each array has shape rhos.shape + (M,); row i holds the fields of
-    circle_fields(h, rhos[i], circle_angles(M)).
+    For a series each array has shape rhos.shape + (M,), and row i holds
+    the fields of circle_fields(h, rhos[i], circle_angles(M)).  For a
+    SeriesStack the member axis comes first (see the module docstring).
+    Only the named `fields` are computed; the others are None.
     """
     rhos = np.asarray(rhos, dtype=np.float64)
     require_radii(rhos)
     if M < 1:
         raise ParameterDomainError("need at least one angle per circle")
+    rows = [_FIELD_ROWS.index(name) for name in fields]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _grid_fields(h, rhos, M)
-    return CircleFields(out[..., 0, :], out[..., 1, :], out[..., 2, :])
+        out = _grid_fields(h, rhos, M, rows)
+    picked = dict(zip(fields, out))
+    return CircleFields(*(picked.get(name) for name in _FIELD_ROWS))
 
 
 def wirtinger_from_polar(
@@ -492,10 +629,12 @@ def lambda_from_radii(R: float, R_star: float) -> float:
     return lam
 
 
-def scale_rotate(h: HarmonicSeries, alpha: complex) -> HarmonicSeries:
-    """Multiply every coefficient by alpha (h -> alpha * h)."""
-    return HarmonicSeries(N=h.N, a=h.a * alpha, b=h.b * alpha,
-                          a0=h.a0 * alpha, b0=h.b0 * alpha)
+def scale_rotate(h, alpha):
+    """Multiply every coefficient by alpha (h -> alpha * h); for a stack,
+    alpha may hold one factor per member."""
+    alpha = np.asarray(alpha)
+    return type(h)(N=h.N, a=h.a * alpha[..., None], b=h.b * alpha[..., None],
+                   a0=h.a0 * alpha, b0=h.b0 * alpha)
 
 
 # ---------------------------------------------------------------------------

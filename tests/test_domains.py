@@ -26,8 +26,9 @@ from annulus_harmonics import (
     radial_integrate,
     winding_number,
 )
-from annulus_harmonics.bounds import variance_k_bound
-from annulus_harmonics.operators import identity_residuals
+from annulus_harmonics.bounds import gz_weight, variance_k_bound
+from annulus_harmonics.means import variance_deriv2_termwise
+from annulus_harmonics.operators import identity_residuals, speed_bound
 from annulus_harmonics.series import (
     circle_angles,
     circle_fields,
@@ -63,6 +64,15 @@ CASES = {
     "injectivity_probe-inf": lambda: injectivity_probe(H, INF),
     "mean_outer_radius-nan": lambda: mean_outer_radius(H, NAN),
     "variance_k_bound-inf": lambda: variance_k_bound(H, INF),
+    "gz_weight-R-nan": lambda: gz_weight(NAN, 0.5, 1.5),
+    "gz_weight-lambda-5": lambda: gz_weight(2.0, 5.0, 1.5),
+    "gz_weight-rho-nan": lambda: gz_weight(2.0, 0.5, [1.5, NAN]),
+    "speed_bound-rho-inf": lambda: speed_bound(INF, 0.5),
+    "speed_bound-lambda--1": lambda: speed_bound(1.5, -1.0),
+    "variance_deriv2_termwise-nan": lambda: variance_deriv2_termwise(H, NAN),
+    "identity_residuals-lambda-array": lambda: identity_residuals(H, [0.5, NAN], 1.5),
+    "require_lambda-array": lambda: require_lambda(np.array([0.5, 1.5])),
+    "require_outer-array": lambda: require_outer(np.array([2.0, 1.0])),
 }
 
 
