@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import NumericOverflowError, ParameterDomainError
 from .means import (
     is_class_D,
     is_class_N,
@@ -401,6 +401,8 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
         )
     scale = math.sqrt(u1)
     measured = mean_outer_radius(h, R) / scale
+    if not math.isfinite(measured):  # a tiny U(1) can overflow the rescaling
+        raise NumericOverflowError(f"the rescaled mean radius overflows at R={R}")
     normalized_speed = float(U.deriv1(1.0)) / (2.0 * u1)
 
     rule = "none"

@@ -26,10 +26,17 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .bounds import kalaj_bound, nitsche_bound, theorem_gate, weitsman_bound
-from .errors import ParameterDomainError, ToolkitError
-from .means import initial_speed, quadratic_mean_profile, variance_profile
+from .errors import NumericOverflowError, ParameterDomainError, ToolkitError
+from .means import (
+    initial_speed,
+    mean_outer_radius,
+    quadratic_mean_profile,
+    variance_profile,
+)
 from .operators import lambda_from_speed, speed_bound
 from .quadrature import QuadratureConfig
 from .reports import DEFAULT_TOLERANCES, SUITES, run_suite
@@ -167,7 +174,7 @@ def _as_csv(rows: list[dict], manifest: dict) -> str:
         lines.append(",".join(cols))
         for row in rows:
             lines.append(",".join(
-                repr(v) if isinstance(v, float) else str(v) for v in
+                repr(float(v)) if isinstance(v, float) else str(v) for v in
                 (row[c] for c in cols)
             ))
     return "\n".join(lines) + "\n"
@@ -286,11 +293,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             print("not applicable: negative initial speed", file=sys.stderr)
             return EXIT_NOT_APPLICABLE
         lam = lambda_from_speed(speed)
-    profile = quadratic_mean_profile(h)
     rows = []
     for i in range(1, args.steps + 1):
         rho = 1.0 + (args.R - 1.0) * i / args.steps
-        measured = math.sqrt(float(profile.value(rho)))
+        measured = mean_outer_radius(h, rho)
         bound = speed_bound(rho, lam)
         rows.append({
             "rho": rho,
@@ -312,7 +318,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     rows = []
     for i in range(args.steps + 1):
         rho = 1.0 + (args.R - 1.0) * i / args.steps
-        value, d1, d2 = profile.jet(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, d1, d2 = profile.jet(rho)
+        if not all(map(math.isfinite, (value, d1, d2))):
+            raise NumericOverflowError(f"profile {profile.label} is not finite at rho={rho}")
         rows.append({"rho": rho, "value": value, "deriv1": d1, "deriv2": d2})
     manifest = _manifest(args)
     manifest["profile"] = profile.label

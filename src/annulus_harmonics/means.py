@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSeriesError
+from .errors import DegenerateSeriesError, NumericOverflowError
 from .series import HarmonicSeries, require_outer, require_radii
 
 CLASS_TOL = 1e-12
@@ -235,8 +235,12 @@ def initial_speed(h):
 
 def mean_outer_radius(h, R):
     """Mean radius sqrt(U(R)) of the image of the outer circle; for a stack,
-    one per member (R a scalar or one per member)."""
+    one per member (R a scalar or one per member).  Raises
+    NumericOverflowError if a mean radius is not finite."""
     require_outer(R)
     R = np.asarray(R, dtype=np.float64)
-    out = np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R))
+    if not np.isfinite(out).all():
+        raise NumericOverflowError(f"the mean radius sqrt(U(R)) overflows at R={R}")
     return out[..., 0] if R.ndim else _unwrap(np.asarray(out))

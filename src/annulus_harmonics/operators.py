@@ -43,11 +43,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterDomainError, SpeedSignError
+from .errors import NumericOverflowError, ParameterDomainError, SpeedSignError
 from .means import (
     RadialProfile,
     initial_speed,
     is_class_D,
+    mean_outer_radius,
     quadratic_mean_profile,
     variance_profile,
 )
@@ -93,17 +94,12 @@ class LambdaOperator:
     def apply(self, P: RadialProfile, rho):
         """L_lam[P](rho), vectorized over rho."""
         r, den = self._denominator(rho)
-        return self._on_jet(r, den, *P.jet(r))
+        return _on_jet(self.lam, r, den, *P.jet(r))
 
     def apply_jet(self, rho, value, d1, d2):
         """L_lam from a profile's jet (value, d1, d2), already evaluated at
         rho, so a caller that needs the jet itself evaluates it once."""
         r, den = self._denominator(rho)
-        return self._on_jet(r, den, value, d1, d2)
-
-    def _on_jet(self, r, den, value, d1, d2):
-        """L_lam from the jet (value, d1, d2) of a profile at r, with
-        den = r^2 + lam."""
         return _on_jet(self.lam, r, den, value, d1, d2)
 
     def divergence_form_residual(self, P: RadialProfile, rho,
@@ -135,7 +131,7 @@ class LambdaOperator:
             return den / r**3 * ((flux_plus - flux_minus) / (2.0 * h))
 
         extrapolated = (4.0 * div_form(1) - div_form(0)) / 3.0
-        direct = op._on_jet(r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
+        direct = _on_jet(op.lam, r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
         out = np.abs(extrapolated - direct)[..., 0]
         return out if out.shape else float(out)
 
@@ -148,10 +144,16 @@ def _on_jet(lam, r, den, value, d1, d2):
 def speed_bound(rho: float, lam: float) -> float:
     """Sharp lower bound (rho^2 + lam)/((1 + lam) rho) for the mean radius
     on C_rho of a normalized map whose initial speed gives lam; the mean
-    radius of h^lam itself."""
+    radius of h^lam itself.  Raises NumericOverflowError if it is not
+    finite."""
     require_radii(rho)
     require_lambda(lam)
-    return (rho**2 + lam) / ((1.0 + lam) * rho)
+    rho = np.float64(rho)  # Python's float ** raises OverflowError, numpy's gives inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float((rho**2 + lam) / ((1.0 + lam) * rho))
+    if not math.isfinite(bound):
+        raise NumericOverflowError(f"the speed bound overflows at rho={rho}")
+    return bound
 
 
 def lambda_from_speed(speed: float) -> float:
@@ -171,10 +173,10 @@ def lambda_from_speed(speed: float) -> float:
 
 def identity_residuals(
     h: HarmonicSeries,
-    lam,
+    lam: float,
     rho: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+) -> tuple[float, float]:
     """Residuals of the two circle-mean identities for L_lam[U] at rho.
 
     gradient form:  L[U] = 2 mean( |Dh|^2 - (1/rho) d/drho( w |h|^2 ) )
@@ -195,18 +197,14 @@ def identity_residuals(
     exactly as for the pointwise integrands, the trapezoid rule being
     linear.  The four means and U's jet at rho come from _circle_terms,
     memoised per (series, rho, M), so a circle is evaluated once for every
-    lambda.  `lam` is a number, kept on scalar arithmetic, or an array of
-    lambdas on the one circle.  Returns (gradient_residual,
-    angular_residual), each a float or an array shaped like `lam`.
+    lambda.  Returns (gradient_residual, angular_residual).
     """
-    scalar = _is_scalar(lam)
-    lam = float(lam) if scalar else np.asarray(lam, dtype=np.float64)
-    rho = float(rho)
+    lam, rho = float(lam), float(rho)
     # the domain checks run on every call, whether the memo has rho or not
     require_lambda(lam)
     require_radii(rho)
     den = rho**2 + lam
-    if not (den > 0.0 if scalar else (den > 0.0).all()):
+    if not den > 0.0:
         raise ParameterDomainError(
             f"rho^2 + lambda must be positive (lambda={lam})")
     u, du, d2u, A, B, C, D = _circle_terms(h, rho, cfg.angular_count(2 * h.N))
@@ -318,11 +316,9 @@ def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
     """
     if not is_class_D(h):
         raise ParameterDomainError("normalization requires b0 = 0")
-    U = quadratic_mean_profile(h)
-    u1 = float(U.value(1.0))
+    u1 = float(quadratic_mean_profile(h).value(1.0))
     if abs(u1 - 1.0) > 1e-9:
         raise ParameterDomainError(f"normalization requires U(1) = 1, got {u1}")
     require_outer(s)  # the outer radius of A(1, s)
     lam = lambda_from_speed(initial_speed(h))
-    measured = math.sqrt(float(U.value(s)))
-    return measured, speed_bound(s, lam)
+    return mean_outer_radius(h, s), speed_bound(s, lam)

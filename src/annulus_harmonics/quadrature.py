@@ -55,6 +55,16 @@ _WINDING_TOL = 1e-6
 # (radii, 3, M) field arrays at a few MiB for the largest angle counts.
 _ENERGY_RADII_PER_BATCH = 16
 
+# Upper bounds of the QuadratureConfig node counts.  MAX_ANGULAR_NODES is
+# above the angle count of the largest series read from JSON
+# (angular_count(2 * MAX_JSON_ORDER) = 32776).
+MAX_ANGULAR_NODES = 2**16
+MAX_RADIAL_NODES_PER_UNIT = 2**16
+
+# Most nodes (over all integrands of a stack) one refinement level of
+# radial_integrate may evaluate; a level past it raises instead.
+_RADIAL_NODE_BUDGET = 2**20
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -73,10 +83,13 @@ class QuadratureConfig:
     rel_tol: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.angular_nodes < 4:
-            raise ParameterDomainError("angular_nodes must be at least 4")
-        if self.radial_nodes_per_unit < 32:
-            raise ParameterDomainError("radial_nodes_per_unit must be >= 32")
+        if not 4 <= self.angular_nodes <= MAX_ANGULAR_NODES:
+            raise ParameterDomainError(
+                f"angular_nodes must lie in 4..{MAX_ANGULAR_NODES}, got {self.angular_nodes}")
+        if not 32 <= self.radial_nodes_per_unit <= MAX_RADIAL_NODES_PER_UNIT:
+            raise ParameterDomainError(
+                f"radial_nodes_per_unit must lie in 32..{MAX_RADIAL_NODES_PER_UNIT}, "
+                f"got {self.radial_nodes_per_unit}")
         if self.refinement < 2:
             raise ParameterDomainError("refinement factor must be >= 2")
 
@@ -238,10 +251,11 @@ def radial_integrate(
     `g` must accept an array of radii and return values elementwise.
     Panels are doubled (by cfg.refinement) until two successive levels agree
     to cfg.rel_tol relative; QuadratureConvergenceError is raised if that
-    never happens.  `b` may be an array of upper limits, one per integrand
-    of a stack: g then receives radii of shape b.shape + (nodes,), and
-    every member gets the panel count of the widest interval and is refined
-    until the worst member has converged.  g may also return leading axes
+    never happens, or before a level would evaluate more than
+    _RADIAL_NODE_BUDGET nodes.  `b` may be an array of upper limits, one
+    per integrand of a stack: g then receives radii of shape
+    b.shape + (nodes,), and every member gets the panel count of the
+    widest interval and is refined until the worst member has converged.  g may also return leading axes
     of its own (one integrand per member of a stack on one interval).  The
     result is a float, or an array over those axes.
     """
@@ -250,12 +264,23 @@ def radial_integrate(
     scalar = _is_scalar(b)
     if not (a < b if scalar else np.all(a < b)):
         raise ParameterDomainError("need a < b for a radial integral")
-    span = max(math.log((b if scalar else np.max(b)) / a), 1e-6)
+    top = b if scalar else np.max(b)  # the widest interval is [a, top]
+    span = max(math.log(top / a), 1e-6)
     panels = max(4, math.ceil(cfg.radial_nodes_per_unit * span / len(_GL_NODES)))
-    prev = _composite_gauss(g, a, b, panels)
+    nodes_per_panel = len(_GL_NODES) * np.size(b)
+
+    def level(panels: int):
+        nodes = panels * nodes_per_panel
+        if nodes > _RADIAL_NODE_BUDGET:
+            raise QuadratureConvergenceError(
+                f"radial quadrature on [{a}, {top}] would evaluate {nodes} nodes "
+                f"at one level, past the budget of {_RADIAL_NODE_BUDGET}")
+        return _composite_gauss(g, a, b, panels)
+
+    prev = level(panels)
     for _ in range(max_refinements):
         panels *= cfg.refinement
-        cur = _composite_gauss(g, a, b, panels)
+        cur = level(panels)
         change = abs(cur - prev)
         # a scalar comparison costs a tenth of an array's .all()
         ok = change <= cfg.rel_tol * (1.0 + abs(cur))
@@ -263,7 +288,7 @@ def radial_integrate(
             return float(cur) if cur.ndim == 0 else cur
         prev = cur
     raise QuadratureConvergenceError(
-        f"radial quadrature on [{a}, {b}] did not stabilize "
+        f"radial quadrature on [{a}, {top}] did not stabilize "
         f"(last change {np.max(change):.3e})"
     )
 

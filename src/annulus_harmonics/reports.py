@@ -19,8 +19,9 @@ forms ignore the plan.  The draw ranges are constants of each criterion.
 A criterion first makes all of its draws, in the order a draw-by-draw loop
 would make them, and then evaluates them in batches: the drawn series form
 a SeriesStack, evaluated in chunks of SERIES_PER_CHUNK members, with the
-per-draw parameters as arrays.  Every running worst case is NaN-keeping,
-so a NaN in any draw fails its check.
+per-draw parameters as arrays.  A criterion hands each check its
+residuals (numbers and arrays, one per draw, chunk or grid) and `_check`
+alone reduces them, NaN-keeping, so a NaN in any draw fails its check.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
 the acceptance tests call the same criteria with pinned plans of their own,
@@ -115,21 +116,19 @@ class DrawPlan:
             raise ParameterDomainError(f"trials must be >= 1, got {self.trials}")
 
 
-def _check(name: str, statement: str, residual: float, tol: float) -> CheckResult:
-    residual = float(residual)
+def _check(name: str, statement: str, residuals, tol: float) -> CheckResult:
+    """The check `name`, whose residual is the largest entry of `residuals`
+    (numbers and arrays of any shape), clamped at 0, or NaN if any entry is
+    NaN; 0 if there are no entries.
+
+    This is the one place a check's residual is reduced.  np.max keeps a
+    NaN, where Python's max drops one that is not its first argument
+    (max(0.0, nan) is 0.0), and a non-finite residual never passes.
+    """
+    flat = np.concatenate([np.zeros(0), *(np.ravel(r) for r in residuals)])
+    residual = float(np.max(flat, initial=0.0)) + 0.0  # + 0.0 turns -0.0 into 0.0
     return CheckResult(name, statement, residual, tol,
                        math.isfinite(residual) and residual <= tol)
-
-
-def _worst(*values: float) -> float:
-    """The largest of `values`, or NaN if any of them is NaN.
-
-    Python's max drops a NaN that is not its first argument (max(0.0, nan)
-    is 0.0), which would let a NaN residual pass; every running worst case
-    and every clamp at zero in the criteria goes through this instead.
-    """
-    vals = [float(v) for v in values]
-    return math.nan if any(math.isnan(v) for v in vals) else max(vals)
 
 
 def _rng(plan: DrawPlan, k: int) -> np.random.Generator:
@@ -158,14 +157,12 @@ def _draw_series(rng: np.random.Generator, n_lo: int, n_hi: int,
 def extremal_annihilation(plan: DrawPlan, cfg: QuadratureConfig,
                           tol: dict[str, float]) -> list[CheckResult]:
     grid = np.linspace(1.0, E32, 502)[1:]
-    worst = 0.0
-    for lam in EXTREMAL_LAMS:
-        profile = quadratic_mean_profile(extremal_map(lam))
-        worst = _worst(worst, np.max(np.abs(LambdaOperator(lam).apply(profile, grid))))
+    residuals = [np.abs(LambdaOperator(lam).apply(
+        quadratic_mean_profile(extremal_map(lam)), grid)) for lam in EXTREMAL_LAMS]
     return [_check(
         "extremal-annihilation",
         "L_lam applied to the quadratic mean of h^lam vanishes on (1, e^1.5]",
-        worst, tol["annihilation"],
+        residuals, tol["annihilation"],
     )]
 
 
@@ -176,24 +173,24 @@ def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
     lambda, on the circle memo); each series' 30 residual pairs are
     reduced at once."""
     rng = _rng(plan, 1)
-    worst_grad = worst_ang = 0.0
+    pairs = []
     for _ in range(plan.trials):
         h = _draw_series(rng, 4, 16, 0.2)
-        residuals = [identity_residuals(h, lam, rho, cfg)
-                     for rho in rng.uniform(1.02, E32, size=3).tolist()
-                     for lam in rng.uniform(-0.95, 1.0, size=10).tolist()]
-        g, a = np.max(residuals, axis=0)
-        worst_grad, worst_ang = _worst(worst_grad, g), _worst(worst_ang, a)
+        pairs.append(np.max([identity_residuals(h, lam, rho, cfg)
+                             for rho in rng.uniform(1.02, E32, size=3).tolist()
+                             for lam in rng.uniform(-0.95, 1.0, size=10).tolist()],
+                            axis=0))
+    grad, ang = np.transpose(pairs)
     return [
         _check(
             "gradient-form-identity",
             "L_lam[U] equals 2*mean(|Dh|^2 - radial flux of the weighted square)",
-            worst_grad, tol["identity"],
+            [grad], tol["identity"],
         ),
         _check(
             "angular-form-identity",
             "L_lam[U] equals (2/rho^2)*mean(|h_theta|^2 - |h|^2 + stretched square)",
-            worst_ang, tol["identity"],
+            [ang], tol["identity"],
         ),
     ]
 
@@ -207,14 +204,13 @@ def divergence_form(plan: DrawPlan, cfg: QuadratureConfig,
         lams.append(rng.uniform(-0.5, 1.0))
         rhos.append(rng.uniform(1.2, 3.0))
     lams, rhos = np.array(lams), np.array(rhos)
-    worst = 0.0
-    for rows, h in random_series_stack(configs).chunks():
-        worst = _worst(worst, np.max(LambdaOperator(lams[rows]).divergence_form_residual(
-            quadratic_mean_profile(h), rhos[rows])))
+    residuals = [LambdaOperator(lams[rows]).divergence_form_residual(
+        quadratic_mean_profile(h), rhos[rows])
+        for rows, h in random_series_stack(configs).chunks()]
     return [_check(
         "divergence-form-agreement",
         "direct and divergence forms of L_lam agree to O(step^4) (Richardson)",
-        worst, tol["divergence"],
+        residuals, tol["divergence"],
     )]
 
 
@@ -230,16 +226,16 @@ def variance_subsolution(plan: DrawPlan, cfg: QuadratureConfig,
         configs.append(_draw_config(rng, 2, 10, 0.15))
         lams.append(rng.uniform(-0.9, 1.0))
     lams = np.array(lams)[:, None]
-    floor_deficit = chain_excess = d2_deficit = d2_mismatch = 0.0
+    floor_deficit, chain_excess, d2_deficit, d2_mismatch = [], [], [], []
     for rows, h in random_series_stack(configs).chunks():
         v, dv, d2v = variance_profile(h).jet(grid)
         lv = LambdaOperator(lams[rows]).apply_jet(grid, v, dv, d2v)
-        floor_deficit = _worst(floor_deficit, -np.min(lv))
+        floor_deficit.append(-np.min(lv, axis=-1))
         chain = _mode_chain(h, grid, v, dv, d2v)
-        chain_excess = _worst(chain_excess, np.max(chain - lv))
+        chain_excess.append(np.max(chain - lv, axis=-1))
         d2 = variance_deriv2_termwise(h, grid)
-        d2_deficit = _worst(d2_deficit, -np.min(d2))
-        d2_mismatch = _worst(d2_mismatch, np.max(np.abs(d2 - d2v)))
+        d2_deficit.append(-np.min(d2, axis=-1))
+        d2_mismatch.append(np.max(np.abs(d2 - d2v), axis=-1))
     return [
         _check(
             "variance-floor",
@@ -295,14 +291,12 @@ def equality_family(plan: DrawPlan, cfg: QuadratureConfig,
     a[:, 0] = alpha / (1 + lam)
     b[:, 0] = alpha * lam / (1 + lam)
     stack = SeriesStack(N=1, a=a, b=b, a0=a0s, b0=np.zeros(plan.trials))
-    worst = 0.0
-    for rows, h in stack.chunks():
-        worst = _worst(worst, np.max(np.abs(
-            LambdaOperator(lam[rows, None]).apply(variance_profile(h), grid))))
+    residuals = [np.max(np.abs(LambdaOperator(lam[rows, None]).apply(
+        variance_profile(h), grid)), axis=-1) for rows, h in stack.chunks()]
     return [_check(
         "equality-family",
         "L_lam annihilates the variance of log + rotated-extremal series",
-        worst, tol["equality_family"],
+        residuals, tol["equality_family"],
     )]
 
 
@@ -315,27 +309,25 @@ def endpoint_identity(plan: DrawPlan, cfg: QuadratureConfig,
         lams.append(rng.uniform(-0.95, 1.0))
         Rs.append(rng.uniform(1.05, E32))
     lams, Rs = np.array(lams), np.array(Rs)
-    worst = 0.0
+    residuals = []
     for rows, h in random_series_stack(configs).chunks():
         ke = k_endpoint(h, lams[rows], Rs[rows])
         kq = k_quadrature(h, lams[rows], Rs[rows], cfg)
-        worst = _worst(worst, np.max(np.abs(kq - ke) / (1.0 + np.abs(ke))))
+        residuals.append(np.abs(kq - ke) / (1.0 + np.abs(ke)))
     return [_check(
         "endpoint-match",
         "weighted integral of L_lam[U] equals its endpoint closed form",
-        worst, tol["endpoint_rel"],
+        residuals, tol["endpoint_rel"],
     )]
 
 
 def extremal_k_zero(plan: DrawPlan, cfg: QuadratureConfig,
                     tol: dict[str, float]) -> list[CheckResult]:
-    worst = 0.0
-    for lam in EXTREMAL_LAMS:
-        worst = _worst(worst, abs(k_quadrature(extremal_map(lam), lam, 2.5, cfg)))
     return [_check(
         "extremal-zero",
         "the weighted integral vanishes for the extremal maps",
-        worst, tol["extremal_k"],
+        [abs(k_quadrature(extremal_map(lam), lam, 2.5, cfg)) for lam in EXTREMAL_LAMS],
+        tol["extremal_k"],
     )]
 
 
@@ -343,7 +335,7 @@ def mode_form(plan: DrawPlan, cfg: QuadratureConfig,
               tol: dict[str, float]) -> list[CheckResult]:
     """One random single-mode series per (R, n) on a fixed grid."""
     rng = _rng(plan, 6)
-    worst = 0.0
+    residuals = []
     for R in (E, 2.9, E32):
         for n in range(1, 9):
             scale = math.exp(-1.5 * n)
@@ -351,11 +343,11 @@ def mode_form(plan: DrawPlan, cfg: QuadratureConfig,
                 a={n: scale * complex(rng.normal(), rng.normal())},
                 b={n: scale * complex(rng.normal(), rng.normal())},
             )
-            worst = _worst(worst, bnd.mode_quadratic_form_residual(h, n, R, cfg))
+            residuals.append(bnd.mode_quadratic_form_residual(h, n, R, cfg))
     return [_check(
         "mode-form",
         "per-mode weighted integral matches the A/B/C quadratic form",
-        worst, tol["mode_form"],
+        residuals, tol["mode_form"],
     )]
 
 
@@ -368,14 +360,14 @@ def variance_lower_bound(plan: DrawPlan, cfg: QuadratureConfig,
         configs.append(_draw_config(rng, 2, 6, 0.2))
         Rs.append(rng.uniform(E + 1e-9, E32))
     Rs = np.array(Rs)
-    violation = 0.0
+    residuals = []
     for rows, h in random_series_stack(configs).chunks():
         lhs, rhs = bnd.variance_k_bound(h, Rs[rows], cfg)
-        violation = _worst(violation, np.max(rhs - lhs))
+        residuals.append(rhs - lhs)
     return [_check(
         "variance-lower-bound",
         "K_1[V] dominates (R^2-1) times the mode energy excess for R > e",
-        violation, tol["variance_k"],
+        residuals, tol["variance_k"],
     )]
 
 
@@ -384,13 +376,11 @@ def inner_circle_identity(plan: DrawPlan, cfg: QuadratureConfig,
     rng = _rng(plan, 8)
     stack = random_series_stack([_draw_config(rng, 10, 10, 0.4)
                                  for _ in range(plan.trials)])
-    worst = 0.0
-    for _, h in stack.chunks():
-        worst = _worst(worst, np.max(bnd.inner_circle_identity_residual(h, cfg)))
     return [_check(
         "inner-circle-identity",
         "inner-circle boundary data equals the mode energy excess",
-        worst, tol["boundary"],
+        [bnd.inner_circle_identity_residual(h, cfg) for _, h in stack.chunks()],
+        tol["boundary"],
     )]
 
 
@@ -399,7 +389,7 @@ def inner_area_limit(plan: DrawPlan, cfg: QuadratureConfig,
     return [_check(
         "inner-area-limit",
         "enclosed area of the critical map tends to pi at the inner circle",
-        abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5, cfg) - math.pi),
+        [abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5, cfg) - math.pi)],
         tol["area_limit"],
     )]
 
@@ -408,12 +398,12 @@ def wide_certificate(plan: DrawPlan, cfg: QuadratureConfig,
                      tol: dict[str, float]) -> list[CheckResult]:
     cert = bnd.wide_annulus_certificate
     # endpoint values recomputed independently at 30 digits
-    endpoint_res = _worst(
+    endpoint_res = [
         abs(cert(E) - (13 * E**4 - E**6 - 19 * E**2 - 1)),
         abs(cert(E32) - (22 * E**6 - E**9 - 38 * E**3 - 1)),
         abs(cert(E) - 164.955091058457631),
         abs(cert(E32) - 8.099126183657315),
-    )
+    ]
     r_grid = np.linspace(E, 10.0, 60)
     step = 1e-4
     scaled = lambda r: cert(r) / r**4  # noqa: E731
@@ -422,8 +412,7 @@ def wide_certificate(plan: DrawPlan, cfg: QuadratureConfig,
         _check(
             "wide-certificate-positive",
             "the wide-annulus sign certificate is positive on [e, e^1.5]",
-            _worst(0.0, -np.min(cert(np.linspace(E, E32, 1000)))),
-            tol["certificate"],
+            [-cert(np.linspace(E, E32, 1000))], tol["certificate"],
         ),
         _check(
             "wide-certificate-endpoints",
@@ -433,7 +422,7 @@ def wide_certificate(plan: DrawPlan, cfg: QuadratureConfig,
         _check(
             "wide-certificate-concavity",
             "the R^-4-scaled certificate is concave for R >= e",
-            _worst(0.0, np.max(fd2)), 1e-6,
+            [fd2], 1e-6,
         ),
     ]
 
@@ -446,51 +435,46 @@ def mode_certificate(plan: DrawPlan, cfg: QuadratureConfig,
     R = np.linspace(E, 10.0, 40)
     vals = bnd.mode_form_certificate(ns, R[:, None])
     expanded = bnd.mode_form_certificate_expanded(ns, R[:, None])
-    deficit = _worst(0.0, -np.min(vals))
-    expand_rel = _worst(0.0, np.max(
-        np.abs(vals - expanded) / np.maximum(1.0, np.abs(expanded))))
+    expand_rel = np.abs(vals - expanded) / np.maximum(1.0, np.abs(expanded))
     diffs = np.diff(vals, axis=-1)
-    monotone_violation = _worst(0.0, -np.min(diffs), -np.min(np.diff(diffs, axis=-1)))
     factored = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
-    n2_rel = _worst(0.0, np.max(
-        np.abs(vals[:, 0] - factored) / np.maximum(1.0, np.abs(factored))))
+    n2_rel = np.abs(vals[:, 0] - factored) / np.maximum(1.0, np.abs(factored))
     return [
         _check(
             "mode-certificate-positive",
             "the per-mode determinant certificate is positive on [2,50]x[e,10]",
-            deficit, 0.0,
+            [-vals], 0.0,
         ),
         _check(
             "mode-certificate-expansion",
             "definition and expanded polynomial form of the certificate agree",
-            expand_rel, tol["certificate_rel"],
+            [expand_rel], tol["certificate_rel"],
         ),
         _check(
             "mode-certificate-n2-factored",
             "at n = 2 the certificate matches its factored form",
-            n2_rel, tol["certificate_rel"],
+            [n2_rel], tol["certificate_rel"],
         ),
         _check(
             "mode-certificate-monotone",
             "the certificate increases and is convex in n >= 2 for R >= e",
-            monotone_violation, tol["certificate"],
+            [-diffs, -np.diff(diffs, axis=-1)], tol["certificate"],
         ),
     ]
 
 
 def conformal_weights(plan: DrawPlan, cfg: QuadratureConfig,
                       tol: dict[str, float]) -> list[CheckResult]:
-    weight_deficit = 0.0
+    weight_deficit = []
     for R in np.linspace(1.05, E32, 10):
         rho = np.linspace(1.0, R, 50)
         for lam in np.linspace(-1 + 1e-6, 1.0, 9):
-            weight_deficit = _worst(
-                weight_deficit, -np.min(bnd.gz_weight(R, lam, rho)))
-    gate_res = _worst(
+            weight_deficit.append(-bnd.gz_weight(R, lam, rho))
+    gate_res = [
         abs(bnd.gzbar_gate_margin(E, 1.0)),
         abs(bnd.gzbar_gate_margin(2.0, 0.0) - (3.0 - 4.0 * math.log(2.0))),
         -bnd.gzbar_gate_margin(1.5, 1.0),
-    )
+    ]
     return [
         _check(
             "gz-weight-positive",
@@ -507,10 +491,10 @@ def conformal_weights(plan: DrawPlan, cfg: QuadratureConfig,
 
 def bound_ordering(plan: DrawPlan, cfg: QuadratureConfig,
                    tol: dict[str, float]) -> list[CheckResult]:
-    violation = 0.0
+    violation = []
     for R in np.linspace(1.001, 20.0, 400):
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
-        violation = _worst(violation, w - k, k - n)
+        violation.append((w - k, k - n))
     return [_check(
         "bound-ordering",
         "weitsman <= kalaj <= nitsche on (1, 20]",
@@ -526,26 +510,24 @@ def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
     R = 2.0
     stack = random_conformal_perturbation(
         [int(rng.integers(2**62)) for _ in range(plan.trials)])
-    radius_deficit = area_deficit = mode_deficit = speed_dev = 0.0
-    all_ok = True
+    failed, radius_deficit, area_deficit, mode_deficit, speed_dev = [], [], [], [], []
     for _, h in stack.chunks():
         reports = bnd.schottky_check(h, R, cfg)
         ok = np.array([r.applicable and r.windings_ok and r.jacobian_min > 0.0
                        for r in reports])
-        all_ok = all_ok and bool(ok.all())
+        failed.append(~ok)
         if not ok.any():
             continue
         good = [r for r, keep in zip(reports, ok) if keep]
-        radius_deficit = _worst(radius_deficit, *(-(r.mean_radius - R) for r in good))
-        area_deficit = _worst(area_deficit, *(-(r.area - r.area_bound) for r in good))
-        mode_deficit = _worst(mode_deficit, *(-r.mode_sum_margin for r in good))
-        speed_dev = _worst(speed_dev, np.max(np.abs(
-            initial_speed(normalize_inner(h[ok])) - 1.0)))
+        radius_deficit.append([-(r.mean_radius - R) for r in good])
+        area_deficit.append([-(r.area - r.area_bound) for r in good])
+        mode_deficit.append([-r.mode_sum_margin for r in good])
+        speed_dev.append(np.abs(initial_speed(normalize_inner(h[ok])) - 1.0))
     return [
         _check(
             "probes-applicable",
             "every sampled conformal series meets the preconditions and probes",
-            0.0 if all_ok else 1.0, 0.0,
+            failed, 0.0,
         ),
         _check(
             "outer-radius-bound",

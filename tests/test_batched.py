@@ -18,7 +18,7 @@ from annulus_harmonics import (
     variance_profile,
 )
 from annulus_harmonics.means import RadialProfile, variance_deriv2_termwise
-from annulus_harmonics.operators import identity_residuals, k_endpoint, k_functional
+from annulus_harmonics.operators import k_endpoint, k_functional
 from annulus_harmonics.quadrature import DEFAULT_CONFIG
 from annulus_harmonics.sampling import (
     SamplerConfig,
@@ -120,16 +120,6 @@ def test_stack_checks_shapes_and_finiteness():
         SeriesStack(N=1, a=[[math.nan, 0]], b=[[0, 0]], a0=[0], b0=[0])
     with pytest.raises(ParameterDomainError):
         SeriesStack(N=1, a=np.zeros(2), b=np.zeros(2), a0=0, b0=0)
-
-
-def test_array_lambda_identity_residuals_equal_scalar_calls():
-    h = MEMBERS[3]
-    lams = np.linspace(-0.95, 1.0, 13)
-    for rho in (1.05, 2.3, 4.4):
-        g, a = identity_residuals(h, lams, rho)
-        assert g.shape == a.shape == lams.shape
-        for k, lam in enumerate(lams.tolist()):
-            assert (g[k], a[k]) == identity_residuals(h, lam, rho)
 
 
 def test_integer_parameters_stay_on_the_scalar_path():

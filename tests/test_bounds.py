@@ -7,6 +7,7 @@ import pytest
 
 from annulus_harmonics import (
     HarmonicSeries,
+    NumericOverflowError,
     ParameterDomainError,
     extremal_map,
     kalaj_bound,
@@ -365,3 +366,28 @@ def test_gate_degenerate_series_not_applicable():
     report = theorem_gate(pure_log, 2.0)
     assert report.verdict == "not-applicable"
     assert report.inner_scale == 0.0
+
+
+# ---------------------------------------------------------------------------
+# overflow: a typed error, never a "pass" on an infinite mean radius
+# ---------------------------------------------------------------------------
+
+def seed7_normalized():
+    from annulus_harmonics.sampling import (
+        SamplerConfig, ensure_nonneg_speed, normalize_inner, random_series)
+
+    return ensure_nonneg_speed(normalize_inner(random_series(SamplerConfig(seed=7, N=8))))
+
+
+@pytest.mark.parametrize("R", [1e20, 1e200])
+def test_gate_raises_when_the_mean_radius_overflows(R):
+    with pytest.raises(NumericOverflowError):
+        theorem_gate(seed7_normalized(), R)
+
+
+def test_gate_raises_when_the_inner_rescaling_overflows():
+    # U(1) = |b0|^2 = 1e-320 (subnormal): sqrt(U(e^2)) = 2e150 is finite,
+    # divided by sqrt(U(1)) = 1e-160 it is not
+    h = HarmonicSeries.from_coeffs(a0=1e150, b0=1e-160)
+    with pytest.raises(NumericOverflowError):
+        theorem_gate(h, math.e**2)

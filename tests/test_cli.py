@@ -152,6 +152,7 @@ def rejected(capsys, *argv):
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1, err
     return err
 
 
@@ -195,6 +196,8 @@ def test_series_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
     '{"angular_nodes": 300.5}',              # non-integral count
     '{"refinement": true}',                  # boolean count
     '{"rel_tol": "tight"}',                  # tolerance not a number
+    '{"angular_nodes": 10000000000000}',     # over MAX_ANGULAR_NODES
+    '{"radial_nodes_per_unit": 10000000000000}',  # over MAX_RADIAL_NODES_PER_UNIT
 ])
 def test_malformed_quad_config_is_a_usage_error(tmp_path, capsys, text):
     path = tmp_path / "quad.json"
@@ -464,3 +467,51 @@ def test_profile_variance_of_series(tmp_path, capsys):
     assert code == 0
     for row in rows:
         assert row["value"] == pytest.approx(row["rho"] ** 2)  # |z|^2 variance
+
+
+def test_evolve_series_csv_writes_plain_floats(tmp_path, capsys):
+    from annulus_harmonics import perturb_extremal
+
+    path = tmp_path / "perturbed.json"
+    save_series(perturb_extremal(1.0, 2, 1e-3, renormalize=True), path)
+    argv = ("evolve", "--series", str(path), "--R", "2.0", "--steps", "3")
+    _, out_json = run(capsys, *argv, "--format", "json")
+    code, out_csv = run(capsys, *argv)
+    assert code == 0
+    lines = [l for l in out_csv.splitlines() if l and not l.startswith("#")]
+    assert lines[1:] == [",".join(repr(v) for v in row.values())
+                         for row in json.loads(out_json)["rows"]]
+
+
+# ---------------------------------------------------------------------------
+# overflow and oversized node counts: a typed error on one line, exit 1
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--series", "{series}", "--R", "1e20"),
+    ("check", "--series", "{series}", "--R", "1e200"),
+    ("evolve", "--lambda", "0.5", "--R", "1e300"),
+    ("evolve", "--series", "{series}", "--R", "1e300"),
+    ("profile", "--series", "{series}", "--R", "1e300"),
+    ("profile", "--lambda", "0.5", "--R", "1e300"),
+], ids=lambda argv: "-".join(argv).replace("{series}", "series"))
+def test_overflow_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "s7.json"
+    assert main(["sample", "--seed", "7", "--N", "8", "--out", str(path)]) == 0
+    err = rejected(capsys, *(arg.format(series=path) for arg in argv))
+    assert "overflows" in err or "not finite" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--angular-nodes", "10000000000000"),
+    ("--radial-nodes", "10000000000000"),
+    ("--quad-config", '{"refinement": 1000000000}'),          # past the node budget
+    ("--quad-config", '{"refinement": 1000000, "rel_tol": 0.0}'),
+], ids=lambda flags: " ".join(flags))
+def test_oversized_node_count_is_a_usage_error(tmp_path, capsys, flags):
+    option, value = flags
+    if option == "--quad-config":
+        path = tmp_path / "quad.json"
+        path.write_text(value)
+        value = str(path)
+    rejected(capsys, "verify", "kfunctional", "--trials", "1", option, value)

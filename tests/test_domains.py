@@ -70,7 +70,6 @@ CASES = {
     "speed_bound-rho-inf": lambda: speed_bound(INF, 0.5),
     "speed_bound-lambda--1": lambda: speed_bound(1.5, -1.0),
     "variance_deriv2_termwise-nan": lambda: variance_deriv2_termwise(H, NAN),
-    "identity_residuals-lambda-array": lambda: identity_residuals(H, [0.5, NAN], 1.5),
     "require_lambda-array": lambda: require_lambda(np.array([0.5, 1.5])),
     "require_outer-array": lambda: require_outer(np.array([2.0, 1.0])),
 }

@@ -7,6 +7,7 @@ from annulus_harmonics import (
     DegenerateSeriesError,
     HarmonicSeries,
     LambdaOperator,
+    NumericOverflowError,
     RadialProfile,
     SamplerConfig,
     extremal_map,
@@ -335,3 +336,10 @@ def test_quadratic_mean_profile_is_memoised_per_series():
         quadratic_mean_profile(random_series(SamplerConfig(seed=seed, N=2)))
     info = means._memo_quadratic_mean_profile.cache_info()
     assert info.currsize <= info.maxsize == 32
+
+
+@pytest.mark.parametrize("R", [1e20, 1e200, [2.0, 1e200]])
+def test_mean_outer_radius_overflow_is_a_typed_error(R):
+    h = random_series(SamplerConfig(seed=7, N=8))
+    with pytest.raises(NumericOverflowError):
+        mean_outer_radius(h, R if np.ndim(R) == 0 else np.array(R))

@@ -8,6 +8,7 @@ import pytest
 from annulus_harmonics import (
     HarmonicSeries,
     LambdaOperator,
+    NumericOverflowError,
     ParameterDomainError,
     SamplerConfig,
     SpeedSignError,
@@ -324,6 +325,17 @@ def test_speed_bound_formula(lam):
     for rho in (1.0, 1.3, 2.0, math.e):
         assert speed_bound(rho, lam) == (rho**2 + lam) / ((1.0 + lam) * rho)
     assert speed_bound(1.0, lam) == 1.0
+
+
+@pytest.mark.parametrize("rho", [1e155, 1e200, 1e300])
+def test_speed_bound_overflow_is_a_typed_error(rho):
+    with pytest.raises(NumericOverflowError):
+        speed_bound(rho, 0.5)
+
+
+def test_evolution_bound_overflow_is_a_typed_error():
+    with pytest.raises(NumericOverflowError):
+        evolution_lower_bound(extremal_map(0.5), 1e200)
 
 
 def test_evolution_bound_strict_for_perturbation():

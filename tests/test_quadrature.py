@@ -20,7 +20,15 @@ from annulus_harmonics import (
     radial_integrate,
     winding_number,
 )
-from annulus_harmonics.quadrature import circle_angles, winding_from_fields
+from annulus_harmonics.quadrature import (
+    DEFAULT_CONFIG,
+    MAX_ANGULAR_NODES,
+    MAX_RADIAL_NODES_PER_UNIT,
+    _RADIAL_NODE_BUDGET,
+    circle_angles,
+    winding_from_fields,
+)
+from annulus_harmonics.series import MAX_JSON_ORDER
 from annulus_harmonics.series import circle_fields
 
 CRITICAL = extremal_map(1.0)
@@ -243,6 +251,39 @@ def test_config_validation():
         QuadratureConfig(radial_nodes_per_unit=8)
     with pytest.raises(ParameterDomainError):
         QuadratureConfig(refinement=1)
+
+
+@pytest.mark.parametrize("field, top", [("angular_nodes", MAX_ANGULAR_NODES),
+                                        ("radial_nodes_per_unit", MAX_RADIAL_NODES_PER_UNIT)])
+def test_config_bounds_the_node_counts(field, top):
+    assert getattr(QuadratureConfig(**{field: top}), field) == top
+    for count in (top + 1, 10**13):
+        with pytest.raises(ParameterDomainError, match=field):
+            QuadratureConfig(**{field: count})
+
+
+def test_angular_bound_covers_the_largest_series_from_json():
+    assert DEFAULT_CONFIG.angular_count(2 * MAX_JSON_ORDER) <= MAX_ANGULAR_NODES
+
+
+@pytest.mark.parametrize("cfg, b", [
+    (QuadratureConfig(refinement=10**9), 2.0),                  # the first refinement
+    (QuadratureConfig(rel_tol=0.0, refinement=10**6), 2.0),     # nothing converges
+    (QuadratureConfig(radial_nodes_per_unit=MAX_RADIAL_NODES_PER_UNIT), 1e300),  # level 0
+    (DEFAULT_CONFIG, np.full(2000, 1e300)),                      # a wide stack
+])
+def test_radial_levels_past_the_node_budget_raise_before_evaluating(cfg, b):
+    from annulus_harmonics import QuadratureConvergenceError
+
+    sizes = []
+
+    def g(r):
+        sizes.append(r.size)
+        return np.ones_like(r)
+
+    with pytest.raises(QuadratureConvergenceError, match="budget"):
+        radial_integrate(g, 1.0, b, cfg)
+    assert max(sizes, default=0) <= _RADIAL_NODE_BUDGET
 
 
 def test_winding_near_pole_is_not_integer():
