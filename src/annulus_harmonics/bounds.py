@@ -59,9 +59,13 @@ def nitsche_bound(R: float) -> float:
 
 
 def weitsman_bound(R: float) -> float:
-    """Weitsman's bound 1 + log(R)^2 / (2 R^2)."""
+    """Weitsman's bound 1 + log(R)^2 / (2 R^2); it tends to 1 as R grows."""
     require_outer(R)
-    return 1.0 + 0.5 * math.log(R) ** 2 / R**2
+    R = float(R)  # a Python float's ** raises OverflowError, numpy's warns
+    try:
+        return 1.0 + 0.5 * math.log(R) ** 2 / R**2
+    except OverflowError:  # R**2 past the float range: the bound rounds to 1
+        return 1.0
 
 
 def kalaj_bound(R: float) -> float:
@@ -228,15 +232,17 @@ def inner_circle_identity_residual(h, cfg: QuadratureConfig = DEFAULT_CONFIG):
     return out if out.shape else float(out)
 
 
-def mode_quadratic_form_residual(
-    h: HarmonicSeries, n: int, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def mode_quadratic_form_residual(h, n, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Residual of the per-mode identity (lam = 1): the weighted integral of
     the operator applied to the single-mode mean, minus (R^2-1)(n-1)
     |a_n + b_n|^2, equals the quadratic form with the A/B/C coefficients
-    divided by 2(R^2 + 1)."""
-    if n < 1:
-        raise ParameterDomainError("mode index n must be >= 1")
+    divided by 2(R^2 + 1).
+
+    For a SeriesStack, n and R hold one entry per member (or one for all);
+    the members are integrated together and the result holds one residual
+    per member.
+    """
+    n = _require_modes(n, 1, "mode index n must be >= 1")
     a_n, b_n = h.coeff(n)
     lhs = k_functional(quadratic_mean_mode(h, n), 1.0, R, cfg)
     lhs -= (R**2 - 1.0) * (n - 1.0) * abs(a_n + b_n) ** 2

@@ -32,7 +32,9 @@ per-member radii (B, m, 2K + 3) small.
 quadratic_mean_profile keeps the profiles of the last 32 series it was
 given, keyed by the series' identity: the operators, bounds and sampling
 modules ask for U of the same series many times, and each build costs a
-weight table.
+weight table.  The profile of a stack is built afresh: a chunk of a batched
+criterion is asked for U once or twice, and 32 kept chunks would hold their
+coefficient and weight tables (~16 KiB each) to the end of a run.
 
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
@@ -48,7 +50,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError, NumericOverflowError
-from .series import HarmonicSeries, require_outer, require_radii
+from .series import HarmonicSeries, SeriesStack, require_outer, require_radii
 
 CLASS_TOL = 1e-12
 
@@ -99,6 +101,13 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                        + np.vecdot(b[..., N:], a[..., N:])).real
         if include_zero:
             a0, b0 = h.a0, h.b0
+    elif np.ndim(only_mode):  # a stack, one mode per member: k has shape (B, 1)
+        an, bn = h.coeff(only_mode)
+        neg = only_mode < 0
+        an, bn = np.where(neg, bn, an), np.where(neg, an, bn)
+        ks = np.abs(only_mode).astype(np.float64)[:, None]
+        amp = np.stack((np.abs(an) ** 2, np.abs(bn) ** 2), axis=-1)
+        cross = 2.0 * (an * bn.conjugate()).real
     elif only_mode == 0:
         ks = amp = np.zeros(0)
         cross = 0.0
@@ -110,9 +119,9 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         ks = np.array([float(abs(only_mode))])
         amp = np.array([abs(an) ** 2, abs(bn) ** 2])
         cross = 2.0 * (an * bn.conjugate()).real
-    K = ks.size
+    K = ks.shape[-1]
     two_k = 2.0 * ks
-    exps = np.concatenate((two_k, -two_k))
+    exps = np.concatenate((two_k, -two_k), axis=-1)
     # |a0 log(rho) + b0|^2 = alpha log^2 + beta log + |b0|^2
     alpha, beta = abs(a0) ** 2, 2.0 * (a0 * b0.conjugate()).real
     weights = np.zeros(np.shape(cross) + (2 * K + 3, 3))
@@ -130,8 +139,12 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         """(..., 3) array of U, U', U'' at rho; for a stack the member axis
         leads (rho a scalar, (m,) or (B, m), as in the series module)."""
         r = np.asarray(rho, dtype=np.float64)
+        shape = None
+        if two_k.ndim > 1 and r.ndim < 2:  # exponents per member: radii (B, m)
+            shape = (len(two_k),) + r.shape + (3,)
+            r = np.broadcast_to(r.reshape(-1), (len(two_k), r.size))
         basis = np.empty(r.shape + (2 * K + 3,))
-        basis[..., :K] = r[..., None] ** two_k
+        basis[..., :K] = r[..., None] ** (two_k[:, None, :] if two_k.ndim > 1 else two_k)
         np.divide(1.0, basis[..., :K], out=basis[..., K:-3])
         basis[..., -3] = 1.0
         basis[..., -2] = np.log(r)
@@ -139,7 +152,7 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         out = basis @ weights
         out[..., 1] /= r
         out[..., 2] /= r * r
-        return out
+        return out if shape is None else out.reshape(shape)
 
     def column(d: int):
         return lambda rho: _unwrap(jet(rho)[..., d])
@@ -148,11 +161,16 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                          deriv2=column(2), _jet=jet)
 
 
-def quadratic_mean_mode(h: HarmonicSeries, n: int) -> RadialProfile:
+def quadratic_mean_mode(h, n) -> RadialProfile:
     """Profile of the quadratic mean of the single mode n (|n| <= N).
 
     Mode 0 gives |a0 log(rho) + b0|^2.  Raises IndexError for |n| > N.
+    For a SeriesStack, n is one nonzero mode per member (or one for all),
+    and the profile is that of member i's mode n[i].
     """
+    if isinstance(h, SeriesStack):
+        n = np.broadcast_to(np.asarray(n), (len(h),))
+        return _sum_profile(h, "U_n", include_zero=False, only_mode=n)
     if n != 0 and abs(n) > h.N:
         raise IndexError(f"mode {n} exceeds truncation order {h.N}")
     if n == 0:
@@ -164,8 +182,11 @@ def quadratic_mean_profile(h: HarmonicSeries) -> RadialProfile:
     """Quadratic mean U(rho) of |h|^2 over C_rho, all modes included.
 
     The profile is built once per series and memoised on the series'
-    identity, so repeated calls on one series return the same object.
+    identity, so repeated calls on one series return the same object; a
+    stack's profile is not memoised.
     """
+    if isinstance(h, SeriesStack):
+        return _sum_profile(h, "U", include_zero=True)
     return _memo_quadratic_mean_profile(h)
 
 

@@ -18,10 +18,17 @@ means of pointwise fields; both are implemented as residual checks with the
 left side in closed form and the right side by angular quadrature.  Both
 right sides are linear combinations, with lambda-dependent weights, of four
 trapezoid means (|h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2), so the
-circle is evaluated once per (series, rho, angle count): a small LRU memo
-keeps those four floats and U's jet at rho, and each lambda costs a few
-scalar operations.  The memo keys the series by identity and stores only
-floats.
+circle is evaluated once per (series, rho, angle count) and each lambda
+costs a few operations in one function shared by both paths
+(_identity_pair).  identity_residuals, for one series, rho and lambda,
+keeps those four floats and U's jet at rho in a small LRU memo that keys
+the series by identity and stores only floats.  identity_residuals_stack,
+for a chunk of a SeriesStack with c circles per member and L lambdas per
+circle, writes each circle's fields (one circle_fields call per circle, so
+the kernel still sees every (series, rho) on its own) into one block,
+reduces the block's means at once, takes U's jet at all radii in one
+matmul and evaluates every (member, circle, lambda) in one broadcast
+expression.
 
 The weighted radial integral
 
@@ -56,11 +63,16 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     _circle_means,
+    _field_means,
     _is_scalar,
     radial_integrate,
 )
 from .series import (
+    LAMBDA_MIN,
     HarmonicSeries,
+    SeriesStack,
+    circle_angles,
+    circle_fields,
     require_lambda,
     require_outer,
     require_radii,
@@ -160,11 +172,18 @@ def lambda_from_speed(speed: float) -> float:
     """Parameter lam with initial speed (1-lam)/(1+lam) equal to `speed`.
 
     The map is an involution: lam = (1 - speed) / (1 + speed).  Speeds >= 0
-    map onto lam in (-1, 1]; negative speeds are rejected.
+    map onto lam in (-1, 1]; negative speeds are rejected, and a speed so
+    large (or infinite) that lam falls within the guard band LAMBDA_MIN of
+    -1 raises NumericOverflowError.
     """
     if speed < 0.0:
         raise SpeedSignError(f"initial speed must be nonnegative, got {speed}")
-    return (1.0 - speed) / (1.0 + speed)
+    lam = (1.0 - speed) / (1.0 + speed)
+    if not lam > LAMBDA_MIN:
+        raise NumericOverflowError(
+            f"initial speed {speed:.6g} is too large: its lambda (1 - s)/(1 + s) "
+            f"= {lam!r} is not above {LAMBDA_MIN!r}")
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -186,28 +205,68 @@ def identity_residuals(
 
     The left side is the closed-form profile; the right sides are
     trapezoid means of pointwise fields on the quadrature circle, with the
-    radial derivative taken termwise.  Both right sides are linear in the
-    four circle means A = mean |h|^2, B = mean Re(conj(h) h_rho),
-    C = mean |h_rho|^2 and D = mean |h_theta|^2 (the stretched field is
+    radial derivative taken termwise (see _identity_pair).  The four means
+    and U's jet at rho come from _circle_terms, memoised per (series, rho,
+    M), so a circle is evaluated once for every lambda.  Returns
+    (gradient_residual, angular_residual).
+    """
+    lam, rho = float(lam), float(rho)
+    # the domain checks run on every call, whether the memo has rho or not
+    require_lambda(lam)
+    require_radii(rho)
+    return _identity_pair(lam, rho, *_circle_terms(h, rho, cfg.angular_count(2 * h.N)))
+
+
+def identity_residuals_stack(
+    h: SeriesStack,
+    lam,
+    rho,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+):
+    """identity_residuals for every member, circle and lambda of a stack.
+
+    rho has shape (B, c), c circles per member, and lam shape (B, c, L),
+    L lambdas per circle.  Each circle is one circle_fields call on the
+    angles of the stack's order, written into one (B, c, 3, M) block whose
+    means _field_means takes at once; U's jet at the (B, c) radii is one
+    matmul, and both identities are one broadcast expression over all
+    (B, c, L) lambdas.  Returns (gradient, angular) residuals, each of
+    shape (B, c, L).
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    rho = np.asarray(rho, dtype=np.float64)
+    require_lambda(lam)
+    require_radii(rho)
+    angles = circle_angles(cfg.angular_count(2 * h.N))
+    block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
+    for i, radii in enumerate(rho.tolist()):
+        member = h.series(i)
+        for j, r in enumerate(radii):
+            block[i, j] = circle_fields(member, r, angles)
+    _, A, B, C, D, _ = _field_means(block)
+    u, du, d2u = quadratic_mean_profile(h).jet(rho)
+    return _identity_pair(lam, *(t[..., None] for t in (rho, u, du, d2u, A, B, C, D)))
+
+
+def _identity_pair(lam, rho, u, du, d2u, A, B, C, D):
+    """|L_lam[U] - right side| of the gradient and angular identities at
+    rho, from U's jet (u, du, d2u) and the circle means A = mean |h|^2,
+    B = mean Re(conj(h) h_rho), C = mean |h_rho|^2, D = mean |h_theta|^2;
+    numbers or arrays broadcast against each other.
+
+    Both right sides are linear in the four means (the stretched field is
     -w h + rho h_rho, and w'/rho = 4 lam/(rho^2 + lam)^2), so
 
         gradient:  2 (C + D/rho^2 - 4 lam A/(rho^2 + lam)^2 - 2 w B/rho),
         angular:   (2/rho^2) (D + (w^2 - 1) A - 2 w rho B + rho^2 C),
 
     exactly as for the pointwise integrands, the trapezoid rule being
-    linear.  The four means and U's jet at rho come from _circle_terms,
-    memoised per (series, rho, M), so a circle is evaluated once for every
-    lambda.  Returns (gradient_residual, angular_residual).
+    linear.
     """
-    lam, rho = float(lam), float(rho)
-    # the domain checks run on every call, whether the memo has rho or not
-    require_lambda(lam)
-    require_radii(rho)
     den = rho**2 + lam
-    if not den > 0.0:
+    if not (den > 0.0 if isinstance(den, float) else (den > 0.0).all()):
         raise ParameterDomainError(
             f"rho^2 + lambda must be positive (lambda={lam})")
-    u, du, d2u, A, B, C, D = _circle_terms(h, rho, cfg.angular_count(2 * h.N))
     lhs = _on_jet(lam, rho, den, u, du, d2u)
     w = (rho**2 - lam) / den
     rhs_gradient = 2.0 * (C + D / rho**2 - 4.0 * lam * A / den**2

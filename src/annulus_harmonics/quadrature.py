@@ -10,10 +10,12 @@ module (mode n in bin n mod M, no aliasing at these M), and the Dirichlet
 energy evaluates its Gauss nodes' circles in batches of radii.  The means
 are computed as trapezoid sums over the sampled fields, never from the
 spectrum by Parseval, so they stay an independent check of the closed
-forms in the means module.  The circle means of a series are memoised per
-(series, rho, M) (_circle_means), so the quadratic mean, the enclosed
-area, the circular mean and the operator identities of one circle share
-one evaluation.
+forms in the means module.  One reduction (_field_means) takes these
+means over fields of any leading shape: a single circle, or the block of
+circles a batched caller has filled.  The circle means of a series are
+memoised per (series, rho, M) (_circle_means), so the quadratic mean, the
+enclosed area, the circular mean and the scalar operator identities of one
+circle share one evaluation.
 
 Radial integrals use composite Gauss-Legendre panels whose edges are
 cosine-graded (clustered toward both endpoints), with a doubling refinement
@@ -101,21 +103,33 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 
+def _field_means(fields: np.ndarray) -> tuple:
+    """Trapezoid means over the last axis of circle fields stacked as
+    (..., 3, M) (values, d_rho, d_theta on M equally spaced angles): the
+    mean of h (complex), then of |h|^2, Re(conj(h) h_rho), |h_rho|^2,
+    |h_theta|^2 and Im(conj(h) h_theta), each of shape (...)."""
+    M = fields.shape[-1]
+    values = fields[..., 0, :]
+    # np.add.reduce(x) / M is np.mean(x) without its Python-level overhead;
+    # the temporaries are squared and multiplied in place, one row at a time
+    squares = np.abs(fields)
+    squares = np.add.reduce(np.square(squares, out=squares), axis=-1) / M
+    conj = np.conj(values)
+    radial = np.add.reduce((conj * fields[..., 1, :]).real, axis=-1) / M
+    angular = np.multiply(conj, fields[..., 2, :], out=conj).imag
+    angular = np.add.reduce(angular, axis=-1) / M
+    return (np.add.reduce(values, axis=-1) / M, squares[..., 0], radial,
+            squares[..., 1], squares[..., 2], angular)
+
+
 @lru_cache(maxsize=32)
 def _circle_means(h: HarmonicSeries, rho: float, M: int) -> tuple:
-    """Trapezoid means over circle_angles(M) on C_rho of h (complex), then
-    of |h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2 and
-    Im(conj(h) h_theta) (floats), all from one circle_fields call.  The key
-    holds the series by identity; a rho outside the domain never enters
-    the memo, since circle_fields rejects it."""
-    f = circle_fields(h, rho, circle_angles(M))
-    fields = np.stack(f)
-    # np.add.reduce(x) / M is np.mean(x) without its Python-level overhead
-    squares = np.add.reduce(np.abs(fields) ** 2, axis=-1) / M
-    flux = np.conj(f.values) * fields[1:]
-    return (complex(np.add.reduce(f.values) / M), float(squares[0]),
-            float(np.add.reduce(flux[0].real) / M), float(squares[1]),
-            float(squares[2]), float(np.add.reduce(flux[1].imag) / M))
+    """The _field_means of h on C_rho over circle_angles(M), as a complex
+    and five floats, from one circle_fields call.  The key holds the series
+    by identity; a rho outside the domain never enters the memo, since
+    circle_fields rejects it."""
+    mean, *real = _field_means(np.stack(circle_fields(h, rho, circle_angles(M))))
+    return (complex(mean), *map(float, real))
 
 
 def circular_mean(

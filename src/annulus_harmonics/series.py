@@ -282,6 +282,16 @@ class SeriesStack:
             raise IndexError("a stack index must select a 1-d run of members")
         return sub
 
+    def coeff(self, n) -> tuple[np.ndarray, np.ndarray]:
+        """(a_n, b_n) of every member, for one nonzero mode n with |n| <= N
+        per member (an int, or an array of B ints)."""
+        n = np.broadcast_to(np.asarray(n), (len(self),))
+        if ((n == 0) | (np.abs(n) > self.N)).any():
+            raise IndexError(f"modes {n} not all stored for a stack with N={self.N}")
+        i = np.where(n > 0, n - 1, self.N - n - 1)
+        rows = np.arange(len(self))
+        return self.a[rows, i], self.b[rows, i]
+
     def chunks(self) -> Iterator[tuple[slice, "SeriesStack"]]:
         """(member slice, sub-stack) for consecutive runs of
         SERIES_PER_CHUNK members."""
@@ -290,9 +300,13 @@ class SeriesStack:
             yield rows, self[rows]
 
     def series(self, i: int) -> HarmonicSeries:
-        """Member i as a HarmonicSeries of the stack's order N."""
-        return HarmonicSeries(N=self.N, a=self.a[i], b=self.b[i],
-                              a0=self.a0[i], b0=self.b0[i])
+        """Member i as a HarmonicSeries of the stack's order N, whose a and
+        b are read-only views of row i, not checked again."""
+        member = object.__new__(HarmonicSeries)
+        for name, value in (("N", self.N), ("a", self.a[i]), ("b", self.b[i]),
+                            ("a0", complex(self.a0[i])), ("b0", complex(self.b0[i]))):
+            object.__setattr__(member, name, value)
+        return member
 
 
 # Domain rules: every check of R, lambda or rho calls one of these.  NaN fails
@@ -472,7 +486,9 @@ def _grid_fields(h, rho, M: int, rows=slice(None)) -> np.ndarray:
     one mode per bin; summing the folds gives bin n mod M.
     """
     folds = -(-(2 * h.N + 1) // M)
-    compact = np.moveaxis(_mode_spectrum(h, rho)[..., rows, :], -2, 0)
+    compact = _mode_spectrum(h, rho)[..., rows, :]
+    if compact.ndim > 2:  # np.moveaxis costs microseconds even where it is a no-op
+        compact = np.moveaxis(compact, -2, 0)
     spec = np.zeros(compact.shape[:-1] + (folds * M,), dtype=np.complex128)
     spec[..., _bins(h.N, folds * M)] = compact
     if folds > 1:

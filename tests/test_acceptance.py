@@ -40,8 +40,8 @@ E32 = math.exp(1.5)
 CRITICAL = extremal_map(1.0)
 
 # (tag, criterion, plan).  C02: 334 series x 3 circles x 10 lambdas = 10020
-# identity draws; C07b: max(1, 200 // 2) = 100 draws.  Criteria on fixed
-# grids ignore their plan.
+# (series, circle, lambda) entries; C07b: max(1, 200 // 2) = 100 draws.
+# Criteria on fixed grids ignore their plan.
 PINNED = [
     ("C01", reports.extremal_annihilation, DrawPlan(1, 1)),
     ("C02", reports.circle_identities, DrawPlan(2, 334)),
@@ -226,14 +226,19 @@ def test_report_fails_a_nonfinite_worst(worst):
 
 def test_nan_on_a_later_draw_fails_the_criterion(monkeypatch):
     """A NaN residual after the first draw survives to the report (C02's
-    loop over 334 series x 3 circles x 10 lambdas, NaN on the fourth call)."""
-    calls = []
+    334 series x 3 circles x 10 lambdas, evaluated in chunks of series; the
+    last member of the second chunk reads NaN on its last circle)."""
+    real = reports.identity_residuals_stack
+    entries = []
 
     def residuals(h, lam, rho, cfg):
-        calls.append(rho)
-        return (math.nan, 0.0) if len(calls) == 4 else (0.0, 0.0)
+        grad, ang = real(h, lam, rho, cfg)
+        entries.append(grad.size)
+        if len(entries) == 2:
+            grad[-1, -1, -1] = math.nan
+        return grad, ang
 
-    monkeypatch.setattr(reports, "identity_residuals", residuals)
+    monkeypatch.setattr(reports, "identity_residuals_stack", residuals)
     with pytest.raises(AssertionError, match="worst residual nan"):
         test_c02_circle_mean_identities()
-    assert len(calls) == 10_020
+    assert len(entries) > 2 and sum(entries) == 10_020

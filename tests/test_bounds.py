@@ -9,6 +9,7 @@ from annulus_harmonics import (
     HarmonicSeries,
     NumericOverflowError,
     ParameterDomainError,
+    SamplerConfig,
     extremal_map,
     kalaj_bound,
     nitsche_bound,
@@ -16,6 +17,8 @@ from annulus_harmonics import (
     schottky_check,
     theorem_gate,
     uniqueness_probe,
+    quadratic_mean_mode,
+    random_series,
     weitsman_bound,
     wide_annulus_certificate,
 )
@@ -31,6 +34,8 @@ from annulus_harmonics.bounds import (
     mode_quadratic_form_residual,
     variance_k_bound,
 )
+from annulus_harmonics.operators import k_functional
+from annulus_harmonics.series import SeriesStack
 
 E = math.e
 E32 = math.exp(1.5)
@@ -58,6 +63,16 @@ def test_bound_ordering_on_grid():
         w, k, n = weitsman_bound(R), kalaj_bound(R), nitsche_bound(R)
         assert w <= k + 1e-14
         assert k <= n + 1e-14
+
+
+@pytest.mark.parametrize("R", [1e200, 1e308, np.float64(1e308)])
+def test_weitsman_bound_tends_to_one_past_the_square_overflow(R):
+    assert weitsman_bound(R) == 1.0
+
+
+@pytest.mark.parametrize("R", [1.0001, 1.37, 2.0, E, 7.3, 1e5, 1e150])
+def test_weitsman_bound_keeps_the_bits_of_the_python_formula(R):
+    assert weitsman_bound(R) == 1.0 + 0.5 * math.log(R) ** 2 / R**2
 
 
 def test_bounds_reject_degenerate_radius():
@@ -188,6 +203,27 @@ def test_mode_form_residual_zero_coefficients():
 def test_mode_form_residual_critical_mode():
     # For the critical map's mode the identity reads 0 = 0.
     assert mode_quadratic_form_residual(CRITICAL, 1, 2.9) < 1e-10
+
+
+def test_mode_form_residual_of_a_stack_equals_its_scalar_calls():
+    """One n and one R per member, integrated together, against each
+    member alone (the stack refines until its worst member converges)."""
+    members = [random_series(SamplerConfig(seed=60 + i, N=N, decay=0.4))
+               for i, N in enumerate((1, 3, 6, 9, 12))]
+    ns = np.array([1, 3, 2, 9, 5])
+    Rs = np.array([1.5, 2.9, E, 4.4, 3.3])
+    stacked = mode_quadratic_form_residual(SeriesStack.of(members), ns, Rs)
+    assert stacked.shape == (5,)
+    for i, h in enumerate(members):
+        n, R = int(ns[i]), float(Rs[i])
+        scale = 1.0 + abs(k_functional(quadratic_mean_mode(h, n), 1.0, R))
+        assert abs(stacked[i] - mode_quadratic_form_residual(h, n, R)) <= 1e-13 * scale
+
+
+def test_mode_form_residual_of_a_stack_rejects_mode_zero():
+    stack = SeriesStack.of([CRITICAL, IDENTITY])
+    with pytest.raises(ParameterDomainError):
+        mode_quadratic_form_residual(stack, np.array([1, 0]), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +427,11 @@ def test_gate_raises_when_the_inner_rescaling_overflows():
     h = HarmonicSeries.from_coeffs(a0=1e150, b0=1e-160)
     with pytest.raises(NumericOverflowError):
         theorem_gate(h, math.e**2)
+
+
+def test_gate_names_an_initial_speed_too_large_for_its_lambda():
+    # U(1) = 1e-320 and U'(1) = 2e-160: the speed 1e160 gives
+    # (1 - s)/(1 + s) = -1.0, which no speed bound accepts
+    h = HarmonicSeries.from_coeffs(a0=1.0, b0=1e-160)
+    with pytest.raises(NumericOverflowError, match="initial speed"):
+        theorem_gate(h, 2.0)

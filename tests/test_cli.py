@@ -33,6 +33,15 @@ def test_bounds_single_radius(capsys):
     assert payload["manifest"]["command"] == "bounds"
 
 
+@pytest.mark.parametrize("R", ["1e200", "1e308"])
+def test_bounds_at_huge_radius_gives_weitsman_one(capsys, R):
+    code, out = run(capsys, "bounds", "--R", R)
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["weitsman"] == 1.0
+    assert row["nitsche"] == 0.5 * float(R)
+
+
 def test_bounds_csv_matches_json(capsys):
     code_j, out_j = run(capsys, "bounds", "--R", "3.0")
     code_c, out_c = run(capsys, "bounds", "--R", "3.0", "--format", "csv")
@@ -281,10 +290,18 @@ def nan_on_call(monkeypatch, name, call, pick=lambda x: math.nan):
     monkeypatch.setattr(reports, name, flaky)
 
 
+def nan_on_last_member(pair):
+    """The (gradient, angular) residuals of a C02 chunk with the gradient
+    residuals of its last member NaN."""
+    grad, ang = pair
+    grad[-1] = math.nan
+    return grad, ang
+
+
 def test_nan_after_first_draw_fails_the_check(monkeypatch, capsys):
-    nan_on_call(monkeypatch, "identity_residuals", 5,
-                pick=lambda pair: (math.nan, pair[1]))
-    checks = {c.name: c for c in reports.run_suite("identities", 0, 3)}
+    # 9 trials are two chunks of series: NaN on the last member of the second
+    nan_on_call(monkeypatch, "identity_residuals_stack", 2, pick=nan_on_last_member)
+    checks = {c.name: c for c in reports.run_suite("identities", 0, 9)}
     assert math.isnan(checks["gradient-form-identity"].residual)
     assert not checks["gradient-form-identity"].passed
     assert checks["angular-form-identity"].passed
@@ -304,9 +321,8 @@ def test_nan_floor_fails_the_clamped_check(monkeypatch):
 
 
 def test_verify_nan_residual_exits_1_with_report(monkeypatch, capsys):
-    nan_on_call(monkeypatch, "identity_residuals", 5,
-                pick=lambda pair: (math.nan, pair[1]))
-    code = main(["verify", "identities", "--trials", "3"])
+    nan_on_call(monkeypatch, "identity_residuals_stack", 2, pick=nan_on_last_member)
+    code = main(["verify", "identities", "--trials", "9"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     payload = json.loads(captured.out)
@@ -500,6 +516,13 @@ def test_overflow_is_a_usage_error(tmp_path, capsys, argv):
     assert main(["sample", "--seed", "7", "--N", "8", "--out", str(path)]) == 0
     err = rejected(capsys, *(arg.format(series=path) for arg in argv))
     assert "overflows" in err or "not finite" in err
+
+
+def test_check_rejects_an_initial_speed_too_large_for_its_lambda(tmp_path, capsys):
+    path = tmp_path / "fast.json"
+    save_series(HarmonicSeries.from_coeffs(a0=1.0, b0=1e-160), path)
+    err = rejected(capsys, "check", "--series", str(path), "--R", "2.0")
+    assert "initial speed" in err
 
 
 @pytest.mark.parametrize("flags", [

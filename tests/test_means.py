@@ -26,7 +26,7 @@ from annulus_harmonics import (
 from annulus_harmonics import means
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.quadrature import circle_angles
-from annulus_harmonics.series import circle_fields
+from annulus_harmonics.series import SeriesStack, circle_fields
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
@@ -65,6 +65,38 @@ def test_mode_profile_vs_quadrature(rng):
 def test_mode_profile_index_error(tame_series):
     with pytest.raises(IndexError):
         quadratic_mean_mode(tame_series(seed=0, N=4), 5)
+
+
+@pytest.mark.parametrize("radii", ["scalar", "shared", "per-member"])
+def test_mode_profile_of_a_stack_matches_each_member(radii):
+    """One mode per member of a stack, negative modes included, against
+    the profile of each member's mode alone."""
+    members = [random_series(SamplerConfig(seed=70 + N, N=N, decay=0.5))
+               for N in (1, 3, 6, 9, 12)]
+    ns = np.array([1, -3, 2, -9, 12])
+    P = quadratic_mean_mode(SeriesStack.of(members), ns)
+    rho = {"scalar": 1.7, "shared": GRID,
+           "per-member": np.stack([GRID * (1 + 0.1 * i) for i in range(5)])}[radii]
+    stacked = P.jet(rho)
+    for i, h in enumerate(members):
+        r = rho[i] if radii == "per-member" else rho
+        for got, want in zip(stacked, quadratic_mean_mode(h, int(ns[i])).jet(r)):
+            np.testing.assert_allclose(got[i], want, rtol=1e-15, atol=1e-15 * np.max(np.abs(want)))
+
+
+def test_mode_profile_of_a_stack_rejects_unstored_modes():
+    stack = SeriesStack.of([CRITICAL, IDENTITY])
+    for ns in ([1, 0], [1, 2], [-2, 1]):
+        with pytest.raises(IndexError):
+            quadratic_mean_mode(stack, np.array(ns))
+
+
+def test_stack_profiles_are_not_memoised():
+    stack = SeriesStack.of([CRITICAL, IDENTITY])
+    before = means._memo_quadratic_mean_profile.cache_info().currsize
+    P = quadratic_mean_profile(stack)
+    assert quadratic_mean_profile(stack) is not P
+    assert means._memo_quadratic_mean_profile.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------

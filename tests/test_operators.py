@@ -20,11 +20,11 @@ from annulus_harmonics import (
     random_series,
     variance_subsolution_min,
 )
-from annulus_harmonics import operators
+from annulus_harmonics import operators, reports
 from annulus_harmonics.operators import identity_residuals, speed_bound
 from annulus_harmonics.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from annulus_harmonics.sampling import normalize_inner, perturb_extremal
-from annulus_harmonics.series import circle_angles, circle_fields
+from annulus_harmonics.series import SeriesStack, circle_angles, circle_fields
 
 E32 = math.exp(1.5)
 CRITICAL = extremal_map(1.0)
@@ -178,6 +178,67 @@ def test_four_means_match_pointwise_reference(N):
             g_ref, a_ref, scale = pointwise_identity_residuals(h, lam, float(rho))
             assert abs(g - g_ref) <= 1e-13 * scale
             assert abs(a - a_ref) <= 1e-13 * scale
+
+
+def test_four_means_of_a_mixed_stack_match_pointwise_reference():
+    """The batched identities on a stack of orders 0, 1, 4, 16 and 128,
+    zero-padded to 128, against each member's pointwise reference."""
+    members = [HarmonicSeries(N=0, a0=0.3 - 0.7j, b0=1.1 + 0.2j)] + [
+        random_series(SamplerConfig(seed=N, N=N, decay=0.2)) for N in (1, 4, 16, 128)]
+    rng = np.random.default_rng(99)
+    rhos = rng.uniform(1.02, E32, size=(len(members), 2))
+    lams = np.broadcast_to([-0.95, -0.5, 0.0, 0.4, 1.0], rhos.shape + (5,))
+    grad, ang = operators.identity_residuals_stack(SeriesStack.of(members), lams, rhos)
+    assert grad.shape == ang.shape == lams.shape
+    for i, h in enumerate(members):
+        for j, rho in enumerate(rhos[i].tolist()):
+            for k, lam in enumerate(lams[i, j].tolist()):
+                g_ref, a_ref, scale = pointwise_identity_residuals(h, lam, rho)
+                assert abs(grad[i, j, k] - g_ref) <= 1e-13 * scale
+                assert abs(ang[i, j, k] - a_ref) <= 1e-13 * scale
+
+
+def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
+    """C02 draws what a draw-by-draw loop draws (N, seed, 3 rho, then 3 x 10
+    lambda per series) and its batched residuals equal identity_residuals
+    on each (series, rho, lambda) draw."""
+    real = reports.identity_residuals_stack
+    calls = []
+
+    def record(h, lam, rho, cfg):
+        out = real(h, lam, rho, cfg)
+        calls.append((h, lam, rho, out))
+        return out
+
+    monkeypatch.setattr(reports, "identity_residuals_stack", record)
+    plan = reports.DrawPlan(3, 11)
+    reports.circle_identities(plan, DEFAULT_CONFIG, reports.DEFAULT_TOLERANCES)
+    rng = np.random.default_rng((plan.seed, 1))
+    assert [len(h) for h, *_ in calls] == [8, 3]
+    for stack, lams, rhos, (grad, ang) in calls:
+        for i in range(len(stack)):
+            h = reports._draw_series(rng, 4, 16, 0.2)
+            padded = np.zeros((2, 2, stack.N), dtype=np.complex128)
+            padded[:, :, :h.N] = np.reshape((h.a, h.b), (2, 2, h.N))
+            assert np.array_equal(padded.reshape(2, -1), (stack.a[i], stack.b[i]))
+            assert (h.a0, h.b0) == (stack.a0[i], stack.b0[i])
+            assert np.array_equal(rhos[i], rng.uniform(1.02, E32, size=3))
+            for j, rho in enumerate(rhos[i].tolist()):
+                assert np.array_equal(lams[i, j], rng.uniform(-0.95, 1.0, size=10))
+                for k, lam in enumerate(lams[i, j].tolist()):
+                    g, a = identity_residuals(h, lam, rho)
+                    *_, scale = pointwise_identity_residuals(h, lam, rho)
+                    assert abs(grad[i, j, k] - g) <= 1e-13 * scale
+                    assert abs(ang[i, j, k] - a) <= 1e-13 * scale
+
+
+def test_stack_identities_domain_errors():
+    stack = SeriesStack.of([IDENTITY, CRITICAL])
+    rhos = np.full((2, 1), 2.0)
+    for lam, rho in [(-1.0, rhos), (1.5, rhos), (-0.5, np.full((2, 1), 0.6)),
+                     (0.5, np.array([[2.0], [math.nan]]))]:
+        with pytest.raises(ParameterDomainError):
+            operators.identity_residuals_stack(stack, np.full((2, 1, 3), lam), rho)
 
 
 def test_memoised_circle_terms_in_both_loop_orders(tame_series):
