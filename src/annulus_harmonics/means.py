@@ -32,9 +32,10 @@ per-member radii (B, m, 2K + 3) small.
 quadratic_mean_profile keeps the profiles of the last 32 series it was
 given, keyed by the series' identity: the operators, bounds and sampling
 modules ask for U of the same series many times, and each build costs a
-weight table.  The profile of a stack is built afresh: a chunk of a batched
-criterion is asked for U once or twice, and 32 kept chunks would hold their
-coefficient and weight tables (~16 KiB each) to the end of a run.
+weight table.  The profile of a stack is built afresh: a batched criterion
+builds U once per chunk and hands it to every caller, and 32 kept chunks
+would hold their coefficient and weight tables (~16 KiB each) to the end
+of a run.
 
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
@@ -88,7 +89,8 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
 
     Row j, column d of the weight table is the coefficient of basis function
     j in rho^d U^(d).  U_n + U_-n weighs rho^(2k) by |a_k|^2 + |b_-k|^2 and
-    rho^(-2k) by |b_k|^2 + |a_-k|^2, with k = |n|.
+    rho^(-2k) by |b_k|^2 + |a_-k|^2, with k = |n|; U_n alone weighs
+    rho^(2n) by |a_n|^2 and rho^(-2n) by |b_n|^2, whatever the sign of n.
     """
     a0 = b0 = 0j
     if only_mode is None:
@@ -101,23 +103,10 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                        + np.vecdot(b[..., N:], a[..., N:])).real
         if include_zero:
             a0, b0 = h.a0, h.b0
-    elif np.ndim(only_mode):  # a stack, one mode per member: k has shape (B, 1)
+    else:  # one mode n, or one per member of a stack: k = n keeps its sign
         an, bn = h.coeff(only_mode)
-        neg = only_mode < 0
-        an, bn = np.where(neg, bn, an), np.where(neg, an, bn)
-        ks = np.abs(only_mode).astype(np.float64)[:, None]
-        amp = np.stack((np.abs(an) ** 2, np.abs(bn) ** 2), axis=-1)
-        cross = 2.0 * (an * bn.conjugate()).real
-    elif only_mode == 0:
-        ks = amp = np.zeros(0)
-        cross = 0.0
-        a0, b0 = h.a0, h.b0
-    else:
-        an, bn = h.coeff(only_mode)
-        if only_mode < 0:
-            an, bn = bn, an
-        ks = np.array([float(abs(only_mode))])
-        amp = np.array([abs(an) ** 2, abs(bn) ** 2])
+        ks = np.asarray(only_mode, dtype=np.float64)[..., None]
+        amp = np.abs(np.array((an, bn)).T) ** 2  # (2,), or (B, 2) for a stack
         cross = 2.0 * (an * bn.conjugate()).real
     K = ks.shape[-1]
     two_k = 2.0 * ks
@@ -170,12 +159,13 @@ def quadratic_mean_mode(h, n) -> RadialProfile:
     """
     if isinstance(h, SeriesStack):
         n = np.broadcast_to(np.asarray(n), (len(h),))
-        return _sum_profile(h, "U_n", include_zero=False, only_mode=n)
-    if n != 0 and abs(n) > h.N:
+    elif n == 0:  # the profile of the series' zero mode alone
+        return _sum_profile(HarmonicSeries(N=0, a0=h.a0, b0=h.b0), "U_0",
+                            include_zero=True)
+    elif abs(n) > h.N:
         raise IndexError(f"mode {n} exceeds truncation order {h.N}")
-    if n == 0:
-        return _sum_profile(h, "U_0", include_zero=True, only_mode=0)
-    return _sum_profile(h, f"U_{n}", include_zero=False, only_mode=n)
+    return _sum_profile(h, "U_n" if np.ndim(n) else f"U_{n}", include_zero=False,
+                        only_mode=n)
 
 
 def quadratic_mean_profile(h: HarmonicSeries) -> RadialProfile:

@@ -328,10 +328,12 @@ def k_quadrature(h, lam, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
 
 def k_endpoint(h, lam, R):
     """K_lam applied to the quadratic mean of h, in endpoint closed form;
-    for a stack, lam and R may hold one entry per member."""
+    for a stack, lam and R may hold one entry per member.  h may also be
+    the quadratic-mean profile itself, so that a caller which integrates
+    it with k_functional too builds it once."""
     require_lambda(lam)
     require_outer(R)
-    U = quadratic_mean_profile(h)
+    U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
     if _is_scalar(R):
         u_R = U.value(R)
     else:

@@ -54,6 +54,7 @@ from .operators import (
     LambdaOperator,
     identity_residuals_stack,
     k_endpoint,
+    k_functional,
     k_quadrature,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, enclosed_area
@@ -320,8 +321,9 @@ def endpoint_identity(plan: DrawPlan, cfg: QuadratureConfig,
     lams, Rs = np.array(lams), np.array(Rs)
     residuals = []
     for rows, h in random_series_stack(configs).chunks():
-        ke = k_endpoint(h, lams[rows], Rs[rows])
-        kq = k_quadrature(h, lams[rows], Rs[rows], cfg)
+        U = quadratic_mean_profile(h)
+        ke = k_endpoint(U, lams[rows], Rs[rows])
+        kq = k_functional(U, lams[rows], Rs[rows], cfg)
         residuals.append(np.abs(kq - ke) / (1.0 + np.abs(ke)))
     return [_check(
         "endpoint-match",

@@ -300,13 +300,9 @@ class SeriesStack:
             yield rows, self[rows]
 
     def series(self, i: int) -> HarmonicSeries:
-        """Member i as a HarmonicSeries of the stack's order N, whose a and
-        b are read-only views of row i, not checked again."""
-        member = object.__new__(HarmonicSeries)
-        for name, value in (("N", self.N), ("a", self.a[i]), ("b", self.b[i]),
-                            ("a0", complex(self.a0[i])), ("b0", complex(self.b0[i]))):
-            object.__setattr__(member, name, value)
-        return member
+        """Member i as a HarmonicSeries of the stack's order N."""
+        return HarmonicSeries(N=self.N, a=self.a[i], b=self.b[i],
+                              a0=self.a0[i], b0=self.b0[i])
 
 
 # Domain rules: every check of R, lambda or rho calls one of these.  NaN fails

@@ -334,6 +334,15 @@ def test_k_quadrature_matches_endpoint(tame_series, rng):
         assert abs(kq - ke) <= 1e-6 * (1 + abs(ke))
 
 
+def test_k_endpoint_takes_the_profile_in_place_of_the_series(tame_series):
+    members = [tame_series(seed=s, N=N, decay=0.2) for s, N in enumerate((2, 5, 9))]
+    stack = SeriesStack.of(members)
+    lams, Rs = np.array([-0.5, 0.2, 1.0]), np.array([1.3, 2.0, E32])
+    for h, lam, R in ((members[1], 0.3, 2.2), (stack, lams, Rs)):
+        want = k_endpoint(h, lam, R)
+        np.testing.assert_array_equal(k_endpoint(quadratic_mean_profile(h), lam, R), want)
+
+
 # ---------------------------------------------------------------------------
 # variance subsolution
 # ---------------------------------------------------------------------------
