@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import json
 import math
+import platform
 import sys
 from pathlib import Path
 
@@ -39,7 +41,7 @@ from .means import (
 )
 from .operators import lambda_from_speed, speed_bound
 from .quadrature import QuadratureConfig
-from .reports import DEFAULT_TOLERANCES, SUITES, run_suite
+from .reports import DEFAULT_TOLERANCES, MAX_TRIALS, SUITES, run_suite
 from .sampling import SamplerConfig, normalize_inner, random_series
 from .series import extremal_map, load_series, require_outer, save_series
 
@@ -93,7 +95,8 @@ def _build_parser() -> _Parser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=(*sorted(SUITES), "all"))
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--trials", type=int, default=100,
+                          help=f"draws per criterion, 1..{MAX_TRIALS}")
     add_quadrature(p_verify)
     add_output(p_verify)
     for key in sorted(DEFAULT_TOLERANCES):
@@ -140,6 +143,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _environment() -> dict:
+    """The Python and numpy versions and the platform, read once per process
+    (platform.platform() takes milliseconds the first time)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform()}
+
+
 def _manifest(args: argparse.Namespace, tolerances: dict | None = None) -> dict:
     flags = {
         k: (str(v) if isinstance(v, Path) else v)
@@ -151,6 +162,7 @@ def _manifest(args: argparse.Namespace, tolerances: dict | None = None) -> dict:
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "version": __version__,
+        "environment": dict(_environment()),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "tolerances": tolerances or {},
     }

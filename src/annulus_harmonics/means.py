@@ -26,8 +26,10 @@ member to the stack's order; the jet is one batched matmul.  For a stack,
 rho is a scalar (every member at one radius, result shape (B,)), shape (m,)
 (every member at the same radii) or shape (B, m) (m radii per member),
 and each column of the jet has shape (B, m).  Batched callers hand in
-chunks of SERIES_PER_CHUNK members, which keeps the power tables of
-per-member radii (B, m, 2K + 3) small.
+chunks of SERIES_PER_CHUNK (16) members, and the jet tabulates per-member
+radii (B, m, 2K + 3) for a block of members at a time once the table would
+pass _JET_TABLE_ENTRIES (512 KiB); the matmul is per member, so the blocks
+give the same bits.
 
 quadratic_mean_profile keeps the profiles of the last 32 series it was
 given, keyed by the series' identity: the operators, bounds and sampling
@@ -83,6 +85,32 @@ def _unwrap(out: np.ndarray) -> np.ndarray | float:
     return out if out.shape else float(out)
 
 
+# Most entries (radii x basis functions) of one power table that
+# RadialProfile.jet builds for a stack with radii per member, 512 KiB; above
+# it the members are tabulated in blocks.  At 16 members, N = 10 and the 384
+# nodes of a third radial quadrature level one table would take 1.1 MiB.
+_JET_TABLE_ENTRIES = 2**16
+
+
+def _jet_table(r: np.ndarray, two_k: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """U, U' and U'' at the radii r: one power table over the basis
+    rho^(2k), rho^(-2k), 1, log(rho), log(rho)^2, one (batched) matmul with
+    the weight table, whose column d gives rho^d U^(d), and the division
+    by rho^d."""
+    K = two_k.shape[-1]
+    basis = np.empty(r.shape + (2 * K + 3,))
+    np.power(r[..., None], two_k[:, None, :] if two_k.ndim > 1 else two_k,
+             out=basis[..., :K])
+    np.divide(1.0, basis[..., :K], out=basis[..., K:-3])
+    basis[..., -3] = 1.0
+    basis[..., -2] = np.log(r)
+    basis[..., -1] = basis[..., -2] ** 2
+    out = basis @ weights
+    out[..., 1] /= r
+    out[..., 2] /= r * r
+    return out
+
+
 def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                  only_mode: int | None = None) -> RadialProfile:
     """Profile of a sum of mode means; `only_mode` restricts to one mode.
@@ -132,15 +160,13 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         if two_k.ndim > 1 and r.ndim < 2:  # exponents per member: radii (B, m)
             shape = (len(two_k),) + r.shape + (3,)
             r = np.broadcast_to(r.reshape(-1), (len(two_k), r.size))
-        basis = np.empty(r.shape + (2 * K + 3,))
-        basis[..., :K] = r[..., None] ** (two_k[:, None, :] if two_k.ndim > 1 else two_k)
-        np.divide(1.0, basis[..., :K], out=basis[..., K:-3])
-        basis[..., -3] = 1.0
-        basis[..., -2] = np.log(r)
-        basis[..., -1] = basis[..., -2] ** 2
-        out = basis @ weights
-        out[..., 1] /= r
-        out[..., 2] /= r * r
+        if weights.ndim < 3 or r.ndim < 2 or r.size * (2 * K + 3) <= _JET_TABLE_ENTRIES:
+            out = _jet_table(r, two_k, weights)
+        else:  # radii per member: one table per block of members
+            step = max(1, _JET_TABLE_ENTRIES // (r.shape[-1] * (2 * K + 3)))
+            out = np.concatenate([
+                _jet_table(r[rows], two_k[rows] if two_k.ndim > 1 else two_k, weights[rows])
+                for rows in (slice(lo, lo + step) for lo in range(0, len(r), step))])
         return out if shape is None else out.reshape(shape)
 
     def column(d: int):

@@ -18,8 +18,8 @@ forms ignore the plan.  The draw ranges are constants of each criterion.
 
 A criterion first makes all of its draws, in the order a draw-by-draw loop
 would make them, and then evaluates them in batches: the drawn series form
-a SeriesStack, evaluated in chunks of SERIES_PER_CHUNK members, with the
-per-draw parameters as arrays.  The circle identities (C02) take a chunk's
+a SeriesStack, evaluated in chunks of SERIES_PER_CHUNK (16) members, with
+the per-draw parameters as arrays.  The circle identities (C02) take a chunk's
 3 circles per member and 10 lambdas per circle in one
 identity_residuals_stack call; it still evaluates each circle with its own
 circle_fields call (a single batched circle_grid_fields call per chunk
@@ -71,6 +71,10 @@ E = math.e
 E32 = math.exp(1.5)
 EXTREMAL_LAMS = (-0.9, -0.5, 0.0, 0.5, 1.0)
 
+# Most trials a DrawPlan takes, 100 times verify's default: the criteria hold
+# all of their draws at once, so a larger count is refused before any draw.
+MAX_TRIALS = 10_000
+
 DEFAULT_TOLERANCES: dict[str, float] = {
     "annihilation": 1e-9,
     "identity": 1e-9,
@@ -111,8 +115,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class DrawPlan:
-    """The draws a criterion makes: `trials` outer draws from generators
-    seeded with (seed, k)."""
+    """The draws a criterion makes: `trials` outer draws (1..MAX_TRIALS)
+    from generators seeded with (seed, k)."""
 
     seed: int
     trials: int
@@ -120,8 +124,9 @@ class DrawPlan:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ParameterDomainError(f"seed must be >= 0, got {self.seed}")
-        if self.trials < 1:
-            raise ParameterDomainError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ParameterDomainError(
+                f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
 
 
 def _check(name: str, statement: str, residuals, tol: float) -> CheckResult:

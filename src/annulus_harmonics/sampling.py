@@ -199,6 +199,19 @@ class InjectivityProbe(NamedTuple):
     windings_ok: bool
 
 
+# Most field points (members x radii x angles) one circle_grid_fields call of
+# the injectivity probe requests: the 24 x 96 Jacobian grid of 8 members, whose
+# two complex fields take 576 KiB.
+PROBE_BLOCK_POINTS = 8 * 24 * 96
+
+
+def _radius_blocks(radii: np.ndarray, members: int, M: int) -> list[np.ndarray]:
+    """Consecutive runs of `radii` whose members x radii x M grid stays within
+    PROBE_BLOCK_POINTS; a run holds at least one radius."""
+    step = max(1, PROBE_BLOCK_POINTS // max(1, members * M))
+    return [radii[lo:lo + step] for lo in range(0, radii.size, step)]
+
+
 def injectivity_probe(
     h,
     R: float,
@@ -217,25 +230,39 @@ def injectivity_probe(
     not as an error; a Jacobian that is not finite raises
     NumericOverflowError.  For a SeriesStack both fields are arrays with
     one entry per member.
+
+    The grid and the circles are evaluated in blocks of radii, each block
+    one circle_grid_fields call of at most PROBE_BLOCK_POINTS (8 x 24 x 96)
+    members x radii x angles, or of one radius where a single circle of
+    the stack is larger.  At the default sizes a series, and a stack of at
+    most 8 members, takes one block.  Every circle is transformed on its
+    own, so the result does not depend on the blocks.
     """
     require_outer(R)
+    members = len(h) if isinstance(h, SeriesStack) else 1
     rhos = np.linspace(1.0, R, rho_samples + 2)[1:-1]
-    f = circle_grid_fields(h, rhos, theta_samples, ("d_rho", "d_theta"))
-    with np.errstate(over="ignore", invalid="ignore"):
-        # f.jacobian(rhos), formed in the probe's own field buffer: a stack's
-        # grid is the largest array of a batched criterion
-        product = np.conjugate(f.d_rho, out=f.d_rho)
-        product *= f.d_theta
-        jac = product.imag / rhos[:, None]
-    del f, product
-    if not np.isfinite(jac).all():
-        raise NumericOverflowError(
-            f"the Jacobian on A(1, {R}) overflowed; injectivity probe undefined")
-    jac_min = jac.min(axis=(-2, -1))
-    del jac  # the winding fields need the room
+    jac_min = []
+    for block in _radius_blocks(rhos, members, theta_samples):
+        f = circle_grid_fields(h, block, theta_samples, ("d_rho", "d_theta"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # f.jacobian(block), formed in the probe's own field buffer
+            product = np.conjugate(f.d_rho, out=f.d_rho)
+            product *= f.d_theta
+            jac = product.imag / block[:, None]
+        del f, product
+        if not np.isfinite(jac).all():
+            raise NumericOverflowError(
+                f"the Jacobian on A(1, {R}) overflowed; injectivity probe undefined")
+        jac_min.append(jac.min(axis=(-2, -1)))
+        del jac  # the next block needs the room
     radii = np.linspace(1.0, R, circles + 2)[1:-1]
-    f = circle_grid_fields(h, radii, cfg.angular_count(2 * h.N), ("values", "d_theta"))
-    ok = has_winding(f.values, f.d_theta, 1).all(axis=-1)
+    M = cfg.angular_count(2 * h.N)
+    ok = []
+    for block in _radius_blocks(radii, members, M):
+        f = circle_grid_fields(h, block, M, ("values", "d_theta"))
+        ok.append(has_winding(f.values, f.d_theta, 1).all(axis=-1))
+        del f
+    jac_min, ok = np.min(jac_min, axis=0), np.all(ok, axis=0)
     if jac_min.shape:
         return InjectivityProbe(jacobian_min=jac_min, windings_ok=ok)
     return InjectivityProbe(jacobian_min=float(jac_min), windings_ok=bool(ok))

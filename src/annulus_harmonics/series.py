@@ -65,10 +65,15 @@ LAMBDA_MIN = -1.0 + 1e-9
 # Agreement tolerance for the paired formulas in jacobian / grad_norm_sq.
 _CONSISTENCY_RTOL = 1e-12
 
-# Members per chunk when a stack of series is evaluated: eight members keep
-# the largest field array (the injectivity probe's 24 circles x 96 angles x
-# 2 fields, 590 KiB) and the radial power tables under 1 MiB.
-SERIES_PER_CHUNK = 8
+# Members per chunk when a stack of series is evaluated.  A batched criterion
+# pays fixed costs per chunk (numpy call overhead, weight tables, radial
+# refinement levels, the Schottky probe's set-up), which at 8 members were a
+# large share of `verify all`; 16 members pay them half as often.  The
+# largest array of a chunk is then C02's (16, 3, 3, 256) field block, 576 KiB.
+# The injectivity probe and the per-member radial jet split larger requests
+# into blocks of their own, so a full `verify all --trials 100` run keeps a
+# traced peak of about 1.3 MiB.
+SERIES_PER_CHUNK = 16
 
 
 def _coeff_array(values, N: int, name: str) -> np.ndarray:

@@ -15,9 +15,15 @@ from annulus_harmonics import (
     injectivity_probe,
     quadratic_mean_profile,
     reports,
+    sampling,
     variance_profile,
 )
-from annulus_harmonics.means import RadialProfile, variance_deriv2_termwise
+from annulus_harmonics import means
+from annulus_harmonics.means import (
+    RadialProfile,
+    quadratic_mean_mode,
+    variance_deriv2_termwise,
+)
 from annulus_harmonics.operators import k_endpoint, k_functional
 from annulus_harmonics.quadrature import DEFAULT_CONFIG
 from annulus_harmonics.sampling import (
@@ -103,6 +109,28 @@ def test_stack_jet_matches_each_series_alone(rho):
         assert np.all(np.abs(d2[i] - want) <= 1e-13 * term_magnitude(h, own))
 
 
+def test_jet_of_a_large_stack_table_runs_in_blocks_of_members(monkeypatch):
+    """Radii per member past _JET_TABLE_ENTRIES are tabulated a block of
+    members at a time, with the bits of one table."""
+    stack = random_series_stack([SamplerConfig(seed=s, N=10, decay=0.4) for s in range(16)])
+    rho = 1.0 + 3.0 * np.random.default_rng(0).random((16, 400))
+    profiles = [quadratic_mean_profile(stack), variance_profile(stack),
+                quadratic_mean_mode(stack, np.arange(-8, 8) | 1)]
+    real = means._jet_table
+    tables = []
+
+    def record(r, two_k, weights):
+        tables.append(r.size * weights.shape[-2])
+        return real(r, two_k, weights)
+
+    monkeypatch.setattr(means, "_jet_table", record)
+    blocked = [profile._jet(rho) for profile in profiles]
+    assert len(tables) > len(profiles) and max(tables) <= means._JET_TABLE_ENTRIES
+    monkeypatch.setattr(means, "_JET_TABLE_ENTRIES", 2**40)
+    for profile, got in zip(profiles, blocked):
+        assert np.array_equal(got, profile._jet(rho))
+
+
 def test_stack_of_one_runs_like_its_series():
     h = random_conformal_perturbation(404)
     report = bounds.schottky_check(h, 2.0)
@@ -133,6 +161,44 @@ def test_probe_raises_a_typed_error_when_the_jacobian_overflows():
     huge = HarmonicSeries.from_coeffs(a={1: 1e308})
     with pytest.raises(NumericOverflowError):
         injectivity_probe(huge, 20.0)
+
+
+# 17 members with Jacobian minima of both signs and failed windings: 14
+# conformal perturbations, the reflection z -> conj(z) and two random series.
+PROBE_POOL = SeriesStack.of([
+    *(random_conformal_perturbation(seed, eps=0.05) for seed in range(14)),
+    HarmonicSeries.from_coeffs(b={-1: 1.0}), *MEMBERS[1:3]])
+
+
+@pytest.mark.parametrize("members", [0, 1, 8, 16, 17])
+def test_blocked_probe_equals_each_series_alone(members):
+    stack = PROBE_POOL[:members]
+    probe = injectivity_probe(stack, 2.0)
+    assert probe.jacobian_min.shape == probe.windings_ok.shape == (members,)
+    for i in range(members):
+        alone = injectivity_probe(stack.series(i), 2.0)
+        assert probe.jacobian_min[i] == alone.jacobian_min
+        assert probe.windings_ok[i] == alone.windings_ok
+    if members == len(PROBE_POOL):
+        assert (probe.jacobian_min < 0).any() and not probe.windings_ok.all()
+
+
+@pytest.mark.parametrize("members, calls", [(None, 2), (8, 2), (16, 4), (17, 5)])
+def test_probe_requests_stay_within_the_block_bound(monkeypatch, members, calls):
+    """Each circle_grid_fields call of the probe asks for at most the grid
+    of 8 members on 24 radii x 96 angles; a series or a stack of 8 takes
+    one call for the Jacobian grid and one for the winding circles."""
+    real = sampling.circle_grid_fields
+    sizes = []
+
+    def record(h, rhos, M, fields):
+        sizes.append((len(h) if isinstance(h, SeriesStack) else 1) * np.size(rhos) * M)
+        return real(h, rhos, M, fields)
+
+    monkeypatch.setattr(sampling, "circle_grid_fields", record)
+    injectivity_probe(PROBE_POOL.series(0) if members is None else PROBE_POOL[:members], 2.0)
+    assert len(sizes) == calls
+    assert max(sizes) <= sampling.PROBE_BLOCK_POINTS == 8 * 24 * 96
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,19 @@
 import hashlib
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
 from annulus_harmonics import RadialProfile, extremal_map, reports, save_series
 from annulus_harmonics.cli import EXIT_USAGE, main
-from annulus_harmonics.series import MAX_JSON_ORDER, HarmonicSeries, from_json_dict
+from annulus_harmonics.series import (
+    MAX_JSON_ORDER,
+    SERIES_PER_CHUNK,
+    HarmonicSeries,
+    from_json_dict,
+)
 
 
 def run(capsys, *argv):
@@ -235,9 +241,12 @@ def test_verify_certificates(capsys):
     ("bounds", "--R-min", "2.0", "--R-max", "3.0", "--steps", "0"),
     ("verify", "all", "--trials", "0"),
     ("verify", "all", "--trials", "-3"),
+    ("verify", "all", "--trials", str(reports.MAX_TRIALS + 1)),
+    ("verify", "all", "--trials", str(10**18)),
     ("sample", "--seed", "-1", "--N", "3", "--out", "{tmp}/s.json"),
 ], ids=["profile-steps-0", "evolve-steps-0", "bounds-steps-0",
-        "verify-trials-0", "verify-trials-negative", "sample-seed-negative"])
+        "verify-trials-0", "verify-trials-negative", "verify-trials-above-cap",
+        "verify-trials-huge", "sample-seed-negative"])
 def test_out_of_range_integer_is_a_usage_error(tmp_path, capsys, argv):
     # argparse rejects --steps itself (exit via SystemExit); the others
     # reach a typed error that main reports; both give one error line
@@ -274,6 +283,9 @@ def test_verify_embeds_manifest(capsys):
     assert manifest["seed"] == 9
     assert "tolerances" in manifest and manifest["tolerances"]
     assert "timestamp" in manifest and "version" in manifest
+    assert manifest["environment"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "platform": platform.platform()}
 
 
 def nan_on_call(monkeypatch, name, call, pick=lambda x: math.nan):
@@ -298,10 +310,14 @@ def nan_on_last_member(pair):
     return grad, ang
 
 
+# One full chunk of series and 3 more: the NaN goes on the last member of the
+# second chunk.
+TWO_CHUNKS = SERIES_PER_CHUNK + 3
+
+
 def test_nan_after_first_draw_fails_the_check(monkeypatch, capsys):
-    # 9 trials are two chunks of series: NaN on the last member of the second
     nan_on_call(monkeypatch, "identity_residuals_stack", 2, pick=nan_on_last_member)
-    checks = {c.name: c for c in reports.run_suite("identities", 0, 9)}
+    checks = {c.name: c for c in reports.run_suite("identities", 0, TWO_CHUNKS)}
     assert math.isnan(checks["gradient-form-identity"].residual)
     assert not checks["gradient-form-identity"].passed
     assert checks["angular-form-identity"].passed
@@ -322,7 +338,7 @@ def test_nan_floor_fails_the_clamped_check(monkeypatch):
 
 def test_verify_nan_residual_exits_1_with_report(monkeypatch, capsys):
     nan_on_call(monkeypatch, "identity_residuals_stack", 2, pick=nan_on_last_member)
-    code = main(["verify", "identities", "--trials", "9"])
+    code = main(["verify", "identities", "--trials", str(TWO_CHUNKS)])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     payload = json.loads(captured.out)

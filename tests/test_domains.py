@@ -29,6 +29,7 @@ from annulus_harmonics import (
 from annulus_harmonics.bounds import gz_weight, variance_k_bound
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import identity_residuals, speed_bound
+from annulus_harmonics.reports import MAX_TRIALS, DrawPlan
 from annulus_harmonics.series import (
     circle_angles,
     circle_fields,
@@ -111,3 +112,15 @@ def test_domain_edges_are_accepted():
     require_outer(1.0 + 1e-15)
     require_lambda(1.0)
     require_lambda(-1.0 + 2e-9)
+
+
+@pytest.mark.parametrize("trials", [0, -3, MAX_TRIALS + 1, 10**18])
+def test_draw_plan_rejects_trials_outside_its_range(trials):
+    with pytest.raises(ParameterDomainError, match=f"trials must lie in 1..{MAX_TRIALS}"):
+        DrawPlan(0, trials)
+
+
+def test_draw_plan_accepts_its_range():
+    assert MAX_TRIALS == 10_000
+    for trials in (1, MAX_TRIALS):
+        assert DrawPlan(0, trials).trials == trials

@@ -24,7 +24,12 @@ from annulus_harmonics import operators, reports
 from annulus_harmonics.operators import identity_residuals, speed_bound
 from annulus_harmonics.quadrature import DEFAULT_CONFIG, QuadratureConfig
 from annulus_harmonics.sampling import normalize_inner, perturb_extremal
-from annulus_harmonics.series import SeriesStack, circle_angles, circle_fields
+from annulus_harmonics.series import (
+    SERIES_PER_CHUNK,
+    SeriesStack,
+    circle_angles,
+    circle_fields,
+)
 
 E32 = math.exp(1.5)
 CRITICAL = extremal_map(1.0)
@@ -211,10 +216,10 @@ def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
         return out
 
     monkeypatch.setattr(reports, "identity_residuals_stack", record)
-    plan = reports.DrawPlan(3, 11)
+    plan = reports.DrawPlan(3, SERIES_PER_CHUNK + 3)
     reports.circle_identities(plan, DEFAULT_CONFIG, reports.DEFAULT_TOLERANCES)
     rng = np.random.default_rng((plan.seed, 1))
-    assert [len(h) for h, *_ in calls] == [8, 3]
+    assert [len(h) for h, *_ in calls] == [SERIES_PER_CHUNK, 3]
     for stack, lams, rhos, (grad, ang) in calls:
         for i in range(len(stack)):
             h = reports._draw_series(rng, 4, 16, 0.2)
