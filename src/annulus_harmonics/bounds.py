@@ -271,9 +271,66 @@ def variance_k_bound(h, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
 # Refinement of Schottky's theorem for conformal series.
 # ---------------------------------------------------------------------------
 
+def _injectivity_certificate(h, R: float):
+    """The margin of conformal_injectivity_margin and the Jacobian lower
+    bound |a_1|^2 (1 - L)^2, each as an array with one entry per member."""
+    ns = h.mode_numbers.astype(np.float64)
+    lead = np.abs(h.a[..., 0])
+    # an overflowed weight leaves L inf or NaN, and a_1 = 0 leaves it inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weights = np.where(ns == 1.0, 0.0, np.abs(ns) * np.maximum(1.0, R ** (ns - 1.0)))
+        excess = np.sum(np.abs(h.a) * weights, axis=-1) / lead
+        margin = np.where(lead > 0.0, 1.0 - 0.5 * math.pi * excess, -math.inf)
+        return margin, (lead * (1.0 - excess)) ** 2
+
+
+def conformal_injectivity_margin(h, R: float):
+    """Margin 1 - (pi/2) L of a coefficient certificate of injectivity on
+    the closed annulus 1 <= |z| <= R: a positive margin proves the
+    conformal series f = a_1 (z + p(z)) injective there, with
+    p = sum over n != 1 of (a_n / a_1) z^n and
+    L = sum over n != 1 of |n| |a_n / a_1| max(1, R^(n-1)).
+
+    One margin per member of a stack; -inf where a_1 = 0.  A NaN margin
+    (from coefficients or R so large that L overflows) never certifies.
+    Only the a coefficients enter: f is taken to be conformal, sum a_n z^n
+    with all b_n = 0 and no log or constant term, as schottky_check admits.
+    The test costs O(N) per series.
+
+    Proof.  On 1 <= |z| <= R, |z|^(n-1) <= max(1, R^(n-1)) for every n, so
+    |p'(z)| <= L.  Any two points z, w of the closed annulus are joined
+    inside it by a path of length at most (pi/2)|z - w|: the segment, with
+    the chord it may cut through the unit disk replaced by the shorter arc
+    of the unit circle, which is at most pi/2 times that chord.
+    Integrating f' = a_1 (1 + p') along the path gives
+    |f(z) - f(w)| >= |a_1| |z - w| (1 - (pi/2) L), positive for z != w
+    when L < 2/pi; this is the path-integral argument behind the
+    Noshiro-Warschawski theorem (Duren, Univalent Functions, Springer
+    1983).  The same L bounds what the sampled injectivity probe looks at:
+    - on the annulus |f'| >= |a_1| (1 - L), so the Jacobian
+      J = |f'|^2 >= |a_1|^2 (1 - L)^2 > 0;
+    - on every circle C_rho, 1 <= rho <= R, |p(z)/z| <= L < 1 (each term
+      is at most its term of L, as |n| >= 1), so by Rouche's theorem
+      f = a_1 z (1 + p(z)/z) winds once around 0, as a_1 z does.
+    """
+    require_outer(R)
+    margin = _injectivity_certificate(h, R)[0]
+    return margin if margin.shape else float(margin)
+
+
 @dataclass(frozen=True)
 class SchottkyReport:
-    """Outcome of the conformal mean-radius and area checks on A(1, R)."""
+    """Outcome of the conformal mean-radius and area checks on A(1, R).
+
+    `injectivity_margin` is conformal_injectivity_margin(h, R).  A member
+    with a positive margin is certified injective: it is not sampled, and
+    reports windings_ok = True and jacobian_min = |a_1|^2 (1 - L)^2, the
+    proven lower bound of the Jacobian on the annulus.  Every other
+    applicable member is sampled by the injectivity probe, and reports the
+    probe's windings and the smallest Jacobian on its grid.  A member that
+    is not applicable reports NaN for injectivity_margin and jacobian_min
+    and windings_ok = False.
+    """
 
     applicable: bool
     reason: str
@@ -283,6 +340,7 @@ class SchottkyReport:
     area_bound: float
     mode_sum_margin: float
     boundary_deviation: float
+    injectivity_margin: float
     jacobian_min: float
     windings_ok: bool
     passed: bool
@@ -298,9 +356,13 @@ def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     constant term and |h| = 1 on the unit circle (within 1e-6): the mean
     outer radius is at least R and the image area of the annulus is at
     least pi (R^2 - 1), with the mode sum over n != 0 of
-    |a_n|^2 (R^(2n) - 1) >= R^2 - 1 as intermediate step.  The injectivity
-    probe results are reported as evidence of class membership but do not
-    gate applicability; a failed probe explains a failed bound.
+    |a_n|^2 (R^(2n) - 1) >= R^2 - 1 as intermediate step.  Injectivity is
+    reported as evidence of class membership but does not gate
+    applicability; failed evidence explains a failed bound.  It is proved
+    from the coefficients where conformal_injectivity_margin is positive,
+    and sampled by the injectivity probe for the other applicable members
+    only; the probe is not called when every applicable member is
+    certified (see SchottkyReport).
 
     A series gives one SchottkyReport; a SeriesStack, evaluated as one
     batch, gives the list of its members' reports.  A series runs as the
@@ -321,7 +383,13 @@ def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     applicable = screened & ~(deviation > 1e-6)
 
     found = stack[applicable]
-    probe = injectivity_probe(found, R)
+    margin, jacobian_min = _injectivity_certificate(found, R)
+    certified = margin > 0.0
+    windings_ok = certified.copy()
+    if not certified.all():
+        probe = injectivity_probe(found[~certified], R)
+        jacobian_min[~certified] = probe.jacobian_min
+        windings_ok[~certified] = probe.windings_ok
     ns = found.mode_numbers.astype(np.float64)
     amps = np.abs(found.a) ** 2
     mode_sum = np.sum(amps * (R ** (2.0 * ns) - 1.0), axis=-1)
@@ -330,17 +398,18 @@ def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     passed = ((measured >= R - 1e-9) & (area >= area_bound - 1e-6)
               & (mode_sum >= R**2 - 1.0 - 1e-9))
     rows = iter(zip(measured.tolist(), area.tolist(), (mode_sum - (R**2 - 1.0)).tolist(),
-                    probe.jacobian_min.tolist(), probe.windings_ok.tolist(),
+                    margin.tolist(), jacobian_min.tolist(), windings_ok.tolist(),
                     passed.tolist()))
     reports = []
     for ok, is_conformal, is_pure, dev in zip(applicable, conformal, pure,
                                               deviation.tolist()):
         if ok:
-            radius, area_k, margin, jac_min, windings, passed_k = next(rows)
+            radius, area_k, mode_margin, inj_margin, jac_min, windings, passed_k = next(rows)
             reports.append(SchottkyReport(
                 applicable=True, reason="", R=R, mean_radius=radius, area=area_k,
-                area_bound=area_bound, mode_sum_margin=margin, boundary_deviation=dev,
-                jacobian_min=jac_min, windings_ok=windings, passed=passed_k))
+                area_bound=area_bound, mode_sum_margin=mode_margin, boundary_deviation=dev,
+                injectivity_margin=inj_margin, jacobian_min=jac_min, windings_ok=windings,
+                passed=passed_k))
             continue
         reason = ("series is not conformal (some b_n != 0)" if not is_conformal
                   else "log or constant term present" if not is_pure
@@ -349,7 +418,8 @@ def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
             applicable=False, reason=reason, R=R,
             mean_radius=math.nan, area=math.nan, area_bound=area_bound,
             mode_sum_margin=math.nan, boundary_deviation=dev,
-            jacobian_min=math.nan, windings_ok=False, passed=False))
+            injectivity_margin=math.nan, jacobian_min=math.nan, windings_ok=False,
+            passed=False))
     return reports if isinstance(h, SeriesStack) else reports[0]
 
 

@@ -25,10 +25,14 @@ identity_residuals_stack call; it still evaluates each circle with its own
 circle_fields call (a single batched circle_grid_fields call per chunk
 would be faster, but the benchmark's tracer counts one circle_fields call
 per circle).  The per-mode form (C07a) integrates its 24 single-mode
-series as a stack, one mode and one R per member.  A criterion hands each
-check its residuals (numbers and arrays, one per draw, chunk or grid) and
-`_check` alone reduces them, NaN-keeping, so a NaN in any draw fails its
-check.
+series as a stack, one mode and one R per member.  The conformal
+refinement (C09) proves each draw injective from its coefficients
+(bounds.conformal_injectivity_margin); schottky_check samples the draws
+that proof misses with the injectivity probe, and the criterion probes the
+certified draws of its first chunk as well, as a spot check of the proof.
+A criterion hands each check its residuals (numbers and arrays, one per
+draw, chunk or grid) and `_check` alone reduces them, NaN-keeping, so a
+NaN in any draw fails its check.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
 the acceptance tests call the same criteria with pinned plans of their own,
@@ -60,6 +64,7 @@ from .operators import (
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, enclosed_area
 from .sampling import (
     SamplerConfig,
+    injectivity_probe,
     normalize_inner,
     random_conformal_perturbation,
     random_series,
@@ -485,11 +490,11 @@ def mode_certificate(plan: DrawPlan, cfg: QuadratureConfig,
 
 def conformal_weights(plan: DrawPlan, cfg: QuadratureConfig,
                       tol: dict[str, float]) -> list[CheckResult]:
-    weight_deficit = []
-    for R in np.linspace(1.05, E32, 10):
-        rho = np.linspace(1.0, R, 50)
-        for lam in np.linspace(-1 + 1e-6, 1.0, 9):
-            weight_deficit.append(-bnd.gz_weight(R, lam, rho))
+    # 50 radii on [1, R] for each of 10 R, by 9 lambdas: R x lambda x rho
+    Rs = np.linspace(1.05, E32, 10)
+    rho = np.linspace(1.0, Rs, 50, axis=-1)
+    lams = np.linspace(-1 + 1e-6, 1.0, 9)
+    weight_deficit = -bnd.gz_weight(Rs[:, None, None], lams[:, None], rho[:, None, :])
     gate_res = [
         abs(bnd.gzbar_gate_margin(E, 1.0)),
         abs(bnd.gzbar_gate_margin(2.0, 0.0) - (3.0 - 4.0 * math.log(2.0))),
@@ -499,7 +504,7 @@ def conformal_weights(plan: DrawPlan, cfg: QuadratureConfig,
         _check(
             "gz-weight-positive",
             "the conformal-part weight is nonnegative on 1 <= rho <= R",
-            weight_deficit, tol["weight"],
+            [weight_deficit], tol["weight"],
         ),
         _check(
             "gzbar-gate-samples",
@@ -524,18 +529,27 @@ def bound_ordering(plan: DrawPlan, cfg: QuadratureConfig,
 
 def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
                          tol: dict[str, float]) -> list[CheckResult]:
-    """Schottky's conformal refinement on A(1, 2); `schottky_check` runs the
-    injectivity probe once per chunk of draws."""
+    """Schottky's conformal refinement on A(1, 2).  `schottky_check` proves
+    injectivity from the coefficients and runs the sampled injectivity
+    probe only on draws it cannot certify; the draws of the first chunk
+    that it certifies are probed here as well, as a spot check of the
+    certificate, so every report carries sampled evidence."""
     rng = _rng(plan, 9)
     R = 2.0
     stack = random_conformal_perturbation(
         [int(rng.integers(2**62)) for _ in range(plan.trials)])
     failed, radius_deficit, area_deficit, mode_deficit, speed_dev = [], [], [], [], []
-    for _, h in stack.chunks():
+    certificate_gap = []
+    for rows, h in stack.chunks():
         reports = bnd.schottky_check(h, R, cfg)
         ok = np.array([r.applicable and r.windings_ok and r.jacobian_min > 0.0
                        for r in reports])
+        certified = np.array([r.injectivity_margin > 0.0 for r in reports])
+        if rows.start == 0 and certified.any():
+            spot = injectivity_probe(h[certified], R)
+            ok[certified] &= spot.windings_ok & (spot.jacobian_min > 0.0)
         failed.append(~ok)
+        certificate_gap.append([-r.injectivity_margin for r in reports if r.applicable])
         if not ok.any():
             continue
         good = [r for r, keep in zip(reports, ok) if keep]
@@ -546,8 +560,16 @@ def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
     return [
         _check(
             "probes-applicable",
-            "every sampled conformal series meets the preconditions and probes",
+            "every sampled conformal series meets the preconditions and is "
+            "certified injective or passes the sampled probe; the certified "
+            "draws of the first chunk pass the probe too",
             failed, 0.0,
+        ),
+        _check(
+            "injectivity-certified",
+            "the coefficient certificate (pi/2) L < 1 proves every applicable "
+            "draw injective on the closed annulus",
+            certificate_gap, 0.0,
         ),
         _check(
             "outer-radius-bound",

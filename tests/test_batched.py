@@ -32,7 +32,7 @@ from annulus_harmonics.sampling import (
     random_series,
     random_series_stack,
 )
-from annulus_harmonics.series import SeriesStack, circle_grid_fields
+from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack, circle_grid_fields
 
 ORDERS = (1, 3, 7, 12)
 CONFIGS = [SamplerConfig(seed=40 + N, N=N, decay=0.4) for N in ORDERS]
@@ -272,6 +272,53 @@ def test_nan_in_one_draw_fails_the_batched_check(monkeypatch, criterion, owner, 
     assert all(c.passed for n, c in checks.items() if n not in failing)
 
 
+def conformal_checks(plan):
+    return {c.name: c for c in reports.conformal_refinement(
+        plan, DEFAULT_CONFIG, reports.DEFAULT_TOLERANCES)}
+
+
+def test_conformal_refinement_probes_the_first_chunk_only(monkeypatch):
+    """Every draw is certified, so the sampled probe runs once, as the spot
+    check of the first chunk's draws."""
+    real = sampling.injectivity_probe
+    probed = []
+
+    def record(h, R):
+        probed.append(len(h))
+        return real(h, R)
+
+    monkeypatch.setattr(sampling, "injectivity_probe", record)
+    monkeypatch.setattr(reports, "injectivity_probe", record)
+    checks = conformal_checks(reports.DrawPlan(0, 40))
+    assert probed == [SERIES_PER_CHUNK]
+    assert all(c.passed for c in checks.values())
+
+
+def test_spot_probe_fails_a_falsely_certified_draw(monkeypatch):
+    """z^2 winds twice; with its margin faked positive inside the first
+    chunk, only the spot probe can see it, and it fails probes-applicable."""
+    def with_square(seeds):
+        stack = random_conformal_perturbation(seeds)
+        a = np.array(stack.a)
+        a[3] = 0.0
+        a[3, 1] = 1.0  # mode 2 (order 1..N, -1..-N)
+        return SeriesStack(N=stack.N, a=a, b=stack.b, a0=stack.a0, b0=stack.b0)
+
+    real = bounds._injectivity_certificate
+    monkeypatch.setattr(reports, "random_conformal_perturbation", with_square)
+    # margin and Jacobian bound 1 for every member
+    monkeypatch.setattr(bounds, "_injectivity_certificate",
+                        lambda h, R: (np.ones(len(h)), np.ones(len(h))))
+    checks = conformal_checks(reports.DrawPlan(0, 20))
+    assert checks["probes-applicable"].residual == 1.0
+    assert not checks["probes-applicable"].passed
+    assert all(c.passed for n, c in checks.items() if n != "probes-applicable")
+    monkeypatch.setattr(bounds, "_injectivity_certificate", real)
+    checks = conformal_checks(reports.DrawPlan(0, 20))
+    assert checks["injectivity-certified"].residual == math.inf
+    assert not checks["probes-applicable"].passed
+
+
 def test_nan_in_one_certificate_entry_fails_the_check(monkeypatch):
     real = bounds.mode_form_certificate
     monkeypatch.setattr(bounds, "mode_form_certificate",
@@ -281,7 +328,7 @@ def test_nan_in_one_certificate_entry_fails_the_check(monkeypatch):
     assert all(math.isnan(c.residual) and not c.passed for c in checks.values())
 
 
-@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("seed", [1, 7, 40])
 def test_verify_all_memory_stays_flat(seed):
     """The chunked evaluation keeps the traced peak of a full run small
     (0.34-0.42 MiB when every draw was evaluated on its own)."""

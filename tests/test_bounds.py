@@ -1,6 +1,7 @@
 """Scalar bounds, certificates, gates, the conformal refinement and probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from annulus_harmonics import (
     weitsman_bound,
     wide_annulus_certificate,
 )
+from annulus_harmonics import bounds, sampling
 from annulus_harmonics.bounds import (
     condition_modulus,
+    conformal_injectivity_margin,
     gz_weight,
     gzbar_gate_margin,
     inner_circle_identity_residual,
@@ -35,6 +38,7 @@ from annulus_harmonics.bounds import (
     variance_k_bound,
 )
 from annulus_harmonics.operators import k_functional
+from annulus_harmonics.sampling import injectivity_probe, random_conformal_perturbation
 from annulus_harmonics.series import SeriesStack
 
 E = math.e
@@ -314,6 +318,94 @@ def test_schottky_rejects_off_circle_boundary():
     report = schottky_check(h, 2.0)
     assert not report.applicable
     assert report.boundary_deviation > 1e-6
+
+
+def test_injectivity_margin_rejects_z_plus_inverse_z():
+    # h' vanishes at z = +-1, and the unit circle folds onto [-2, 2]
+    h = HarmonicSeries.from_coeffs(a={1: 1.0, -1: 1.0})
+    assert conformal_injectivity_margin(h, 2.0) == 1.0 - 0.5 * math.pi
+    assert conformal_injectivity_margin(h, 2.0) <= 0.0
+
+
+def test_injectivity_margin_without_a_leading_term_is_minus_inf():
+    h = HarmonicSeries.from_coeffs(a={2: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        margin = conformal_injectivity_margin(h, 2.0)
+        report = schottky_check(h, 2.0)
+    assert margin == -math.inf and report.injectivity_margin == -math.inf
+
+
+def test_injectivity_margin_of_a_series_equals_its_stack_of_one():
+    for seed in range(5):
+        h = random_conformal_perturbation(seed, eps=0.05)
+        margin = conformal_injectivity_margin(h, 2.0)
+        assert isinstance(margin, float)
+        assert conformal_injectivity_margin(SeriesStack.of([h]), 2.0).tolist() == [margin]
+
+
+def certified_series(count, seed, R=2.0):
+    """Conformal series a_1 (z + p) with random modes -3..6, scaled so that
+    L lies uniformly in [0.3, 2/pi), with L as in conformal_injectivity_margin."""
+    rng = np.random.default_rng(seed)
+    ns = np.array([-3, -2, -1, 2, 3, 4, 5, 6])
+    weight = np.abs(ns) * np.maximum(1.0, R ** (ns - 1.0))
+    series, targets = [], rng.uniform(0.3, 2.0 / math.pi, size=count)
+    for target in targets:
+        c = rng.normal(size=ns.size) + 1j * rng.normal(size=ns.size)
+        c *= 0.999999 * target / np.sum(np.abs(c) * weight)
+        a1 = complex(rng.normal(), rng.normal())
+        series.append(HarmonicSeries.from_coeffs(
+            a={1: a1, **{int(n): a1 * cn for n, cn in zip(ns, c)}}))
+    return SeriesStack.of(series), targets
+
+
+def test_certified_series_pass_a_finer_probe():
+    stack, targets = certified_series(24, seed=12)
+    margin = conformal_injectivity_margin(stack, 2.0)
+    assert (margin > 0.0).all()
+    assert np.allclose(1.0 - margin, 0.5 * math.pi * targets, rtol=1e-5)
+    probe = injectivity_probe(stack, 2.0, rho_samples=64, theta_samples=256)
+    assert probe.windings_ok.all()
+    # the sampled Jacobian stays above the proven bound |a_1|^2 (1 - L)^2
+    L = (1.0 - margin) / (0.5 * math.pi)
+    bound = (np.abs(stack.a[:, 0]) * (1.0 - L)) ** 2
+    assert (probe.jacobian_min >= bound * (1.0 - 1e-12)).all()
+
+
+def test_schottky_samples_only_the_members_it_cannot_certify(monkeypatch):
+    real = sampling.injectivity_probe
+    probed = []
+
+    def record(h, R):
+        probed.append(len(h))
+        return real(h, R)
+
+    monkeypatch.setattr(sampling, "injectivity_probe", record)
+    certified = random_conformal_perturbation(7)
+    double = HarmonicSeries.from_coeffs(a={2: 1.0})
+    stack = SeriesStack.of([certified, double, certified])
+    reps = schottky_check(stack, 2.0)
+    assert probed == [1]
+    assert [r.windings_ok for r in reps] == [True, False, True]
+    assert reps[1] == schottky_check(double, 2.0)
+    lead = abs(certified.a[0])
+    L = (1.0 - reps[0].injectivity_margin) / (0.5 * math.pi)
+    assert reps[0].jacobian_min == pytest.approx((lead * (1.0 - L)) ** 2, rel=1e-14)
+    probed.clear()
+    assert schottky_check(SeriesStack.of([certified] * 3), 2.0)[0] == reps[0]
+    assert probed == []
+
+
+def test_a_nan_margin_is_sampled(monkeypatch):
+    real = bounds._injectivity_certificate
+    monkeypatch.setattr(bounds, "_injectivity_certificate",
+                        lambda h, R: (np.full(len(h), math.nan), real(h, R)[1]))
+    h = random_conformal_perturbation(7)
+    report = schottky_check(h, 2.0)
+    probe = injectivity_probe(h, 2.0)
+    assert math.isnan(report.injectivity_margin)
+    assert (report.jacobian_min, report.windings_ok) == (probe.jacobian_min, True)
 
 
 # ---------------------------------------------------------------------------

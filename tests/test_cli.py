@@ -8,7 +8,7 @@ import platform
 import numpy as np
 import pytest
 
-from annulus_harmonics import RadialProfile, extremal_map, reports, save_series
+from annulus_harmonics import RadialProfile, cli, extremal_map, reports, save_series
 from annulus_harmonics.cli import EXIT_USAGE, main
 from annulus_harmonics.series import (
     MAX_JSON_ORDER,
@@ -261,6 +261,38 @@ def test_out_of_range_integer_is_a_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "s.json").exists()
 
 
+def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
+    """main builds its parser once; a run of calls with different commands
+    and flags, and a usage error between them, prints what fresh parsers
+    print (the manifest timestamps aside)."""
+    calls = [
+        ("verify", "schottky", "--seed", "3", "--trials", "2",
+         "--tol-schottky-radius", "1e-8"),
+        ("bounds", "--R-min", "2.0", "--R-max", "3.0", "--steps", "0"),
+        ("bounds", "--R-min", "1.5", "--R-max", "3.0", "--steps", "4"),
+    ]
+
+    def outputs():
+        seen = []
+        for argv in calls:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            payload = json.loads(captured.out) if captured.out else None
+            if payload is not None:
+                del payload["manifest"]["timestamp"]
+            seen.append((code, payload, captured.err))
+        return seen
+
+    assert cli._build_parser() is cli._build_parser()
+    memoised = outputs()
+    assert [code for code, _, _ in memoised] == [0, EXIT_USAGE, 0]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert outputs() == memoised
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -415,7 +447,7 @@ def test_verify_all_passes(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["all_passed"]
-    assert len(payload["checks"]) == 30
+    assert len(payload["checks"]) == 31
 
 
 # The report contract: every check of `verify all` with its tolerance.
@@ -431,6 +463,7 @@ REPORT_CONTRACT = [
     ("gradient-form-identity", 1e-09),
     ("gz-weight-positive", 1e-12),
     ("gzbar-gate-samples", 1e-12),
+    ("injectivity-certified", 0.0),
     ("inner-area-limit", 1e-08),
     ("inner-circle-identity", 1e-10),
     ("mode-certificate-expansion", 1e-06),
