@@ -18,8 +18,11 @@ forms ignore the plan.  The draw ranges are constants of each criterion.
 
 A criterion first makes all of its draws, in the order a draw-by-draw loop
 would make them, and then evaluates them in batches: the drawn series form
-a SeriesStack, evaluated in chunks of SERIES_PER_CHUNK (16) members, with
-the per-draw parameters as arrays.  The circle identities (C02) take a chunk's
+a SeriesStack (random_series_stack or random_conformal_perturbation; each
+member has the coefficients of np.random.default_rng of its own seed, drawn
+for the whole stack by one vectorized pass of sampling._streams),
+evaluated in chunks of SERIES_PER_CHUNK (16) members, with the per-draw
+parameters as arrays.  The circle identities (C02) take a chunk's
 3 circles per member and 10 lambdas per circle in one
 identity_residuals_stack call; it still evaluates each circle with its own
 circle_fields call (a single batched circle_grid_fields call per chunk

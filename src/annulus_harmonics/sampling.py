@@ -1,4 +1,17 @@
-"""Deterministic test-series generation, normalization and probes."""
+"""Deterministic test-series generation, normalization and probes.
+
+The stream contract: a drawn series (`random_series`, a member of
+`random_series_stack` or of `random_conformal_perturbation`) takes its
+uniforms from np.random.default_rng(seed) of its own seed, in the order its
+docstring gives, so a draw depends on its seed alone and never on the other
+members of its stack.  `random_series` makes that generator; the stacks
+compute the same doubles for all their seeds at once with `_streams`, a
+vectorized copy of numpy's SeedSequence hashing, PCG64 seeding and
+`Generator.random` that jumps each stream ahead in one affine step per draw
+and matches the generators bit for bit.  `_streams` has a fixed cost of
+roughly a quarter of a millisecond, the cost of about fifteen generators,
+so one-off series keep their generator.
+"""
 
 from __future__ import annotations
 
@@ -39,8 +52,7 @@ class SamplerConfig:
     include_const: bool = True
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ParameterDomainError(f"seed must be >= 0, got {self.seed}")
+        _require_seed(self.seed)
         if self.N < 1:
             raise ParameterDomainError("N must be >= 1")
         if self.N > MAX_JSON_ORDER:
@@ -66,11 +78,189 @@ def _row_scales(cfg: SamplerConfig) -> np.ndarray:
     return _scales(cfg.N, cfg.decay, int(cfg.include_log) + int(cfg.include_const))
 
 
-def _uniforms(cfg: SamplerConfig, out: np.ndarray) -> np.ndarray:
-    """Fill `out` (rows x 2) with the magnitude and phase uniforms of cfg's
-    coefficient rows, from cfg's own generator; random() draws the doubles
-    that uniform(0, 1) returns."""
-    return np.random.default_rng(cfg.seed).random(out=out)
+def _require_seed(seed) -> None:
+    """A seed is a nonnegative integer (a Python or numpy int, not a bool)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ParameterDomainError(
+            f"seed must be a nonnegative integer, got {type(seed).__name__} {seed!r}")
+    if seed < 0:
+        raise ParameterDomainError(f"seed must be >= 0, got {seed}")
+
+
+# ---------------------------------------------------------------------------
+# The stream kernel: the doubles of np.random.default_rng(seed).random(k) for
+# many seeds at once.  default_rng(seed) is PCG64 seeded through
+# SeedSequence(seed); the constants are numpy's (bit_generator.pyx, pcg64.h).
+# ---------------------------------------------------------------------------
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_WORDS = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+# Most stream entries (draws of all seeds together) one pass of _streams holds
+# in its uint64 temporaries: about twenty arrays of 4096 entries, 640 KiB.
+STREAM_BLOCK = 4096
+
+
+@lru_cache(maxsize=8)
+def _chain(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constants of `calls` consecutive hashmix calls: c_0 = init,
+    c_{i+1} = c_i mult mod 2**32, as a uint32 column of calls + 1 rows."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.setflags(write=False)
+    return column
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of uint32 words, row i of `value` with the
+    constants consts[i] and consts[i + 1]."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> np.uint32(_XSHIFT))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    z = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return z ^ (z >> np.uint32(_XSHIFT))
+
+
+def _seed_words(seeds: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The little-endian uint32 words of every seed, one column per seed,
+    zero-padded to one height of at least the pool size, and each seed's own
+    word count (SeedSequence gives 0 the single word 0)."""
+    height = max(_POOL_WORDS, -(-max(seeds).bit_length() // 32))
+    words = np.frombuffer(b"".join(s.to_bytes(4 * height, "little") for s in seeds),
+                          dtype="<u4").astype(np.uint32).reshape(len(seeds), height).T
+    if height == _POOL_WORDS:
+        return words, np.full(len(seeds), _POOL_WORDS)
+    return words, np.array([max(1, -(-s.bit_length() // 32)) for s in seeds])
+
+
+def _pool(words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix_entropy: the 4 pool words of every seed, as 4 rows.
+    A word past a seed's own count is the 0 that SeedSequence pads the pool
+    with, up to the pool size; past it, only the seeds that have the word
+    mix it in.  Each source word is mixed into all destinations at once:
+    they take consecutive hash constants and do not read one another."""
+    extra = words.shape[0] - _POOL_WORDS
+    consts = _chain(_INIT_A, _MULT_A, _POOL_WORDS**2 + _POOL_WORDS * extra)
+    pool = _hashmix(words[:_POOL_WORDS], consts[:_POOL_WORDS + 1])
+    k = _POOL_WORDS
+    for src in range(_POOL_WORDS):
+        dst = [d for d in range(_POOL_WORDS) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[k:k + _POOL_WORDS]))
+        k += _POOL_WORDS - 1
+    for src in range(_POOL_WORDS, words.shape[0]):
+        mixed = _mix(pool, _hashmix(words[src], consts[k:k + _POOL_WORDS + 1]))
+        pool = np.where(counts > src, mixed, pool)
+        k += _POOL_WORDS
+    return pool
+
+
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """SeedSequence.generate_state(4, np.uint64) of every seed, as 4 uint64
+    rows: 8 hashed uint32 words, cycling through the pool, paired
+    little-endian."""
+    half = _hashmix(np.tile(pool, (2, 1)), _chain(_INIT_B, _MULT_B, 2 * _POOL_WORDS))
+    half = half.astype(np.uint64)
+    return half[0::2] | (half[1::2] << np.uint64(32))
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2**128 for 128-bit values held as (high, low) uint64
+    arrays: the low words' full product through their 32-bit limbs, the
+    cross terms mod 2**64 (uint64 arrays wrap silently)."""
+    low, half = np.uint64(_MASK32), np.uint64(32)
+    a0, a1 = a_lo & low, a_lo >> half
+    b0, b1 = b_lo & low, b_lo >> half
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = p00 >> half
+    mid += p01 & low
+    mid += p10 & low
+    hi = a1 * b1
+    for term in (p01 >> half, p10 >> half, mid >> half, a_hi * b_lo, a_lo * b_hi):
+        hi += term
+    return hi, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(a + b) mod 2**128, in place in a."""
+    a_lo += b_lo
+    a_hi += b_hi
+    a_hi += a_lo < b_lo
+    return a_hi, a_lo
+
+
+@lru_cache(maxsize=8)
+def _jumps(size: int) -> tuple[np.ndarray, ...]:
+    """The affine maps of k = 1..size PCG64 steps (Brown 1994): state_k =
+    M^k state_0 + (sum_{j<k} M^j) inc mod 2**128, as the (high, low) uint64
+    words of M^k and of the sum, row k - 1.  Sizes are powers of two."""
+    mults, sums = [], []
+    mult, total = 1, 0
+    for _ in range(size):
+        total = (total + mult) & _MASK128
+        mult = mult * _PCG_MULT & _MASK128
+        mults.append(mult)
+        sums.append(total)
+    table = tuple(np.array([x >> shift & _MASK64 for x in col], dtype=np.uint64)
+                  for col in (mults, sums) for shift in (64, 0))
+    for arr in table:
+        arr.setflags(write=False)
+    return table  # (mult_hi, mult_lo, sum_hi, sum_lo)
+
+
+def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
+    """The concatenation of np.random.default_rng(s).random(k) over the
+    pairs (s, k) of `seeds` and `counts` (k >= 1), with the same bits,
+    computed by array passes over all seeds at once.
+
+    1. SeedSequence(s) hashes the seed's uint32 words into a pool of 4 words.
+    2. generate_state(4, uint64) gives (seed_hi, seed_lo, inc_hi, inc_lo).
+    3. PCG64 sets inc = (initseq << 1) | 1 and state = ((inc + seed) M + inc)
+       mod 2**128 (O'Neill 2014).
+    4. Draw j of a seed is the XSL-RR output rotr64(hi ^ lo, hi >> 58) of
+       its state after j + 1 steps, taken from the jump table, and the
+       double is (x >> 11) 2**-53, as in Generator.random.
+
+    Every operand is an ndarray (ndim >= 1): numpy wraps array integer
+    overflow silently where scalar overflow warns.  Stage 4 runs in passes
+    of at most STREAM_BLOCK entries.
+    """
+    seeds = [int(s) for s in seeds]
+    counts = np.asarray(counts, dtype=np.intp)
+    seed_hi, seed_lo, inc_hi, inc_lo = _generate_state(_pool(*_seed_words(seeds)))
+    inc_hi = (inc_hi << np.uint64(1)) | (inc_lo >> np.uint64(63))
+    inc_lo = (inc_lo << np.uint64(1)) | np.uint64(1)
+    state_hi, state_lo = _add128(*_mul128(*_add128(seed_hi, seed_lo, inc_hi, inc_lo),
+                                          np.array([_PCG_MULT >> 64], dtype=np.uint64),
+                                          np.array([_PCG_MULT & _MASK64], dtype=np.uint64)),
+                                 inc_hi, inc_lo)
+    mult_hi, mult_lo, sum_hi, sum_lo = _jumps(1 << (int(counts.max()) - 1).bit_length())
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    out = np.empty(int(ends[-1]))
+    for lo in range(0, out.size, STREAM_BLOCK):
+        stop = min(lo + STREAM_BLOCK, out.size)
+        # the members whose streams overlap [lo, stop), and their entries in it
+        first, last = np.searchsorted(ends, [lo, stop - 1], side="right")
+        run = slice(first, last + 1)
+        member = np.repeat(np.arange(first, last + 1),
+                           np.minimum(ends[run], stop) - np.maximum(starts[run], lo))
+        step = np.arange(lo, stop) - starts[member]
+        hi, low = _add128(
+            *_mul128(mult_hi[step], mult_lo[step], state_hi[member], state_lo[member]),
+            *_mul128(sum_hi[step], sum_lo[step], inc_hi[member], inc_lo[member]))
+        x, rot = hi ^ low, hi >> np.uint64(58)
+        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        np.multiply(x >> np.uint64(11), 2.0**-53, out=out[lo:stop])
+    return out
 
 
 def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -80,48 +270,53 @@ def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:
     return scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
 
 
-def _unpack(cfg: SamplerConfig, coeffs: np.ndarray):
-    """a and b as (2, N) arrays (rows: modes 1..N, then -1..-N), a0 and b0
-    from the coefficient rows of one config."""
-    N = cfg.N
-    a0 = coeffs[4 * N] if cfg.include_log else 0j
-    b0 = coeffs[-1] if cfg.include_const else 0j
-    # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
-    table = coeffs[:4 * N].reshape(N, 2, 2)
-    return table[:, :, 0].T, table[:, :, 1].T, a0, b0
-
-
 def random_series(cfg: SamplerConfig) -> HarmonicSeries:
     """Deterministic pseudo-random series for the given config.
 
     Each coefficient takes two uniforms, magnitude then phase, in the order
-    a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0 when included; one
-    draw of the whole table gives the same stream as drawing them singly.
+    a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0 when included, all
+    from np.random.default_rng(cfg.seed); one draw of the whole table gives
+    the same stream as drawing them singly.
     """
     scales = _row_scales(cfg)
-    coeffs = _coefficients(scales, _uniforms(cfg, np.empty((scales.size, 2))))
-    a, b, a0, b0 = _unpack(cfg, coeffs)
-    return HarmonicSeries(N=cfg.N, a=a.ravel(), b=b.ravel(), a0=a0, b0=b0)
+    u = np.random.default_rng(cfg.seed).random((scales.size, 2))
+    coeffs = _coefficients(scales, u)
+    N = cfg.N
+    # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
+    table = coeffs[:4 * N].reshape(N, 2, 2)
+    return HarmonicSeries(N=N, a=table[:, :, 0].T.ravel(), b=table[:, :, 1].T.ravel(),
+                          a0=coeffs[4 * N] if cfg.include_log else 0j,
+                          b0=coeffs[-1] if cfg.include_const else 0j)
 
 
 def random_series_stack(configs: Sequence[SamplerConfig]) -> SeriesStack:
     """The stack of random_series(cfg) for every config, zero-padded to the
-    largest N: each member comes from its own generator, so member i has
-    exactly the coefficients of random_series(configs[i])."""
-    N = max(cfg.N for cfg in configs)
-    scales = [_row_scales(cfg) for cfg in configs]
-    ends = np.cumsum([s.size for s in scales]).tolist()
-    starts = [0] + ends[:-1]
-    u = np.empty((ends[-1], 2))
-    for cfg, lo, hi in zip(configs, starts, ends):
-        _uniforms(cfg, u[lo:hi])
-    coeffs = _coefficients(np.concatenate(scales), u)
-    a, b = (np.zeros((len(configs), 2, N), dtype=np.complex128) for _ in range(2))
-    a0, b0 = (np.zeros(len(configs), dtype=np.complex128) for _ in range(2))
-    for i, (cfg, lo, hi) in enumerate(zip(configs, starts, ends)):
-        a[i, :, :cfg.N], b[i, :, :cfg.N], a0[i], b0[i] = _unpack(cfg, coeffs[lo:hi])
-    return SeriesStack(N=N, a=a.reshape(len(configs), 2 * N),
-                       b=b.reshape(len(configs), 2 * N), a0=a0, b0=b0)
+    largest N: member i has exactly the coefficients of
+    random_series(configs[i]), its uniforms drawn by _streams with the bits
+    of its own generator.  No configs give the empty stack of order 0."""
+    if not configs:
+        return SeriesStack.of([])
+    orders = np.array([cfg.N for cfg in configs])
+    log = np.array([cfg.include_log for cfg in configs])
+    const = np.array([cfg.include_const for cfg in configs])
+    rows = 4 * orders + log + const
+    coeffs = _coefficients(np.concatenate([_row_scales(cfg) for cfg in configs]),
+                           _streams([cfg.seed for cfg in configs], 2 * rows).reshape(-1, 2))
+    # Each member's rows, padded to the 4N mode rows of the largest N and
+    # the two slots a0 and b0: a mask's true entries run in row-major order,
+    # so one masked assignment places every member's rows.
+    B, N = len(configs), int(orders.max())
+    present = np.empty((B, 4 * N + 2), dtype=bool)
+    present[:, :4 * N] = np.arange(4 * N) < 4 * orders[:, None]
+    present[:, 4 * N], present[:, -1] = log, const
+    table = np.zeros(present.shape, dtype=np.complex128)
+    table[present] = coeffs
+    del coeffs, present  # the stack's copies need the room
+    # modes[i, n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
+    modes = table[:, :4 * N].reshape(B, N, 2, 2)
+    return SeriesStack(N=N, a=modes[..., 0].transpose(0, 2, 1).reshape(B, 2 * N),
+                       b=modes[..., 1].transpose(0, 2, 1).reshape(B, 2 * N),
+                       a0=table[:, 4 * N], b0=table[:, -1])
 
 
 def normalize_inner(h):
@@ -179,10 +374,12 @@ def random_conformal_perturbation(
     the rotation.  A sequence of seeds gives the SeriesStack of their
     series, each drawn from its own generator.
     """
-    seeds = np.atleast_1d(seed)
+    seeds = list(seed) if np.ndim(seed) else [seed]
+    for s in seeds:
+        _require_seed(s)
     u = np.empty((len(seeds), 2 * len(modes) + 1))
-    for row, s in zip(u, seeds.tolist()):
-        np.random.default_rng(s).random(out=row)
+    if seeds:
+        u[:] = _streams(seeds, np.full(len(seeds), u.shape[1])).reshape(u.shape)
     N = max(1, *(abs(n) for n in modes))
     a = np.zeros((len(seeds), 2 * N), dtype=np.complex128)
     a[:, 0] = 1.0
