@@ -224,10 +224,11 @@ def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     1. SeedSequence(s) hashes the seed's uint32 words into a pool of 4 words.
     2. generate_state(4, uint64) gives (seed_hi, seed_lo, inc_hi, inc_lo).
     3. PCG64 sets inc = (initseq << 1) | 1 and state = ((inc + seed) M + inc)
-       mod 2**128 (O'Neill 2014).
+       mod 2**128 (O'Neill 2014): one step from inc + seed.
     4. Draw j of a seed is the XSL-RR output rotr64(hi ^ lo, hi >> 58) of
-       its state after j + 1 steps, taken from the jump table, and the
-       double is (x >> 11) 2**-53, as in Generator.random.
+       its state after j + 1 more steps, j + 2 steps from inc + seed, taken
+       from the jump table, and the double is (x >> 11) 2**-53, as in
+       Generator.random.
 
     Every operand is an ndarray (ndim >= 1): numpy wraps array integer
     overflow silently where scalar overflow warns.  Stage 4 runs in passes
@@ -238,11 +239,9 @@ def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     seed_hi, seed_lo, inc_hi, inc_lo = _generate_state(_pool(*_seed_words(seeds)))
     inc_hi = (inc_hi << np.uint64(1)) | (inc_lo >> np.uint64(63))
     inc_lo = (inc_lo << np.uint64(1)) | np.uint64(1)
-    state_hi, state_lo = _add128(*_mul128(*_add128(seed_hi, seed_lo, inc_hi, inc_lo),
-                                          np.array([_PCG_MULT >> 64], dtype=np.uint64),
-                                          np.array([_PCG_MULT & _MASK64], dtype=np.uint64)),
-                                 inc_hi, inc_lo)
-    mult_hi, mult_lo, sum_hi, sum_lo = _jumps(1 << (int(counts.max()) - 1).bit_length())
+    base_hi, base_lo = _add128(seed_hi, seed_lo, inc_hi, inc_lo)
+    # row j + 1 of the table holds the j + 2 steps of draw j
+    mult_hi, mult_lo, sum_hi, sum_lo = _jumps(1 << int(counts.max()).bit_length())
     ends = np.cumsum(counts)
     starts = ends - counts
     out = np.empty(int(ends[-1]))
@@ -253,10 +252,10 @@ def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
         run = slice(first, last + 1)
         member = np.repeat(np.arange(first, last + 1),
                            np.minimum(ends[run], stop) - np.maximum(starts[run], lo))
-        step = np.arange(lo, stop) - starts[member]
+        row = np.arange(lo + 1, stop + 1) - starts[member]
         hi, low = _add128(
-            *_mul128(mult_hi[step], mult_lo[step], state_hi[member], state_lo[member]),
-            *_mul128(sum_hi[step], sum_lo[step], inc_hi[member], inc_lo[member]))
+            *_mul128(mult_hi[row], mult_lo[row], base_hi[member], base_lo[member]),
+            *_mul128(sum_hi[row], sum_lo[row], inc_hi[member], inc_lo[member]))
         x, rot = hi ^ low, hi >> np.uint64(58)
         x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
         np.multiply(x >> np.uint64(11), 2.0**-53, out=out[lo:stop])
