@@ -35,7 +35,6 @@ from .means import (
 from .operators import k_functional, lambda_from_speed, speed_bound
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig
 from .series import (
-    Annulus,
     HarmonicSeries,
     SeriesStack,
     circle_grid_fields,
@@ -463,7 +462,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
       3. modulus gate log R <= 3/2: bound (R + 1/R)/2;
       4. otherwise the verdict is "not-applicable".
     """
-    annulus = Annulus(R)
+    require_outer(R)
     U = quadratic_mean_profile(h)
     u1 = float(U.value(1.0))
     class_d = is_class_D(h)
@@ -471,7 +470,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
     base = nitsche_bound(R)
     if u1 <= 0.0:
         return BoundReport(
-            R=R, modulus=annulus.modulus, class_D=class_d, class_N=class_n,
+            R=R, modulus=math.log(R), class_D=class_d, class_N=class_n,
             rule="none", bound=base, measured=0.0, margin=-base,
             verdict="not-applicable", inner_scale=0.0,
         )
@@ -498,7 +497,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
     else:
         verdict = "pass" if margin >= -GATE_TOL else "fail"
     return BoundReport(
-        R=R, modulus=annulus.modulus, class_D=class_d, class_N=class_n,
+        R=R, modulus=math.log(R), class_D=class_d, class_N=class_n,
         rule=rule, bound=bound, measured=measured, margin=margin,
         verdict=verdict, inner_scale=scale,
     )

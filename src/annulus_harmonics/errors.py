@@ -25,14 +25,6 @@ class NumericOverflowError(ToolkitError, ArithmeticError):
     """A computation produced a non-finite value from finite inputs."""
 
 
-class InternalInconsistencyError(ToolkitError, RuntimeError):
-    """Two algebraically equal formulas disagreed beyond tolerance.
-
-    Raised by operations that compute a quantity two independent ways as a
-    built-in self check (Jacobian, gradient norm).
-    """
-
-
 class ZeroOnCircleError(ToolkitError, ValueError):
     """The function vanishes (numerically) somewhere on the sample circle."""
 

@@ -70,10 +70,9 @@ from .sampling import (
     injectivity_probe,
     normalize_inner,
     random_conformal_perturbation,
-    random_series,
     random_series_stack,
 )
-from .series import HarmonicSeries, SeriesStack, extremal_map
+from .series import SeriesStack, extremal_map
 
 E = math.e
 E32 = math.exp(1.5)
@@ -163,12 +162,6 @@ def _draw_config(rng: np.random.Generator, n_lo: int, n_hi: int,
     from `rng`."""
     N = int(rng.integers(n_lo, n_hi + 1))
     return SamplerConfig(seed=int(rng.integers(2**62)), N=N, decay=decay)
-
-
-def _draw_series(rng: np.random.Generator, n_lo: int, n_hi: int,
-                 decay: float) -> HarmonicSeries:
-    """The series of _draw_config(rng, n_lo, n_hi, decay)."""
-    return random_series(_draw_config(rng, n_lo, n_hi, decay))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ angular modes
 
 and any finite truncation of this sum is itself exactly harmonic, whatever
 the coefficients.  This module stores the coefficients, evaluates h and its
-first derivatives in polar coordinates (including the Wirtinger derivatives
-h_z and h_zbar), and provides the one-parameter extremal family
+first polar derivatives on circles, and provides the one-parameter extremal
+family
 
     h^lam(z) = (z + lam/conj(z)) / (1 + lam),    -1 < lam <= 1,
 
@@ -25,8 +25,7 @@ Fourier sum whose mode-n coefficient is c_n(rho) = a_n rho^n + b_n rho^-n
 c_n'(rho) and i n c_n(rho).  On the M equally spaced angles 2 pi j / M the
 three fields are one inverse FFT of this spectrum, mode n folded into bin
 n mod M, which is exact for every M (circle_fields, and circle_grid_fields
-for many radii at once).  Other angles, as in the pointwise API, take an
-explicit phase sum over the same spectrum.
+for many radii at once).  No other angles are evaluated.
 
 The kernel, like the closed-form profiles of the means module, also takes a
 SeriesStack: B series zero-padded to one order N, with a and b of shape
@@ -53,17 +52,10 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    InternalInconsistencyError,
-    NumericOverflowError,
-    ParameterDomainError,
-)
+from .errors import ParameterDomainError
 
 # Guard band keeping 1/(1+lam) finite near the excluded endpoint lam = -1.
 LAMBDA_MIN = -1.0 + 1e-9
-
-# Agreement tolerance for the paired formulas in jacobian / grad_norm_sq.
-_CONSISTENCY_RTOL = 1e-12
 
 # Members per chunk when a stack of series is evaluated.  A batched criterion
 # pays fixed costs per chunk (numpy call overhead, weight tables, radial
@@ -347,32 +339,6 @@ def require_radii(rho) -> None:
         raise ParameterDomainError(f"rho must be positive and finite, got {rho}")
 
 
-@dataclass(frozen=True)
-class Annulus:
-    """The ring domain 1 < |z| < R, inner radius normalized to 1."""
-
-    R: float
-
-    def __post_init__(self) -> None:
-        require_outer(self.R)
-
-    @property
-    def modulus(self) -> float:
-        """Conformal modulus log(R)."""
-        return math.log(self.R)
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """A point rho * exp(i*theta) of the punctured plane, rho > 0."""
-
-    rho: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        require_radii(self.rho)
-
-
 class CircleFields(NamedTuple):
     """Values and first polar derivatives of a series along one circle, or
     along several circles with one row per radius."""
@@ -393,13 +359,6 @@ class CircleFields(NamedTuple):
         return np.abs(self.d_rho) ** 2 + np.abs(self.d_theta) ** 2 / r**2
 
 
-class Derivatives(NamedTuple):
-    h_rho: complex
-    h_theta: complex
-    h_z: complex
-    h_zbar: complex
-
-
 # ---------------------------------------------------------------------------
 # The circle kernel.  On C_rho the series is the Fourier sum
 #
@@ -411,8 +370,7 @@ class Derivatives(NamedTuple):
 # bin n mod L holds mode n.  On the grid of M equally spaced angles
 # 2 pi j / M, e^{i n theta_j} depends on n mod M only, so folding the
 # spectrum onto M bins and taking one unscaled inverse FFT gives the exact
-# pointwise values for any M, also when M <= 2N.  Other angles use an
-# explicit phase sum over the same spectrum.
+# pointwise values for any M, also when M <= 2N.
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
@@ -455,8 +413,7 @@ def _mode_spectrum(h, rho) -> np.ndarray:
     """Coefficients of values, d_rho and d_theta on C_rho for the modes
     n = 0, 1..N, -1..-N, shape (members) + radii + (3, 2N + 1).
 
-    Overflow is tolerated here (it yields inf/nan fields); the pointwise
-    API turns non-finite results into NumericOverflowError.
+    Overflow is tolerated here; it yields inf/nan fields.
     """
     ns = h.mode_numbers
     r0 = np.asarray(rho, dtype=np.float64)
@@ -497,27 +454,21 @@ def _grid_fields(h, rho, M: int, rows=slice(None)) -> np.ndarray:
     return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
-def _phase_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> np.ndarray:
-    """Fields at arbitrary angles by an explicit phase sum, shape (3, size)."""
-    return _mode_spectrum(h, rho) @ np.exp(1j * np.outer(_kernel_order(h.N), thetas))
-
-
 def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFields:
     """Evaluate h, dh/drho and dh/dtheta at the angles `thetas` on C_rho.
 
-    Differentiation is termwise on the series, so the derivatives are exact
-    up to rounding.  When `thetas` equals circle_angles(M) the fields come
-    from one inverse FFT of the mode spectrum; other angles are summed
-    explicitly.  This is the workhorse behind the pointwise API and all
-    circle quadratures.
+    `thetas` must equal circle_angles(M) for some M >= 1 (a copy or a list
+    of it will do); other angles raise ParameterDomainError.  Differentiation
+    is termwise on the series, so the derivatives are exact up to rounding,
+    and the fields come from one inverse FFT of the mode spectrum.
     """
     require_radii(rho)
     thetas = np.asarray(thetas, dtype=np.float64)
+    if not _is_grid(thetas):
+        raise ParameterDomainError(
+            "thetas must be the grid circle_angles(M) of some M >= 1")
     with np.errstate(over="ignore", invalid="ignore"):
-        if _is_grid(thetas):
-            out = _grid_fields(h, rho, thetas.size)
-        else:
-            out = _phase_fields(h, rho, thetas.ravel())
+        out = _grid_fields(h, rho, thetas.size)
     return CircleFields(out[0], out[1], out[2])
 
 
@@ -543,76 +494,6 @@ def circle_grid_fields(h, rhos, M: int,
         out = _grid_fields(h, rhos, M, rows)
     picked = dict(zip(fields, out))
     return CircleFields(*(picked.get(name) for name in _FIELD_ROWS))
-
-
-def wirtinger_from_polar(
-    rho: float, thetas: np.ndarray, d_rho: np.ndarray, d_theta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Convert polar derivatives to the Wirtinger pair (h_z, h_zbar).
-
-    h_z    = exp(-i theta) (h_rho - i h_theta / rho) / 2
-    h_zbar = exp(+i theta) (h_rho + i h_theta / rho) / 2
-    """
-    phase = np.exp(1j * np.asarray(thetas, dtype=np.float64))
-    hz = 0.5 * (d_rho - 1j * d_theta / rho) / phase
-    hzbar = 0.5 * (d_rho + 1j * d_theta / rho) * phase
-    return hz, hzbar
-
-
-def evaluate(h: HarmonicSeries, p: PolarPoint) -> complex:
-    """Value of the series at one polar point.
-
-    Raises NumericOverflowError if the result is not finite (possible only
-    through coefficient/radius overflow).
-    """
-    val = complex(circle_fields(h, p.rho, np.array([p.theta])).values[0])
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise NumericOverflowError(f"series value overflowed at {p}")
-    return val
-
-
-def derivatives(h: HarmonicSeries, p: PolarPoint) -> Derivatives:
-    """First derivatives (h_rho, h_theta, h_z, h_zbar) at one point."""
-    f = circle_fields(h, p.rho, np.array([p.theta]))
-    hz, hzbar = wirtinger_from_polar(p.rho, np.array([p.theta]), f.d_rho, f.d_theta)
-    return Derivatives(complex(f.d_rho[0]), complex(f.d_theta[0]),
-                       complex(hz[0]), complex(hzbar[0]))
-
-
-def jacobian(h: HarmonicSeries, p: PolarPoint) -> float:
-    """Jacobian determinant at a point, computed two ways.
-
-    Returns |h_z|^2 - |h_zbar|^2 and checks it against Im(conj(h_rho) *
-    h_theta) / rho; the two are algebraically identical, so disagreement
-    beyond 1e-12 relative to the gradient magnitude indicates a numerical
-    fault and raises InternalInconsistencyError.
-    """
-    d = derivatives(h, p)
-    j_wirtinger = abs(d.h_z) ** 2 - abs(d.h_zbar) ** 2
-    j_polar = (np.conj(d.h_rho) * d.h_theta).imag / p.rho
-    scale = max(1.0, abs(d.h_z) ** 2 + abs(d.h_zbar) ** 2)
-    if abs(j_wirtinger - j_polar) > _CONSISTENCY_RTOL * scale:
-        raise InternalInconsistencyError(
-            f"jacobian formulas disagree at {p}: {j_wirtinger} vs {j_polar}"
-        )
-    return float(j_wirtinger)
-
-
-def grad_norm_sq(h: HarmonicSeries, p: PolarPoint) -> float:
-    """Squared Hilbert-Schmidt norm of the differential at a point.
-
-    Returns |h_rho|^2 + |h_theta|^2/rho^2 and checks the equal form
-    2(|h_z|^2 + |h_zbar|^2) to 1e-12 relative.
-    """
-    d = derivatives(h, p)
-    g_polar = abs(d.h_rho) ** 2 + abs(d.h_theta) ** 2 / p.rho**2
-    g_wirt = 2.0 * (abs(d.h_z) ** 2 + abs(d.h_zbar) ** 2)
-    scale = max(1.0, g_polar)
-    if abs(g_polar - g_wirt) > _CONSISTENCY_RTOL * scale:
-        raise InternalInconsistencyError(
-            f"gradient norm formulas disagree at {p}: {g_polar} vs {g_wirt}"
-        )
-    return float(g_polar)
 
 
 def extremal_map(lam: float) -> HarmonicSeries:

@@ -14,10 +14,10 @@ import pytest
 from annulus_harmonics import (
     evolution_lower_bound,
     extremal_map,
-    jacobian,
     quadratic_mean_mode,
     quadratic_mean_numeric,
     quadratic_mean_profile,
+    random_series,
     scale_rotate,
     theorem_gate,
     uniqueness_probe,
@@ -29,11 +29,11 @@ from annulus_harmonics.quadrature import DEFAULT_CONFIG, dirichlet_energy
 from annulus_harmonics.reports import (
     DEFAULT_TOLERANCES,
     DrawPlan,
-    _draw_series,
+    _draw_config,
     run_suite,
 )
 from annulus_harmonics.sampling import ensure_nonneg_speed, normalize_inner
-from annulus_harmonics.series import PolarPoint
+from annulus_harmonics.series import circle_grid_fields
 
 E = math.e
 E32 = math.exp(1.5)
@@ -105,7 +105,8 @@ def test_c05_speed_bound_for_normalized_series():
     s_values = np.linspace(1.02, E32, 50)
     violations = []
     for _ in range(100):
-        h = ensure_nonneg_speed(normalize_inner(_draw_series(rng, 2, 8, 0.2)))
+        h = random_series(_draw_config(rng, 2, 8, 0.2))
+        h = ensure_nonneg_speed(normalize_inner(h))
         for s in s_values:
             measured, bound = evolution_lower_bound(h, float(s))
             violations.append(bound - measured)
@@ -156,7 +157,7 @@ def test_c11_oracle_agreement():
     rng = np.random.default_rng(11)
     gaps = []
     for _ in range(1000):
-        h = _draw_series(rng, 8, 8, 0.4)
+        h = random_series(_draw_config(rng, 8, 8, 0.4))
         rho = float(rng.uniform(1.0, 2.0))
         closed = float(quadratic_mean_profile(h).value(rho))
         gaps.append(abs(closed - quadratic_mean_numeric(h, rho)))
@@ -164,7 +165,7 @@ def test_c11_oracle_agreement():
 
     energy_gaps = []
     for _ in range(5):
-        h = _draw_series(rng, 6, 6, 0.3)
+        h = random_series(_draw_config(rng, 6, 6, 0.3))
         U = quadratic_mean_profile(h)
         lhs = 1.8 * float(U.deriv1(1.8)) - 1.2 * float(U.deriv1(1.2))
         rhs = dirichlet_energy(h, 1.2, 1.8) / math.pi
@@ -181,13 +182,11 @@ def test_c11_oracle_agreement():
             assert winding_number(extremal_map(lam), rho) == 1
     print("[C11c] winding of extremal maps equals 1: PASS (exact)")
 
-    jac_gaps = []
-    for _ in range(100):
-        rho = float(rng.uniform(1.0, E32))
-        theta = float(rng.uniform(0.0, 2 * math.pi))
-        expected = (rho**4 - 1.0) / (4.0 * rho**4)
-        jac_gaps.append(abs(jacobian(CRITICAL, PolarPoint(rho, theta)) - expected))
-    report("C11d", "critical-map Jacobian matches closed form", np.max(jac_gaps), 1e-12)
+    rhos = rng.uniform(1.0, E32, size=100)
+    expected = (rhos**4 - 1.0) / (4.0 * rhos**4)
+    jac = circle_grid_fields(CRITICAL, rhos, 8).jacobian(rhos)
+    report("C11d", "critical-map Jacobian matches closed form",
+           np.max(np.abs(jac - expected[:, None])), 1e-12)
 
 
 @pytest.mark.parametrize("seed", [40, 41, 42, 43])
@@ -205,7 +204,7 @@ def test_mode_chain_matches_the_per_mode_sum():
     grid = np.linspace(1.01, 5.0, 200)
     gaps = []
     for _ in range(20):
-        h = _draw_series(rng, 1, 10, 0.5)
+        h = random_series(_draw_config(rng, 1, 10, 0.5))
         direct = sum((n * n - 1.0) * quadratic_mean_mode(h, n).value(grid)
                      for n in range(-h.N, h.N + 1) if n != 0) * 2.0 / grid**2
         chain = reports._mode_chain(h, grid, *variance_profile(h).jet(grid))

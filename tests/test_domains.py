@@ -1,6 +1,7 @@
 """Domain rules: an outer radius R, a lambda or a circle radius rho outside
-its domain, NaN and infinity included, raises ParameterDomainError instead
-of returning NaN or failing inside the arithmetic."""
+its domain, NaN and infinity included, or circle angles other than a grid
+circle_angles(M), raises ParameterDomainError instead of returning NaN or
+failing inside the arithmetic."""
 
 import math
 
@@ -45,6 +46,8 @@ U = quadratic_mean_profile(H)
 
 CASES = {
     "circle_fields-inf": lambda: circle_fields(H, INF, circle_angles(8)),
+    "circle_fields-off-grid": lambda: circle_fields(H, 1.5, np.array([0.3, 1.1])),
+    "circle_fields-empty": lambda: circle_fields(H, 1.5, np.empty(0)),
     "circle_grid_fields-inf": lambda: circle_grid_fields(H, [1.5, INF], 8),
     "lambda_from_radii-R-inf": lambda: lambda_from_radii(INF, 2.0),
     "lambda_from_radii-R_star-nan": lambda: lambda_from_radii(2.0, NAN),

@@ -10,20 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annulus_harmonics import (
-    Annulus,
     HarmonicSeries,
     ParameterDomainError,
-    PolarPoint,
-    derivatives,
-    evaluate,
     extremal_map,
     from_json_dict,
-    grad_norm_sq,
-    jacobian,
     lambda_from_radii,
     mean_outer_radius,
     quadratic_mean_profile,
     scale_rotate,
+    theorem_gate,
     to_json_dict,
 )
 from annulus_harmonics.quadrature import DEFAULT_CONFIG
@@ -39,7 +34,7 @@ CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
 
 
-def mp_evaluate(h, rho, theta):
+def mp_sum(h, rho, theta):
     """Independent extended-precision termwise summation (40 digits)."""
     from mpmath import mp
 
@@ -52,29 +47,49 @@ def mp_evaluate(h, rho, theta):
     return complex(val)
 
 
+def on_grid(h, rho, M=8):
+    """The kernel's fields of h on the circle_angles(M) of C_rho."""
+    return circle_fields(h, rho, circle_angles(M))
+
+
+def wirtinger(fields, rho):
+    """(h_z, h_zbar) on circle_angles(M) from the polar derivatives of one
+    circle, or of one circle per row with `rho` the array of radii:
+
+        h_z    = exp(-i theta) (h_rho - i h_theta / rho) / 2
+        h_zbar = exp(+i theta) (h_rho + i h_theta / rho) / 2
+    """
+    r = np.asarray(rho, dtype=np.float64)[..., None]
+    phase = np.exp(1j * circle_angles(fields.d_rho.shape[-1]))
+    hz = 0.5 * (fields.d_rho - 1j * fields.d_theta / r) / phase
+    hzbar = 0.5 * (fields.d_rho + 1j * fields.d_theta / r) * phase
+    return hz, hzbar
+
+
 # ---------------------------------------------------------------------------
-# evaluate
+# values
 # ---------------------------------------------------------------------------
 
 def test_evaluate_critical_map_on_unit_circle():
-    assert evaluate(CRITICAL, PolarPoint(1.0, 0.0)) == pytest.approx(1.0 + 0j)
+    assert on_grid(CRITICAL, 1.0).values[0] == pytest.approx(1.0 + 0j)
 
 
 def test_evaluate_identity_map():
-    val = evaluate(IDENTITY, PolarPoint(2.0, math.pi / 2))
+    val = on_grid(IDENTITY, 2.0, M=4).values[1]  # theta = pi / 2
     assert val == pytest.approx(2j, abs=1e-14)
 
 
 def test_evaluate_matches_extended_precision_sum(tame_series):
     h = tame_series(seed=7, N=5, decay=0.5)
-    got = evaluate(h, PolarPoint(1.7, 2.3))
-    want = mp_evaluate(h, 1.7, 2.3)
-    assert abs(got - want) <= 1e-13 * (1 + abs(want))
+    got = on_grid(h, 1.7, M=16).values
+    for theta, value in zip(circle_angles(16).tolist(), got):
+        want = mp_sum(h, 1.7, theta)
+        assert abs(value - want) <= 1e-13 * (1 + abs(want))
 
 
 def test_evaluate_rejects_nonpositive_radius():
     with pytest.raises(ParameterDomainError):
-        PolarPoint(0.0, 1.0)
+        on_grid(IDENTITY, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,35 +97,35 @@ def test_evaluate_rejects_nonpositive_radius():
 # ---------------------------------------------------------------------------
 
 def test_derivatives_identity_is_conformal():
-    d = derivatives(IDENTITY, PolarPoint(1.3, 0.7))
-    assert d.h_z == pytest.approx(1.0, abs=1e-14)
-    assert d.h_zbar == pytest.approx(0.0, abs=1e-14)
+    hz, hzbar = wirtinger(on_grid(IDENTITY, 1.3), 1.3)
+    assert np.max(np.abs(hz - 1.0)) <= 1e-14
+    assert np.max(np.abs(hzbar)) <= 1e-14
 
 
 def test_derivatives_critical_map_hand_values():
     # d/dz of (z + 1/conj(z))/2 is 1/2; d/dzbar is -1/(2 conj(z)^2).
-    d = derivatives(CRITICAL, PolarPoint(2.0, 0.0))
-    assert d.h_z == pytest.approx(0.5, abs=1e-14)
-    assert d.h_zbar == pytest.approx(-0.125, abs=1e-14)
+    hz, hzbar = wirtinger(on_grid(CRITICAL, 2.0), 2.0)
+    assert hz[0] == pytest.approx(0.5, abs=1e-14)
+    assert hzbar[0] == pytest.approx(-0.125, abs=1e-14)
 
 
 def test_derivatives_match_finite_differences(tame_series):
+    """Central differences with step 2 pi / M, across radii rho +- step and
+    between the grid neighbours j +- 1."""
     h = tame_series(seed=11, N=8, decay=0.4)
-    rho, theta = 1.6, 0.9
+    rho = 1.6
 
-    def fd_error(step):
-        d = derivatives(h, PolarPoint(rho, theta))
-        fd_rho = (
-            evaluate(h, PolarPoint(rho + step, theta))
-            - evaluate(h, PolarPoint(rho - step, theta))
-        ) / (2 * step)
-        fd_theta = (
-            evaluate(h, PolarPoint(rho, theta + step))
-            - evaluate(h, PolarPoint(rho, theta - step))
-        ) / (2 * step)
-        return max(abs(fd_rho - d.h_rho), abs(fd_theta - d.h_theta))
+    def fd_error(M):
+        step = 2 * math.pi / M
+        f = on_grid(h, rho, M)
+        fd_rho = (on_grid(h, rho + step, M).values
+                  - on_grid(h, rho - step, M).values) / (2 * step)
+        fd_theta = (np.roll(f.values, -1) - np.roll(f.values, 1)) / (2 * step)
+        return max(np.max(np.abs(fd_rho - f.d_rho)),
+                   np.max(np.abs(fd_theta - f.d_theta)))
 
-    coarse, fine = fd_error(1e-3), fd_error(5e-4)
+    M = round(2 * math.pi / 1e-3)
+    coarse, fine = fd_error(M), fd_error(2 * M)
     assert coarse < 1e-5
     assert fine <= coarse / 3.0 + 1e-12  # quadratic convergence
 
@@ -120,72 +135,74 @@ def test_derivatives_match_finite_differences(tame_series):
 # ---------------------------------------------------------------------------
 
 def test_jacobian_critical_vanishes_on_inner_circle():
-    assert jacobian(CRITICAL, PolarPoint(1.0, 0.3)) == pytest.approx(0.0, abs=1e-14)
+    jac = on_grid(CRITICAL, 1.0).jacobian(1.0)
+    assert np.max(np.abs(jac)) <= 1e-14
 
 
 def test_jacobian_critical_closed_form():
     # (|z|^4 - 1) / (4 |z|^4) at |z|^4 = 4 is 3/16, derived by hand and
-    # cross-checked below at random points.
-    assert jacobian(CRITICAL, PolarPoint(math.sqrt(2), 1.1)) == pytest.approx(
-        0.1875, abs=1e-13
-    )
+    # cross-checked below at random radii.
+    rho = math.sqrt(2)
+    jac = on_grid(CRITICAL, rho).jacobian(rho)
+    assert np.max(np.abs(jac - 0.1875)) <= 1e-13
 
 
 def test_jacobian_identity_is_one():
-    assert jacobian(IDENTITY, PolarPoint(2.4, 2.0)) == pytest.approx(1.0)
+    assert on_grid(IDENTITY, 2.4).jacobian(2.4) == pytest.approx(np.ones(8))
 
 
 def test_jacobian_critical_formula_random_points(rng):
-    for _ in range(100):
-        rho = rng.uniform(1.0, math.exp(1.5))
-        theta = rng.uniform(0, 2 * math.pi)
-        expected = (rho**4 - 1) / (4 * rho**4)
-        assert jacobian(CRITICAL, PolarPoint(rho, theta)) == pytest.approx(
-            expected, abs=1e-12
-        )
+    rhos = rng.uniform(1.0, math.exp(1.5), size=100)
+    expected = (rhos**4 - 1) / (4 * rhos**4)
+    jac = circle_grid_fields(CRITICAL, rhos, 8).jacobian(rhos)
+    assert np.max(np.abs(jac - expected[:, None])) <= 1e-12
 
 
 def test_grad_norm_identity():
-    assert grad_norm_sq(IDENTITY, PolarPoint(1.9, 0.1)) == pytest.approx(2.0)
+    assert on_grid(IDENTITY, 1.9).grad_norm_sq(1.9) == pytest.approx(np.full(8, 2.0))
 
 
 def test_grad_norm_critical_inner_circle():
     # h_z = 1/2 and |h_zbar| = 1/2 on rho = 1, so 2(1/4 + 1/4) = 1.
-    assert grad_norm_sq(CRITICAL, PolarPoint(1.0, 2.2)) == pytest.approx(1.0)
+    assert on_grid(CRITICAL, 1.0).grad_norm_sq(1.0) == pytest.approx(np.ones(8))
 
 
 def test_wirtinger_consistency_random(tame_series):
-    # Both operations carry built-in agreement checks; calling them on many
-    # random points exercises those checks.
+    """The polar forms of the kernel's Jacobian and gradient norm against
+    the Wirtinger forms |h_z|^2 - |h_zbar|^2 and 2 (|h_z|^2 + |h_zbar|^2),
+    to 1e-12 relative to the gradient."""
     for seed in range(20):
         h = tame_series(seed=seed, N=6, decay=0.4)
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            p = PolarPoint(rng.uniform(0.5, 3.0), rng.uniform(0, 2 * math.pi))
-            jacobian(h, p)
-            grad_norm_sq(h, p)
+        rhos = np.random.default_rng(seed).uniform(0.5, 3.0, size=50)
+        f = circle_grid_fields(h, rhos, 16)
+        hz, hzbar = (np.abs(d) ** 2 for d in wirtinger(f, rhos))
+        jac, grad = f.jacobian(rhos), f.grad_norm_sq(rhos)
+        assert np.all(np.abs(hz - hzbar - jac) <= 1e-12 * np.maximum(1.0, hz + hzbar))
+        assert np.all(np.abs(2.0 * (hz + hzbar) - grad) <= 1e-12 * np.maximum(1.0, grad))
 
 
 # ---------------------------------------------------------------------------
 # harmonicity (structural): discrete polar Laplacian -> 0 at O(step^2)
 # ---------------------------------------------------------------------------
 
-def discrete_laplacian(h, rho, theta, step):
-    val = evaluate(h, PolarPoint(rho, theta))
-    up = evaluate(h, PolarPoint(rho + step, theta))
-    down = evaluate(h, PolarPoint(rho - step, theta))
-    left = evaluate(h, PolarPoint(rho, theta - step))
-    right = evaluate(h, PolarPoint(rho, theta + step))
+def discrete_laplacian(h, rho, M):
+    """Worst five-point polar Laplacian on circle_angles(M) of C_rho, with
+    step 2 pi / M across radii and between grid neighbours."""
+    step = 2 * math.pi / M
+    val = on_grid(h, rho, M).values
+    up = on_grid(h, rho + step, M).values
+    down = on_grid(h, rho - step, M).values
+    left, right = np.roll(val, 1), np.roll(val, -1)
     radial = (up - 2 * val + down) / step**2 + (up - down) / (2 * step * rho)
     angular = (right - 2 * val + left) / (rho**2 * step**2)
-    return radial + angular
+    return np.max(np.abs(radial + angular))
 
 
 def test_discrete_laplacian_vanishes_quadratically(tame_series):
     h = tame_series(seed=3, N=7, decay=0.4)
-    rho, theta = 1.4, 0.8
-    coarse = abs(discrete_laplacian(h, rho, theta, 1e-2))
-    fine = abs(discrete_laplacian(h, rho, theta, 5e-3))
+    M = round(2 * math.pi / 1e-2)
+    coarse = discrete_laplacian(h, 1.4, M)
+    fine = discrete_laplacian(h, 1.4, 2 * M)
     assert coarse < 1e-2
     assert fine <= coarse / 3.0 + 1e-10
 
@@ -270,9 +287,9 @@ def test_unimodular_rotation_preserves_quadratic_mean(tame_series):
 # ---------------------------------------------------------------------------
 
 def test_annulus_modulus():
-    assert Annulus(math.e).modulus == pytest.approx(1.0)
+    assert theorem_gate(CRITICAL, math.e).modulus == pytest.approx(1.0)
     with pytest.raises(ParameterDomainError):
-        Annulus(1.0)
+        theorem_gate(CRITICAL, 1.0)
 
 
 def test_coeff_index_errors(tame_series):
@@ -386,29 +403,18 @@ def test_json_roundtrip_property(a1, b2, a0):
     assert g.a0 == h.a0 and g.b0 == h.b0
 
 
-def test_evaluate_overflow_raises_typed_error():
-    from annulus_harmonics import NumericOverflowError
-
-    big = HarmonicSeries.from_coeffs(a={8: 1e300})
-    with pytest.raises(NumericOverflowError):
-        evaluate(big, PolarPoint(100.0, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # circle kernel against a termwise direct sum
 # ---------------------------------------------------------------------------
 
-def direct_fields(h, rho, thetas=None, M=None):
-    """Termwise sums of h, h_rho and h_theta, each with the sum of the
-    moduli of its terms as scale.  On the grid 2 pi j / M the phase of
-    mode n is reduced exactly, as 2 pi ((j n) mod M) / M."""
+def direct_fields(h, rho, M):
+    """Termwise sums of h, h_rho and h_theta on the grid 2 pi j / M, each
+    with the sum of the moduli of its terms as scale.  The phase of mode n
+    is reduced exactly, as 2 pi ((j n) mod M) / M."""
     ns = np.concatenate([np.arange(1, h.N + 1), -np.arange(1, h.N + 1)])
     up, down = rho ** ns.astype(float), rho ** -ns.astype(float)
     a, b = h.a, h.b
-    if M is None:
-        phases = np.exp(1j * np.outer(thetas, ns))
-    else:
-        phases = np.exp(2j * np.pi * (np.outer(np.arange(M), ns) % M) / M)
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), ns) % M) / M)
     c = a * up + b * down
     terms = (c, ns * (a * up - b * down) / rho, 1j * ns * c)
     zero = (h.a0 * math.log(rho) + h.b0, h.a0 / rho, 0j)
@@ -443,7 +449,7 @@ def test_circle_kernel_matches_direct_sum_on_grids(N):
         for rho in (0.8, 1.0, 1.7):
             fields = circle_fields(h, rho, circle_angles(M))
             assert fields.values.shape == (M,)
-            assert_matches_direct(fields, direct_fields(h, rho, M=M))
+            assert_matches_direct(fields, direct_fields(h, rho, M))
 
 
 @pytest.mark.parametrize("N", KERNEL_ORDERS)
@@ -460,24 +466,18 @@ def test_batched_radii_match_per_radius_loop(N):
                 assert np.max(np.abs(got[i] - want)) <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("N", KERNEL_ORDERS)
-def test_off_grid_angles_match_direct_sum(N):
-    h = kernel_series(N)
-    thetas = np.random.default_rng(N).uniform(-7.0, 7.0, size=9)
-    for rho in (0.8, 1.7):
-        fields = circle_fields(h, rho, thetas)
-        assert_matches_direct(fields, direct_fields(h, rho, thetas=thetas))
-
-
 def test_batched_derived_fields_match_pointwise():
+    """The batched Jacobian and gradient norm at each grid point against the
+    Wirtinger forms of one circle's fields."""
     h = kernel_series(12)
     rhos = np.array([1.1, 2.0])
     f = circle_grid_fields(h, rhos, 64)
-    for i, rho in enumerate(rhos):
+    for i, rho in enumerate(rhos.tolist()):
+        hz, hzbar = (np.abs(d) ** 2 for d in wirtinger(on_grid(h, rho, 64), rho))
         for j in (0, 17, 63):
-            p = PolarPoint(float(rho), float(circle_angles(64)[j]))
-            assert f.jacobian(rhos)[i, j] == pytest.approx(jacobian(h, p), rel=1e-12)
-            assert f.grad_norm_sq(rhos)[i, j] == pytest.approx(grad_norm_sq(h, p), rel=1e-12)
+            assert f.jacobian(rhos)[i, j] == pytest.approx(hz[j] - hzbar[j], rel=1e-12)
+            assert f.grad_norm_sq(rhos)[i, j] == pytest.approx(
+                2.0 * (hz[j] + hzbar[j]), rel=1e-12)
 
 
 def test_circle_angles_cached_and_read_only():
