@@ -407,14 +407,17 @@ def test_json_roundtrip_property(a1, b2, a0):
 # circle kernel against a termwise direct sum
 # ---------------------------------------------------------------------------
 
-def direct_fields(h, rho, M):
-    """Termwise sums of h, h_rho and h_theta on the grid 2 pi j / M, each
-    with the sum of the moduli of its terms as scale.  The phase of mode n
-    is reduced exactly, as 2 pi ((j n) mod M) / M."""
+def direct_fields(h, rho, M=None, thetas=None):
+    """Termwise sums of h, h_rho and h_theta, each with the sum of the
+    moduli of its terms as scale.  On the grid 2 pi j / M the phase of
+    mode n is reduced exactly, as 2 pi ((j n) mod M) / M."""
     ns = np.concatenate([np.arange(1, h.N + 1), -np.arange(1, h.N + 1)])
     up, down = rho ** ns.astype(float), rho ** -ns.astype(float)
     a, b = h.a, h.b
-    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), ns) % M) / M)
+    if M is None:
+        phases = np.exp(1j * np.outer(thetas, ns))
+    else:
+        phases = np.exp(2j * np.pi * (np.outer(np.arange(M), ns) % M) / M)
     c = a * up + b * down
     terms = (c, ns * (a * up - b * down) / rho, 1j * ns * c)
     zero = (h.a0 * math.log(rho) + h.b0, h.a0 / rho, 0j)
@@ -464,6 +467,24 @@ def test_batched_radii_match_per_radius_loop(N):
             for got, want in zip(batch, single):
                 scale = np.max(np.abs(want), initial=0.0)
                 assert np.max(np.abs(got[i] - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("N", KERNEL_ORDERS)
+def test_off_grid_angles_match_direct_sum(N):
+    """circle_fields refuses angles off its grid.  The grid values of the
+    quadrature's M > 2N angles sample a trigonometric polynomial of degree
+    N, so interpolating them at the refused angles gives the direct sum."""
+    h = kernel_series(N)
+    thetas = np.random.default_rng(N).uniform(-7.0, 7.0, size=9)
+    M = DEFAULT_CONFIG.angular_count(2 * N)
+    assert M > 2 * N
+    phases = np.exp(1j * np.outer(thetas, np.fft.fftfreq(M, 1.0 / M)))
+    for rho in (0.8, 1.7):
+        with pytest.raises(ParameterDomainError):
+            circle_fields(h, rho, thetas)
+        grid = circle_fields(h, rho, circle_angles(M))
+        fields = [phases @ (np.fft.fft(f) / M) for f in grid]
+        assert_matches_direct(fields, direct_fields(h, rho, thetas=thetas))
 
 
 def test_batched_derived_fields_match_pointwise():
