@@ -33,7 +33,7 @@ from .means import (
     variance_profile,
 )
 from .operators import k_functional, lambda_from_speed, speed_bound
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig
+from .quadrature import angular_count
 from .series import (
     HarmonicSeries,
     SeriesStack,
@@ -215,11 +215,11 @@ def mode_energy_excess(h):
     return out if out.shape else float(out)
 
 
-def inner_circle_identity_residual(h, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def inner_circle_identity_residual(h):
     """Residual of the inner-circle identity tying the boundary data of h
     to the mode sums (left side by quadrature at rho = 1, right side from
     coefficients); one per member of a stack."""
-    M = cfg.angular_count(2 * h.N)
+    M = angular_count(2 * h.N)
     f = circle_grid_fields(h, 1.0, M, ("values", "d_theta"))
     rotation_flux = np.mean(np.conj(f.values) * f.d_theta, axis=-1)
     lhs = (
@@ -231,7 +231,7 @@ def inner_circle_identity_residual(h, cfg: QuadratureConfig = DEFAULT_CONFIG):
     return out if out.shape else float(out)
 
 
-def mode_quadratic_form_residual(h, n, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def mode_quadratic_form_residual(h, n, R):
     """Residual of the per-mode identity (lam = 1): the weighted integral of
     the operator applied to the single-mode mean, minus (R^2-1)(n-1)
     |a_n + b_n|^2, equals the quadratic form with the A/B/C coefficients
@@ -243,7 +243,7 @@ def mode_quadratic_form_residual(h, n, R, cfg: QuadratureConfig = DEFAULT_CONFIG
     """
     n = _require_modes(n, 1, "mode index n must be >= 1")
     a_n, b_n = h.coeff(n)
-    lhs = k_functional(quadratic_mean_mode(h, n), 1.0, R, cfg)
+    lhs = k_functional(quadratic_mean_mode(h, n), 1.0, R)
     lhs -= (R**2 - 1.0) * (n - 1.0) * abs(a_n + b_n) ** 2
     A, B, C = mode_form_coeffs(n, R)
     rhs = (
@@ -252,7 +252,7 @@ def mode_quadratic_form_residual(h, n, R, cfg: QuadratureConfig = DEFAULT_CONFIG
     return abs(lhs - rhs)
 
 
-def variance_k_bound(h, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def variance_k_bound(h, R):
     """Pair (K_1[V],  (R^2-1) * mode energy excess) for R > e.
 
     The first dominates the second; summing the per-mode inequality gives
@@ -261,7 +261,7 @@ def variance_k_bound(h, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """
     if not (np.asarray(R) > math.e).all():
         raise ParameterDomainError("the variance estimate requires R > e")
-    lhs = k_functional(variance_profile(h), 1.0, R, cfg)
+    lhs = k_functional(variance_profile(h), 1.0, R)
     rhs = (R**2 - 1.0) * mode_energy_excess(h)
     return lhs, rhs
 
@@ -348,7 +348,7 @@ class SchottkyReport:
         return asdict(self)
 
 
-def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def schottky_check(h, R: float):
     """Check the conformal refinement of Schottky's theorem on A(1, R).
 
     For a conformal series (all b_n = 0, no log term) with vanishing
@@ -376,7 +376,7 @@ def schottky_check(h, R: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
     deviation = np.full(len(stack), math.nan)
     screened = conformal & pure
-    M = max(1024, cfg.angular_count(stack.N))
+    M = max(1024, angular_count(stack.N))
     moduli = np.abs(circle_grid_fields(stack[screened], 1.0, M, ("values",)).values)
     deviation[screened] = np.max(np.abs(moduli - 1.0), axis=-1, initial=0.0)
     applicable = screened & ~(deviation > 1e-6)

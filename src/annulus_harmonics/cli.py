@@ -19,7 +19,6 @@ emitted JSON reproduces bit-identical values.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import functools
 import json
@@ -40,7 +39,6 @@ from .means import (
     variance_profile,
 )
 from .operators import lambda_from_speed, speed_bound
-from .quadrature import QuadratureConfig
 from .reports import DEFAULT_TOLERANCES, MAX_TRIALS, SUITES, run_suite
 from .sampling import SamplerConfig, normalize_inner, random_series
 from .series import extremal_map, load_series, require_outer, save_series
@@ -60,11 +58,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Most --steps a table takes: bounds, evolve and profile hold every row
+# until they write the output, about 2 KiB per row.
+MAX_STEPS = 10_000
+
+
 def _count(text: str) -> int:
-    """argparse type of --steps: an integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    """argparse type of --steps: an integer in 1..MAX_STEPS."""
+    if not 1 <= int(text) <= MAX_STEPS:
+        raise argparse.ArgumentTypeError(f"must lie in 1..{MAX_STEPS}, got {text}")
     return int(text)
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the --tol-* overrides: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
+    return value
 
 
 @functools.lru_cache(maxsize=1)
@@ -81,13 +93,6 @@ def _build_parser() -> _Parser:
                        help="write to this file instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    def add_quadrature(p: _Parser) -> None:
-        p.add_argument("--angular-nodes", type=int, default=256)
-        p.add_argument("--radial-nodes", type=int, default=64,
-                       help="radial nodes per unit of log-radius")
-        p.add_argument("--quad-config", type=Path, default=None,
-                       help="JSON file with QuadratureConfig fields")
-
     p_bounds = sub.add_parser("bounds", help="lower bounds for one R or a sweep")
     p_bounds.add_argument("--R", type=float, default=None)
     p_bounds.add_argument("--R-min", type=float, default=None)
@@ -100,11 +105,10 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--trials", type=int, default=100,
                           help=f"draws per criterion, 1..{MAX_TRIALS}")
-    add_quadrature(p_verify)
     add_output(p_verify)
     for key in sorted(DEFAULT_TOLERANCES):
         p_verify.add_argument(
-            f"--tol-{key.replace('_', '-')}", type=float, default=None,
+            f"--tol-{key.replace('_', '-')}", type=_tolerance, default=None,
             dest=f"tol_{key}", help=f"override tolerance {key!r}",
         )
 
@@ -203,39 +207,6 @@ def _emit_rows(rows: list[dict], args: argparse.Namespace, manifest: dict,
         _emit(_as_json({"manifest": manifest, key: rows}), args.out)
 
 
-def _read_quad_config(path: Path) -> dict:
-    """QuadratureConfig fields from a --quad-config file, each key known and
-    each value of its default's type (an integer where that is an int)."""
-    try:
-        loaded = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ParameterDomainError(
-            f"--quad-config {path}: not valid JSON ({exc})") from None
-    if not isinstance(loaded, dict):
-        raise ParameterDomainError("--quad-config must hold a JSON object")
-    defaults = {f.name: f.default for f in dataclasses.fields(QuadratureConfig)}
-    for key, value in loaded.items():
-        if key not in defaults:
-            raise ParameterDomainError(
-                f"--quad-config: unknown key {key!r}; known: {', '.join(defaults)}")
-        kinds = int if isinstance(defaults[key], int) else (int, float)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ParameterDomainError(
-                f"--quad-config: {key} must be {type(defaults[key]).__name__}, "
-                f"got {value!r}")
-    return loaded
-
-
-def _quad_config(args: argparse.Namespace) -> QuadratureConfig:
-    fields = {
-        "angular_nodes": args.angular_nodes,
-        "radial_nodes_per_unit": args.radial_nodes,
-    }
-    if args.quad_config is not None:
-        fields.update(_read_quad_config(args.quad_config))
-    return QuadratureConfig(**fields)
-
-
 def _cmd_bounds(args: argparse.Namespace) -> int:
     if args.R is not None:
         radii = [args.R]
@@ -271,8 +242,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         override = getattr(args, f"tol_{key}", None)
         if override is not None:
             tolerances[key] = override
-    cfg = _quad_config(args)
-    checks = run_suite(args.suite, args.seed, args.trials, cfg, tolerances)
+    checks = run_suite(args.suite, args.seed, args.trials, tolerances)
     nonfinite = [c.name for c in checks if not math.isfinite(c.residual)]
     payload = {
         "manifest": _manifest(args, tolerances),
@@ -356,8 +326,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    cfg = SamplerConfig(seed=args.seed, N=args.N, decay=args.decay)
-    save_series(random_series(cfg), args.out)
+    config = SamplerConfig(seed=args.seed, N=args.N, decay=args.decay)
+    save_series(random_series(config), args.out)
     return EXIT_PASS
 
 

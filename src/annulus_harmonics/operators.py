@@ -60,11 +60,10 @@ from .means import (
     variance_profile,
 )
 from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
     _circle_means,
     _field_means,
     _is_scalar,
+    angular_count,
     radial_integrate,
 )
 from .series import (
@@ -190,12 +189,7 @@ def lambda_from_speed(speed: float) -> float:
 # Integral identities for L_lam applied to the quadratic mean.
 # ---------------------------------------------------------------------------
 
-def identity_residuals(
-    h: HarmonicSeries,
-    lam: float,
-    rho: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> tuple[float, float]:
+def identity_residuals(h: HarmonicSeries, lam: float, rho: float) -> tuple[float, float]:
     """Residuals of the two circle-mean identities for L_lam[U] at rho.
 
     gradient form:  L[U] = 2 mean( |Dh|^2 - (1/rho) d/drho( w |h|^2 ) )
@@ -214,15 +208,10 @@ def identity_residuals(
     # the domain checks run on every call, whether the memo has rho or not
     require_lambda(lam)
     require_radii(rho)
-    return _identity_pair(lam, rho, *_circle_terms(h, rho, cfg.angular_count(2 * h.N)))
+    return _identity_pair(lam, rho, *_circle_terms(h, rho, angular_count(2 * h.N)))
 
 
-def identity_residuals_stack(
-    h: SeriesStack,
-    lam,
-    rho,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def identity_residuals_stack(h: SeriesStack, lam, rho):
     """identity_residuals for every member, circle and lambda of a stack.
 
     rho has shape (B, c), c circles per member, and lam shape (B, c, L),
@@ -237,7 +226,7 @@ def identity_residuals_stack(
     rho = np.asarray(rho, dtype=np.float64)
     require_lambda(lam)
     require_radii(rho)
-    angles = circle_angles(cfg.angular_count(2 * h.N))
+    angles = circle_angles(angular_count(2 * h.N))
     block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
     for i, radii in enumerate(rho.tolist()):
         member = h.series(i)
@@ -293,12 +282,7 @@ def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
 # The weighted radial integral K_lam and its endpoint form.
 # ---------------------------------------------------------------------------
 
-def k_functional(
-    P: RadialProfile,
-    lam,
-    R,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-):
+def k_functional(P: RadialProfile, lam, R):
     """K_lam[P] by radial quadrature of the weighted operator.
 
     For the profile of a stack, lam and R may hold one entry per member;
@@ -318,12 +302,12 @@ def k_functional(
         den = r**2 + lam
         return r * (R_col**2 - r**2) / den * _on_jet(lam, r, den, *P.jet(r))
 
-    return radial_integrate(integrand, 1.0, R, cfg)
+    return radial_integrate(integrand, 1.0, R)
 
 
-def k_quadrature(h, lam, R, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def k_quadrature(h, lam, R):
     """K_lam applied to the quadratic mean of h, by quadrature."""
-    return k_functional(quadratic_mean_profile(h), lam, R, cfg)
+    return k_functional(quadratic_mean_profile(h), lam, R)
 
 
 def k_endpoint(h, lam, R):

@@ -1,33 +1,39 @@
-"""Quadrature over circles and radial intervals.
+"""Quadrature over circles and radial intervals, on one fixed policy.
 
 Angular integrals use the equally spaced trapezoidal rule, which on a full
 period integrates trigonometric polynomials of degree < M exactly.  Since
 every integrand built from a truncated series is band-limited, circle means
 computed here are exact up to rounding once M exceeds twice the integrand
-degree; the default M = max(256, 4N + 8) leaves a wide margin.  The fields
-on the M angles come from the inverse-FFT circle kernel of the series
-module (mode n in bin n mod M, no aliasing at these M), and the Dirichlet
-energy evaluates its Gauss nodes' circles in batches of radii.  The means
-are computed as trapezoid sums over the sampled fields, never from the
-spectrum by Parseval, so they stay an independent check of the closed
-forms in the means module.  One reduction (_field_means) takes these
-means over fields of any leading shape: a single circle, or the block of
-circles a batched caller has filled.  The circle means of a series are
-memoised per (series, rho, M) (_circle_means), so the quadratic mean, the
-enclosed area, the circular mean and the scalar operator identities of one
-circle share one evaluation.
+degree; angular_count(degree) = max(ANGULAR_NODES, 4 degree + 8) leaves a
+wide margin.  The fields on the M angles come from the inverse-FFT circle
+kernel of the series module (mode n in bin n mod M, no aliasing at these
+M), and the Dirichlet energy evaluates its Gauss nodes' circles in batches
+of radii.  The means are computed as trapezoid sums over the sampled
+fields, never from the spectrum by Parseval, so they stay an independent
+check of the closed forms in the means module.  One reduction
+(_field_means) takes these means over fields of any leading shape: a
+single circle, or the block of circles a batched caller has filled.  The
+circle means of a series are memoised per (series, rho, M)
+(_circle_means), so the quadratic mean, the enclosed area, the circular
+mean and the scalar operator identities of one circle share one
+evaluation.
 
 Radial integrals use composite Gauss-Legendre panels whose edges are
-cosine-graded (clustered toward both endpoints), with a doubling refinement
-loop that serves as the error estimate.  An integrand may return a stack of
-integrands at once (one per member of a SeriesStack, each on its own
-interval): they share the panels and refine until the worst has converged.
+cosine-graded (clustered toward both endpoints), RADIAL_NODES_PER_UNIT
+nodes per unit of log-radius at first, with a doubling refinement loop
+that serves as the error estimate: it stops once two levels agree to
+RADIAL_REL_TOL.  An integrand may return a stack of integrands at once
+(one per member of a SeriesStack, each on its own interval): they share
+the panels and refine until the worst has converged.
+
+The policy has no knobs: the angular rule is exact, and the radial rule
+refines until it has converged, so other node counts would change results
+only at rounding level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -57,50 +63,23 @@ _WINDING_TOL = 1e-6
 # (radii, 3, M) field arrays at a few MiB for the largest angle counts.
 _ENERGY_RADII_PER_BATCH = 16
 
-# Upper bounds of the QuadratureConfig node counts.  MAX_ANGULAR_NODES is
-# above the angle count of the largest series read from JSON
-# (angular_count(2 * MAX_JSON_ORDER) = 32776).
-MAX_ANGULAR_NODES = 2**16
-MAX_RADIAL_NODES_PER_UNIT = 2**16
-
 # Most nodes (over all integrands of a stack) one refinement level of
 # radial_integrate may evaluate; a level past it raises instead.
 _RADIAL_NODE_BUDGET = 2**20
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Node counts and refinement policy.
-
-    angular_nodes: minimum number M of equally spaced angles per circle.
-    radial_nodes_per_unit: Gauss-Legendre nodes per unit of log-radius.
-    refinement: panel multiplication factor between refinement levels (>= 2).
-    rel_tol: stop refining once successive levels agree to this relative
-        tolerance.
-    """
-
-    angular_nodes: int = 256
-    radial_nodes_per_unit: int = 64
-    refinement: int = 2
-    rel_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 4 <= self.angular_nodes <= MAX_ANGULAR_NODES:
-            raise ParameterDomainError(
-                f"angular_nodes must lie in 4..{MAX_ANGULAR_NODES}, got {self.angular_nodes}")
-        if not 32 <= self.radial_nodes_per_unit <= MAX_RADIAL_NODES_PER_UNIT:
-            raise ParameterDomainError(
-                f"radial_nodes_per_unit must lie in 32..{MAX_RADIAL_NODES_PER_UNIT}, "
-                f"got {self.radial_nodes_per_unit}")
-        if self.refinement < 2:
-            raise ParameterDomainError("refinement factor must be >= 2")
-
-    def angular_count(self, degree: int) -> int:
-        """Angle count guaranteeing exactness on mode products up to `degree`."""
-        return max(self.angular_nodes, 4 * degree + 8)
+# The quadrature policy: the fewest equally spaced angles per circle, the
+# Gauss-Legendre nodes per unit of log-radius of the first radial level,
+# the relative agreement of two successive levels that stops the
+# refinement, and the most panel doublings after the first level.
+ANGULAR_NODES = 256
+RADIAL_NODES_PER_UNIT = 64
+RADIAL_REL_TOL = 1e-9
+_MAX_REFINEMENTS = 8
 
 
-DEFAULT_CONFIG = QuadratureConfig()
+def angular_count(degree: int) -> int:
+    """Angle count guaranteeing exactness on mode products up to `degree`."""
+    return max(ANGULAR_NODES, 4 * degree + 8)
 
 
 def _field_means(fields: np.ndarray) -> tuple:
@@ -132,35 +111,20 @@ def _circle_means(h: HarmonicSeries, rho: float, M: int) -> tuple:
     return (complex(mean), *map(float, real))
 
 
-def circular_mean(
-    f: HarmonicSeries | Callable[[float, np.ndarray], np.ndarray],
-    rho: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> complex:
-    """Normalized mean over the circle of radius rho.
-
-    `f` is either a HarmonicSeries or a callable f(rho, thetas) returning
-    values at an array of angles.  The mean of a series is a0*log(rho) + b0
-    and the rule reproduces it exactly.
-    """
+def circular_mean(h: HarmonicSeries, rho: float) -> complex:
+    """Normalized mean of h over the circle of radius rho.  It is
+    a0*log(rho) + b0, and the rule reproduces it exactly."""
     require_radii(rho)
-    if isinstance(f, HarmonicSeries):
-        return _circle_means(f, float(rho), cfg.angular_count(f.N))[0]
-    values = np.asarray(f(rho, circle_angles(cfg.angular_nodes)))
-    return complex(np.mean(values))
+    return _circle_means(h, float(rho), angular_count(h.N))[0]
 
 
-def quadratic_mean_numeric(
-    h: HarmonicSeries, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def quadratic_mean_numeric(h: HarmonicSeries, rho: float) -> float:
     """Mean of |h|^2 over C_rho by angular quadrature (the oracle for the
     closed-form profile in the means module)."""
-    return _circle_means(h, float(rho), cfg.angular_count(2 * h.N))[1]
+    return _circle_means(h, float(rho), angular_count(2 * h.N))[1]
 
 
-def winding_number(
-    h: HarmonicSeries, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> int:
+def winding_number(h: HarmonicSeries, rho: float) -> int:
     """Winding of the image curve h(C_rho) about the origin.
 
     Computes the contour integral of dh/h over the circle as the mean of
@@ -168,7 +132,7 @@ def winding_number(
     finite, ZeroOnCircleError if min |h| <= 1e-9 on the nodes and
     WindingNotIntegerError if the mean is farther than 1e-6 from an integer.
     """
-    M = cfg.angular_count(2 * h.N)
+    M = angular_count(2 * h.N)
     f = circle_fields(h, rho, circle_angles(M))
     return winding_from_fields(f.values, f.d_theta, rho)
 
@@ -218,14 +182,12 @@ def winding_from_fields(values: np.ndarray, d_theta: np.ndarray, rho: float) -> 
     return int(nearest)
 
 
-def enclosed_area(
-    h: HarmonicSeries, rho: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def enclosed_area(h: HarmonicSeries, rho: float) -> float:
     """Signed area enclosed by the image curve h(C_rho).
 
     Equals pi times the circle mean of Im(conj(h) * h_theta).
     """
-    return float(np.pi * _circle_means(h, float(rho), cfg.angular_count(2 * h.N))[5])
+    return float(np.pi * _circle_means(h, float(rho), angular_count(2 * h.N))[5])
 
 
 def _is_scalar(x) -> bool:
@@ -253,19 +215,13 @@ def _composite_gauss(g: Callable[[np.ndarray], np.ndarray],
     return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
 
 
-def radial_integrate(
-    g: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    max_refinements: int = 8,
-):
+def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b):
     """Integral of g over [a, b] with a refinement-based error estimate.
 
     `g` must accept an array of radii and return values elementwise.
-    Panels are doubled (by cfg.refinement) until two successive levels agree
-    to cfg.rel_tol relative; QuadratureConvergenceError is raised if that
-    never happens, or before a level would evaluate more than
+    Panels are doubled until two successive levels agree to RADIAL_REL_TOL
+    relative; QuadratureConvergenceError is raised if that does not happen
+    within 8 doublings, or before a level would evaluate more than
     _RADIAL_NODE_BUDGET nodes.  `b` may be an array of upper limits, one
     per integrand of a stack: g then receives radii of shape
     b.shape + (nodes,), and every member gets the panel count of the
@@ -280,7 +236,7 @@ def radial_integrate(
         raise ParameterDomainError("need a < b for a radial integral")
     top = b if scalar else np.max(b)  # the widest interval is [a, top]
     span = max(math.log(top / a), 1e-6)
-    panels = max(4, math.ceil(cfg.radial_nodes_per_unit * span / len(_GL_NODES)))
+    panels = max(4, math.ceil(RADIAL_NODES_PER_UNIT * span / len(_GL_NODES)))
     nodes_per_panel = len(_GL_NODES) * np.size(b)
 
     def level(panels: int):
@@ -292,12 +248,12 @@ def radial_integrate(
         return _composite_gauss(g, a, b, panels)
 
     prev = level(panels)
-    for _ in range(max_refinements):
-        panels *= cfg.refinement
+    for _ in range(_MAX_REFINEMENTS):
+        panels *= 2
         cur = level(panels)
         change = abs(cur - prev)
         # a scalar comparison costs a tenth of an array's .all()
-        ok = change <= cfg.rel_tol * (1.0 + abs(cur))
+        ok = change <= RADIAL_REL_TOL * (1.0 + abs(cur))
         if ok if cur.ndim == 0 else ok.all():
             return float(cur) if cur.ndim == 0 else cur
         prev = cur
@@ -307,12 +263,7 @@ def radial_integrate(
     )
 
 
-def dirichlet_energy(
-    h: HarmonicSeries,
-    rho1: float,
-    rho2: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
     """Energy integral of |Dh|^2 (squared Hilbert-Schmidt norm) over the
     annulus rho1 < |z| < rho2, with the standard area element.
 
@@ -320,7 +271,7 @@ def dirichlet_energy(
     direction is integrated by refined Gauss-Legendre panels and each circle
     mean by the exact trapezoidal rule.
     """
-    M = cfg.angular_count(2 * h.N)
+    M = angular_count(2 * h.N)
 
     def ring_density(rhos: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhos)
@@ -330,4 +281,4 @@ def dirichlet_energy(
             out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out
 
-    return radial_integrate(ring_density, rho1, rho2, cfg)
+    return radial_integrate(ring_density, rho1, rho2)

@@ -1,11 +1,13 @@
 """Verification criteria and the named suites that run them.
 
 A criterion is one checkable statement of the paper's argument, coded once
-as a function `criterion(plan, cfg, tol) -> list[CheckResult]`.  It draws
+as a function `criterion(plan, tol) -> list[CheckResult]`.  It draws
 what it needs, runs an independent numerical comparison (closed form
 against quadrature, or a positivity scan over a grid) and reports each
 residual together with the tolerance it must meet; `tol` is the full
-tolerance table (`DEFAULT_TOLERANCES` with any overrides).  A criterion
+tolerance table (`DEFAULT_TOLERANCES` with any overrides).  The
+quadratures run on the one fixed policy of the quadrature module, so the
+tolerances are the only numbers a caller can change.  A criterion
 returns several checks when they share draws, so no draw is evaluated
 twice.
 
@@ -64,7 +66,7 @@ from .operators import (
     k_functional,
     k_quadrature,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, enclosed_area
+from .quadrature import enclosed_area
 from .sampling import (
     SamplerConfig,
     injectivity_probe,
@@ -168,8 +170,7 @@ def _draw_config(rng: np.random.Generator, n_lo: int, n_hi: int,
 # Criteria.
 # ---------------------------------------------------------------------------
 
-def extremal_annihilation(plan: DrawPlan, cfg: QuadratureConfig,
-                          tol: dict[str, float]) -> list[CheckResult]:
+def extremal_annihilation(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     grid = np.linspace(1.0, E32, 502)[1:]
     residuals = [np.abs(LambdaOperator(lam).apply(
         quadratic_mean_profile(extremal_map(lam)), grid)) for lam in EXTREMAL_LAMS]
@@ -180,8 +181,7 @@ def extremal_annihilation(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
-                      tol: dict[str, float]) -> list[CheckResult]:
+def circle_identities(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """Both circle-mean identities on 3 circles per series and 10 lambdas
     per circle, evaluated per chunk of series: one circle_fields call per
     circle, then every (series, circle, lambda) of the chunk at once."""
@@ -194,7 +194,7 @@ def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
     rhos, lams = np.array(rhos), np.array(lams)
     grad, ang = [], []
     for rows, h in random_series_stack(configs).chunks():
-        g, a = identity_residuals_stack(h, lams[rows], rhos[rows], cfg)
+        g, a = identity_residuals_stack(h, lams[rows], rhos[rows])
         grad.append(g)
         ang.append(a)
     return [
@@ -211,8 +211,7 @@ def circle_identities(plan: DrawPlan, cfg: QuadratureConfig,
     ]
 
 
-def divergence_form(plan: DrawPlan, cfg: QuadratureConfig,
-                    tol: dict[str, float]) -> list[CheckResult]:
+def divergence_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     rng = _rng(plan, 2)
     configs, lams, rhos = [], [], []
     for _ in range(plan.trials):
@@ -230,8 +229,7 @@ def divergence_form(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def variance_subsolution(plan: DrawPlan, cfg: QuadratureConfig,
-                         tol: dict[str, float]) -> list[CheckResult]:
+def variance_subsolution(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """Floor, mode chain and second-derivative checks of the variance, all
     from one evaluation of V's jet per drawn (series, lambda); the termwise
     second derivative that V'' is checked against has its own formula."""
@@ -289,8 +287,7 @@ def _mode_chain(h, rho, v, dv, d2v):
     return 0.5 * (d2v + dv / rho) + (2.0 / rho**2) * (n2_cross - v)
 
 
-def equality_family(plan: DrawPlan, cfg: QuadratureConfig,
-                    tol: dict[str, float]) -> list[CheckResult]:
+def equality_family(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """L_lam annihilates the variance of a log term plus a unimodular
     rotation of the extremal mode pair.  Keeping the rotation unimodular and
     lam >= -0.8 pins the 1/(1+lam)^2 coefficient scale, so the absolute
@@ -316,8 +313,7 @@ def equality_family(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def endpoint_identity(plan: DrawPlan, cfg: QuadratureConfig,
-                      tol: dict[str, float]) -> list[CheckResult]:
+def endpoint_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     rng = _rng(plan, 5)
     configs, lams, Rs = [], [], []
     for _ in range(plan.trials):
@@ -329,7 +325,7 @@ def endpoint_identity(plan: DrawPlan, cfg: QuadratureConfig,
     for rows, h in random_series_stack(configs).chunks():
         U = quadratic_mean_profile(h)
         ke = k_endpoint(U, lams[rows], Rs[rows])
-        kq = k_functional(U, lams[rows], Rs[rows], cfg)
+        kq = k_functional(U, lams[rows], Rs[rows])
         residuals.append(np.abs(kq - ke) / (1.0 + np.abs(ke)))
     return [_check(
         "endpoint-match",
@@ -338,18 +334,16 @@ def endpoint_identity(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def extremal_k_zero(plan: DrawPlan, cfg: QuadratureConfig,
-                    tol: dict[str, float]) -> list[CheckResult]:
+def extremal_k_zero(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     return [_check(
         "extremal-zero",
         "the weighted integral vanishes for the extremal maps",
-        [abs(k_quadrature(extremal_map(lam), lam, 2.5, cfg)) for lam in EXTREMAL_LAMS],
+        [abs(k_quadrature(extremal_map(lam), lam, 2.5)) for lam in EXTREMAL_LAMS],
         tol["extremal_k"],
     )]
 
 
-def mode_form(plan: DrawPlan, cfg: QuadratureConfig,
-              tol: dict[str, float]) -> list[CheckResult]:
+def mode_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """One random single-mode series per (R, n) on a fixed grid, drawn in
     that order (a_n, then b_n, each real part first) and integrated in
     chunks of the stack."""
@@ -363,7 +357,7 @@ def mode_form(plan: DrawPlan, cfg: QuadratureConfig,
     a[np.arange(ns.size), ns - 1] = a_n
     b[np.arange(ns.size), ns - 1] = b_n
     stack = SeriesStack(N=N, a=a, b=b, a0=np.zeros(ns.size), b0=np.zeros(ns.size))
-    residuals = [bnd.mode_quadratic_form_residual(h, ns[rows], Rs[rows], cfg)
+    residuals = [bnd.mode_quadratic_form_residual(h, ns[rows], Rs[rows])
                  for rows, h in stack.chunks()]
     return [_check(
         "mode-form",
@@ -372,8 +366,7 @@ def mode_form(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def variance_lower_bound(plan: DrawPlan, cfg: QuadratureConfig,
-                         tol: dict[str, float]) -> list[CheckResult]:
+def variance_lower_bound(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """One draw per two trials: each draw is an adaptive radial quadrature."""
     rng = _rng(plan, 7)
     configs, Rs = [], []
@@ -383,7 +376,7 @@ def variance_lower_bound(plan: DrawPlan, cfg: QuadratureConfig,
     Rs = np.array(Rs)
     residuals = []
     for rows, h in random_series_stack(configs).chunks():
-        lhs, rhs = bnd.variance_k_bound(h, Rs[rows], cfg)
+        lhs, rhs = bnd.variance_k_bound(h, Rs[rows])
         residuals.append(rhs - lhs)
     return [_check(
         "variance-lower-bound",
@@ -392,31 +385,28 @@ def variance_lower_bound(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def inner_circle_identity(plan: DrawPlan, cfg: QuadratureConfig,
-                          tol: dict[str, float]) -> list[CheckResult]:
+def inner_circle_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     rng = _rng(plan, 8)
     stack = random_series_stack([_draw_config(rng, 10, 10, 0.4)
                                  for _ in range(plan.trials)])
     return [_check(
         "inner-circle-identity",
         "inner-circle boundary data equals the mode energy excess",
-        [bnd.inner_circle_identity_residual(h, cfg) for _, h in stack.chunks()],
+        [bnd.inner_circle_identity_residual(h) for _, h in stack.chunks()],
         tol["boundary"],
     )]
 
 
-def inner_area_limit(plan: DrawPlan, cfg: QuadratureConfig,
-                     tol: dict[str, float]) -> list[CheckResult]:
+def inner_area_limit(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     return [_check(
         "inner-area-limit",
         "enclosed area of the critical map tends to pi at the inner circle",
-        [abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5, cfg) - math.pi)],
+        [abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5) - math.pi)],
         tol["area_limit"],
     )]
 
 
-def wide_certificate(plan: DrawPlan, cfg: QuadratureConfig,
-                     tol: dict[str, float]) -> list[CheckResult]:
+def wide_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     cert = bnd.wide_annulus_certificate
     # endpoint values recomputed independently at 30 digits
     endpoint_res = [
@@ -448,8 +438,7 @@ def wide_certificate(plan: DrawPlan, cfg: QuadratureConfig,
     ]
 
 
-def mode_certificate(plan: DrawPlan, cfg: QuadratureConfig,
-                     tol: dict[str, float]) -> list[CheckResult]:
+def mode_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """Positivity, expansion, n = 2 factorization and monotonicity of the
     per-mode certificate, from one table over n in [2, 50] x 40 radii."""
     ns = np.arange(2, 51)
@@ -484,8 +473,7 @@ def mode_certificate(plan: DrawPlan, cfg: QuadratureConfig,
     ]
 
 
-def conformal_weights(plan: DrawPlan, cfg: QuadratureConfig,
-                      tol: dict[str, float]) -> list[CheckResult]:
+def conformal_weights(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     # 50 radii on [1, R] for each of 10 R, by 9 lambdas: R x lambda x rho
     Rs = np.linspace(1.05, E32, 10)
     rho = np.linspace(1.0, Rs, 50, axis=-1)
@@ -510,8 +498,7 @@ def conformal_weights(plan: DrawPlan, cfg: QuadratureConfig,
     ]
 
 
-def bound_ordering(plan: DrawPlan, cfg: QuadratureConfig,
-                   tol: dict[str, float]) -> list[CheckResult]:
+def bound_ordering(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     violation = []
     for R in np.linspace(1.001, 20.0, 400):
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
@@ -523,8 +510,7 @@ def bound_ordering(plan: DrawPlan, cfg: QuadratureConfig,
     )]
 
 
-def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
-                         tol: dict[str, float]) -> list[CheckResult]:
+def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """Schottky's conformal refinement on A(1, 2).  `schottky_check` proves
     injectivity from the coefficients and runs the sampled injectivity
     probe only on draws it cannot certify; the draws of the first chunk
@@ -537,7 +523,7 @@ def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
     failed, radius_deficit, area_deficit, mode_deficit, speed_dev = [], [], [], [], []
     certificate_gap = []
     for rows, h in stack.chunks():
-        reports = bnd.schottky_check(h, R, cfg)
+        reports = bnd.schottky_check(h, R)
         ok = np.array([r.applicable and r.windings_ok and r.jacobian_min > 0.0
                        for r in reports])
         certified = np.array([r.injectivity_margin > 0.0 for r in reports])
@@ -595,13 +581,11 @@ def conformal_refinement(plan: DrawPlan, cfg: QuadratureConfig,
 # ---------------------------------------------------------------------------
 
 def _suite(name: str, doc: str, *criteria):
-    def run(
-        seed: int, trials: int, cfg: QuadratureConfig = DEFAULT_CONFIG,
-        tol: dict[str, float] | None = None,
-    ) -> list[CheckResult]:
+    def run(seed: int, trials: int,
+            tol: dict[str, float] | None = None) -> list[CheckResult]:
         plan = DrawPlan(seed, trials)
         t = {**DEFAULT_TOLERANCES, **(tol or {})}
-        return [c for criterion in criteria for c in criterion(plan, cfg, t)]
+        return [c for criterion in criteria for c in criterion(plan, t)]
 
     run.__name__ = run.__qualname__ = f"run_{name}"
     run.__doc__ = doc
@@ -644,11 +628,8 @@ SUITES = {
 }
 
 
-def run_suite(
-    name: str, seed: int, trials: int,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    tol: dict[str, float] | None = None,
-) -> list[CheckResult]:
+def run_suite(name: str, seed: int, trials: int,
+              tol: dict[str, float] | None = None) -> list[CheckResult]:
     """Run one named suite, or all of them for name == "all".
 
     Results are sorted by check name so reports are deterministic.
@@ -656,9 +637,9 @@ def run_suite(
     if name == "all":
         checks: list[CheckResult] = []
         for suite in SUITES.values():
-            checks.extend(suite(seed, trials, cfg, tol))
+            checks.extend(suite(seed, trials, tol))
         return sorted(checks, key=lambda c: c.name)
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{sorted(SUITES)} or 'all'")
-    return sorted(SUITES[name](seed, trials, cfg, tol), key=lambda c: c.name)
+    return sorted(SUITES[name](seed, trials, tol), key=lambda c: c.name)

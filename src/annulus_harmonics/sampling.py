@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, has_winding
+from .quadrature import angular_count, has_winding
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
@@ -74,8 +74,9 @@ def _scales(N: int, decay: float, extra: int) -> np.ndarray:
     return scales
 
 
-def _row_scales(cfg: SamplerConfig) -> np.ndarray:
-    return _scales(cfg.N, cfg.decay, int(cfg.include_log) + int(cfg.include_const))
+def _row_scales(config: SamplerConfig) -> np.ndarray:
+    return _scales(config.N, config.decay,
+                   int(config.include_log) + int(config.include_const))
 
 
 def _require_seed(seed) -> None:
@@ -269,27 +270,27 @@ def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:
     return scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
 
 
-def random_series(cfg: SamplerConfig) -> HarmonicSeries:
+def random_series(config: SamplerConfig) -> HarmonicSeries:
     """Deterministic pseudo-random series for the given config.
 
     Each coefficient takes two uniforms, magnitude then phase, in the order
     a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0 when included, all
-    from np.random.default_rng(cfg.seed); one draw of the whole table gives
-    the same stream as drawing them singly.
+    from np.random.default_rng(config.seed); one draw of the whole table
+    gives the same stream as drawing them singly.
     """
-    scales = _row_scales(cfg)
-    u = np.random.default_rng(cfg.seed).random((scales.size, 2))
+    scales = _row_scales(config)
+    u = np.random.default_rng(config.seed).random((scales.size, 2))
     coeffs = _coefficients(scales, u)
-    N = cfg.N
+    N = config.N
     # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
     table = coeffs[:4 * N].reshape(N, 2, 2)
     return HarmonicSeries(N=N, a=table[:, :, 0].T.ravel(), b=table[:, :, 1].T.ravel(),
-                          a0=coeffs[4 * N] if cfg.include_log else 0j,
-                          b0=coeffs[-1] if cfg.include_const else 0j)
+                          a0=coeffs[4 * N] if config.include_log else 0j,
+                          b0=coeffs[-1] if config.include_const else 0j)
 
 
 def random_series_stack(configs: Sequence[SamplerConfig]) -> SeriesStack:
-    """The stack of random_series(cfg) for every config, zero-padded to the
+    """The stack of random_series(config) for every config, zero-padded to the
     largest N: member i has exactly the coefficients of
     random_series(configs[i]), its uniforms drawn by _streams with the bits
     of its own generator.  No configs give the empty stack of order 0."""
@@ -414,7 +415,6 @@ def injectivity_probe(
     rho_samples: int = 24,
     theta_samples: int = 96,
     circles: int = 8,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> InjectivityProbe:
     """Heuristic evidence of injectivity on A(1, R).
 
@@ -452,7 +452,7 @@ def injectivity_probe(
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, circles + 2)[1:-1]
-    M = cfg.angular_count(2 * h.N)
+    M = angular_count(2 * h.N)
     ok = []
     for block in _radius_blocks(radii, members, M):
         f = circle_grid_fields(h, block, M, ("values", "d_theta"))

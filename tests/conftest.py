@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from annulus_harmonics import QuadratureConfig, SamplerConfig, random_series
-
-
-@pytest.fixture(scope="session")
-def cfg():
-    return QuadratureConfig()
+from annulus_harmonics import SamplerConfig, random_series
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from annulus_harmonics import (
     winding_number,
 )
 from annulus_harmonics import reports
-from annulus_harmonics.quadrature import DEFAULT_CONFIG, dirichlet_energy
+from annulus_harmonics.quadrature import dirichlet_energy
 from annulus_harmonics.reports import (
     DEFAULT_TOLERANCES,
     DrawPlan,
@@ -78,7 +78,7 @@ def accept(test_tag: str) -> None:
     ran = 0
     for tag, criterion, plan in PINNED:
         if tag.startswith(test_tag):
-            for c in criterion(plan, DEFAULT_CONFIG, DEFAULT_TOLERANCES):
+            for c in criterion(plan, DEFAULT_TOLERANCES):
                 report(tag, c.name, c.residual, c.tolerance)
                 ran += 1
     assert ran, f"no pinned criterion has the tag {test_tag!r}"
@@ -230,8 +230,8 @@ def test_nan_on_a_later_draw_fails_the_criterion(monkeypatch):
     real = reports.identity_residuals_stack
     entries = []
 
-    def residuals(h, lam, rho, cfg):
-        grad, ang = real(h, lam, rho, cfg)
+    def residuals(h, lam, rho):
+        grad, ang = real(h, lam, rho)
         entries.append(grad.size)
         if len(entries) == 2:
             grad[-1, -1, -1] = math.nan

@@ -25,7 +25,6 @@ from annulus_harmonics.means import (
     variance_deriv2_termwise,
 )
 from annulus_harmonics.operators import k_endpoint, k_functional
-from annulus_harmonics.quadrature import DEFAULT_CONFIG
 from annulus_harmonics.sampling import (
     SamplerConfig,
     random_conformal_perturbation,
@@ -264,7 +263,7 @@ def test_nan_in_one_draw_fails_the_batched_check(monkeypatch, criterion, owner, 
         return spoil(result) if len(calls) == 2 else result
 
     monkeypatch.setattr(owner, name, spoiled)
-    checks = {c.name: c for c in criterion(reports.DrawPlan(5, 40), DEFAULT_CONFIG,
+    checks = {c.name: c for c in criterion(reports.DrawPlan(5, 40),
                                            reports.DEFAULT_TOLERANCES)}
     assert len(calls) >= 2
     for check in failing:
@@ -274,7 +273,7 @@ def test_nan_in_one_draw_fails_the_batched_check(monkeypatch, criterion, owner, 
 
 def conformal_checks(plan):
     return {c.name: c for c in reports.conformal_refinement(
-        plan, DEFAULT_CONFIG, reports.DEFAULT_TOLERANCES)}
+        plan, reports.DEFAULT_TOLERANCES)}
 
 
 def test_conformal_refinement_probes_the_first_chunk_only(monkeypatch):
@@ -324,7 +323,7 @@ def test_nan_in_one_certificate_entry_fails_the_check(monkeypatch):
     monkeypatch.setattr(bounds, "mode_form_certificate",
                         lambda n, R: nan_member(real(n, R), member=(7, 0)))
     checks = {c.name: c for c in reports.mode_certificate(
-        reports.DrawPlan(0, 1), DEFAULT_CONFIG, reports.DEFAULT_TOLERANCES)}
+        reports.DrawPlan(0, 1), reports.DEFAULT_TOLERANCES)}
     assert all(math.isnan(c.residual) and not c.passed for c in checks.values())
 
 

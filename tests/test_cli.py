@@ -204,23 +204,6 @@ def test_series_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
     rejected(capsys, "check", "--series", str(tmp_path), "--R", "2.0")
 
 
-@pytest.mark.parametrize("text", [
-    '{"angular_nodes": 512',                 # truncated JSON
-    '["angular_nodes", 512]',                # not an object
-    '{"angular_nodez": 512}',                # unknown key
-    '{"angular_nodes": 300.5}',              # non-integral count
-    '{"refinement": true}',                  # boolean count
-    '{"rel_tol": "tight"}',                  # tolerance not a number
-    '{"angular_nodes": 10000000000000}',     # over MAX_ANGULAR_NODES
-    '{"radial_nodes_per_unit": 10000000000000}',  # over MAX_RADIAL_NODES_PER_UNIT
-])
-def test_malformed_quad_config_is_a_usage_error(tmp_path, capsys, text):
-    path = tmp_path / "quad.json"
-    path.write_text(text)
-    rejected(capsys, "verify", "certificates", "--trials", "1",
-             "--quad-config", str(path))
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -239,12 +222,16 @@ def test_verify_certificates(capsys):
     ("profile", "--lambda", "0.5", "--R", "2.0", "--steps", "0"),
     ("evolve", "--lambda", "0.5", "--R", "2.0", "--steps", "0"),
     ("bounds", "--R-min", "2.0", "--R-max", "3.0", "--steps", "0"),
+    ("profile", "--lambda", "0.5", "--R", "2.0", "--steps", str(cli.MAX_STEPS + 1)),
+    ("evolve", "--lambda", "0.5", "--R", "2.0", "--steps", str(cli.MAX_STEPS + 1)),
+    ("bounds", "--R-min", "2.0", "--R-max", "3.0", "--steps", str(cli.MAX_STEPS + 1)),
     ("verify", "all", "--trials", "0"),
     ("verify", "all", "--trials", "-3"),
     ("verify", "all", "--trials", str(reports.MAX_TRIALS + 1)),
     ("verify", "all", "--trials", str(10**18)),
     ("sample", "--seed", "-1", "--N", "3", "--out", "{tmp}/s.json"),
 ], ids=["profile-steps-0", "evolve-steps-0", "bounds-steps-0",
+        "profile-steps-above-cap", "evolve-steps-above-cap", "bounds-steps-above-cap",
         "verify-trials-0", "verify-trials-negative", "verify-trials-above-cap",
         "verify-trials-huge", "sample-seed-negative"])
 def test_out_of_range_integer_is_a_usage_error(tmp_path, capsys, argv):
@@ -259,6 +246,33 @@ def test_out_of_range_integer_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
     assert len([l for l in captured.err.splitlines() if "error: " in l]) == 1
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--R-min", "1.5", "--R-max", "3.0"),
+    ("evolve", "--lambda", "0.5", "--R", "2.0"),
+    ("profile", "--lambda", "0.5", "--R", "2.0"),
+], ids=lambda argv: argv[0])
+def test_steps_at_the_cap_run(tmp_path, argv):
+    """--steps takes up to MAX_STEPS rows (one more is a usage error, in
+    test_out_of_range_integer_is_a_usage_error)."""
+    out = tmp_path / "rows.json"
+    assert main([*argv, "--steps", str(cli.MAX_STEPS), "--format", "json",
+                 "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["rows"]) >= cli.MAX_STEPS
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-9"])
+def test_tolerance_override_must_be_finite_and_nonnegative(monkeypatch, capsys, value):
+    """A --tol-* override that is not a finite number >= 0 is a usage error
+    before any draw, not a traceback from the JSON writer after the run."""
+    monkeypatch.setattr(cli, "run_suite", lambda *args: pytest.fail("drew"))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "certificates", "--trials", "1", f"--tol-certificate={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and captured.out == ""
+    assert "Traceback" not in captured.err
+    assert "finite number >= 0" in captured.err
 
 
 def test_one_parser_serves_every_call_of_a_process(monkeypatch, capsys):
@@ -433,15 +447,6 @@ def test_json_output_round_trips(capsys):
     assert again == row
 
 
-def test_quad_config_file(tmp_path, capsys):
-    cfg_path = tmp_path / "quad.json"
-    cfg_path.write_text(json.dumps({"angular_nodes": 512, "rel_tol": 1e-10}))
-    code, out = run(capsys, "verify", "kfunctional", "--trials", "2",
-                    "--quad-config", str(cfg_path))
-    assert code == 0
-    assert json.loads(out)["all_passed"]
-
-
 def test_verify_all_passes(capsys):
     code, out = run(capsys, "verify", "all", "--seed", "1", "--trials", "20")
     payload = json.loads(out)
@@ -549,7 +554,7 @@ def test_evolve_series_csv_writes_plain_floats(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# overflow and oversized node counts: a typed error on one line, exit 1
+# overflow: a typed error on one line, exit 1
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("argv", [
@@ -572,18 +577,3 @@ def test_check_rejects_an_initial_speed_too_large_for_its_lambda(tmp_path, capsy
     save_series(HarmonicSeries.from_coeffs(a0=1.0, b0=1e-160), path)
     err = rejected(capsys, "check", "--series", str(path), "--R", "2.0")
     assert "initial speed" in err
-
-
-@pytest.mark.parametrize("flags", [
-    ("--angular-nodes", "10000000000000"),
-    ("--radial-nodes", "10000000000000"),
-    ("--quad-config", '{"refinement": 1000000000}'),          # past the node budget
-    ("--quad-config", '{"refinement": 1000000, "rel_tol": 0.0}'),
-], ids=lambda flags: " ".join(flags))
-def test_oversized_node_count_is_a_usage_error(tmp_path, capsys, flags):
-    option, value = flags
-    if option == "--quad-config":
-        path = tmp_path / "quad.json"
-        path.write_text(value)
-        value = str(path)
-    rejected(capsys, "verify", "kfunctional", "--trials", "1", option, value)

@@ -22,7 +22,7 @@ from annulus_harmonics import (
 )
 from annulus_harmonics import operators, reports
 from annulus_harmonics.operators import identity_residuals, speed_bound
-from annulus_harmonics.quadrature import DEFAULT_CONFIG, QuadratureConfig
+from annulus_harmonics.quadrature import angular_count
 from annulus_harmonics.sampling import normalize_inner, perturb_extremal
 from annulus_harmonics.series import (
     SERIES_PER_CHUNK,
@@ -147,7 +147,7 @@ def pointwise_identity_residuals(h, lam, rho):
     """The identities as means of the pointwise integrands, with the
     magnitude of the largest term: the reference for identity_residuals."""
     lhs = float(LambdaOperator(lam).apply(quadratic_mean_profile(h), rho))
-    f = circle_fields(h, rho, circle_angles(DEFAULT_CONFIG.angular_count(2 * h.N)))
+    f = circle_fields(h, rho, circle_angles(angular_count(2 * h.N)))
     habs2 = np.abs(f.values) ** 2
     grad_sq = np.abs(f.d_rho) ** 2 + np.abs(f.d_theta) ** 2 / rho**2
     den = rho**2 + lam
@@ -164,10 +164,10 @@ def pointwise_identity_residuals(h, lam, rho):
     return abs(lhs - rhs_gradient), abs(lhs - rhs_angular), scale
 
 
-def fresh_identity_residuals(h, lam, rho, cfg=DEFAULT_CONFIG):
+def fresh_identity_residuals(h, lam, rho):
     """identity_residuals on an empty circle-term memo (a cache miss)."""
     operators._circle_terms.cache_clear()
-    return identity_residuals(h, lam, rho, cfg)
+    return identity_residuals(h, lam, rho)
 
 
 @pytest.mark.parametrize("N", [0, 1, 4, 16, 128])
@@ -210,14 +210,14 @@ def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
     real = reports.identity_residuals_stack
     calls = []
 
-    def record(h, lam, rho, cfg):
-        out = real(h, lam, rho, cfg)
+    def record(h, lam, rho):
+        out = real(h, lam, rho)
         calls.append((h, lam, rho, out))
         return out
 
     monkeypatch.setattr(reports, "identity_residuals_stack", record)
     plan = reports.DrawPlan(3, SERIES_PER_CHUNK + 3)
-    reports.circle_identities(plan, DEFAULT_CONFIG, reports.DEFAULT_TOLERANCES)
+    reports.circle_identities(plan, reports.DEFAULT_TOLERANCES)
     rng = np.random.default_rng((plan.seed, 1))
     assert [len(h) for h, *_ in calls] == [SERIES_PER_CHUNK, 3]
     for stack, lams, rhos, (grad, ang) in calls:
@@ -267,14 +267,14 @@ def test_memoised_circle_terms_in_both_loop_orders(tame_series):
 def test_memo_keys_on_series_identity_and_angle_count(tame_series):
     h = tame_series(seed=8, N=6)
     twin = tame_series(seed=8, N=6)  # equal coefficients, another object
-    fine = QuadratureConfig(angular_nodes=1024)
-    want_fine = fresh_identity_residuals(h, 0.5, 2.0, fine)
+    fine = 4 * angular_count(2 * h.N)  # an explicit M past the default
     operators._circle_terms.cache_clear()
+    want_fine = operators._circle_terms(h, 2.0, fine)
     first = identity_residuals(h, 0.5, 2.0)
     assert identity_residuals(twin, 0.5, 2.0) == first
-    assert identity_residuals(h, 0.5, 2.0, fine) == want_fine
+    assert operators._circle_terms(h, 2.0, fine) == want_fine
     info = operators._circle_terms.cache_info()
-    assert (info.misses, info.hits) == (3, 0)
+    assert (info.misses, info.hits) == (3, 1)
 
 
 @pytest.mark.parametrize("lam,rho", [

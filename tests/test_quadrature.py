@@ -9,7 +9,6 @@ from annulus_harmonics import (
     HarmonicSeries,
     NumericOverflowError,
     ParameterDomainError,
-    QuadratureConfig,
     ZeroOnCircleError,
     circular_mean,
     dirichlet_energy,
@@ -21,10 +20,8 @@ from annulus_harmonics import (
     winding_number,
 )
 from annulus_harmonics.quadrature import (
-    DEFAULT_CONFIG,
-    MAX_ANGULAR_NODES,
-    MAX_RADIAL_NODES_PER_UNIT,
     _RADIAL_NODE_BUDGET,
+    angular_count,
     circle_angles,
     winding_from_fields,
 )
@@ -53,16 +50,11 @@ def test_mean_of_pure_oscillation_vanishes(n):
 
 
 def test_mean_of_critical_modulus_squared():
-    def f(rho, thetas):
-        vals = circle_fields(CRITICAL, rho, thetas).values
-        return np.abs(vals) ** 2
-
-    assert circular_mean(f, 2.0).real == pytest.approx(1.5625, abs=1e-13)
+    assert quadratic_mean_numeric(CRITICAL, 2.0) == pytest.approx(1.5625, abs=1e-13)
 
 
 def test_mode_orthogonality_table(rng):
     # Cross-mode means vanish; same-mode means equal |a rho^n + b rho^-n|^2.
-    cfg = QuadratureConfig()
     for _ in range(40):
         n = int(rng.integers(-6, 7))
         m = int(rng.integers(-6, 7))
@@ -75,7 +67,7 @@ def test_mode_orthogonality_table(rng):
         hn = HarmonicSeries.from_coeffs(a={n: a_n}, b={n: b_n})
         hm = HarmonicSeries.from_coeffs(a={m: a_m}, b={m: b_m})
         rho = rng.uniform(1.0, 2.5)
-        thetas = circle_angles(cfg.angular_count(2 * max(abs(n), abs(m))))
+        thetas = circle_angles(angular_count(2 * max(abs(n), abs(m))))
         vn = circle_fields(hn, rho, thetas).values
         vm = circle_fields(hm, rho, thetas).values
         prod = np.mean(vn * np.conj(vm))
@@ -244,46 +236,29 @@ def test_radial_rejects_bad_interval():
         radial_integrate(lambda r: r, -1.0, 1.0)
 
 
-def test_config_validation():
-    with pytest.raises(ParameterDomainError):
-        QuadratureConfig(angular_nodes=2)
-    with pytest.raises(ParameterDomainError):
-        QuadratureConfig(radial_nodes_per_unit=8)
-    with pytest.raises(ParameterDomainError):
-        QuadratureConfig(refinement=1)
-
-
-@pytest.mark.parametrize("field, top", [("angular_nodes", MAX_ANGULAR_NODES),
-                                        ("radial_nodes_per_unit", MAX_RADIAL_NODES_PER_UNIT)])
-def test_config_bounds_the_node_counts(field, top):
-    assert getattr(QuadratureConfig(**{field: top}), field) == top
-    for count in (top + 1, 10**13):
-        with pytest.raises(ParameterDomainError, match=field):
-            QuadratureConfig(**{field: count})
-
-
 def test_angular_bound_covers_the_largest_series_from_json():
-    assert DEFAULT_CONFIG.angular_count(2 * MAX_JSON_ORDER) <= MAX_ANGULAR_NODES
+    # the trapezoid rule is exact below degree M: the quadratic means of the
+    # largest series read from JSON have degree 2 * MAX_JSON_ORDER
+    for degree in (1, 62, 63, 2 * MAX_JSON_ORDER):
+        assert angular_count(degree) > 2 * degree
 
 
-@pytest.mark.parametrize("cfg, b", [
-    (QuadratureConfig(refinement=10**9), 2.0),                  # the first refinement
-    (QuadratureConfig(rel_tol=0.0, refinement=10**6), 2.0),     # nothing converges
-    (QuadratureConfig(radial_nodes_per_unit=MAX_RADIAL_NODES_PER_UNIT), 1e300),  # level 0
-    (DEFAULT_CONFIG, np.full(2000, 1e300)),                      # a wide stack
-])
-def test_radial_levels_past_the_node_budget_raise_before_evaluating(cfg, b):
+@pytest.mark.parametrize("b", [1e300, np.full(2000, 1e300)],
+                         ids=["a-refinement", "level-0-of-a-wide-stack"])
+def test_radial_levels_past_the_node_budget_raise_before_evaluating(b):
     from annulus_harmonics import QuadratureConvergenceError
 
     sizes = []
 
     def g(r):
+        # a sign flip per level: two levels never agree
         sizes.append(r.size)
-        return np.ones_like(r)
+        return np.full_like(r, (-1.0) ** len(sizes))
 
     with pytest.raises(QuadratureConvergenceError, match="budget"):
-        radial_integrate(g, 1.0, b, cfg)
+        radial_integrate(g, 1.0, b)
     assert max(sizes, default=0) <= _RADIAL_NODE_BUDGET
+    assert len(sizes) == (5 if np.ndim(b) == 0 else 0)
 
 
 def test_winding_near_pole_is_not_integer():

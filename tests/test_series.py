@@ -21,7 +21,7 @@ from annulus_harmonics import (
     theorem_gate,
     to_json_dict,
 )
-from annulus_harmonics.quadrature import DEFAULT_CONFIG
+from annulus_harmonics.quadrature import angular_count
 from annulus_harmonics.sampling import SamplerConfig, perturb_extremal, random_series
 from annulus_harmonics.series import (
     circle_angles,
@@ -442,7 +442,7 @@ def kernel_grids(N):
     """Angle counts that fold modes together (M <= 2N) and the count the
     quadratures use."""
     folding = {M for M in (1, 3, N, 2 * N) if 1 <= M <= 2 * N} or {1}
-    return sorted(folding | {DEFAULT_CONFIG.angular_count(2 * N)})
+    return sorted(folding | {angular_count(2 * N)})
 
 
 @pytest.mark.parametrize("N", KERNEL_ORDERS)
@@ -476,7 +476,7 @@ def test_off_grid_angles_match_direct_sum(N):
     N, so interpolating them at the refused angles gives the direct sum."""
     h = kernel_series(N)
     thetas = np.random.default_rng(N).uniform(-7.0, 7.0, size=9)
-    M = DEFAULT_CONFIG.angular_count(2 * N)
+    M = angular_count(2 * N)
     assert M > 2 * N
     phases = np.exp(1j * np.outer(thetas, np.fft.fftfreq(M, 1.0 / M)))
     for rho in (0.8, 1.7):
