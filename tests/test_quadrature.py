@@ -243,9 +243,15 @@ def test_angular_bound_covers_the_largest_series_from_json():
         assert angular_count(degree) > 2 * degree
 
 
-@pytest.mark.parametrize("b", [1e300, np.full(2000, 1e300)],
-                         ids=["a-refinement", "level-0-of-a-wide-stack"])
-def test_radial_levels_past_the_node_budget_raise_before_evaluating(b):
+# The first three ids keep the names these cases had when the test was
+# parametrized over a quadrature config and the upper limit b.
+@pytest.mark.parametrize("b, levels", [
+    pytest.param(np.full(20000, 2.0), 1, id="cfg0-2.0"),   # the first refinement
+    pytest.param(np.full(2000, 2.0), 4, id="cfg1-2.0"),    # nothing converges
+    pytest.param(1e300, 5, id="cfg2-1e+300"),              # a later refinement
+    pytest.param(np.full(2000, 1e300), 0, id="level-0-of-a-wide-stack"),
+])
+def test_radial_levels_past_the_node_budget_raise_before_evaluating(b, levels):
     from annulus_harmonics import QuadratureConvergenceError
 
     sizes = []
@@ -258,7 +264,7 @@ def test_radial_levels_past_the_node_budget_raise_before_evaluating(b):
     with pytest.raises(QuadratureConvergenceError, match="budget"):
         radial_integrate(g, 1.0, b)
     assert max(sizes, default=0) <= _RADIAL_NODE_BUDGET
-    assert len(sizes) == (5 if np.ndim(b) == 0 else 0)
+    assert len(sizes) == levels
 
 
 def test_winding_near_pole_is_not_integer():
