@@ -2,7 +2,7 @@
 
 Commands:
     bounds   print the sharp and classical lower bounds for one R or a sweep
-    verify   run a named verification suite and emit a JSON report
+    verify   run a named verification suite and emit a JSON (or CSV) report
     evolve   tabulate mean radius against the speed bound along the radii
     profile  sample a radial mean profile with its derivatives
     check    gate one series file against the applicable bound
@@ -186,16 +186,24 @@ def _as_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _csv_field(v) -> str:
+    """A float in round-trip precision; text with a comma, quote or line
+    break quoted as in RFC 4180."""
+    if isinstance(v, float):
+        return repr(float(v))
+    text = str(v)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _as_csv(rows: list[dict], manifest: dict) -> str:
     lines = [f"# {k}: {json.dumps(v)}" for k, v in manifest.items()]
     if rows:
         cols = list(rows[0])
         lines.append(",".join(cols))
         for row in rows:
-            lines.append(",".join(
-                repr(float(v)) if isinstance(v, float) else str(v) for v in
-                (row[c] for c in cols)
-            ))
+            lines.append(",".join(_csv_field(row[c]) for c in cols))
     return "\n".join(lines) + "\n"
 
 
@@ -244,22 +252,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             tolerances[key] = override
     checks = run_suite(args.suite, args.seed, args.trials, tolerances)
     nonfinite = [c.name for c in checks if not math.isfinite(c.residual)]
-    payload = {
-        "manifest": _manifest(args, tolerances),
-        "suite": args.suite,
-        "checks": [
-            {**c.to_dict(), "residual": repr(c.residual)}
-            if c.name in nonfinite else c.to_dict()
-            for c in checks
-        ],
-        "all_passed": all(c.passed for c in checks),
-    }
-    _emit(_as_json(payload), args.out)
+    manifest = _manifest(args, tolerances)
+    all_passed = all(c.passed for c in checks)
+    if args.format == "csv":  # one row per check; a non-finite residual reads nan/inf
+        _emit(_as_csv([c.to_dict() for c in checks],
+                      {**manifest, "suite": args.suite, "all_passed": all_passed}),
+              args.out)
+    else:
+        _emit(_as_json({
+            "manifest": manifest,
+            "suite": args.suite,
+            "checks": [
+                {**c.to_dict(), "residual": repr(c.residual)}
+                if c.name in nonfinite else c.to_dict()
+                for c in checks
+            ],
+            "all_passed": all_passed,
+        }), args.out)
     if nonfinite:
         print(f"error: non-finite residual in {', '.join(nonfinite)}",
               file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_PASS if payload["all_passed"] else EXIT_FAIL
+    return EXIT_PASS if all_passed else EXIT_FAIL
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:

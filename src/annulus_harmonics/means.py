@@ -31,13 +31,22 @@ radii (B, m, 2K + 3) for a block of members at a time once the table would
 pass _JET_TABLE_ENTRIES (512 KiB); the matmul is per member, so the blocks
 give the same bits.
 
-quadratic_mean_profile keeps the profiles of the last 32 series it was
-given, keyed by the series' identity: the operators, bounds and sampling
-modules ask for U of the same series many times, and each build costs a
-weight table.  The profile of a stack is built afresh: a batched criterion
-builds U once per chunk and hands it to every caller, and 32 kept chunks
-would hold their coefficient and weight tables (~16 KiB each) to the end
-of a run.
+quadratic_mean_profile and variance_profile keep the profiles of the last
+32 series they were given, keyed by the series' identity: the operators,
+bounds and sampling modules ask for U and V of the same series many times,
+and each build costs a weight table.  The profile of a stack is built
+afresh: a batched criterion builds U once per chunk and hands it to every
+caller, and 32 kept chunks would hold their coefficient and weight tables
+(~16 KiB each) to the end of a run.
+
+Every profile also keeps the jet tables of the last _JET_MEMO_SIZE (4)
+radii it was evaluated at as a Python float (numpy float64 included),
+read-only and dropped least recently used first: value, deriv1 and deriv2
+at one radius then cost one power table, and k_endpoint's U(1), U'(1)
+stay in the memo while R varies.  Arrays, 0-d arrays included, bypass it,
+and so does a table whose entries do not sum to a finite number (any NaN
+or inf entry), so an overflow warns on every call.  A memoised table is
+the one the evaluation would compute, so the memo changes no bit.
 
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
@@ -46,6 +55,7 @@ at rho = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -84,6 +94,10 @@ class RadialProfile:
 def _unwrap(out: np.ndarray) -> np.ndarray | float:
     return out if out.shape else float(out)
 
+
+# Float radii whose jet tables a profile keeps: value, deriv1 and deriv2 at
+# one radius share a table, and k_endpoint reads U at 1 and at R.
+_JET_MEMO_SIZE = 4
 
 # Most entries (radii x basis functions) of one power table that
 # RadialProfile.jet builds for a stack with radii per member, 512 KiB; above
@@ -152,9 +166,26 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
     weights[..., -2, 2] = -2.0 * alpha
     weights[..., -1, 0] = alpha
 
+    memo: dict[float, np.ndarray] = {}
+
     def jet(rho) -> np.ndarray:
         """(..., 3) array of U, U', U'' at rho; for a stack the member axis
-        leads (rho a scalar, (m,) or (B, m), as in the series module)."""
+        leads (rho a scalar, (m,) or (B, m), as in the series module).  A
+        float rho goes through the memo of the module docstring."""
+        if not isinstance(rho, float):
+            return table(rho)
+        out = memo.pop(rho, None)
+        if out is None:
+            out = table(rho)
+            if not math.isfinite(sum(out.ravel().tolist())):  # a NaN or inf entry
+                return out
+            out.flags.writeable = False
+            if len(memo) >= _JET_MEMO_SIZE:  # drop the least recently used
+                del memo[next(iter(memo))]
+        memo[rho] = out
+        return out
+
+    def table(rho) -> np.ndarray:
         r = np.asarray(rho, dtype=np.float64)
         shape = None
         if two_k.ndim > 1 and r.ndim < 2:  # exponents per member: radii (B, m)
@@ -212,7 +243,18 @@ def _memo_quadratic_mean_profile(h: HarmonicSeries) -> RadialProfile:
 
 
 def variance_profile(h: HarmonicSeries) -> RadialProfile:
-    """Variance V(rho) = U(rho) - |circle mean|^2 (the n != 0 part of U)."""
+    """Variance V(rho) = U(rho) - |circle mean|^2 (the n != 0 part of U).
+
+    Memoised on the series' identity like quadratic_mean_profile; a
+    stack's profile is built afresh.
+    """
+    if isinstance(h, SeriesStack):
+        return _sum_profile(h, "V", include_zero=False)
+    return _memo_variance_profile(h)
+
+
+@lru_cache(maxsize=32)
+def _memo_variance_profile(h: HarmonicSeries) -> RadialProfile:
     return _sum_profile(h, "V", include_zero=False)
 
 

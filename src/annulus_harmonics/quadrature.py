@@ -22,9 +22,12 @@ Radial integrals use composite Gauss-Legendre panels whose edges are
 cosine-graded (clustered toward both endpoints), RADIAL_NODES_PER_UNIT
 nodes per unit of log-radius at first, with a doubling refinement loop
 that serves as the error estimate: it stops once two levels agree to
-RADIAL_REL_TOL.  An integrand may return a stack of integrands at once
-(one per member of a SeriesStack, each on its own interval): they share
-the panels and refine until the worst has converged.
+RADIAL_REL_TOL.  The grading 1 - cos(t) on the panel count's equally
+spaced t in [0, pi] is tabulated once per panel count (_grading, read-only)
+and scaled to each interval as a + width * 0.5 * grading, the same bits
+as computing it afresh.  An integrand may return a stack of integrands at
+once (one per member of a SeriesStack, each on its own interval): they
+share the panels and refine until the worst has converged.
 
 The policy has no knobs: the angular rule is exact, and the radial rule
 refines until it has converged, so other node counts would change results
@@ -195,13 +198,20 @@ def _is_scalar(x) -> bool:
     return isinstance(x, (float, int)) or np.ndim(x) == 0
 
 
+@lru_cache(maxsize=64)
+def _grading(panels: int) -> np.ndarray:
+    """1 - cos(t) on panels + 1 equally spaced t in [0, pi], read-only."""
+    out = 1.0 - np.cos(np.linspace(0.0, np.pi, panels + 1))
+    out.flags.writeable = False
+    return out
+
+
 def _panel_edges(a: float, b, panels: int) -> np.ndarray:
     # Cosine grading clusters panels toward both endpoints; the weighted
     # integrands used here vanish at the outer edge, so the grading keeps
     # endpoint resolution without adaptive logic.
-    t = np.linspace(0.0, np.pi, panels + 1)
     width = b - a if _is_scalar(b) else (np.asarray(b) - a)[..., None]
-    return a + width * 0.5 * (1.0 - np.cos(t))
+    return a + width * 0.5 * _grading(panels)
 
 
 def _composite_gauss(g: Callable[[np.ndarray], np.ndarray],

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: outputs, exit codes, reproducibility."""
 
+import csv
 import hashlib
 import json
 import math
@@ -332,6 +333,30 @@ def test_verify_embeds_manifest(capsys):
     assert manifest["environment"] == {"python": platform.python_version(),
                                        "numpy": np.__version__,
                                        "platform": platform.platform()}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "certificates", "--trials", "1"),
+    ("verify", "certificates", "--trials", "1", "--tol-certificate-rel", "1e-30"),
+], ids=["pass", "fail"])
+def test_verify_csv_writes_one_row_per_check(capsys, argv):
+    code_j, out_j = run(capsys, *argv)
+    code_c, out_c = run(capsys, *argv, "--format", "csv")
+    assert code_c == code_j
+    payload = json.loads(out_j)
+    comments = [l[2:] for l in out_c.splitlines() if l.startswith("# ")]
+    manifest = {k: json.loads(v) for k, v in (l.split(": ", 1) for l in comments)}
+    assert manifest["flags"]["format"] == "csv"
+    assert manifest["tolerances"] == payload["manifest"]["tolerances"]
+    assert (manifest["suite"], manifest["all_passed"]) == (payload["suite"],
+                                                           payload["all_passed"])
+    rows = list(csv.DictReader(l for l in out_c.splitlines() if not l.startswith("#")))
+    assert len(rows) == len(payload["checks"])
+    for row, check in zip(rows, payload["checks"]):
+        assert (row["name"], row["statement"]) == (check["name"], check["statement"])
+        assert float(row["residual"]) == check["residual"]  # repr round-trip
+        assert float(row["tolerance"]) == check["tolerance"]
+        assert row["passed"] == str(check["passed"])
 
 
 def nan_on_call(monkeypatch, name, call, pick=lambda x: math.nan):

@@ -1,5 +1,7 @@
 """Closed-form mean profiles, class flags, speeds and the energy identity."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from annulus_harmonics import (
 )
 from annulus_harmonics import means
 from annulus_harmonics.means import variance_deriv2_termwise
+from annulus_harmonics.operators import k_endpoint
 from annulus_harmonics.quadrature import circle_angles
 from annulus_harmonics.series import SeriesStack, circle_fields
 
@@ -375,3 +378,99 @@ def test_mean_outer_radius_overflow_is_a_typed_error(R):
     h = random_series(SamplerConfig(seed=7, N=8))
     with pytest.raises(NumericOverflowError):
         mean_outer_radius(h, R if np.ndim(R) == 0 else np.array(R))
+
+
+# ---------------------------------------------------------------------------
+# the per-profile memo of scalar jet tables
+# ---------------------------------------------------------------------------
+
+def _count_tables(monkeypatch) -> list:
+    """Record the radii of every means._jet_table call."""
+    radii = []
+    table = means._jet_table
+
+    def counted(r, two_k, weights):
+        radii.append(np.array(r))
+        return table(r, two_k, weights)
+
+    monkeypatch.setattr(means, "_jet_table", counted)
+    return radii
+
+
+def _memo(P: RadialProfile) -> dict:
+    return inspect.getclosurevars(P._jet).nonlocals["memo"]
+
+
+def test_value_and_derivatives_at_a_float_radius_share_one_table(monkeypatch):
+    U = quadratic_mean_profile(random_series(SamplerConfig(seed=11, N=12, decay=0.2)))
+    radii = [1.0 + 2.0 * i / 50 for i in range(1, 51)]
+    tables = _count_tables(monkeypatch)
+    rows = [(U.value(r), U.deriv1(r), U.deriv2(r)) for r in radii]
+    assert len(tables) == 50
+    for r, row in zip(radii, rows):
+        fresh = [float(col[0]) for col in U.jet(np.array([r]))]
+        assert [float(x).hex() for x in row] == [x.hex() for x in fresh]
+        assert [float(x).hex() for x in U.jet(r)] == [x.hex() for x in fresh]
+        assert len(_memo(U)) <= means._JET_MEMO_SIZE == 4
+
+
+def test_k_endpoint_builds_the_inner_jet_once(monkeypatch):
+    U = quadratic_mean_profile(random_series(SamplerConfig(seed=12, N=6, decay=0.2)))
+    tables = _count_tables(monkeypatch)
+    for i in range(10):
+        k_endpoint(U, -0.5 + 0.1 * i, 1.5 + 0.2 * i)
+    assert sum(bool(np.all(r == 1.0)) for r in tables) == 1
+    assert len(tables) == 11
+
+
+def test_memo_keeps_the_last_four_radii():
+    U = quadratic_mean_profile(random_series(SamplerConfig(seed=13, N=4)))
+    memo = _memo(U)
+    for r in np.linspace(1.1, 3.0, 100).tolist():
+        U.value(r)
+        assert len(memo) <= 4
+    assert list(memo) == np.linspace(1.1, 3.0, 100).tolist()[-4:]
+    assert all(not table.flags.writeable for table in memo.values())
+
+
+def test_arrays_bypass_the_jet_memo(monkeypatch):
+    U = quadratic_mean_profile(random_series(SamplerConfig(seed=14, N=4)))
+    tables = _count_tables(monkeypatch)
+    for rho in (np.array(1.5), np.array([1.5]), np.array(1.5), np.array([1.5])):
+        out = U.jet(rho)
+        assert not _memo(U)
+    assert len(tables) == 4
+    assert out[0].flags.writeable
+
+
+def test_stack_jet_at_a_float_radius_is_read_only():
+    P = quadratic_mean_profile(SeriesStack.of([CRITICAL, IDENTITY]))
+    value, d1, d2 = P.jet(1.5)
+    assert value.shape == (2,)
+    for column in (value, d1, d2, P.value(1.5), P.deriv2(1.5)):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0.0
+    assert np.array_equal(np.stack(P.jet(1.5)), np.stack(P.jet(np.array([1.5])))[..., 0])
+
+
+def test_nan_and_overflowing_radii_are_not_memoised():
+    U = quadratic_mean_profile(random_series(SamplerConfig(seed=15, N=8)))
+    for _ in range(2):
+        assert all(np.isnan(x) for x in U.jet(float("nan")))
+    assert not _memo(U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(U.value(1e200))
+    assert not _memo(U)
+    with pytest.raises(RuntimeWarning):  # warns again: nothing was kept
+        U.value(1e200)
+
+
+def test_variance_profile_is_memoised_per_series():
+    h = random_series(SamplerConfig(seed=16, N=5))
+    V = variance_profile(h)
+    assert variance_profile(h) is V
+    stack = SeriesStack.of([CRITICAL, IDENTITY])
+    before = means._memo_variance_profile.cache_info().currsize
+    assert variance_profile(stack) is not variance_profile(stack)
+    assert means._memo_variance_profile.cache_info().currsize == before

@@ -21,6 +21,8 @@ from annulus_harmonics import (
 )
 from annulus_harmonics.quadrature import (
     _RADIAL_NODE_BUDGET,
+    _grading,
+    _panel_edges,
     angular_count,
     circle_angles,
     winding_from_fields,
@@ -282,3 +284,18 @@ def test_radial_nonconvergence_raises():
 
     with pytest.raises(QuadratureConvergenceError):
         radial_integrate(lambda r: np.sin(1e6 * r * r), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("b", [2.5, np.array([1.5, 2.0, 4.0])], ids=["scalar-b", "array-b"])
+def test_cached_grading_gives_the_panel_edges_bit_for_bit(b):
+    a = 1.0
+    width = b - a if np.ndim(b) == 0 else (b - a)[..., None]
+    for panels in range(4, 4097):
+        t = np.linspace(0.0, np.pi, panels + 1)
+        want = a + width * 0.5 * (1.0 - np.cos(t))
+        got = _panel_edges(a, b, panels)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), panels
+    assert not _grading(4096).flags.writeable
+    with pytest.raises(ValueError):
+        _grading(4096)[0] = 1.0
