@@ -27,7 +27,13 @@ spaced t in [0, pi] is tabulated once per panel count (_grading, read-only)
 and scaled to each interval as a + width * 0.5 * grading, the same bits
 as computing it afresh.  An integrand may return a stack of integrands at
 once (one per member of a SeriesStack, each on its own interval): they
-share the panels and refine until the worst has converged.
+share the panels and refine until the worst has converged.  Nearly every
+integral stops at the first doubling, so the first two levels (p and 2p
+panels) are evaluated by one call of the integrand on both levels' nodes,
+concatenated along the node axis, whenever their 3p panels' nodes fit
+_RADIAL_NODE_BUDGET; each later level is one call.  The integrand must
+therefore be pure and elementwise in the radii: each level's sum then has
+the bits it has from a call of its own.
 
 The policy has no knobs: the angular rule is exact, and the radial rule
 refines until it has converged, so other node counts would change results
@@ -215,27 +221,43 @@ def _panel_edges(a: float, b, panels: int) -> np.ndarray:
 
 
 def _composite_gauss(g: Callable[[np.ndarray], np.ndarray],
-                     a: float, b, panels: int):
-    edges = _panel_edges(a, b, panels)
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+                     a: float, b, *panel_counts: int) -> list:
+    """The composite Gauss-Legendre sums of g over [a, b], one per panel
+    count, from one call of g on all their nodes: the levels' panels are
+    concatenated in the order given, and each level's weighted terms are
+    summed apart, so every sum has the bits of a call of its own."""
+    edges = [_panel_edges(a, b, panels) for panels in panel_counts]
+    lo = np.concatenate([e[..., :-1] for e in edges], axis=-1)
+    hi = np.concatenate([e[..., 1:] for e in edges], axis=-1)
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
     nodes = mid[..., None] + half[..., None] * _GL_NODES
     vals = np.asarray(g(nodes.reshape(nodes.shape[:-2] + (-1,))), dtype=np.float64)
     terms = half[..., None] * _GL_WEIGHTS * vals.reshape(vals.shape[:-1] + nodes.shape[-2:])
-    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    sums, start = [], 0
+    for panels in panel_counts:
+        level = terms[..., start:start + panels, :]
+        sums.append(level.reshape(level.shape[:-2] + (-1,)).sum(axis=-1))
+        start += panels
+    return sums
 
 
 def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b):
     """Integral of g over [a, b] with a refinement-based error estimate.
 
-    `g` must accept an array of radii and return values elementwise.
+    `g` must accept an array of radii and return values elementwise, and
+    be pure: it may be called on the nodes of two levels at once.
     Panels are doubled until two successive levels agree to RADIAL_REL_TOL
     relative; QuadratureConvergenceError is raised if that does not happen
     within 8 doublings, or before a level would evaluate more than
-    _RADIAL_NODE_BUDGET nodes.  `b` may be an array of upper limits, one
-    per integrand of a stack: g then receives radii of shape
-    b.shape + (nodes,), and every member gets the panel count of the
-    widest interval and is refined until the worst member has converged.  g may also return leading axes
+    _RADIAL_NODE_BUDGET nodes.  The first two levels (p and 2p panels) are
+    one call of g when their 3p panels' nodes fit that budget together;
+    otherwise level p is a call of its own, so no call passes the budget
+    and the raise comes after the same level.  Each later level is one
+    call.  `b` may be an array of upper limits, one per integrand of a
+    stack: g then receives radii of shape b.shape + (nodes,), and every
+    member gets the panel count of the widest interval and is refined
+    until the worst member has converged.  g may also return leading axes
     of its own (one integrand per member of a stack on one interval).  The
     result is a float, or an array over those axes.
     """
@@ -255,12 +277,18 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b):
             raise QuadratureConvergenceError(
                 f"radial quadrature on [{a}, {top}] would evaluate {nodes} nodes "
                 f"at one level, past the budget of {_RADIAL_NODE_BUDGET}")
-        return _composite_gauss(g, a, b, panels)
+        return _composite_gauss(g, a, b, panels)[0]
 
-    prev = level(panels)
+    # Nearly every integral stops at the first doubling, so levels p and 2p
+    # share one call of g whenever their 3p panels fit the budget together.
+    if 3 * panels * nodes_per_panel <= _RADIAL_NODE_BUDGET:
+        prev, doubled = _composite_gauss(g, a, b, panels, 2 * panels)
+    else:
+        prev, doubled = level(panels), None
     for _ in range(_MAX_REFINEMENTS):
         panels *= 2
-        cur = level(panels)
+        cur = level(panels) if doubled is None else doubled
+        doubled = None
         change = abs(cur - prev)
         # a scalar comparison costs a tenth of an array's .all()
         ok = change <= RADIAL_REL_TOL * (1.0 + abs(cur))
@@ -287,7 +315,7 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
         out = np.empty_like(rhos)
         for lo in range(0, rhos.size, _ENERGY_RADII_PER_BATCH):
             r = rhos[lo:lo + _ENERGY_RADII_PER_BATCH]
-            g = circle_grid_fields(h, r, M).grad_norm_sq(r)
+            g = circle_grid_fields(h, r, M, ("d_rho", "d_theta")).grad_norm_sq(r)
             out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out
 

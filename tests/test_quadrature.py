@@ -19,6 +19,7 @@ from annulus_harmonics import (
     radial_integrate,
     winding_number,
 )
+from annulus_harmonics import quadrature
 from annulus_harmonics.quadrature import (
     _RADIAL_NODE_BUDGET,
     _grading,
@@ -28,7 +29,7 @@ from annulus_harmonics.quadrature import (
     winding_from_fields,
 )
 from annulus_harmonics.series import MAX_JSON_ORDER
-from annulus_harmonics.series import circle_fields
+from annulus_harmonics.series import circle_fields, circle_grid_fields
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
@@ -215,6 +216,29 @@ def test_energy_identity_random(tame_series):
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+@pytest.mark.parametrize("N", [1, 6, 64, 128])
+def test_energy_rings_transform_only_the_rows_they_use(N, tame_series, monkeypatch):
+    h = tame_series(seed=N, N=N)
+    M = angular_count(2 * N)
+
+    def three_row_density(rhos):
+        out = np.empty_like(rhos)
+        for lo in range(0, rhos.size, 16):
+            r = rhos[lo:lo + 16]
+            g = circle_grid_fields(h, r, M).grad_norm_sq(r)
+            out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
+        return out
+
+    want = radial_integrate(three_row_density, 1.2, 1.9)
+    rows = []
+    real = quadrature.circle_grid_fields
+    monkeypatch.setattr(quadrature, "circle_grid_fields",
+                        lambda h, r, M, fields: rows.append(fields) or real(h, r, M, fields))
+    got = dirichlet_energy(h, 1.2, 1.9)
+    assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
+    assert set(rows) == {("d_rho", "d_theta")}
+
+
 # ---------------------------------------------------------------------------
 # radial integration
 # ---------------------------------------------------------------------------
@@ -253,20 +277,125 @@ def test_angular_bound_covers_the_largest_series_from_json():
     pytest.param(1e300, 5, id="cfg2-1e+300"),              # a later refinement
     pytest.param(np.full(2000, 1e300), 0, id="level-0-of-a-wide-stack"),
 ])
-def test_radial_levels_past_the_node_budget_raise_before_evaluating(b, levels):
+def test_radial_levels_past_the_node_budget_raise_before_evaluating(b, levels, monkeypatch):
     from annulus_harmonics import QuadratureConvergenceError
 
+    # at a negative tolerance no two levels agree, so the integrand can stay
+    # pure (the first two levels may share one call)
+    monkeypatch.setattr(quadrature, "RADIAL_REL_TOL", -1.0)
     sizes = []
 
     def g(r):
-        # a sign flip per level: two levels never agree
         sizes.append(r.size)
-        return np.full_like(r, (-1.0) ** len(sizes))
+        return np.ones_like(r)
 
     with pytest.raises(QuadratureConvergenceError, match="budget"):
         radial_integrate(g, 1.0, b)
     assert max(sizes, default=0) <= _RADIAL_NODE_BUDGET
-    assert len(sizes) == levels
+    # levels p, 2p, ..., 2^(levels-1) p: (2^levels - 1) p panels in all
+    assert sum(sizes) == (2**levels - 1) * _first_panels(1.0, b) * 8 * np.size(b)
+
+
+def _first_panels(a, b):
+    """The first level's panel count: 64 nodes per unit of log-radius of the
+    widest interval, 8 nodes per panel, at least 4 panels."""
+    top = b if np.ndim(b) == 0 else np.max(b)
+    return max(4, math.ceil(64 * max(math.log(top / a), 1e-6) / 8))
+
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _one_level(g, a, b, panels):
+    """The composite Gauss-Legendre sum of g at one panel count, from its
+    own call of g."""
+    edges = _panel_edges(a, b, panels)
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = mid[..., None] + half[..., None] * _NODES
+    vals = np.asarray(g(nodes.reshape(nodes.shape[:-2] + (-1,))), dtype=np.float64)
+    terms = half[..., None] * _WEIGHTS * vals.reshape(vals.shape[:-1] + nodes.shape[-2:])
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+
+
+def _level_by_level(g, a, b):
+    """The refinement loop with one call of g per level: the reference the
+    shared first call must reproduce bit for bit."""
+    panels = _first_panels(a, b)
+    prev = _one_level(g, a, b, panels)
+    for _ in range(8):
+        panels *= 2
+        cur = _one_level(g, a, b, panels)
+        if np.all(abs(cur - prev) <= 1e-9 * (1.0 + abs(cur))):
+            return cur
+        prev = cur
+    raise AssertionError("the reference did not converge")
+
+
+def _stack_case():
+    """A 16-member stack, each member on its own interval [1, R_i]."""
+    from annulus_harmonics.sampling import SamplerConfig, random_series_stack
+
+    stack = random_series_stack([SamplerConfig(seed=s, N=10) for s in range(16)])
+    U = quadratic_mean_profile(stack)
+    rng = np.random.default_rng(5)
+    R = rng.uniform(1.05, math.exp(1.5), size=16)
+    lam = rng.uniform(-0.95, 1.0, size=16)[:, None]
+
+    def g(r):
+        u, du, d2u = U.jet(r)
+        return r * (R[:, None] ** 2 - r * r) / (r * r + lam) * (d2u + du / r - u)
+
+    return g, R
+
+
+def _integrand_cases():
+    from annulus_harmonics import SamplerConfig, random_series
+
+    U = quadratic_mean_profile(random_series(SamplerConfig(seed=3, N=8)))
+    return {
+        "scalar-b": (lambda r: r * (2.3**2 - r * r) * U.jet(r)[2], 2.3),
+        "array-b": _stack_case(),
+        "leading-axes": (lambda r: np.stack(U.jet(r)), 3.1),
+        "third-level": (lambda r: np.cos(40.0 * r), 2.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["scalar-b", "array-b", "leading-axes", "third-level"])
+def test_shared_first_call_gives_the_level_by_level_bits(case):
+    g, b = _integrand_cases()[case]
+    want = np.asarray(_level_by_level(g, 1.0, b))
+    got = np.asarray(radial_integrate(g, 1.0, b))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("k, calls", [(10.0, 1), (40.0, 2)], ids=["first-doubling", "third-level"])
+def test_first_two_levels_are_one_call_of_the_integrand(k, calls):
+    sizes = []
+
+    def g(r):
+        sizes.append(r.size)
+        return np.cos(k * r)
+
+    radial_integrate(g, 1.0, 2.0)
+    p = _first_panels(1.0, 2.0) * 8
+    assert sizes == [3 * p, 4 * p][:calls]
+
+
+def test_first_two_levels_past_the_budget_together_are_two_calls():
+    # p fits the budget and so does 2p, but 3p does not
+    b = np.full(8000, 2.0)
+    p = _first_panels(1.0, 2.0) * 8 * b.size
+    assert 2 * p <= _RADIAL_NODE_BUDGET < 3 * p
+    sizes = []
+
+    def g(r):
+        sizes.append(r.size)
+        return r * r
+
+    radial_integrate(g, 1.0, b)
+    assert sizes == [p, 2 * p]
 
 
 def test_winding_near_pole_is_not_integer():
