@@ -14,9 +14,9 @@ check of the closed forms in the means module.  One reduction
 (_field_means) takes these means over fields of any leading shape: a
 single circle, or the block of circles a batched caller has filled.  The
 circle means of a series are memoised per (series, rho, M)
-(_circle_means), so the quadratic mean, the enclosed area, the circular
-mean and the scalar operator identities of one circle share one
-evaluation.
+(_circle_means), and all of them take angular_count(2 N) angles, so the
+quadratic mean, the enclosed area, the circular mean and the scalar
+operator identities of one circle share one evaluation.
 
 Radial integrals use composite Gauss-Legendre panels whose edges are
 cosine-graded (clustered toward both endpoints), RADIAL_NODES_PER_UNIT
@@ -122,9 +122,10 @@ def _circle_means(h: HarmonicSeries, rho: float, M: int) -> tuple:
 
 def circular_mean(h: HarmonicSeries, rho: float) -> complex:
     """Normalized mean of h over the circle of radius rho.  It is
-    a0*log(rho) + b0, and the rule reproduces it exactly."""
+    a0*log(rho) + b0, and the rule reproduces it exactly.  It takes the
+    quadratic mean's angle count, so the two share one circle evaluation."""
     require_radii(rho)
-    return _circle_means(h, float(rho), angular_count(h.N))[0]
+    return _circle_means(h, float(rho), angular_count(2 * h.N))[0]
 
 
 def quadratic_mean_numeric(h: HarmonicSeries, rho: float) -> float:

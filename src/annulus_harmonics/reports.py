@@ -21,8 +21,9 @@ forms ignore the plan.  The draw ranges are constants of each criterion.
 A criterion first makes all of its draws, in the order a draw-by-draw loop
 would make them, and then evaluates them in batches: the drawn series form
 a SeriesStack (random_series_stack or random_conformal_perturbation; each
-member has the coefficients of np.random.default_rng of its own seed, drawn
-for the whole stack by one vectorized pass of sampling._streams),
+member has the coefficients of np.random.default_rng of its own seed:
+sampling._streams hashes the whole stack's seeds in one vectorized pass and
+draws each member's stream with numpy's PCG64),
 evaluated in chunks of SERIES_PER_CHUNK (16) members, with the per-draw
 parameters as arrays.  The circle identities (C02) take a chunk's
 3 circles per member and 10 lambdas per circle in one

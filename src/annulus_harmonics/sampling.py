@@ -5,12 +5,14 @@ The stream contract: a drawn series (`random_series`, a member of
 uniforms from np.random.default_rng(seed) of its own seed, in the order its
 docstring gives, so a draw depends on its seed alone and never on the other
 members of its stack.  `random_series` makes that generator; the stacks
-compute the same doubles for all their seeds at once with `_streams`, a
-vectorized copy of numpy's SeedSequence hashing, PCG64 seeding and
-`Generator.random` that jumps each stream ahead in one affine step per draw
-and matches the generators bit for bit.  `_streams` has a fixed cost of
-roughly a quarter of a millisecond, the cost of about fifteen generators,
-so one-off series keep their generator.
+compute the same doubles for all their seeds at once with `_streams`: a
+vectorized copy of numpy's SeedSequence hashing gives every seed's PCG64
+seed words in one array pass, and numpy's own PCG64, seeded from those
+words, draws each stream, bit for bit as the generators do.  The hash is
+the costly part of a generator, so this is cheaper than a generator per
+member; but `_streams` has a fixed cost of roughly a tenth of a
+millisecond, the cost of seven or eight generators (~15 us each), so one-off
+series keep their generator.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
@@ -48,8 +51,6 @@ class SamplerConfig:
     seed: int
     N: int = 8
     decay: float = 0.6
-    include_log: bool = True
-    include_const: bool = True
 
     def __post_init__(self) -> None:
         _require_seed(self.seed)
@@ -64,19 +65,14 @@ class SamplerConfig:
 
 
 @lru_cache(maxsize=64)
-def _scales(N: int, decay: float, extra: int) -> np.ndarray:
+def _scales(N: int, decay: float) -> np.ndarray:
     """Magnitude scale of each coefficient row: decay**n for a_n, b_n, a_-n
-    and b_-n, n = 1..N, then 1 for the `extra` rows a0 and b0."""
-    scales = np.ones(4 * N + extra)
+    and b_-n, n = 1..N, then 1 for the rows a0 and b0."""
+    scales = np.ones(4 * N + 2)
     # Python-float powers: numpy's array power can differ in the last bit
     scales[:4 * N] = np.repeat([decay**n for n in range(1, N + 1)], 4)
     scales.setflags(write=False)
     return scales
-
-
-def _row_scales(config: SamplerConfig) -> np.ndarray:
-    return _scales(config.N, config.decay,
-                   int(config.include_log) + int(config.include_const))
 
 
 def _require_seed(seed) -> None:
@@ -91,20 +87,15 @@ def _require_seed(seed) -> None:
 # ---------------------------------------------------------------------------
 # The stream kernel: the doubles of np.random.default_rng(seed).random(k) for
 # many seeds at once.  default_rng(seed) is PCG64 seeded through
-# SeedSequence(seed); the constants are numpy's (bit_generator.pyx, pcg64.h).
+# SeedSequence(seed); the hash constants are numpy's (bit_generator.pyx).
 # ---------------------------------------------------------------------------
 
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_MASK32 = 2**32 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _POOL_WORDS = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-# Most stream entries (draws of all seeds together) one pass of _streams holds
-# in its uint64 temporaries: about twenty arrays of 4096 entries, 640 KiB.
-STREAM_BLOCK = 4096
 
 
 @lru_cache(maxsize=8)
@@ -173,99 +164,45 @@ def _generate_state(pool: np.ndarray) -> np.ndarray:
     return half[0::2] | (half[1::2] << np.uint64(32))
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(a * b) mod 2**128 for 128-bit values held as (high, low) uint64
-    arrays: the low words' full product through their 32-bit limbs, the
-    cross terms mod 2**64 (uint64 arrays wrap silently)."""
-    low, half = np.uint64(_MASK32), np.uint64(32)
-    a0, a1 = a_lo & low, a_lo >> half
-    b0, b1 = b_lo & low, b_lo >> half
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = p00 >> half
-    mid += p01 & low
-    mid += p10 & low
-    hi = a1 * b1
-    for term in (p01 >> half, p10 >> half, mid >> half, a_hi * b_lo, a_lo * b_hi):
-        hi += term
-    return hi, a_lo * b_lo
+class _SeedWords(ISeedSequence):
+    """The seed sequence of one seed whose generate_state(4, np.uint64)
+    words are already computed: np.random.PCG64(_SeedWords(words)) seeds
+    itself from them exactly as from SeedSequence(seed)."""
 
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
 
-def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(a + b) mod 2**128, in place in a."""
-    a_lo += b_lo
-    a_hi += b_hi
-    a_hi += a_lo < b_lo
-    return a_hi, a_lo
-
-
-@lru_cache(maxsize=8)
-def _jumps(size: int) -> tuple[np.ndarray, ...]:
-    """The affine maps of k = 1..size PCG64 steps (Brown 1994): state_k =
-    M^k state_0 + (sum_{j<k} M^j) inc mod 2**128, as the (high, low) uint64
-    words of M^k and of the sum, row k - 1.  Sizes are powers of two."""
-    mults, sums = [], []
-    mult, total = 1, 0
-    for _ in range(size):
-        total = (total + mult) & _MASK128
-        mult = mult * _PCG_MULT & _MASK128
-        mults.append(mult)
-        sums.append(total)
-    table = tuple(np.array([x >> shift & _MASK64 for x in col], dtype=np.uint64)
-                  for col in (mults, sums) for shift in (64, 0))
-    for arr in table:
-        arr.setflags(write=False)
-    return table  # (mult_hi, mult_lo, sum_hi, sum_lo)
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
 
 
 def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     """The concatenation of np.random.default_rng(s).random(k) over the
-    pairs (s, k) of `seeds` and `counts` (k >= 1), with the same bits,
-    computed by array passes over all seeds at once.
+    pairs (s, k) of `seeds` and `counts` (k >= 1), with the same bits.
 
-    1. SeedSequence(s) hashes the seed's uint32 words into a pool of 4 words.
-    2. generate_state(4, uint64) gives (seed_hi, seed_lo, inc_hi, inc_lo).
-    3. PCG64 sets inc = (initseq << 1) | 1 and state = ((inc + seed) M + inc)
-       mod 2**128 (O'Neill 2014): one step from inc + seed.
-    4. Draw j of a seed is the XSL-RR output rotr64(hi ^ lo, hi >> 58) of
-       its state after j + 1 more steps, j + 2 steps from inc + seed, taken
-       from the jump table, and the double is (x >> 11) 2**-53, as in
-       Generator.random.
-
-    Every operand is an ndarray (ndim >= 1): numpy wraps array integer
-    overflow silently where scalar overflow warns.  Stage 4 runs in passes
-    of at most STREAM_BLOCK entries.
+    default_rng(s) is PCG64 seeded with SeedSequence(s).generate_state(4,
+    np.uint64).  Those words are hashed for all seeds at once, by array
+    passes; numpy's PCG64 then draws each seed's k raw words from them, and
+    the doubles are (x >> 11) 2**-53, as in Generator.random.  Every
+    operand of the hash is an ndarray (ndim >= 1): numpy wraps array
+    integer overflow silently where scalar overflow warns.
     """
-    seeds = [int(s) for s in seeds]
-    counts = np.asarray(counts, dtype=np.intp)
-    seed_hi, seed_lo, inc_hi, inc_lo = _generate_state(_pool(*_seed_words(seeds)))
-    inc_hi = (inc_hi << np.uint64(1)) | (inc_lo >> np.uint64(63))
-    inc_lo = (inc_lo << np.uint64(1)) | np.uint64(1)
-    base_hi, base_lo = _add128(seed_hi, seed_lo, inc_hi, inc_lo)
-    # row j + 1 of the table holds the j + 2 steps of draw j
-    mult_hi, mult_lo, sum_hi, sum_lo = _jumps(1 << int(counts.max()).bit_length())
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    out = np.empty(int(ends[-1]))
-    for lo in range(0, out.size, STREAM_BLOCK):
-        stop = min(lo + STREAM_BLOCK, out.size)
-        # the members whose streams overlap [lo, stop), and their entries in it
-        first, last = np.searchsorted(ends, [lo, stop - 1], side="right")
-        run = slice(first, last + 1)
-        member = np.repeat(np.arange(first, last + 1),
-                           np.minimum(ends[run], stop) - np.maximum(starts[run], lo))
-        row = np.arange(lo + 1, stop + 1) - starts[member]
-        hi, low = _add128(
-            *_mul128(mult_hi[row], mult_lo[row], base_hi[member], base_lo[member]),
-            *_mul128(sum_hi[row], sum_lo[row], inc_hi[member], inc_lo[member]))
-        x, rot = hi ^ low, hi >> np.uint64(58)
-        x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
-        np.multiply(x >> np.uint64(11), 2.0**-53, out=out[lo:stop])
-    return out
+    # one seed's words per row, each row contiguous: PCG64 reads the 4
+    # words through the array's data pointer
+    words = _generate_state(_pool(*_seed_words([int(s) for s in seeds]))).T.copy()
+    ends = np.cumsum(counts).tolist()
+    raw = np.empty(ends[-1], dtype=np.uint64)
+    start = 0
+    for member, end in zip(words, ends):
+        raw[start:end] = np.random.PCG64(_SeedWords(member)).random_raw(end - start)
+        start = end
+    raw >>= np.uint64(11)
+    return raw * 2.0**-53
 
 
 def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Coefficient rows from their scales and uniforms: a_n, b_n, a_-n, b_-n
-    for n = 1..N, then a0 and b0 when included.  Elementwise, so rows of
+    for n = 1..N, then a0 and b0.  Elementwise, so rows of
     several configs stacked together come out as for each config alone."""
     return scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
 
@@ -274,19 +211,18 @@ def random_series(config: SamplerConfig) -> HarmonicSeries:
     """Deterministic pseudo-random series for the given config.
 
     Each coefficient takes two uniforms, magnitude then phase, in the order
-    a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0 when included, all
+    a_n, b_n, a_-n, b_-n for n = 1..N, then a0 and b0, all
     from np.random.default_rng(config.seed); one draw of the whole table
     gives the same stream as drawing them singly.
     """
-    scales = _row_scales(config)
+    scales = _scales(config.N, config.decay)
     u = np.random.default_rng(config.seed).random((scales.size, 2))
     coeffs = _coefficients(scales, u)
     N = config.N
     # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
     table = coeffs[:4 * N].reshape(N, 2, 2)
     return HarmonicSeries(N=N, a=table[:, :, 0].T.ravel(), b=table[:, :, 1].T.ravel(),
-                          a0=coeffs[4 * N] if config.include_log else 0j,
-                          b0=coeffs[-1] if config.include_const else 0j)
+                          a0=coeffs[4 * N], b0=coeffs[-1])
 
 
 def random_series_stack(configs: Sequence[SamplerConfig]) -> SeriesStack:
@@ -297,18 +233,15 @@ def random_series_stack(configs: Sequence[SamplerConfig]) -> SeriesStack:
     if not configs:
         return SeriesStack.of([])
     orders = np.array([cfg.N for cfg in configs])
-    log = np.array([cfg.include_log for cfg in configs])
-    const = np.array([cfg.include_const for cfg in configs])
-    rows = 4 * orders + log + const
-    coeffs = _coefficients(np.concatenate([_row_scales(cfg) for cfg in configs]),
-                           _streams([cfg.seed for cfg in configs], 2 * rows).reshape(-1, 2))
+    coeffs = _coefficients(np.concatenate([_scales(cfg.N, cfg.decay) for cfg in configs]),
+                           _streams([cfg.seed for cfg in configs],
+                                    2 * (4 * orders + 2)).reshape(-1, 2))
     # Each member's rows, padded to the 4N mode rows of the largest N and
-    # the two slots a0 and b0: a mask's true entries run in row-major order,
+    # the two rows a0 and b0: a mask's true entries run in row-major order,
     # so one masked assignment places every member's rows.
     B, N = len(configs), int(orders.max())
-    present = np.empty((B, 4 * N + 2), dtype=bool)
-    present[:, :4 * N] = np.arange(4 * N) < 4 * orders[:, None]
-    present[:, 4 * N], present[:, -1] = log, const
+    present = np.arange(4 * N + 2) < 4 * orders[:, None]
+    present[:, -2:] = True
     table = np.zeros(present.shape, dtype=np.complex128)
     table[present] = coeffs
     del coeffs, present  # the stack's copies need the room

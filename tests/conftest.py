@@ -8,8 +8,8 @@ from annulus_harmonics import SamplerConfig, random_series
 def tame_series():
     """Factory for random series kept tame on A(1, e^1.5)."""
 
-    def make(seed: int, N: int = 10, decay: float = 0.2, **kwargs):
-        return random_series(SamplerConfig(seed=seed, N=N, decay=decay, **kwargs))
+    def make(seed: int, N: int = 10, decay: float = 0.2):
+        return random_series(SamplerConfig(seed=seed, N=N, decay=decay))
 
     return make
 

@@ -108,24 +108,26 @@ def test_quadratic_mean_matches_closed_form(tame_series, rng):
 def test_circle_means_share_one_evaluation_and_keep_their_sums(tame_series, monkeypatch):
     """After identity_residuals has evaluated a circle, the quadratic mean,
     the enclosed area and the circular mean of that circle read the memo:
-    no second evaluation, and the same trapezoid sums to the last bit."""
+    no second evaluation, and the same trapezoid sums to the last bit.  At
+    N = 64 the circular mean's own angle count would be 264, not 520."""
     from annulus_harmonics import quadrature
     from annulus_harmonics.operators import identity_residuals
 
-    h = tame_series(seed=31, N=9, decay=0.3)
-    rho = 1.73
-    f = circle_fields(h, rho, circle_angles(256))
-    want = (float(np.mean(np.abs(f.values) ** 2)),
-            float(np.pi * np.mean((np.conj(f.values) * f.d_theta).imag)),
-            complex(np.mean(f.values)))
-    calls = []
     real = quadrature.circle_fields
-    monkeypatch.setattr(quadrature, "circle_fields",
-                        lambda *args: calls.append(args) or real(*args))
-    identity_residuals(h, 0.4, rho)
-    got = (quadratic_mean_numeric(h, rho), enclosed_area(h, rho), circular_mean(h, rho))
-    assert got == want
-    assert len(calls) == 1
+    for N, M in ((9, 256), (64, 520)):
+        h = tame_series(seed=31, N=N, decay=0.3)
+        rho = 1.73
+        f = circle_fields(h, rho, circle_angles(M))
+        want = (float(np.mean(np.abs(f.values) ** 2)),
+                float(np.pi * np.mean((np.conj(f.values) * f.d_theta).imag)),
+                complex(np.mean(f.values)))
+        calls = []
+        monkeypatch.setattr(quadrature, "circle_fields",
+                            lambda *args: calls.append(args) or real(*args))
+        identity_residuals(h, 0.4, rho)
+        got = (quadratic_mean_numeric(h, rho), enclosed_area(h, rho), circular_mean(h, rho))
+        assert got == want
+        assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -65,12 +65,6 @@ def test_sampler_order_bound():
             SamplerConfig(seed=0, N=N)
 
 
-def test_flags_suppress_log_and_const():
-    h = random_series(SamplerConfig(seed=5, N=3, include_log=False,
-                                    include_const=False))
-    assert h.a0 == 0j and h.b0 == 0j
-
-
 @pytest.mark.parametrize("seed", [-1, True, np.bool_(False), 1.5, np.float64(2.0), "3", None])
 def test_sampler_config_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
     with pytest.raises(ParameterDomainError, match="seed"):
@@ -132,13 +126,12 @@ def test_streams_of_the_edge_seeds():
                               np.random.default_rng(seed).random(5))
 
 
-def test_streams_keep_their_bits_across_blocks(monkeypatch):
-    seeds = [int(s) for s in np.random.default_rng(3).integers(0, 2**62, 30)]
-    counts = list(range(1, 31))
-    whole = sampling._streams(seeds, counts)
-    monkeypatch.setattr(sampling, "STREAM_BLOCK", 7)
-    assert np.array_equal(sampling._streams(seeds, counts), whole)
-    assert np.array_equal(whole, reference_streams(seeds, counts))
+def test_seed_words_are_those_of_seed_sequence():
+    """The hash stage alone: the 4 uint64 words PCG64 is seeded with."""
+    state = sampling._generate_state(sampling._pool(*sampling._seed_words(EDGE_SEEDS)))
+    for i, seed in enumerate(EDGE_SEEDS):
+        assert np.array_equal(state[:, i],
+                              np.random.SeedSequence(seed).generate_state(4, np.uint64))
 
 
 def test_draws_of_one_member_raise_no_warning():
@@ -153,19 +146,16 @@ def test_draws_of_one_member_raise_no_warning():
         random_conformal_perturbation([7])
 
 
-def test_stack_holds_the_single_draws_for_every_flag_combination():
+def test_stack_holds_the_single_draws_of_mixed_orders_and_decays():
     rng = np.random.default_rng(11)
     configs = [SamplerConfig(seed=int(rng.integers(2**62)), N=int(rng.integers(1, 12)),
-                             decay=float(rng.uniform(0.1, 0.9)), include_log=log,
-                             include_const=const)
-               for _ in range(6) for log in (False, True) for const in (False, True)]
+                             decay=float(rng.uniform(0.1, 0.9)))
+               for _ in range(24)]
     stack = random_series_stack(configs)
     want = SeriesStack.of([random_series(cfg) for cfg in configs])
     assert stack.N == want.N
     for name in ("a", "b", "a0", "b0"):
         assert np.array_equal(getattr(stack, name), getattr(want, name))
-    assert not stack.a0[[not cfg.include_log for cfg in configs]].any()
-    assert not stack.b0[[not cfg.include_const for cfg in configs]].any()
 
 
 def test_conformal_rows_have_the_bits_of_their_generators():
@@ -183,12 +173,13 @@ def test_conformal_rows_have_the_bits_of_their_generators():
 
 def test_stack_of_many_configs_keeps_a_small_traced_peak():
     """1000 configs of order 4..16 peaked at 3.43 MiB traced when every
-    member was drawn from its own generator; the kernel's passes are
-    bounded by STREAM_BLOCK, so drawing them all at once peaks no higher."""
+    member was drawn from its own generator; the kernel holds one uint64
+    and one double per draw and a few uint32 rows per seed, so drawing
+    them all at once peaks no higher."""
     rng = np.random.default_rng(0)
     configs = [SamplerConfig(seed=int(rng.integers(2**62)), N=int(rng.integers(4, 17)),
                              decay=0.2) for _ in range(1000)]
-    random_series_stack(configs[:10])  # the jump table
+    random_series_stack(configs[:10])  # the hash constants
     tracemalloc.start()
     try:
         random_series_stack(configs)
