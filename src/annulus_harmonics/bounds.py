@@ -376,7 +376,8 @@ def schottky_check(h, R: float):
     pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
     deviation = np.full(len(stack), math.nan)
     screened = conformal & pure
-    M = max(1024, angular_count(stack.N))
+    # |f| is not band-limited: a scan of it on max(1024, 4N + 8) angles
+    M = max(1024, 4 * stack.N + 8)
     moduli = np.abs(circle_grid_fields(stack[screened], 1.0, M, ("values",)).values)
     deviation[screened] = np.max(np.abs(moduli - 1.0), axis=-1, initial=0.0)
     applicable = screened & ~(deviation > 1e-6)

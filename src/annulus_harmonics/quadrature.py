@@ -1,22 +1,29 @@
 """Quadrature over circles and radial intervals, on one fixed policy.
 
 Angular integrals use the equally spaced trapezoidal rule, which on a full
-period integrates trigonometric polynomials of degree < M exactly.  Since
-every integrand built from a truncated series is band-limited, circle means
-computed here are exact up to rounding once M exceeds twice the integrand
-degree; angular_count(degree) = max(ANGULAR_NODES, 4 degree + 8) leaves a
-wide margin.  The fields on the M angles come from the inverse-FFT circle
-kernel of the series module (mode n in bin n mod M, no aliasing at these
-M), and the Dirichlet energy evaluates its Gauss nodes' circles in batches
-of radii.  The means are computed as trapezoid sums over the sampled
-fields, never from the spectrum by Parseval, so they stay an independent
-check of the closed forms in the means module.  One reduction
-(_field_means) takes these means over fields of any leading shape: a
-single circle, or the block of circles a batched caller has filled.  The
-circle means of a series are memoised per (series, rho, M)
-(_circle_means), and all of them take angular_count(2 N) angles, so the
-quadratic mean, the enclosed area, the circular mean and the scalar
-operator identities of one circle share one evaluation.
+period integrates trigonometric polynomials of degree < M exactly
+(Trefethen & Weideman, SIAM Review 56(3), 2014).  Two angle counts serve
+two kinds of integrand.  The circle means, the enclosed area, the operator
+identities and the Dirichlet energy average products of the fields of a
+truncated series, trigonometric polynomials of degree at most 2N, so they
+are exact up to rounding once M exceeds that degree; they take
+angular_count(degree) angles, the smallest 5-smooth M (2^i 3^j 5^k, the
+sizes the FFT transforms fastest) that exceeds twice the integrand
+degree.  Integrands that are not band-limited, such as the winding
+integral of dh/h, are sampled instead, on winding_count(N) =
+max(ANGULAR_NODES, 8 N + 8) angles.  The fields on
+the M angles come from the inverse-FFT circle kernel of the series module
+(mode n in bin n mod M, no aliasing at these M), and the Dirichlet energy
+evaluates its Gauss nodes' circles in batches of at most
+_ENERGY_POINTS_PER_BATCH angle points.  The means are computed as
+trapezoid sums over the sampled fields, never from the spectrum by
+Parseval, so they stay an independent check of the closed forms in the
+means module.  One reduction (_field_means) takes these means over fields
+of any leading shape: a single circle, or the block of circles a batched
+caller has filled.  The circle means of a series are memoised per
+(series, rho, M) (_circle_means), and all of them take angular_count(2 N)
+angles, so the quadratic mean, the enclosed area, the circular mean and
+the scalar operator identities of one circle share one evaluation.
 
 Radial integrals use composite Gauss-Legendre panels whose edges are
 cosine-graded (clustered toward both endpoints), RADIAL_NODES_PER_UNIT
@@ -68,27 +75,47 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _MIN_MODULUS_ON_CIRCLE = 1e-9
 _WINDING_TOL = 1e-6
 
-# Radii per batched circle evaluation in dirichlet_energy: caps the
-# (radii, 3, M) field arrays at a few MiB for the largest angle counts.
-_ENERGY_RADII_PER_BATCH = 16
+# Angle points (radii x M) per batched circle evaluation in dirichlet_energy:
+# caps its two (radii, M) field rows at 256 KiB, whatever M, and takes all of
+# a small series' Gauss nodes in one call.
+_ENERGY_POINTS_PER_BATCH = 2**13
 
 # Most nodes (over all integrands of a stack) one refinement level of
 # radial_integrate may evaluate; a level past it raises instead.
 _RADIAL_NODE_BUDGET = 2**20
 
-# The quadrature policy: the fewest equally spaced angles per circle, the
-# Gauss-Legendre nodes per unit of log-radius of the first radial level,
-# the relative agreement of two successive levels that stops the
-# refinement, and the most panel doublings after the first level.
+# The quadrature policy: the fewest equally spaced angles of a sampled (not
+# band-limited) circle integrand, the Gauss-Legendre nodes per unit of
+# log-radius of the first radial level, the relative agreement of two
+# successive levels that stops the refinement, and the most panel doublings
+# after the first level.
 ANGULAR_NODES = 256
 RADIAL_NODES_PER_UNIT = 64
 RADIAL_REL_TOL = 1e-9
 _MAX_REFINEMENTS = 8
 
 
+@lru_cache(maxsize=256)
 def angular_count(degree: int) -> int:
-    """Angle count guaranteeing exactness on mode products up to `degree`."""
-    return max(ANGULAR_NODES, 4 * degree + 8)
+    """Angle count guaranteeing exactness on mode products up to `degree`:
+    the smallest 5-smooth integer above 2 degree.  Memoised, since the
+    scalar identities ask for it on every call."""
+    M = 2 * degree + 1
+    while True:
+        rest = M
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return M
+        M += 1
+
+
+def winding_count(N: int) -> int:
+    """Angle count of the winding integral mean(h_theta / (i h)) of a series
+    of order N.  The integrand is not band-limited, so it is sampled on
+    max(ANGULAR_NODES, 8 N + 8) angles."""
+    return max(ANGULAR_NODES, 8 * N + 8)
 
 
 def _field_means(fields: np.ndarray) -> tuple:
@@ -142,8 +169,7 @@ def winding_number(h: HarmonicSeries, rho: float) -> int:
     finite, ZeroOnCircleError if min |h| <= 1e-9 on the nodes and
     WindingNotIntegerError if the mean is farther than 1e-6 from an integer.
     """
-    M = angular_count(2 * h.N)
-    f = circle_fields(h, rho, circle_angles(M))
+    f = circle_fields(h, rho, circle_angles(winding_count(h.N)))
     return winding_from_fields(f.values, f.d_theta, rho)
 
 
@@ -311,11 +337,12 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
     mean by the exact trapezoidal rule.
     """
     M = angular_count(2 * h.N)
+    radii_per_batch = max(1, _ENERGY_POINTS_PER_BATCH // M)
 
     def ring_density(rhos: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhos)
-        for lo in range(0, rhos.size, _ENERGY_RADII_PER_BATCH):
-            r = rhos[lo:lo + _ENERGY_RADII_PER_BATCH]
+        for lo in range(0, rhos.size, radii_per_batch):
+            r = rhos[lo:lo + radii_per_batch]
             g = circle_grid_fields(h, r, M, ("d_rho", "d_theta")).grad_norm_sq(r)
             out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out

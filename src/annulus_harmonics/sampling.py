@@ -22,11 +22,10 @@ from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import angular_count, has_winding
+from .quadrature import has_winding, winding_count
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
@@ -164,16 +163,25 @@ def _generate_state(pool: np.ndarray) -> np.ndarray:
     return half[0::2] | (half[1::2] << np.uint64(32))
 
 
-class _SeedWords(ISeedSequence):
-    """The seed sequence of one seed whose generate_state(4, np.uint64)
-    words are already computed: np.random.PCG64(_SeedWords(words)) seeds
-    itself from them exactly as from SeedSequence(seed)."""
+@lru_cache(maxsize=1)
+def _seed_words_class() -> type:
+    """The class _SeedWords, defined on first use: subclassing numpy's
+    ISeedSequence loads numpy.random, which commands that draw nothing
+    should not pay for at import."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
+    class _SeedWords(ISeedSequence):
+        """The seed sequence of one seed whose generate_state(4, np.uint64)
+        words are already computed: np.random.PCG64(_SeedWords(words))
+        seeds itself from them exactly as from SeedSequence(seed)."""
 
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.words
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return _SeedWords
 
 
 def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
@@ -192,9 +200,10 @@ def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     words = _generate_state(_pool(*_seed_words([int(s) for s in seeds]))).T.copy()
     ends = np.cumsum(counts).tolist()
     raw = np.empty(ends[-1], dtype=np.uint64)
+    seed_words = _seed_words_class()
     start = 0
     for member, end in zip(words, ends):
-        raw[start:end] = np.random.PCG64(_SeedWords(member)).random_raw(end - start)
+        raw[start:end] = np.random.PCG64(seed_words(member)).random_raw(end - start)
         start = end
     raw >>= np.uint64(11)
     return raw * 2.0**-53
@@ -385,7 +394,7 @@ def injectivity_probe(
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, circles + 2)[1:-1]
-    M = angular_count(2 * h.N)
+    M = winding_count(h.N)
     ok = []
     for block in _radius_blocks(radii, members, M):
         f = circle_grid_fields(h, block, M, ("values", "d_theta"))

@@ -60,8 +60,8 @@ LAMBDA_MIN = -1.0 + 1e-9
 # Members per chunk when a stack of series is evaluated.  A batched criterion
 # pays fixed costs per chunk (numpy call overhead, weight tables, radial
 # refinement levels, the Schottky probe's set-up), which at 8 members were a
-# large share of `verify all`; 16 members pay them half as often.  The
-# largest array of a chunk is then C02's (16, 3, 3, 256) field block, 576 KiB.
+# large share of `verify all`; 16 members pay them half as often.  C02's
+# field block of a chunk is then at most (16, 3, 3, 72), 162 KiB (N <= 16).
 # The injectivity probe and the per-member radial jet split larger requests
 # into blocks of their own, so a full `verify all --trials 100` run keeps a
 # traced peak of about 1.3 MiB.

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +82,27 @@ def test_bounds_single_step_sweep_equals_single(capsys):
 def test_bounds_usage_errors(capsys):
     assert run(capsys, "bounds", "--R", "0.5")[0] == 1
     assert run(capsys, "bounds")[0] == 1
+
+
+def test_bounds_leaves_numpy_random_unloaded():
+    """Commands that draw nothing do not pay for importing numpy.random: the
+    stream kernel loads it on first use.  A fresh interpreter, since this
+    one has loaded it already."""
+    import annulus_harmonics
+
+    src = os.path.dirname(os.path.dirname(annulus_harmonics.__file__))
+    code = ("import contextlib, io, sys\n"
+            "import annulus_harmonics\n"
+            "from annulus_harmonics import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['bounds', '--R', '2']) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,16 @@ def test_quadratic_mean_matches_closed_form(tame_series, rng):
 def test_circle_means_share_one_evaluation_and_keep_their_sums(tame_series, monkeypatch):
     """After identity_residuals has evaluated a circle, the quadratic mean,
     the enclosed area and the circular mean of that circle read the memo:
-    no second evaluation, and the same trapezoid sums to the last bit.  At
-    N = 64 the circular mean's own angle count would be 264, not 520."""
+    no second evaluation, and the same trapezoid sums to the last bit, on
+    the angle count of the quadratic mean's degree 2N."""
     from annulus_harmonics import quadrature
     from annulus_harmonics.operators import identity_residuals
 
     real = quadrature.circle_fields
-    for N, M in ((9, 256), (64, 520)):
+    for N in (9, 64):
         h = tame_series(seed=31, N=N, decay=0.3)
         rho = 1.73
-        f = circle_fields(h, rho, circle_angles(M))
+        f = circle_fields(h, rho, circle_angles(angular_count(2 * N)))
         want = (float(np.mean(np.abs(f.values) ** 2)),
                 float(np.pi * np.mean((np.conj(f.values) * f.d_theta).imag)),
                 complex(np.mean(f.values)))
@@ -241,6 +241,88 @@ def test_energy_rings_transform_only_the_rows_they_use(N, tame_series, monkeypat
     assert set(rows) == {("d_rho", "d_theta")}
 
 
+def _closed_forms(h, rho, rho1, rho2):
+    """The circular mean, quadratic mean, enclosed area and Dirichlet energy
+    of h from its coefficients, with the scale of the terms summed in U."""
+    n = h.mode_numbers.astype(np.float64)
+    c = h.a * rho**n + h.b * rho**-n
+    mean = h.a0 * math.log(rho) + h.b0
+    energy = 2.0 * math.pi * (
+        float(np.sum(n * (np.abs(h.a) ** 2 * (rho2 ** (2 * n) - rho1 ** (2 * n))
+                          - np.abs(h.b) ** 2 * (rho2 ** (-2 * n) - rho1 ** (-2 * n)))))
+        + abs(h.a0) ** 2 * math.log(rho2 / rho1))
+    scale = float(np.sum(np.abs(h.a) ** 2 * rho ** (2 * n)
+                         + np.abs(h.b) ** 2 * rho ** (-2 * n))) + abs(mean) ** 2
+    return (mean, float(np.sum(np.abs(c) ** 2)) + abs(mean) ** 2,
+            math.pi * float(np.sum(n * np.abs(c) ** 2)), energy, scale)
+
+
+@pytest.mark.parametrize("N", [0, 1, 4, 16, 64, 128])
+def test_band_limited_means_match_their_closed_forms(N, tame_series):
+    """On angular_count(2N) angles the trapezoid means are exact up to
+    rounding, for orders up to the largest of the benchmark's circles."""
+    if N == 0:
+        h = HarmonicSeries.from_coeffs(N=0, a0=0.7 - 0.4j, b0=-0.2 + 0.9j)
+    else:
+        h = tame_series(seed=N, N=N)
+    for rho in (1.02, 1.9, math.exp(1.5)):
+        rho1, rho2 = rho, rho * 1.4
+        mean, u, area, energy, scale = _closed_forms(h, rho, rho1, rho2)
+        assert abs(circular_mean(h, rho) - mean) <= 1e-12 * (1.0 + math.sqrt(scale))
+        assert abs(quadratic_mean_numeric(h, rho) - u) <= 1e-12 * u
+        assert abs(enclosed_area(h, rho) - area) <= 1e-12 * (1.0 + math.pi * scale)
+        got = dirichlet_energy(h, rho1, rho2)
+        assert abs(got - energy) <= 1e-9 * (1.0 + abs(energy))
+
+
+@pytest.mark.parametrize("N", [1, 4, 16, 64, 128])
+def test_energy_bits_do_not_depend_on_the_ring_batches(N, tame_series, monkeypatch):
+    M = angular_count(2 * N)
+    for seed in range(5):
+        h = tame_series(seed=seed, N=N)
+        got = [np.float64(dirichlet_energy(h, 1.2, 1.9)).view(np.uint64)]
+        # one radius per batch, then every radius of a call in one batch
+        for points in (M, 2**40):
+            monkeypatch.setattr(quadrature, "_ENERGY_POINTS_PER_BATCH", points)
+            got.append(np.float64(dirichlet_energy(h, 1.2, 1.9)).view(np.uint64))
+        monkeypatch.undo()
+        assert got[0] == got[1] == got[2], seed
+
+
+@pytest.mark.parametrize("N", [1, 40, 300])
+def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
+    """dh/h and |f| are not band-limited, so the winding integrals sample
+    max(256, 8N + 8) angles and the Schottky |f| scan max(1024, 4N + 8),
+    whatever angular_count gives the band-limited means."""
+    from annulus_harmonics import bounds, sampling
+    from annulus_harmonics.bounds import schottky_check
+    from annulus_harmonics.sampling import injectivity_probe
+
+    # z plus a conformal mode of order N too small to count on A(1, 2)
+    h = HarmonicSeries.from_coeffs(N=N, a={1: 1.0} if N == 1 else {1: 1.0, N: 1e-9 / 2.0**N})
+    angles = {}
+
+    def record(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            k, M = key(*args)
+            angles.setdefault(k, set()).add(M)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    record(quadrature, "circle_fields", lambda h, rho, thetas: ("winding", len(thetas)))
+    record(sampling, "circle_grid_fields", lambda h, r, M, fields: (("probe",) + fields, M))
+    record(bounds, "circle_grid_fields", lambda h, r, M, fields: (("schottky",) + fields, M))
+    assert winding_number(h, 1.5) == 1
+    assert injectivity_probe(h, 2.0).windings_ok
+    schottky_check(h, 2.0)
+    assert angles["winding"] == {max(256, 8 * N + 8)}
+    assert angles["probe", "values", "d_theta"] == {max(256, 8 * N + 8)}
+    assert angles["schottky", "values"] == {max(1024, 4 * N + 8)}
+
+
 # ---------------------------------------------------------------------------
 # radial integration
 # ---------------------------------------------------------------------------
@@ -269,6 +351,17 @@ def test_angular_bound_covers_the_largest_series_from_json():
     # largest series read from JSON have degree 2 * MAX_JSON_ORDER
     for degree in (1, 62, 63, 2 * MAX_JSON_ORDER):
         assert angular_count(degree) > 2 * degree
+
+
+def test_angular_count_is_the_smallest_5_smooth_count_past_twice_the_degree():
+    # every 2^i 3^j 5^k up to 8 MAX_JSON_ORDER, twice past the largest count
+    bound = 8 * MAX_JSON_ORDER
+    smooth = sorted(m for m in (2**i * 3**j * 5**k for i in range(bound.bit_length())
+                                for j in range(bound.bit_length()) for k in range(8))
+                    if m <= bound)
+    for degree in range(2 * MAX_JSON_ORDER + 1):
+        want = next(m for m in smooth if m > 2 * degree)
+        assert angular_count(degree) == want, degree
 
 
 # The first three ids keep the names these cases had when the test was
