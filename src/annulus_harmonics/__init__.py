@@ -22,7 +22,6 @@ from .series import (
     HarmonicSeries,
     extremal_map,
     from_json_dict,
-    lambda_from_radii,
     load_series,
     save_series,
     scale_rotate,
@@ -39,11 +38,9 @@ from .quadrature import (
 from .means import (
     RadialProfile,
     initial_speed,
-    inner_mean,
     is_class_D,
     is_class_N,
     mean_outer_radius,
-    normal_mean_coeff,
     quadratic_mean_mode,
     quadratic_mean_profile,
     variance_profile,
@@ -108,21 +105,18 @@ __all__ = [
     "from_json_dict",
     "initial_speed",
     "injectivity_probe",
-    "inner_mean",
     "is_class_D",
     "is_class_N",
     "k_endpoint",
     "k_functional",
     "k_quadrature",
     "kalaj_bound",
-    "lambda_from_radii",
     "lambda_from_speed",
     "load_series",
     "mean_outer_radius",
     "mode_form_certificate",
     "mode_form_coeffs",
     "nitsche_bound",
-    "normal_mean_coeff",
     "normalize_inner",
     "perturb_extremal",
     "quadratic_mean_mode",

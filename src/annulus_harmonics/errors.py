@@ -34,7 +34,7 @@ class WindingNotIntegerError(ToolkitError, RuntimeError):
 
 
 class QuadratureConvergenceError(ToolkitError, RuntimeError):
-    """Refining the radial quadrature failed to stabilize the result."""
+    """The radial rule that its error bound asks for would pass its node cap."""
 
 
 class DegenerateSeriesError(ToolkitError, ValueError):

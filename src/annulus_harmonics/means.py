@@ -74,12 +74,17 @@ class RadialProfile:
 
     `jet` returns all three orders from one evaluation; a profile built from
     the three callables alone (no `_jet`) serves it by calling them in turn.
+    `degree` is the largest |e| of the powers rho^e in the profile's table
+    (2N for U and V, 2|n| for U_n, an array for a stack with one mode per
+    member), which sizes the radial rule of k_functional; a profile built
+    from callables alone has none.
     """
 
     label: str
     value: Callable[[np.ndarray | float], np.ndarray | float]
     deriv1: Callable[[np.ndarray | float], np.ndarray | float]
     deriv2: Callable[[np.ndarray | float], np.ndarray | float]
+    degree: int | np.ndarray | None = field(default=None, compare=False)
     _jet: Callable[[np.ndarray | float], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
 
@@ -101,8 +106,9 @@ _JET_MEMO_SIZE = 4
 
 # Most entries (radii x basis functions) of one power table that
 # RadialProfile.jet builds for a stack with radii per member, 512 KiB; above
-# it the members are tabulated in blocks.  At 16 members, N = 10 and the 384
-# nodes of a third radial quadrature level one table would take 1.1 MiB.
+# it the members are tabulated in blocks.  At 16 members, N = 10 and the 512
+# nodes of a radial rule graded toward the pole of lambda = -0.9999 one table
+# would take 1.4 MiB.
 _JET_TABLE_ENTRIES = 2**16
 
 
@@ -145,11 +151,13 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                        + np.vecdot(b[..., N:], a[..., N:])).real
         if include_zero:
             a0, b0 = h.a0, h.b0
+        degree = 2 * h.N
     else:  # one mode n, or one per member of a stack: k = n keeps its sign
         an, bn = h.coeff(only_mode)
         ks = np.asarray(only_mode, dtype=np.float64)[..., None]
         amp = np.abs(np.array((an, bn)).T) ** 2  # (2,), or (B, 2) for a stack
         cross = 2.0 * (an * bn.conjugate()).real
+        degree = 2 * np.abs(only_mode)
     K = ks.shape[-1]
     two_k = 2.0 * ks
     exps = np.concatenate((two_k, -two_k), axis=-1)
@@ -204,7 +212,7 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         return lambda rho: _unwrap(jet(rho)[..., d])
 
     return RadialProfile(label=label, value=column(0), deriv1=column(1),
-                         deriv2=column(2), _jet=jet)
+                         deriv2=column(2), degree=degree, _jet=jet)
 
 
 def quadratic_mean_mode(h, n) -> RadialProfile:
@@ -276,16 +284,6 @@ def variance_deriv2_termwise(h, rho) -> np.ndarray | float:
         + (1.0 / rp) @ (ns * (2.0 * ns + 1.0) * B)[..., None]
     out = (2.0 / r**2) * terms[..., 0]
     return out if out.shape else float(out)
-
-
-def inner_mean(h: HarmonicSeries) -> complex:
-    """Limit of the circle mean of h at the inner circle, which is b0."""
-    return h.b0
-
-
-def normal_mean_coeff(h: HarmonicSeries) -> complex:
-    """Limit of the circle mean of dh/drho at the inner circle, which is a0."""
-    return h.a0
 
 
 def is_class_D(h: HarmonicSeries, tol: float = CLASS_TOL) -> bool:

@@ -285,24 +285,33 @@ def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
 def k_functional(P: RadialProfile, lam, R):
     """K_lam[P] by radial quadrature of the weighted operator.
 
-    For the profile of a stack, lam and R may hold one entry per member;
-    the members are integrated together and refined until the worst one
-    has converged, and the result holds one entry per member.
+    In t = log rho the integrand times rho is Q(t) (rho^2 P'' + ...), with
+    rho^2 P'', rho P' and P sums of e^(e t) (|e| <= P.degree), 1, t and t^2,
+    and Q the weights of radial_integrate; so the result errs from K_lam[P]
+    by at most RADIAL_EPS (1e-15) times S, the integral over [0, log R] of
+    the integrand's termwise bound (radial_integrate).  For the profile of
+    a stack, lam and R may hold one entry per member, and each member is
+    integrated on its own rule; the result holds one entry per member.
+    Raises ParameterDomainError for a profile without a degree (one built
+    from callables alone), whose integrand has no bound.
     """
     require_outer(R)
     require_lambda(lam)
-    if _is_scalar(lam) and _is_scalar(R):
-        R_col = R
-    else:  # one integrand per member, on radii of shape (members, nodes)
-        lam = np.asarray(lam, dtype=np.float64)[..., None]
-        R_col = np.asarray(R, dtype=np.float64)[..., None]
+    if P.degree is None:
+        raise ParameterDomainError(
+            f"profile {P.label!r} has no degree: its K integral has no error bound")
+    lam_col, R_col = lam, R
+    if not (_is_scalar(lam) and _is_scalar(R)):
+        # one integrand per member, on radii of shape (members, nodes)
+        lam, R = np.asarray(lam, dtype=np.float64), np.asarray(R, dtype=np.float64)
+        lam_col, R_col = lam[..., None], R[..., None]
 
     def integrand(r: np.ndarray) -> np.ndarray:
         # the nodes lie in [1, R], inside L_lam's domain: skip its checks
-        den = r**2 + lam
-        return r * (R_col**2 - r**2) / den * _on_jet(lam, r, den, *P.jet(r))
+        den = r**2 + lam_col
+        return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *P.jet(r))
 
-    return radial_integrate(integrand, 1.0, R)
+    return radial_integrate(integrand, 1.0, R, P.degree, lam)
 
 
 def k_quadrature(h, lam, R):

