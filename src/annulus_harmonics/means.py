@@ -39,14 +39,23 @@ afresh: a batched criterion builds U once per chunk and hands it to every
 caller, and 32 kept chunks would hold their coefficient and weight tables
 (~16 KiB each) to the end of a run.
 
+At a Python float radius a series' jet skips the array round trip: the
+basis is one 1-d (2K + 3,) row taken straight from the float, one
+matvec with the weight table gives (U, rho U', rho^2 U''), and the last
+two are divided by rho and rho^2 as scalars, the arithmetic of the array
+path on a 0-d radius.  jet returns the three as Python floats, and value,
+deriv1 and deriv2 each return one (a stack's jet at a float radius, and
+every jet at array radii, return arrays as before).
+
 Every profile also keeps the jet tables of the last _JET_MEMO_SIZE (4)
-radii it was evaluated at as a Python float (numpy float64 included),
-read-only and dropped least recently used first: value, deriv1 and deriv2
-at one radius then cost one power table, and k_endpoint's U(1), U'(1)
-stay in the memo while R varies.  Arrays, 0-d arrays included, bypass it,
-and so does a table whose entries do not sum to a finite number (any NaN
-or inf entry), so an overflow warns on every call.  A memoised table is
-the one the evaluation would compute, so the memo changes no bit.
+radii it was evaluated at as a Python float (numpy float64 included):
+the (3,) table of a series, or (B, 3) of a stack, read-only and dropped
+least recently used first.  value, deriv1 and deriv2 at one radius then
+cost one power table, and k_endpoint's U(1), U'(1) stay in the memo while
+R varies.  Arrays, 0-d arrays included, bypass it, and so does a table
+whose entries do not sum to a finite number (any NaN or inf entry), so an
+overflow warns on every call.  A memoised table is the one the evaluation
+would compute, so the memo changes no bit.
 
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
@@ -89,15 +98,16 @@ class RadialProfile:
         default=None, repr=False, compare=False)
 
     def jet(self, rho):
-        """(value, deriv1, deriv2) at rho, vectorized over rho."""
+        """(value, deriv1, deriv2) at rho, vectorized over rho: three Python
+        floats for a series at one radius (a float, np.float64 or 0-d
+        array), else three arrays, read-only views of the memoised table
+        for a stack at a float radius."""
         if self._jet is None:
             return self.value(rho), self.deriv1(rho), self.deriv2(rho)
         table = self._jet(rho)
-        return tuple(_unwrap(table[..., k]) for k in range(3))
-
-
-def _unwrap(out: np.ndarray) -> np.ndarray | float:
-    return out if out.shape else float(out)
+        if table.ndim == 1:  # one series at one radius
+            return tuple(table.tolist())
+        return table[..., 0], table[..., 1], table[..., 2]
 
 
 # Float radii whose jet tables a profile keeps: value, deriv1 and deriv2 at
@@ -112,12 +122,25 @@ _JET_MEMO_SIZE = 4
 _JET_TABLE_ENTRIES = 2**16
 
 
-def _jet_table(r: np.ndarray, two_k: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _jet_table(r: np.ndarray | float, two_k: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """U, U' and U'' at the radii r: one power table over the basis
     rho^(2k), rho^(-2k), 1, log(rho), log(rho)^2, one (batched) matmul with
     the weight table, whose column d gives rho^d U^(d), and the division
-    by rho^d."""
+    by rho^d.  A Python float r (one series) gives the (3,) table of a 0-d
+    radius, without converting r to an array."""
     K = two_k.shape[-1]
+    if type(r) is float:
+        basis = np.empty(2 * K + 3)
+        np.power(r, two_k, out=basis[:K])
+        np.divide(1.0, basis[:K], out=basis[K:-3])
+        log_r = np.log(r)  # numpy's log, as on an array (math.log may round apart)
+        basis[-3] = 1.0
+        basis[-2] = log_r
+        basis[-1] = log_r * log_r
+        out = basis @ weights
+        out[1] /= r
+        out[2] /= r * r
+        return out
     basis = np.empty(r.shape + (2 * K + 3,))
     np.power(r[..., None], two_k[:, None, :] if two_k.ndim > 1 else two_k,
              out=basis[..., :K])
@@ -194,6 +217,8 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         return out
 
     def table(rho) -> np.ndarray:
+        if type(rho) is float and weights.ndim == 2:  # one series, one float radius
+            return _jet_table(rho, two_k, weights)
         r = np.asarray(rho, dtype=np.float64)
         shape = None
         if two_k.ndim > 1 and r.ndim < 2:  # exponents per member: radii (B, m)
@@ -209,7 +234,10 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         return out if shape is None else out.reshape(shape)
 
     def column(d: int):
-        return lambda rho: _unwrap(jet(rho)[..., d])
+        def at(rho):
+            out = jet(rho)
+            return out.item(d) if out.ndim == 1 else out[..., d]
+        return at
 
     return RadialProfile(label=label, value=column(0), deriv1=column(1),
                          deriv2=column(2), degree=degree, _jet=jet)
@@ -320,4 +348,6 @@ def mean_outer_radius(h, R):
         out = np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R))
     if not np.isfinite(out).all():
         raise NumericOverflowError(f"the mean radius sqrt(U(R)) overflows at R={R}")
-    return out[..., 0] if R.ndim else _unwrap(np.asarray(out))
+    if R.ndim:
+        return out[..., 0]
+    return out if np.ndim(out) else float(out)  # one per member of a stack

@@ -317,18 +317,22 @@ def _rule_size(d: float, lam, R2: float, lo: float, hi: float) -> int:
 
 def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
     """One member's rule on [lo, hi] in t = log r, as radii r and weights
-    of dr: one Gauss-Legendre rule when _rule_size finds one, and otherwise
-    the interval split until every piece has a rule.  Toward a real pole at
+    of dr.  When _rule_size finds one rule for the whole interval, the
+    usual case, that one panel is the rule, with no list or concatenation
+    built.  Otherwise the interval is split until every piece has a rule,
+    and the panels are concatenated.  Toward a real pole at
     t0 = log(-lam)/2 < lo a piece at distance delta from it is split at
     delta from its left end, so that the edges are lo + delta (2^k - 1);
     any other piece is halved.  Raises QuadratureConvergenceError before
     the panels pass _RADIAL_NODE_CAP nodes."""
     R2 = math.exp(2.0 * hi) if hi < 350.0 else math.inf  # past it: no finite bound
+    n = _rule_size(d, lam, R2, lo, hi)
+    if n:
+        return _panel(n, lo, hi)
     pole = 0.5 * math.log(-lam) if lam is not None and lam < 0.0 else -math.inf
-    panels, pending = [], [(lo, hi)]
-    while pending:
-        left, right = pending.pop()
-        n = _rule_size(d, lam, R2, left, right)
+    panels, pending = [], []
+    left, right = lo, hi
+    while True:
         if n:
             panels.append((left, right, n))
         else:
@@ -342,10 +346,21 @@ def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
                 f"the radial rule of degree {d} on log-radii [{lo}, {hi}]"
                 + ("" if lam is None else f" at lambda={lam}")
                 + f" would pass {_RADIAL_NODE_CAP} nodes")
-    r = np.exp(np.concatenate([0.5 * (right + left) + 0.5 * (right - left) * _gauss_rule(n)[0]
-                               for left, right, n in panels]))
-    w = np.concatenate([0.5 * (right - left) * _gauss_rule(n)[1] for left, right, n in panels])
-    return r, w * r  # dr = r dt
+        if not pending:
+            break
+        left, right = pending.pop()
+        n = _rule_size(d, lam, R2, left, right)
+    rules = [_panel(n, left, right) for left, right, n in panels]
+    return np.concatenate([r for r, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def _panel(n: int, left: float, right: float) -> tuple:
+    """The n-point Gauss-Legendre rule (x, w) on [left, right] in t = log r,
+    as radii r = exp(mid + half x) and weights half w r of dr."""
+    x, w = _gauss_rule(n)
+    mid, half = 0.5 * (right + left), 0.5 * (right - left)
+    r = np.exp(mid + half * x)
+    return r, half * w * r  # dr = r dt
 
 
 def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
@@ -386,9 +401,10 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     member of a stack: each member gets its own rule, its rows padded to
     the longest with zero-weight nodes inside its interval, g is called
     once on radii of shape (members, nodes), and each row is summed with
-    its weights.  Otherwise g is called once on radii of shape (nodes,),
-    and may return leading axes of its own (one integrand per member of a
-    stack on one interval).  g must be elementwise in the radii.  The
+    its weights; with no members (a zero-member stack) the result is an
+    empty array, no rule is sized and g is not called.  Otherwise g is
+    called once on radii of shape (nodes,), and may return leading axes of
+    its own (one integrand per member of a stack on one interval).  g must be elementwise in the radii.  The
     result is a float, or an array over the members or those axes.
     """
     require_radii(a)
@@ -403,6 +419,8 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
         out = np.sum(np.asarray(g(r), dtype=np.float64) * w, axis=-1)
         return float(out) if out.ndim == 0 else out
     his, ds, lams = np.broadcast_arrays(np.log(b), degree, np.nan if lam is None else lam)
+    if his.size == 0:  # no members: nothing to size or integrate
+        return np.zeros(his.shape)
     rules = [_radial_rule(d, None if lam is None else l, lo, hi)
              for d, l, hi in zip(ds.ravel().tolist(), lams.ravel().tolist(),
                                  his.ravel().tolist())]

@@ -13,6 +13,7 @@ from annulus_harmonics import (
     ParameterDomainError,
     bounds,
     injectivity_probe,
+    quadrature,
     quadratic_mean_profile,
     reports,
     sampling,
@@ -24,7 +25,7 @@ from annulus_harmonics.means import (
     quadratic_mean_mode,
     variance_deriv2_termwise,
 )
-from annulus_harmonics.operators import k_endpoint, k_functional
+from annulus_harmonics.operators import k_endpoint, k_functional, k_quadrature
 from annulus_harmonics.sampling import (
     SamplerConfig,
     random_conformal_perturbation,
@@ -154,6 +155,25 @@ def test_integer_parameters_stay_on_the_scalar_path():
     for got in (k_functional(U, 1, 2), k_endpoint(MEMBERS[1], 0, 2)):
         assert isinstance(got, float)
     assert k_functional(U, 1, 2) == k_functional(U, 1.0, 2.0)
+
+
+EMPTY = STACK[5:9]  # a slice past the end: a stack of no members
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a zero-member stack sized a radial rule")
+
+
+@pytest.mark.parametrize("criterion", [
+    lambda: k_quadrature(EMPTY, np.zeros(0), np.full(0, 2.0)),
+    lambda: bounds.mode_quadratic_form_residual(EMPTY, np.ones(0, dtype=int), np.full(0, 3.0)),
+    lambda: bounds.variance_k_bound(EMPTY, np.full(0, 3.0))[0],
+], ids=["k_quadrature", "mode_quadratic_form_residual", "variance_k_bound"])
+def test_zero_member_stack_integrates_to_an_empty_array(monkeypatch, criterion):
+    assert len(EMPTY) == 0
+    monkeypatch.setattr(quadrature, "_radial_rule", _never_called)
+    got = criterion()
+    assert isinstance(got, np.ndarray) and got.shape == (0,) and got.dtype == np.float64
 
 
 def test_probe_raises_a_typed_error_when_the_jacobian_overflows():

@@ -1,5 +1,8 @@
-"""The public surface: every name `annulus_harmonics` exports has a use."""
+"""The public surface: every name `annulus_harmonics` exports has a use,
+and the README's quick tour runs and shows what its comments say."""
 
+import ast
+import math
 import re
 from pathlib import Path
 
@@ -24,3 +27,36 @@ def test_every_exported_name_is_used_by_the_package_the_benchmark_or_the_readme(
         if not (in_package or word.search(elsewhere)):
             unused.append(name)
     assert unused == []
+
+
+def quick_tour() -> tuple[dict, dict]:
+    """Run the python block under "## Quick tour" in README.md, statement by
+    statement: the namespace it leaves, and the value of each bare
+    expression, keyed by its source (as ast.unparse writes it)."""
+    section = (ROOT / "README.md").read_text().split("\n## Quick tour\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, {}
+    for statement in ast.parse(block).body:
+        if isinstance(statement, ast.Expr):
+            code = compile(ast.Expression(statement.value), "README.md", "eval")
+            shown[ast.unparse(statement.value)] = eval(code, namespace)
+        else:
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+    return namespace, shown
+
+
+def test_readme_quick_tour_shows_what_its_comments_say():
+    namespace, shown = quick_tour()
+    assert shown["mean_outer_radius(critical, 2.0)"] == namespace["nitsche_bound"](2.0) == 1.25
+    assert shown["(report.rule, report.margin, report.verdict)"] == (
+        "initial-speed", 0.0, "pass")
+    for k in ("k_quadrature(h, 0.5, 2.0)", "k_endpoint(h, 0.5, 2.0)"):
+        assert abs(shown[k]) < 1e-12
+    jet = shown["U.jet(1.7)"]
+    U = namespace["U"]
+    assert jet == (U.value(1.7), U.deriv1(1.7), U.deriv2(1.7))
+    assert shown["(U.value(1.7), U.deriv1(1.7))"] == jet[:2]
+    assert all(type(x) is float for x in jet)
+    lhs, rhs = shown["evolution_lower_bound(h, 2.0)"]
+    assert math.isclose(lhs, 1.5, rel_tol=1e-12) and math.isclose(rhs, 1.5, rel_tol=1e-12)
+    assert abs(shown["uniqueness_probe(2.0).loglog_slope"] - 2.0) < 0.1
