@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -367,7 +367,8 @@ def schottky_check(h, R: float):
     batch, gives the list of its members' reports.  A series runs as the
     stack of one.
     """
-    from .sampling import injectivity_probe  # local import avoids a cycle
+    # read from sampling at call time, so a test can substitute the probe
+    from .sampling import injectivity_probe
 
     require_outer(R)
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
@@ -508,6 +509,10 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
 # Equality-case falsification probe at the critical configuration.
 # ---------------------------------------------------------------------------
 
+# The perturbation sizes of uniqueness_probe, 1e-4 to 1e-2.
+UNIQUENESS_EPSILONS = tuple(np.geomspace(1e-4, 1e-2, 9).tolist())
+
+
 @dataclass(frozen=True)
 class UniquenessReport:
     """Measured response of the critical configuration to perturbations.
@@ -532,15 +537,13 @@ class UniquenessReport:
         return asdict(self)
 
 
-def uniqueness_probe(
-    R: float, epsilons: Sequence[float] | None = None
-) -> UniquenessReport:
-    from .sampling import perturb_extremal  # local import avoids a cycle
+def uniqueness_probe(R: float) -> UniquenessReport:
+    # read from sampling at call time, as schottky_check reads the probe,
+    # so a substitute set on the sampling module is the one called
+    from .sampling import perturb_extremal
 
     require_outer(R)
-    if epsilons is None:
-        epsilons = np.geomspace(1e-4, 1e-2, 9)
-    eps = np.asarray(epsilons, dtype=np.float64)
+    eps = np.array(UNIQUENESS_EPSILONS)
     critical = nitsche_bound(R)
     gaps = np.array([
         mean_outer_radius(perturb_extremal(1.0, 2, e, renormalize=True), R)

@@ -314,14 +314,14 @@ def variance_deriv2_termwise(h, rho) -> np.ndarray | float:
     return out if out.shape else float(out)
 
 
-def is_class_D(h: HarmonicSeries, tol: float = CLASS_TOL) -> bool:
+def is_class_D(h: HarmonicSeries) -> bool:
     """Vanishing inner-circle average (Dirichlet-type normalization)."""
-    return abs(h.b0) <= tol
+    return abs(h.b0) <= CLASS_TOL
 
 
-def is_class_N(h: HarmonicSeries, tol: float = CLASS_TOL) -> bool:
+def is_class_N(h: HarmonicSeries) -> bool:
     """Vanishing average normal derivative (Neumann-type normalization)."""
-    return abs(h.a0) <= tol
+    return abs(h.a0) <= CLASS_TOL
 
 
 def initial_speed(h):

@@ -323,10 +323,25 @@ def k_endpoint(h, lam, R):
     """K_lam applied to the quadratic mean of h, in endpoint closed form;
     for a stack, lam and R may hold one entry per member.  h may also be
     the quadratic-mean profile itself, so that a caller which integrates
-    it with k_functional too builds it once."""
+    it with k_functional too builds it once.  Raises NumericOverflowError
+    if a result is not finite."""
     require_lambda(lam)
     require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
+    try:
+        k = _endpoint_form(U, lam, R)
+    except OverflowError:  # Python's float ** raises where numpy's gives inf
+        k = math.inf
+    if not (math.isfinite(k) if isinstance(k, float) else np.isfinite(k).all()):
+        raise NumericOverflowError(f"K_lam of the quadratic mean overflows at R={R}")
+    return k
+
+
+# numpy's overflow gives inf or NaN here, and k_endpoint raises on those;
+# as a decorator np.errstate costs half what a with-block does per call
+@np.errstate(over="ignore", invalid="ignore")
+def _endpoint_form(U: RadialProfile, lam, R):
+    """K_lam[U] on A(1, R) from U(R), U(1) and U'(1)."""
     if _is_scalar(R):
         u_R = U.value(R)
     else:
@@ -351,11 +366,13 @@ def variance_subsolution_min(h: HarmonicSeries, lam: float, rho_grid) -> float:
     the result is nonnegative up to rounding; it vanishes identically
     exactly when the only nonzero modes of h besides a0, b0 are the n = 1
     pair proportional to (1, lam) and the n = -1 pair proportional to
-    (lam, 1).
+    (lam, 1).  An empty grid raises ParameterDomainError.
     """
     op = LambdaOperator(lam)
-    values = np.asarray(op.apply(variance_profile(h), np.asarray(rho_grid)))
-    return float(np.min(values))
+    rho = np.asarray(rho_grid)
+    if rho.size == 0:
+        raise ParameterDomainError("the radius grid is empty")
+    return float(np.min(np.asarray(op.apply(variance_profile(h), rho))))
 
 
 def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:

@@ -156,12 +156,27 @@ def winding_number(h: HarmonicSeries, rho: float) -> int:
     """Winding of the image curve h(C_rho) about the origin.
 
     Computes the contour integral of dh/h over the circle as the mean of
-    h_theta / (i h).  Raises NumericOverflowError if the fields are not
-    finite, ZeroOnCircleError if min |h| <= 1e-9 on the nodes and
-    WindingNotIntegerError if the mean is farther than 1e-6 from an integer.
+    h_theta / (i h) on winding_count(N) angles, from the reduction that
+    also gives the injectivity probe its flags (has_winding).  Raises
+    NumericOverflowError if the fields are not finite, ZeroOnCircleError if
+    min |h| <= 1e-9 on the nodes and WindingNotIntegerError if the mean is
+    farther than 1e-6 from an integer.
     """
-    f = circle_fields(h, rho, circle_angles(winding_count(h.N)))
-    return winding_from_fields(f.values, f.d_theta, rho)
+    f = circle_grid_fields(h, rho, winding_count(h.N), ("values", "d_theta"))
+    finite, min_mod, w = _winding_integrals(f.values, f.d_theta)
+    if not finite:
+        raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
+    if min_mod <= _MIN_MODULUS_ON_CIRCLE:
+        raise ZeroOnCircleError(
+            f"|h| reaches {min_mod:.3e} on C_{rho}; winding undefined"
+        )
+    # np.round, unlike round(), keeps an inf or NaN integral for the test below
+    n = np.round(w.real)
+    if not abs(w - n) <= _WINDING_TOL:
+        raise WindingNotIntegerError(
+            f"winding integral {complex(w)} is not within {_WINDING_TOL} of an integer"
+        )
+    return int(n)
 
 
 def _winding_integrals(values: np.ndarray, d_theta: np.ndarray):
@@ -175,38 +190,12 @@ def _winding_integrals(values: np.ndarray, d_theta: np.ndarray):
     return finite, min_mod, w
 
 
-def _nearest_winding(w):
-    """The nearest integer to each winding integral, and whether it lies
-    within 1e-6 of it."""
-    nearest = np.round(np.real(w))
-    return nearest, np.abs(w - nearest) <= _WINDING_TOL
-
-
 def has_winding(values: np.ndarray, d_theta: np.ndarray, n: int) -> np.ndarray:
     """Per circle of a batch (the last axis holds the angles): whether h and
     h_theta are finite, |h| stays above 1e-9 and the winding integral lies
     within 1e-6 of n; the conditions winding_number raises on, as flags."""
     finite, min_mod, w = _winding_integrals(values, d_theta)
-    nearest, close = _nearest_winding(w)
-    return finite & (min_mod > _MIN_MODULUS_ON_CIRCLE) & close & (nearest == n)
-
-
-def winding_from_fields(values: np.ndarray, d_theta: np.ndarray, rho: float) -> int:
-    """Winding number from h and h_theta on an equally spaced circle grid,
-    with the checks and errors of winding_number."""
-    finite, min_mod, w = _winding_integrals(values, d_theta)
-    if not finite:
-        raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
-    if min_mod <= _MIN_MODULUS_ON_CIRCLE:
-        raise ZeroOnCircleError(
-            f"|h| reaches {min_mod:.3e} on C_{rho}; winding undefined"
-        )
-    nearest, close = _nearest_winding(w)
-    if not close:
-        raise WindingNotIntegerError(
-            f"winding integral {complex(w)} is not within {_WINDING_TOL} of an integer"
-        )
-    return int(nearest)
+    return finite & (min_mod > _MIN_MODULUS_ON_CIRCLE) & (np.abs(w - n) <= _WINDING_TOL)
 
 
 def enclosed_area(h: HarmonicSeries, rho: float) -> float:

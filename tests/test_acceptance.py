@@ -146,7 +146,7 @@ def test_c10_critical_configuration_and_uniqueness():
         margins.append(abs(rep.margin))
     report("C10a", "critical configuration has zero margin", np.max(margins), 1e-12)
 
-    probe = uniqueness_probe(E, epsilons=np.geomspace(1e-4, 1e-2, 9))
+    probe = uniqueness_probe(E)
     assert np.min(probe.gaps) > 0.0, "perturbation gap must be strictly positive"
     slope_err = abs(probe.loglog_slope - 2.0)
     report("C10b", "perturbation gap grows quadratically (slope 2)",

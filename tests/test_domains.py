@@ -10,6 +10,7 @@ import pytest
 
 from annulus_harmonics import (
     LambdaOperator,
+    NumericOverflowError,
     ParameterDomainError,
     RadialProfile,
     circular_mean,
@@ -29,8 +30,13 @@ from annulus_harmonics import (
 )
 from annulus_harmonics.bounds import gz_weight, variance_k_bound
 from annulus_harmonics.means import variance_deriv2_termwise
-from annulus_harmonics.operators import identity_residuals, speed_bound
+from annulus_harmonics.operators import (
+    identity_residuals,
+    speed_bound,
+    variance_subsolution_min,
+)
 from annulus_harmonics.reports import MAX_TRIALS, DrawPlan
+from annulus_harmonics.sampling import SamplerConfig, random_series, random_series_stack
 from annulus_harmonics.series import (
     circle_angles,
     circle_fields,
@@ -84,6 +90,7 @@ CASES = {
     "speed_bound-rho-inf": lambda: speed_bound(INF, 0.5),
     "speed_bound-lambda--1": lambda: speed_bound(1.5, -1.0),
     "variance_deriv2_termwise-nan": lambda: variance_deriv2_termwise(H, NAN),
+    "variance_subsolution_min-empty-grid": lambda: variance_subsolution_min(H, 0.5, []),
     "require_lambda-array": lambda: require_lambda(np.array([0.5, 1.5])),
     "require_outer-array": lambda: require_outer(np.array([2.0, 1.0])),
 }
@@ -93,6 +100,29 @@ CASES = {
 def test_out_of_domain_argument_is_rejected(call):
     with pytest.raises(ParameterDomainError):
         call()
+
+
+# R = 1e160 overflows Python's float R**2, R = 1e60 only U(R) = O(R^10);
+# the numpy scalar and the stack take numpy's arithmetic
+@pytest.mark.parametrize("R", [1e160, 1e60, np.float64(1e160), np.array(1e60)],
+                         ids=["float-R2", "float-U", "float64", "0-d"])
+def test_k_endpoint_overflow_is_a_typed_error(R):
+    h = random_series(SamplerConfig(seed=1, N=5, decay=0.5))
+    with pytest.raises(NumericOverflowError):
+        k_endpoint(h, 0.5, R)
+
+
+def test_k_endpoint_overflow_of_one_stack_member_is_a_typed_error():
+    stack = random_series_stack([SamplerConfig(seed=s, N=5, decay=0.5) for s in (1, 2)])
+    with pytest.raises(NumericOverflowError):
+        k_endpoint(stack, 0.5, np.array([2.0, 1e200]))
+    finite = k_endpoint(stack, 0.5, np.array([2.0, 3.0]))
+    assert np.isfinite(finite).all() and finite.shape == (2,)
+
+
+def test_k_endpoint_keeps_a_float_at_a_float_radius():
+    h = random_series(SamplerConfig(seed=1, N=5, decay=0.5))
+    assert type(k_endpoint(h, 0.5, 2.0)) is float
 
 
 @pytest.mark.parametrize("R", [1.0, 0.5, -2.0, NAN, INF, -INF])

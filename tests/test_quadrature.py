@@ -9,6 +9,7 @@ from annulus_harmonics import (
     HarmonicSeries,
     NumericOverflowError,
     ParameterDomainError,
+    WindingNotIntegerError,
     ZeroOnCircleError,
     circular_mean,
     dirichlet_energy,
@@ -26,9 +27,11 @@ from annulus_harmonics.quadrature import (
     _gauss_rule,
     angular_count,
     circle_angles,
-    winding_from_fields,
+    has_winding,
+    winding_count,
 )
-from annulus_harmonics.series import MAX_JSON_ORDER
+from annulus_harmonics.sampling import SamplerConfig, random_series
+from annulus_harmonics.series import MAX_JSON_ORDER, SeriesStack
 from annulus_harmonics.series import circle_fields, circle_grid_fields
 
 CRITICAL = extremal_map(1.0)
@@ -162,8 +165,37 @@ def test_winding_of_overflowing_fields_is_a_numeric_fault():
     h = HarmonicSeries.from_coeffs(a={1: 1e308})
     with pytest.raises(NumericOverflowError):
         winding_number(h, 10.0)
-    with pytest.raises(NumericOverflowError):
-        winding_from_fields(np.array([1.0, math.nan]), np.array([1j, 1j]), 1.0)
+
+
+def test_probe_flags_agree_with_winding_number():
+    """has_winding on the injectivity probe's batched fields flags a circle
+    for n exactly where winding_number returns n, and for no n where it
+    raises: every error type occurs, and several windings."""
+    members = [extremal_map(lam) for lam in (-0.5, 0.0, 0.5, 1.0)]
+    members += [HarmonicSeries.from_coeffs(b={-1: 1.0}),     # z-bar
+                HarmonicSeries.from_coeffs(a={2: 1.0}),      # z^2
+                HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5001),  # a zero near C_1.5
+                HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5),     # a zero on C_1.5
+                HarmonicSeries.from_coeffs(a={1: 1e308})]    # overflows past rho = 1
+    members += [random_series(SamplerConfig(s, 8, 0.6)) for s in range(20)]
+    stack = SeriesStack.of(members)
+    radii = np.array([1.0, 1.5, 2.0])
+    f = circle_grid_fields(stack, radii, winding_count(stack.N), ("values", "d_theta"))
+    windings = range(-3, 4)
+    flags = np.array([has_winding(f.values, f.d_theta, n) for n in windings])
+    seen = set()
+    for i, h in enumerate(members):
+        for j, rho in enumerate(radii):
+            assert winding_count(h.N) == winding_count(stack.N)
+            try:
+                n = winding_number(h, rho)
+            except (NumericOverflowError, WindingNotIntegerError, ZeroOnCircleError) as err:
+                seen.add(type(err))
+                assert not flags[:, i, j].any(), (i, rho)
+            else:
+                seen.add(n)
+                assert flags[:, i, j].tolist() == [k == n for k in windings], (i, rho)
+    assert {NumericOverflowError, WindingNotIntegerError, ZeroOnCircleError, -1, 1, 2} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +346,7 @@ def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    record(quadrature, "circle_fields", lambda h, rho, thetas: ("winding", len(thetas)))
+    record(quadrature, "circle_grid_fields", lambda h, rho, M, fields: ("winding", M))
     record(sampling, "circle_grid_fields", lambda h, r, M, fields: (("probe",) + fields, M))
     record(bounds, "circle_grid_fields", lambda h, r, M, fields: (("schottky",) + fields, M))
     assert winding_number(h, 1.5) == 1
