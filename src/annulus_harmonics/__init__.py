@@ -15,7 +15,6 @@ from .errors import (
     QuadratureConvergenceError,
     SpeedSignError,
     ToolkitError,
-    WindingNotIntegerError,
     ZeroOnCircleError,
 )
 from .series import (
@@ -94,7 +93,6 @@ __all__ = [
     "SpeedSignError",
     "ToolkitError",
     "UniquenessReport",
-    "WindingNotIntegerError",
     "ZeroOnCircleError",
     "circular_mean",
     "conformal_injectivity_margin",

@@ -117,7 +117,9 @@ def wide_annulus_certificate(R):
     constant coefficients positive definite, which closes the bound for
     moduli in (1, 3/2].  At the endpoints the value reduces to
     13e^4 - e^6 - 19e^2 - 1 and 22e^6 - e^9 - 38e^3 - 1, both positive.
+    Raises ParameterDomainError unless 1 < R < inf (every entry of an array).
     """
+    require_outer(R)
     r = np.asarray(R, dtype=np.float64)
     log_r = np.log(r)
     out = (
@@ -329,6 +331,16 @@ class SchottkyReport:
     probe's windings and the smallest Jacobian on its grid.  A member that
     is not applicable reports NaN for injectivity_margin and jacobian_min
     and windings_ok = False.
+
+    `boundary_deviation` is a proved bound of sup ||h| - 1| on the unit
+    circle, up to the rounding of the samples it is taken from:
+    T = |h|^2 - 1 is a trigonometric polynomial of degree 2N there, so
+    Bernstein's inequality bounds sup|T| by max_k |T(theta_k)| /
+    (1 - 2 pi N/M) on M = angular_count(10 N) equally spaced angles, N
+    the member's highest mode with a nonzero coefficient, and
+    ||h| - 1| <= sup|T| / (1 + sqrt(max(0, 1 - sup|T|))).  A member whose
+    bound exceeds 1e-6 is not applicable; NaN where the member is not
+    conformal or has a log or constant term.
     """
 
     applicable: bool
@@ -352,7 +364,8 @@ def schottky_check(h, R: float):
     """Check the conformal refinement of Schottky's theorem on A(1, R).
 
     For a conformal series (all b_n = 0, no log term) with vanishing
-    constant term and |h| = 1 on the unit circle (within 1e-6): the mean
+    constant term and |h| = 1 on the unit circle (within 1e-6, by the
+    proved bound that boundary_deviation reports): the mean
     outer radius is at least R and the image area of the annulus is at
     least pi (R^2 - 1), with the mode sum over n != 0 of
     |a_n|^2 (R^(2n) - 1) >= R^2 - 1 as intermediate step.  Injectivity is
@@ -377,10 +390,22 @@ def schottky_check(h, R: float):
     pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
     deviation = np.full(len(stack), math.nan)
     screened = conformal & pure
-    # |f| is not band-limited: a scan of it on max(1024, 4N + 8) angles
-    M = max(1024, 4 * stack.N + 8)
-    moduli = np.abs(circle_grid_fields(stack[screened], 1.0, M, ("values",)).values)
-    deviation[screened] = np.max(np.abs(moduli - 1.0), axis=-1, initial=0.0)
+    # T = |f|^2 - 1 on the unit circle, of degree 2N for a member whose
+    # highest mode is N, sampled on M > 20 N angles; with Bernstein's
+    # inequality |T'| <= 2N sup|T|, every point lies within pi/M of a
+    # sample, so sup|T| <= max_k |T(theta_k)| / (1 - 2 pi N/M).  Members are
+    # grouped by their own N, so a report does not depend on the stack.
+    orders = np.max(np.where((stack.a != 0.0) | (stack.b != 0.0),
+                             np.abs(stack.mode_numbers), 0), axis=-1, initial=0)
+    for N in sorted(set(orders[screened].tolist())):  # np.unique would load numpy.ma
+        group = screened & (orders == N)
+        M = angular_count(10 * N)
+        moduli = np.abs(circle_grid_fields(stack[group], 1.0, M, ("values",)).values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            T = np.max(np.abs((moduli - 1.0) * (moduli + 1.0)), axis=-1)
+            T /= 1.0 - 2.0 * math.pi * N / M
+            # ||f| - 1| = |T|/(|f| + 1) and |f| >= sqrt(1 - sup|T|)
+            deviation[group] = T / (1.0 + np.sqrt(np.maximum(0.0, 1.0 - T)))
     applicable = screened & ~(deviation > 1e-6)
 
     found = stack[applicable]

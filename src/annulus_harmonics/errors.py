@@ -26,11 +26,8 @@ class NumericOverflowError(ToolkitError, ArithmeticError):
 
 
 class ZeroOnCircleError(ToolkitError, ValueError):
-    """The function vanishes (numerically) somewhere on the sample circle."""
-
-
-class WindingNotIntegerError(ToolkitError, RuntimeError):
-    """The contour integral for the winding number is not close to an integer."""
+    """The function vanishes on or too near the circle for its winding
+    number to be proved."""
 
 
 class QuadratureConvergenceError(ToolkitError, RuntimeError):

@@ -366,13 +366,19 @@ def variance_subsolution_min(h: HarmonicSeries, lam: float, rho_grid) -> float:
     the result is nonnegative up to rounding; it vanishes identically
     exactly when the only nonzero modes of h besides a0, b0 are the n = 1
     pair proportional to (1, lam) and the n = -1 pair proportional to
-    (lam, 1).  An empty grid raises ParameterDomainError.
+    (lam, 1).  An empty grid raises ParameterDomainError, and a minimum
+    that is not finite (a radius so large that the variance overflows)
+    NumericOverflowError.
     """
     op = LambdaOperator(lam)
     rho = np.asarray(rho_grid)
     if rho.size == 0:
         raise ParameterDomainError("the radius grid is empty")
-    return float(np.min(np.asarray(op.apply(variance_profile(h), rho))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = float(np.min(np.asarray(op.apply(variance_profile(h), rho))))
+    if not math.isfinite(low):
+        raise NumericOverflowError(f"L_lam of the variance overflows on the grid, got {low}")
+    return low
 
 
 def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:

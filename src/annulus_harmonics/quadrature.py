@@ -9,9 +9,10 @@ truncated series, trigonometric polynomials of degree at most 2N, so they
 are exact up to rounding once M exceeds that degree; they take
 angular_count(degree) angles, the smallest 5-smooth M (2^i 3^j 5^k, the
 sizes the FFT transforms fastest) that exceeds twice the integrand
-degree.  Integrands that are not band-limited, such as the winding
-integral of dh/h, are sampled instead, on winding_count(N) =
-max(ANGULAR_NODES, 8 N + 8) angles.  The fields on
+degree.  The one circle quantity that is not band-limited, the winding
+number of h(C_rho) about 0, is not sampled on a fixed count: it is proved
+by an argument count whose angle count the series' own mode sums pick
+(winding_counts).  The fields on
 the M angles come from the inverse-FFT circle kernel of the series module
 (mode n in bin n mod M, no aliasing at these M), and the Dirichlet energy
 evaluates its Gauss nodes' circles in batches of at most
@@ -40,9 +41,9 @@ raises instead of calling the integrand.  A stack's members each get their
 own rule, padded to the longest with zero-weight nodes, in one call of the
 integrand.
 
-The policy has no knobs: the angular rule is exact, and the radial rule
-is sized by its bound, so other node counts would change results only at
-rounding level.
+The policy has no knobs: the angular rule is exact, the radial rule is
+sized by its bound and a winding number is proved or not given, so other
+node counts would change results only at rounding level.
 """
 
 from __future__ import annotations
@@ -57,32 +58,30 @@ from .errors import (
     NumericOverflowError,
     ParameterDomainError,
     QuadratureConvergenceError,
-    WindingNotIntegerError,
     ZeroOnCircleError,
 )
 from .series import (
     HarmonicSeries,
+    SeriesStack,
+    _mode_spectrum,
     circle_angles,
     circle_fields,
     circle_grid_fields,
     require_radii,
 )
 
-_MIN_MODULUS_ON_CIRCLE = 1e-9
-_WINDING_TOL = 1e-6
-
 # Angle points (radii x M) per batched circle evaluation in dirichlet_energy:
 # caps its two (radii, M) field rows at 256 KiB, whatever M, and takes all of
 # a small series' Gauss nodes in one call.
 _ENERGY_POINTS_PER_BATCH = 2**13
 
-# The quadrature policy: the fewest equally spaced angles of a sampled (not
-# band-limited) circle integrand, and the error of a radial rule relative to
-# the integral S of its integrand's termwise bound (see radial_integrate).
-# The weighted sum of the rule itself rounds at about u S, u = 2^-53 ~ 1.1e-16
-# per term, so a proved truncation error of 1e-15 S is within ten units of
-# that floor: a smaller RADIAL_EPS would add nodes but no accuracy.
-ANGULAR_NODES = 256
+# The quadrature policy: the most angles a winding decision may take (see
+# winding_counts), and the error of a radial rule relative to the integral S
+# of its integrand's termwise bound (see radial_integrate).  The weighted sum
+# of the rule itself rounds at about u S, u = 2^-53 ~ 1.1e-16 per term, so a
+# proved truncation error of 1e-15 S is within ten units of that floor: a
+# smaller RADIAL_EPS would add nodes but no accuracy.
+MAX_WINDING_ANGLES = 2**16
 RADIAL_EPS = 1e-15
 
 
@@ -100,13 +99,6 @@ def angular_count(degree: int) -> int:
         if rest == 1:
             return M
         M += 1
-
-
-def winding_count(N: int) -> int:
-    """Angle count of the winding integral mean(h_theta / (i h)) of a series
-    of order N.  The integrand is not band-limited, so it is sampled on
-    max(ANGULAR_NODES, 8 N + 8) angles."""
-    return max(ANGULAR_NODES, 8 * N + 8)
 
 
 def _field_means(fields: np.ndarray) -> tuple:
@@ -153,49 +145,99 @@ def quadratic_mean_numeric(h: HarmonicSeries, rho: float) -> float:
 
 
 def winding_number(h: HarmonicSeries, rho: float) -> int:
-    """Winding of the image curve h(C_rho) about the origin.
+    """Winding of the image curve h(C_rho) about the origin, proved by the
+    argument count of winding_counts.
 
-    Computes the contour integral of dh/h over the circle as the mean of
-    h_theta / (i h) on winding_count(N) angles, from the reduction that
-    also gives the injectivity probe its flags (has_winding).  Raises
-    NumericOverflowError if the fields are not finite, ZeroOnCircleError if
-    min |h| <= 1e-9 on the nodes and WindingNotIntegerError if the mean is
-    farther than 1e-6 from an integer.
+    Raises ParameterDomainError unless rho is one positive finite radius,
+    NumericOverflowError if the mode sums of h on C_rho are not finite, and
+    ZeroOnCircleError, with the smallest |h| sampled, if no count up to
+    MAX_WINDING_ANGLES angles proves the winding (|h| falls to about
+    2 pi S / MAX_WINDING_ANGLES or below, as at or near a zero on the
+    circle).
     """
-    f = circle_grid_fields(h, rho, winding_count(h.N), ("values", "d_theta"))
-    finite, min_mod, w = _winding_integrals(f.values, f.d_theta)
-    if not finite:
+    if np.ndim(rho) != 0:
+        raise ParameterDomainError(f"rho must be one radius, got shape {np.shape(rho)}")
+    require_radii(rho)
+    finite, min_mod, count = winding_counts(h, np.array([float(rho)]), MAX_WINDING_ANGLES)
+    if not finite[0]:
         raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
-    if min_mod <= _MIN_MODULUS_ON_CIRCLE:
+    if math.isnan(count[0]):
         raise ZeroOnCircleError(
-            f"|h| reaches {min_mod:.3e} on C_{rho}; winding undefined"
-        )
-    # np.round, unlike round(), keeps an inf or NaN integral for the test below
-    n = np.round(w.real)
-    if not abs(w - n) <= _WINDING_TOL:
-        raise WindingNotIntegerError(
-            f"winding integral {complex(w)} is not within {_WINDING_TOL} of an integer"
-        )
-    return int(n)
+            f"|h| reaches {min_mod[0]:.3e} on C_{rho}; no count up to "
+            f"{MAX_WINDING_ANGLES} angles proves the winding")
+    return int(count[0])
 
 
-def _winding_integrals(values: np.ndarray, d_theta: np.ndarray):
-    """Per circle (the last axis holds the angles): whether h and h_theta
-    are finite, min |h|, and the winding integral mean(h_theta / (i h))."""
-    finite = np.isfinite(values).all(axis=-1) & np.isfinite(d_theta).all(axis=-1)
-    min_mod = np.min(np.abs(values), axis=-1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        ratio = 1j * values
-        w = np.mean(np.divide(d_theta, ratio, out=ratio), axis=-1)
-    return finite, min_mod, w
+def winding_counts(h, rhos: np.ndarray, block_points: int) -> tuple:
+    """Winding numbers about 0 of the curves h(C_rho), rho in the 1-d
+    `rhos`, by a proved argument count: for a series arrays of shape
+    (radii,), for a SeriesStack of shape (members, radii).  Returns
+    (finite, min_mod, counts): whether the circle's mode sums are finite,
+    the smallest |h| on the last angles sampled (NaN where none were), and
+    the winding number, NaN where it is not proved.
 
+    Proof.  On C_rho, h(theta) = sum_n c_n e^(i n theta), so everywhere on
+    the circle |h_theta| <= S = sum_n |n| |c_n|, the modulus sum of the
+    d_theta row of the mode spectrum.  If every sample of M equally spaced
+    angles has |h(theta_k)| > (2 pi/M) S, then along the arc to the next
+    sample |h(theta) - h(theta_k)| < |h(theta_k)|: the curve stays in a
+    disk about h(theta_k) that leaves out 0, so it turns by less than pi/2
+    and its turn is the principal Arg(h(theta_(k+1))/h(theta_k)).  The
+    winding number is then the sum of those arguments over 2 pi, which
+    errs by far less than 1/2 and is rounded.  The samples are h computed by
+    an FFT of L < M + 2N + 1 bins, which errs by at most about log2(L) u A,
+    A = sum_n |c_n| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, Sec. 24.1); an allowance of
+    8 eps (log2(M + 2N + 1) A + (2N + 1) S), eps = 2^-52, is taken off
+    every |h(theta_k)| before the test, and also covers the rounding of S.
 
-def has_winding(values: np.ndarray, d_theta: np.ndarray, n: int) -> np.ndarray:
-    """Per circle of a batch (the last axis holds the angles): whether h and
-    h_theta are finite, |h| stays above 1e-9 and the winding integral lies
-    within 1e-6 of n; the conditions winding_number raises on, as flags."""
-    finite, min_mod, w = _winding_integrals(values, d_theta)
-    return finite & (min_mod > _MIN_MODULUS_ON_CIRCLE) & (np.abs(w - n) <= _WINDING_TOL)
+    M starts at 8 and doubles up to MAX_WINDING_ANGLES; each circle stops
+    at the first M that proves it.  A circle with a sample within the
+    allowance of 0 stops unproved at once, since every finer grid holds
+    that sample too, and a circle whose mode sums are not finite is not
+    sampled.  The circles still open at each M are evaluated in requests
+    of at most `block_points` angle points, or of one circle where a
+    single circle is larger.  Each circle is transformed on its own, so the
+    result does not depend on the others.
+    """
+    stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
+    radii = rhos.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = np.abs(_mode_spectrum(stack, rhos)[..., 0::2, :])
+        sums = np.sum(spectrum, axis=-1)  # (members, radii, 2): A and S
+    A, S = sums[..., 0].ravel(), sums[..., 1].ravel()
+    finite = np.isfinite(A) & np.isfinite(S)
+    min_mod = np.full(A.size, math.nan)
+    counts = np.full(A.size, math.nan)
+    eps = np.finfo(np.float64).eps
+    pending = np.flatnonzero(finite)
+    M = 8
+    while pending.size and M <= MAX_WINDING_ANGLES:
+        # scalar factors first, so that a finite A or S near the float
+        # range does not overflow
+        allowance = ((8.0 * eps * math.log2(M + 2 * stack.N + 1)) * A
+                     + (8.0 * eps * (2 * stack.N + 1)) * S)
+        per_request = max(1, block_points // M)
+        keep = []
+        for lo in range(0, pending.size, per_request):
+            circles = pending[lo:lo + per_request]
+            values = circle_grid_fields(stack[circles // radii], rhos[circles % radii, None],
+                                        M, ("values",)).values[:, 0, :]
+            moduli = np.abs(values)
+            min_mod[circles] = np.min(moduli, axis=-1)
+            slack = moduli - allowance[circles, None]
+            proved = np.all(slack > (2.0 * math.pi / M) * S[circles, None], axis=-1)
+            # each Arg(h_(k+1)/h_k), as a difference of phases wrapped into
+            # [-pi, pi), which unlike the quotient cannot overflow
+            phases = np.angle(values[proved])
+            turns = np.diff(phases, axis=-1, append=phases[:, :1]) + math.pi
+            turns = np.remainder(turns, 2.0 * math.pi, out=turns) - math.pi
+            counts[circles[proved]] = np.rint(np.sum(turns, axis=-1) / (2.0 * math.pi))
+            keep.append(circles[~proved & np.all(slack > 0.0, axis=-1)])
+        pending = np.concatenate(keep)
+        M *= 2
+    shape = (len(stack), radii) if isinstance(h, SeriesStack) else (radii,)
+    return finite.reshape(shape), min_mod.reshape(shape), counts.reshape(shape)
 
 
 def enclosed_area(h: HarmonicSeries, rho: float) -> float:
@@ -435,7 +477,8 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
     b_n r^-n|^2 + |a_n r^n + b_n r^-n|^2)), a sum of r^(+-2n) and 1, so the
     result errs by at most RADIAL_EPS times S, the same sum with each
     coefficient's modulus, integrated.  Raises ParameterDomainError unless
-    0 < rho1 < rho2 < inf.
+    0 < rho1 < rho2 < inf, and NumericOverflowError if the energy is not
+    finite (a radius so large that the fields overflow).
     """
     M = angular_count(2 * h.N)
     radii_per_batch = max(1, _ENERGY_POINTS_PER_BATCH // M)
@@ -448,4 +491,9 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
             out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out
 
-    return radial_integrate(ring_density, rho1, rho2, 2 * h.N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = radial_integrate(ring_density, rho1, rho2, 2 * h.N)
+    if not math.isfinite(energy):
+        raise NumericOverflowError(
+            f"the Dirichlet energy on {rho1} < |z| < {rho2} overflows, got {energy}")
+    return energy

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import has_winding, winding_count
+from .quadrature import winding_counts
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
@@ -350,18 +350,22 @@ def injectivity_probe(
     Samples the Jacobian determinant over an interior polar grid and the
     winding number over a family of circles.  A positive minimum Jacobian
     together with all windings equal to 1 is evidence (not proof) that the
-    series restricts to an orientation-preserving homeomorphism.  A zero on
-    a circle or a non-integer winding integral counts as failed evidence,
+    series restricts to an orientation-preserving homeomorphism.  Each
+    winding is proved by quadrature.winding_counts, the argument count
+    winding_number also uses; a circle it does not prove (a zero on or
+    near it, or mode sums that are not finite) counts as failed evidence,
     not as an error; a Jacobian that is not finite raises
     NumericOverflowError.  For a SeriesStack both fields are arrays with
     one entry per member.
 
-    The grid and the circles are evaluated in blocks of radii, each block
-    one circle_grid_fields call of at most PROBE_BLOCK_POINTS (8 x 24 x 96)
+    The grid is evaluated in blocks of radii, each block one
+    circle_grid_fields call of at most PROBE_BLOCK_POINTS (8 x 24 x 96)
     members x radii x angles, or of one radius where a single circle of
-    the stack is larger.  At the default sizes a series, and a stack of at
-    most 8 members, takes one block.  Every circle is transformed on its
-    own, so the result does not depend on the blocks.
+    the stack is larger; at the default sizes a series, and a stack of at
+    most 8 members, takes one block.  winding_counts keeps each of its
+    requests within the same bound, or to one circle where a single circle
+    is larger.  Every circle is transformed on its own, so the result does
+    not depend on the blocks.
     """
     require_outer(R)
     members = len(h) if isinstance(h, SeriesStack) else 1
@@ -381,13 +385,8 @@ def injectivity_probe(
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, circles + 2)[1:-1]
-    M = winding_count(h.N)
-    ok = []
-    for block in _radius_blocks(radii, members, M):
-        f = circle_grid_fields(h, block, M, ("values", "d_theta"))
-        ok.append(has_winding(f.values, f.d_theta, 1).all(axis=-1))
-        del f
-    jac_min, ok = np.min(jac_min, axis=0), np.all(ok, axis=0)
+    ok = np.all(winding_counts(h, radii, PROBE_BLOCK_POINTS)[2] == 1, axis=-1)
+    jac_min = np.min(jac_min, axis=0)
     if jac_min.shape:
         return InjectivityProbe(jacobian_min=jac_min, windings_ok=ok)
     return InjectivityProbe(jacobian_min=float(jac_min), windings_ok=bool(ok))

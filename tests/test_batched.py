@@ -202,22 +202,29 @@ def test_blocked_probe_equals_each_series_alone(members):
         assert (probe.jacobian_min < 0).any() and not probe.windings_ok.all()
 
 
-@pytest.mark.parametrize("members, calls", [(None, 2), (8, 2), (16, 4), (17, 5)])
-def test_probe_requests_stay_within_the_block_bound(monkeypatch, members, calls):
+@pytest.mark.parametrize("members, grid_calls, winding_calls",
+                         [(None, 1, 11), (8, 1, 16), (16, 2, 25), (17, 3, 25)])
+def test_probe_requests_stay_within_the_block_bound(monkeypatch, members, grid_calls,
+                                                    winding_calls):
     """Each circle_grid_fields call of the probe asks for at most the grid
-    of 8 members on 24 radii x 96 angles; a series or a stack of 8 takes
-    one call for the Jacobian grid and one for the winding circles."""
-    real = sampling.circle_grid_fields
-    sizes = []
+    of 8 members on 24 radii x 96 angles, or for one circle where a single
+    circle is larger: a series or a stack of 8 takes one call for the
+    Jacobian grid, and the winding circles one call per angle count that
+    winding_counts doubles to while circles are still unproved (up to
+    2**16, where a circle of the pool's random series ends)."""
+    requests = {sampling: [], quadrature: []}
 
-    def record(h, rhos, M, fields):
-        sizes.append((len(h) if isinstance(h, SeriesStack) else 1) * np.size(rhos) * M)
-        return real(h, rhos, M, fields)
+    for module, sizes in requests.items():
+        def record(h, rhos, M, fields, real=module.circle_grid_fields, sizes=sizes):
+            out = real(h, rhos, M, fields)
+            sizes.append((out[[f is not None for f in out].index(True)].size, M))
+            return out
 
-    monkeypatch.setattr(sampling, "circle_grid_fields", record)
+        monkeypatch.setattr(module, "circle_grid_fields", record)
     injectivity_probe(PROBE_POOL.series(0) if members is None else PROBE_POOL[:members], 2.0)
-    assert len(sizes) == calls
-    assert max(sizes) <= sampling.PROBE_BLOCK_POINTS == 8 * 24 * 96
+    assert (len(requests[sampling]), len(requests[quadrature])) == (grid_calls, winding_calls)
+    for points, M in requests[sampling] + requests[quadrature]:
+        assert points <= sampling.PROBE_BLOCK_POINTS == 8 * 24 * 96 or points == M
 
 
 # ---------------------------------------------------------------------------

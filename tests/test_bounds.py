@@ -39,7 +39,7 @@ from annulus_harmonics.bounds import (
 )
 from annulus_harmonics.operators import k_functional
 from annulus_harmonics.sampling import injectivity_probe, random_conformal_perturbation
-from annulus_harmonics.series import SeriesStack
+from annulus_harmonics.series import SeriesStack, circle_grid_fields
 
 E = math.e
 E32 = math.exp(1.5)
@@ -318,6 +318,33 @@ def test_schottky_rejects_off_circle_boundary():
     report = schottky_check(h, 2.0)
     assert not report.applicable
     assert report.boundary_deviation > 1e-6
+
+
+@pytest.mark.parametrize("eps", [1e-7, 0.05])
+def test_schottky_deviation_bounds_the_sampled_deviation(eps):
+    """boundary_deviation is a bound of sup ||h| - 1| on the unit circle,
+    so it is at least the deviation sampled on 4096 angles, and at most
+    the 1 / (1 - pi/10) the Bernstein factor on angular_count(10 N) allows
+    above the largest sample."""
+    stack = random_conformal_perturbation(list(range(40)), eps=eps)
+    reports = schottky_check(stack, 2.0)
+    values = circle_grid_fields(stack, 1.0, 4096, ("values",)).values
+    sampled = np.max(np.abs(np.abs(values) - 1.0), axis=-1)
+    deviation = np.array([r.boundary_deviation for r in reports])
+    assert (deviation >= sampled).all()
+    assert (deviation <= 2.0 * sampled / (1.0 - 0.1 * math.pi)).all()
+    assert all(r.applicable for r in reports) == (eps == 1e-7)
+
+
+def test_schottky_rejects_a_planted_deviation():
+    """A draw whose |h| leaves 1 by 2e-6 somewhere on the unit circle, by a
+    scale or by a mode, is not applicable; the draw itself is."""
+    h = random_conformal_perturbation(3, eps=1e-9)
+    planted = [scale_rotate(h, 1.0 + 2e-6), h.with_coeff(2, a=h.coeff(2)[0] + 2e-6)]
+    assert schottky_check(h, 2.0).applicable
+    for p in planted:
+        report = schottky_check(p, 2.0)
+        assert not report.applicable and report.boundary_deviation >= 1.9e-6
 
 
 def test_injectivity_margin_rejects_z_plus_inverse_z():

@@ -1,7 +1,8 @@
 """Domain rules: an outer radius R, a lambda or a circle radius rho outside
 its domain, NaN and infinity included, or circle angles other than a grid
 circle_angles(M), raises ParameterDomainError instead of returning NaN or
-failing inside the arithmetic."""
+failing inside the arithmetic; finite arguments whose result overflows
+raise NumericOverflowError."""
 
 import math
 
@@ -26,6 +27,7 @@ from annulus_harmonics import (
     quadratic_mean_numeric,
     quadratic_mean_profile,
     radial_integrate,
+    wide_annulus_certificate,
     winding_number,
 )
 from annulus_harmonics.bounds import gz_weight, variance_k_bound
@@ -70,6 +72,7 @@ CASES = {
     "quadratic_mean_numeric-inf": lambda: quadratic_mean_numeric(H, INF),
     "enclosed_area-inf": lambda: enclosed_area(H, INF),
     "winding_number-nan": lambda: winding_number(H, NAN),
+    "winding_number-array": lambda: winding_number(H, np.array([1.5, 2.0])),
     "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF, 1),
     "dirichlet_energy-inf": lambda: dirichlet_energy(H, 1.0, INF),
     "dirichlet_energy-rho1-nan": lambda: dirichlet_energy(H, NAN, 2.0),
@@ -91,6 +94,8 @@ CASES = {
     "speed_bound-lambda--1": lambda: speed_bound(1.5, -1.0),
     "variance_deriv2_termwise-nan": lambda: variance_deriv2_termwise(H, NAN),
     "variance_subsolution_min-empty-grid": lambda: variance_subsolution_min(H, 0.5, []),
+    "wide_annulus_certificate-inf": lambda: wide_annulus_certificate(INF),
+    "wide_annulus_certificate--1": lambda: wide_annulus_certificate(-1.0),
     "require_lambda-array": lambda: require_lambda(np.array([0.5, 1.5])),
     "require_outer-array": lambda: require_outer(np.array([2.0, 1.0])),
 }
@@ -99,6 +104,19 @@ CASES = {
 @pytest.mark.parametrize("call", CASES.values(), ids=CASES.keys())
 def test_out_of_domain_argument_is_rejected(call):
     with pytest.raises(ParameterDomainError):
+        call()
+
+
+# finite arguments whose result overflows: a typed error, never a NaN
+OVERFLOWS = {
+    "dirichlet_energy-rho2-1e308": lambda: dirichlet_energy(H, 1.2, 1e308),
+    "variance_subsolution_min-1e308": lambda: variance_subsolution_min(H, 0.5, [1e308]),
+}
+
+
+@pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
+def test_overflowing_result_is_a_typed_error(call):
+    with pytest.raises(NumericOverflowError):
         call()
 
 

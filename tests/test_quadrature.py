@@ -9,7 +9,6 @@ from annulus_harmonics import (
     HarmonicSeries,
     NumericOverflowError,
     ParameterDomainError,
-    WindingNotIntegerError,
     ZeroOnCircleError,
     circular_mean,
     dirichlet_energy,
@@ -27,10 +26,14 @@ from annulus_harmonics.quadrature import (
     _gauss_rule,
     angular_count,
     circle_angles,
-    has_winding,
-    winding_count,
+    winding_counts,
 )
-from annulus_harmonics.sampling import SamplerConfig, random_series
+from annulus_harmonics.sampling import (
+    PROBE_BLOCK_POINTS,
+    SamplerConfig,
+    injectivity_probe,
+    random_series,
+)
 from annulus_harmonics.series import MAX_JSON_ORDER, SeriesStack
 from annulus_harmonics.series import circle_fields, circle_grid_fields
 
@@ -167,35 +170,91 @@ def test_winding_of_overflowing_fields_is_a_numeric_fault():
         winding_number(h, 10.0)
 
 
+def root_count(h, rho):
+    """Winding of h(C_rho) about 0 from the roots of the polynomial
+    P(w) = e^(i N theta) h, w = e^(i theta), of degree 2N: the roots in
+    |w| < 1, less N; with the distance of the nearest root to |w| = 1."""
+    P = np.zeros(2 * h.N + 1, dtype=np.complex128)  # P[k] multiplies w^k
+    ns = h.mode_numbers
+    P[ns + h.N] = h.a * rho ** ns.astype(float) + h.b * rho ** -ns.astype(float)
+    P[h.N] = h.a0 * math.log(rho) + h.b0
+    roots = np.abs(np.roots(P[::-1]))
+    return int(np.sum(roots < 1.0)) - h.N, float(np.min(np.abs(roots - 1.0)))
+
+
+# 20 series like the README's `sample --N 8 --decay 0.6`, on three circles
+PROBE_SERIES = [random_series(SamplerConfig(s, 8, 0.6)) for s in range(20)]
+PROBE_RADII = (1.0, 1.5, 2.0)
+
+
+def test_winding_number_agrees_with_the_root_count():
+    """Wherever winding_number returns, it is the root count; it raises only
+    where a root of P lies within 1e-3 of |w| = 1, and returns on 59 of the
+    60 circles (the 600-circle probe on seeds 0-199 returns on 589)."""
+    returned = 0
+    for s, h in enumerate(PROBE_SERIES):
+        for rho in PROBE_RADII:
+            want, distance = root_count(h, rho)
+            try:
+                got = winding_number(h, rho)
+            except ZeroOnCircleError:
+                assert distance < 1e-3, (s, rho)
+                continue
+            returned += 1
+            assert got == want, (s, rho)
+    assert returned >= 59
+
+
+@pytest.mark.parametrize("zero, winding", [(1.5 - 1e-2, 1), (1.5 + 1e-2, 0)])
+def test_winding_about_a_zero_near_the_circle(zero, winding):
+    """z - zero on C_1.5: winding 1 with the zero inside, 0 with it outside,
+    once the argument count takes enough angles (2 pi 1.5 / 1e-2 ~ 940)."""
+    assert winding_number(HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-zero), 1.5) == winding
+
+
 def test_probe_flags_agree_with_winding_number():
-    """has_winding on the injectivity probe's batched fields flags a circle
-    for n exactly where winding_number returns n, and for no n where it
-    raises: every error type occurs, and several windings."""
+    """winding_counts on one stack proves for each circle what
+    winding_number proves for it alone, and leaves open (NaN) what
+    winding_number raises on; the injectivity probe's flags are
+    winding_number == 1 on each of its 8 circles.  Every error type occurs,
+    and several windings."""
     members = [extremal_map(lam) for lam in (-0.5, 0.0, 0.5, 1.0)]
     members += [HarmonicSeries.from_coeffs(b={-1: 1.0}),     # z-bar
                 HarmonicSeries.from_coeffs(a={2: 1.0}),      # z^2
                 HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5001),  # a zero near C_1.5
                 HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5),     # a zero on C_1.5
                 HarmonicSeries.from_coeffs(a={1: 1e308})]    # overflows past rho = 1
-    members += [random_series(SamplerConfig(s, 8, 0.6)) for s in range(20)]
+    members += PROBE_SERIES
     stack = SeriesStack.of(members)
-    radii = np.array([1.0, 1.5, 2.0])
-    f = circle_grid_fields(stack, radii, winding_count(stack.N), ("values", "d_theta"))
-    windings = range(-3, 4)
-    flags = np.array([has_winding(f.values, f.d_theta, n) for n in windings])
+    radii = np.array(PROBE_RADII)
+    finite, _, counts = winding_counts(stack, radii, PROBE_BLOCK_POINTS)
     seen = set()
     for i, h in enumerate(members):
         for j, rho in enumerate(radii):
-            assert winding_count(h.N) == winding_count(stack.N)
             try:
                 n = winding_number(h, rho)
-            except (NumericOverflowError, WindingNotIntegerError, ZeroOnCircleError) as err:
+            except (NumericOverflowError, ZeroOnCircleError) as err:
                 seen.add(type(err))
-                assert not flags[:, i, j].any(), (i, rho)
+                assert math.isnan(counts[i, j]), (i, rho)
+                assert finite[i, j] == (type(err) is ZeroOnCircleError), (i, rho)
             else:
                 seen.add(n)
-                assert flags[:, i, j].tolist() == [k == n for k in windings], (i, rho)
-    assert {NumericOverflowError, WindingNotIntegerError, ZeroOnCircleError, -1, 1, 2} <= seen
+                assert counts[i, j] == n, (i, rho)
+    assert {NumericOverflowError, ZeroOnCircleError, -1, 0, 1, 2} <= seen
+
+    probed = members[:8] + PROBE_SERIES[:4]
+    R = 2.0
+    flags = injectivity_probe(SeriesStack.of(probed), R).windings_ok
+    circles = np.linspace(1.0, R, 10)[1:-1]
+
+    def winds_once(h, rho):
+        try:
+            return winding_number(h, rho) == 1
+        except ZeroOnCircleError:
+            return False
+
+    assert flags.tolist() == [all(winds_once(h, rho) for rho in circles) for h in probed]
+    assert flags.any() and not flags.all()
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +384,13 @@ def test_energy_bits_do_not_depend_on_the_ring_batches(N, tame_series, monkeypat
 
 @pytest.mark.parametrize("N", [1, 40, 300])
 def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
-    """dh/h and |f| are not band-limited, so the winding integrals sample
-    max(256, 8N + 8) angles and the Schottky |f| scan max(1024, 4N + 8),
-    whatever angular_count gives the band-limited means."""
+    """The winding count doubles from 8 angles and stops at the first count
+    that proves the winding, which is 8 for a circle far from any zero
+    whatever N; the Schottky |f| scan takes angular_count(10 N), beyond the
+    20 N its Bernstein bound needs, whatever angular_count gives the
+    band-limited means."""
     from annulus_harmonics import bounds, sampling
     from annulus_harmonics.bounds import schottky_check
-    from annulus_harmonics.sampling import injectivity_probe
 
     # z plus a conformal mode of order N too small to count on A(1, 2)
     h = HarmonicSeries.from_coeffs(N=N, a={1: 1.0} if N == 1 else {1: 1.0, N: 1e-9 / 2.0**N})
@@ -346,15 +406,16 @@ def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    record(quadrature, "circle_grid_fields", lambda h, rho, M, fields: ("winding", M))
+    record(quadrature, "circle_grid_fields", lambda h, rho, M, fields: (("winding",) + fields, M))
     record(sampling, "circle_grid_fields", lambda h, r, M, fields: (("probe",) + fields, M))
     record(bounds, "circle_grid_fields", lambda h, r, M, fields: (("schottky",) + fields, M))
     assert winding_number(h, 1.5) == 1
     assert injectivity_probe(h, 2.0).windings_ok
     schottky_check(h, 2.0)
-    assert angles["winding"] == {max(256, 8 * N + 8)}
-    assert angles["probe", "values", "d_theta"] == {max(256, 8 * N + 8)}
-    assert angles["schottky", "values"] == {max(1024, 4 * N + 8)}
+    assert angles["winding", "values"] == {8}
+    assert angles["probe", "d_rho", "d_theta"] == {96}
+    assert angles["schottky", "values"] == {angular_count(10 * N)}
+    assert angular_count(10 * N) > 20 * N
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +613,12 @@ def test_each_member_of_a_stack_gets_its_own_rule_in_one_call(monkeypatch):
 
 
 def test_winding_near_pole_is_not_integer():
-    # A zero of h just off the circle leaves |h| above the zero guard but
-    # ruins the contour integral, which must be reported, not rounded.
-    from annulus_harmonics import WindingNotIntegerError
-
+    """A zero of h 1e-4 off C_1.5 gives no proved integer: the argument
+    count would need 2 pi 1.5 / 1e-4 ~ 94,000 angles, past its 2**16, so it
+    raises with the smallest |h| sampled (at theta = 0) instead of
+    rounding an unproved sum."""
     h = HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5001)
-    with pytest.raises(WindingNotIntegerError):
+    with pytest.raises(ZeroOnCircleError, match=r"reaches 1\.000e-04"):
         winding_number(h, 1.5)
 
 
