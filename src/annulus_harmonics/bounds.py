@@ -37,6 +37,7 @@ from .quadrature import angular_count
 from .series import (
     HarmonicSeries,
     SeriesStack,
+    _member_orders,
     circle_grid_fields,
     require_lambda,
     require_outer,
@@ -395,8 +396,7 @@ def schottky_check(h, R: float):
     # inequality |T'| <= 2N sup|T|, every point lies within pi/M of a
     # sample, so sup|T| <= max_k |T(theta_k)| / (1 - 2 pi N/M).  Members are
     # grouped by their own N, so a report does not depend on the stack.
-    orders = np.max(np.where((stack.a != 0.0) | (stack.b != 0.0),
-                             np.abs(stack.mode_numbers), 0), axis=-1, initial=0)
+    orders = _member_orders(stack)
     for N in sorted(set(orders[screened].tolist())):  # np.unique would load numpy.ma
         group = screened & (orders == N)
         M = angular_count(10 * N)

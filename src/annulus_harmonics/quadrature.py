@@ -63,6 +63,7 @@ from .errors import (
 from .series import (
     HarmonicSeries,
     SeriesStack,
+    _member_orders,
     _mode_spectrum,
     circle_angles,
     circle_fields,
@@ -75,13 +76,18 @@ from .series import (
 # a small series' Gauss nodes in one call.
 _ENERGY_POINTS_PER_BATCH = 2**13
 
-# The quadrature policy: the most angles a winding decision may take (see
-# winding_counts), and the error of a radial rule relative to the integral S
-# of its integrand's termwise bound (see radial_integrate).  The weighted sum
+# The quadrature policy: the most angles a winding decision may take; the
+# most field points (members x radii x angles) one circle_grid_fields call of
+# a winding decision or of the injectivity probe requests, the probe's 24 x 96
+# Jacobian grid of 8 members, whose two complex fields take 576 KiB (see
+# winding_counts and sampling.injectivity_probe); and the error of a radial
+# rule relative to the integral S of its integrand's termwise bound (see
+# radial_integrate).  The weighted sum
 # of the rule itself rounds at about u S, u = 2^-53 ~ 1.1e-16 per term, so a
 # proved truncation error of 1e-15 S is within ten units of that floor: a
 # smaller RADIAL_EPS would add nodes but no accuracy.
 MAX_WINDING_ANGLES = 2**16
+PROBE_BLOCK_POINTS = 8 * 24 * 96
 RADIAL_EPS = 1e-15
 
 
@@ -158,7 +164,7 @@ def winding_number(h: HarmonicSeries, rho: float) -> int:
     if np.ndim(rho) != 0:
         raise ParameterDomainError(f"rho must be one radius, got shape {np.shape(rho)}")
     require_radii(rho)
-    finite, min_mod, count = winding_counts(h, np.array([float(rho)]), MAX_WINDING_ANGLES)
+    finite, min_mod, count = winding_counts(h, np.array([float(rho)]))
     if not finite[0]:
         raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
     if math.isnan(count[0]):
@@ -168,7 +174,7 @@ def winding_number(h: HarmonicSeries, rho: float) -> int:
     return int(count[0])
 
 
-def winding_counts(h, rhos: np.ndarray, block_points: int) -> tuple:
+def winding_counts(h, rhos: np.ndarray) -> tuple:
     """Winding numbers about 0 of the curves h(C_rho), rho in the 1-d
     `rhos`, by a proved argument count: for a series arrays of shape
     (radii,), for a SeriesStack of shape (members, radii).  Returns
@@ -190,15 +196,21 @@ def winding_counts(h, rhos: np.ndarray, block_points: int) -> tuple:
     Algorithms, 2nd ed., SIAM 2002, Sec. 24.1); an allowance of
     8 eps (log2(M + 2N + 1) A + (2N + 1) S), eps = 2^-52, is taken off
     every |h(theta_k)| before the test, and also covers the rounding of S.
+    N is the member's own order (its highest nonzero mode), not the order
+    of the stack it sits in, since the zero modes a stack pads it with are
+    exact and add no terms to A, S or the folded bins.
 
     M starts at 8 and doubles up to MAX_WINDING_ANGLES; each circle stops
     at the first M that proves it.  A circle with a sample within the
     allowance of 0 stops unproved at once, since every finer grid holds
     that sample too, and a circle whose mode sums are not finite is not
     sampled.  The circles still open at each M are evaluated in requests
-    of at most `block_points` angle points, or of one circle where a
-    single circle is larger.  Each circle is transformed on its own, so the
-    result does not depend on the others.
+    of at most PROBE_BLOCK_POINTS angle points, or of one circle where a
+    single circle is larger.  Each circle is transformed on its own, and
+    its allowance is sized by its own order, so its decision does not
+    depend on the requests or on the other members; only the last-bit
+    rounding of sums that run over a stack's padded zero modes can differ
+    from a lone call's.
     """
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
     radii = rhos.size
@@ -210,14 +222,14 @@ def winding_counts(h, rhos: np.ndarray, block_points: int) -> tuple:
     min_mod = np.full(A.size, math.nan)
     counts = np.full(A.size, math.nan)
     eps = np.finfo(np.float64).eps
+    terms = 2.0 * np.repeat(_member_orders(stack), radii) + 1.0  # 2N + 1 per circle
     pending = np.flatnonzero(finite)
     M = 8
     while pending.size and M <= MAX_WINDING_ANGLES:
         # scalar factors first, so that a finite A or S near the float
         # range does not overflow
-        allowance = ((8.0 * eps * math.log2(M + 2 * stack.N + 1)) * A
-                     + (8.0 * eps * (2 * stack.N + 1)) * S)
-        per_request = max(1, block_points // M)
+        allowance = (8.0 * eps * np.log2(M + terms)) * A + (8.0 * eps * terms) * S
+        per_request = max(1, PROBE_BLOCK_POINTS // M)
         keep = []
         for lo in range(0, pending.size, per_request):
             circles = pending[lo:lo + per_request]

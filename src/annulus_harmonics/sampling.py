@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import winding_counts
+from .quadrature import PROBE_BLOCK_POINTS, winding_counts
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
@@ -325,12 +325,6 @@ class InjectivityProbe(NamedTuple):
     windings_ok: bool
 
 
-# Most field points (members x radii x angles) one circle_grid_fields call of
-# the injectivity probe requests: the 24 x 96 Jacobian grid of 8 members, whose
-# two complex fields take 576 KiB.
-PROBE_BLOCK_POINTS = 8 * 24 * 96
-
-
 def _radius_blocks(radii: np.ndarray, members: int, M: int) -> list[np.ndarray]:
     """Consecutive runs of `radii` whose members x radii x M grid stays within
     PROBE_BLOCK_POINTS; a run holds at least one radius."""
@@ -385,7 +379,7 @@ def injectivity_probe(
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, circles + 2)[1:-1]
-    ok = np.all(winding_counts(h, radii, PROBE_BLOCK_POINTS)[2] == 1, axis=-1)
+    ok = np.all(winding_counts(h, radii)[2] == 1, axis=-1)
     jac_min = np.min(jac_min, axis=0)
     if jac_min.shape:
         return InjectivityProbe(jacobian_min=jac_min, windings_ok=ok)

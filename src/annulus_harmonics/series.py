@@ -409,6 +409,13 @@ def _coeffs_at(h, r: np.ndarray):
     return h.a[:, None, :], h.b[:, None, :], h.a0[:, None], h.b0[:, None]
 
 
+def _member_orders(stack: "SeriesStack") -> np.ndarray:
+    """Each member's own order: its highest mode |n| with a nonzero a_n or
+    b_n (0 for a member without one), not the order its stack pads it to."""
+    return np.max(np.where((stack.a != 0.0) | (stack.b != 0.0),
+                           np.abs(stack.mode_numbers), 0), axis=-1, initial=0)
+
+
 def _mode_spectrum(h, rho) -> np.ndarray:
     """Coefficients of values, d_rho and d_theta on C_rho for the modes
     n = 0, 1..N, -1..-N, shape (members) + radii + (3, 2N + 1).

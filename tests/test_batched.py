@@ -224,7 +224,7 @@ def test_probe_requests_stay_within_the_block_bound(monkeypatch, members, grid_c
     injectivity_probe(PROBE_POOL.series(0) if members is None else PROBE_POOL[:members], 2.0)
     assert (len(requests[sampling]), len(requests[quadrature])) == (grid_calls, winding_calls)
     for points, M in requests[sampling] + requests[quadrature]:
-        assert points <= sampling.PROBE_BLOCK_POINTS == 8 * 24 * 96 or points == M
+        assert points <= quadrature.PROBE_BLOCK_POINTS == 8 * 24 * 96 or points == M
 
 
 # ---------------------------------------------------------------------------

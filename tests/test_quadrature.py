@@ -29,7 +29,6 @@ from annulus_harmonics.quadrature import (
     winding_counts,
 )
 from annulus_harmonics.sampling import (
-    PROBE_BLOCK_POINTS,
     SamplerConfig,
     injectivity_probe,
     random_series,
@@ -212,6 +211,18 @@ def test_winding_about_a_zero_near_the_circle(zero, winding):
     assert winding_number(HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-zero), 1.5) == winding
 
 
+def test_winding_decision_does_not_depend_on_the_stack_order():
+    """z - (1 + delta) on C_1, its smallest sample |h(0)| = delta just
+    above the cap's threshold 2 pi S / 2**16 (S = 1): proved, winding 0,
+    both alone and padded to order 2000 by a stack member, since the
+    rounding allowance is sized by the member's own order."""
+    delta = 2.0 * math.pi / quadrature.MAX_WINDING_ANGLES + 1e-12
+    near = HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-(1.0 + delta))
+    padded = SeriesStack.of([near, HarmonicSeries.from_coeffs(a={1: 1.0, 2000: 1e-3})])
+    assert winding_number(near, 1.0) == 0
+    assert winding_counts(padded, np.array([1.0]))[2].tolist() == [[0.0], [1.0]]
+
+
 def test_probe_flags_agree_with_winding_number():
     """winding_counts on one stack proves for each circle what
     winding_number proves for it alone, and leaves open (NaN) what
@@ -227,7 +238,7 @@ def test_probe_flags_agree_with_winding_number():
     members += PROBE_SERIES
     stack = SeriesStack.of(members)
     radii = np.array(PROBE_RADII)
-    finite, _, counts = winding_counts(stack, radii, PROBE_BLOCK_POINTS)
+    finite, _, counts = winding_counts(stack, radii)
     seen = set()
     for i, h in enumerate(members):
         for j, rho in enumerate(radii):
