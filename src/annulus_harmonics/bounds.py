@@ -118,16 +118,21 @@ def wide_annulus_certificate(R):
     constant coefficients positive definite, which closes the bound for
     moduli in (1, 3/2].  At the endpoints the value reduces to
     13e^4 - e^6 - 19e^2 - 1 and 22e^6 - e^9 - 38e^3 - 1, both positive.
-    Raises ParameterDomainError unless 1 < R < inf (every entry of an array).
+    Raises ParameterDomainError unless 1 < R < inf (every entry of an
+    array), and NumericOverflowError if a value is not finite (R past about
+    2.4e51, where the value, about -R^6, leaves the float range).
     """
     require_outer(R)
     r = np.asarray(R, dtype=np.float64)
-    log_r = np.log(r)
-    out = (
-        4.0 * r**2 * (r**2 - 3.0) * log_r**2
-        + 8.0 * r**2 * (r**2 - 1.0) * log_r
-        - (r**2 - 1.0) * (r**4 - 1.0)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_r = np.log(r)
+        out = (
+            4.0 * r**2 * (r**2 - 3.0) * log_r**2
+            + 8.0 * r**2 * (r**2 - 1.0) * log_r
+            - (r**2 - 1.0) * (r**4 - 1.0)
+        )
+    if not np.isfinite(out).all():
+        raise NumericOverflowError(f"the wide-annulus certificate overflows at R={R}")
     return out if out.shape else float(out)
 
 

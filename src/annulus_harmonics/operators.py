@@ -63,6 +63,7 @@ from .quadrature import (
     _circle_means,
     _field_means,
     _is_scalar,
+    _scalar,
     angular_count,
     radial_integrate,
 )
@@ -202,13 +203,20 @@ def identity_residuals(h: HarmonicSeries, lam: float, rho: float) -> tuple[float
     radial derivative taken termwise (see _identity_pair).  The four means
     and U's jet at rho come from _circle_terms, memoised per (series, rho,
     M), so a circle is evaluated once for every lambda.  Returns
-    (gradient_residual, angular_residual).
+    (gradient_residual, angular_residual).  Raises ParameterDomainError
+    unless lam and rho are single numbers in their domains, and
+    NumericOverflowError if the circle's terms overflow.
     """
-    lam, rho = float(lam), float(rho)
+    if type(lam) is not float or type(rho) is not float:  # floats skip the calls
+        lam, rho = _scalar(lam, "lambda"), _scalar(rho, "rho")
     # the domain checks run on every call, whether the memo has rho or not
     require_lambda(lam)
     require_radii(rho)
-    return _identity_pair(lam, rho, *_circle_terms(h, rho, angular_count(2 * h.N)))
+    terms = _circle_terms(h, rho, angular_count(2 * h.N))
+    try:
+        return _identity_pair(lam, rho, *terms)
+    except OverflowError:  # Python's float ** raises where numpy's gives inf
+        raise NumericOverflowError(f"the identities overflow at rho={rho}") from None
 
 
 def identity_residuals_stack(h: SeriesStack, lam, rho):
@@ -266,16 +274,21 @@ def _identity_pair(lam, rho, u, du, d2u, A, B, C, D):
 
 
 @lru_cache(maxsize=32)
+@np.errstate(over="ignore", invalid="ignore")
 def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
     """The lambda-free part of identity_residuals, as plain floats:
     U, U', U'' at rho, then the means A, B, C, D of |h|^2,
     Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 over circle_angles(M)
     from the circle memo of the quadrature module.  The key holds the
-    series by identity.
+    series by identity.  Raises NumericOverflowError, and stores nothing,
+    if a term is not finite.
     """
     u, du, d2u = quadratic_mean_profile(h).jet(rho)
     _, A, B, C, D, _ = _circle_means(h, rho, M)
-    return float(u), float(du), float(d2u), A, B, C, D
+    terms = (float(u), float(du), float(d2u), A, B, C, D)
+    if not all(map(math.isfinite, terms)):
+        raise NumericOverflowError(f"U's jet at rho={rho} overflows")
+    return terms
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,12 @@ Parseval, so they stay an independent check of the closed forms in the
 means module.  One reduction (_field_means) takes these means over fields
 of any leading shape: a single circle, or the block of circles a batched
 caller has filled.  The circle means of a series are memoised per
-(series, rho, M) (_circle_means), and all of them take angular_count(2 N)
-angles, so the quadratic mean, the enclosed area, the circular mean and
-the scalar operator identities of one circle share one evaluation.
+(series, rho, M) (_circle_means), each read from the (3, M) block of one
+kernel call, and all of them take angular_count(2 N) angles, so the
+quadratic mean, the enclosed area, the circular mean and the scalar
+operator identities of one circle share one evaluation.  A radius that is
+not one number, or circle means that overflow, raise a typed error and
+never enter the memo.
 
 Radial integrals are one call of the integrand on one Gauss-Legendre rule
 in t = log r, whose node count a proved error bound picks before the call
@@ -48,6 +51,7 @@ node counts would change results only at rounding level.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import Callable
@@ -63,10 +67,9 @@ from .errors import (
 from .series import (
     HarmonicSeries,
     SeriesStack,
+    _grid_fields,
     _member_orders,
     _mode_spectrum,
-    circle_angles,
-    circle_fields,
     circle_grid_fields,
     require_radii,
 )
@@ -127,27 +130,35 @@ def _field_means(fields: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=32)
+@np.errstate(over="ignore", invalid="ignore")  # a decorator costs half a with-block
 def _circle_means(h: HarmonicSeries, rho: float, M: int) -> tuple:
     """The _field_means of h on C_rho over circle_angles(M), as a complex
-    and five floats, from one circle_fields call.  The key holds the series
-    by identity; a rho outside the domain never enters the memo, since
-    circle_fields rejects it."""
-    mean, *real = _field_means(np.stack(circle_fields(h, rho, circle_angles(M))))
-    return (complex(mean), *map(float, real))
+    and five floats, read from the (3, M) block of one _grid_fields call.
+    The key holds the series by identity.  Raises ParameterDomainError
+    unless rho is positive and finite, and NumericOverflowError if a mean
+    is not finite, so neither ever enters the memo."""
+    require_radii(rho)
+    mean, *real = _field_means(_grid_fields(h, rho, M))
+    means = (complex(mean), *map(float, real))
+    if not all(map(cmath.isfinite, means)):
+        raise NumericOverflowError(f"the circle means of h on C_{rho} overflow")
+    return means
 
 
 def circular_mean(h: HarmonicSeries, rho: float) -> complex:
     """Normalized mean of h over the circle of radius rho.  It is
     a0*log(rho) + b0, and the rule reproduces it exactly.  It takes the
-    quadratic mean's angle count, so the two share one circle evaluation."""
-    require_radii(rho)
-    return _circle_means(h, float(rho), angular_count(2 * h.N))[0]
+    quadratic mean's angle count, so the two share one circle evaluation.
+    Raises ParameterDomainError unless rho is one positive finite radius,
+    and NumericOverflowError if the circle's means overflow; so do
+    quadratic_mean_numeric and enclosed_area."""
+    return _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[0]
 
 
 def quadratic_mean_numeric(h: HarmonicSeries, rho: float) -> float:
     """Mean of |h|^2 over C_rho by angular quadrature (the oracle for the
     closed-form profile in the means module)."""
-    return _circle_means(h, float(rho), angular_count(2 * h.N))[1]
+    return _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[1]
 
 
 def winding_number(h: HarmonicSeries, rho: float) -> int:
@@ -161,10 +172,9 @@ def winding_number(h: HarmonicSeries, rho: float) -> int:
     2 pi S / MAX_WINDING_ANGLES or below, as at or near a zero on the
     circle).
     """
-    if np.ndim(rho) != 0:
-        raise ParameterDomainError(f"rho must be one radius, got shape {np.shape(rho)}")
+    rho = _scalar(rho, "rho")
     require_radii(rho)
-    finite, min_mod, count = winding_counts(h, np.array([float(rho)]))
+    finite, min_mod, count = winding_counts(h, np.array([rho]))
     if not finite[0]:
         raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
     if math.isnan(count[0]):
@@ -215,9 +225,8 @@ def winding_counts(h, rhos: np.ndarray) -> tuple:
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
     radii = rhos.size
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = np.abs(_mode_spectrum(stack, rhos)[..., 0::2, :])
-        sums = np.sum(spectrum, axis=-1)  # (members, radii, 2): A and S
-    A, S = sums[..., 0].ravel(), sums[..., 1].ravel()
+        sums = np.sum(np.abs(_mode_spectrum(stack, rhos, (0, 2))), axis=-1)
+    A, S = sums[0].ravel(), sums[1].ravel()  # each (members, radii)
     finite = np.isfinite(A) & np.isfinite(S)
     min_mod = np.full(A.size, math.nan)
     counts = np.full(A.size, math.nan)
@@ -257,12 +266,22 @@ def enclosed_area(h: HarmonicSeries, rho: float) -> float:
 
     Equals pi times the circle mean of Im(conj(h) * h_theta).
     """
-    return float(np.pi * _circle_means(h, float(rho), angular_count(2 * h.N))[5])
+    return float(np.pi * _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[5])
 
 
 def _is_scalar(x) -> bool:
     """Whether x is one number (a Python or numpy scalar, or a 0-d array)."""
     return isinstance(x, (float, int)) or np.ndim(x) == 0
+
+
+def _scalar(x, name: str) -> float:
+    """x as a Python float, a float passing as is; ParameterDomainError
+    unless x is one number."""
+    if type(x) is not float:
+        if not _is_scalar(x):
+            raise ParameterDomainError(f"{name} must be one number, got shape {np.shape(x)}")
+        x = float(x)
+    return x
 
 
 # The radial rule.  _RADIAL_RHOS are the Bernstein-ellipse parameters tried,

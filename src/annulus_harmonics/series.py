@@ -23,9 +23,11 @@ Every evaluation goes through one circle kernel.  On C_rho the series is a
 Fourier sum whose mode-n coefficient is c_n(rho) = a_n rho^n + b_n rho^-n
 (a0 log(rho) + b0 for n = 0); d_rho and d_theta have the coefficients
 c_n'(rho) and i n c_n(rho).  On the M equally spaced angles 2 pi j / M the
-three fields are one inverse FFT of this spectrum, mode n folded into bin
-n mod M, which is exact for every M (circle_fields, and circle_grid_fields
-for many radii at once).  No other angles are evaluated.
+fields are one inverse FFT of this spectrum, mode n folded into bin n mod M,
+which is exact for every M (circle_fields, and circle_grid_fields for many
+radii at once).  Only the field rows a caller asks for are computed, and
+their mode coefficients are written straight into the bins of the FFT
+buffer.  No other angles are evaluated.
 
 The kernel, like the closed-form profiles of the means module, also takes a
 SeriesStack: B series zero-padded to one order N, with a and b of shape
@@ -366,10 +368,12 @@ class CircleFields(NamedTuple):
 #     c_n(rho) = a_n rho^n + b_n rho^-n,   c_0(rho) = a0 log(rho) + b0,
 #
 # so d_rho has the coefficients c_n'(rho) and d_theta the coefficients
-# i n c_n(rho).  The kernel stores these three rows as one spectrum whose
-# bin n mod L holds mode n.  On the grid of M equally spaced angles
+# i n c_n(rho).  The kernel computes the rows asked for, and only those, from
+# a_n rho^n and b_n rho^-n, writing mode n of each into bin n mod L of a
+# buffer of L > 2N bins: modes 0..N are the slice 0..N and modes -1..-N the
+# reversed slice L-1..L-N.  On the grid of M equally spaced angles
 # 2 pi j / M, e^{i n theta_j} depends on n mod M only, so folding the
-# spectrum onto M bins and taking one unscaled inverse FFT gives the exact
+# buffer onto M bins and taking one unscaled inverse FFT gives the exact
 # pointwise values for any M, also when M <= 2N.
 # ---------------------------------------------------------------------------
 
@@ -393,11 +397,16 @@ def _is_grid(thetas: np.ndarray) -> bool:
 
 
 @lru_cache(maxsize=64)
-def _bins(N: int, L: int) -> np.ndarray:
-    """Bin n mod L of each mode n = 0, 1..N, -1..-N."""
-    bins = _kernel_order(N) % L
-    bins.setflags(write=False)
-    return bins
+def _mode_factors(N: int) -> tuple:
+    """The kernel's factors over the modes in mode_numbers order 1..N,
+    -1..-N, read-only: n and -n as floats (the exponents of rho, and n
+    d_rho's factor) and i n (d_theta's factor).  The floats have the values
+    the ufuncs would cast the integers to, so the bits do not change."""
+    ns = _kernel_order(N)[1:]
+    factors = (ns.astype(np.float64), (-ns).astype(np.float64), 1j * ns)
+    for array in factors:
+        array.setflags(write=False)
+    return factors
 
 
 def _coeffs_at(h, r: np.ndarray):
@@ -416,46 +425,60 @@ def _member_orders(stack: "SeriesStack") -> np.ndarray:
                            np.abs(stack.mode_numbers), 0), axis=-1, initial=0)
 
 
-def _mode_spectrum(h, rho) -> np.ndarray:
-    """Coefficients of values, d_rho and d_theta on C_rho for the modes
-    n = 0, 1..N, -1..-N, shape (members) + radii + (3, 2N + 1).
+def _mode_spectrum(h, rho, rows=(0, 1, 2), bins: int | None = None) -> np.ndarray:
+    """Mode coefficients of the field rows `rows` (0 values, 1 d_rho,
+    2 d_theta, in the order asked) on C_rho, shape (rows,) + (members) +
+    radii + (bins,).  Only the requested rows are computed, and each is
+    written straight into its bins by two slice assignments.  With `bins`
+    None the spectrum is compact, modes 0, 1..N, -1..-N in 2N + 1 bins;
+    with bins = L > 2N, mode n is in bin n mod L, modes 1..N in the slice
+    1..N and -1..-N in the reversed slice L-1..L-N, and the bins between
+    them are zero.
 
     Overflow is tolerated here; it yields inf/nan fields.
     """
-    ns = h.mode_numbers
+    N = h.N
+    ns, neg_ns, i_ns = _mode_factors(N)
     r0 = np.asarray(rho, dtype=np.float64)
     a, b, a0, b0 = _coeffs_at(h, r0)
     r = r0[..., None]
     x = a * r**ns
-    y = b * r**-ns
-    spec = np.empty(x.shape[:-1] + (3, ns.size + 1), dtype=np.complex128)
-    values, d_rho, d_theta = spec[..., 0, 1:], spec[..., 1, 1:], spec[..., 2, 1:]
-    np.add(x, y, out=values)
-    np.subtract(x, y, out=d_rho)
-    d_rho *= ns
-    d_rho /= r
-    np.multiply(values, 1j * ns, out=d_theta)
-    spec[..., 0, 0] = a0 * np.log(r0) + b0
-    spec[..., 1, 0] = a0 / r0
-    spec[..., 2, 0] = 0.0
+    y = b * r**neg_ns
+    size = 2 * N + 1 if bins is None else bins
+    spec = np.zeros((len(rows),) + x.shape[:-1] + (size,), dtype=np.complex128)
+    # views of the bins of mode 0, of modes 1..N and of -1..-N, in
+    # mode_numbers order
+    zero, pos = spec[..., 0], spec[..., 1:N + 1]
+    neg = spec[..., N + 1:] if bins is None else spec[..., bins - 1:bins - N - 1:-1]
+    values = x + y
+    for i, row in enumerate(rows):
+        if row == 0:
+            zero[i] = a0 * np.log(r0) + b0
+            coeffs = values
+        elif row == 1:
+            zero[i] = a0 / r0
+            coeffs = np.subtract(x, y)
+            coeffs *= ns
+            coeffs /= r
+        else:  # mode 0 of d_theta is 0
+            coeffs = values * i_ns
+        pos[i] = coeffs[..., :N]
+        neg[i] = coeffs[..., N:]
     return spec
 
 
-def _grid_fields(h, rho, M: int, rows=slice(None)) -> np.ndarray:
+def _grid_fields(h, rho, M: int, rows=(0, 1, 2)) -> np.ndarray:
     """Fields on circle_angles(M) of every circle, shape (rows,) + (members)
     + radii + (M,); `rows` picks among values, d_rho and d_theta (0, 1, 2),
-    and only those rows are transformed.  Each row is one contiguous block,
-    so in-place arithmetic between rows needs no copy.
+    and only those rows are computed and transformed.  Each row is one
+    contiguous block, so in-place arithmetic between rows needs no copy.
 
-    The modes go to bins n mod L of a spectrum of L = folds * M > 2N bins,
-    one mode per bin; summing the folds gives bin n mod M.
+    _mode_spectrum writes the modes straight into bins n mod L of
+    L = folds * M > 2N bins, one mode per bin; summing the folds gives bin
+    n mod M, and one inverse FFT transforms the result in place.
     """
     folds = -(-(2 * h.N + 1) // M)
-    compact = _mode_spectrum(h, rho)[..., rows, :]
-    if compact.ndim > 2:  # np.moveaxis costs microseconds even where it is a no-op
-        compact = np.moveaxis(compact, -2, 0)
-    spec = np.zeros(compact.shape[:-1] + (folds * M,), dtype=np.complex128)
-    spec[..., _bins(h.N, folds * M)] = compact
+    spec = _mode_spectrum(h, rho, rows, folds * M)
     if folds > 1:
         spec = spec.reshape(spec.shape[:-1] + (folds, M)).sum(axis=-2)
     return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)

@@ -1,8 +1,9 @@
 """Domain rules: an outer radius R, a lambda or a circle radius rho outside
-its domain, NaN and infinity included, or circle angles other than a grid
-circle_angles(M), raises ParameterDomainError instead of returning NaN or
-failing inside the arithmetic; finite arguments whose result overflows
-raise NumericOverflowError."""
+its domain, NaN and infinity included, an array where one number is
+expected, or circle angles other than a grid circle_angles(M), raises
+ParameterDomainError instead of returning NaN or failing inside the
+arithmetic; finite arguments whose result overflows raise
+NumericOverflowError."""
 
 import math
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from annulus_harmonics import (
+    HarmonicSeries,
     LambdaOperator,
     NumericOverflowError,
     ParameterDomainError,
@@ -73,6 +75,12 @@ CASES = {
     "enclosed_area-inf": lambda: enclosed_area(H, INF),
     "winding_number-nan": lambda: winding_number(H, NAN),
     "winding_number-array": lambda: winding_number(H, np.array([1.5, 2.0])),
+    # the scalar circle means and identities take one radius, not an array
+    "circular_mean-array": lambda: circular_mean(H, np.array([1.5, 2.0])),
+    "quadratic_mean_numeric-array": lambda: quadratic_mean_numeric(H, np.array([1.5])),
+    "enclosed_area-array": lambda: enclosed_area(H, np.array([1.5, 2.0])),
+    "identity_residuals-rho-array": lambda: identity_residuals(H, 0.5, np.array([1.5, 2.0])),
+    "identity_residuals-lambda-array": lambda: identity_residuals(H, np.array([0.5]), 1.5),
     "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF, 1),
     "dirichlet_energy-inf": lambda: dirichlet_energy(H, 1.0, INF),
     "dirichlet_energy-rho1-nan": lambda: dirichlet_energy(H, NAN, 2.0),
@@ -111,6 +119,18 @@ def test_out_of_domain_argument_is_rejected(call):
 OVERFLOWS = {
     "dirichlet_energy-rho2-1e308": lambda: dirichlet_energy(H, 1.2, 1e308),
     "variance_subsolution_min-1e308": lambda: variance_subsolution_min(H, 0.5, [1e308]),
+    "circular_mean-1e308": lambda: circular_mean(H, 1e308),
+    "quadratic_mean_numeric-1e308": lambda: quadratic_mean_numeric(H, 1e308),
+    "enclosed_area-1e308": lambda: enclosed_area(H, 1e308),
+    "identity_residuals-means-1e300": lambda: identity_residuals(H, 0.5, 1e300),
+    # finite means, but rho^4 of U's jet overflows (times |a_2|^2 = 1e-400)
+    "identity_residuals-jet-1e100": lambda: identity_residuals(
+        HarmonicSeries.from_coeffs(a={1: 1.0, 2: 1e-200}), 0.5, 1e100),
+    # finite terms, but Python's float ** overflows in the identities
+    "identity_residuals-pair-1e150": lambda: identity_residuals(H, 0.5, 1e150),
+    "wide_annulus_certificate-1e200": lambda: wide_annulus_certificate(1e200),
+    "wide_annulus_certificate-array-1e200":
+        lambda: wide_annulus_certificate(np.array([2.0, 1e200])),
 }
 
 
@@ -118,6 +138,21 @@ OVERFLOWS = {
 def test_overflowing_result_is_a_typed_error(call):
     with pytest.raises(NumericOverflowError):
         call()
+
+
+def test_overflowing_circles_never_enter_the_memos():
+    """A circle whose means or identity terms overflow raises on every call:
+    the second call misses the memos again, as nothing was stored."""
+    from annulus_harmonics.operators import _circle_terms
+    from annulus_harmonics.quadrature import _circle_means
+
+    h = extremal_map(0.25)
+    for call in (lambda: circular_mean(h, 1e300), lambda: identity_residuals(h, 0.5, 1e300)):
+        hits = (_circle_means.cache_info().hits, _circle_terms.cache_info().hits)
+        for _ in range(2):
+            with pytest.raises(NumericOverflowError):
+                call()
+        assert (_circle_means.cache_info().hits, _circle_terms.cache_info().hits) == hits
 
 
 # R = 1e160 overflows Python's float R**2, R = 1e60 only U(R) = O(R^10);

@@ -26,8 +26,7 @@ from annulus_harmonics import (
 from annulus_harmonics import means
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import k_endpoint
-from annulus_harmonics.quadrature import circle_angles
-from annulus_harmonics.series import SeriesStack, circle_fields
+from annulus_harmonics.series import SeriesStack, circle_angles, circle_fields
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)

@@ -25,7 +25,6 @@ from annulus_harmonics.quadrature import (
     RADIAL_EPS,
     _gauss_rule,
     angular_count,
-    circle_angles,
     winding_counts,
 )
 from annulus_harmonics.sampling import (
@@ -34,7 +33,7 @@ from annulus_harmonics.sampling import (
     random_series,
 )
 from annulus_harmonics.series import MAX_JSON_ORDER, SeriesStack
-from annulus_harmonics.series import circle_fields, circle_grid_fields
+from annulus_harmonics.series import circle_angles, circle_fields, circle_grid_fields
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
@@ -113,26 +112,28 @@ def test_quadratic_mean_matches_closed_form(tame_series, rng):
 def test_circle_means_share_one_evaluation_and_keep_their_sums(tame_series, monkeypatch):
     """After identity_residuals has evaluated a circle, the quadratic mean,
     the enclosed area and the circular mean of that circle read the memo:
-    no second evaluation, and the same trapezoid sums to the last bit, on
-    the angle count of the quadratic mean's degree 2N."""
+    one call of the circle kernel, for all three field rows on the angle
+    count of the quadratic mean's degree 2N, and the same trapezoid sums as
+    the public circle_fields to the last bit."""
     from annulus_harmonics import quadrature
     from annulus_harmonics.operators import identity_residuals
 
-    real = quadrature.circle_fields
+    real = quadrature._grid_fields
     for N in (9, 64):
         h = tame_series(seed=31, N=N, decay=0.3)
         rho = 1.73
-        f = circle_fields(h, rho, circle_angles(angular_count(2 * N)))
+        M = angular_count(2 * N)
+        f = circle_fields(h, rho, circle_angles(M))
         want = (float(np.mean(np.abs(f.values) ** 2)),
                 float(np.pi * np.mean((np.conj(f.values) * f.d_theta).imag)),
                 complex(np.mean(f.values)))
         calls = []
-        monkeypatch.setattr(quadrature, "circle_fields",
+        monkeypatch.setattr(quadrature, "_grid_fields",
                             lambda *args: calls.append(args) or real(*args))
         identity_residuals(h, 0.4, rho)
         got = (quadratic_mean_numeric(h, rho), enclosed_area(h, rho), circular_mean(h, rho))
         assert got == want
-        assert len(calls) == 1
+        assert calls == [(h, rho, M)]
 
 
 # ---------------------------------------------------------------------------
