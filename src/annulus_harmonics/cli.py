@@ -88,10 +88,10 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p: _Parser) -> None:
+    def add_output(p: _Parser, default_format: str = "json") -> None:
         p.add_argument("--out", type=Path, default=None,
                        help="write to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--format", choices=("json", "csv"), default=default_format)
 
     p_bounds = sub.add_parser("bounds", help="lower bounds for one R or a sweep")
     p_bounds.add_argument("--R", type=float, default=None)
@@ -119,9 +119,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--lambda", dest="lam", type=float, default=None)
     p_evolve.add_argument("--R", type=float, required=True)
     p_evolve.add_argument("--steps", type=_count, default=50)
-    p_evolve.add_argument("--out", type=Path, default=None,
-                          help="write to this file instead of stdout")
-    p_evolve.add_argument("--format", choices=("json", "csv"), default="csv")
+    add_output(p_evolve, "csv")
 
     p_profile = sub.add_parser(
         "profile", help="sample a radial mean profile (value and derivatives)")
@@ -132,9 +130,7 @@ def _build_parser() -> _Parser:
     p_profile.add_argument("--steps", type=_count, default=50)
     p_profile.add_argument("--variance", action="store_true",
                            help="sample the variance instead of the full mean")
-    p_profile.add_argument("--out", type=Path, default=None,
-                           help="write to this file instead of stdout")
-    p_profile.add_argument("--format", choices=("json", "csv"), default="csv")
+    add_output(p_profile, "csv")
 
     p_check = sub.add_parser("check", help="gate a series file on A(1, R)")
     p_check.add_argument("--series", type=Path, required=True)

@@ -72,7 +72,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError, NumericOverflowError
-from .series import HarmonicSeries, SeriesStack, require_outer, require_radii
+from .series import HarmonicSeries, SeriesStack, require_mode, require_outer, require_radii
 
 CLASS_TOL = 1e-12
 
@@ -246,10 +246,12 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
 def quadratic_mean_mode(h, n) -> RadialProfile:
     """Profile of the quadratic mean of the single mode n (|n| <= N).
 
-    Mode 0 gives |a0 log(rho) + b0|^2.  Raises IndexError for |n| > N.
-    For a SeriesStack, n is one nonzero mode per member (or one for all),
-    and the profile is that of member i's mode n[i].
+    Mode 0 gives |a0 log(rho) + b0|^2.  Raises ParameterDomainError unless
+    n is an integer, and IndexError for |n| > N.  For a SeriesStack, n is
+    one nonzero mode per member (or one for all), and the profile is that
+    of member i's mode n[i].
     """
+    require_mode(n)
     if isinstance(h, SeriesStack):
         n = np.broadcast_to(np.asarray(n), (len(h),))
     elif n == 0:  # the profile of the series' zero mode alone

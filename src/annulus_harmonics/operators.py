@@ -12,9 +12,10 @@ divergence form
 
     L_lam[P] = ((rho^2 + lam)/rho^3) d/drho [ rho^3 d/drho ( P/(rho^2+lam) ) ],
 
-used here as a finite-difference cross-check.  Two integral identities tie
-L_lam applied to the quadratic mean U of an arbitrary series to circle
-means of pointwise fields; both are implemented as residual checks with the
+used here as a finite-difference cross-check on one fixed step,
+DIVERGENCE_STEP = 1e-3, and its half.  Two integral identities tie L_lam
+applied to the quadratic mean U of an arbitrary series to circle means of
+pointwise fields; both are implemented as residual checks with the
 left side in closed form and the right side by angular quadrature.  Both
 right sides are linear combinations, with lambda-dependent weights, of four
 trapezoid means (|h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2), so the
@@ -78,6 +79,11 @@ from .series import (
     require_radii,
 )
 
+# The step of the central differences of the divergence-form cross-check
+# (LambdaOperator.divergence_form_residual), which extrapolates over it and
+# its half.
+DIVERGENCE_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class LambdaOperator:
@@ -114,26 +120,33 @@ class LambdaOperator:
         r, den = self._denominator(rho)
         return _on_jet(self.lam, r, den, value, d1, d2)
 
-    def divergence_form_residual(self, P: RadialProfile, rho,
-                                 step: float = 1e-3):
+    def divergence_form_residual(self, P: RadialProfile, rho):
         """|divergence form - direct form| at rho.
 
         The divergence form is evaluated by nested central differences of
         P/(rho^2 + lam), whose error is even in the step: c2 step^2 +
-        c4 step^4 + ...  Richardson extrapolation over `step` and `step`/2
-        cancels the step^2 term, so the residual is O(step^4) plus rounding.
+        c4 step^4 + ...  Richardson extrapolation over DIVERGENCE_STEP and
+        DIVERGENCE_STEP/2 cancels the step^2 term, so the residual is
+        O(step^4) plus rounding.
         For the profile of a stack, rho and lam hold one entry per member
-        and so does the result.
+        and so does the result.  Raises ParameterDomainError unless every
+        radius x of the stencil, rho - 2 step to rho + 2 step, has x > 0
+        and x^2 + lam > 0.
         """
         op = LambdaOperator(np.asarray(self.lam, dtype=np.float64)[..., None])
         r, den = op._denominator(np.asarray(rho, dtype=np.float64)[..., None])
         # P at the centres r + h, r - h of the outer difference, each taken
         # at +-h again, for h = step and step/2, and its jet at r: one call
-        steps = (step, 0.5 * step)
+        steps = (DIVERGENCE_STEP, 0.5 * DIVERGENCE_STEP)
         x = np.concatenate([c + sign * h for h in steps for c in (r + h, r - h)
                             for sign in (1.0, -1.0)], axis=-1)
+        den_x = x * x + op.lam
+        if not ((x > 0.0).all() and (den_x > 0.0).all()):
+            raise ParameterDomainError(
+                f"the divergence stencil rho +- {2 * DIVERGENCE_STEP} leaves the domain "
+                f"rho > 0, rho^2 + lambda > 0 (rho={rho}, lambda={self.lam})")
         value, d1, d2 = P.jet(np.concatenate((x, r), axis=-1))
-        scaled = value[..., :-1] / (x * x + op.lam)
+        scaled = value[..., :-1] / den_x
 
         def div_form(k: int) -> np.ndarray:
             h = steps[k]

@@ -80,17 +80,20 @@ from .series import (
 _ENERGY_POINTS_PER_BATCH = 2**13
 
 # The quadrature policy: the most angles a winding decision may take; the
-# most field points (members x radii x angles) one circle_grid_fields call of
-# a winding decision or of the injectivity probe requests, the probe's 24 x 96
-# Jacobian grid of 8 members, whose two complex fields take 576 KiB (see
-# winding_counts and sampling.injectivity_probe); and the error of a radial
+# injectivity probe's grid, PROBE_RADII interior radii x PROBE_ANGLES angles
+# for the Jacobian and PROBE_CIRCLES interior circles for the winding
+# (sampling.injectivity_probe); the most field points (members x radii x
+# angles) one circle_grid_fields call of a winding decision or of the probe
+# requests, the probe's grid of 8 members, whose two complex fields take
+# 576 KiB (see winding_counts); and the error of a radial
 # rule relative to the integral S of its integrand's termwise bound (see
 # radial_integrate).  The weighted sum
 # of the rule itself rounds at about u S, u = 2^-53 ~ 1.1e-16 per term, so a
 # proved truncation error of 1e-15 S is within ten units of that floor: a
 # smaller RADIAL_EPS would add nodes but no accuracy.
 MAX_WINDING_ANGLES = 2**16
-PROBE_BLOCK_POINTS = 8 * 24 * 96
+PROBE_RADII, PROBE_ANGLES, PROBE_CIRCLES = 24, 96, 8
+PROBE_BLOCK_POINTS = 8 * PROBE_RADII * PROBE_ANGLES
 RADIAL_EPS = 1e-15
 
 
@@ -276,11 +279,14 @@ def _is_scalar(x) -> bool:
 
 def _scalar(x, name: str) -> float:
     """x as a Python float, a float passing as is; ParameterDomainError
-    unless x is one number."""
+    unless x is one number within the float range."""
     if type(x) is not float:
         if not _is_scalar(x):
             raise ParameterDomainError(f"{name} must be one number, got shape {np.shape(x)}")
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an integer too large for a float
+            raise ParameterDomainError(f"{name} lies outside the float range") from None
     return x
 
 

@@ -13,6 +13,12 @@ the costly part of a generator, so this is cheaper than a generator per
 member; but `_streams` has a fixed cost of roughly a tenth of a
 millisecond, the cost of seven or eight generators (~15 us each), so one-off
 series keep their generator.
+
+The Schottky conformal family (random_conformal_perturbation) perturbs the
+modes CONFORMAL_MODES by at most CONFORMAL_EPS each, and the injectivity
+probe samples one fixed grid, the quadrature module's PROBE_RADII x
+PROBE_ANGLES Jacobian grid and PROBE_CIRCLES winding circles; neither takes
+a size.
 """
 
 from __future__ import annotations
@@ -25,7 +31,13 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import PROBE_BLOCK_POINTS, winding_counts
+from .quadrature import (
+    PROBE_ANGLES,
+    PROBE_BLOCK_POINTS,
+    PROBE_CIRCLES,
+    PROBE_RADII,
+    winding_counts,
+)
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
@@ -33,6 +45,7 @@ from .series import (
     _index,
     circle_grid_fields,
     extremal_map,
+    require_mode,
     require_outer,
     scale_rotate,
 )
@@ -281,39 +294,49 @@ def perturb_extremal(
 ) -> HarmonicSeries:
     """h^lam with eps added to the mode-n coefficient a_n (or to the
     constant term when n = 0), optionally re-normalized on the inner
-    circle."""
+    circle.  Raises ParameterDomainError unless n is an integer."""
+    require_mode(n)
     h = extremal_map(lam)
     if n == 0:
         h = replace(h, b0=h.b0 + eps)
     else:
-        a_n, _ = (h.coeff(n) if abs(n) <= h.N else (0j, 0j))
-        h = h.with_coeff(n, a=a_n + eps)
+        N = max(1, abs(n))
+        a, b = np.zeros((2, 2 * N), dtype=np.complex128)
+        a[0], b[0] = h.a[0], h.b[0]  # mode 1, the only mode of h^lam
+        a[_index(n, N)] += eps
+        h = HarmonicSeries(N=N, a=a, b=b)
     return normalize_inner(h) if renormalize else h
 
 
-def random_conformal_perturbation(
-    seed, eps: float = 1e-7, modes: tuple[int, ...] = (-3, -2, -1, 2, 3, 4, 5, 6)
-):
-    """A rotation of z plus conformal perturbations of size at most eps.
+# The Schottky conformal family: the size of each perturbation coefficient,
+# and the modes it perturbs (every mode -3..6 but the rotation's mode 1).
+CONFORMAL_EPS = 1e-7
+CONFORMAL_MODES = (-3, -2, -1, 2, 3, 4, 5, 6)
+
+
+def random_conformal_perturbation(seed):
+    """A rotation of z plus conformal perturbations of size at most
+    CONFORMAL_EPS on the modes CONFORMAL_MODES.
 
     All b coefficients and the log/constant terms stay zero, and the sup
-    deviation of |h| from 1 on the unit circle is at most len(modes)*eps,
-    so small eps keeps the series inside the conformal boundary class.
-    Each mode takes two uniforms, magnitude then phase, and one more gives
-    the rotation.  A sequence of seeds gives the SeriesStack of their
-    series, each drawn from its own generator.
+    deviation of |h| from 1 on the unit circle is at most
+    len(CONFORMAL_MODES) * CONFORMAL_EPS, which keeps the series inside the
+    conformal boundary class.  Each mode takes two uniforms, magnitude then
+    phase, and one more gives the rotation.  A sequence of seeds gives the
+    SeriesStack of their series, each drawn from its own generator.
     """
     seeds = list(seed) if np.ndim(seed) else [seed]
     for s in seeds:
         _require_seed(s)
-    u = np.empty((len(seeds), 2 * len(modes) + 1))
+    count = len(CONFORMAL_MODES)
+    u = np.empty((len(seeds), 2 * count + 1))
     if seeds:
         u[:] = _streams(seeds, np.full(len(seeds), u.shape[1])).reshape(u.shape)
-    N = max(1, *(abs(n) for n in modes))
+    N = max(map(abs, CONFORMAL_MODES))
     a = np.zeros((len(seeds), 2 * N), dtype=np.complex128)
     a[:, 0] = 1.0
-    a[:, [_index(n, N) for n in modes]] = _coefficients(
-        eps, u[:, :-1].reshape(-1, 2)).reshape(len(seeds), len(modes))
+    a[:, [_index(n, N) for n in CONFORMAL_MODES]] = _coefficients(
+        CONFORMAL_EPS, u[:, :-1].reshape(-1, 2)).reshape(len(seeds), count)
     zeros = np.zeros(len(seeds), dtype=np.complex128)
     stack = scale_rotate(SeriesStack(N=N, a=a, b=np.zeros_like(a), a0=zeros, b0=zeros),
                          np.exp(2j * np.pi * u[:, -1]))
@@ -325,26 +348,21 @@ class InjectivityProbe(NamedTuple):
     windings_ok: bool
 
 
-def _radius_blocks(radii: np.ndarray, members: int, M: int) -> list[np.ndarray]:
-    """Consecutive runs of `radii` whose members x radii x M grid stays within
-    PROBE_BLOCK_POINTS; a run holds at least one radius."""
-    step = max(1, PROBE_BLOCK_POINTS // max(1, members * M))
+def _radius_blocks(radii: np.ndarray, members: int) -> list[np.ndarray]:
+    """Consecutive runs of `radii` whose members x radii x PROBE_ANGLES grid
+    stays within PROBE_BLOCK_POINTS; a run holds at least one radius."""
+    step = max(1, PROBE_BLOCK_POINTS // max(1, members * PROBE_ANGLES))
     return [radii[lo:lo + step] for lo in range(0, radii.size, step)]
 
 
-def injectivity_probe(
-    h,
-    R: float,
-    rho_samples: int = 24,
-    theta_samples: int = 96,
-    circles: int = 8,
-) -> InjectivityProbe:
+def injectivity_probe(h, R: float) -> InjectivityProbe:
     """Heuristic evidence of injectivity on A(1, R).
 
-    Samples the Jacobian determinant over an interior polar grid and the
-    winding number over a family of circles.  A positive minimum Jacobian
-    together with all windings equal to 1 is evidence (not proof) that the
-    series restricts to an orientation-preserving homeomorphism.  Each
+    Samples the Jacobian determinant over an interior polar grid of
+    PROBE_RADII radii x PROBE_ANGLES angles and the winding number on
+    PROBE_CIRCLES interior circles.  A positive minimum Jacobian together
+    with all windings equal to 1 is evidence (not proof) that the series
+    restricts to an orientation-preserving homeomorphism.  Each
     winding is proved by quadrature.winding_counts, the argument count
     winding_number also uses; a circle it does not prove (a zero on or
     near it, or mode sums that are not finite) counts as failed evidence,
@@ -355,18 +373,17 @@ def injectivity_probe(
     The grid is evaluated in blocks of radii, each block one
     circle_grid_fields call of at most PROBE_BLOCK_POINTS (8 x 24 x 96)
     members x radii x angles, or of one radius where a single circle of
-    the stack is larger; at the default sizes a series, and a stack of at
-    most 8 members, takes one block.  winding_counts keeps each of its
-    requests within the same bound, or to one circle where a single circle
-    is larger.  Every circle is transformed on its own, so the result does
+    the stack is larger; a series, and a stack of at most 8 members, takes
+    one block.  winding_counts keeps each of its requests within the same
+    bound, or to one circle where a single circle is larger.  Every circle is transformed on its own, so the result does
     not depend on the blocks.
     """
     require_outer(R)
     members = len(h) if isinstance(h, SeriesStack) else 1
-    rhos = np.linspace(1.0, R, rho_samples + 2)[1:-1]
+    rhos = np.linspace(1.0, R, PROBE_RADII + 2)[1:-1]
     jac_min = []
-    for block in _radius_blocks(rhos, members, theta_samples):
-        f = circle_grid_fields(h, block, theta_samples, ("d_rho", "d_theta"))
+    for block in _radius_blocks(rhos, members):
+        f = circle_grid_fields(h, block, PROBE_ANGLES, ("d_rho", "d_theta"))
         with np.errstate(over="ignore", invalid="ignore"):
             # f.jacobian(block), formed in the probe's own field buffer
             product = np.conjugate(f.d_rho, out=f.d_rho)
@@ -378,7 +395,7 @@ def injectivity_probe(
                 f"the Jacobian on A(1, {R}) overflowed; injectivity probe undefined")
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
-    radii = np.linspace(1.0, R, circles + 2)[1:-1]
+    radii = np.linspace(1.0, R, PROBE_CIRCLES + 2)[1:-1]
     ok = np.all(winding_counts(h, radii)[2] == 1, axis=-1)
     jac_min = np.min(jac_min, axis=0)
     if jac_min.shape:

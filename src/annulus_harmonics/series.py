@@ -179,30 +179,6 @@ class HarmonicSeries:
         i = _index(n, self.N)
         return complex(self.a[i]), complex(self.b[i])
 
-    def modes(self) -> Iterator[tuple[int, complex, complex]]:
-        """Yield (n, a_n, b_n) for every stored nonzero mode."""
-        for n, a, b in zip(self.mode_numbers, self.a, self.b):
-            yield int(n), complex(a), complex(b)
-
-    def with_coeff(
-        self,
-        n: int,
-        a: complex | None = None,
-        b: complex | None = None,
-    ) -> "HarmonicSeries":
-        """Return a copy with a_n and/or b_n replaced (immutably)."""
-        if n == 0:
-            raise ParameterDomainError("use replace of a0/b0 for the zero mode")
-        N = max(self.N, abs(n))
-        a_map = {m: an for m, an, _ in self.modes() if an != 0}
-        b_map = {m: bn for m, _, bn in self.modes() if bn != 0}
-        if a is not None:
-            a_map[n] = a
-        if b is not None:
-            b_map[n] = b
-        return HarmonicSeries.from_coeffs(N=N, a=a_map, b=b_map,
-                                          a0=self.a0, b0=self.b0)
-
 
 @dataclass(frozen=True, eq=False)
 class SeriesStack:
@@ -309,10 +285,15 @@ class SeriesStack:
 
 def _within(x, lo: float, hi: float, hi_closed: bool = False) -> bool:
     """Whether x, a scalar or an array, lies in (lo, hi) (or (lo, hi]); a
-    Python number is checked without an array."""
-    if isinstance(x, (float, int)):
-        return lo < x and (x <= hi if hi_closed else x < hi)
-    r = np.asarray(x, dtype=np.float64)  # min and max propagate NaN
+    Python number is checked without an array.  An integer past the float
+    range lies in no domain: no float computation can take it."""
+    try:
+        if isinstance(x, (float, int)):
+            x = float(x)
+            return lo < x and (x <= hi if hi_closed else x < hi)
+        r = np.asarray(x, dtype=np.float64)  # min and max propagate NaN
+    except OverflowError:
+        return False
     if r.size == 0:
         return True
     top = r.max()
@@ -339,6 +320,15 @@ def require_radii(rho) -> None:
     positive and finite."""
     if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
         raise ParameterDomainError(f"rho must be positive and finite, got {rho}")
+
+
+def require_mode(n) -> None:
+    """Raise ParameterDomainError unless n is a mode number: a Python or
+    numpy integer, not a bool, or for a stack an array of integers."""
+    if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
+                                   or np.asarray(n).dtype.kind in "iu"):
+        raise ParameterDomainError(
+            f"a mode number must be an integer, got {type(n).__name__} {n!r}")
 
 
 class CircleFields(NamedTuple):

@@ -33,6 +33,7 @@ from annulus_harmonics.sampling import (
     random_series_stack,
 )
 from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack, circle_grid_fields
+from test_sampling import widened_conformal
 
 ORDERS = (1, 3, 7, 12)
 CONFIGS = [SamplerConfig(seed=40 + N, N=N, decay=0.4) for N in ORDERS]
@@ -185,7 +186,7 @@ def test_probe_raises_a_typed_error_when_the_jacobian_overflows():
 # 17 members with Jacobian minima of both signs and failed windings: 14
 # conformal perturbations, the reflection z -> conj(z) and two random series.
 PROBE_POOL = SeriesStack.of([
-    *(random_conformal_perturbation(seed, eps=0.05) for seed in range(14)),
+    *(widened_conformal(seed, 0.05) for seed in range(14)),
     HarmonicSeries.from_coeffs(b={-1: 1.0}), *MEMBERS[1:3]])
 
 

@@ -1,5 +1,6 @@
 """Scalar bounds, certificates, gates, the conformal refinement and probes."""
 
+import dataclasses
 import math
 import warnings
 
@@ -39,7 +40,8 @@ from annulus_harmonics.bounds import (
 )
 from annulus_harmonics.operators import k_functional
 from annulus_harmonics.sampling import injectivity_probe, random_conformal_perturbation
-from annulus_harmonics.series import SeriesStack, circle_grid_fields
+from annulus_harmonics.series import SeriesStack, _index, circle_grid_fields
+from test_sampling import widened_conformal
 
 E = math.e
 E32 = math.exp(1.5)
@@ -326,7 +328,7 @@ def test_schottky_deviation_bounds_the_sampled_deviation(eps):
     so it is at least the deviation sampled on 4096 angles, and at most
     the 1 / (1 - pi/10) the Bernstein factor on angular_count(10 N) allows
     above the largest sample."""
-    stack = random_conformal_perturbation(list(range(40)), eps=eps)
+    stack = widened_conformal(list(range(40)), eps)
     reports = schottky_check(stack, 2.0)
     values = circle_grid_fields(stack, 1.0, 4096, ("values",)).values
     sampled = np.max(np.abs(np.abs(values) - 1.0), axis=-1)
@@ -339,8 +341,10 @@ def test_schottky_deviation_bounds_the_sampled_deviation(eps):
 def test_schottky_rejects_a_planted_deviation():
     """A draw whose |h| leaves 1 by 2e-6 somewhere on the unit circle, by a
     scale or by a mode, is not applicable; the draw itself is."""
-    h = random_conformal_perturbation(3, eps=1e-9)
-    planted = [scale_rotate(h, 1.0 + 2e-6), h.with_coeff(2, a=h.coeff(2)[0] + 2e-6)]
+    h = widened_conformal(3, 1e-9)
+    a = np.array(h.a)
+    a[_index(2, h.N)] += 2e-6
+    planted = [scale_rotate(h, 1.0 + 2e-6), dataclasses.replace(h, a=a)]
     assert schottky_check(h, 2.0).applicable
     for p in planted:
         report = schottky_check(p, 2.0)
@@ -365,7 +369,7 @@ def test_injectivity_margin_without_a_leading_term_is_minus_inf():
 
 def test_injectivity_margin_of_a_series_equals_its_stack_of_one():
     for seed in range(5):
-        h = random_conformal_perturbation(seed, eps=0.05)
+        h = widened_conformal(seed, 0.05)
         margin = conformal_injectivity_margin(h, 2.0)
         assert isinstance(margin, float)
         assert conformal_injectivity_margin(SeriesStack.of([h]), 2.0).tolist() == [margin]
@@ -392,12 +396,16 @@ def test_certified_series_pass_a_finer_probe():
     margin = conformal_injectivity_margin(stack, 2.0)
     assert (margin > 0.0).all()
     assert np.allclose(1.0 - margin, 0.5 * math.pi * targets, rtol=1e-5)
-    probe = injectivity_probe(stack, 2.0, rho_samples=64, theta_samples=256)
+    probe = injectivity_probe(stack, 2.0)
     assert probe.windings_ok.all()
-    # the sampled Jacobian stays above the proven bound |a_1|^2 (1 - L)^2
+    # the Jacobian sampled by the probe, and on a finer grid of 64 radii x
+    # 256 angles, stays above the proven bound |a_1|^2 (1 - L)^2
+    rhos = np.linspace(1.0, 2.0, 66)[1:-1]
+    fine = circle_grid_fields(stack, rhos, 256, ("d_rho", "d_theta")).jacobian(rhos)
     L = (1.0 - margin) / (0.5 * math.pi)
     bound = (np.abs(stack.a[:, 0]) * (1.0 - L)) ** 2
-    assert (probe.jacobian_min >= bound * (1.0 - 1e-12)).all()
+    for jacobian_min in (probe.jacobian_min, fine.min(axis=(-2, -1))):
+        assert (jacobian_min >= bound * (1.0 - 1e-12)).all()
 
 
 def test_schottky_samples_only_the_members_it_cannot_certify(monkeypatch):

@@ -1,6 +1,7 @@
 """Domain rules: an outer radius R, a lambda or a circle radius rho outside
-its domain, NaN and infinity included, an array where one number is
-expected, or circle angles other than a grid circle_angles(M), raises
+its domain, NaN and infinity included, an integer past the float range, an
+array where one number is expected, a mode number that is not an integer,
+or circle angles other than a grid circle_angles(M), raises
 ParameterDomainError instead of returning NaN or failing inside the
 arithmetic; finite arguments whose result overflows raise
 NumericOverflowError."""
@@ -25,10 +26,16 @@ from annulus_harmonics import (
     k_endpoint,
     k_functional,
     k_quadrature,
+    kalaj_bound,
     mean_outer_radius,
+    nitsche_bound,
+    perturb_extremal,
+    quadratic_mean_mode,
     quadratic_mean_numeric,
     quadratic_mean_profile,
     radial_integrate,
+    theorem_gate,
+    weitsman_bound,
     wide_annulus_certificate,
     winding_number,
 )
@@ -54,6 +61,9 @@ from test_series import lambda_from_radii
 NAN, INF = math.nan, math.inf
 H = extremal_map(0.5)
 U = quadratic_mean_profile(H)
+HUGE = 10**400  # a Python int past the float range
+G = random_series(SamplerConfig(seed=1, N=4))
+PAIR = random_series_stack([SamplerConfig(seed=1, N=4), SamplerConfig(seed=2, N=4)])
 
 CASES = {
     "circle_fields-inf": lambda: circle_fields(H, INF, circle_angles(8)),
@@ -106,6 +116,32 @@ CASES = {
     "wide_annulus_certificate--1": lambda: wide_annulus_certificate(-1.0),
     "require_lambda-array": lambda: require_lambda(np.array([0.5, 1.5])),
     "require_outer-array": lambda: require_outer(np.array([2.0, 1.0])),
+    # an integer past the float range is in no domain
+    "nitsche_bound-int-1e400": lambda: nitsche_bound(HUGE),
+    "weitsman_bound-int-1e400": lambda: weitsman_bound(HUGE),
+    "kalaj_bound-int-1e400": lambda: kalaj_bound(HUGE),
+    "mean_outer_radius-int-1e400": lambda: mean_outer_radius(H, HUGE),
+    "circular_mean-int-1e400": lambda: circular_mean(H, HUGE),
+    "speed_bound-int-1e400": lambda: speed_bound(HUGE, 0.5),
+    "theorem_gate-int-1e400": lambda: theorem_gate(H, HUGE),
+    "winding_number-int-1e400": lambda: winding_number(H, HUGE),
+    "require_lambda-list-int-1e400": lambda: require_lambda([0.5, -HUGE]),
+    "require_radii-list-int-1e400": lambda: require_radii([1.5, HUGE]),
+    # a mode number is an integer
+    "quadratic_mean_mode-float": lambda: quadratic_mean_mode(H, 1.0),
+    "quadratic_mean_mode-bool": lambda: quadratic_mean_mode(H, True),
+    "quadratic_mean_mode-stack-floats": lambda: quadratic_mean_mode(PAIR, np.array([1.0, 2.0])),
+    "perturb_extremal-float": lambda: perturb_extremal(0.5, 1.0, 1e-3),
+    "perturb_extremal-numpy-bool": lambda: perturb_extremal(0.5, np.bool_(True), 1e-3),
+    # the whole Richardson stencil, rho - 2 step .. rho + 2 step, lies in the
+    # domain: below 0 (was NaN), across the pole rho^2 = -lambda (was 2.3e7)
+    "divergence_form_residual-stencil-below-0": lambda: LambdaOperator(
+        0.5).divergence_form_residual(quadratic_mean_profile(G), 1.5e-3),
+    "divergence_form_residual-stencil-across-pole": lambda: LambdaOperator(
+        -0.9).divergence_form_residual(quadratic_mean_profile(G), 0.949),
+    "divergence_form_residual-stack-member-across-pole": lambda: LambdaOperator(
+        np.array([0.5, -0.9])).divergence_form_residual(quadratic_mean_profile(PAIR),
+                                                         np.array([2.0, 0.949])),
 }
 
 
@@ -208,6 +244,30 @@ def test_domain_edges_are_accepted():
     require_outer(1.0 + 1e-15)
     require_lambda(1.0)
     require_lambda(-1.0 + 2e-9)
+
+
+@pytest.mark.parametrize("n", [2, -1, np.int64(3), np.int32(-2)], ids=repr)
+def test_integer_mode_numbers_are_accepted(n):
+    assert quadratic_mean_mode(G, n).value(1.5) > 0.0
+    assert perturb_extremal(0.5, n, 1e-3).coeff(n)[0] != 0.0
+
+
+def test_stack_mode_numbers_are_integers_and_too_high_a_mode_is_an_index_error():
+    for n in (np.array([1, -4]), [2, 3], 2):
+        assert quadratic_mean_mode(PAIR, n).value(np.array([[1.5], [2.0]])).shape == (2, 1)
+    with pytest.raises(IndexError):
+        quadratic_mean_mode(G, 5)
+    with pytest.raises(IndexError):
+        quadratic_mean_mode(PAIR, np.array([1, 5]))
+
+
+def test_divergence_stencil_at_the_domain_edge_is_accepted():
+    """A stencil that stays inside the domain is evaluated, also next to
+    its edge: rho = 2 step + 1e-6 at lambda 0.5, and 1e-6 past the pole
+    at lambda = -0.9."""
+    P = quadratic_mean_profile(G)
+    for lam, rho in ((0.5, 2e-3 + 1e-6), (-0.9, math.sqrt(0.9) + 2e-3 + 1e-6)):
+        assert math.isfinite(LambdaOperator(lam).divergence_form_residual(P, rho))
 
 
 @pytest.mark.parametrize("trials", [0, -3, MAX_TRIALS + 1, 10**18])

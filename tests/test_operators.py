@@ -94,10 +94,10 @@ def test_divergence_form_agrees(tame_series):
     h = tame_series(seed=41, N=6, decay=0.3)
     P = quadratic_mean_profile(h)
     op = LambdaOperator(0.4)
-    coarse = op.divergence_form_residual(P, 1.8, step=2e-3)
-    fine = op.divergence_form_residual(P, 1.8, step=1e-3)
-    assert coarse < 1e-4
-    assert fine <= coarse / 3.0 + 1e-9  # truncation shrinks with the step
+    # the extrapolated differences err at the rounding level of the nested
+    # differences, about 3e-10 here, far below verify's tolerance 1e-5
+    assert abs(float(op.apply(P, 1.8))) > 0.1
+    assert op.divergence_form_residual(P, 1.8) < 1e-8
 
 
 @pytest.mark.parametrize("seed", [2, 3, 8, 23, 37])
@@ -114,7 +114,7 @@ def test_divergence_form_agreement_holds_for_fragile_seeds(seed):
 
 def test_divergence_form_identity_map_exact():
     residual = LambdaOperator(1e-12).divergence_form_residual(
-        quadratic_mean_profile(IDENTITY), 2.0, step=1e-3
+        quadratic_mean_profile(IDENTITY), 2.0
     )
     assert residual < 1e-9
 

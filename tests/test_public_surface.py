@@ -2,13 +2,67 @@
 and the README's quick tour runs and shows what its comments say."""
 
 import ast
+import importlib
+import inspect
 import math
+import pkgutil
 import re
 from pathlib import Path
 
 import annulus_harmonics
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Every parameter with a default of a public function, class or method of
+# the package, with the program caller that passes another value.  A
+# parameter that only tests set is a fixed size of the program and belongs
+# in a module constant; a new one is listed here together with its caller.
+DEFAULTED = {
+    "series.HarmonicSeries": ("a b a0 b0", "the coefficients: sampling.random_series"),
+    "series.HarmonicSeries.from_coeffs": ("N a b a0 b0",
+                                          "the order and coefficients: series.extremal_map"),
+    "series.circle_grid_fields": ("fields", "sampling.injectivity_probe"),
+    "means.RadialProfile": ("degree _jet", "means._sum_profile"),
+    "quadrature.radial_integrate": ("lam", "operators.k_functional"),
+    "sampling.SamplerConfig": ("N decay", "reports._draw_config"),
+    "sampling.perturb_extremal": ("renormalize", "bounds.uniqueness_probe"),
+    "reports.run_suite": ("tol", "cli verify, with the --tol-* overrides"),
+    **{f"reports.run_{suite}": ("tol", "reports.run_suite")
+       for suite in ("identities", "subsolution", "kfunctional", "certificates", "schottky")},
+    "cli.main": ("argv", "bench/workloads.py, which runs verify in process"),
+}
+
+
+def defaulted_parameters() -> dict[str, set[str]]:
+    """The parameters with a default of every public function, class
+    (its constructor) and method defined in the package's modules."""
+    found = {}
+    for info in pkgutil.iter_modules(annulus_harmonics.__path__):
+        module = importlib.import_module(f"annulus_harmonics.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", getattr(obj, attr))
+                            for attr, value in vars(obj).items()
+                            if not attr.startswith("_") and (
+                                inspect.isfunction(value)
+                                or isinstance(value, (classmethod, staticmethod)))]
+            for qualname, member in members:
+                try:
+                    parameters = inspect.signature(member).parameters.values()
+                except (TypeError, ValueError):  # an exception class
+                    continue
+                names = {p.name for p in parameters if p.default is not p.empty}
+                if names:
+                    found[f"{info.name}.{qualname}"] = names
+    return found
+
+
+def test_every_defaulted_parameter_has_a_program_caller():
+    assert defaulted_parameters() == {
+        qualname: set(names.split()) for qualname, (names, _) in DEFAULTED.items()}
 
 
 def test_every_exported_name_is_used_by_the_package_the_benchmark_or_the_readme():

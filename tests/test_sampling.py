@@ -27,10 +27,27 @@ from annulus_harmonics import (
 )
 from annulus_harmonics import sampling
 from annulus_harmonics.sampling import (
+    CONFORMAL_EPS,
+    CONFORMAL_MODES,
     random_conformal_perturbation,
     random_series_stack,
 )
-from annulus_harmonics.series import MAX_JSON_ORDER, SeriesStack, _index, dumps_series
+from annulus_harmonics.series import (
+    MAX_JSON_ORDER,
+    SeriesStack,
+    _index,
+    circle_grid_fields,
+    dumps_series,
+)
+
+
+def widened_conformal(seed, eps):
+    """random_conformal_perturbation(seed) with its perturbation columns,
+    every mode but the rotation's a_1, scaled from CONFORMAL_EPS to eps."""
+    h = random_conformal_perturbation(seed)
+    a = np.array(h.a)
+    a[..., 1:] *= eps / CONFORMAL_EPS
+    return dataclasses.replace(h, a=a)
 
 
 def test_same_seed_identical_series():
@@ -46,7 +63,7 @@ def test_different_seeds_differ():
 
 def test_decay_bounds_magnitudes():
     h = random_series(SamplerConfig(seed=77, N=10, decay=0.5))
-    for n, a, b in h.modes():
+    for n, a, b in zip(h.mode_numbers.tolist(), h.a, h.b):
         assert abs(a) <= 0.5 ** abs(n) + 1e-15
         assert abs(b) <= 0.5 ** abs(n) + 1e-15
 
@@ -160,8 +177,10 @@ def test_stack_holds_the_single_draws_of_mixed_orders_and_decays():
 
 def test_conformal_rows_have_the_bits_of_their_generators():
     seeds = [0, 404, 2**62 - 1, 2**64 + 3]
-    modes, eps = (-3, -2, -1, 2, 3, 4, 5, 6), 1e-3
-    stack = random_conformal_perturbation(seeds, eps=eps, modes=modes)
+    modes, eps = CONFORMAL_MODES, CONFORMAL_EPS
+    assert (modes, eps) == ((-3, -2, -1, 2, 3, 4, 5, 6), 1e-7)
+    stack = random_conformal_perturbation(seeds)
+    assert stack.N == 6
     for i, seed in enumerate(seeds):
         u = np.random.default_rng(seed).random(2 * len(modes) + 1)
         a = np.zeros(2 * stack.N, dtype=np.complex128)
@@ -277,10 +296,15 @@ def test_probe_extremal_positive():
 
 
 def test_probe_critical_degenerates_at_inner_circle():
-    coarse = injectivity_probe(extremal_map(1.0), 2.0, rho_samples=8)
-    fine = injectivity_probe(extremal_map(1.0), 2.0, rho_samples=64)
-    assert 0.0 < fine.jacobian_min < coarse.jacobian_min
-    assert fine.windings_ok
+    """The critical map's Jacobian vanishes on the unit circle: the probe's
+    minimum is positive, and a finer grid of 64 interior radii, which comes
+    closer to the circle, finds a smaller one."""
+    h = extremal_map(1.0)
+    probe = injectivity_probe(h, 2.0)
+    rhos = np.linspace(1.0, 2.0, 66)[1:-1]
+    fine = circle_grid_fields(h, rhos, 256, ("d_rho", "d_theta")).jacobian(rhos).min()
+    assert 0.0 < fine < probe.jacobian_min
+    assert probe.windings_ok
 
 
 def test_probe_flags_reflection():
