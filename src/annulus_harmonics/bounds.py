@@ -40,6 +40,7 @@ from .series import (
     _member_orders,
     circle_grid_fields,
     require_lambda,
+    require_mode,
     require_outer,
     require_radii,
 )
@@ -145,8 +146,9 @@ class ModeFormCoeffs(NamedTuple):
 
 
 def _require_modes(n, lowest: int, what: str) -> np.ndarray | int:
-    """n as an int, or an array of ints, after checking that every mode is
-    at least `lowest`."""
+    """n as an int, or an array of ints, after checking that n is a mode
+    number (require_mode) and that every mode is at least `lowest`."""
+    require_mode(n)
     if isinstance(n, int):
         if n < lowest:
             raise ParameterDomainError(what)
@@ -342,7 +344,7 @@ class SchottkyReport:
     circle, up to the rounding of the samples it is taken from:
     T = |h|^2 - 1 is a trigonometric polynomial of degree 2N there, so
     Bernstein's inequality bounds sup|T| by max_k |T(theta_k)| /
-    (1 - 2 pi N/M) on M = angular_count(10 N) equally spaced angles, N
+    (1 - 2 pi N/M) on M = angular_count(20 N) equally spaced angles, N
     the member's highest mode with a nonzero coefficient, and
     ||h| - 1| <= sup|T| / (1 + sqrt(max(0, 1 - sup|T|))).  A member whose
     bound exceeds 1e-6 is not applicable; NaN where the member is not
@@ -404,7 +406,7 @@ def schottky_check(h, R: float):
     orders = _member_orders(stack)
     for N in sorted(set(orders[screened].tolist())):  # np.unique would load numpy.ma
         group = screened & (orders == N)
-        M = angular_count(10 * N)
+        M = angular_count(20 * N)
         moduli = np.abs(circle_grid_fields(stack[group], 1.0, M, ("values",)).values)
         with np.errstate(over="ignore", invalid="ignore"):
             T = np.max(np.abs((moduli - 1.0) * (moduli + 1.0)), axis=-1)

@@ -72,6 +72,7 @@ from .series import (
     LAMBDA_MIN,
     HarmonicSeries,
     SeriesStack,
+    _shown,
     circle_angles,
     circle_fields,
     require_lambda,
@@ -190,8 +191,12 @@ def lambda_from_speed(speed: float) -> float:
     -1 raises NumericOverflowError.
     """
     if speed < 0.0:
-        raise SpeedSignError(f"initial speed must be nonnegative, got {speed}")
-    lam = (1.0 - speed) / (1.0 + speed)
+        raise SpeedSignError(f"initial speed must be nonnegative, got {_shown(speed)}")
+    try:
+        lam = (1.0 - speed) / (1.0 + speed)
+    except OverflowError:  # an int past the float range
+        raise NumericOverflowError(
+            f"initial speed {_shown(speed)} is too large to be a float") from None
     if not lam > LAMBDA_MIN:
         raise NumericOverflowError(
             f"initial speed {speed:.6g} is too large: its lambda (1 - s)/(1 + s) "

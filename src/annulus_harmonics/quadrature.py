@@ -7,16 +7,16 @@ two kinds of integrand.  The circle means, the enclosed area, the operator
 identities and the Dirichlet energy average products of the fields of a
 truncated series, trigonometric polynomials of degree at most 2N, so they
 are exact up to rounding once M exceeds that degree; they take
-angular_count(degree) angles, the smallest 5-smooth M (2^i 3^j 5^k, the
-sizes the FFT transforms fastest) that exceeds twice the integrand
-degree.  The one circle quantity that is not band-limited, the winding
-number of h(C_rho) about 0, is not sampled on a fixed count: it is proved
-by an argument count whose angle count the series' own mode sums pick
-(winding_counts).  The fields on
-the M angles come from the inverse-FFT circle kernel of the series module
-(mode n in bin n mod M, no aliasing at these M), and the Dirichlet energy
-evaluates its Gauss nodes' circles in batches of at most
-_ENERGY_POINTS_PER_BATCH angle points.  The means are computed as
+angular_count(2 N) angles, the smallest 5-smooth M (2^i 3^j 5^k, the
+sizes the FFT transforms fastest) above the integrand degree 2N.  The one
+circle quantity that is not band-limited, the winding number of h(C_rho)
+about 0, is not sampled on a fixed count: it is proved by an argument
+count whose angle count the series' own mode sums pick (winding_counts).
+The fields on the M angles come from the inverse-FFT circle kernel of the
+series module (mode n in bin n mod M, one mode per bin since M >= 2N + 1
+covers the 2N + 1 modes -N..N), and the Dirichlet energy evaluates its
+Gauss nodes' circles in batches of at most _ENERGY_POINTS_PER_BATCH angle
+points.  The means are computed as
 trapezoid sums over the sampled fields, never from the spectrum by
 Parseval, so they stay an independent check of the closed forms in the
 means module.  One reduction (_field_means) takes these means over fields
@@ -75,8 +75,9 @@ from .series import (
 )
 
 # Angle points (radii x M) per batched circle evaluation in dirichlet_energy:
-# caps its two (radii, M) field rows at 256 KiB, whatever M, and takes all of
-# a small series' Gauss nodes in one call.
+# caps its two (radii, M) field rows at 256 KiB, whatever M, and the kernel's
+# (radii, 2N) mode arrays (2N < M) at 128 KiB each, and takes all of a small
+# series' Gauss nodes in one call.
 _ENERGY_POINTS_PER_BATCH = 2**13
 
 # The quadrature policy: the most angles a winding decision may take; the
@@ -99,10 +100,11 @@ RADIAL_EPS = 1e-15
 
 @lru_cache(maxsize=256)
 def angular_count(degree: int) -> int:
-    """Angle count guaranteeing exactness on mode products up to `degree`:
-    the smallest 5-smooth integer above 2 degree.  Memoised, since the
-    scalar identities ask for it on every call."""
-    M = 2 * degree + 1
+    """Angle count on which the trapezoid rule is exact for trigonometric
+    polynomials up to `degree`: the smallest 5-smooth integer above the
+    integrand degree.  Memoised, since the scalar identities ask for it on
+    every call."""
+    M = degree + 1
     while True:
         rest = M
         for p in (2, 3, 5):

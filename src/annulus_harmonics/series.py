@@ -300,11 +300,22 @@ def _within(x, lo: float, hi: float, hi_closed: bool = False) -> bool:
     return bool(lo < r.min() and (top <= hi if hi_closed else top < hi))
 
 
+def _shown(x) -> str:
+    """x as a domain message prints it: str(x) cut to 80 characters, or its
+    type where str refuses an integer of too many digits (Python's limit,
+    4300 by default), so a message never fails on the value it rejects."""
+    try:
+        text = str(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def require_outer(R) -> None:
     """Raise ParameterDomainError unless 1 < R < inf (the annulus A(1, R)),
     for a scalar R or every entry of an array."""
     if not (1.0 < R < math.inf if isinstance(R, float) else _within(R, 1.0, math.inf)):
-        raise ParameterDomainError(f"outer radius R must satisfy 1 < R < inf, got {R}")
+        raise ParameterDomainError(f"outer radius R must satisfy 1 < R < inf, got {_shown(R)}")
 
 
 def require_lambda(lam) -> None:
@@ -312,14 +323,14 @@ def require_lambda(lam) -> None:
     lam or every entry of an array."""
     if not (LAMBDA_MIN < lam <= 1.0 if isinstance(lam, float)
             else _within(lam, LAMBDA_MIN, 1.0, hi_closed=True)):
-        raise ParameterDomainError(f"lambda must lie in (-1, 1], got {lam}")
+        raise ParameterDomainError(f"lambda must lie in (-1, 1], got {_shown(lam)}")
 
 
 def require_radii(rho) -> None:
     """Raise ParameterDomainError unless rho, a scalar or an array, is
     positive and finite."""
     if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
-        raise ParameterDomainError(f"rho must be positive and finite, got {rho}")
+        raise ParameterDomainError(f"rho must be positive and finite, got {_shown(rho)}")
 
 
 def require_mode(n) -> None:
@@ -328,7 +339,7 @@ def require_mode(n) -> None:
     if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
                                    or np.asarray(n).dtype.kind in "iu"):
         raise ParameterDomainError(
-            f"a mode number must be an integer, got {type(n).__name__} {n!r}")
+            f"a mode number must be an integer, got {type(n).__name__} {_shown(n)}")
 
 
 class CircleFields(NamedTuple):

@@ -326,7 +326,7 @@ def test_schottky_rejects_off_circle_boundary():
 def test_schottky_deviation_bounds_the_sampled_deviation(eps):
     """boundary_deviation is a bound of sup ||h| - 1| on the unit circle,
     so it is at least the deviation sampled on 4096 angles, and at most
-    the 1 / (1 - pi/10) the Bernstein factor on angular_count(10 N) allows
+    the 1 / (1 - pi/10) the Bernstein factor on angular_count(20 N) allows
     above the largest sample."""
     stack = widened_conformal(list(range(40)), eps)
     reports = schottky_check(stack, 2.0)

@@ -39,10 +39,17 @@ from annulus_harmonics import (
     wide_annulus_certificate,
     winding_number,
 )
-from annulus_harmonics.bounds import gz_weight, variance_k_bound
+from annulus_harmonics.bounds import (
+    gz_weight,
+    mode_form_certificate,
+    mode_form_certificate_expanded,
+    mode_form_coeffs,
+    variance_k_bound,
+)
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import (
     identity_residuals,
+    lambda_from_speed,
     speed_bound,
     variance_subsolution_min,
 )
@@ -127,12 +134,24 @@ CASES = {
     "winding_number-int-1e400": lambda: winding_number(H, HUGE),
     "require_lambda-list-int-1e400": lambda: require_lambda([0.5, -HUGE]),
     "require_radii-list-int-1e400": lambda: require_radii([1.5, HUGE]),
+    # an int too long for str: the message names it without printing it
+    "require_outer-int-1e5000": lambda: require_outer(10**5000),
+    "require_outer-int--1e5000": lambda: require_outer(-10**5000),
+    "require_lambda-int-1e5000": lambda: require_lambda(10**5000),
+    "require_lambda-int--1e5000": lambda: require_lambda(-10**5000),
+    "require_radii-int-1e5000": lambda: require_radii(10**5000),
+    "require_radii-int--1e5000": lambda: require_radii(-10**5000),
     # a mode number is an integer
     "quadratic_mean_mode-float": lambda: quadratic_mean_mode(H, 1.0),
     "quadratic_mean_mode-bool": lambda: quadratic_mean_mode(H, True),
     "quadratic_mean_mode-stack-floats": lambda: quadratic_mean_mode(PAIR, np.array([1.0, 2.0])),
     "perturb_extremal-float": lambda: perturb_extremal(0.5, 1.0, 1e-3),
     "perturb_extremal-numpy-bool": lambda: perturb_extremal(0.5, np.bool_(True), 1e-3),
+    "mode_form_coeffs-float": lambda: mode_form_coeffs(1.5, 2.0),
+    "mode_form_certificate-float": lambda: mode_form_certificate(2.5, 2.0),
+    "mode_form_certificate_expanded-float": lambda: mode_form_certificate_expanded(2.5, 2.0),
+    "mode_form_certificate-array-floats":
+        lambda: mode_form_certificate(np.array([2.0, 2.5]), 3.0),
     # the whole Richardson stencil, rho - 2 step .. rho + 2 step, lies in the
     # domain: below 0 (was NaN), across the pole rho^2 = -lambda (was 2.3e7)
     "divergence_form_residual-stencil-below-0": lambda: LambdaOperator(
@@ -167,6 +186,8 @@ OVERFLOWS = {
     "wide_annulus_certificate-1e200": lambda: wide_annulus_certificate(1e200),
     "wide_annulus_certificate-array-1e200":
         lambda: wide_annulus_certificate(np.array([2.0, 1e200])),
+    # an int speed past the float range has no float lambda
+    "lambda_from_speed-int-1e400": lambda: lambda_from_speed(HUGE),
 }
 
 
@@ -250,6 +271,19 @@ def test_domain_edges_are_accepted():
 def test_integer_mode_numbers_are_accepted(n):
     assert quadratic_mean_mode(G, n).value(1.5) > 0.0
     assert perturb_extremal(0.5, n, 1e-3).coeff(n)[0] != 0.0
+
+
+def test_integer_mode_arrays_are_accepted_by_the_mode_forms():
+    """The mode forms take a Python or numpy integer, or an integer array
+    broadcast against R; each entry of an array is the scalar's value."""
+    ns, R = np.arange(2, 6), np.array([[2.0], [3.0]])
+    for form in (mode_form_coeffs, mode_form_certificate, mode_form_certificate_expanded):
+        batch = np.asarray(form(ns, R))
+        for j, n in enumerate(ns.tolist()):
+            for i, r in enumerate(R[:, 0].tolist()):
+                want = np.asarray(form(n, r))
+                assert np.array_equal(np.asarray(form(np.int64(n), r)), want)
+                assert np.array_equal(batch[..., i, j], want)
 
 
 def test_stack_mode_numbers_are_integers_and_too_high_a_mode_is_an_index_error():

@@ -380,6 +380,28 @@ def test_band_limited_means_match_their_closed_forms(N, tame_series):
         assert abs(got - energy) <= 1e-12 * energy
 
 
+@pytest.mark.parametrize("N", [1, 4, 16, 64])
+def test_the_angle_count_is_the_smallest_exact_one(N):
+    """|h|^2 on a circle has modes -2N..2N.  On 2N angles, one short of
+    exactness, its trapezoid mean aliases e^(+-2iN theta) onto the mean and
+    misses Parseval's sum of |c_k|^2 (c_k the coefficients of h on the
+    circle) by 2 Re(c_N conj c_-N); on angular_count(2N) angles it meets
+    Parseval to rounding."""
+    a = {N: 0.6 + 0.2j} if N == 1 else {1: 1.0, N: 0.6 + 0.2j}
+    h = HarmonicSeries.from_coeffs(N=N, a=a, b={-N: 0.5 - 0.1j})
+    ns = h.mode_numbers
+    for rho in (1.0, 1.1):
+        c = dict(zip(ns.tolist(), h.a * rho**ns + h.b * rho**-ns))
+        parseval = sum(abs(v) ** 2 for v in c.values())
+        alias = 2.0 * (c[N] * np.conj(c[-N])).real
+        short, exact = (
+            float(np.mean(np.abs(circle_grid_fields(h, rho, M, ("values",)).values) ** 2))
+            for M in (2 * N, angular_count(2 * N)))
+        assert abs(alias) > 0.1 * parseval
+        assert abs(short - (parseval + alias)) <= 1e-12 * parseval
+        assert abs(exact - parseval) <= 1e-12 * parseval
+
+
 @pytest.mark.parametrize("N", [1, 4, 16, 64, 128])
 def test_energy_bits_do_not_depend_on_the_ring_batches(N, tame_series, monkeypatch):
     M = angular_count(2 * N)
@@ -398,7 +420,7 @@ def test_energy_bits_do_not_depend_on_the_ring_batches(N, tame_series, monkeypat
 def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
     """The winding count doubles from 8 angles and stops at the first count
     that proves the winding, which is 8 for a circle far from any zero
-    whatever N; the Schottky |f| scan takes angular_count(10 N), beyond the
+    whatever N; the Schottky |f| scan takes angular_count(20 N), beyond the
     20 N its Bernstein bound needs, whatever angular_count gives the
     band-limited means."""
     from annulus_harmonics import bounds, sampling
@@ -426,8 +448,8 @@ def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
     schottky_check(h, 2.0)
     assert angles["winding", "values"] == {8}
     assert angles["probe", "d_rho", "d_theta"] == {96}
-    assert angles["schottky", "values"] == {angular_count(10 * N)}
-    assert angular_count(10 * N) > 20 * N
+    assert angles["schottky", "values"] == {angular_count(20 * N)}
+    assert angular_count(20 * N) > 20 * N
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +482,17 @@ def test_angular_bound_covers_the_largest_series_from_json():
     # the trapezoid rule is exact below degree M: the quadratic means of the
     # largest series read from JSON have degree 2 * MAX_JSON_ORDER
     for degree in (1, 62, 63, 2 * MAX_JSON_ORDER):
-        assert angular_count(degree) > 2 * degree
+        assert angular_count(degree) > degree
 
 
-def test_angular_count_is_the_smallest_5_smooth_count_past_twice_the_degree():
-    # every 2^i 3^j 5^k up to 8 MAX_JSON_ORDER, twice past the largest count
+def test_angular_count_is_the_smallest_5_smooth_count_past_the_degree():
+    # every 2^i 3^j 5^k up to 8 MAX_JSON_ORDER, well past the largest count
     bound = 8 * MAX_JSON_ORDER
     smooth = sorted(m for m in (2**i * 3**j * 5**k for i in range(bound.bit_length())
                                 for j in range(bound.bit_length()) for k in range(8))
                     if m <= bound)
     for degree in range(2 * MAX_JSON_ORDER + 1):
-        want = next(m for m in smooth if m > 2 * degree)
+        want = next(m for m in smooth if m > degree)
         assert angular_count(degree) == want, degree
 
 
