@@ -33,11 +33,12 @@ from .means import (
     variance_profile,
 )
 from .operators import k_functional, lambda_from_speed, speed_bound
-from .quadrature import angular_count
+from .quadrature import _scalar, angular_count
 from .series import (
     HarmonicSeries,
     SeriesStack,
     _member_orders,
+    _shown,
     circle_grid_fields,
     require_lambda,
     require_mode,
@@ -85,17 +86,48 @@ def condition_modulus(R: float) -> bool:
 # Positivity certificates for the weighted-integral argument.
 # ---------------------------------------------------------------------------
 
+def _in_float_range(what: str, R, form, *args):
+    """form(*args), a closed form in R, or NumericOverflowError naming `what`
+    and R if a value it returns (a number, an array or a tuple of them) is
+    not finite.
+
+    Python's ** and the conversion of a huge int raise OverflowError, its *
+    and + round to inf in silence, and numpy's arithmetic rounds to inf with
+    a warning; so the form runs with numpy's warnings off and its values are
+    checked (a float by math.isfinite, as np.isfinite costs it about 2 us:
+    mode_quadratic_form_residual takes mode_form_coeffs at a float R for
+    every mode).  On Python ints and floats alone the form runs as it is,
+    as switching numpy's warnings off and on would cost it another 1.4 us."""
+    try:
+        if all(type(a) is float or type(a) is int for a in args):
+            out = form(*args)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = form(*args)
+    except OverflowError:
+        out = math.inf
+    values = out if isinstance(out, tuple) else (out,)
+    if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
+               for v in values):
+        raise NumericOverflowError(f"{what} overflows at R={_shown(R)}")
+    return out
+
+
 def gz_weight(R: float, lam: float, rho):
     """Weight (R^2 - lam) log(R/rho) + (R^2 - rho^2) lam / rho^2.
 
     This multiplies the conformal part of the gradient inside the weighted
     integral; it is nonnegative for 1 <= rho <= R and -1 < lam <= 1.
+    Raises NumericOverflowError if a value is not finite (R past about
+    1e153).
     """
     require_outer(R)
     require_lambda(lam)
     require_radii(rho)
-    r = np.asarray(rho, dtype=np.float64)
-    out = (R**2 - lam) * np.log(R / r) + (R**2 - r**2) * lam / r**2
+    out = _in_float_range(
+        "the conformal-part weight", R,
+        lambda R, lam, r: (R**2 - lam) * np.log(R / r) + (R**2 - r**2) * lam / r**2,
+        R, lam, np.asarray(rho, dtype=np.float64))
     return out if out.shape else float(out)
 
 
@@ -105,10 +137,12 @@ def gzbar_gate_margin(R: float, lam: float) -> float:
     Nonnegativity makes the weight on the anticonformal part of the
     gradient nonnegative on all of [1, R] (it is concave in rho and
     vanishes at rho = R).  For lam = 1 it holds up to R = e, and for lam = 0
-    up to R = 2.
+    up to R = 2.  Raises NumericOverflowError if the margin is not finite
+    (R past about 1e153).
     """
     require_outer(R)
-    return R**2 - 1.0 - (R**2 - lam) * math.log(R)
+    return _in_float_range("the anticonformal gate margin", R,
+                           lambda R, lam: R**2 - 1.0 - (R**2 - lam) * math.log(R), R, lam)
 
 
 def wide_annulus_certificate(R):
@@ -124,16 +158,17 @@ def wide_annulus_certificate(R):
     2.4e51, where the value, about -R^6, leaves the float range).
     """
     require_outer(R)
-    r = np.asarray(R, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def certificate(r):
         log_r = np.log(r)
-        out = (
+        return (
             4.0 * r**2 * (r**2 - 3.0) * log_r**2
             + 8.0 * r**2 * (r**2 - 1.0) * log_r
             - (r**2 - 1.0) * (r**4 - 1.0)
         )
-    if not np.isfinite(out).all():
-        raise NumericOverflowError(f"the wide-annulus certificate overflows at R={R}")
+
+    out = _in_float_range("the wide-annulus certificate", R, certificate,
+                          np.asarray(R, dtype=np.float64))
     return out if out.shape else float(out)
 
 
@@ -159,17 +194,7 @@ def _require_modes(n, lowest: int, what: str) -> np.ndarray | int:
     return n
 
 
-def mode_form_coeffs(n, R) -> ModeFormCoeffs:
-    """Quadratic-form coefficients for mode n >= 1 at outer radius R.
-
-    A_n = 4 R^(2n+2) + (R^2-3)(R^2+1) - 4n(R^4-1)
-    B_n = 4 R^(2-2n) + (R^2-3)(R^2+1)
-    C_n = -(R^2-1)(2n(R^2+1) - R^2 - 3)
-
-    n and R may be arrays (broadcast against each other).
-    """
-    n = _require_modes(n, 1, "mode index n must be >= 1")
-    require_outer(R)
+def _mode_form_coeffs(n, R) -> ModeFormCoeffs:
     cross = (R**2 - 3.0) * (R**2 + 1.0)
     A = 4.0 * R ** (2 * n + 2) + cross - 4.0 * n * (R**4 - 1.0)
     B = 4.0 * R ** (2 - 2 * n) + cross
@@ -177,29 +202,13 @@ def mode_form_coeffs(n, R) -> ModeFormCoeffs:
     return ModeFormCoeffs(A, B, C)
 
 
-def mode_form_certificate(n, R):
-    """Determinant-style certificate A_n * (R^2-3)(R^2+1) - C_n^2.
-
-    Positive for every n >= 2 and R >= e; positivity makes the per-mode
-    quadratic form positive definite after shrinking B_n to (R^2-3)(R^2+1).
-    n and R may be arrays (broadcast against each other).
-    """
-    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
-    coeffs = mode_form_coeffs(n, R)
+def _mode_form_certificate(n, R):
+    coeffs = _mode_form_coeffs(n, R)
     reduced_b = (R**2 - 3.0) * (R**2 + 1.0)
     return coeffs.A * reduced_b - coeffs.C**2
 
 
-def mode_form_certificate_expanded(n, R):
-    """Expanded polynomial form of the same certificate.
-
-    4 [ R^(2n+2)(R^4 - 2R^2 - 3) - n^2 R^8 + (4n-2) R^6 + 2 n^2 R^4
-        + (6-4n) R^2 - n^2 ]
-
-    n and R may be arrays (broadcast against each other).
-    """
-    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
-    require_outer(R)
+def _mode_form_certificate_expanded(n, R):
     return 4.0 * (
         R ** (2 * n + 2) * (R**4 - 2.0 * R**2 - 3.0)
         - n**2 * R**8
@@ -208,6 +217,50 @@ def mode_form_certificate_expanded(n, R):
         + (6.0 - 4.0 * n) * R**2
         - n**2
     )
+
+
+def mode_form_coeffs(n, R) -> ModeFormCoeffs:
+    """Quadratic-form coefficients for mode n >= 1 at outer radius R.
+
+    A_n = 4 R^(2n+2) + (R^2-3)(R^2+1) - 4n(R^4-1)
+    B_n = 4 R^(2-2n) + (R^2-3)(R^2+1)
+    C_n = -(R^2-1)(2n(R^2+1) - R^2 - 3)
+
+    n and R may be arrays (broadcast against each other).  Raises
+    NumericOverflowError if a coefficient is not finite (R^(2n+2) past the
+    float range).
+    """
+    n = _require_modes(n, 1, "mode index n must be >= 1")
+    require_outer(R)
+    return _in_float_range("the per-mode form", R, _mode_form_coeffs, n, R)
+
+
+def mode_form_certificate(n, R):
+    """Determinant-style certificate A_n * (R^2-3)(R^2+1) - C_n^2.
+
+    Positive for every n >= 2 and R >= e; positivity makes the per-mode
+    quadratic form positive definite after shrinking B_n to (R^2-3)(R^2+1).
+    n and R may be arrays (broadcast against each other).  Raises
+    NumericOverflowError if a value is not finite.
+    """
+    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
+    require_outer(R)
+    return _in_float_range("the per-mode certificate", R, _mode_form_certificate, n, R)
+
+
+def mode_form_certificate_expanded(n, R):
+    """Expanded polynomial form of the same certificate.
+
+    4 [ R^(2n+2)(R^4 - 2R^2 - 3) - n^2 R^8 + (4n-2) R^6 + 2 n^2 R^4
+        + (6-4n) R^2 - n^2 ]
+
+    n and R may be arrays (broadcast against each other).  Raises
+    NumericOverflowError if a value is not finite.
+    """
+    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
+    require_outer(R)
+    return _in_float_range("the expanded per-mode certificate", R,
+                           _mode_form_certificate_expanded, n, R)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +357,8 @@ def conformal_injectivity_margin(h, R: float):
     (from coefficients or R so large that L overflows) never certifies.
     Only the a coefficients enter: f is taken to be conformal, sum a_n z^n
     with all b_n = 0 and no log or constant term, as schottky_check admits.
-    The test costs O(N) per series.
+    The test costs O(N) per series.  Raises ParameterDomainError unless R
+    is one number with 1 < R < inf.
 
     Proof.  On 1 <= |z| <= R, |z|^(n-1) <= max(1, R^(n-1)) for every n, so
     |p'(z)| <= L.  Any two points z, w of the closed annulus are joined
@@ -322,6 +376,7 @@ def conformal_injectivity_margin(h, R: float):
       is at most its term of L, as |n| >= 1), so by Rouche's theorem
       f = a_1 z (1 + p(z)/z) winds once around 0, as a_1 z does.
     """
+    R = _scalar(R, "R")
     require_outer(R)
     margin = _injectivity_certificate(h, R)[0]
     return margin if margin.shape else float(margin)
@@ -386,14 +441,23 @@ def schottky_check(h, R: float):
 
     A series gives one SchottkyReport; a SeriesStack, evaluated as one
     batch, gives the list of its members' reports.  A series runs as the
-    stack of one.
+    stack of one.  Raises ParameterDomainError unless R is one number with
+    1 < R < inf, and NumericOverflowError if the area bound or an
+    applicable member's mode sum or area is not finite (R past about 1e153
+    for the identity).  Each term is |a_n|^2 (R^(2n) - 1), so a power
+    R^(2n) past the float range raises even where the sum itself is
+    representable (a_1 = 1, a_6 = 1e-150 at R = 1e29, a sum near 1e58),
+    and, as the batch is one call, it raises for every member of a stack
+    padded to that order.
     """
     # read from sampling at call time, so a test can substitute the probe
     from .sampling import injectivity_probe
 
+    R = _scalar(R, "R")
     require_outer(R)
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
-    area_bound = math.pi * (R**2 - 1.0)
+    area_bound = _in_float_range("the area bound pi (R^2 - 1)", R,
+                                 lambda R: math.pi * (R**2 - 1.0), R)
     conformal = np.max(np.abs(stack.b), axis=-1, initial=0.0) <= 1e-12
     pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
     deviation = np.full(len(stack), math.nan)
@@ -423,10 +487,14 @@ def schottky_check(h, R: float):
         probe = injectivity_probe(found[~certified], R)
         jacobian_min[~certified] = probe.jacobian_min
         windings_ok[~certified] = probe.windings_ok
-    ns = found.mode_numbers.astype(np.float64)
-    amps = np.abs(found.a) ** 2
-    mode_sum = np.sum(amps * (R ** (2.0 * ns) - 1.0), axis=-1)
-    area = np.pi * np.sum(ns * amps * (R ** (2.0 * ns) - 1.0), axis=-1)
+
+    def mode_sum_and_area(R, ns, amps):
+        grown = R ** (2.0 * ns) - 1.0
+        return np.sum(amps * grown, axis=-1), np.pi * np.sum(ns * amps * grown, axis=-1)
+
+    mode_sum, area = _in_float_range(
+        "the mode sum or the image area", R, mode_sum_and_area,
+        R, found.mode_numbers.astype(np.float64), np.abs(found.a) ** 2)
     measured = mean_outer_radius(found, R)
     passed = ((measured >= R - 1e-9) & (area >= area_bound - 1e-6)
               & (mode_sum >= R**2 - 1.0 - 1e-9))

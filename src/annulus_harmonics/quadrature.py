@@ -516,9 +516,11 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
     b_n r^-n|^2 + |a_n r^n + b_n r^-n|^2)), a sum of r^(+-2n) and 1, so the
     result errs by at most RADIAL_EPS times S, the same sum with each
     coefficient's modulus, integrated.  Raises ParameterDomainError unless
-    0 < rho1 < rho2 < inf, and NumericOverflowError if the energy is not
-    finite (a radius so large that the fields overflow).
+    rho1 and rho2 are numbers with 0 < rho1 < rho2 < inf, and
+    NumericOverflowError if the energy is not finite (a radius so large
+    that the fields overflow).
     """
+    rho1, rho2 = _scalar(rho1, "rho1"), _scalar(rho2, "rho2")
     M = angular_count(2 * h.N)
     radii_per_batch = max(1, _ENERGY_POINTS_PER_BATCH // M)
 

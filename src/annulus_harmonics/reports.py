@@ -23,22 +23,23 @@ would make them, and then evaluates them in batches: the drawn series form
 a SeriesStack (random_series_stack or random_conformal_perturbation; each
 member has the coefficients of np.random.default_rng of its own seed:
 sampling._streams hashes the whole stack's seeds in one vectorized pass and
-draws each member's stream with numpy's PCG64),
-evaluated in chunks of SERIES_PER_CHUNK (16) members, with the per-draw
-parameters as arrays.  The circle identities (C02) take a chunk's
-3 circles per member and 10 lambdas per circle in one
-identity_residuals_stack call; it still evaluates each circle with its own
-circle_fields call (a single batched circle_grid_fields call per chunk
-would be faster, but the benchmark's tracer counts one circle_fields call
-per circle).  The per-mode form (C07a) integrates its 24 single-mode
-series as a stack, one mode and one R per member.  The conformal
-refinement (C09) proves each draw injective from its coefficients
-(bounds.conformal_injectivity_margin); schottky_check samples the draws
-that proof misses with the injectivity probe, and the criterion probes the
-certified draws of its first chunk as well, as a spot check of the proof.
-A criterion hands each check its residuals (numbers and arrays, one per
-draw, chunk or grid) and `_check` alone reduces them, NaN-keeping, so a
-NaN in any draw fails its check.
+draws each member's stream with numpy's PCG64), evaluated in chunks of
+SERIES_PER_CHUNK (16) members, with the per-draw parameters as arrays.
+The criteria on tame random series draw through one loop, _draws: per
+trial the series' config first, then each parameter in the order given.
+The circle identities (C02) take a chunk's 3 circles per member and 10
+lambdas per circle in one identity_residuals_stack call; it still
+evaluates each circle with its own circle_fields call (a single batched
+circle_grid_fields call per chunk would be faster, but the benchmark's
+tracer counts one circle_fields call per circle).  The per-mode form
+(C07a) integrates its 24 single-mode series as a stack, one mode and one R
+per member.  The conformal refinement (C09) proves each draw injective
+from its coefficients (bounds.conformal_injectivity_margin); schottky_check
+samples the draws that proof misses with the injectivity probe, and the
+criterion probes the certified draws of its first chunk as well, as a spot
+check of the proof.  A criterion hands each check its residuals (numbers
+and arrays, one per draw, chunk or grid) and `_check` alone reduces them,
+NaN-keeping, so a NaN in any draw fails its check.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
 the acceptance tests call the same criteria with pinned plans of their own,
@@ -167,6 +168,21 @@ def _draw_config(rng: np.random.Generator, n_lo: int, n_hi: int,
     return SamplerConfig(seed=int(rng.integers(2**62)), N=N, decay=decay)
 
 
+def _draws(rng: np.random.Generator, trials: int, orders: tuple[int, int],
+           decay: float, *params: tuple):
+    """Per trial the config of a tame random series (_draw_config), then
+    one rng.uniform(low, high[, shape]) per spec of `params`, in that order;
+    yields each chunk of the drawn stack with its rows of every parameter."""
+    configs, drawn = [], [[] for _ in params]
+    for _ in range(trials):
+        configs.append(_draw_config(rng, *orders, decay))
+        for spec, values in zip(params, drawn):
+            values.append(rng.uniform(*spec))
+    arrays = [np.array(values) for values in drawn]
+    for rows, h in random_series_stack(configs).chunks():
+        yield (h, *(a[rows] for a in arrays))
+
+
 # ---------------------------------------------------------------------------
 # Criteria.
 # ---------------------------------------------------------------------------
@@ -186,16 +202,10 @@ def circle_identities(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
     """Both circle-mean identities on 3 circles per series and 10 lambdas
     per circle, evaluated per chunk of series: one circle_fields call per
     circle, then every (series, circle, lambda) of the chunk at once."""
-    rng = _rng(plan, 1)
-    configs, rhos, lams = [], [], []
-    for _ in range(plan.trials):
-        configs.append(_draw_config(rng, 4, 16, 0.2))
-        rhos.append(rng.uniform(1.02, E32, size=3))
-        lams.append([rng.uniform(-0.95, 1.0, size=10) for _ in range(3)])
-    rhos, lams = np.array(rhos), np.array(lams)
     grad, ang = [], []
-    for rows, h in random_series_stack(configs).chunks():
-        g, a = identity_residuals_stack(h, lams[rows], rhos[rows])
+    for h, rhos, lams in _draws(_rng(plan, 1), plan.trials, (4, 16), 0.2,
+                                (1.02, E32, 3), (-0.95, 1.0, (3, 10))):
+        g, a = identity_residuals_stack(h, lams, rhos)
         grad.append(g)
         ang.append(a)
     return [
@@ -213,16 +223,9 @@ def circle_identities(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
 
 
 def divergence_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    rng = _rng(plan, 2)
-    configs, lams, rhos = [], [], []
-    for _ in range(plan.trials):
-        configs.append(_draw_config(rng, 4, 16, 0.2))
-        lams.append(rng.uniform(-0.5, 1.0))
-        rhos.append(rng.uniform(1.2, 3.0))
-    lams, rhos = np.array(lams), np.array(rhos)
-    residuals = [LambdaOperator(lams[rows]).divergence_form_residual(
-        quadratic_mean_profile(h), rhos[rows])
-        for rows, h in random_series_stack(configs).chunks()]
+    residuals = [LambdaOperator(lams).divergence_form_residual(quadratic_mean_profile(h), rhos)
+                 for h, lams, rhos in _draws(_rng(plan, 2), plan.trials, (4, 16), 0.2,
+                                             (-0.5, 1.0), (1.2, 3.0))]
     return [_check(
         "divergence-form-agreement",
         "direct and divergence forms of L_lam agree to O(step^4) (Richardson)",
@@ -234,17 +237,11 @@ def variance_subsolution(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
     """Floor, mode chain and second-derivative checks of the variance, all
     from one evaluation of V's jet per drawn (series, lambda); the termwise
     second derivative that V'' is checked against has its own formula."""
-    rng = _rng(plan, 3)
     grid = np.linspace(1.01, 5.0, 200)
-    configs, lams = [], []
-    for _ in range(plan.trials):
-        configs.append(_draw_config(rng, 2, 10, 0.15))
-        lams.append(rng.uniform(-0.9, 1.0))
-    lams = np.array(lams)[:, None]
     floor_deficit, chain_excess, d2_deficit, d2_mismatch = [], [], [], []
-    for rows, h in random_series_stack(configs).chunks():
+    for h, lams in _draws(_rng(plan, 3), plan.trials, (2, 10), 0.15, (-0.9, 1.0)):
         v, dv, d2v = variance_profile(h).jet(grid)
-        lv = LambdaOperator(lams[rows]).apply_jet(grid, v, dv, d2v)
+        lv = LambdaOperator(lams[:, None]).apply_jet(grid, v, dv, d2v)
         floor_deficit.append(-np.min(lv, axis=-1))
         chain = _mode_chain(h, grid, v, dv, d2v)
         chain_excess.append(np.max(chain - lv, axis=-1))
@@ -315,18 +312,12 @@ def equality_family(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
 
 
 def endpoint_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    rng = _rng(plan, 5)
-    configs, lams, Rs = [], [], []
-    for _ in range(plan.trials):
-        configs.append(_draw_config(rng, 2, 10, 0.2))
-        lams.append(rng.uniform(-0.95, 1.0))
-        Rs.append(rng.uniform(1.05, E32))
-    lams, Rs = np.array(lams), np.array(Rs)
     residuals = []
-    for rows, h in random_series_stack(configs).chunks():
+    for h, lams, Rs in _draws(_rng(plan, 5), plan.trials, (2, 10), 0.2,
+                              (-0.95, 1.0), (1.05, E32)):
         U = quadratic_mean_profile(h)
-        ke = k_endpoint(U, lams[rows], Rs[rows])
-        kq = k_functional(U, lams[rows], Rs[rows])
+        ke = k_endpoint(U, lams, Rs)
+        kq = k_functional(U, lams, Rs)
         residuals.append(np.abs(kq - ke) / (1.0 + np.abs(ke)))
     return [_check(
         "endpoint-match",
@@ -368,16 +359,12 @@ def mode_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
 
 
 def variance_lower_bound(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    """One draw per two trials: each draw is an adaptive radial quadrature."""
-    rng = _rng(plan, 7)
-    configs, Rs = [], []
-    for _ in range(max(1, plan.trials // 2)):
-        configs.append(_draw_config(rng, 2, 6, 0.2))
-        Rs.append(rng.uniform(E + 1e-9, E32))
-    Rs = np.array(Rs)
+    """One draw per two trials: each draw is one Gauss-Legendre rule of
+    K_1[V], sized by the proved bound of quadrature.radial_integrate."""
     residuals = []
-    for rows, h in random_series_stack(configs).chunks():
-        lhs, rhs = bnd.variance_k_bound(h, Rs[rows])
+    for h, Rs in _draws(_rng(plan, 7), max(1, plan.trials // 2), (2, 6), 0.2,
+                        (E + 1e-9, E32)):
+        lhs, rhs = bnd.variance_k_bound(h, Rs)
         residuals.append(rhs - lhs)
     return [_check(
         "variance-lower-bound",
@@ -387,13 +374,11 @@ def variance_lower_bound(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
 
 
 def inner_circle_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    rng = _rng(plan, 8)
-    stack = random_series_stack([_draw_config(rng, 10, 10, 0.4)
-                                 for _ in range(plan.trials)])
     return [_check(
         "inner-circle-identity",
         "inner-circle boundary data equals the mode energy excess",
-        [bnd.inner_circle_identity_residual(h) for _, h in stack.chunks()],
+        [bnd.inner_circle_identity_residual(h)
+         for h, in _draws(_rng(plan, 8), plan.trials, (10, 10), 0.4)],
         tol["boundary"],
     )]
 

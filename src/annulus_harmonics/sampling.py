@@ -36,6 +36,7 @@ from .quadrature import (
     PROBE_BLOCK_POINTS,
     PROBE_CIRCLES,
     PROBE_RADII,
+    _scalar,
     winding_counts,
 )
 from .series import (
@@ -376,8 +377,10 @@ def injectivity_probe(h, R: float) -> InjectivityProbe:
     the stack is larger; a series, and a stack of at most 8 members, takes
     one block.  winding_counts keeps each of its requests within the same
     bound, or to one circle where a single circle is larger.  Every circle is transformed on its own, so the result does
-    not depend on the blocks.
+    not depend on the blocks.  Raises ParameterDomainError unless R is one
+    number with 1 < R < inf.
     """
+    R = _scalar(R, "R")
     require_outer(R)
     members = len(h) if isinstance(h, SeriesStack) else 1
     rhos = np.linspace(1.0, R, PROBE_RADII + 2)[1:-1]

@@ -18,6 +18,7 @@ from annulus_harmonics import (
     ParameterDomainError,
     RadialProfile,
     circular_mean,
+    conformal_injectivity_margin,
     dirichlet_energy,
     enclosed_area,
     evolution_lower_bound,
@@ -34,6 +35,7 @@ from annulus_harmonics import (
     quadratic_mean_numeric,
     quadratic_mean_profile,
     radial_integrate,
+    schottky_check,
     theorem_gate,
     weitsman_bound,
     wide_annulus_certificate,
@@ -41,6 +43,7 @@ from annulus_harmonics import (
 )
 from annulus_harmonics.bounds import (
     gz_weight,
+    gzbar_gate_margin,
     mode_form_certificate,
     mode_form_certificate_expanded,
     mode_form_coeffs,
@@ -98,6 +101,14 @@ CASES = {
     "enclosed_area-array": lambda: enclosed_area(H, np.array([1.5, 2.0])),
     "identity_residuals-rho-array": lambda: identity_residuals(H, 0.5, np.array([1.5, 2.0])),
     "identity_residuals-lambda-array": lambda: identity_residuals(H, np.array([0.5]), 1.5),
+    # so do the Schottky entry points and the energy (an array R broadcast
+    # against the modes, or failed inside numpy)
+    "schottky_check-R-array": lambda: schottky_check(extremal_map(0.0), np.array([1.5, 2.0])),
+    "conformal_injectivity_margin-R-array":
+        lambda: conformal_injectivity_margin(extremal_map(0.0), np.array([1.5, 2.0])),
+    "injectivity_probe-R-array": lambda: injectivity_probe(extremal_map(0.0), np.array([2.0])),
+    "dirichlet_energy-rho1-array": lambda: dirichlet_energy(H, np.array([1.5, 2.0]), 1.8),
+    "dirichlet_energy-rho2-array": lambda: dirichlet_energy(H, 1.2, np.array([1.5])),
     "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF, 1),
     "dirichlet_energy-inf": lambda: dirichlet_energy(H, 1.0, INF),
     "dirichlet_energy-rho1-nan": lambda: dirichlet_energy(H, NAN, 2.0),
@@ -188,6 +199,24 @@ OVERFLOWS = {
         lambda: wide_annulus_certificate(np.array([2.0, 1e200])),
     # an int speed past the float range has no float lambda
     "lambda_from_speed-int-1e400": lambda: lambda_from_speed(HUGE),
+    # the closed forms of bounds: Python's float ** raises OverflowError,
+    # its * rounds to inf in silence, numpy's arithmetic warns
+    "mode_form_coeffs-1e154": lambda: mode_form_coeffs(2, 1e154),
+    "mode_form_coeffs-n-200": lambda: mode_form_coeffs(200, 10.0),
+    "mode_form_coeffs-array-1e154": lambda: mode_form_coeffs(2, np.array([2.0, 1e154])),
+    "mode_form_certificate-1e154": lambda: mode_form_certificate(2, 1e154),
+    "mode_form_certificate-float64-1e154": lambda: mode_form_certificate(2, np.float64(1e154)),
+    "mode_form_certificate_expanded-1e154": lambda: mode_form_certificate_expanded(2, 1e154),
+    "schottky_check-1e154": lambda: schottky_check(extremal_map(0.0), 1e154),
+    "schottky_check-1e200": lambda: schottky_check(extremal_map(0.0), 1e200),
+    # a finite area bound and a mode sum near 1e58, but the certified
+    # member's R^12 overflows: schottky_check reports it as an overflow
+    "schottky_check-mode-sum-1e29": lambda: schottky_check(
+        HarmonicSeries.from_coeffs(a={1: 1.0, 6: 1e-150}), 1e29),
+    "gz_weight-1e154": lambda: gz_weight(1e154, 0.5, 1.5),
+    "gz_weight-array-1e200": lambda: gz_weight(np.array([2.0, 1e200]), 0.5, 1.5),
+    "gzbar_gate_margin-1e154": lambda: gzbar_gate_margin(1e154, 0.5),
+    "gzbar_gate_margin-1e200": lambda: gzbar_gate_margin(1e200, 0.5),
 }
 
 
