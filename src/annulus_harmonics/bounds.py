@@ -320,13 +320,17 @@ def variance_k_bound(h, R):
 
     The first dominates the second; summing the per-mode inequality gives
     the variance estimate that drives the wide-annulus bound.  For a stack,
-    R may hold one radius per member and both entries are arrays.
+    R may hold one radius per member and both entries are arrays.  Raises
+    NumericOverflowError if an entry is not finite (V's jet overflows past
+    R = 10**(154/N) or so).
     """
     if not (np.asarray(R) > math.e).all():
         raise ParameterDomainError("the variance estimate requires R > e")
-    lhs = k_functional(variance_profile(h), 1.0, R)
-    rhs = (R**2 - 1.0) * mode_energy_excess(h)
-    return lhs, rhs
+    return _in_float_range(
+        "the variance estimate", R,
+        lambda h, R: (k_functional(variance_profile(h), 1.0, R),
+                      (R**2 - 1.0) * mode_energy_excess(h)),
+        h, R)
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +567,10 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
       2. vanishing mean normal derivative: bound (R + 1/R)/2;
       3. modulus gate log R <= 3/2: bound (R + 1/R)/2;
       4. otherwise the verdict is "not-applicable".
+
+    Raises ParameterDomainError unless R is one number with 1 < R < inf.
     """
+    R = _scalar(R, "R")
     require_outer(R)
     U = quadratic_mean_profile(h)
     u1 = float(U.value(1.0))
@@ -638,10 +645,13 @@ class UniquenessReport:
 
 
 def uniqueness_probe(R: float) -> UniquenessReport:
+    """The UniquenessReport of the critical map h^1 on A(1, R).  Raises
+    ParameterDomainError unless R is one number with 1 < R < inf."""
     # read from sampling at call time, as schottky_check reads the probe,
     # so a substitute set on the sampling module is the one called
     from .sampling import perturb_extremal
 
+    R = _scalar(R, "R")
     require_outer(R)
     eps = np.array(UNIQUENESS_EPSILONS)
     critical = nitsche_bound(R)

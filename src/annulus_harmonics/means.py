@@ -57,6 +57,15 @@ whose entries do not sum to a finite number (any NaN or inf entry), so an
 overflow warns on every call.  A memoised table is the one the evaluation
 would compute, so the memo changes no bit.
 
+The jet of a HarmonicSeries and that of its row stack[i:i+1] in a stack
+may differ by rounding: a 1-d basis times the weight table rounds apart
+from the matching row of a batched matmul, and the stack's padded order
+changes the grouping of the sum (306 of 500 random draws agreed bit for
+bit).  The stack's rows do not depend on each other, so a replay of one
+member of a batched criterion, to give its residual bit for bit, runs
+stack[i:i+1] of the member's chunk (with the chunk's padded order), not
+the member as a HarmonicSeries.
+
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
 at rho = 1.

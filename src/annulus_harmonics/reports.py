@@ -18,15 +18,23 @@ from its own generator,
 criterion's draws depend on another's.  Criteria on fixed grids and closed
 forms ignore the plan.  The draw ranges are constants of each criterion.
 
-A criterion first makes all of its draws, in the order a draw-by-draw loop
-would make them, and then evaluates them in batches: the drawn series form
-a SeriesStack (random_series_stack or random_conformal_perturbation; each
-member has the coefficients of np.random.default_rng of its own seed:
+A criterion first makes all of its draws, with the bits a draw-by-draw
+loop would give them, and then evaluates them in batches: the drawn series
+form a SeriesStack (random_series_stack or random_conformal_perturbation;
+each member has the coefficients of np.random.default_rng of its own seed:
 sampling._streams hashes the whole stack's seeds in one vectorized pass and
 draws each member's stream with numpy's PCG64), evaluated in chunks of
 SERIES_PER_CHUNK (16) members, with the per-draw parameters as arrays.
-The criteria on tame random series draw through one loop, _draws: per
-trial the series' config first, then each parameter in the order given.
+The criteria on tame random series draw through _draws: per trial the
+series' order and seed first, then each parameter in the order given.  It
+decodes a criterion's draws from one raw block of its generator, with the
+bits of that per-trial loop: an order by Lemire's method from PCG64's 32-bit
+half-words, a seed and each uniform from a whole word.  A trial that
+Lemire's method would redraw (a chance of at most 13 in 2**32 per trial on
+the order ranges used) sends the whole criterion back to the loop, from the
+generator's state before the block, so no bit depends on the decode.  The
+conformal refinement's seeds are one raw word each, shifted right by 2, as
+Generator.integers(2**62) draws them.
 The circle identities (C02) take a chunk's 3 circles per member and 10
 lambdas per circle in one identity_residuals_stack call; it still
 evaluates each circle with its own circle_fields call (a single batched
@@ -71,6 +79,7 @@ from .operators import (
 from .quadrature import enclosed_area
 from .sampling import (
     SamplerConfig,
+    _MASK32,
     injectivity_probe,
     normalize_inner,
     random_conformal_perturbation,
@@ -168,18 +177,88 @@ def _draw_config(rng: np.random.Generator, n_lo: int, n_hi: int,
     return SamplerConfig(seed=int(rng.integers(2**62)), N=N, decay=decay)
 
 
-def _draws(rng: np.random.Generator, trials: int, orders: tuple[int, int],
-           decay: float, *params: tuple):
-    """Per trial the config of a tame random series (_draw_config), then
-    one rng.uniform(low, high[, shape]) per spec of `params`, in that order;
-    yields each chunk of the drawn stack with its rows of every parameter."""
+def _draw_loop(rng: np.random.Generator, trials: int, orders: tuple[int, int],
+               decay: float, params: tuple) -> tuple:
+    """The seeds, the orders and one array per spec of `params`, drawn per
+    trial: the config (_draw_config), then one rng.uniform(low, high[,
+    shape]) per spec, in that order."""
     configs, drawn = [], [[] for _ in params]
     for _ in range(trials):
         configs.append(_draw_config(rng, *orders, decay))
         for spec, values in zip(params, drawn):
             values.append(rng.uniform(*spec))
-    arrays = [np.array(values) for values in drawn]
-    for rows, h in random_series_stack(configs).chunks():
+    return ([cfg.seed for cfg in configs], np.array([cfg.N for cfg in configs]),
+            [np.array(values) for values in drawn])
+
+
+def _lemire_redraws(halves: np.ndarray, span: int) -> bool:
+    """Whether Lemire's method, drawing one of `span` values from each
+    32-bit word of `halves`, rejects any of them: numpy's integers then
+    draws again, and every later draw moves."""
+    return bool(((halves * np.uint64(span) & _MASK32) < (2**32 - span) % span).any())
+
+
+def _decode(bit_generator, trials: int, orders: tuple[int, int],
+            params: tuple) -> tuple | None:
+    """What _draw_loop draws from a generator on `bit_generator`, decoded
+    from one random_raw block, or None where one block cannot give the
+    loop's bits: a half-word already buffered, or a trial whose order
+    Lemire's method would redraw (the generator then stands past the block).
+
+    The loop's stream, word by word: an order (integers on a range below
+    2**32) takes 32 bits by Lemire's method from PCG64's buffered half-words,
+    the low half of a fresh word on even trials and its buffered high half
+    on odd ones, and nothing from a one-value range; a seed (integers(2**62))
+    is one word shifted right by 2, which never redraws; a uniform is
+    low + (high - low) (word >> 11) 2**-53, as in Generator.uniform.  The
+    generator is left as the loop leaves it, with numpy's buffer state: its
+    last high half stays in `uinteger` after it is used."""
+    if bit_generator.state["has_uint32"]:
+        return None
+    lo, hi = orders
+    span = hi - lo + 1
+    shapes = [np.broadcast_shapes(*spec[2:]) for spec in params]
+    ends = np.cumsum([1] + [math.prod(shape) for shape in shapes])
+    width = int(ends[-1])  # the seed, then the uniforms
+    fresh = (trials + 1) // 2 if span > 1 else 0
+    raw = bit_generator.random_raw(trials * width + fresh)
+    # the fresh word of trial 2m opens its block, after 2m blocks and m words
+    at = np.arange(fresh) * (2 * width + 1)
+    block = np.delete(raw, at).reshape(trials, width)
+    if span > 1:
+        words = raw[at]
+        halves = np.stack([words & _MASK32, words >> 32], axis=-1).ravel()[:trials]
+        if _lemire_redraws(halves, span):
+            return None
+        ns = (lo + (halves * np.uint64(span) >> 32)).astype(np.int64)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = trials % 2, int(words[-1] >> 32)
+        bit_generator.state = state
+    else:
+        ns = np.full(trials, lo)
+    u = (block >> 11) * 2.0**-53
+    arrays = [low + (high - low) * u[:, start:end].reshape(trials, *shape)
+              for (low, high, *_), shape, start, end in zip(params, shapes, ends, ends[1:])]
+    return (block[:, 0] >> 2).tolist(), ns, arrays
+
+
+def _draws(rng: np.random.Generator, trials: int, orders: tuple[int, int],
+           decay: float, *params: tuple):
+    """Per trial the config of a tame random series (_draw_config), then
+    one rng.uniform(low, high[, shape]) per spec of `params`, in that order;
+    yields each chunk of the drawn stack with its rows of every parameter.
+
+    The draws are decoded from one raw block of the generator (_decode), with
+    the bits and the final generator state of the per-trial loop
+    (_draw_loop); where the decode cannot give them, the generator is
+    restored and the loop draws instead, so no bit depends on the decode."""
+    start = rng.bit_generator.state
+    drawn = _decode(rng.bit_generator, trials, orders, params)
+    if drawn is None:
+        rng.bit_generator.state = start
+        drawn = _draw_loop(rng, trials, orders, decay, params)
+    seeds, ns, arrays = drawn
+    for rows, h in random_series_stack(seeds, ns, decay).chunks():
         yield (h, *(a[rows] for a in arrays))
 
 
@@ -504,8 +583,10 @@ def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
     certificate, so every report carries sampled evidence."""
     rng = _rng(plan, 9)
     R = 2.0
-    stack = random_conformal_perturbation(
-        [int(rng.integers(2**62)) for _ in range(plan.trials)])
+    # the seeds of integers(2**62) per trial: Lemire's method on a power of
+    # two takes one word shifted right by 2 and never redraws
+    seeds = rng.bit_generator.random_raw(plan.trials) >> 2
+    stack = random_conformal_perturbation(seeds.tolist())
     failed, radius_deficit, area_deficit, mode_deficit, speed_dev = [], [], [], [], []
     certificate_gap = []
     for rows, h in stack.chunks():

@@ -12,7 +12,10 @@ words, draws each stream, bit for bit as the generators do.  The hash is
 the costly part of a generator, so this is cheaper than a generator per
 member; but `_streams` has a fixed cost of roughly a tenth of a
 millisecond, the cost of seven or eight generators (~15 us each), so one-off
-series keep their generator.
+series keep their generator.  A one-off series takes a SamplerConfig; a
+stack takes its members' seeds and orders as arrays and one decay (or one
+per member), checked once by SamplerConfig's rules, so a caller that draws
+them as arrays builds no config per member.
 
 The Schottky conformal family (random_conformal_perturbation) perturbs the
 modes CONFORMAL_MODES by at most CONFORMAL_EPS each, and the injectivity
@@ -248,23 +251,42 @@ def random_series(config: SamplerConfig) -> HarmonicSeries:
                           a0=coeffs[4 * N], b0=coeffs[-1])
 
 
-def random_series_stack(configs: Sequence[SamplerConfig]) -> SeriesStack:
-    """The stack of random_series(config) for every config, zero-padded to the
-    largest N: member i has exactly the coefficients of
-    random_series(configs[i]), its uniforms drawn by _streams with the bits
-    of its own generator.  No configs give the empty stack of order 0."""
-    if not configs:
+def random_series_stack(seeds: Sequence[int], orders, decay) -> SeriesStack:
+    """The stack of random_series(SamplerConfig(seeds[i], orders[i], decay))
+    for every i, zero-padded to the largest order: member i has exactly
+    those coefficients, its uniforms drawn by _streams with the bits of its
+    own generator.  `decay` is one number for every member or an array of
+    one per member.  The arguments are checked once, as arrays, by the
+    rules of SamplerConfig (ParameterDomainError), and the three must have
+    one length.  No seeds give the empty stack of order 0."""
+    orders, decay = np.asarray(orders), np.asarray(decay)
+    for seed in seeds:
+        _require_seed(seed)
+    if orders.ndim != 1 or len(seeds) != orders.size or decay.shape not in ((), orders.shape) \
+            or orders.size and orders.dtype.kind not in "iu":
+        raise ParameterDomainError(
+            "seeds and orders must be one integer per member, and decay one "
+            "number or one per member")
+    if decay.dtype.kind != "f" or not ((decay > 0.0) & (decay < 1.0)).all():
+        raise ParameterDomainError("decay must lie in (0, 1)")
+    if not orders.size:
         return SeriesStack.of([])
-    orders = np.array([cfg.N for cfg in configs])
-    coeffs = _coefficients(np.concatenate([_scales(cfg.N, cfg.decay) for cfg in configs]),
-                           _streams([cfg.seed for cfg in configs],
-                                    2 * (4 * orders + 2)).reshape(-1, 2))
+    B, N = orders.size, int(orders.max())
+    if orders.min() < 1:
+        raise ParameterDomainError("N must be >= 1")
+    if N > MAX_JSON_ORDER:
+        raise ParameterDomainError(
+            f"N={N} exceeds the largest order a series file may hold, {MAX_JSON_ORDER}")
     # Each member's rows, padded to the 4N mode rows of the largest N and
     # the two rows a0 and b0: a mask's true entries run in row-major order,
-    # so one masked assignment places every member's rows.
-    B, N = len(configs), int(orders.max())
+    # so one masked assignment places every member's rows, and the same
+    # mask picks each member's scales from the rows of the largest N.
     present = np.arange(4 * N + 2) < 4 * orders[:, None]
     present[:, -2:] = True
+    scales = np.broadcast_to(np.stack([_scales(N, d) for d in decay.ravel().tolist()]),
+                             present.shape)
+    coeffs = _coefficients(scales[present],
+                           _streams(seeds, 2 * (4 * orders + 2)).reshape(-1, 2))
     table = np.zeros(present.shape, dtype=np.complex128)
     table[present] = coeffs
     del coeffs, present  # the stack's copies need the room

@@ -43,7 +43,7 @@ RADII = np.array([0.7, 1.0, 1.9, 3.3])
 
 
 def test_drawn_stack_holds_the_single_draws():
-    stack = random_series_stack(CONFIGS)
+    stack = random_series_stack([cfg.seed for cfg in CONFIGS], ORDERS, 0.4)
     assert stack.N == max(ORDERS) and len(stack) == len(ORDERS)
     for name in ("a", "b", "a0", "b0"):
         assert np.array_equal(getattr(stack, name), getattr(STACK, name))
@@ -113,7 +113,7 @@ def test_stack_jet_matches_each_series_alone(rho):
 def test_jet_of_a_large_stack_table_runs_in_blocks_of_members(monkeypatch):
     """Radii per member past _JET_TABLE_ENTRIES are tabulated a block of
     members at a time, with the bits of one table."""
-    stack = random_series_stack([SamplerConfig(seed=s, N=10, decay=0.4) for s in range(16)])
+    stack = random_series_stack(range(16), np.full(16, 10), 0.4)
     rho = 1.0 + 3.0 * np.random.default_rng(0).random((16, 400))
     profiles = [quadratic_mean_profile(stack), variance_profile(stack),
                 quadratic_mean_mode(stack, np.arange(-8, 8) | 1)]

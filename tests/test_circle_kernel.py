@@ -54,8 +54,7 @@ def _oracle_fields(h, rho, M, rows):
 
 ROW_SETS = [(0,), (1, 2), (0, 2), (2,), (0, 1, 2)]
 SERIES = {N: random_series(SamplerConfig(seed=17 + N, N=N, decay=0.7)) for N in (1, 4, 9, 33)}
-STACK = random_series_stack([SamplerConfig(seed=s, N=N, decay=0.6)
-                             for s, N in ((3, 5), (4, 2), (5, 5), (6, 1))])
+STACK = random_series_stack([3, 4, 5, 6], [5, 2, 5, 1], 0.6)
 # a scalar radius, one per circle, and (as for a stack) one row per member
 RADII = {"scalar": 1.37, "m": np.array([0.6, 1.0, 2.5]),
          "Bm": np.array([[0.7, 1.2, 1.9], [1.1, 1.3, 3.0], [0.9, 1.0, 1.4], [2.0, 2.2, 0.5]])}

@@ -37,6 +37,7 @@ from annulus_harmonics import (
     radial_integrate,
     schottky_check,
     theorem_gate,
+    uniqueness_probe,
     weitsman_bound,
     wide_annulus_certificate,
     winding_number,
@@ -73,7 +74,7 @@ H = extremal_map(0.5)
 U = quadratic_mean_profile(H)
 HUGE = 10**400  # a Python int past the float range
 G = random_series(SamplerConfig(seed=1, N=4))
-PAIR = random_series_stack([SamplerConfig(seed=1, N=4), SamplerConfig(seed=2, N=4)])
+PAIR = random_series_stack([1, 2], [4, 4], 0.6)
 
 CASES = {
     "circle_fields-inf": lambda: circle_fields(H, INF, circle_angles(8)),
@@ -107,6 +108,8 @@ CASES = {
     "conformal_injectivity_margin-R-array":
         lambda: conformal_injectivity_margin(extremal_map(0.0), np.array([1.5, 2.0])),
     "injectivity_probe-R-array": lambda: injectivity_probe(extremal_map(0.0), np.array([2.0])),
+    "theorem_gate-R-array": lambda: theorem_gate(H, np.array([3.0, 4.0])),
+    "uniqueness_probe-R-array": lambda: uniqueness_probe(np.array([3.0, 4.0])),
     "dirichlet_energy-rho1-array": lambda: dirichlet_energy(H, np.array([1.5, 2.0]), 1.8),
     "dirichlet_energy-rho2-array": lambda: dirichlet_energy(H, 1.2, np.array([1.5])),
     "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF, 1),
@@ -217,6 +220,9 @@ OVERFLOWS = {
     "gz_weight-array-1e200": lambda: gz_weight(np.array([2.0, 1e200]), 0.5, 1.5),
     "gzbar_gate_margin-1e154": lambda: gzbar_gate_margin(1e154, 0.5),
     "gzbar_gate_margin-1e200": lambda: gzbar_gate_margin(1e200, 0.5),
+    # V's jet at R = 1e60 overflows R^(2N) for N = 4 (numpy warned)
+    "variance_k_bound-1e60": lambda: variance_k_bound(G, 1e60),
+    "variance_k_bound-stack-member-1e60": lambda: variance_k_bound(PAIR, np.array([3.0, 1e60])),
 }
 
 
@@ -252,7 +258,7 @@ def test_k_endpoint_overflow_is_a_typed_error(R):
 
 
 def test_k_endpoint_overflow_of_one_stack_member_is_a_typed_error():
-    stack = random_series_stack([SamplerConfig(seed=s, N=5, decay=0.5) for s in (1, 2)])
+    stack = random_series_stack([1, 2], [5, 5], 0.5)
     with pytest.raises(NumericOverflowError):
         k_endpoint(stack, 0.5, np.array([2.0, 1e200]))
     finite = k_endpoint(stack, 0.5, np.array([2.0, 3.0]))

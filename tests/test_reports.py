@@ -1,5 +1,6 @@
-"""The one reduction of a check's residuals, reports._check, and the one
-draw loop of the randomized criteria, reports._draws."""
+"""The one reduction of a check's residuals, reports._check, and the draws
+of the randomized criteria: reports._draws, its decode of one raw block
+and the per-trial loop it falls back to."""
 
 import math
 
@@ -8,7 +9,8 @@ import pytest
 
 from annulus_harmonics import reports
 from annulus_harmonics.reports import E, E32, DrawPlan, _check, _draw_config
-from annulus_harmonics.series import SERIES_PER_CHUNK
+from annulus_harmonics.sampling import SamplerConfig
+from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack
 
 
 def reduce(residuals, tol=1.0):
@@ -102,25 +104,24 @@ def variance_lower_bound_loop(rng, trials):
     return configs, [np.array(Rs)]
 
 
-@pytest.mark.parametrize("trials", [1, 17, 100])
-@pytest.mark.parametrize("criterion, k, loop", [
+CRITERIA_LOOPS = pytest.mark.parametrize("criterion, k, loop", [
     (reports.circle_identities, 1, circle_identities_loop),
     (reports.divergence_form, 2, divergence_form_loop),
     (reports.endpoint_identity, 5, endpoint_identity_loop),
     (reports.variance_lower_bound, 7, variance_lower_bound_loop),
 ], ids=["circle_identities", "divergence_form", "endpoint_identity",
         "variance_lower_bound"])
-def test_draws_keep_the_per_trial_order(monkeypatch, criterion, k, loop, trials):
-    """A criterion run through _draws sees, chunk by chunk, the configs and
-    the parameter bytes of its per-trial loop: the config first, then each
-    parameter.  Fresh draws in another order would still meet the
-    tolerances, so only this comparison shows a change of order."""
+
+
+def assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials):
+    """Run `criterion` and assert that it sees, chunk by chunk, the configs
+    and the parameter bytes of its per-trial loop."""
     configs, chunks = [], []
     stack, draws = reports.random_series_stack, reports._draws
 
-    def recording_stack(drawn):
-        configs.extend(drawn)
-        return stack(drawn)
+    def recording_stack(seeds, orders, decay):
+        configs.extend(SamplerConfig(int(s), int(n), decay) for s, n in zip(seeds, orders))
+        return stack(seeds, orders, decay)
 
     def recording_draws(*args):
         for chunk in draws(*args):
@@ -140,3 +141,164 @@ def test_draws_keep_the_per_trial_order(monkeypatch, criterion, k, loop, trials)
         want = [p[lo:lo + SERIES_PER_CHUNK] for p in want_params]
         assert [(g.dtype, g.shape, g.tobytes()) for g in got] == \
             [(w.dtype, w.shape, w.tobytes()) for w in want]
+
+
+@pytest.mark.parametrize("trials", [1, 17, 100])
+@CRITERIA_LOOPS
+def test_draws_keep_the_per_trial_order(monkeypatch, criterion, k, loop, trials):
+    """A criterion run through _draws sees, chunk by chunk, the configs and
+    the parameter bytes of its per-trial loop: the config first, then each
+    parameter.  Fresh draws in another order would still meet the
+    tolerances, so only this comparison shows a change of order."""
+    assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials)
+
+
+@pytest.mark.parametrize("trials", [2, 17])
+@CRITERIA_LOOPS
+def test_draws_that_fall_back_to_the_loop_keep_its_bits(monkeypatch, criterion, k, loop,
+                                                       trials):
+    """Where a trial would redraw, the whole criterion draws through the
+    per-trial loop, from the generator's state before the decode."""
+    fallbacks = []
+    loop_of = reports._draw_loop
+
+    def counted_loop(*args):
+        fallbacks.append(args)
+        return loop_of(*args)
+
+    monkeypatch.setattr(reports, "_lemire_redraws", lambda halves, span: True)
+    monkeypatch.setattr(reports, "_draw_loop", counted_loop)
+    assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials)
+    assert len(fallbacks) == 1
+
+
+# ---------------------------------------------------------------------------
+# The decode of one raw block against the per-trial loop.
+# ---------------------------------------------------------------------------
+
+def per_trial_loop(rng, trials, orders, decay, params):
+    """Per trial the config, then one rng.uniform per spec, in that order."""
+    configs, drawn = [], [[] for _ in params]
+    for _ in range(trials):
+        configs.append(_draw_config(rng, *orders, decay))
+        for spec, values in zip(params, drawn):
+            values.append(rng.uniform(*spec))
+    return configs, [np.array(values) for values in drawn]
+
+
+def raw_bytes(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@pytest.fixture(scope="module")
+def draw_specs():
+    """(orders, decay, params) of every _draws call of the suites, recorded
+    from one run of all of them in which _draws draws nothing."""
+    specs = []
+
+    def record(rng, trials, orders, decay, *params):
+        specs.append((orders, decay, params))
+        return iter(())
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reports, "_draws", record)
+        reports.run_suite("all", 0, 1)
+    return specs
+
+
+@pytest.mark.parametrize("trials", [1, 2, 17, 100, 101])
+def test_decode_has_the_bits_and_the_final_state_of_the_loop(draw_specs, trials):
+    """Orders, seeds, parameter bytes and the generator's final state
+    (position, has_uint32 and uinteger) of every _draws spec; the
+    one-value order range of the inner-circle identity draws no order."""
+    assert len(draw_specs) == 6 and ((10, 10), 0.4, ()) in draw_specs
+    for k, (orders, decay, params) in enumerate(draw_specs):
+        for seed in range(3):
+            decoded = np.random.default_rng((seed, k)).bit_generator
+            looped = np.random.default_rng((seed, k))
+            drawn = reports._decode(decoded, trials, orders, params)
+            configs, arrays = per_trial_loop(looped, trials, orders, decay, params)
+            assert drawn is not None
+            seeds, ns, got = drawn
+            assert [SamplerConfig(int(s), int(n), decay) for s, n in zip(seeds, ns)] == configs
+            assert raw_bytes(got) == raw_bytes(arrays)
+            assert decoded.state == looped.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [1, 2, 17, 100, 101])
+def test_conformal_seeds_have_the_bits_of_the_per_trial_loop(monkeypatch, trials):
+    """conformal_refinement's seeds, one raw word shifted right by 2 per
+    trial, are integers(2**62) per trial, and leave the generator where
+    the loop leaves it."""
+    generators, drawn = [], []
+    rng_of = reports._rng
+
+    def recording_rng(plan, k):
+        generators.append((k, rng_of(plan, k)))
+        return generators[-1][1]
+
+    def recording_family(seeds):
+        drawn.append(seeds)
+        return SeriesStack.of([])
+
+    monkeypatch.setattr(reports, "_rng", recording_rng)
+    monkeypatch.setattr(reports, "random_conformal_perturbation", recording_family)
+    reports.conformal_refinement(DrawPlan(3, trials), reports.DEFAULT_TOLERANCES)
+    [(k, rng)] = generators
+    looped = np.random.default_rng((3, k))
+    assert [int(s) for s in drawn[0]] == [int(looped.integers(2**62)) for _ in range(trials)]
+    assert rng.bit_generator.state == looped.bit_generator.state
+
+
+# numpy's PCG64: a 128-bit LCG step, then the XSL-RR output of the new state
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_before(word):
+    """A PCG64 generator whose next raw word is `word`: the LCG step
+    inverted from the state (1 << 64) | (1 ^ word), whose output rotates by
+    0 and so is 1 ^ (1 ^ word)."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    target = (1 << 64) | (1 ^ word)
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (target - inc) * pow(PCG64_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_generator_before_a_word_draws_it():
+    for word in (7 << 32, 2**64 - 1, 12345):
+        assert generator_before(word).bit_generator.random_raw() == word
+
+
+def buffered(rng):
+    """The generator after one 32-bit order draw: a high half is buffered."""
+    rng.integers(0, 5)
+    return rng
+
+
+@pytest.mark.parametrize("prepare", [
+    lambda: generator_before(7 << 32),  # an order of 4..16 from low half 0 redraws
+    lambda: buffered(np.random.default_rng(5)),
+], ids=["redraw", "buffered-half"])
+def test_draws_the_decode_cannot_give_come_from_the_loop(monkeypatch, prepare):
+    """A real redraw and a buffered half-word: _decode gives None, and
+    _draws restores the generator and draws with the loop's bits."""
+    rng, looped, probe = prepare(), prepare(), prepare()
+    args = (17, (4, 16), 0.2, (-0.5, 1.0), (1.2, 3.0, 3))
+    assert reports._decode(probe.bit_generator, *args[:2], args[3:]) is None
+    seen = []
+    stack = reports.random_series_stack
+
+    def recording_stack(seeds, orders, decay):
+        seen.extend(SamplerConfig(int(s), int(n), decay) for s, n in zip(seeds, orders))
+        return stack(seeds, orders, decay)
+
+    monkeypatch.setattr(reports, "random_series_stack", recording_stack)
+    chunks = list(reports._draws(rng, *args))
+    configs, arrays = per_trial_loop(looped, 17, (4, 16), 0.2, args[3:])
+    assert seen == configs
+    for i, p in enumerate(arrays):
+        assert raw_bytes([np.concatenate([c[1 + i] for c in chunks])]) == raw_bytes([p])
+    assert rng.bit_generator.state == looped.bit_generator.state

@@ -94,15 +94,49 @@ def test_conformal_perturbation_rejects_a_seed_that_is_not_a_nonnegative_integer
         random_conformal_perturbation(seed)
 
 
+# members SamplerConfig refuses, with a word of its message
+REFUSED_MEMBERS = {
+    "negative-seed": ((-2, 4, 0.5), "seed"),
+    "bool-seed": ((True, 4, 0.5), "seed"),
+    "float-seed": ((1.0, 4, 0.5), "seed"),
+    "order-0": ((2, 0, 0.5), "N must be"),
+    "order-past-max": ((2, MAX_JSON_ORDER + 1, 0.5), "exceeds"),
+    "decay-1": ((2, 4, 1.0), "decay"),
+    "decay-nan": ((2, 4, np.nan), "decay"),
+}
+
+
+@pytest.mark.parametrize("member, word", REFUSED_MEMBERS.values(), ids=REFUSED_MEMBERS.keys())
+def test_stack_refuses_a_member_sampler_config_refuses(member, word):
+    seed, N, decay = member
+    with pytest.raises(ParameterDomainError, match=word):
+        SamplerConfig(seed, N, decay)
+    for decays in ([0.5, decay], decay):
+        with pytest.raises(ParameterDomainError, match=word):
+            random_series_stack([1, seed], [4, N], decays)
+
+
+@pytest.mark.parametrize("args", [
+    ([1, 2], [4], 0.5), ([1], [4, 4], 0.5), ([1, 2], [4, 4], [0.5]),
+    ([1], [4.0], 0.5), ([1], [[4]], 0.5), ([1], [True], 0.5),
+], ids=["short-orders", "short-seeds", "short-decay", "float-order", "2-d-orders",
+        "bool-order"])
+def test_stack_refuses_arguments_of_other_lengths_or_types(args):
+    with pytest.raises(ParameterDomainError, match="one integer per member"):
+        random_series_stack(*args)
+
+
 def test_numpy_integer_seeds_draw_as_python_ints():
     assert dumps_series(random_series(SamplerConfig(seed=np.uint64(2**63 + 9), N=3))) == \
         dumps_series(random_series(SamplerConfig(seed=2**63 + 9, N=3)))
-    stack = random_series_stack([SamplerConfig(seed=np.int64(12), N=3)])
-    assert np.array_equal(stack.a[0], random_series(SamplerConfig(seed=12, N=3)).a)
+    want = random_series(SamplerConfig(seed=12, N=3)).a
+    for seeds in ([np.int64(12)], np.array([12], dtype=np.uint64)):
+        stack = random_series_stack(seeds, [3], 0.6)
+        assert np.array_equal(stack.a[0], want)
 
 
 def test_empty_stack_of_configs():
-    stack = random_series_stack([])
+    stack = random_series_stack([], [], 0.5)
     assert len(stack) == 0 and stack.N == 0 and stack.a.shape == (0, 0)
 
 
@@ -158,7 +192,7 @@ def test_draws_of_one_member_raise_no_warning():
         warnings.simplefilter("error")
         for seed in (0, 2**64 - 1, 2**200 + 12345):
             sampling._streams([seed], [1])
-        random_series_stack([SamplerConfig(seed=2**62 - 1, N=1)])
+        random_series_stack([2**62 - 1], [1], 0.6)
         random_conformal_perturbation(2**62 - 1)
         random_conformal_perturbation([7])
 
@@ -168,7 +202,8 @@ def test_stack_holds_the_single_draws_of_mixed_orders_and_decays():
     configs = [SamplerConfig(seed=int(rng.integers(2**62)), N=int(rng.integers(1, 12)),
                              decay=float(rng.uniform(0.1, 0.9)))
                for _ in range(24)]
-    stack = random_series_stack(configs)
+    stack = random_series_stack([cfg.seed for cfg in configs], [cfg.N for cfg in configs],
+                                [cfg.decay for cfg in configs])
     want = SeriesStack.of([random_series(cfg) for cfg in configs])
     assert stack.N == want.N
     for name in ("a", "b", "a0", "b0"):
@@ -198,10 +233,11 @@ def test_stack_of_many_configs_keeps_a_small_traced_peak():
     rng = np.random.default_rng(0)
     configs = [SamplerConfig(seed=int(rng.integers(2**62)), N=int(rng.integers(4, 17)),
                              decay=0.2) for _ in range(1000)]
-    random_series_stack(configs[:10])  # the hash constants
+    seeds, orders = [cfg.seed for cfg in configs], [cfg.N for cfg in configs]
+    random_series_stack(seeds[:10], orders[:10], 0.2)  # the hash constants
     tracemalloc.start()
     try:
-        random_series_stack(configs)
+        random_series_stack(seeds, orders, 0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
