@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericOverflowError, ParameterDomainError
+from .errors import ParameterDomainError
 from .means import (
     is_class_D,
     is_class_N,
@@ -37,8 +37,8 @@ from .quadrature import _scalar, angular_count
 from .series import (
     HarmonicSeries,
     SeriesStack,
+    _in_float_range,
     _member_orders,
-    _shown,
     circle_grid_fields,
     require_lambda,
     require_mode,
@@ -86,33 +86,6 @@ def condition_modulus(R: float) -> bool:
 # Positivity certificates for the weighted-integral argument.
 # ---------------------------------------------------------------------------
 
-def _in_float_range(what: str, R, form, *args):
-    """form(*args), a closed form in R, or NumericOverflowError naming `what`
-    and R if a value it returns (a number, an array or a tuple of them) is
-    not finite.
-
-    Python's ** and the conversion of a huge int raise OverflowError, its *
-    and + round to inf in silence, and numpy's arithmetic rounds to inf with
-    a warning; so the form runs with numpy's warnings off and its values are
-    checked (a float by math.isfinite, as np.isfinite costs it about 2 us:
-    mode_quadratic_form_residual takes mode_form_coeffs at a float R for
-    every mode).  On Python ints and floats alone the form runs as it is,
-    as switching numpy's warnings off and on would cost it another 1.4 us."""
-    try:
-        if all(type(a) is float or type(a) is int for a in args):
-            out = form(*args)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                out = form(*args)
-    except OverflowError:
-        out = math.inf
-    values = out if isinstance(out, tuple) else (out,)
-    if not all(math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()
-               for v in values):
-        raise NumericOverflowError(f"{what} overflows at R={_shown(R)}")
-    return out
-
-
 def gz_weight(R: float, lam: float, rho):
     """Weight (R^2 - lam) log(R/rho) + (R^2 - rho^2) lam / rho^2.
 
@@ -125,7 +98,7 @@ def gz_weight(R: float, lam: float, rho):
     require_lambda(lam)
     require_radii(rho)
     out = _in_float_range(
-        "the conformal-part weight", R,
+        "the conformal-part weight at R", R,
         lambda R, lam, r: (R**2 - lam) * np.log(R / r) + (R**2 - r**2) * lam / r**2,
         R, lam, np.asarray(rho, dtype=np.float64))
     return out if out.shape else float(out)
@@ -141,7 +114,7 @@ def gzbar_gate_margin(R: float, lam: float) -> float:
     (R past about 1e153).
     """
     require_outer(R)
-    return _in_float_range("the anticonformal gate margin", R,
+    return _in_float_range("the anticonformal gate margin at R", R,
                            lambda R, lam: R**2 - 1.0 - (R**2 - lam) * math.log(R), R, lam)
 
 
@@ -167,7 +140,7 @@ def wide_annulus_certificate(R):
             - (r**2 - 1.0) * (r**4 - 1.0)
         )
 
-    out = _in_float_range("the wide-annulus certificate", R, certificate,
+    out = _in_float_range("the wide-annulus certificate at R", R, certificate,
                           np.asarray(R, dtype=np.float64))
     return out if out.shape else float(out)
 
@@ -232,7 +205,7 @@ def mode_form_coeffs(n, R) -> ModeFormCoeffs:
     """
     n = _require_modes(n, 1, "mode index n must be >= 1")
     require_outer(R)
-    return _in_float_range("the per-mode form", R, _mode_form_coeffs, n, R)
+    return _in_float_range("the per-mode form at R", R, _mode_form_coeffs, n, R)
 
 
 def mode_form_certificate(n, R):
@@ -245,7 +218,7 @@ def mode_form_certificate(n, R):
     """
     n = _require_modes(n, 2, "the certificate is defined for n >= 2")
     require_outer(R)
-    return _in_float_range("the per-mode certificate", R, _mode_form_certificate, n, R)
+    return _in_float_range("the per-mode certificate at R", R, _mode_form_certificate, n, R)
 
 
 def mode_form_certificate_expanded(n, R):
@@ -259,7 +232,7 @@ def mode_form_certificate_expanded(n, R):
     """
     n = _require_modes(n, 2, "the certificate is defined for n >= 2")
     require_outer(R)
-    return _in_float_range("the expanded per-mode certificate", R,
+    return _in_float_range("the expanded per-mode certificate at R", R,
                            _mode_form_certificate_expanded, n, R)
 
 
@@ -327,7 +300,7 @@ def variance_k_bound(h, R):
     if not (np.asarray(R) > math.e).all():
         raise ParameterDomainError("the variance estimate requires R > e")
     return _in_float_range(
-        "the variance estimate", R,
+        "the variance estimate at R", R,
         lambda h, R: (k_functional(variance_profile(h), 1.0, R),
                       (R**2 - 1.0) * mode_energy_excess(h)),
         h, R)
@@ -460,7 +433,7 @@ def schottky_check(h, R: float):
     R = _scalar(R, "R")
     require_outer(R)
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
-    area_bound = _in_float_range("the area bound pi (R^2 - 1)", R,
+    area_bound = _in_float_range("the area bound pi (R^2 - 1) at R", R,
                                  lambda R: math.pi * (R**2 - 1.0), R)
     conformal = np.max(np.abs(stack.b), axis=-1, initial=0.0) <= 1e-12
     pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
@@ -497,7 +470,7 @@ def schottky_check(h, R: float):
         return np.sum(amps * grown, axis=-1), np.pi * np.sum(ns * amps * grown, axis=-1)
 
     mode_sum, area = _in_float_range(
-        "the mode sum or the image area", R, mode_sum_and_area,
+        "the mode sum or the image area at R", R, mode_sum_and_area,
         R, found.mode_numbers.astype(np.float64), np.abs(found.a) ** 2)
     measured = mean_outer_radius(found, R)
     passed = ((measured >= R - 1e-9) & (area >= area_bound - 1e-6)
@@ -584,9 +557,9 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
             verdict="not-applicable", inner_scale=0.0,
         )
     scale = math.sqrt(u1)
-    measured = mean_outer_radius(h, R) / scale
-    if not math.isfinite(measured):  # a tiny U(1) can overflow the rescaling
-        raise NumericOverflowError(f"the rescaled mean radius overflows at R={R}")
+    # a tiny U(1) can overflow the rescaling
+    measured = _in_float_range("the rescaled mean radius at R", R,
+                               lambda: mean_outer_radius(h, R) / scale)
     normalized_speed = float(U.deriv1(1.0)) / (2.0 * u1)
 
     rule = "none"

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import kalaj_bound, nitsche_bound, theorem_gate, weitsman_bound
-from .errors import NumericOverflowError, ParameterDomainError, ToolkitError
+from .errors import ToolkitError
 from .means import (
     initial_speed,
     mean_outer_radius,
@@ -41,7 +41,7 @@ from .means import (
 from .operators import lambda_from_speed, speed_bound
 from .reports import DEFAULT_TOLERANCES, MAX_TRIALS, SUITES, run_suite
 from .sampling import SamplerConfig, normalize_inner, random_series
-from .series import extremal_map, load_series, require_outer, save_series
+from .series import _in_float_range, extremal_map, load_series, require_outer, save_series
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -313,10 +313,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     rows = []
     for i in range(args.steps + 1):
         rho = 1.0 + (args.R - 1.0) * i / args.steps
-        with np.errstate(over="ignore", invalid="ignore"):
-            value, d1, d2 = profile.jet(rho)
-        if not all(map(math.isfinite, (value, d1, d2))):
-            raise NumericOverflowError(f"profile {profile.label} is not finite at rho={rho}")
+        value, d1, d2 = _in_float_range(f"profile {profile.label} at rho", rho, profile.jet, rho)
         rows.append({"rho": rho, "value": value, "deriv1": d1, "deriv2": d2})
     manifest = _manifest(args)
     manifest["profile"] = profile.label

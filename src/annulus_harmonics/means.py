@@ -80,8 +80,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, NumericOverflowError
-from .series import HarmonicSeries, SeriesStack, require_mode, require_outer, require_radii
+from .errors import DegenerateSeriesError
+from .series import (HarmonicSeries, SeriesStack, _in_float_range, require_mode,
+                     require_outer, require_radii)
 
 CLASS_TOL = 1e-12
 
@@ -341,12 +342,16 @@ def initial_speed(h):
     Equals dU/drho(1) / (2 sqrt(U(1))), the derivative at rho = 1 of the
     mean radius sqrt(U(rho)).  For the extremal map h^lam this is
     (1 - lam)/(1 + lam); the critical map starts at speed zero and the
-    identity at speed one.  A stack gives one speed per member.
+    identity at speed one.  A stack gives one speed per member.  Raises
+    DegenerateSeriesError if U(1) = 0, and NumericOverflowError if U's jet
+    at 1 or the speed is not finite.
     """
-    u1, du1, _ = quadratic_mean_profile(h).jet(1.0)
+    u1, du1, _ = _in_float_range("U's jet at rho", 1.0,
+                                 lambda: quadratic_mean_profile(h).jet(1.0))
     if (np.asarray(u1) <= 0.0).any():
         raise DegenerateSeriesError("U(1) = 0: inner circle degenerates")
-    return du1 / (2.0 * np.sqrt(u1))
+    return _in_float_range("the initial speed at rho", 1.0,
+                           lambda: du1 / (2.0 * np.sqrt(u1)))
 
 
 def mean_outer_radius(h, R):
@@ -355,10 +360,9 @@ def mean_outer_radius(h, R):
     NumericOverflowError if a mean radius is not finite."""
     require_outer(R)
     R = np.asarray(R, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R))
-    if not np.isfinite(out).all():
-        raise NumericOverflowError(f"the mean radius sqrt(U(R)) overflows at R={R}")
+    out = _in_float_range(
+        "the mean radius sqrt(U(R)) at R", R,
+        lambda: np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R)))
     if R.ndim:
         return out[..., 0]
     return out if np.ndim(out) else float(out)  # one per member of a stack

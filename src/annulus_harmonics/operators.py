@@ -72,6 +72,7 @@ from .series import (
     LAMBDA_MIN,
     HarmonicSeries,
     SeriesStack,
+    _in_float_range,
     _shown,
     circle_angles,
     circle_fields,
@@ -174,12 +175,8 @@ def speed_bound(rho: float, lam: float) -> float:
     finite."""
     require_radii(rho)
     require_lambda(lam)
-    rho = np.float64(rho)  # Python's float ** raises OverflowError, numpy's gives inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = float((rho**2 + lam) / ((1.0 + lam) * rho))
-    if not math.isfinite(bound):
-        raise NumericOverflowError(f"the speed bound overflows at rho={rho}")
-    return bound
+    return _in_float_range("the speed bound at rho", rho,
+                           lambda r, lam: float((r**2 + lam) / ((1.0 + lam) * r)), rho, lam)
 
 
 def lambda_from_speed(speed: float) -> float:
@@ -192,11 +189,8 @@ def lambda_from_speed(speed: float) -> float:
     """
     if speed < 0.0:
         raise SpeedSignError(f"initial speed must be nonnegative, got {_shown(speed)}")
-    try:
-        lam = (1.0 - speed) / (1.0 + speed)
-    except OverflowError:  # an int past the float range
-        raise NumericOverflowError(
-            f"initial speed {_shown(speed)} is too large to be a float") from None
+    lam = _in_float_range("the lambda (1 - s)/(1 + s) of the initial speed s", speed,
+                          lambda s: (1.0 - s) / (1.0 + s), speed)
     if not lam > LAMBDA_MIN:
         raise NumericOverflowError(
             f"initial speed {speed:.6g} is too large: its lambda (1 - s)/(1 + s) "
@@ -324,7 +318,8 @@ def k_functional(P: RadialProfile, lam, R):
     a stack, lam and R may hold one entry per member, and each member is
     integrated on its own rule; the result holds one entry per member.
     Raises ParameterDomainError for a profile without a degree (one built
-    from callables alone), whose integrand has no bound.
+    from callables alone), whose integrand has no bound, and
+    NumericOverflowError if a result is not finite.
     """
     require_outer(R)
     require_lambda(lam)
@@ -342,7 +337,8 @@ def k_functional(P: RadialProfile, lam, R):
         den = r**2 + lam_col
         return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *P.jet(r))
 
-    return radial_integrate(integrand, 1.0, R, P.degree, lam)
+    return _in_float_range("K_lam of the profile at R", R,
+                           radial_integrate, integrand, 1.0, R, P.degree, lam)
 
 
 def k_quadrature(h, lam, R):
@@ -359,18 +355,9 @@ def k_endpoint(h, lam, R):
     require_lambda(lam)
     require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
-    try:
-        k = _endpoint_form(U, lam, R)
-    except OverflowError:  # Python's float ** raises where numpy's gives inf
-        k = math.inf
-    if not (math.isfinite(k) if isinstance(k, float) else np.isfinite(k).all()):
-        raise NumericOverflowError(f"K_lam of the quadratic mean overflows at R={R}")
-    return k
+    return _in_float_range("K_lam of the quadratic mean at R", R, _endpoint_form, U, lam, R)
 
 
-# numpy's overflow gives inf or NaN here, and k_endpoint raises on those;
-# as a decorator np.errstate costs half what a with-block does per call
-@np.errstate(over="ignore", invalid="ignore")
 def _endpoint_form(U: RadialProfile, lam, R):
     """K_lam[U] on A(1, R) from U(R), U(1) and U'(1)."""
     if _is_scalar(R):
@@ -405,11 +392,8 @@ def variance_subsolution_min(h: HarmonicSeries, lam: float, rho_grid) -> float:
     rho = np.asarray(rho_grid)
     if rho.size == 0:
         raise ParameterDomainError("the radius grid is empty")
-    with np.errstate(over="ignore", invalid="ignore"):
-        low = float(np.min(np.asarray(op.apply(variance_profile(h), rho))))
-    if not math.isfinite(low):
-        raise NumericOverflowError(f"L_lam of the variance overflows on the grid, got {low}")
-    return low
+    return _in_float_range("the minimum of L_lam of the variance on rho", rho,
+                           lambda: float(np.min(np.asarray(op.apply(variance_profile(h), rho)))))
 
 
 def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:

@@ -68,6 +68,7 @@ from .series import (
     HarmonicSeries,
     SeriesStack,
     _grid_fields,
+    _in_float_range,
     _member_orders,
     _mode_spectrum,
     circle_grid_fields,
@@ -532,9 +533,5 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
             out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        energy = radial_integrate(ring_density, rho1, rho2, 2 * h.N)
-    if not math.isfinite(energy):
-        raise NumericOverflowError(
-            f"the Dirichlet energy on {rho1} < |z| < {rho2} overflows, got {energy}")
-    return energy
+    return _in_float_range("the Dirichlet energy on rho1 < |z| < rho2 at (rho1, rho2)",
+                           (rho1, rho2), radial_integrate, ring_density, rho1, rho2, 2 * h.N)

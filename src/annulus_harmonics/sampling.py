@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, NumericOverflowError, ParameterDomainError
+from .errors import DegenerateSeriesError, ParameterDomainError
 from .means import quadratic_mean_profile
 from .quadrature import (
     PROBE_ANGLES,
@@ -46,6 +46,7 @@ from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
     SeriesStack,
+    _in_float_range,
     _index,
     circle_grid_fields,
     extremal_map,
@@ -302,11 +303,13 @@ def normalize_inner(h):
 
     Drops b0, then rescales every coefficient by 1/sqrt(U(1)).  Raises
     DegenerateSeriesError if the series vanishes on the unit circle in the
-    quadratic mean after dropping b0.  A stack is normalized member by
-    member.
+    quadratic mean after dropping b0, and NumericOverflowError if U(1) is
+    not finite.  A stack is normalized member by member.
     """
     stripped = replace(h, b0=np.zeros_like(h.b0))
-    u1 = quadratic_mean_profile(stripped).value(1.0)
+    # a positive finite U(1) is at least 5e-324, so 1/sqrt(U(1)) is finite
+    u1 = _in_float_range("U after dropping b0, at rho", 1.0,
+                         lambda: quadratic_mean_profile(stripped).value(1.0))
     if (np.asarray(u1) <= 0.0).any():
         raise DegenerateSeriesError("cannot normalize: U(1) = 0 after dropping b0")
     return scale_rotate(stripped, 1.0 / np.sqrt(u1))
@@ -378,6 +381,14 @@ def _radius_blocks(radii: np.ndarray, members: int) -> list[np.ndarray]:
     return [radii[lo:lo + step] for lo in range(0, radii.size, step)]
 
 
+def _block_jacobian(h, block: np.ndarray) -> np.ndarray:
+    """f.jacobian(block), formed in the buffer of the fields f."""
+    f = circle_grid_fields(h, block, PROBE_ANGLES, ("d_rho", "d_theta"))
+    product = np.conjugate(f.d_rho, out=f.d_rho)
+    product *= f.d_theta
+    return product.imag / block[:, None]
+
+
 def injectivity_probe(h, R: float) -> InjectivityProbe:
     """Heuristic evidence of injectivity on A(1, R).
 
@@ -408,16 +419,7 @@ def injectivity_probe(h, R: float) -> InjectivityProbe:
     rhos = np.linspace(1.0, R, PROBE_RADII + 2)[1:-1]
     jac_min = []
     for block in _radius_blocks(rhos, members):
-        f = circle_grid_fields(h, block, PROBE_ANGLES, ("d_rho", "d_theta"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # f.jacobian(block), formed in the probe's own field buffer
-            product = np.conjugate(f.d_rho, out=f.d_rho)
-            product *= f.d_theta
-            jac = product.imag / block[:, None]
-        del f, product
-        if not np.isfinite(jac).all():
-            raise NumericOverflowError(
-                f"the Jacobian on A(1, {R}) overflowed; injectivity probe undefined")
+        jac = _in_float_range("the Jacobian on A(1, R) at R", R, _block_jacobian, h, block)
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, PROBE_CIRCLES + 2)[1:-1]

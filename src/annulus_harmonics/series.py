@@ -54,7 +54,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import NumericOverflowError, ParameterDomainError
 
 # Guard band keeping 1/(1+lam) finite near the excluded endpoint lam = -1.
 LAMBDA_MIN = -1.0 + 1e-9
@@ -281,7 +281,8 @@ class SeriesStack:
 
 
 # Domain rules: every check of R, lambda or rho calls one of these.  NaN fails
-# every comparison, so each test passes only inside the domain.
+# every comparison, so each test passes only inside the domain.  Likewise every
+# closed form that can leave the float range returns through _in_float_range.
 
 def _within(x, lo: float, hi: float, hi_closed: bool = False) -> bool:
     """Whether x, a scalar or an array, lies in (lo, hi) (or (lo, hi]); a
@@ -309,6 +310,34 @@ def _shown(x) -> str:
     except ValueError:
         return f"<{type(x).__name__} too long to print>"
     return text if len(text) <= 80 else text[:77] + "..."
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a decorator costs half a with-block
+def _in_float_range(what: str, at, form, *args):
+    """form(*args), or NumericOverflowError "{what}={at} is not finite" (what
+    names the value and the argument, as "the speed bound at rho") if a value
+    it returns, a number, an array or a tuple of them, is not finite.
+
+    One path: the form always runs with numpy's overflow and invalid
+    warnings off, and an OverflowError (Python's float ** and the conversion
+    of a huge int raise one) counts as inf.  Only the test looks at a
+    value's type: math.isfinite for a float (np.isfinite costs it ~2 us),
+    else np.isfinite(...).all().
+
+    Kept outside the rule: quadrature._circle_means and
+    operators._circle_terms (identity_residuals) on circle-dense's
+    per-circle path, which test Python scalars themselves (the rule's
+    np.isfinite on their 0-d means read +16% per op, 0.51 -> 0.59 ms);
+    weitsman_bound, where an overflow rounds the bound to 1; and
+    winding_number, which raises on a flag of winding_counts, not a value."""
+    try:
+        out = form(*args)
+    except OverflowError:
+        out = math.inf
+    for v in out if isinstance(out, tuple) else (out,):
+        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+            raise NumericOverflowError(f"{what}={_shown(at)} is not finite")
+    return out
 
 
 def require_outer(R) -> None:

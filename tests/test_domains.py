@@ -23,6 +23,7 @@ from annulus_harmonics import (
     enclosed_area,
     evolution_lower_bound,
     extremal_map,
+    initial_speed,
     injectivity_probe,
     k_endpoint,
     k_functional,
@@ -30,11 +31,13 @@ from annulus_harmonics import (
     kalaj_bound,
     mean_outer_radius,
     nitsche_bound,
+    normalize_inner,
     perturb_extremal,
     quadratic_mean_mode,
     quadratic_mean_numeric,
     quadratic_mean_profile,
     radial_integrate,
+    scale_rotate,
     schottky_check,
     theorem_gate,
     uniqueness_probe,
@@ -60,6 +63,7 @@ from annulus_harmonics.operators import (
 from annulus_harmonics.reports import MAX_TRIALS, DrawPlan
 from annulus_harmonics.sampling import SamplerConfig, random_series, random_series_stack
 from annulus_harmonics.series import (
+    _in_float_range,
     circle_angles,
     circle_fields,
     circle_grid_fields,
@@ -75,6 +79,7 @@ U = quadratic_mean_profile(H)
 HUGE = 10**400  # a Python int past the float range
 G = random_series(SamplerConfig(seed=1, N=4))
 PAIR = random_series_stack([1, 2], [4, 4], 0.6)
+VAST = scale_rotate(H, 1e200)  # |a_1|^2 = 1e400: U overflows on every circle
 
 CASES = {
     "circle_fields-inf": lambda: circle_fields(H, INF, circle_angles(8)),
@@ -223,6 +228,12 @@ OVERFLOWS = {
     # V's jet at R = 1e60 overflows R^(2N) for N = 4 (numpy warned)
     "variance_k_bound-1e60": lambda: variance_k_bound(G, 1e60),
     "variance_k_bound-stack-member-1e60": lambda: variance_k_bound(PAIR, np.array([3.0, 1e60])),
+    # the radial quadrature of K, the twin of k_endpoint (numpy warned)
+    "k_quadrature-1e60": lambda: k_quadrature(G, 0.5, 1e60),
+    "k_quadrature-stack-member-1e60": lambda: k_quadrature(PAIR, 0.5, np.array([3.0, 1e60])),
+    # U(1) = inf, where 1/sqrt(U(1)) is 0 and the speed NaN
+    "normalize_inner-1e200": lambda: normalize_inner(VAST),
+    "initial_speed-1e200": lambda: initial_speed(VAST),
 }
 
 
@@ -230,6 +241,20 @@ OVERFLOWS = {
 def test_overflowing_result_is_a_typed_error(call):
     with pytest.raises(NumericOverflowError):
         call()
+
+
+def test_overflow_rule_has_one_path():
+    """numpy arithmetic on Python floats runs quietly and raises the typed
+    error; Python's OverflowError counts as inf; each value of a tuple is
+    checked; a finite value comes back as it is."""
+    with pytest.raises(NumericOverflowError, match=r"R\^2 at R=1e\+200 is not finite"):
+        _in_float_range("R^2 at R", 1e200, lambda R: np.float64(R) ** 2, 1e200)
+    with pytest.raises(NumericOverflowError):
+        _in_float_range("R^2 at R", 1e200, lambda R: R**2, 1e200)
+    with pytest.raises(NumericOverflowError):
+        _in_float_range("the pair at R", 2.0, lambda R: (R, np.array([R, np.inf])), 2.0)
+    out = _in_float_range("R^2 at R", 3.0, lambda R: R**2, 3.0)
+    assert out == 9.0 and type(out) is float
 
 
 def test_overflowing_circles_never_enter_the_memos():
