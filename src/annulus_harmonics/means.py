@@ -17,8 +17,12 @@ Each profile is one weight table over the basis rho^(2k), rho^(-2k)
 Column d of the table holds the coefficients of rho^d times the d-th
 derivative, so an evaluation takes one power table rho^(2k), its
 reciprocal and one matmul, and divides column d by rho^d: value and both
-derivatives come from the same powers (RadialProfile.jet).  The termwise
-second derivative of the variance keeps its own formula as a cross-check.
+derivatives come from the same powers (RadialProfile.jet).  A profile is
+built through the overflow rule of the series module: a weight table that
+is not finite (a coefficient above ~1e154 squares past the float range)
+raises NumericOverflowError once, when the profile is built, and no jet
+checks the table again.  The termwise second derivative of the variance
+keeps its own formula as a cross-check.
 
 The profiles of a SeriesStack (see the series module) are the same code on
 a stack of weight tables, shape (B, 2K + 3, 3), zero rows padding each
@@ -26,7 +30,7 @@ member to the stack's order; the jet is one batched matmul.  For a stack,
 rho is a scalar (every member at one radius, result shape (B,)), shape (m,)
 (every member at the same radii) or shape (B, m) (m radii per member),
 and each column of the jet has shape (B, m).  Batched callers hand in
-chunks of SERIES_PER_CHUNK (16) members, and the jet tabulates per-member
+chunks of SERIES_PER_CHUNK (64) members, and the jet tabulates per-member
 radii (B, m, 2K + 3) for a block of members at a time once the table would
 pass _JET_TABLE_ENTRIES (512 KiB); the matmul is per member, so the blocks
 give the same bits.
@@ -37,7 +41,7 @@ bounds and sampling modules ask for U and V of the same series many times,
 and each build costs a weight table.  The profile of a stack is built
 afresh: a batched criterion builds U once per chunk and hands it to every
 caller, and 32 kept chunks would hold their coefficient and weight tables
-(~16 KiB each) to the end of a run.
+(up to ~52 KiB each at 64 members) to the end of a run.
 
 At a Python float radius a series' jet skips the array round trip: the
 basis is one 1-d (2K + 3,) row taken straight from the float, one
@@ -126,9 +130,9 @@ _JET_MEMO_SIZE = 4
 
 # Most entries (radii x basis functions) of one power table that
 # RadialProfile.jet builds for a stack with radii per member, 512 KiB; above
-# it the members are tabulated in blocks.  At 16 members, N = 10 and the 512
+# it the members are tabulated in blocks.  At 64 members, N = 10 and the 512
 # nodes of a radial rule graded toward the pole of lambda = -0.9999 one table
-# would take 1.4 MiB.
+# would take 5.8 MiB.
 _JET_TABLE_ENTRIES = 2**16
 
 
@@ -164,18 +168,34 @@ def _jet_table(r: np.ndarray | float, two_k: np.ndarray, weights: np.ndarray) ->
     return out
 
 
-def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
-                 only_mode: int | None = None) -> RadialProfile:
-    """Profile of a sum of mode means; `only_mode` restricts to one mode.
+def _exponents_of(ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2k for the modes k, the basis exponents 2k, -2k and those less 1."""
+    two_k = 2.0 * ks
+    exps = np.concatenate((two_k, -two_k), axis=-1)
+    return two_k, exps, exps - 1.0
 
-    Row j, column d of the weight table is the coefficient of basis function
-    j in rho^d U^(d).  U_n + U_-n weighs rho^(2k) by |a_k|^2 + |b_-k|^2 and
-    rho^(-2k) by |b_k|^2 + |a_-k|^2, with k = |n|; U_n alone weighs
-    rho^(2n) by |a_n|^2 and rho^(-2n) by |b_n|^2, whatever the sign of n.
+
+@lru_cache(maxsize=64)
+def _exponents(first: int, last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_exponents_of k = first..last, read-only and built once: every
+    profile of order N, or of one mode, shares them."""
+    out = _exponents_of(np.arange(first, last + 1, dtype=np.float64))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _weights(h: HarmonicSeries, exps: np.ndarray, shifted: np.ndarray,
+             include_zero: bool, only_mode: int | None) -> np.ndarray:
+    """The weight table of _sum_profile: row j, column d holds the
+    coefficient of basis function j in rho^d U^(d).  U_n + U_-n weighs
+    rho^(2k) by |a_k|^2 + |b_-k|^2 and rho^(-2k) by |b_k|^2 + |a_-k|^2, with
+    k = |n|; U_n alone weighs rho^(2n) by |a_n|^2 and rho^(-2n) by |b_n|^2,
+    whatever the sign of n.  exps holds the basis exponents 2k, -2k and
+    shifted the same less 1.
     """
     a0 = b0 = 0j
     if only_mode is None:
-        ks = np.arange(1, h.N + 1, dtype=np.float64)
         a, b, N = h.a, h.b, h.N
         sq = np.abs(np.concatenate((a[..., :N], b[..., :N], b[..., N:], a[..., N:]),
                                    axis=-1)) ** 2
@@ -184,28 +204,43 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                        + np.vecdot(b[..., N:], a[..., N:])).real
         if include_zero:
             a0, b0 = h.a0, h.b0
-        degree = 2 * h.N
-    else:  # one mode n, or one per member of a stack: k = n keeps its sign
+    else:
         an, bn = h.coeff(only_mode)
-        ks = np.asarray(only_mode, dtype=np.float64)[..., None]
         amp = np.abs(np.array((an, bn)).T) ** 2  # (2,), or (B, 2) for a stack
         cross = 2.0 * (an * bn.conjugate()).real
-        degree = 2 * np.abs(only_mode)
-    K = ks.shape[-1]
-    two_k = 2.0 * ks
-    exps = np.concatenate((two_k, -two_k), axis=-1)
+    K = exps.shape[-1] // 2
     # |a0 log(rho) + b0|^2 = alpha log^2 + beta log + |b0|^2
     alpha, beta = abs(a0) ** 2, 2.0 * (a0 * b0.conjugate()).real
     weights = np.zeros(np.shape(cross) + (2 * K + 3, 3))
     weights[..., :-3, 0] = amp
     weights[..., :-3, 1] = amp * exps
-    weights[..., :-3, 2] = weights[..., :-3, 1] * (exps - 1.0)
+    weights[..., :-3, 2] = weights[..., :-3, 1] * shifted
     weights[..., -3, 0] = cross + abs(b0) ** 2
     weights[..., -3, 1] = weights[..., -2, 0] = beta
     weights[..., -3, 2] = 2.0 * alpha - beta
     weights[..., -2, 1] = 2.0 * alpha
     weights[..., -2, 2] = -2.0 * alpha
     weights[..., -1, 0] = alpha
+    return weights
+
+
+def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
+                 only_mode: int | None = None) -> RadialProfile:
+    """Profile of a sum of mode means; `only_mode` restricts to one mode.
+    Raises NumericOverflowError if its weight table is not finite (a
+    coefficient above ~1e154 squares past the float range), once per
+    profile, so no jet checks the table again."""
+    if only_mode is None:
+        two_k, exps, shifted = _exponents(1, h.N)
+        degree = 2 * h.N
+    else:  # one mode n, or one per member of a stack: k = n keeps its sign
+        two_k, exps, shifted = (
+            _exponents_of(np.asarray(only_mode, dtype=np.float64)[..., None])
+            if isinstance(only_mode, np.ndarray) else _exponents(only_mode, only_mode))
+        degree = 2 * np.abs(only_mode)
+    K = two_k.shape[-1]
+    weights = _in_float_range(f"the weight table of {label} at N", h.N, _weights,
+                              h, exps, shifted, include_zero, only_mode)
 
     memo: dict[float, np.ndarray] = {}
 

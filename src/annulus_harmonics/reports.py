@@ -24,7 +24,7 @@ form a SeriesStack (random_series_stack or random_conformal_perturbation;
 each member has the coefficients of np.random.default_rng of its own seed:
 sampling._streams hashes the whole stack's seeds in one vectorized pass and
 draws each member's stream with numpy's PCG64), evaluated in chunks of
-SERIES_PER_CHUNK (16) members, with the per-draw parameters as arrays.
+SERIES_PER_CHUNK (64) members, with the per-draw parameters as arrays.
 The criteria on tame random series draw through _draws: per trial the
 series' order and seed first, then each parameter in the order given.  It
 decodes a criterion's draws from one raw block of its generator, with the
@@ -44,9 +44,10 @@ tracer counts one circle_fields call per circle).  The per-mode form
 per member.  The conformal refinement (C09) proves each draw injective
 from its coefficients (bounds.conformal_injectivity_margin); schottky_check
 samples the draws that proof misses with the injectivity probe, and the
-criterion probes the certified draws of its first chunk as well, as a spot
-check of the proof.  A criterion hands each check its residuals (numbers
-and arrays, one per draw, chunk or grid) and `_check` alone reduces them,
+criterion probes the certified draws among the first SPOT_CHECK_DRAWS (16)
+as well, as a spot check of the proof, so the evidence does not depend on
+the chunk size.  A criterion hands each check its residuals (numbers and
+arrays, one per draw, chunk or grid) and `_check` alone reduces them,
 NaN-keeping, so a NaN in any draw fails its check.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
@@ -94,6 +95,11 @@ EXTREMAL_LAMS = (-0.9, -0.5, 0.0, 0.5, 1.0)
 # Most trials a DrawPlan takes, 100 times verify's default: the criteria hold
 # all of their draws at once, so a larger count is refused before any draw.
 MAX_TRIALS = 10_000
+
+# Draws whose coefficient certificate conformal_refinement also checks with
+# the sampled injectivity probe: the certified ones among the first 16, the
+# same evidence at any SERIES_PER_CHUNK.
+SPOT_CHECK_DRAWS = 16
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "annihilation": 1e-9,
@@ -578,9 +584,10 @@ def bound_ordering(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
 def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     """Schottky's conformal refinement on A(1, 2).  `schottky_check` proves
     injectivity from the coefficients and runs the sampled injectivity
-    probe only on draws it cannot certify; the draws of the first chunk
-    that it certifies are probed here as well, as a spot check of the
-    certificate, so every report carries sampled evidence."""
+    probe only on draws it cannot certify; the certified draws among the
+    first SPOT_CHECK_DRAWS are probed here as well, as a spot check of the
+    certificate, so every report carries sampled evidence whatever the
+    chunk size."""
     rng = _rng(plan, 9)
     R = 2.0
     # the seeds of integers(2**62) per trial: Lemire's method on a power of
@@ -594,9 +601,10 @@ def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
         ok = np.array([r.applicable and r.windings_ok and r.jacobian_min > 0.0
                        for r in reports])
         certified = np.array([r.injectivity_margin > 0.0 for r in reports])
-        if rows.start == 0 and certified.any():
-            spot = injectivity_probe(h[certified], R)
-            ok[certified] &= spot.windings_ok & (spot.jacobian_min > 0.0)
+        spot = certified & (np.arange(rows.start, rows.start + len(h)) < SPOT_CHECK_DRAWS)
+        if spot.any():
+            probe = injectivity_probe(h[spot], R)
+            ok[spot] &= probe.windings_ok & (probe.jacobian_min > 0.0)
         failed.append(~ok)
         certificate_gap.append([-r.injectivity_margin for r in reports if r.applicable])
         if not ok.any():
@@ -611,7 +619,7 @@ def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
             "probes-applicable",
             "every sampled conformal series meets the preconditions and is "
             "certified injective or passes the sampled probe; the certified "
-            "draws of the first chunk pass the probe too",
+            f"draws among the first {SPOT_CHECK_DRAWS} pass the probe too",
             failed, 0.0,
         ),
         _check(

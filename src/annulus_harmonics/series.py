@@ -61,13 +61,16 @@ LAMBDA_MIN = -1.0 + 1e-9
 
 # Members per chunk when a stack of series is evaluated.  A batched criterion
 # pays fixed costs per chunk (numpy call overhead, weight tables, radial
-# integrand calls, the Schottky probe's set-up), which at 8 members were a
-# large share of `verify all`; 16 members pay them half as often.  C02's
-# field block of a chunk is then at most (16, 3, 3, 72), 162 KiB (N <= 16).
-# The injectivity probe and the per-member radial jet split larger requests
-# into blocks of their own, so a full `verify all --trials 100` run keeps a
-# traced peak of about 1.3 MiB.
-SERIES_PER_CHUNK = 16
+# integrand calls, the Schottky screen's set-up), which at 16 members were
+# most of a chunk's time; 64 members pay them a quarter as often (`verify
+# all --trials 100` in process on 2 cores with numpy 2.4: 24.4 ms at 16,
+# 19.4 ms at 64, 19.2-19.5 ms at 100 and 128).  C02's field block of a chunk
+# is then at most (64, 3, 3, 36), 324 KiB (N <= 16).  The injectivity probe
+# and the per-member radial jet split larger requests into blocks of their
+# own, so a full `verify all --trials 100` run keeps a traced peak of at
+# most 1.19 MiB on seeds 0-59 (0.87 MiB at 16, 1.44 MiB at 100 or more).
+# No report depends on this size.
+SERIES_PER_CHUNK = 64
 
 
 def _coeff_array(values, N: int, name: str) -> np.ndarray:

@@ -19,7 +19,7 @@ from annulus_harmonics import (
     sampling,
     variance_profile,
 )
-from annulus_harmonics import means
+from annulus_harmonics import means, series
 from annulus_harmonics.means import (
     RadialProfile,
     quadratic_mean_mode,
@@ -291,8 +291,9 @@ def test_nan_in_one_draw_fails_the_batched_check(monkeypatch, criterion, owner, 
         return spoil(result) if len(calls) == 2 else result
 
     monkeypatch.setattr(owner, name, spoiled)
-    checks = {c.name: c for c in criterion(reports.DrawPlan(5, 40),
-                                           reports.DEFAULT_TOLERANCES)}
+    # two chunks for every criterion, variance_lower_bound's trials // 2 too
+    plan = reports.DrawPlan(5, 2 * SERIES_PER_CHUNK + 8)
+    checks = {c.name: c for c in criterion(plan, reports.DEFAULT_TOLERANCES)}
     assert len(calls) >= 2
     for check in failing:
         assert math.isnan(checks[check].residual) and not checks[check].passed
@@ -304,9 +305,10 @@ def conformal_checks(plan):
         plan, reports.DEFAULT_TOLERANCES)}
 
 
-def test_conformal_refinement_probes_the_first_chunk_only(monkeypatch):
+def test_conformal_refinement_probes_only_its_spot_check_draws(monkeypatch):
     """Every draw is certified, so the sampled probe runs once, as the spot
-    check of the first chunk's draws."""
+    check of the first SPOT_CHECK_DRAWS draws, though the draws fill more
+    than one chunk."""
     real = sampling.injectivity_probe
     probed = []
 
@@ -316,9 +318,42 @@ def test_conformal_refinement_probes_the_first_chunk_only(monkeypatch):
 
     monkeypatch.setattr(sampling, "injectivity_probe", record)
     monkeypatch.setattr(reports, "injectivity_probe", record)
-    checks = conformal_checks(reports.DrawPlan(0, 40))
-    assert probed == [SERIES_PER_CHUNK]
+    checks = conformal_checks(reports.DrawPlan(0, SERIES_PER_CHUNK + 8))
+    assert probed == [reports.SPOT_CHECK_DRAWS]
     assert all(c.passed for c in checks.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, seed):
+    """run_suite gives the same names, residual bits and verdicts at 7, 16
+    and 64 members per chunk, and at each the spot check probes exactly
+    the certified draws among the first SPOT_CHECK_DRAWS."""
+    real_check, real_probe = bounds.schottky_check, reports.injectivity_probe
+    checked, probed = [], []
+
+    def record_check(h, R):
+        out = real_check(h, R)
+        checked.append((np.array(h.a), [r.injectivity_margin > 0.0 for r in out]))
+        return out
+
+    def record_probe(h, R):
+        probed.append(np.array(h.a))
+        return real_probe(h, R)
+
+    monkeypatch.setattr(bounds, "schottky_check", record_check)
+    monkeypatch.setattr(reports, "injectivity_probe", record_probe)
+    runs = []
+    for chunk in (7, 16, 64):
+        monkeypatch.setattr(series, "SERIES_PER_CHUNK", chunk)
+        checked.clear()
+        probed.clear()
+        runs.append([(c.name, c.residual.hex(), c.passed)
+                     for c in reports.run_suite("all", seed, 100)])
+        a = np.concatenate([a for a, _ in checked])[:reports.SPOT_CHECK_DRAWS]
+        certified = np.concatenate([flags for _, flags in checked])[:reports.SPOT_CHECK_DRAWS]
+        assert certified.any()
+        assert np.array_equal(np.concatenate(probed), a[certified])
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_spot_probe_fails_a_falsely_certified_draw(monkeypatch):

@@ -41,6 +41,7 @@ from annulus_harmonics import (
     schottky_check,
     theorem_gate,
     uniqueness_probe,
+    variance_profile,
     weitsman_bound,
     wide_annulus_certificate,
     winding_number,
@@ -234,6 +235,17 @@ OVERFLOWS = {
     # U(1) = inf, where 1/sqrt(U(1)) is 0 and the speed NaN
     "normalize_inner-1e200": lambda: normalize_inner(VAST),
     "initial_speed-1e200": lambda: initial_speed(VAST),
+    # |a_1|^2 = 1e400 in the weight table of every profile of VAST (numpy
+    # warned), whatever the radius the profile is later evaluated at
+    "quadratic_mean_profile-1e200": lambda: quadratic_mean_profile(VAST),
+    "quadratic_mean_profile-stack-member-1e200":
+        lambda: quadratic_mean_profile(scale_rotate(PAIR, np.array([1.0, 1e200]))),
+    "variance_profile-1e200": lambda: variance_profile(VAST),
+    "quadratic_mean_mode-1e200": lambda: quadratic_mean_mode(VAST, 1),
+    "k_endpoint-coefficients-1e200": lambda: k_endpoint(VAST, 0.5, 2.0),
+    "k_quadrature-coefficients-1e200": lambda: k_quadrature(VAST, 0.5, 2.0),
+    "theorem_gate-1e200": lambda: theorem_gate(VAST, 2.0),
+    "evolution_lower_bound-1e200": lambda: evolution_lower_bound(VAST, 1.5),
 }
 
 
