@@ -314,7 +314,8 @@ def _injectivity_certificate(h, R: float):
     """The margin of conformal_injectivity_margin and the Jacobian lower
     bound |a_1|^2 (1 - L)^2, each as an array with one entry per member."""
     ns = h.mode_numbers.astype(np.float64)
-    lead = np.abs(h.a[..., 0])
+    # a_1 is 0 for a series of order 0
+    lead = np.abs(h.a[..., 0]) if h.N else np.zeros(h.a.shape[:-1])
     # an overflowed weight leaves L inf or NaN, and a_1 = 0 leaves it inf or NaN
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         weights = np.where(ns == 1.0, 0.0, np.abs(ns) * np.maximum(1.0, R ** (ns - 1.0)))
@@ -362,6 +363,10 @@ def conformal_injectivity_margin(h, R: float):
 @dataclass(frozen=True)
 class SchottkyReport:
     """Outcome of the conformal mean-radius and area checks on A(1, R).
+
+    Each field but R and area_bound holds a Python scalar for a series and
+    an array with one entry per member for a SeriesStack, so two stacks'
+    reports are compared field by field, not by ==.
 
     `injectivity_margin` is conformal_injectivity_margin(h, R).  A member
     with a positive margin is certified injective: it is not sampled, and
@@ -416,9 +421,10 @@ def schottky_check(h, R: float):
     only; the probe is not called when every applicable member is
     certified (see SchottkyReport).
 
-    A series gives one SchottkyReport; a SeriesStack, evaluated as one
-    batch, gives the list of its members' reports.  A series runs as the
-    stack of one.  Raises ParameterDomainError unless R is one number with
+    A series gives one SchottkyReport of scalars; a SeriesStack, evaluated
+    as one batch, gives one whose per-member fields are arrays (NaN or
+    False at a member that is not applicable).  A series runs as the stack
+    of one.  Raises ParameterDomainError unless R is one number with
     1 < R < inf, and NumericOverflowError if the area bound or an
     applicable member's mode sum or area is not finite (R past about 1e153
     for the identity).  Each term is |a_n|^2 (R^(2n) - 1), so a power
@@ -475,30 +481,25 @@ def schottky_check(h, R: float):
     measured = mean_outer_radius(found, R)
     passed = ((measured >= R - 1e-9) & (area >= area_bound - 1e-6)
               & (mode_sum >= R**2 - 1.0 - 1e-9))
-    rows = iter(zip(measured.tolist(), area.tolist(), (mode_sum - (R**2 - 1.0)).tolist(),
-                    margin.tolist(), jacobian_min.tolist(), windings_ok.tolist(),
-                    passed.tolist()))
-    reports = []
-    for ok, is_conformal, is_pure, dev in zip(applicable, conformal, pure,
-                                              deviation.tolist()):
-        if ok:
-            radius, area_k, mode_margin, inj_margin, jac_min, windings, passed_k = next(rows)
-            reports.append(SchottkyReport(
-                applicable=True, reason="", R=R, mean_radius=radius, area=area_k,
-                area_bound=area_bound, mode_sum_margin=mode_margin, boundary_deviation=dev,
-                injectivity_margin=inj_margin, jacobian_min=jac_min, windings_ok=windings,
-                passed=passed_k))
-            continue
-        reason = ("series is not conformal (some b_n != 0)" if not is_conformal
-                  else "log or constant term present" if not is_pure
-                  else "boundary values of |h| deviate from 1 beyond 1e-6")
-        reports.append(SchottkyReport(
-            applicable=False, reason=reason, R=R,
-            mean_radius=math.nan, area=math.nan, area_bound=area_bound,
-            mode_sum_margin=math.nan, boundary_deviation=dev,
-            injectivity_margin=math.nan, jacobian_min=math.nan, windings_ok=False,
-            passed=False))
-    return reports if isinstance(h, SeriesStack) else reports[0]
+
+    def spread(values, fill=math.nan):  # `fill` at the members not applicable
+        out = np.full(len(stack), fill, values.dtype)
+        out[applicable] = values
+        return out
+
+    fields = dict(
+        applicable=applicable,
+        reason=np.select([applicable, ~conformal, ~pure],
+                         ["", "series is not conformal (some b_n != 0)",
+                          "log or constant term present"],
+                         "boundary values of |h| deviate from 1 beyond 1e-6"),
+        mean_radius=spread(measured), area=spread(area),
+        mode_sum_margin=spread(mode_sum - (R**2 - 1.0)), boundary_deviation=deviation,
+        injectivity_margin=spread(margin), jacobian_min=spread(jacobian_min),
+        windings_ok=spread(windings_ok, False), passed=spread(passed, False))
+    if not isinstance(h, SeriesStack):
+        fields = {name: value.tolist()[0] for name, value in fields.items()}
+    return SchottkyReport(R=R, area_bound=area_bound, **fields)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ from .quadrature import enclosed_area
 from .sampling import (
     SamplerConfig,
     _MASK32,
+    _require_seed,
     injectivity_probe,
     normalize_inner,
     random_conformal_perturbation,
@@ -148,8 +149,9 @@ class DrawPlan:
     trials: int
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ParameterDomainError(f"seed must be >= 0, got {self.seed}")
+        _require_seed(self.seed)
+        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
+            raise ParameterDomainError(f"trials must be an integer, got {self.trials!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ParameterDomainError(
                 f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
@@ -597,22 +599,18 @@ def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
     failed, radius_deficit, area_deficit, mode_deficit, speed_dev = [], [], [], [], []
     certificate_gap = []
     for rows, h in stack.chunks():
-        reports = bnd.schottky_check(h, R)
-        ok = np.array([r.applicable and r.windings_ok and r.jacobian_min > 0.0
-                       for r in reports])
-        certified = np.array([r.injectivity_margin > 0.0 for r in reports])
-        spot = certified & (np.arange(rows.start, rows.start + len(h)) < SPOT_CHECK_DRAWS)
+        report = bnd.schottky_check(h, R)
+        ok = report.applicable & report.windings_ok & (report.jacobian_min > 0.0)
+        spot = ((report.injectivity_margin > 0.0)
+                & (np.arange(rows.start, rows.start + len(h)) < SPOT_CHECK_DRAWS))
         if spot.any():
             probe = injectivity_probe(h[spot], R)
             ok[spot] &= probe.windings_ok & (probe.jacobian_min > 0.0)
         failed.append(~ok)
-        certificate_gap.append([-r.injectivity_margin for r in reports if r.applicable])
-        if not ok.any():
-            continue
-        good = [r for r, keep in zip(reports, ok) if keep]
-        radius_deficit.append([-(r.mean_radius - R) for r in good])
-        area_deficit.append([-(r.area - r.area_bound) for r in good])
-        mode_deficit.append([-r.mode_sum_margin for r in good])
+        certificate_gap.append(-report.injectivity_margin[report.applicable])
+        radius_deficit.append(-(report.mean_radius[ok] - R))
+        area_deficit.append(-(report.area[ok] - report.area_bound))
+        mode_deficit.append(-report.mode_sum_margin[ok])
         speed_dev.append(np.abs(initial_speed(normalize_inner(h[ok])) - 1.0))
     return [
         _check(

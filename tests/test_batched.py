@@ -1,6 +1,7 @@
 """Stacks of series: the batched kernel, jets and criteria agree with the
 one-series code, keep a NaN in any draw, and keep memory flat."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -33,6 +34,7 @@ from annulus_harmonics.sampling import (
     random_series_stack,
 )
 from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack, circle_grid_fields
+from test_bounds import CRITICAL, report_fields
 from test_sampling import widened_conformal
 
 ORDERS = (1, 3, 7, 12)
@@ -135,11 +137,31 @@ def test_jet_of_a_large_stack_table_runs_in_blocks_of_members(monkeypatch):
 def test_stack_of_one_runs_like_its_series():
     h = random_conformal_perturbation(404)
     report = bounds.schottky_check(h, 2.0)
-    assert report.passed and report == bounds.schottky_check(SeriesStack.of([h]), 2.0)[0]
+    assert report.passed and report_fields(report) == report_fields(
+        bounds.schottky_check(SeriesStack.of([h]), 2.0), 0)
+    assert isinstance(report.mean_radius, float) and isinstance(report.passed, bool)
     probe = injectivity_probe(h, 2.0)
     assert isinstance(probe.jacobian_min, float) and isinstance(probe.windings_ok, bool)
     mixed = bounds.schottky_check(SeriesStack.of([MEMBERS[2], h]), 2.0)
-    assert [r.reason for r in mixed] == ["series is not conformal (some b_n != 0)", ""]
+    assert mixed.reason.tolist() == ["series is not conformal (some b_n != 0)", ""]
+
+
+def test_schottky_report_of_a_mixed_stack_holds_each_member_alone():
+    """A certified draw, z^2 (sampled by the probe), a series that is not
+    conformal and two of order 0 padded into the stack: member i of the
+    stack's report is, bit for bit, the report of the stack of member i
+    and of member i alone."""
+    members = [random_conformal_perturbation(404), HarmonicSeries.from_coeffs(a={2: 1.0}),
+               CRITICAL, HarmonicSeries(N=0), HarmonicSeries(N=0, a0=1.0)]
+    stack = SeriesStack.of(members)
+    report = bounds.schottky_check(stack, 2.0)
+    assert report.applicable.tolist() == [True, True, False, False, False]
+    assert (report.injectivity_margin[:2] > 0.0).tolist() == [True, False]
+    assert len(set(report.reason.tolist())) == 4
+    for i, h in enumerate(members):
+        alone = report_fields(bounds.schottky_check(h, 2.0))
+        assert report_fields(report, i) == alone
+        assert report_fields(bounds.schottky_check(stack[i:i + 1], 2.0), 0) == alone
 
 
 def test_stack_checks_shapes_and_finiteness():
@@ -254,9 +276,10 @@ def spoil_pair(pair):
     return nan_member(lhs), rhs
 
 
-def spoil_reports(reps):
-    return [reps[0], bounds.SchottkyReport(**{**reps[1].to_dict(), "mean_radius": math.nan}),
-            *reps[2:]]
+def spoil_reports(report):
+    mean_radius = report.mean_radius.copy()
+    mean_radius[1] = math.nan
+    return dataclasses.replace(report, mean_radius=mean_radius)
 
 
 CASES = [
@@ -333,7 +356,7 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch, seed):
 
     def record_check(h, R):
         out = real_check(h, R)
-        checked.append((np.array(h.a), [r.injectivity_margin > 0.0 for r in out]))
+        checked.append((np.array(h.a), out.injectivity_margin > 0.0))
         return out
 
     def record_probe(h, R):

@@ -281,6 +281,16 @@ def test_variance_k_bound_requires_wide_annulus():
 # conformal refinement of Schottky's theorem
 # ---------------------------------------------------------------------------
 
+def report_fields(report, i=None):
+    """The fields of a series' report, or of member i of a stack's report,
+    as Python values with each float as its hex: equal fields are equal in
+    every bit, and NaN equals NaN."""
+    fields = {name: value if i is None or np.ndim(value) == 0 else value[i].item()
+              for name, value in vars(report).items()}
+    return {name: value.hex() if isinstance(value, float) else value
+            for name, value in fields.items()}
+
+
 def test_schottky_rotation_equality():
     h = scale_rotate(IDENTITY, complex(math.cos(1.1), math.sin(1.1)))
     report = schottky_check(h, 2.0)
@@ -315,6 +325,28 @@ def test_schottky_rejects_nonconformal():
     assert "conformal" in report.reason
 
 
+@pytest.mark.parametrize("h, reason", [
+    (HarmonicSeries(N=0), "boundary values of |h| deviate from 1 beyond 1e-6"),
+    (HarmonicSeries(N=0, b0=1.0), "log or constant term present"),
+    (HarmonicSeries(N=0, a0=1.0), "log or constant term present"),
+], ids=["zero", "b0", "a0"])
+def test_schottky_layer_takes_a_series_of_order_0(h, reason):
+    """a_1 is 0 at N = 0: the margin is -inf, and the report not applicable."""
+    assert conformal_injectivity_margin(h, 2.0) == -math.inf
+    report = schottky_check(h, 2.0)
+    assert (report.applicable, report.reason, report.passed) == (False, reason, False)
+    assert math.isnan(report.mean_radius) and math.isnan(report.injectivity_margin)
+
+
+def test_schottky_check_of_an_empty_stack_is_empty():
+    empty = SeriesStack.of([])
+    assert conformal_injectivity_margin(empty, 2.0).shape == (0,)
+    report = schottky_check(empty, 2.0)
+    assert (report.R, report.area_bound) == (2.0, 3.0 * math.pi)
+    for name, value in vars(report).items():
+        assert name in ("R", "area_bound") or value.shape == (0,)
+
+
 def test_schottky_rejects_off_circle_boundary():
     h = HarmonicSeries.from_coeffs(a={1: 1.0, 2: 0.1})
     report = schottky_check(h, 2.0)
@@ -329,13 +361,13 @@ def test_schottky_deviation_bounds_the_sampled_deviation(eps):
     the 1 / (1 - pi/10) the Bernstein factor on angular_count(20 N) allows
     above the largest sample."""
     stack = widened_conformal(list(range(40)), eps)
-    reports = schottky_check(stack, 2.0)
+    report = schottky_check(stack, 2.0)
     values = circle_grid_fields(stack, 1.0, 4096, ("values",)).values
     sampled = np.max(np.abs(np.abs(values) - 1.0), axis=-1)
-    deviation = np.array([r.boundary_deviation for r in reports])
+    deviation = report.boundary_deviation
     assert (deviation >= sampled).all()
     assert (deviation <= 2.0 * sampled / (1.0 - 0.1 * math.pi)).all()
-    assert all(r.applicable for r in reports) == (eps == 1e-7)
+    assert report.applicable.all() == (eps == 1e-7)
 
 
 def test_schottky_rejects_a_planted_deviation():
@@ -420,15 +452,16 @@ def test_schottky_samples_only_the_members_it_cannot_certify(monkeypatch):
     certified = random_conformal_perturbation(7)
     double = HarmonicSeries.from_coeffs(a={2: 1.0})
     stack = SeriesStack.of([certified, double, certified])
-    reps = schottky_check(stack, 2.0)
+    report = schottky_check(stack, 2.0)
     assert probed == [1]
-    assert [r.windings_ok for r in reps] == [True, False, True]
-    assert reps[1] == schottky_check(double, 2.0)
+    assert report.windings_ok.tolist() == [True, False, True]
+    assert report_fields(report, 1) == report_fields(schottky_check(double, 2.0))
     lead = abs(certified.a[0])
-    L = (1.0 - reps[0].injectivity_margin) / (0.5 * math.pi)
-    assert reps[0].jacobian_min == pytest.approx((lead * (1.0 - L)) ** 2, rel=1e-14)
+    L = (1.0 - report.injectivity_margin[0]) / (0.5 * math.pi)
+    assert report.jacobian_min[0] == pytest.approx((lead * (1.0 - L)) ** 2, rel=1e-14)
     probed.clear()
-    assert schottky_check(SeriesStack.of([certified] * 3), 2.0)[0] == reps[0]
+    assert (report_fields(schottky_check(SeriesStack.of([certified] * 3), 2.0), 0)
+            == report_fields(report, 0))
     assert probed == []
 
 

@@ -61,7 +61,7 @@ from annulus_harmonics.operators import (
     speed_bound,
     variance_subsolution_min,
 )
-from annulus_harmonics.reports import MAX_TRIALS, DrawPlan
+from annulus_harmonics.reports import MAX_TRIALS, DrawPlan, run_suite
 from annulus_harmonics.sampling import SamplerConfig, random_series, random_series_stack
 from annulus_harmonics.series import (
     _in_float_range,
@@ -172,6 +172,12 @@ CASES = {
     "mode_form_certificate_expanded-float": lambda: mode_form_certificate_expanded(2.5, 2.0),
     "mode_form_certificate-array-floats":
         lambda: mode_form_certificate(np.array([2.0, 2.5]), 3.0),
+    # a seed and a trial count are integers, not floats, strings or bools
+    "run_suite-seed-float": lambda: run_suite("all", 1.5, 1),
+    "run_suite-seed-str": lambda: run_suite("all", "3", 1),
+    "run_suite-seed-bool": lambda: run_suite("schottky", True, 1),
+    "run_suite-trials-float": lambda: run_suite("all", 0, 2.5),
+    "run_suite-trials-bool": lambda: run_suite("all", 0, True),
     # the whole Richardson stencil, rho - 2 step .. rho + 2 step, lies in the
     # domain: below 0 (was NaN), across the pole rho^2 = -lambda (was 2.3e7)
     "divergence_form_residual-stencil-below-0": lambda: LambdaOperator(
