@@ -33,12 +33,13 @@ from .means import (
     variance_profile,
 )
 from .operators import k_functional, lambda_from_speed, speed_bound
-from .quadrature import _scalar, angular_count
+from .quadrature import angular_count
 from .series import (
     HarmonicSeries,
     SeriesStack,
     _in_float_range,
     _member_orders,
+    _scalar,
     circle_grid_fields,
     require_lambda,
     require_mode,
@@ -55,15 +56,17 @@ MODULUS_LIMIT = 1.5
 # ---------------------------------------------------------------------------
 
 def nitsche_bound(R: float) -> float:
-    """The sharp bound (R + 1/R)/2 = cosh(log R)."""
+    """The sharp bound (R + 1/R)/2 = cosh(log R); like the bounds below, it
+    takes one number R in (1, inf) or raises ParameterDomainError."""
+    R = _scalar(R, "R")
     require_outer(R)
     return 0.5 * (R + 1.0 / R)
 
 
 def weitsman_bound(R: float) -> float:
     """Weitsman's bound 1 + log(R)^2 / (2 R^2); it tends to 1 as R grows."""
+    R = _scalar(R, "R")  # a Python float's ** raises OverflowError, numpy's warns
     require_outer(R)
-    R = float(R)  # a Python float's ** raises OverflowError, numpy's warns
     try:
         return 1.0 + 0.5 * math.log(R) ** 2 / R**2
     except OverflowError:  # R**2 past the float range: the bound rounds to 1
@@ -72,12 +75,14 @@ def weitsman_bound(R: float) -> float:
 
 def kalaj_bound(R: float) -> float:
     """Kalaj's bound 1 + log(R)^2 / 2."""
+    R = _scalar(R, "R")
     require_outer(R)
     return 1.0 + 0.5 * math.log(R) ** 2
 
 
 def condition_modulus(R: float) -> bool:
     """Whether the unconditional gate log(R) <= 3/2 holds."""
+    R = _scalar(R, "R")
     require_outer(R)
     return math.log(R) <= MODULUS_LIMIT + 1e-12
 
@@ -110,10 +115,13 @@ def gzbar_gate_margin(R: float, lam: float) -> float:
     Nonnegativity makes the weight on the anticonformal part of the
     gradient nonnegative on all of [1, R] (it is concave in rho and
     vanishes at rho = R).  For lam = 1 it holds up to R = e, and for lam = 0
-    up to R = 2.  Raises NumericOverflowError if the margin is not finite
-    (R past about 1e153).
+    up to R = 2.  Raises ParameterDomainError unless R and lam are single
+    numbers with 1 < R < inf and -1 < lam <= 1, and NumericOverflowError if
+    the margin is not finite (R past about 1e153).
     """
+    R, lam = _scalar(R, "R"), _scalar(lam, "lambda")
     require_outer(R)
+    require_lambda(lam)
     return _in_float_range("the anticonformal gate margin at R", R,
                            lambda R, lam: R**2 - 1.0 - (R**2 - lam) * math.log(R), R, lam)
 
@@ -157,12 +165,8 @@ def _require_modes(n, lowest: int, what: str) -> np.ndarray | int:
     """n as an int, or an array of ints, after checking that n is a mode
     number (require_mode) and that every mode is at least `lowest`."""
     require_mode(n)
-    if isinstance(n, int):
-        if n < lowest:
-            raise ParameterDomainError(what)
-        return n
-    n = np.asarray(n)
-    if (n < lowest).any():
+    n = n if isinstance(n, int) else np.asarray(n)
+    if n < lowest if isinstance(n, int) else (n < lowest).any():
         raise ParameterDomainError(what)
     return n
 
@@ -360,13 +364,14 @@ def conformal_injectivity_margin(h, R: float):
     return margin if margin.shape else float(margin)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchottkyReport:
     """Outcome of the conformal mean-radius and area checks on A(1, R).
 
     Each field but R and area_bound holds a Python scalar for a series and
-    an array with one entry per member for a SeriesStack, so two stacks'
-    reports are compared field by field, not by ==.
+    an array with one entry per member for a SeriesStack.  Reports compare
+    by identity, as a NaN field never equals itself and an array field has
+    no one truth value: compare two reports field by field.
 
     `injectivity_margin` is conformal_injectivity_margin(h, R).  A member
     with a positive margin is certified injective: it is not sampled, and
@@ -400,9 +405,6 @@ class SchottkyReport:
     jacobian_min: float
     windings_ok: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def schottky_check(h, R: float):

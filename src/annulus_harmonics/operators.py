@@ -60,19 +60,14 @@ from .means import (
     quadratic_mean_profile,
     variance_profile,
 )
-from .quadrature import (
-    _circle_means,
-    _field_means,
-    _is_scalar,
-    _scalar,
-    angular_count,
-    radial_integrate,
-)
+from .quadrature import _circle_means, _field_means, angular_count, radial_integrate
 from .series import (
     LAMBDA_MIN,
     HarmonicSeries,
     SeriesStack,
     _in_float_range,
+    _is_scalar,
+    _scalar,
     _shown,
     circle_angles,
     circle_fields,
@@ -171,12 +166,14 @@ def _on_jet(lam, r, den, value, d1, d2):
 def speed_bound(rho: float, lam: float) -> float:
     """Sharp lower bound (rho^2 + lam)/((1 + lam) rho) for the mean radius
     on C_rho of a normalized map whose initial speed gives lam; the mean
-    radius of h^lam itself.  Raises NumericOverflowError if it is not
-    finite."""
+    radius of h^lam itself.  Raises ParameterDomainError unless rho and lam
+    are single numbers in their domains, and NumericOverflowError if the
+    bound is not finite."""
+    rho, lam = _scalar(rho, "rho"), _scalar(lam, "lambda")
     require_radii(rho)
     require_lambda(lam)
     return _in_float_range("the speed bound at rho", rho,
-                           lambda r, lam: float((r**2 + lam) / ((1.0 + lam) * r)), rho, lam)
+                           lambda r, lam: (r**2 + lam) / ((1.0 + lam) * r), rho, lam)
 
 
 def lambda_from_speed(speed: float) -> float:
@@ -185,8 +182,11 @@ def lambda_from_speed(speed: float) -> float:
     The map is an involution: lam = (1 - speed) / (1 + speed).  Speeds >= 0
     map onto lam in (-1, 1]; negative speeds are rejected, and a speed so
     large (or infinite) that lam falls within the guard band LAMBDA_MIN of
-    -1 raises NumericOverflowError.
+    -1 raises NumericOverflowError, as does an int past the float range;
+    a speed that is not one number raises ParameterDomainError.
     """
+    if not _is_scalar(speed):  # not _scalar: a huge integer is an overflow here
+        raise ParameterDomainError(f"speed must be one number, got shape {np.shape(speed)}")
     if speed < 0.0:
         raise SpeedSignError(f"initial speed must be nonnegative, got {_shown(speed)}")
     lam = _in_float_range("the lambda (1 - s)/(1 + s) of the initial speed s", speed,
@@ -405,12 +405,14 @@ def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
         ( sqrt(U(s)),  (s^2 + lam) / ((1 + lam) s) )
 
     satisfies lhs >= rhs, with equality exactly for rotations of h^lam.
+    Raises ParameterDomainError unless s is one number with 1 < s < inf.
     """
     if not is_class_D(h):
         raise ParameterDomainError("normalization requires b0 = 0")
     u1 = float(quadratic_mean_profile(h).value(1.0))
     if abs(u1 - 1.0) > 1e-9:
         raise ParameterDomainError(f"normalization requires U(1) = 1, got {u1}")
+    s = _scalar(s, "s")
     require_outer(s)  # the outer radius of A(1, s)
     lam = lambda_from_speed(initial_speed(h))
     return mean_outer_radius(h, s), speed_bound(s, lam)

@@ -70,7 +70,9 @@ from .series import (
     _grid_fields,
     _in_float_range,
     _member_orders,
+    _is_scalar,
     _mode_spectrum,
+    _scalar,
     circle_grid_fields,
     require_radii,
 )
@@ -273,24 +275,6 @@ def enclosed_area(h: HarmonicSeries, rho: float) -> float:
     Equals pi times the circle mean of Im(conj(h) * h_theta).
     """
     return float(np.pi * _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[5])
-
-
-def _is_scalar(x) -> bool:
-    """Whether x is one number (a Python or numpy scalar, or a 0-d array)."""
-    return isinstance(x, (float, int)) or np.ndim(x) == 0
-
-
-def _scalar(x, name: str) -> float:
-    """x as a Python float, a float passing as is; ParameterDomainError
-    unless x is one number within the float range."""
-    if type(x) is not float:
-        if not _is_scalar(x):
-            raise ParameterDomainError(f"{name} must be one number, got shape {np.shape(x)}")
-        try:
-            x = float(x)
-        except OverflowError:  # an integer too large for a float
-            raise ParameterDomainError(f"{name} lies outside the float range") from None
-    return x
 
 
 # The radial rule.  _RADIAL_RHOS are the Bernstein-ellipse parameters tried,

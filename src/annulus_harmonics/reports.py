@@ -81,13 +81,12 @@ from .quadrature import enclosed_area
 from .sampling import (
     SamplerConfig,
     _MASK32,
-    _require_seed,
     injectivity_probe,
     normalize_inner,
     random_conformal_perturbation,
     random_series_stack,
 )
-from .series import SeriesStack, extremal_map
+from .series import SeriesStack, _require_int, extremal_map
 
 E = math.e
 E32 = math.exp(1.5)
@@ -149,7 +148,7 @@ class DrawPlan:
     trials: int
 
     def __post_init__(self) -> None:
-        _require_seed(self.seed)
+        _require_int(self.seed, "seed")
         if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
             raise ParameterDomainError(f"trials must be an integer, got {self.trials!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
@@ -573,7 +572,7 @@ def conformal_weights(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
 
 def bound_ordering(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     violation = []
-    for R in np.linspace(1.001, 20.0, 400):
+    for R in np.linspace(1.001, 20.0, 400).tolist():  # floats skip the number rule
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
         violation.append((w - k, k - n))
     return [_check(

@@ -14,8 +14,10 @@ member; but `_streams` has a fixed cost of roughly a tenth of a
 millisecond, the cost of seven or eight generators (~15 us each), so one-off
 series keep their generator.  A one-off series takes a SamplerConfig; a
 stack takes its members' seeds and orders as arrays and one decay (or one
-per member), checked once by SamplerConfig's rules, so a caller that draws
-them as arrays builds no config per member.
+per member), so a caller that draws them as arrays builds no config per
+member.  Both are checked by one sampler rule (_require_draws), a config
+as the stack of its one member, and both lay their drawn rows out as a, b,
+a0, b0 by one function (_laid_out).
 
 The Schottky conformal family (random_conformal_perturbation) perturbs the
 modes CONFORMAL_MODES by at most CONFORMAL_EPS each, and the injectivity
@@ -34,20 +36,15 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import (
-    PROBE_ANGLES,
-    PROBE_BLOCK_POINTS,
-    PROBE_CIRCLES,
-    PROBE_RADII,
-    _scalar,
-    winding_counts,
-)
+from .quadrature import PROBE_ANGLES, PROBE_BLOCK_POINTS, PROBE_CIRCLES, PROBE_RADII, winding_counts
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
     SeriesStack,
     _in_float_range,
     _index,
+    _require_int,
+    _scalar,
     circle_grid_fields,
     extremal_map,
     require_mode,
@@ -62,7 +59,8 @@ class SamplerConfig:
 
     Coefficient magnitudes for mode n are at most decay**|n| with uniform
     phases, so decay controls how tame the series stays at large radii: on
-    A(1, R) keep decay*R below 1 for tight identity tolerances.
+    A(1, R) keep decay*R below 1 for tight identity tolerances.  The
+    constructor checks them as a stack of one, by the sampler rule.
     """
 
     seed: int
@@ -70,15 +68,7 @@ class SamplerConfig:
     decay: float = 0.6
 
     def __post_init__(self) -> None:
-        _require_seed(self.seed)
-        if self.N < 1:
-            raise ParameterDomainError("N must be >= 1")
-        if self.N > MAX_JSON_ORDER:
-            raise ParameterDomainError(
-                f"N={self.N} exceeds the largest order a series file may "
-                f"hold, {MAX_JSON_ORDER}")
-        if not (0.0 < self.decay < 1.0):
-            raise ParameterDomainError("decay must lie in (0, 1)")
+        _require_draws([self.seed], [self.N], [self.decay])
 
 
 @lru_cache(maxsize=64)
@@ -92,13 +82,24 @@ def _scales(N: int, decay: float) -> np.ndarray:
     return scales
 
 
-def _require_seed(seed) -> None:
-    """A seed is a nonnegative integer (a Python or numpy int, not a bool)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+def _require_draws(seeds, orders, decay) -> tuple[np.ndarray, list[float]]:
+    """The sampler rule, of SamplerConfig and random_series_stack:
+    ParameterDomainError unless seeds and orders hold one integer per
+    member, each seed >= 0 and order in 1..MAX_JSON_ORDER, and decay is one
+    float in (0, 1) or one per member.  Returns orders and decays checked."""
+    given, orders, decay = orders, np.asarray(orders), np.asarray(decay)
+    if orders.ndim != 1 or len(seeds) != orders.size or decay.shape not in ((), orders.shape) \
+            or orders.size and orders.dtype.kind not in "iu":
         raise ParameterDomainError(
-            f"seed must be a nonnegative integer, got {type(seed).__name__} {seed!r}")
-    if seed < 0:
-        raise ParameterDomainError(f"seed must be >= 0, got {seed}")
+            "seeds and orders must be one integer per member, and decay one "
+            "number or one per member")
+    decays = decay.ravel().tolist()
+    if decay.dtype.kind != "f" or not all(0.0 < d < 1.0 for d in decays):
+        raise ParameterDomainError("decay must lie in (0, 1)")
+    for seed, N in zip(seeds, given):  # as given: numpy reads a bool among ints as 1
+        _require_int(seed, "seed")
+        _require_int(N, "truncation order N", 1, MAX_JSON_ORDER)
+    return orders, decays
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +235,15 @@ def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:
     return scales * u[:, 0] * np.exp(2j * np.pi * u[:, 1])
 
 
+def _laid_out(table: np.ndarray, N: int) -> tuple:
+    """a, b (B, 2N) and a0, b0 (B,) from the rows of _coefficients, one
+    member per row of `table` (B, 4N + 2)."""
+    B = table.shape[0]
+    # ab[i, t, s, n-1]: t = 0, 1 for a, b and s = 0, 1 for modes n, -n
+    ab = table[:, :4 * N].reshape(B, N, 2, 2).transpose(0, 3, 2, 1).reshape(B, 2, 2 * N)
+    return ab[:, 0], ab[:, 1], table[:, 4 * N], table[:, -1]
+
+
 def random_series(config: SamplerConfig) -> HarmonicSeries:
     """Deterministic pseudo-random series for the given config.
 
@@ -242,14 +252,10 @@ def random_series(config: SamplerConfig) -> HarmonicSeries:
     from np.random.default_rng(config.seed); one draw of the whole table
     gives the same stream as drawing them singly.
     """
-    scales = _scales(config.N, config.decay)
+    scales = _scales(config.N, float(config.decay))  # keyed as the stack keys it
     u = np.random.default_rng(config.seed).random((scales.size, 2))
-    coeffs = _coefficients(scales, u)
-    N = config.N
-    # table[n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
-    table = coeffs[:4 * N].reshape(N, 2, 2)
-    return HarmonicSeries(N=N, a=table[:, :, 0].T.ravel(), b=table[:, :, 1].T.ravel(),
-                          a0=coeffs[4 * N], b0=coeffs[-1])
+    a, b, a0, b0 = _laid_out(_coefficients(scales, u)[None], config.N)
+    return HarmonicSeries(N=config.N, a=a[0], b=b[0], a0=a0[0], b0=b0[0])
 
 
 def random_series_stack(seeds: Sequence[int], orders, decay) -> SeriesStack:
@@ -258,44 +264,26 @@ def random_series_stack(seeds: Sequence[int], orders, decay) -> SeriesStack:
     those coefficients, its uniforms drawn by _streams with the bits of its
     own generator.  `decay` is one number for every member or an array of
     one per member.  The arguments are checked once, as arrays, by the
-    rules of SamplerConfig (ParameterDomainError), and the three must have
-    one length.  No seeds give the empty stack of order 0."""
-    orders, decay = np.asarray(orders), np.asarray(decay)
-    for seed in seeds:
-        _require_seed(seed)
-    if orders.ndim != 1 or len(seeds) != orders.size or decay.shape not in ((), orders.shape) \
-            or orders.size and orders.dtype.kind not in "iu":
-        raise ParameterDomainError(
-            "seeds and orders must be one integer per member, and decay one "
-            "number or one per member")
-    if decay.dtype.kind != "f" or not ((decay > 0.0) & (decay < 1.0)).all():
-        raise ParameterDomainError("decay must lie in (0, 1)")
+    sampler rule of SamplerConfig (_require_draws): a member is refused
+    exactly when its config is.  No seeds give the empty stack of order 0."""
+    orders, decays = _require_draws(seeds, orders, decay)
     if not orders.size:
         return SeriesStack.of([])
-    B, N = orders.size, int(orders.max())
-    if orders.min() < 1:
-        raise ParameterDomainError("N must be >= 1")
-    if N > MAX_JSON_ORDER:
-        raise ParameterDomainError(
-            f"N={N} exceeds the largest order a series file may hold, {MAX_JSON_ORDER}")
+    N = int(orders.max())
     # Each member's rows, padded to the 4N mode rows of the largest N and
     # the two rows a0 and b0: a mask's true entries run in row-major order,
     # so one masked assignment places every member's rows, and the same
     # mask picks each member's scales from the rows of the largest N.
     present = np.arange(4 * N + 2) < 4 * orders[:, None]
     present[:, -2:] = True
-    scales = np.broadcast_to(np.stack([_scales(N, d) for d in decay.ravel().tolist()]),
-                             present.shape)
+    scales = np.broadcast_to(np.stack([_scales(N, d) for d in decays]), present.shape)
     coeffs = _coefficients(scales[present],
                            _streams(seeds, 2 * (4 * orders + 2)).reshape(-1, 2))
     table = np.zeros(present.shape, dtype=np.complex128)
     table[present] = coeffs
     del coeffs, present  # the stack's copies need the room
-    # modes[i, n-1, s, t]: s = 0, 1 for modes n, -n and t = 0, 1 for a, b
-    modes = table[:, :4 * N].reshape(B, N, 2, 2)
-    return SeriesStack(N=N, a=modes[..., 0].transpose(0, 2, 1).reshape(B, 2 * N),
-                       b=modes[..., 1].transpose(0, 2, 1).reshape(B, 2 * N),
-                       a0=table[:, 4 * N], b0=table[:, -1])
+    a, b, a0, b0 = _laid_out(table, N)
+    return SeriesStack(N=N, a=a, b=b, a0=a0, b0=b0)
 
 
 def normalize_inner(h):
@@ -353,7 +341,7 @@ def random_conformal_perturbation(seed):
     """
     seeds = list(seed) if np.ndim(seed) else [seed]
     for s in seeds:
-        _require_seed(s)
+        _require_int(s, "seed")
     count = len(CONFORMAL_MODES)
     u = np.empty((len(seeds), 2 * count + 1))
     if seeds:

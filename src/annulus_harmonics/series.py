@@ -72,19 +72,10 @@ LAMBDA_MIN = -1.0 + 1e-9
 # No report depends on this size.
 SERIES_PER_CHUNK = 64
 
-
-def _coeff_array(values, N: int, name: str) -> np.ndarray:
-    """A read-only copy of `values` as 2N complex coefficients (None = 0)."""
-    arr = (np.zeros(2 * N, dtype=np.complex128) if values is None
-           else np.array(values, dtype=np.complex128))
-    if arr.shape != (2 * N,):
-        raise ParameterDomainError(
-            f"{name} must hold 2N={2 * N} coefficients, one per mode "
-            f"1..N, -1..-N; got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ParameterDomainError(f"{name} contains a non-finite coefficient")
-    arr.setflags(write=False)
-    return arr
+# Largest truncation order read from JSON or drawn by the sampler, checked
+# before any array is allocated, so a malformed file cannot ask for an
+# arbitrarily large series.
+MAX_JSON_ORDER = 4096
 
 
 @lru_cache(maxsize=64)
@@ -118,6 +109,8 @@ class HarmonicSeries:
             arrays; None means all zero.
         a0: coefficient of log|z|.
         b0: constant term.
+
+    The constructor checks N by _require_int and a, b by _coeff_array.
     """
 
     N: int
@@ -127,10 +120,9 @@ class HarmonicSeries:
     b0: complex = 0j
 
     def __post_init__(self) -> None:
-        if self.N < 0:
-            raise ParameterDomainError("truncation order N must be >= 0")
-        object.__setattr__(self, "a", _coeff_array(self.a, self.N, "a"))
-        object.__setattr__(self, "b", _coeff_array(self.b, self.N, "b"))
+        _require_int(self.N, "truncation order N")
+        object.__setattr__(self, "a", _coeff_array(self.a, (2 * self.N,), "a"))
+        object.__setattr__(self, "b", _coeff_array(self.b, (2 * self.N,), "b"))
         a0 = complex(self.a0)
         b0 = complex(self.b0)
         if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
@@ -162,6 +154,7 @@ class HarmonicSeries:
         inferred = max(modes) if modes else 0
         if N is None:
             N = inferred
+        _require_int(N, "truncation order N")
         if inferred > N:
             raise ParameterDomainError(f"mode {inferred} exceeds N={N}")
         arrays = np.zeros((2, 2 * N), dtype=np.complex128)
@@ -194,10 +187,10 @@ class SeriesStack:
             HarmonicSeries.
         a0, b0: shape (B,).
 
-    The constructor copies the arrays and checks their shapes and that
-    every coefficient is finite; indexing (a slice, or an index or mask
-    array) copies the selected members without checking them again.  Equality
-    and hashing are by identity, as for HarmonicSeries.
+    The constructor checks N and copies each array by the rules of
+    HarmonicSeries; indexing (a slice, or an index or mask array) copies the
+    selected members without checking them again.  Equality and hashing are
+    by identity, as for HarmonicSeries.
     """
 
     N: int
@@ -207,25 +200,11 @@ class SeriesStack:
     b0: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.N < 0:
-            raise ParameterDomainError("truncation order N must be >= 0")
-        a0 = np.array(self.a0, dtype=np.complex128)
-        if a0.ndim != 1:
-            raise ParameterDomainError("a0 of a stack must hold one entry per member")
-        B = a0.shape[0]
-        arrays = {"a": np.array(self.a, dtype=np.complex128),
-                  "b": np.array(self.b, dtype=np.complex128),
-                  "a0": a0, "b0": np.array(self.b0, dtype=np.complex128)}
-        for name, arr in arrays.items():
-            want = (B, 2 * self.N) if name in ("a", "b") else (B,)
-            if arr.shape != want:
-                raise ParameterDomainError(
-                    f"{name} of a stack must have shape {want} with one row "
-                    f"per member; got {arr.shape}")
-            if not np.all(np.isfinite(arr.view(np.float64))):
-                raise ParameterDomainError(f"{name} contains a non-finite coefficient")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _require_int(self.N, "truncation order N")
+        B = np.size(self.a0)  # an a0 of another shape than (B,) fails its rule
+        for name, shape in (("a", (B, 2 * self.N)), ("b", (B, 2 * self.N)),
+                            ("a0", (B,)), ("b0", (B,))):
+            object.__setattr__(self, name, _coeff_array(getattr(self, name), shape, name))
 
     @classmethod
     def of(cls, members) -> "SeriesStack":
@@ -283,9 +262,59 @@ class SeriesStack:
                               a0=self.a0[i], b0=self.b0[i])
 
 
-# Domain rules: every check of R, lambda or rho calls one of these.  NaN fails
-# every comparison, so each test passes only inside the domain.  Likewise every
-# closed form that can leave the float range returns through _in_float_range.
+# Input rules, one per kind: an integer (a truncation order or a seed), the
+# coefficients, one number, and R, lambda, rho or a mode number
+# (require_*).  NaN fails every comparison, so each domain test passes only
+# inside the domain.  Likewise every closed form that can leave the float
+# range returns through _in_float_range.
+
+def _require_int(x, name: str, lowest: int = 0, highest: int | None = None) -> None:
+    """Raise ParameterDomainError unless x is an integer (a Python or numpy
+    int, not a bool) in lowest..highest: a seed, or a truncation order N
+    (at most MAX_JSON_ORDER in a series file or a drawn series)."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ParameterDomainError(
+            f"{name} must be an integer, got {type(x).__name__} {_shown(x)}")
+    if x < lowest:
+        raise ParameterDomainError(f"{name} must be >= {lowest}, got {_shown(x)}")
+    if highest is not None and x > highest:
+        raise ParameterDomainError(f"{name}={_shown(x)} exceeds {highest}")
+
+
+def _coeff_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """A read-only copy of `values` as complex coefficients of the given
+    shape (None = all zero): (2N,) for a series' a and b, (B, 2N) and (B,)
+    for a stack's; ParameterDomainError unless finite numbers of the shape."""
+    try:
+        arr = (np.zeros(shape, dtype=np.complex128) if values is None
+               else np.array(values, dtype=np.complex128))
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterDomainError(f"{name} must hold complex numbers") from None
+    if arr.shape != shape:
+        raise ParameterDomainError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise ParameterDomainError(f"{name} contains a non-finite coefficient")
+    arr.setflags(write=False)
+    return arr
+
+
+def _is_scalar(x) -> bool:
+    """Whether x is one number (a Python or numpy scalar, or a 0-d array)."""
+    return isinstance(x, (float, int)) or np.ndim(x) == 0
+
+
+def _scalar(x, name: str) -> float:
+    """x as a Python float, a float passing as is; ParameterDomainError
+    unless x is one number within the float range."""
+    if type(x) is not float:
+        if not _is_scalar(x):
+            raise ParameterDomainError(f"{name} must be one number, got shape {np.shape(x)}")
+        try:
+            x = float(x)
+        except OverflowError:  # an integer too large for a float
+            raise ParameterDomainError(f"{name} lies outside the float range") from None
+    return x
+
 
 def _within(x, lo: float, hi: float, hi_closed: bool = False) -> bool:
     """Whether x, a scalar or an array, lies in (lo, hi) (or (lo, hi]); a
@@ -564,8 +593,10 @@ def extremal_map(lam: float) -> HarmonicSeries:
 
     Its only nonzero mode is n = 1 with a_1 = 1/(1+lam), b_1 = lam/(1+lam).
     lam = 0 gives the identity and lam = 1 the critical map whose Jacobian
-    vanishes on the unit circle.
+    vanishes on the unit circle.  Raises ParameterDomainError unless lam
+    is one number in (-1, 1].
     """
+    lam = _scalar(lam, "lambda")
     require_lambda(lam)
     return HarmonicSeries.from_coeffs(
         N=1, a={1: 1.0 / (1.0 + lam)}, b={1: lam / (1.0 + lam)}
@@ -591,10 +622,6 @@ def scale_rotate(h, alpha):
 # ---------------------------------------------------------------------------
 
 _JSON_KEYS = ("a_pos", "b_pos", "a_neg", "b_neg")
-
-# Largest truncation order accepted from JSON, checked before any array is
-# allocated, so a malformed file cannot ask for an arbitrarily large series.
-MAX_JSON_ORDER = 4096
 
 
 def _is_number(v) -> bool:
@@ -652,12 +679,9 @@ def from_json_dict(data: Mapping) -> HarmonicSeries:
     if "N" not in data:
         raise ParameterDomainError("series JSON must contain N")
     N = data["N"]
-    if not _is_number(N) or (isinstance(N, float) and not N.is_integer()):
-        raise ParameterDomainError(f"N must be an integer, got {N!r}")
-    N = int(N)
-    if not 0 <= N <= MAX_JSON_ORDER:
-        raise ParameterDomainError(
-            f"N={N} lies outside the orders read from JSON, 0..{MAX_JSON_ORDER}")
+    if isinstance(N, float) and N.is_integer():
+        N = int(N)  # JSON may write an integral order as 2.0
+    _require_int(N, "truncation order N", highest=MAX_JSON_ORDER)
     a_pos, b_pos, a_neg, b_neg = (_json_half(data, key, N) for key in _JSON_KEYS)
     return HarmonicSeries(
         N=N,

@@ -173,6 +173,23 @@ def test_stack_checks_shapes_and_finiteness():
         SeriesStack(N=1, a=np.zeros(2), b=np.zeros(2), a0=0, b0=0)
 
 
+def test_stack_and_series_coefficients_are_numbers():
+    """Both read their coefficients through one rule, which refuses what
+    numpy cannot read as complex numbers with a typed error."""
+    with pytest.raises(ParameterDomainError, match="a must hold complex numbers"):
+        SeriesStack(N=1, a=[["x", 0]], b=[[0, 0]], a0=[0], b0=[0])
+    with pytest.raises(ParameterDomainError, match="b0 must hold complex numbers"):
+        SeriesStack(N=1, a=[[0, 0]], b=[[0, 0]], a0=[0], b0=[[0], [0, 1]])
+    with pytest.raises(ParameterDomainError, match="b must hold complex numbers"):
+        HarmonicSeries(N=1, b=[10**400, 0])
+
+
+@pytest.mark.parametrize("index", [0, np.array([[0, 1]])], ids=["int", "2-d"])
+def test_stack_index_must_select_a_1d_run_of_members(index):
+    with pytest.raises(IndexError, match="1-d run"):
+        STACK[index]
+
+
 def test_integer_parameters_stay_on_the_scalar_path():
     U = quadratic_mean_profile(MEMBERS[1])
     for got in (k_functional(U, 1, 2), k_endpoint(MEMBERS[1], 0, 2)):

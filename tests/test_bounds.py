@@ -1,6 +1,7 @@
 """Scalar bounds, certificates, gates, the conformal refinement and probes."""
 
 import dataclasses
+import json
 import math
 import warnings
 
@@ -291,6 +292,18 @@ def report_fields(report, i=None):
             for name, value in fields.items()}
 
 
+def test_schottky_reports_compare_by_identity_and_field_by_field():
+    """A report equals itself only; two reports of one input agree field by
+    field, also where a field is NaN (a series that is not applicable) or
+    an array (a stack)."""
+    for h in (extremal_map(1.0), SeriesStack.of([extremal_map(1.0), IDENTITY])):
+        first, again = schottky_check(h, 2.0), schottky_check(h, 2.0)
+        assert first == first and first != again and len({first, again}) == 2
+        for i in ([None] if isinstance(h, HarmonicSeries) else range(len(h))):
+            assert report_fields(first, i) == report_fields(again, i)
+    assert not hasattr(first, "to_dict")
+
+
 def test_schottky_rotation_equality():
     h = scale_rotate(IDENTITY, complex(math.cos(1.1), math.sin(1.1)))
     report = schottky_check(h, 2.0)
@@ -555,6 +568,14 @@ def test_uniqueness_probe_quadratic_gap():
     assert min(report.gaps) > 0.0
     assert report.loglog_slope == pytest.approx(2.0, abs=0.1)
     assert report.const_term_breaks_class
+
+
+def test_uniqueness_report_dict_is_plain_json():
+    """Python floats, tuples of them and a bool: the dict survives JSON."""
+    report = uniqueness_probe(E)
+    assert json.loads(json.dumps(report.to_dict())) == {
+        name: list(value) if isinstance(value, tuple) else value
+        for name, value in dataclasses.asdict(report).items()}
 
 
 def test_gate_degenerate_series_not_applicable():

@@ -177,6 +177,16 @@ def test_check_not_applicable(tmp_path, capsys):
     assert json.loads(out)["report"]["verdict"] == "not-applicable"
 
 
+def test_evolve_series_of_negative_speed_is_not_applicable(tmp_path, capsys):
+    """z^-1 has U = rho^-2 and initial speed -1: no speed bound applies."""
+    path = tmp_path / "inverse.json"
+    save_series(HarmonicSeries.from_coeffs(a={-1: 1.0}), path)
+    code = main(["evolve", "--series", str(path), "--R", "2.0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "not applicable: negative initial speed\n"
+
+
 def test_check_missing_file(tmp_path, capsys):
     code, _ = run(capsys, "check", "--series", str(tmp_path / "nope.json"),
                   "--R", "2.0")

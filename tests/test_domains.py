@@ -1,10 +1,11 @@
-"""Domain rules: an outer radius R, a lambda or a circle radius rho outside
+"""Input rules: an outer radius R, a lambda or a circle radius rho outside
 its domain, NaN and infinity included, an integer past the float range, an
-array where one number is expected, a mode number that is not an integer,
-or circle angles other than a grid circle_angles(M), raises
-ParameterDomainError instead of returning NaN or failing inside the
-arithmetic; finite arguments whose result overflows raise
-NumericOverflowError."""
+array where one number is expected, a mode number or truncation order that
+is not an integer, coefficients that are not finite numbers of the right
+shape, sampler arguments its rule refuses, or circle angles other than a
+grid circle_angles(M), raises ParameterDomainError instead of returning NaN
+or failing inside the arithmetic; finite arguments whose result overflows
+raise NumericOverflowError."""
 
 import math
 
@@ -47,6 +48,7 @@ from annulus_harmonics import (
     winding_number,
 )
 from annulus_harmonics.bounds import (
+    condition_modulus,
     gz_weight,
     gzbar_gate_margin,
     mode_form_certificate,
@@ -64,7 +66,9 @@ from annulus_harmonics.operators import (
 from annulus_harmonics.reports import MAX_TRIALS, DrawPlan, run_suite
 from annulus_harmonics.sampling import SamplerConfig, random_series, random_series_stack
 from annulus_harmonics.series import (
+    SeriesStack,
     _in_float_range,
+    from_json_dict,
     circle_angles,
     circle_fields,
     circle_grid_fields,
@@ -172,6 +176,44 @@ CASES = {
     "mode_form_certificate_expanded-float": lambda: mode_form_certificate_expanded(2.5, 2.0),
     "mode_form_certificate-array-floats":
         lambda: mode_form_certificate(np.array([2.0, 2.5]), 3.0),
+    "mode_form_coeffs-0": lambda: mode_form_coeffs(0, 2.0),
+    # the scalar bounds take one number (numpy TypeError or ValueError, or an
+    # array returned, before they read it through the number rule)
+    "nitsche_bound-array": lambda: nitsche_bound(np.array([2.0, 3.0])),
+    "weitsman_bound-array": lambda: weitsman_bound(np.array([2.0, 3.0])),
+    "kalaj_bound-array": lambda: kalaj_bound(np.array([2.0, 3.0])),
+    "condition_modulus-array": lambda: condition_modulus(np.array([2.0, 3.0])),
+    "gzbar_gate_margin-R-array": lambda: gzbar_gate_margin(np.array([2.0, 3.0]), 0.5),
+    "gzbar_gate_margin-lambda-array": lambda: gzbar_gate_margin(2.0, np.array([0.5, 1.0])),
+    "gzbar_gate_margin-lambda-5": lambda: gzbar_gate_margin(2.0, 5.0),
+    "speed_bound-rho-array": lambda: speed_bound(np.array([1.5, 2.0]), 0.5),
+    "speed_bound-lambda-array": lambda: speed_bound(1.5, np.array([0.5, 0.2])),
+    "lambda_from_speed-array": lambda: lambda_from_speed(np.array([0.5, 1.0])),
+    "extremal_map-array": lambda: extremal_map(np.array([0.5, 0.2])),
+    "evolution_lower_bound-s-array": lambda: evolution_lower_bound(H, np.array([1.5, 2.0])),
+    # a truncation order is an integer (not a bool) >= 0, and >= 1 to draw
+    "HarmonicSeries-N-1.5": lambda: HarmonicSeries(N=1.5),
+    "HarmonicSeries-N-2.0": lambda: HarmonicSeries(N=2.0, a=np.zeros(4), b=np.zeros(4)),
+    "HarmonicSeries-N-bool": lambda: HarmonicSeries(N=True),
+    "HarmonicSeries-N--1": lambda: HarmonicSeries(N=-1),
+    "from_coeffs-N--1": lambda: HarmonicSeries.from_coeffs(N=-1),
+    "SeriesStack-N-1.5": lambda: SeriesStack(N=1.5, a=np.zeros((1, 3)), b=np.zeros((1, 3)),
+                                             a0=[0j], b0=[0j]),
+    "SeriesStack-N-bool": lambda: SeriesStack(N=True, a=np.zeros((1, 2)), b=np.zeros((1, 2)),
+                                              a0=[0j], b0=[0j]),
+    "SeriesStack-N--1": lambda: SeriesStack(N=-1, a=np.zeros((1, 0)), b=np.zeros((1, 0)),
+                                            a0=[0j], b0=[0j]),
+    "SamplerConfig-N-bool": lambda: SamplerConfig(seed=1, N=True),
+    "SamplerConfig-N-float": lambda: SamplerConfig(seed=1, N=4.0),
+    "SamplerConfig-N-float64": lambda: SamplerConfig(seed=1, N=np.float64(4.0)),
+    "SamplerConfig-decay-array": lambda: SamplerConfig(seed=1, decay=np.array([0.5, 0.6])),
+    "SamplerConfig-decay-array-of-one": lambda: SamplerConfig(seed=1, decay=np.array([0.5])),
+    "from_json_dict-no-N": lambda: from_json_dict({}),
+    # coefficients are finite numbers, and mode 0 and modes past N have none
+    "HarmonicSeries-a-strings": lambda: HarmonicSeries(N=1, a=["x", "y"]),
+    "HarmonicSeries-a0-nan": lambda: HarmonicSeries(N=1, a0=NAN),
+    "from_coeffs-mode-0": lambda: HarmonicSeries.from_coeffs(a={0: 1.0}),
+    "from_coeffs-mode-past-N": lambda: HarmonicSeries.from_coeffs(N=1, a={2: 1.0}),
     # a seed and a trial count are integers, not floats, strings or bools
     "run_suite-seed-float": lambda: run_suite("all", 1.5, 1),
     "run_suite-seed-str": lambda: run_suite("all", "3", 1),

@@ -430,6 +430,18 @@ def test_initial_speed_degenerate():
         initial_speed(pure_log)
 
 
+def test_mean_outer_radius_of_an_array_of_radii_is_the_per_radius_calls():
+    """A series takes an array of radii, and a stack one radius per member;
+    each entry equals the call at that radius alone."""
+    h = random_series(SamplerConfig(seed=3, N=4))
+    R = np.array([1.5, 2.0, 3.0])
+    assert np.array_equal(mean_outer_radius(h, R),
+                          [mean_outer_radius(h, r) for r in R.tolist()])
+    stack = SeriesStack.of([h, extremal_map(0.5), random_series(SamplerConfig(seed=4, N=2))])
+    assert np.array_equal(mean_outer_radius(stack, R),
+                          [mean_outer_radius(stack.series(i), r) for i, r in enumerate(R.tolist())])
+
+
 def test_mean_outer_radius_examples():
     assert mean_outer_radius(CRITICAL, 2.0) == pytest.approx(1.25)
     assert mean_outer_radius(IDENTITY, 3.7) == pytest.approx(3.7)

@@ -690,3 +690,15 @@ def test_radial_nonconvergence_raises():
 
     with pytest.raises(QuadratureConvergenceError):
         radial_integrate(lambda r: np.sin(1e6 * r * r), 1.0, 2.0, 4e6)
+
+
+def test_radial_interval_reaching_the_pole_raises():
+    """[0.5, 2] holds r^2 = -lambda = 0.9, the pole of the K weights: no
+    rule has a bound there, so the rule raises without calling the
+    integrand."""
+    from annulus_harmonics import QuadratureConvergenceError
+
+    calls = []
+    with pytest.raises(QuadratureConvergenceError):
+        radial_integrate(lambda r: calls.append(r) or r, 0.5, 2.0, 2, -0.9)
+    assert not calls

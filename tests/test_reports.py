@@ -272,6 +272,11 @@ def test_generator_before_a_word_draws_it():
         assert generator_before(word).bit_generator.random_raw() == word
 
 
+def test_unknown_suite_name_is_a_key_error_naming_the_suites():
+    with pytest.raises(KeyError, match="unknown suite 'nope'.*'schottky'"):
+        reports.run_suite("nope", 0, 1)
+
+
 def buffered(rng):
     """The generator after one 32-bit order draw: a high half is buffered."""
     rng.integers(0, 5)

@@ -101,6 +101,10 @@ REFUSED_MEMBERS = {
     "float-seed": ((1.0, 4, 0.5), "seed"),
     "order-0": ((2, 0, 0.5), "N must be"),
     "order-past-max": ((2, MAX_JSON_ORDER + 1, 0.5), "exceeds"),
+    # among integer orders numpy reads a bool as 1 and keeps a float a float
+    "bool-order": ((2, True, 0.5), "integer"),
+    "float-order": ((2, 4.0, 0.5), "integer"),
+    "float64-order": ((2, np.float64(4.0), 0.5), "integer"),
     "decay-1": ((2, 4, 1.0), "decay"),
     "decay-nan": ((2, 4, np.nan), "decay"),
 }
@@ -124,6 +128,20 @@ def test_stack_refuses_a_member_sampler_config_refuses(member, word):
 def test_stack_refuses_arguments_of_other_lengths_or_types(args):
     with pytest.raises(ParameterDomainError, match="one integer per member"):
         random_series_stack(*args)
+
+
+def test_a_numpy_decay_draws_as_its_python_float():
+    """random_series keys its scale memo by the decay's Python float, as
+    the stack does: a float32 decay draws the same bits whichever decay the
+    memo saw first (float32 powers, once), and a 0-d array decay draws."""
+    decay = np.float32(0.6)
+    sampling._scales.cache_clear()
+    want = dumps_series(random_series(SamplerConfig(5, 6, float(decay))))
+    for given in (decay, np.array(decay)):
+        sampling._scales.cache_clear()
+        assert dumps_series(random_series(SamplerConfig(5, 6, given))) == want
+    assert np.array_equal(random_series_stack([5], [6], decay).a[0],
+                          random_series(SamplerConfig(5, 6, decay)).a)
 
 
 def test_numpy_integer_seeds_draw_as_python_ints():
