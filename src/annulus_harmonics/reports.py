@@ -1,15 +1,19 @@
 """Verification criteria and the named suites that run them.
 
-A criterion is one checkable statement of the paper's argument, coded once
-as a function `criterion(plan, tol) -> list[CheckResult]`.  It draws
-what it needs, runs an independent numerical comparison (closed form
-against quadrature, or a positivity scan over a grid) and reports each
-residual together with the tolerance it must meet; `tol` is the full
-tolerance table (`DEFAULT_TOLERANCES` with any overrides).  The
-quadratures run on the one fixed policy of the quadrature module, so the
-tolerances are the only numbers a caller can change.  A criterion
-returns several checks when they share draws, so no draw is evaluated
-twice.
+A check is one checkable statement of the paper's argument, declared once,
+as the row of CHECKS under its report name: the statement, the tolerance (a
+`DEFAULT_TOLERANCES` key, which a `--tol-*` flag overrides, or a fixed
+number that no flag changes) and the gate, the largest residual/tolerance
+(`gate_ratio`) that the seed sweep of CI accepts.  A criterion, coded once
+as a function `criterion(plan, tol) -> list[CheckResult]`, draws what it
+needs, runs an independent numerical comparison (closed form against
+quadrature, or a positivity scan over a grid) and hands each of its checks
+the residuals to `_check`, which reads the statement and the tolerance from
+the check's row; `tol` is the full tolerance table (`DEFAULT_TOLERANCES`
+with any overrides).  The quadratures run on the one fixed policy of the
+quadrature module, so the tolerances are the only numbers a caller can
+change.  A criterion returns several checks when they share draws, so no
+draw is evaluated twice.
 
 `plan` is a `DrawPlan`: the seed and the number of trials (the
 criterion's outer draws, as a rule one series each).  Each criterion draws
@@ -59,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,6 +130,135 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 }
 
 
+class Check(NamedTuple):
+    """The declaration of one check: what it states, its tolerance (a
+    DEFAULT_TOLERANCES key, or a fixed number that no flag changes) and its
+    gate, the largest gate_ratio that the seed sweep of CI accepts."""
+
+    statement: str
+    tolerance: str | float
+    gate: float
+
+
+# Every check of `verify`, under its report name.  A gate sits far below the
+# tolerance, so a check drifting toward its tolerance fails the sweep of
+# seeds 0-59 first.  A gate is 10 times the worst ratio on those seeds when
+# it was set (in brackets), rounded up to 1, 2 or 5 x 10^k but at most 0.5,
+# or 1e-2 for a check that read 0 then; except 1e-2 for the radial-quadrature
+# checks (1.3e-3 at most when set), where a weakened quadrature bound shows
+# long before a tolerance is reached, and for the circle checks (1.4e-4 at
+# most), where a circle rule too short to be exact aliases at O(1); and 0.1
+# for inner-area-limit, the one check taken by the scalar enclosed_area.
+CHECKS: dict[str, Check] = {
+    "extremal-annihilation": Check(
+        "L_lam applied to the quadratic mean of h^lam vanishes on (1, e^1.5]",
+        "annihilation", 0.2),  # [1.53e-2]
+    "gradient-form-identity": Check(
+        "L_lam[U] equals 2*mean(|Dh|^2 - radial flux of the weighted square)",
+        "identity", 1e-2),  # circle
+    "angular-form-identity": Check(
+        "L_lam[U] equals (2/rho^2)*mean(|h_theta|^2 - |h|^2 + stretched square)",
+        "identity", 1e-2),  # circle
+    "divergence-form-agreement": Check(
+        "direct and divergence forms of L_lam agree to O(step^4) (Richardson)",
+        "divergence", 5e-3),  # [4.08e-4]
+    "variance-floor": Check(
+        "L_lam applied to the variance is nonnegative on the grid",
+        "subsolution", 1e-2),  # read 0
+    "mode-chain": Check(
+        "(2/rho^2) sum (n^2-1) U_n is a lower bound for L_lam[V]",
+        "mode_chain", 1e-2),  # read 0
+    "variance-deriv2-positive": Check(
+        "termwise second derivative of the variance is nonnegative",
+        0.0, 1e-2),  # read 0
+    "variance-deriv2-match": Check(
+        "termwise second derivative matches the profile derivative",
+        "deriv2_match", 5e-3),  # [4.44e-4]
+    "equality-family": Check(
+        "L_lam annihilates the variance of log + rotated-extremal series",
+        "equality_family", 0.5),  # [0.225], capped
+    "endpoint-match": Check(
+        "weighted integral of L_lam[U] equals its endpoint closed form",
+        "endpoint_rel", 1e-2),  # radial
+    "extremal-zero": Check(
+        "the weighted integral vanishes for the extremal maps",
+        "extremal_k", 1e-2),  # radial
+    "mode-form": Check(
+        "per-mode weighted integral matches the A/B/C quadratic form",
+        "mode_form", 1e-2),  # radial
+    "variance-lower-bound": Check(
+        "K_1[V] dominates (R^2-1) times the mode energy excess for R > e",
+        "variance_k", 1e-2),  # radial
+    "inner-circle-identity": Check(
+        "inner-circle boundary data equals the mode energy excess",
+        "boundary", 1e-2),  # circle
+    "inner-area-limit": Check(
+        "enclosed area of the critical map tends to pi at the inner circle",
+        "area_limit", 0.1),  # [3.1e-2]
+    "wide-certificate-positive": Check(
+        "the wide-annulus sign certificate is positive on [e, e^1.5]",
+        "certificate", 1e-2),  # read 0
+    "wide-certificate-endpoints": Check(
+        "certificate endpoints match their explicit exponential forms",
+        "certificate", 2e-2),  # [1.57e-3]
+    "wide-certificate-concavity": Check(
+        "the R^-4-scaled certificate is concave for R >= e",
+        1e-6, 1e-2),  # read 0
+    "mode-certificate-positive": Check(
+        "the per-mode determinant certificate is positive on [2,50]x[e,10]",
+        0.0, 1e-2),  # read 0
+    "mode-certificate-expansion": Check(
+        "definition and expanded polynomial form of the certificate agree",
+        "certificate_rel", 1e-8),  # [7.4e-10]
+    "mode-certificate-n2-factored": Check(
+        "at n = 2 the certificate matches its factored form",
+        "certificate_rel", 5e-9),  # [4.2e-10]
+    "mode-certificate-monotone": Check(
+        "the certificate increases and is convex in n >= 2 for R >= e",
+        "certificate", 1e-2),  # read 0
+    "gz-weight-positive": Check(
+        "the conformal-part weight is nonnegative on 1 <= rho <= R",
+        "weight", 1e-2),  # read 0
+    "gzbar-gate-samples": Check(
+        "the anticonformal gate margin matches its known sample values",
+        "weight", 1e-2),  # read 0
+    "bound-ordering": Check(
+        "weitsman <= kalaj <= nitsche on (1, 20]",
+        "ordering", 1e-2),  # read 0
+    "probes-applicable": Check(
+        "every sampled conformal series meets the preconditions and is "
+        "certified injective or passes the sampled probe; the certified "
+        f"draws among the first {SPOT_CHECK_DRAWS} pass the probe too",
+        0.0, 1e-2),  # read 0
+    "injectivity-certified": Check(
+        "the coefficient certificate (pi/2) L < 1 proves every applicable "
+        "draw injective on the closed annulus",
+        0.0, 1e-2),  # read 0
+    "outer-radius-bound": Check(
+        "mean outer radius of a normalized conformal map is at least R",
+        "schottky_radius", 1e-2),  # read 0
+    "area-bound": Check(
+        "image area is at least the area pi (R^2 - 1) of the annulus",
+        "schottky_area", 1e-2),  # read 0
+    "mode-sum-bound": Check(
+        "sum |a_n|^2 (R^2n - 1) over n != 0 is at least R^2 - 1",
+        "schottky_radius", 1e-2),  # read 0
+    "unit-initial-speed": Check(
+        "conformal evolutions with unit boundary modulus start at speed 1",
+        "schottky_speed", 2e-6),  # [1.15e-7]
+}
+
+
+def gate_ratio(residual: float, tolerance: float) -> float:
+    """residual/tolerance, the share of its tolerance a check used, which
+    its gate bounds: at tolerance 0, 0 for a zero residual and inf
+    otherwise; inf for a NaN residual."""
+    if tolerance == 0:
+        return 0.0 if residual == 0 else math.inf
+    ratio = residual / tolerance
+    return math.inf if math.isnan(ratio) else ratio
+
+
 @dataclass(frozen=True)
 class CheckResult:
     """One verified statement with its measured residual."""
@@ -156,19 +290,24 @@ class DrawPlan:
                 f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
 
 
-def _check(name: str, statement: str, residuals, tol: float) -> CheckResult:
-    """The check `name`, whose residual is the largest entry of `residuals`
-    (numbers and arrays of any shape), clamped at 0, or NaN if any entry is
-    NaN; 0 if there are no entries.
+def _check(name: str, residuals, tol: dict[str, float]) -> CheckResult:
+    """The check CHECKS[name] (KeyError for a name with no row), whose
+    residual is the largest entry of `residuals` (numbers and arrays of any
+    shape), clamped at 0, or NaN if any entry is NaN; 0 if there are no
+    entries.  Its tolerance is its row's fixed number, or `tol` at its
+    row's key.
 
     This is the one place a check's residual is reduced.  np.max keeps a
     NaN, where Python's max drops one that is not its first argument
     (max(0.0, nan) is 0.0), and a non-finite residual never passes.
     """
+    statement, tolerance, _ = CHECKS[name]
+    if isinstance(tolerance, str):
+        tolerance = tol[tolerance]
     flat = np.concatenate([np.zeros(0), *(np.ravel(r) for r in residuals)])
     residual = float(np.max(flat, initial=0.0)) + 0.0  # + 0.0 turns -0.0 into 0.0
-    return CheckResult(name, statement, residual, tol,
-                       math.isfinite(residual) and residual <= tol)
+    return CheckResult(name, statement, residual, tolerance,
+                       math.isfinite(residual) and residual <= tolerance)
 
 
 def _rng(plan: DrawPlan, k: int) -> np.random.Generator:
@@ -277,11 +416,7 @@ def extremal_annihilation(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRe
     grid = np.linspace(1.0, E32, 502)[1:]
     residuals = [np.abs(LambdaOperator(lam).apply(
         quadratic_mean_profile(extremal_map(lam)), grid)) for lam in EXTREMAL_LAMS]
-    return [_check(
-        "extremal-annihilation",
-        "L_lam applied to the quadratic mean of h^lam vanishes on (1, e^1.5]",
-        residuals, tol["annihilation"],
-    )]
+    return [_check("extremal-annihilation", residuals, tol)]
 
 
 def circle_identities(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -295,16 +430,8 @@ def circle_identities(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
         grad.append(g)
         ang.append(a)
     return [
-        _check(
-            "gradient-form-identity",
-            "L_lam[U] equals 2*mean(|Dh|^2 - radial flux of the weighted square)",
-            grad, tol["identity"],
-        ),
-        _check(
-            "angular-form-identity",
-            "L_lam[U] equals (2/rho^2)*mean(|h_theta|^2 - |h|^2 + stretched square)",
-            ang, tol["identity"],
-        ),
+        _check("gradient-form-identity", grad, tol),
+        _check("angular-form-identity", ang, tol),
     ]
 
 
@@ -312,11 +439,7 @@ def divergence_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     residuals = [LambdaOperator(lams).divergence_form_residual(quadratic_mean_profile(h), rhos)
                  for h, lams, rhos in _draws(_rng(plan, 2), plan.trials, (4, 16), 0.2,
                                              (-0.5, 1.0), (1.2, 3.0))]
-    return [_check(
-        "divergence-form-agreement",
-        "direct and divergence forms of L_lam agree to O(step^4) (Richardson)",
-        residuals, tol["divergence"],
-    )]
+    return [_check("divergence-form-agreement", residuals, tol)]
 
 
 def variance_subsolution(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -335,26 +458,10 @@ def variance_subsolution(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
         d2_deficit.append(-np.min(d2, axis=-1))
         d2_mismatch.append(np.max(np.abs(d2 - d2v), axis=-1))
     return [
-        _check(
-            "variance-floor",
-            "L_lam applied to the variance is nonnegative on the grid",
-            floor_deficit, tol["subsolution"],
-        ),
-        _check(
-            "mode-chain",
-            "(2/rho^2) sum (n^2-1) U_n is a lower bound for L_lam[V]",
-            chain_excess, tol["mode_chain"],
-        ),
-        _check(
-            "variance-deriv2-positive",
-            "termwise second derivative of the variance is nonnegative",
-            d2_deficit, 0.0,
-        ),
-        _check(
-            "variance-deriv2-match",
-            "termwise second derivative matches the profile derivative",
-            d2_mismatch, tol["deriv2_match"],
-        ),
+        _check("variance-floor", floor_deficit, tol),
+        _check("mode-chain", chain_excess, tol),
+        _check("variance-deriv2-positive", d2_deficit, tol),
+        _check("variance-deriv2-match", d2_mismatch, tol),
     ]
 
 
@@ -390,11 +497,7 @@ def equality_family(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     stack = SeriesStack(N=1, a=a, b=b, a0=a0s, b0=np.zeros(plan.trials))
     residuals = [np.max(np.abs(LambdaOperator(lam[rows, None]).apply(
         variance_profile(h), grid)), axis=-1) for rows, h in stack.chunks()]
-    return [_check(
-        "equality-family",
-        "L_lam annihilates the variance of log + rotated-extremal series",
-        residuals, tol["equality_family"],
-    )]
+    return [_check("equality-family", residuals, tol)]
 
 
 def endpoint_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -405,20 +508,12 @@ def endpoint_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
         ke = k_endpoint(U, lams, Rs)
         kq = k_functional(U, lams, Rs)
         residuals.append(np.abs(kq - ke) / (1.0 + np.abs(ke)))
-    return [_check(
-        "endpoint-match",
-        "weighted integral of L_lam[U] equals its endpoint closed form",
-        residuals, tol["endpoint_rel"],
-    )]
+    return [_check("endpoint-match", residuals, tol)]
 
 
 def extremal_k_zero(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    return [_check(
-        "extremal-zero",
-        "the weighted integral vanishes for the extremal maps",
-        [abs(k_quadrature(extremal_map(lam), lam, 2.5)) for lam in EXTREMAL_LAMS],
-        tol["extremal_k"],
-    )]
+    return [_check("extremal-zero", [abs(k_quadrature(extremal_map(lam), lam, 2.5))
+                                     for lam in EXTREMAL_LAMS], tol)]
 
 
 def mode_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -437,11 +532,7 @@ def mode_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     stack = SeriesStack(N=N, a=a, b=b, a0=np.zeros(ns.size), b0=np.zeros(ns.size))
     residuals = [bnd.mode_quadratic_form_residual(h, ns[rows], Rs[rows])
                  for rows, h in stack.chunks()]
-    return [_check(
-        "mode-form",
-        "per-mode weighted integral matches the A/B/C quadratic form",
-        residuals, tol["mode_form"],
-    )]
+    return [_check("mode-form", residuals, tol)]
 
 
 def variance_lower_bound(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -452,30 +543,18 @@ def variance_lower_bound(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
                         (E + 1e-9, E32)):
         lhs, rhs = bnd.variance_k_bound(h, Rs)
         residuals.append(rhs - lhs)
-    return [_check(
-        "variance-lower-bound",
-        "K_1[V] dominates (R^2-1) times the mode energy excess for R > e",
-        residuals, tol["variance_k"],
-    )]
+    return [_check("variance-lower-bound", residuals, tol)]
 
 
 def inner_circle_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    return [_check(
-        "inner-circle-identity",
-        "inner-circle boundary data equals the mode energy excess",
-        [bnd.inner_circle_identity_residual(h)
-         for h, in _draws(_rng(plan, 8), plan.trials, (10, 10), 0.4)],
-        tol["boundary"],
-    )]
+    return [_check("inner-circle-identity", [
+        bnd.inner_circle_identity_residual(h)
+        for h, in _draws(_rng(plan, 8), plan.trials, (10, 10), 0.4)], tol)]
 
 
 def inner_area_limit(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    return [_check(
-        "inner-area-limit",
-        "enclosed area of the critical map tends to pi at the inner circle",
-        [abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5) - math.pi)],
-        tol["area_limit"],
-    )]
+    return [_check("inner-area-limit",
+                   [abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5) - math.pi)], tol)]
 
 
 def wide_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -492,21 +571,9 @@ def wide_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]
     scaled = lambda r: cert(r) / r**4  # noqa: E731
     fd2 = (scaled(r_grid + step) - 2 * scaled(r_grid) + scaled(r_grid - step)) / step**2
     return [
-        _check(
-            "wide-certificate-positive",
-            "the wide-annulus sign certificate is positive on [e, e^1.5]",
-            [-cert(np.linspace(E, E32, 1000))], tol["certificate"],
-        ),
-        _check(
-            "wide-certificate-endpoints",
-            "certificate endpoints match their explicit exponential forms",
-            endpoint_res, tol["certificate"],
-        ),
-        _check(
-            "wide-certificate-concavity",
-            "the R^-4-scaled certificate is concave for R >= e",
-            [fd2], 1e-6,
-        ),
+        _check("wide-certificate-positive", [-cert(np.linspace(E, E32, 1000))], tol),
+        _check("wide-certificate-endpoints", endpoint_res, tol),
+        _check("wide-certificate-concavity", [fd2], tol),
     ]
 
 
@@ -522,26 +589,10 @@ def mode_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]
     factored = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
     n2_rel = np.abs(vals[:, 0] - factored) / np.maximum(1.0, np.abs(factored))
     return [
-        _check(
-            "mode-certificate-positive",
-            "the per-mode determinant certificate is positive on [2,50]x[e,10]",
-            [-vals], 0.0,
-        ),
-        _check(
-            "mode-certificate-expansion",
-            "definition and expanded polynomial form of the certificate agree",
-            [expand_rel], tol["certificate_rel"],
-        ),
-        _check(
-            "mode-certificate-n2-factored",
-            "at n = 2 the certificate matches its factored form",
-            [n2_rel], tol["certificate_rel"],
-        ),
-        _check(
-            "mode-certificate-monotone",
-            "the certificate increases and is convex in n >= 2 for R >= e",
-            [-diffs, -np.diff(diffs, axis=-1)], tol["certificate"],
-        ),
+        _check("mode-certificate-positive", [-vals], tol),
+        _check("mode-certificate-expansion", [expand_rel], tol),
+        _check("mode-certificate-n2-factored", [n2_rel], tol),
+        _check("mode-certificate-monotone", [-diffs, -np.diff(diffs, axis=-1)], tol),
     ]
 
 
@@ -557,16 +608,8 @@ def conformal_weights(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
         -bnd.gzbar_gate_margin(1.5, 1.0),
     ]
     return [
-        _check(
-            "gz-weight-positive",
-            "the conformal-part weight is nonnegative on 1 <= rho <= R",
-            [weight_deficit], tol["weight"],
-        ),
-        _check(
-            "gzbar-gate-samples",
-            "the anticonformal gate margin matches its known sample values",
-            gate_res, tol["weight"],
-        ),
+        _check("gz-weight-positive", [weight_deficit], tol),
+        _check("gzbar-gate-samples", gate_res, tol),
     ]
 
 
@@ -575,11 +618,7 @@ def bound_ordering(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     for R in np.linspace(1.001, 20.0, 400).tolist():  # floats skip the number rule
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
         violation.append((w - k, k - n))
-    return [_check(
-        "bound-ordering",
-        "weitsman <= kalaj <= nitsche on (1, 20]",
-        violation, tol["ordering"],
-    )]
+    return [_check("bound-ordering", violation, tol)]
 
 
 def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
@@ -612,39 +651,12 @@ def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckRes
         mode_deficit.append(-report.mode_sum_margin[ok])
         speed_dev.append(np.abs(initial_speed(normalize_inner(h[ok])) - 1.0))
     return [
-        _check(
-            "probes-applicable",
-            "every sampled conformal series meets the preconditions and is "
-            "certified injective or passes the sampled probe; the certified "
-            f"draws among the first {SPOT_CHECK_DRAWS} pass the probe too",
-            failed, 0.0,
-        ),
-        _check(
-            "injectivity-certified",
-            "the coefficient certificate (pi/2) L < 1 proves every applicable "
-            "draw injective on the closed annulus",
-            certificate_gap, 0.0,
-        ),
-        _check(
-            "outer-radius-bound",
-            "mean outer radius of a normalized conformal map is at least R",
-            radius_deficit, tol["schottky_radius"],
-        ),
-        _check(
-            "area-bound",
-            "image area is at least the area pi (R^2 - 1) of the annulus",
-            area_deficit, tol["schottky_area"],
-        ),
-        _check(
-            "mode-sum-bound",
-            "sum |a_n|^2 (R^2n - 1) over n != 0 is at least R^2 - 1",
-            mode_deficit, tol["schottky_radius"],
-        ),
-        _check(
-            "unit-initial-speed",
-            "conformal evolutions with unit boundary modulus start at speed 1",
-            speed_dev, tol["schottky_speed"],
-        ),
+        _check("probes-applicable", failed, tol),
+        _check("injectivity-certified", certificate_gap, tol),
+        _check("outer-radius-bound", radius_deficit, tol),
+        _check("area-bound", area_deficit, tol),
+        _check("mode-sum-bound", mode_deficit, tol),
+        _check("unit-initial-speed", speed_dev, tol),
     ]
 
 

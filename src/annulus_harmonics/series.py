@@ -110,7 +110,8 @@ class HarmonicSeries:
         a0: coefficient of log|z|.
         b0: constant term.
 
-    The constructor checks N by _require_int and a, b by _coeff_array.
+    The constructor checks N by _require_int, a, b by _coeff_array, and
+    a0, b0 as finite complex numbers.
     """
 
     N: int
@@ -123,8 +124,10 @@ class HarmonicSeries:
         _require_int(self.N, "truncation order N")
         object.__setattr__(self, "a", _coeff_array(self.a, (2 * self.N,), "a"))
         object.__setattr__(self, "b", _coeff_array(self.b, (2 * self.N,), "b"))
-        a0 = complex(self.a0)
-        b0 = complex(self.b0)
+        try:
+            a0, b0 = complex(self.a0), complex(self.b0)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterDomainError("a0 and b0 must be complex numbers") from None
         if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
                 and math.isfinite(b0.real) and math.isfinite(b0.imag)):
             raise ParameterDomainError("a0 and b0 must be finite")
@@ -142,10 +145,13 @@ class HarmonicSeries:
     ) -> "HarmonicSeries":
         """Build a series from sparse {mode: coefficient} mappings.
 
-        N defaults to the largest |n| present in a or b.
+        Each key is a mode number (require_mode); N defaults to the largest
+        |n| present in a or b.
         """
         a = dict(a or {})
         b = dict(b or {})
+        for n in (*a, *b):
+            require_mode(n)
         if 0 in a or 0 in b:
             raise ParameterDomainError(
                 "mode 0 lives in a0 (log term) and b0 (constant), not in a/b"

@@ -27,9 +27,11 @@ from annulus_harmonics import (
 from annulus_harmonics import reports
 from annulus_harmonics.quadrature import dirichlet_energy
 from annulus_harmonics.reports import (
+    CHECKS,
     DEFAULT_TOLERANCES,
     DrawPlan,
     _draw_config,
+    gate_ratio,
     run_suite,
 )
 from annulus_harmonics.sampling import normalize_inner
@@ -192,10 +194,14 @@ def test_c11_oracle_agreement():
 
 @pytest.mark.parametrize("seed", [40, 41, 42, 43])
 def test_verify_all_passes_for_fresh_seeds(seed):
-    """Every check of the full report passes on seeds no other test pins."""
-    failed = [(c.name, c.residual, c.tolerance)
-              for c in run_suite("all", seed, 100) if not c.passed]
+    """Every check of the full report passes on seeds no other test pins,
+    with its residual/tolerance within its gate (reports.CHECKS)."""
+    checks = run_suite("all", seed, 100)
+    failed = [(c.name, c.residual, c.tolerance) for c in checks if not c.passed]
     assert failed == []
+    above = [(c.name, ratio, CHECKS[c.name].gate) for c in checks
+             if not (ratio := gate_ratio(c.residual, c.tolerance)) <= CHECKS[c.name].gate]
+    assert above == []
 
 
 def test_mode_chain_matches_the_per_mode_sum():

@@ -214,6 +214,18 @@ CASES = {
     "HarmonicSeries-a0-nan": lambda: HarmonicSeries(N=1, a0=NAN),
     "from_coeffs-mode-0": lambda: HarmonicSeries.from_coeffs(a={0: 1.0}),
     "from_coeffs-mode-past-N": lambda: HarmonicSeries.from_coeffs(N=1, a={2: 1.0}),
+    # a mode key is an integer (numpy IndexError for 1.5 and 1.0, and True
+    # read as mode 1, before require_mode), and a0, b0 are complex numbers
+    # (ValueError, TypeError or OverflowError from complex() before)
+    "from_coeffs-mode-1.5": lambda: HarmonicSeries.from_coeffs(N=2, a={1.5: 1.0}),
+    "from_coeffs-mode-1.0": lambda: HarmonicSeries.from_coeffs(N=2, a={1.0: 1.0}),
+    "from_coeffs-mode-bool": lambda: HarmonicSeries.from_coeffs(a={True: 1.0}),
+    "from_coeffs-b-mode-float": lambda: HarmonicSeries.from_coeffs(N=2, b={-1.5: 1.0}),
+    "HarmonicSeries-a0-str": lambda: HarmonicSeries(N=1, a0="x"),
+    "HarmonicSeries-a0-None": lambda: HarmonicSeries(N=1, a0=None),
+    "HarmonicSeries-a0-array": lambda: HarmonicSeries(N=1, a0=np.array([1, 2])),
+    "HarmonicSeries-b0-str": lambda: HarmonicSeries(N=1, b0="x"),
+    "HarmonicSeries-b0-int-1e400": lambda: HarmonicSeries(N=1, b0=10**400),
     # a seed and a trial count are integers, not floats, strings or bools
     "run_suite-seed-float": lambda: run_suite("all", 1.5, 1),
     "run_suite-seed-str": lambda: run_suite("all", "3", 1),

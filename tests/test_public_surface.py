@@ -10,6 +10,7 @@ import re
 from pathlib import Path
 
 import annulus_harmonics
+from annulus_harmonics.reports import CHECKS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -114,3 +115,15 @@ def test_readme_quick_tour_shows_what_its_comments_say():
     lhs, rhs = shown["evolution_lower_bound(h, 2.0)"]
     assert math.isclose(lhs, 1.5, rel_tol=1e-12) and math.isclose(rhs, 1.5, rel_tol=1e-12)
     assert abs(shown["uniqueness_probe(2.0).loglog_slope"] - 2.0) < 0.1
+
+
+def test_readme_names_every_check_and_each_fixed_tolerance():
+    """Every row of reports.CHECKS is named under "Tests and acceptance
+    suite", and the sentence on fixed tolerances names exactly the rows
+    whose tolerance is a number rather than a flag's key."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    section = text.split("## Tests and acceptance suite", 1)[1].split("## ", 1)[0]
+    assert [name for name in CHECKS if f"`{name}`" not in section] == []
+    sentence = text.split("tolerance that no flag changes:", 1)[1].split(". ", 1)[0]
+    assert sorted(re.findall(r"`([a-z0-9-]+)`", sentence)) == sorted(
+        name for name, row in CHECKS.items() if not isinstance(row.tolerance, str))

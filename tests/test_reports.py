@@ -1,6 +1,7 @@
-"""The one reduction of a check's residuals, reports._check, and the draws
-of the randomized criteria: reports._draws, its decode of one raw block
-and the per-trial loop it falls back to."""
+"""The one declaration of each check, reports.CHECKS, the one reduction of
+its residuals, reports._check, and the draws of the randomized criteria:
+reports._draws, its decode of one raw block and the per-trial loop it falls
+back to."""
 
 import math
 
@@ -8,14 +9,61 @@ import numpy as np
 import pytest
 
 from annulus_harmonics import reports
-from annulus_harmonics.reports import E, E32, DrawPlan, _check, _draw_config
+from annulus_harmonics.reports import (
+    CHECKS, DEFAULT_TOLERANCES, E, E32, DrawPlan, _check, _draw_config, gate_ratio, run_suite)
 from annulus_harmonics.sampling import SamplerConfig
 from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack
 
 
 def reduce(residuals, tol=1.0):
-    check = _check("name", "statement", residuals, tol)
+    """The residual and verdict of a check whose tolerance is `tol`."""
+    check = _check("endpoint-match", residuals, {CHECKS["endpoint-match"].tolerance: tol})
     return check.residual, check.passed
+
+
+def test_every_check_of_verify_all_has_a_row_and_every_row_is_returned():
+    returned = [c.name for c in run_suite("all", 0, 1)]
+    assert len(returned) == len(set(returned))
+    assert {"without a row": sorted(set(returned) - set(CHECKS)),
+            "never returned": sorted(set(CHECKS) - set(returned))} == {
+        "without a row": [], "never returned": []}
+
+
+def test_check_reads_its_statement_and_tolerance_from_its_row():
+    """Each key overridden to a value of its own reaches just its rows."""
+    tol = {key: i / 64 for i, key in enumerate(DEFAULT_TOLERANCES, 1)}
+    for c in run_suite("all", 0, 1, tol):
+        statement, tolerance, _ = CHECKS[c.name]
+        assert c.statement == statement
+        assert c.tolerance == (tol[tolerance] if isinstance(tolerance, str) else tolerance)
+
+
+def test_every_tolerance_key_governs_a_check():
+    """So that no --tol-* flag governs nothing."""
+    keys = {row.tolerance for row in CHECKS.values()}
+    assert sorted(set(DEFAULT_TOLERANCES) - keys) == []
+
+
+def test_rows_are_data_with_a_gate_in_0_to_one_half():
+    for name, row in CHECKS.items():
+        assert type(row.statement) is str and row.statement, name
+        assert (row.tolerance in DEFAULT_TOLERANCES if isinstance(row.tolerance, str)
+                else type(row.tolerance) is float and row.tolerance >= 0), name
+        assert type(row.gate) is float and 0 < row.gate <= 0.5, name
+
+
+def test_a_check_without_a_row_is_an_error_naming_it():
+    with pytest.raises(KeyError, match="no-such-check"):
+        _check("no-such-check", [0.0], DEFAULT_TOLERANCES)
+
+
+def test_gate_ratio_is_residual_over_tolerance_with_nan_and_zero_rules():
+    assert gate_ratio(0.25, 0.5) == 0.5
+    assert gate_ratio(0.0, 0.0) == 0.0
+    assert gate_ratio(1e-300, 0.0) == math.inf
+    assert gate_ratio(math.nan, 1.0) == math.inf
+    assert gate_ratio(math.nan, 0.0) == math.inf
+    assert gate_ratio(math.inf, 1.0) == math.inf
 
 
 def test_numbers_and_arrays_reduce_to_the_largest_entry():
