@@ -36,13 +36,14 @@ in t = log r, whose node count a proved error bound picks before the call
 weights whose only poles lie at r^2 = -lambda, so it is analytic in a known
 Bernstein ellipse and the rule errs by at most RADIAL_EPS = 1e-15 times
 the integral of the integrand's termwise bound.  The count needs only the
-degree, lambda and the interval, on Python floats; each rule is built on
-its first use and kept, read-only.  As lambda nears -1 the pole nears the
+degree, lambda and the interval; each rule is built on its first use and
+kept, read-only.  As lambda nears -1 the pole nears the
 interval, and the interval is split into panels graded geometrically
 toward it, each sized by the same bound; past a cap on the nodes the rule
 raises instead of calling the integrand.  A stack's members each get their
 own rule, padded to the longest with zero-weight nodes, in one call of the
-integrand.
+integrand; their counts are sized in one array pass, with the same ladder
+walk as a single rule's.
 
 The policy has no knobs: the angular rule is exact, the radial rule is
 sized by its bound and a winding number is proved or not given, so other
@@ -288,6 +289,10 @@ _RADIAL_RHOS = tuple(
 _RULE_STEP = 8
 _RULE_CAP = 128
 _RADIAL_NODE_CAP = 2**12
+# The ladder as (rungs, 1) columns for _rule_sizes: a, b, log rho, log c and
+# log(1 + 3 a^2), the last by math.log, as _rule_size takes it.
+_RUNGS = np.array([(a, b, log_rho, log_c, math.log(1.0 + 3.0 * a * a))
+                   for a, b, log_rho, log_c in _RADIAL_RHOS]).T[..., None]
 
 
 @lru_cache(maxsize=None)
@@ -370,6 +375,49 @@ def _rule_size(d: float, lam, R2: float, lo: float, hi: float) -> int:
     return math.ceil(best / _RULE_STEP) * _RULE_STEP
 
 
+def _weight_bounds(lam: np.ndarray, R2: np.ndarray, x0, x1, y) -> np.ndarray:
+    """_weight_bound, elementwise over arrays broadcast against each other,
+    with numpy's overflow and invalid warnings off."""
+    m, y2 = np.abs(lam), 2.0 * y
+    E0, E1 = np.exp(2.0 * x0), np.exp(2.0 * x1)
+    D = E0 - m
+    D = np.where((lam >= 0.0) & (y2 < 0.5 * math.pi), np.maximum(D, E0 * np.cos(y2) + lam), D)
+    G = (R2 + E1) / D * np.maximum(np.maximum(1.0, (3.0 * m + E1) / D), 8.0 * m * E1 / (D * D))
+    return np.where((x1 > 350.0) | (D <= 0.0), math.inf, G)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _rule_sizes(d: np.ndarray, lam, lo: float, hi: np.ndarray) -> np.ndarray:
+    """_rule_size of every member on [lo, hi] at once, with R^2 = e^(2 hi)
+    as _radial_rule takes it: d and hi are 1-d arrays, and lam is None or
+    one more.  Each step of _rule_size runs on a (rungs, members) table,
+    and the ladder walk keeps its rule: a skipped rung (G = inf, NaN in
+    the table) leaves the best count as it was, and the walk stops at the
+    first rung that counts more than the best so far.  The transcendental
+    functions are numpy's, which may differ from the math module's in the
+    last bit, so a count can differ only where a step's decision falls
+    within rounding of its threshold (tests/test_quadrature.py compares
+    both sizers).  Returns int64 counts, 0 where _rule_size gives 0."""
+    a, b, log_rho, log_c, log_poly = _RUNGS
+    mid, w = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    dw = d * w
+    log_spread = np.where(dw > 0.0, np.log(2.0 * dw / -np.expm1(-2.0 * dw)), 0.0)
+    growth = np.maximum(dw * (a - 1.0) + log_spread, log_poly)
+    g1 = 1.0
+    if lam is not None:
+        R2 = np.where(hi < 350.0, np.exp(2.0 * hi), math.inf)
+        g1 = _weight_bounds(lam, R2, lo, hi, 0.0)
+        G = _weight_bounds(lam, R2, mid - w * a, mid + w * a, w * b)
+        growth = np.where(G == math.inf, math.nan, growth + np.log(G / g1))
+    n = 1.0 + (log_c + growth) / (2.0 * log_rho)
+    low = np.fmin.accumulate(n, axis=0)  # the best count so far; NaN until a rung counts
+    rises = n[1:] > low[:-1]
+    stop = np.where(rises.any(axis=0), rises.argmax(axis=0), len(_RADIAL_RHOS) - 1)
+    best = low[stop, np.arange(hi.size)]
+    sizes = np.ceil(best / _RULE_STEP) * _RULE_STEP
+    return np.where((best <= _RULE_CAP) & (g1 != math.inf), sizes, 0.0).astype(np.int64)
+
+
 def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
     """One member's rule on [lo, hi] in t = log r, as radii r and weights
     of dr.  When _rule_size finds one rule for the whole interval, the
@@ -418,6 +466,37 @@ def _panel(n: int, left: float, right: float) -> tuple:
     return r, half * w * r  # dr = r dt
 
 
+def _stack_rule(d: np.ndarray, lam, lo: float, hi: np.ndarray) -> tuple:
+    """Each member's _radial_rule on [lo, hi] in t = log r, for 1-d arrays
+    d and hi and lam (None or one more), as radii and weights of dr of
+    shape (members, width), each row padded to the longest rule with
+    zero-weight nodes inside its member's interval.  One _rule_sizes pass
+    sizes every member, and the members of one count get their panels from
+    one exp, with _panel's arithmetic.  Only the members one panel cannot
+    take (count 0) go through _radial_rule, in member order, so the first
+    whose panels would pass the node cap raises before any rule is built."""
+    sizes = _rule_sizes(d, lam, lo, hi)
+    split = {row: _radial_rule(d[row].item(), None if lam is None else lam[row].item(),
+                               lo, hi[row].item())
+             for row in np.flatnonzero(sizes == 0).tolist()}
+    width = max([int(sizes.max()), *(nodes.size for nodes, _ in split.values())])
+    r = np.empty((hi.size, width))
+    weights = np.zeros((hi.size, width))
+    for n in sorted(set(sizes.tolist()) - {0}):  # np.unique would load numpy.ma
+        rows = np.flatnonzero(sizes == n)
+        x, w = _gauss_rule(n)
+        mid, half = 0.5 * (hi[rows, None] + lo), 0.5 * (hi[rows, None] - lo)
+        nodes = np.exp(mid + half * x)
+        r[rows, :n] = nodes
+        r[rows, n:] = nodes[:, :1]
+        weights[rows, :n] = half * w * nodes
+    for row, (nodes, w) in split.items():
+        r[row, :nodes.size] = nodes
+        r[row, nodes.size:] = nodes[0]
+        weights[row, :w.size] = w
+    return r, weights
+
+
 def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
                      degree, lam=None):
     """Integral of g over [a, b] by one Gauss-Legendre rule in t = log r,
@@ -444,8 +523,8 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     RADIAL_EPS S once (64/15)/(2 (rho^2 - 1) rho^(2(n-1))) G(rho)/G(1)
     times that growth is at most RADIAL_EPS, for some rho of a fixed
     ladder; n is the least such count, rounded up to a multiple of 8.  The
-    count takes only (degree, lam, a, b), as Python floats, and each rule
-    is built on its first use.  When one rule would take more than 128
+    count takes only (degree, lam, a, b), and each Gauss-Legendre rule is
+    built on its first use.  When one rule would take more than 128
     nodes (lam near -1, whose pole at t0 = log(-lam)/2 nears the
     interval, or a huge degree), the interval is split into panels, each
     sized by the same bound (_radial_rule); QuadratureConvergenceError
@@ -453,14 +532,19 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     nodes.
 
     `b`, `degree` and `lam` may be arrays, broadcast to one entry per
-    member of a stack: each member gets its own rule, its rows padded to
-    the longest with zero-weight nodes inside its interval, g is called
-    once on radii of shape (members, nodes), and each row is summed with
-    its weights; with no members (a zero-member stack) the result is an
-    empty array, no rule is sized and g is not called.  Otherwise g is
-    called once on radii of shape (nodes,), and may return leading axes of
-    its own (one integrand per member of a stack on one interval).  g must be elementwise in the radii.  The
-    result is a float, or an array over the members or those axes.
+    member of a stack: each member gets its own rule (_stack_rule), its
+    rows padded to the longest with zero-weight nodes inside its interval,
+    g is called once on radii of shape (members, nodes), and each row is
+    summed with its weights; with no members (a zero-member stack) the
+    result is an empty array, no rule is sized and g is not called.  A
+    stack's rules are sized in one array pass (_rule_sizes) and built with
+    one exp per distinct count; only members whose interval must be split
+    go through _radial_rule.  Otherwise, on the scalar path, the one rule
+    is _radial_rule's, sized by _rule_size on Python floats, and g is
+    called once on radii of shape (nodes,); it may return leading axes of
+    its own (one integrand per member of a stack on one interval).  g must
+    be elementwise in the radii.  The result is a float, or an array over
+    the members or those axes.
     """
     require_radii(a)
     require_radii(b)
@@ -476,17 +560,9 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     his, ds, lams = np.broadcast_arrays(np.log(b), degree, np.nan if lam is None else lam)
     if his.size == 0:  # no members: nothing to size or integrate
         return np.zeros(his.shape)
-    rules = [_radial_rule(d, None if lam is None else l, lo, hi)
-             for d, l, hi in zip(ds.ravel().tolist(), lams.ravel().tolist(),
-                                 his.ravel().tolist())]
-    width = max(r.size for r, _ in rules)
-    r = np.empty((len(rules), width))
-    weights = np.zeros((len(rules), width))
-    for row, (nodes, w) in enumerate(rules):
-        r[row, :nodes.size] = nodes
-        r[row, nodes.size:] = nodes[0]  # zero-weight padding inside the member's interval
-        weights[row, :w.size] = w
-    vals = np.asarray(g(r.reshape(his.shape + (width,))), dtype=np.float64)
+    r, weights = _stack_rule(ds.ravel(), None if lam is None else lams.ravel(), lo,
+                             his.ravel())
+    vals = np.asarray(g(r.reshape(his.shape + r.shape[-1:])), dtype=np.float64)
     return np.sum(vals * weights.reshape(vals.shape), axis=-1)
 
 

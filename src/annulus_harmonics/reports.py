@@ -273,6 +273,21 @@ class CheckResult:
         return asdict(self)
 
 
+def digest(checks) -> str:
+    """The SHA-256 (hex) of the checks in the order given, each as the UTF-8
+    of repr((name, statement, residual.hex(), tolerance, passed)): the
+    report's bits in one string.  The checks of a seed range are those of
+    run_suite for each seed in turn; tests/report_digests.json holds the
+    committed ones."""
+    import hashlib  # on first use: a command that draws nothing would pay ~2 ms for it
+
+    sha = hashlib.sha256()
+    for c in checks:
+        sha.update(repr((c.name, c.statement, c.residual.hex(), c.tolerance,
+                         c.passed)).encode())
+    return sha.hexdigest()
+
+
 @dataclass(frozen=True)
 class DrawPlan:
     """The draws a criterion makes: `trials` outer draws (1..MAX_TRIALS)
@@ -618,7 +633,8 @@ def bound_ordering(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     for R in np.linspace(1.001, 20.0, 400).tolist():  # floats skip the number rule
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
         violation.append((w - k, k - n))
-    return [_check("bound-ordering", violation, tol)]
+    # one (400, 2) array: _check ravels each entry it is given, one call per entry
+    return [_check("bound-ordering", [np.array(violation)], tol)]
 
 
 def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -145,13 +146,14 @@ class HarmonicSeries:
     ) -> "HarmonicSeries":
         """Build a series from sparse {mode: coefficient} mappings.
 
-        Each key is a mode number (require_mode); N defaults to the largest
-        |n| present in a or b.
+        Each key is one integer mode number (_require_int; require_mode
+        would also take a tuple of them as an array of modes); N defaults
+        to the largest |n| present in a or b.
         """
         a = dict(a or {})
         b = dict(b or {})
         for n in (*a, *b):
-            require_mode(n)
+            _require_int(n, "a mode number", -math.inf)
         if 0 in a or 0 in b:
             raise ParameterDomainError(
                 "mode 0 lives in a0 (log term) and b0 (constant), not in a/b"
@@ -195,7 +197,8 @@ class SeriesStack:
 
     The constructor checks N and copies each array by the rules of
     HarmonicSeries; indexing (a slice, or an index or mask array) copies the
-    selected members without checking them again.  Equality and hashing are
+    selected members without checking them again, and so does series(i),
+    which builds one member as a HarmonicSeries.  Equality and hashing are
     by identity, as for HarmonicSeries.
     """
 
@@ -263,9 +266,20 @@ class SeriesStack:
             yield rows, self[rows]
 
     def series(self, i: int) -> HarmonicSeries:
-        """Member i as a HarmonicSeries of the stack's order N."""
-        return HarmonicSeries(N=self.N, a=self.a[i], b=self.b[i],
-                              a0=self.a0[i], b0=self.b0[i])
+        """Member i as a HarmonicSeries of the stack's order N: the series
+        the constructor would build from row i, with read-only copies of
+        its a and b and a0, b0 as Python complex numbers, made without
+        checking the member again."""
+        i = operator.index(i)
+        h = object.__new__(HarmonicSeries)
+        object.__setattr__(h, "N", self.N)
+        for name in ("a", "b"):
+            arr = np.array(getattr(self, name)[i])
+            arr.setflags(write=False)
+            object.__setattr__(h, name, arr)
+        object.__setattr__(h, "a0", complex(self.a0[i]))
+        object.__setattr__(h, "b0", complex(self.b0[i]))
+        return h
 
 
 # Input rules, one per kind: an integer (a truncation order or a seed), the
@@ -274,10 +288,11 @@ class SeriesStack:
 # inside the domain.  Likewise every closed form that can leave the float
 # range returns through _in_float_range.
 
-def _require_int(x, name: str, lowest: int = 0, highest: int | None = None) -> None:
+def _require_int(x, name: str, lowest: float = 0, highest: int | None = None) -> None:
     """Raise ParameterDomainError unless x is an integer (a Python or numpy
-    int, not a bool) in lowest..highest: a seed, or a truncation order N
-    (at most MAX_JSON_ORDER in a series file or a drawn series)."""
+    int, not a bool) in lowest..highest: a seed, a truncation order N (at
+    most MAX_JSON_ORDER in a series file or a drawn series), or a mode
+    number of from_coeffs (lowest -inf)."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ParameterDomainError(
             f"{name} must be an integer, got {type(x).__name__} {_shown(x)}")

@@ -55,6 +55,27 @@ def test_drawn_stack_holds_the_single_draws():
                                                       h.a.reshape(2, -1))
 
 
+@pytest.mark.parametrize("i", [0, 2, -1, np.int64(3)], ids=["0", "2", "-1", "numpy-int"])
+def test_member_series_is_the_one_the_constructor_builds(i):
+    """series(i) skips the checks but builds the same series as the checked
+    constructor on row i, in every field's bits and type, with read-only
+    arrays of its own."""
+    got = STACK.series(i)
+    want = HarmonicSeries(STACK.N, STACK.a[i], STACK.b[i], STACK.a0[i], STACK.b0[i])
+    for f in dataclasses.fields(HarmonicSeries):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert type(g) is type(w), f.name
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape, f.name
+            assert g.tobytes() == w.tobytes(), f.name
+            assert not g.flags.writeable, f.name
+            assert not np.shares_memory(g, getattr(STACK, f.name)), f.name
+        else:
+            assert repr(g) == repr(w), f.name
+    with pytest.raises(TypeError):
+        STACK.series(slice(0, 2))
+
+
 def test_conformal_stack_holds_the_single_draws():
     seeds = [3, 404, 2**61 + 7]
     stack = random_conformal_perturbation(seeds)

@@ -84,25 +84,37 @@ def test_bounds_usage_errors(capsys):
     assert run(capsys, "bounds")[0] == 1
 
 
-def test_bounds_leaves_numpy_random_unloaded():
-    """Commands that draw nothing do not pay for importing numpy.random: the
-    stream kernel loads it on first use.  A fresh interpreter, since this
-    one has loaded it already."""
+def loaded_after(argv, *modules) -> list:
+    """Those of `modules` that are loaded after cli.main(argv) exits 0, in
+    a fresh interpreter, since this one has loaded them already."""
     import annulus_harmonics
 
     src = os.path.dirname(os.path.dirname(annulus_harmonics.__file__))
-    code = ("import contextlib, io, sys\n"
+    code = ("import contextlib, io, json, sys\n"
             "import annulus_harmonics\n"
             "from annulus_harmonics import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['bounds', '--R', '2']) == 0\n"
-            "print('numpy.random' in sys.modules)\n")
+            f"    assert cli.main({list(argv)!r}) == 0\n"
+            f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return json.loads(done.stdout)
+
+
+def test_bounds_leaves_numpy_random_unloaded():
+    """Commands that draw nothing do not pay for importing numpy.random: the
+    stream kernel loads it on first use.  Nor for hashlib, which numpy.random
+    loads, and reports.digest on first use."""
+    assert loaded_after(["bounds", "--R", "2"], "numpy.random", "hashlib") == []
+
+
+def test_verify_leaves_numpy_ma_unloaded():
+    """verify does not pay for importing numpy.ma, which np.unique loads on
+    its first call (numpy 2.4): the stack paths group by sorted(set())."""
+    assert loaded_after(["verify", "all", "--trials", "100"], "numpy.ma") == []
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,9 @@ CASES = {
     "from_coeffs-mode-1.0": lambda: HarmonicSeries.from_coeffs(N=2, a={1.0: 1.0}),
     "from_coeffs-mode-bool": lambda: HarmonicSeries.from_coeffs(a={True: 1.0}),
     "from_coeffs-b-mode-float": lambda: HarmonicSeries.from_coeffs(N=2, b={-1.5: 1.0}),
+    # one mode per key (TypeError from abs() before: require_mode takes a
+    # tuple of integers as an array of modes)
+    "from_coeffs-mode-tuple": lambda: HarmonicSeries.from_coeffs(a={(1, 2): 1.0}),
     "HarmonicSeries-a0-str": lambda: HarmonicSeries(N=1, a0="x"),
     "HarmonicSeries-a0-None": lambda: HarmonicSeries(N=1, a0=None),
     "HarmonicSeries-a0-array": lambda: HarmonicSeries(N=1, a0=np.array([1, 2])),

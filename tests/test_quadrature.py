@@ -646,6 +646,74 @@ def test_each_member_of_a_stack_gets_its_own_rule_in_one_call(monkeypatch):
         assert got[i] == pytest.approx(alone, rel=1e-13)
 
 
+def _scalar_sizes(d, lam, lo, hi) -> np.ndarray:
+    """_rule_size of each member, with the R^2 that _radial_rule gives it."""
+    lams = [None] * hi.size if lam is None else lam.tolist()
+    return np.array([quadrature._rule_size(x, l, math.exp(2.0 * h) if h < 350.0 else math.inf,
+                                           lo, h)
+                     for x, l, h in zip(d.tolist(), lams, hi.tolist())])
+
+
+# Edge rows (d, lam, log R): lam near -1, where no one panel has a bound and
+# the interval is split (count 0); log R at and past 350, where R^2 has no
+# finite bound; degree 0; lam >= 0 on short intervals, where the bound of
+# |r^2 + lam| takes its cos(2 y) branch; and lam = 0 and 1.
+SIZER_EDGES = np.array([
+    (4, -1.0 + 1e-9, math.log(2.0)), (12, -0.9999, 1.5), (0, -0.999, 0.5),
+    (0, 0.5, 350.0), (3, 0.5, 400.0), (0, -0.5, 360.0),
+    (0, 0.0, 1.0), (0, 1.0, 4.0), (0, -0.9, 0.5),
+    (8, 0.0, 1e-3), (8, 0.3, 0.01), (30, 1.0, 0.2), (2, 0.7, 0.7), (64, 1.0, 3.0),
+])
+
+
+@pytest.mark.parametrize("lo", [0.0, 0.3])
+def test_the_array_sizer_counts_as_the_scalar_one(lo):
+    """_rule_sizes walks the ladder as _rule_size does, member by member:
+    on 12,000 seeded (degree, lambda, log R) triples, with lambda and with
+    lam=None, and on the edge rows."""
+    rng = np.random.default_rng(37)
+    d = np.concatenate([rng.integers(0, 65, 12_000), SIZER_EDGES[:, 0].astype(int)])
+    lam = np.concatenate([rng.uniform(-1.0 + 1e-9, 1.0, 12_000), SIZER_EDGES[:, 1]])
+    hi = lo + np.concatenate([rng.uniform(1e-4, 4.0, 12_000), SIZER_EDGES[:, 2]])
+    for lams in (lam, None):
+        want = _scalar_sizes(d, lams, lo, hi)
+        assert np.array_equal(quadrature._rule_sizes(d, lams, lo, hi), want)
+        assert len(set(want.tolist())) >= 8
+    # the edge rows reach count 0: those past log R = 350, and from r = 1
+    # those near the pole at r^2 = -lam
+    reached = slice(-14 if lo == 0.0 else -11, -8)
+    assert (_scalar_sizes(d[reached], lam[reached], lo, hi[reached]) == 0).all()
+
+
+@pytest.mark.parametrize("a, splits", [(1.0, 3), (1.2, 0)])
+def test_a_stack_gets_each_members_radial_rule_in_its_bits(monkeypatch, a, splits):
+    """Row by row, _stack_rule's radii and weights on [a, R] are the
+    member's own _radial_rule padded with its first node at weight 0, bit
+    for bit, and _radial_rule runs only for the members one panel cannot
+    take: from r = 1, three near the pole at r^2 = -lam."""
+    rng = np.random.default_rng(5)
+    d = np.concatenate([rng.integers(0, 40, 60), [4, 6, 2]])
+    lam = np.concatenate([rng.uniform(-0.9, 1.0, 60), [-1.0 + 1e-9, -0.9999, -0.99999]])
+    lo = math.log(a)
+    hi = lo + np.log(np.concatenate([rng.uniform(1.01, 20.0, 60), [2.0, 4.4, 1.05]]))
+    members = list(zip(d.tolist(), lam.tolist(), hi.tolist()))
+    alone = quadrature._radial_rule
+    split = []
+    monkeypatch.setattr(quadrature, "_radial_rule",
+                        lambda *args: split.append(args) or alone(*args))
+    r, w = quadrature._stack_rule(d, lam, lo, hi)
+    counts = quadrature._rule_sizes(d, lam, lo, hi)
+    assert [args[3] for args in split] == hi[counts == 0].tolist() and len(split) == splits
+    assert len(set(counts.tolist())) > 4
+    rules = [alone(d_i, lam_i, lo, hi_i) for d_i, lam_i, hi_i in members]
+    assert r.shape[1] == max(nodes.size for nodes, _ in rules)
+    for row, (nodes, weights) in enumerate(rules):
+        n = nodes.size
+        assert r[row, :n].tobytes() == nodes.tobytes(), row
+        assert w[row, :n].tobytes() == weights.tobytes(), row
+        assert (r[row, n:] == nodes[0]).all() and (w[row, n:] == 0.0).all(), row
+
+
 def test_winding_near_pole_is_not_integer():
     """A zero of h 1e-4 off C_1.5 gives no proved integer: the argument
     count would need 2 pi 1.5 / 1e-4 ~ 94,000 angles, past its 2**16, so it

@@ -1,16 +1,20 @@
 """The one declaration of each check, reports.CHECKS, the one reduction of
-its residuals, reports._check, and the draws of the randomized criteria:
-reports._draws, its decode of one raw block and the per-trial loop it falls
-back to."""
+its residuals, reports._check, the report digest, and the draws of the
+randomized criteria: reports._draws, its decode of one raw block and the
+per-trial loop it falls back to."""
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from annulus_harmonics import reports
+from annulus_harmonics import cli, reports
 from annulus_harmonics.reports import (
-    CHECKS, DEFAULT_TOLERANCES, E, E32, DrawPlan, _check, _draw_config, gate_ratio, run_suite)
+    CHECKS, DEFAULT_TOLERANCES, E, E32, CheckResult, DrawPlan, _check, _draw_config, digest,
+    gate_ratio, run_suite)
 from annulus_harmonics.sampling import SamplerConfig
 from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack
 
@@ -107,6 +111,38 @@ def test_inf_in_any_position_fails(position):
 def test_bool_arrays_reduce_to_zero_or_one():
     assert reduce([np.array([False, False]), np.array([False])], tol=0.0) == (0.0, True)
     assert reduce([np.array([False, True]), np.array([False])], tol=0.0) == (1.0, False)
+
+
+# ---------------------------------------------------------------------------
+# The report digest.
+# ---------------------------------------------------------------------------
+
+# The committed report digests, with the environment they were made on (the
+# report manifest's): reports.digest over run_suite("all", s, trials) for
+# each seed s in turn, per seed and over the ranges given.
+DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+def test_digest_hashes_each_check_in_order():
+    checks = [CheckResult("a", "first", 0.1, 1e-9, False),
+              CheckResult("b", "second", math.nan, 0.0, False)]
+    want = hashlib.sha256(b"('a', 'first', '0x1.999999999999ap-4', 1e-09, False)"
+                          b"('b', 'second', 'nan', 0.0, False)").hexdigest()
+    assert digest(checks) == want
+    assert digest(iter(checks)) == want and digest(checks[::-1]) != want
+    assert digest([]) == hashlib.sha256().hexdigest()
+
+
+def test_reports_keep_their_committed_digests():
+    """Seeds 0-15 each give their committed digest; a failure names the
+    seeds whose reports moved.  The bits may differ on another Python,
+    numpy or platform, where the test skips."""
+    made, here = DIGESTS["environment"], cli._environment()
+    if made != here:
+        pytest.skip(f"the digests were made on {made}; this is {here}")
+    trials, want = DIGESTS["per_seed"]["trials"], DIGESTS["per_seed"]["digests"]
+    moved = [s for s, d in enumerate(want) if digest(run_suite("all", s, trials)) != d]
+    assert moved == []
 
 
 # ---------------------------------------------------------------------------
