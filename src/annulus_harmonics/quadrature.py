@@ -36,14 +36,14 @@ in t = log r, whose node count a proved error bound picks before the call
 weights whose only poles lie at r^2 = -lambda, so it is analytic in a known
 Bernstein ellipse and the rule errs by at most RADIAL_EPS = 1e-15 times
 the integral of the integrand's termwise bound.  The count needs only the
-degree, lambda and the interval; each rule is built on its first use and
-kept, read-only.  As lambda nears -1 the pole nears the
-interval, and the interval is split into panels graded geometrically
-toward it, each sized by the same bound; past a cap on the nodes the rule
-raises instead of calling the integrand.  A stack's members each get their
-own rule, padded to the longest with zero-weight nodes, in one call of the
-integrand; their counts are sized in one array pass, with the same ladder
-walk as a single rule's.
+degree, lambda and the interval; the Gauss-Legendre rules of every count
+it can take are built together on first use and kept, read-only.  As
+lambda nears -1 the pole nears the interval, and the interval is split
+into panels graded geometrically toward it, each sized by the same bound;
+past a cap on the nodes the rule raises instead of calling the integrand.
+A stack's members each get their own rule, padded to the longest with
+zero-weight nodes, in one call of the integrand; their counts are sized in
+one array pass, with the same ladder walk as a single rule's.
 
 The policy has no knobs: the angular rule is exact, the radial rule is
 sized by its bound and a winding number is proved or not given, so other
@@ -295,32 +295,55 @@ _RUNGS = np.array([(a, b, log_rho, log_c, math.log(1.0 + 3.0 * a * a))
                    for a, b, log_rho, log_c in _RADIAL_RHOS]).T[..., None]
 
 
-@lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple:
-    """The n-point Gauss-Legendre nodes and weights on [-1, 1] (n even),
-    read-only, built on first use.
+@lru_cache(maxsize=1)
+def _gauss_rules() -> dict:
+    """Every n-point Gauss-Legendre rule the radial rule asks for, n =
+    _RULE_STEP.._RULE_CAP in steps of _RULE_STEP, as {n: (nodes, weights)}
+    on [-1, 1], read-only, built on first use in one pass over the positive
+    nodes of all of them.
 
     numpy's leggauss weights err by up to 1e-12 relative from n = 48 on,
-    which would show in every K integral, so the rule is computed here:
+    which would show in every K integral, so the rules are computed here:
     Newton's method in extended precision (np.longdouble, 64-bit mantissa
     on x86) from Tricomi's estimate of the positive nodes, on the
     three-term recurrence of P_n, and w = 2/((1 - x^2) P_n'(x)^2); nodes
-    and weights are then correctly rounded.
+    and weights are then correctly rounded.  The nodes are ordered by
+    their rule's n, largest first, so the nodes still in the recurrence at
+    step j are a prefix: a rule's nodes leave it after j = n, and each node
+    goes through the operations of its own rule's recurrence, in their
+    order, with the same bits as a pass over that rule alone
+    (tests/test_quadrature.py keeps such a pass as the reference).
     """
-    k = np.arange(n // 2, 0, -1, dtype=np.longdouble)
-    x = (1 - (n - 1) / (8 * np.longdouble(n) ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    sizes = range(_RULE_CAP, 0, -_RULE_STEP)
+    halves = [n // 2 for n in sizes]
+    ends = np.cumsum(halves).tolist()
+    n = np.repeat(np.array(sizes, dtype=np.longdouble), halves)
+    k = np.concatenate([np.arange(h, 0, -1, dtype=np.longdouble) for h in halves])
+    x = (1 - (n - 1) / (8 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(4):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        p0, p1 = np.ones_like(x), x.copy()
+        for j in range(2, _RULE_CAP + 1):
+            m = ends[(_RULE_CAP - j) // _RULE_STEP]  # the nodes of the rules with n >= j
+            p0[:m], p1[:m] = p1[:m], ((2 * j - 1) * x[:m] * p1[:m] - (j - 1) * p0[:m]) / j
         dp = n * (x * p1 - p0) / (x * x - 1)
         x = x - p1 / dp
     w = (2 / ((1 - x * x) * dp * dp)).astype(np.float64)
     x = x.astype(np.float64)
-    rule = (np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w)))
-    for array in rule:
-        array.flags.writeable = False
-    return rule
+    rules = {}
+    for size, lo, hi in zip(sizes, [0, *ends], ends):
+        xs, ws = x[lo:hi], w[lo:hi]
+        rule = (np.concatenate((-xs[::-1], xs)), np.concatenate((ws[::-1], ws)))
+        for array in rule:
+            array.flags.writeable = False
+        rules[size] = rule
+    return rules
+
+
+def _gauss_rule(n: int) -> tuple:
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], for n a
+    multiple of _RULE_STEP up to _RULE_CAP (the only sizes the radial rule
+    takes): the read-only arrays of _gauss_rules, the same on every call."""
+    return _gauss_rules()[n]
 
 
 def _weight_bound(lam: float, R2: float, x0: float, x1: float, y: float) -> float:
@@ -523,13 +546,13 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     RADIAL_EPS S once (64/15)/(2 (rho^2 - 1) rho^(2(n-1))) G(rho)/G(1)
     times that growth is at most RADIAL_EPS, for some rho of a fixed
     ladder; n is the least such count, rounded up to a multiple of 8.  The
-    count takes only (degree, lam, a, b), and each Gauss-Legendre rule is
-    built on its first use.  When one rule would take more than 128
-    nodes (lam near -1, whose pole at t0 = log(-lam)/2 nears the
-    interval, or a huge degree), the interval is split into panels, each
-    sized by the same bound (_radial_rule); QuadratureConvergenceError
-    is raised, before g is called, if a member's panels would pass 4096
-    nodes.
+    count takes only (degree, lam, a, b), and the Gauss-Legendre rules of
+    every count are built together on first use.  When one rule would
+    take more than 128 nodes (lam near -1, whose pole at t0 = log(-lam)/2
+    nears the interval, or a huge degree), the interval is split into
+    panels, each sized by the same bound (_radial_rule);
+    QuadratureConvergenceError is raised, before g is called, if a
+    member's panels would pass 4096 nodes.
 
     `b`, `degree` and `lam` may be arrays, broadcast to one entry per
     member of a stack: each member gets its own rule (_stack_rule), its

@@ -41,6 +41,7 @@ from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
     SeriesStack,
+    _all_ints,
     _in_float_range,
     _index,
     _require_int,
@@ -86,7 +87,10 @@ def _require_draws(seeds, orders, decay) -> tuple[np.ndarray, list[float]]:
     """The sampler rule, of SamplerConfig and random_series_stack:
     ParameterDomainError unless seeds and orders hold one integer per
     member, each seed >= 0 and order in 1..MAX_JSON_ORDER, and decay is one
-    float in (0, 1) or one per member.  Returns orders and decays checked."""
+    float in (0, 1) or one per member.  Seeds and orders are tested as
+    arrays (_all_ints); where that fails, the integer rule goes member by
+    member and refuses the first member refused, seed before order.
+    Returns orders and decays checked."""
     given, orders, decay = orders, np.asarray(orders), np.asarray(decay)
     if orders.ndim != 1 or len(seeds) != orders.size or decay.shape not in ((), orders.shape) \
             or orders.size and orders.dtype.kind not in "iu":
@@ -96,9 +100,10 @@ def _require_draws(seeds, orders, decay) -> tuple[np.ndarray, list[float]]:
     decays = decay.ravel().tolist()
     if decay.dtype.kind != "f" or not all(0.0 < d < 1.0 for d in decays):
         raise ParameterDomainError("decay must lie in (0, 1)")
-    for seed, N in zip(seeds, given):  # as given: numpy reads a bool among ints as 1
-        _require_int(seed, "seed")
-        _require_int(N, "truncation order N", 1, MAX_JSON_ORDER)
+    if not (_all_ints(seeds) and _all_ints(given, 1, MAX_JSON_ORDER)):
+        for seed, N in zip(seeds, given):  # as given: numpy reads a bool among ints as 1
+            _require_int(seed, "seed")
+            _require_int(N, "truncation order N", 1, MAX_JSON_ORDER)
     return orders, decays
 
 
@@ -217,13 +222,9 @@ def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
     # one seed's words per row, each row contiguous: PCG64 reads the 4
     # words through the array's data pointer
     words = _generate_state(_pool(*_seed_words([int(s) for s in seeds]))).T.copy()
-    ends = np.cumsum(counts).tolist()
-    raw = np.empty(ends[-1], dtype=np.uint64)
     seed_words = _seed_words_class()
-    start = 0
-    for member, end in zip(words, ends):
-        raw[start:end] = np.random.PCG64(seed_words(member)).random_raw(end - start)
-        start = end
+    raw = np.concatenate([np.random.PCG64(seed_words(member)).random_raw(k)
+                          for member, k in zip(words, np.asarray(counts).tolist())])
     raw >>= np.uint64(11)
     return raw * 2.0**-53
 
@@ -265,7 +266,9 @@ def random_series_stack(seeds: Sequence[int], orders, decay) -> SeriesStack:
     own generator.  `decay` is one number for every member or an array of
     one per member.  The arguments are checked once, as arrays, by the
     sampler rule of SamplerConfig (_require_draws): a member is refused
-    exactly when its config is.  No seeds give the empty stack of order 0."""
+    exactly when its config is.  The stack is built from the drawn arrays
+    without checking them again (SeriesStack._unchecked).  No seeds give
+    the empty stack of order 0."""
     orders, decays = _require_draws(seeds, orders, decay)
     if not orders.size:
         return SeriesStack.of([])
@@ -282,8 +285,7 @@ def random_series_stack(seeds: Sequence[int], orders, decay) -> SeriesStack:
     table = np.zeros(present.shape, dtype=np.complex128)
     table[present] = coeffs
     del coeffs, present  # the stack's copies need the room
-    a, b, a0, b0 = _laid_out(table, N)
-    return SeriesStack(N=N, a=a, b=b, a0=a0, b0=b0)
+    return SeriesStack._unchecked(N, *_laid_out(table, N))
 
 
 def normalize_inner(h):
@@ -294,7 +296,8 @@ def normalize_inner(h):
     quadratic mean after dropping b0, and NumericOverflowError if U(1) is
     not finite.  A stack is normalized member by member.
     """
-    stripped = replace(h, b0=np.zeros_like(h.b0))
+    stripped = (SeriesStack._unchecked(h.N, h.a, h.b, h.a0, np.zeros_like(h.b0))
+                if isinstance(h, SeriesStack) else replace(h, b0=0j))
     # a positive finite U(1) is at least 5e-324, so 1/sqrt(U(1)) is finite
     u1 = _in_float_range("U after dropping b0, at rho", 1.0,
                          lambda: quadratic_mean_profile(stripped).value(1.0))
@@ -340,8 +343,9 @@ def random_conformal_perturbation(seed):
     SeriesStack of their series, each drawn from its own generator.
     """
     seeds = list(seed) if np.ndim(seed) else [seed]
-    for s in seeds:
-        _require_int(s, "seed")
+    if not _all_ints(seeds):
+        for s in seeds:
+            _require_int(s, "seed")
     count = len(CONFORMAL_MODES)
     u = np.empty((len(seeds), 2 * count + 1))
     if seeds:
@@ -352,7 +356,7 @@ def random_conformal_perturbation(seed):
     a[:, [_index(n, N) for n in CONFORMAL_MODES]] = _coefficients(
         CONFORMAL_EPS, u[:, :-1].reshape(-1, 2)).reshape(len(seeds), count)
     zeros = np.zeros(len(seeds), dtype=np.complex128)
-    stack = scale_rotate(SeriesStack(N=N, a=a, b=np.zeros_like(a), a0=zeros, b0=zeros),
+    stack = scale_rotate(SeriesStack._unchecked(N, a, np.zeros_like(a), zeros, zeros),
                          np.exp(2j * np.pi * u[:, -1]))
     return stack if np.ndim(seed) else stack.series(0)
 

@@ -196,9 +196,12 @@ class SeriesStack:
         a0, b0: shape (B,).
 
     The constructor checks N and copies each array by the rules of
-    HarmonicSeries; indexing (a slice, or an index or mask array) copies the
-    selected members without checking them again, and so does series(i),
-    which builds one member as a HarmonicSeries.  Equality and hashing are
+    HarmonicSeries.  Arrays that already pass those rules skip the check:
+    _unchecked only copies them, and it builds the stacks of indexing (a
+    slice, or an index or mask array), of the sampler (random_series_stack,
+    and random_conformal_perturbation before its checked rotation) and
+    normalize_inner's copy with b0 dropped; series(i) builds one member as
+    a HarmonicSeries without checking it again.  Equality and hashing are
     by identity, as for HarmonicSeries.
     """
 
@@ -214,6 +217,20 @@ class SeriesStack:
         for name, shape in (("a", (B, 2 * self.N)), ("b", (B, 2 * self.N)),
                             ("a0", (B,)), ("b0", (B,))):
             object.__setattr__(self, name, _coeff_array(getattr(self, name), shape, name))
+
+    @classmethod
+    def _unchecked(cls, N: int, a, b, a0, b0) -> "SeriesStack":
+        """The stack of arrays known to pass the constructor's rules (N an
+        int, finite complex coefficients of the shapes (B, 2N) and (B,)),
+        as read-only contiguous copies, made without checking them again."""
+        stack = object.__new__(cls)
+        object.__setattr__(stack, "N", N)
+        for name, values in (("a", a), ("b", b), ("a0", a0), ("b0", b0)):
+            # a copy, so that a memo holding the stack holds no more
+            arr = np.array(values, dtype=np.complex128)
+            arr.setflags(write=False)
+            object.__setattr__(stack, name, arr)
+        return stack
 
     @classmethod
     def of(cls, members) -> "SeriesStack":
@@ -237,13 +254,8 @@ class SeriesStack:
         return self.a0.shape[0]
 
     def __getitem__(self, index) -> "SeriesStack":
-        sub = object.__new__(SeriesStack)
-        object.__setattr__(sub, "N", self.N)
-        for name in ("a", "b", "a0", "b0"):
-            # a copy, so that a memo holding the sub-stack holds no more
-            arr = np.array(getattr(self, name)[index])
-            arr.setflags(write=False)
-            object.__setattr__(sub, name, arr)
+        sub = SeriesStack._unchecked(self.N, self.a[index], self.b[index],
+                                     self.a0[index], self.b0[index])
         if sub.a0.ndim != 1:
             raise IndexError("a stack index must select a 1-d run of members")
         return sub
@@ -300,6 +312,24 @@ def _require_int(x, name: str, lowest: float = 0, highest: int | None = None) ->
         raise ParameterDomainError(f"{name} must be >= {lowest}, got {_shown(x)}")
     if highest is not None and x > highest:
         raise ParameterDomainError(f"{name}={_shown(x)} exceeds {highest}")
+
+
+def _all_ints(values, lowest: float = 0, highest: int | None = None) -> bool:
+    """Whether _require_int accepts every entry of `values` (a sequence or
+    a 1-d array), tested by one pass over their types (the dtype of an
+    array) and one min and max.  A caller with many seeds or orders tests
+    them so, and runs _require_int entry by entry only when this is False,
+    to refuse the first entry it refuses with its message."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "iu":
+            return False
+        lo, hi = (values.min(), values.max()) if values.size else (lowest, lowest)
+    else:
+        if not all(t is not bool and issubclass(t, (int, np.integer))
+                   for t in set(map(type, values))):
+            return False
+        lo, hi = (min(values), max(values)) if len(values) else (lowest, lowest)
+    return lo >= lowest and (highest is None or hi <= highest)
 
 
 def _coeff_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
@@ -475,8 +505,7 @@ def _is_grid(thetas: np.ndarray) -> bool:
     """Whether `thetas` is exactly circle_angles(thetas.size)."""
     if thetas.ndim != 1 or thetas.size == 0 or thetas[0] != 0.0:
         return False
-    grid = circle_angles(thetas.size)
-    return thetas is grid or np.array_equal(thetas, grid)
+    return np.array_equal(thetas, circle_angles(thetas.size))
 
 
 @lru_cache(maxsize=64)
@@ -511,12 +540,12 @@ def _member_orders(stack: "SeriesStack") -> np.ndarray:
 def _mode_spectrum(h, rho, rows=(0, 1, 2), bins: int | None = None) -> np.ndarray:
     """Mode coefficients of the field rows `rows` (0 values, 1 d_rho,
     2 d_theta, in the order asked) on C_rho, shape (rows,) + (members) +
-    radii + (bins,).  Only the requested rows are computed, and each is
-    written straight into its bins by two slice assignments.  With `bins`
-    None the spectrum is compact, modes 0, 1..N, -1..-N in 2N + 1 bins;
-    with bins = L > 2N, mode n is in bin n mod L, modes 1..N in the slice
-    1..N and -1..-N in the reversed slice L-1..L-N, and the bins between
-    them are zero.
+    radii + (bins,).  Only the requested rows are computed, into one block
+    of their mode coefficients, which two slice assignments write straight
+    into the bins of every row.  With `bins` None the spectrum is compact,
+    modes 0, 1..N, -1..-N in 2N + 1 bins; with bins = L > 2N, mode n is in
+    bin n mod L, modes 1..N in the slice 1..N and -1..-N in the reversed
+    slice L-1..L-N, and the bins between them are zero.
 
     Overflow is tolerated here; it yields inf/nan fields.
     """
@@ -534,19 +563,20 @@ def _mode_spectrum(h, rho, rows=(0, 1, 2), bins: int | None = None) -> np.ndarra
     zero, pos = spec[..., 0], spec[..., 1:N + 1]
     neg = spec[..., N + 1:] if bins is None else spec[..., bins - 1:bins - N - 1:-1]
     values = x + y
+    block = np.empty((len(rows),) + x.shape, dtype=np.complex128)
     for i, row in enumerate(rows):
         if row == 0:
             zero[i] = a0 * np.log(r0) + b0
-            coeffs = values
+            block[i] = values
         elif row == 1:
             zero[i] = a0 / r0
-            coeffs = np.subtract(x, y)
+            coeffs = np.subtract(x, y, out=block[i])
             coeffs *= ns
             coeffs /= r
         else:  # mode 0 of d_theta is 0
-            coeffs = values * i_ns
-        pos[i] = coeffs[..., :N]
-        neg[i] = coeffs[..., N:]
+            np.multiply(values, i_ns, out=block[i])
+    pos[...] = block[..., :N]
+    neg[...] = block[..., N:]
     return spec
 
 
@@ -567,21 +597,26 @@ def _grid_fields(h, rho, M: int, rows=(0, 1, 2)) -> np.ndarray:
     return np.fft.ifft(spec, axis=-1, norm="forward", out=spec)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a decorator costs half a with-block
 def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFields:
     """Evaluate h, dh/drho and dh/dtheta at the angles `thetas` on C_rho.
 
     `thetas` must equal circle_angles(M) for some M >= 1 (a copy or a list
-    of it will do); other angles raise ParameterDomainError.  Differentiation
-    is termwise on the series, so the derivatives are exact up to rounding,
-    and the fields come from one inverse FFT of the mode spectrum.
+    of it will do; the cached array itself passes without a comparison);
+    other angles raise ParameterDomainError.  Differentiation is termwise
+    on the series, so the derivatives are exact up to rounding, and the
+    fields come from one inverse FFT of the mode spectrum.
     """
     require_radii(rho)
-    thetas = np.asarray(thetas, dtype=np.float64)
-    if not _is_grid(thetas):
-        raise ParameterDomainError(
-            "thetas must be the grid circle_angles(M) of some M >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _grid_fields(h, rho, thetas.size)
+    # the cached grid passes as it is; only a read-only array may be it, so
+    # no grid is built for a writeable array that is not one
+    if not (isinstance(thetas, np.ndarray) and not thetas.flags.writeable
+            and thetas is circle_angles(thetas.size)):
+        thetas = np.asarray(thetas, dtype=np.float64)
+        if not _is_grid(thetas):
+            raise ParameterDomainError(
+                "thetas must be the grid circle_angles(M) of some M >= 1")
+    out = _grid_fields(h, rho, thetas.size)
     return CircleFields(out[0], out[1], out[2])
 
 

@@ -751,6 +751,38 @@ def test_cached_gauss_rules_are_read_only_and_correctly_rounded(n):
     assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
 
 
+def _gauss_rule_alone(n):
+    """The reference: one rule's Newton pass in extended precision, over
+    that rule's own nodes alone."""
+    k = np.arange(n // 2, 0, -1, dtype=np.longdouble)
+    x = (1 - (n - 1) / (8 * np.longdouble(n) ** 3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(4):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    w = (2 / ((1 - x * x) * dp * dp)).astype(np.float64)
+    x = x.astype(np.float64)
+    return np.concatenate((-x[::-1], x)), np.concatenate((w[::-1], w))
+
+
+def test_every_gauss_rule_has_the_bits_of_its_own_newton_pass():
+    """The one pass over all 16 rule sizes the radial rule takes (8..128 in
+    steps of 8) gives each rule the float64 bits of a pass over that rule
+    alone; every rule is read-only, and each call returns the same arrays."""
+    sizes = range(8, quadrature._RULE_CAP + 1, quadrature._RULE_STEP)
+    assert sorted(quadrature._gauss_rules()) == list(sizes)
+    for n in sizes:
+        x, w = _gauss_rule(n)
+        want_x, want_w = _gauss_rule_alone(n)
+        assert x.size == w.size == n
+        assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes(), n
+        assert not x.flags.writeable and not w.flags.writeable
+        again = _gauss_rule(n)
+        assert again[0] is x and again[1] is w
+
+
 def test_radial_nonconvergence_raises():
     """An integrand whose degree needs more than _RADIAL_NODE_CAP nodes
     raises before it is evaluated."""

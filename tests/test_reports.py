@@ -3,6 +3,7 @@ its residuals, reports._check, the report digest, and the draws of the
 randomized criteria: reports._draws, its decode of one raw block and the
 per-trial loop it falls back to."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -121,6 +122,15 @@ def test_bool_arrays_reduce_to_zero_or_one():
 # report manifest's): reports.digest over run_suite("all", s, trials) for
 # each seed s in turn, per seed and over the ranges given.
 DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+def test_check_to_dict_is_the_dataclass_dict():
+    """to_dict builds the dict of dataclasses.asdict without its deep copy:
+    the same keys in the same order and the same values, for every check."""
+    for check in reports.run_suite("all", 0, 1):
+        got, want = check.to_dict(), dataclasses.asdict(check)
+        assert list(got) == list(want) and got == want, check.name
+        assert all(type(got[k]) is type(want[k]) for k in want), check.name
 
 
 def test_digest_hashes_each_check_in_order():

@@ -35,7 +35,9 @@ from annulus_harmonics.sampling import (
 from annulus_harmonics.series import (
     MAX_JSON_ORDER,
     SeriesStack,
+    _all_ints,
     _index,
+    _require_int,
     circle_grid_fields,
     dumps_series,
 )
@@ -112,12 +114,52 @@ REFUSED_MEMBERS = {
 
 @pytest.mark.parametrize("member, word", REFUSED_MEMBERS.values(), ids=REFUSED_MEMBERS.keys())
 def test_stack_refuses_a_member_sampler_config_refuses(member, word):
+    """Also with the seeds as numpy integers and the orders as an int64
+    array, as reports._draws passes its orders, wherever the member's value
+    can be held so (not a bool or a float), with the same message."""
     seed, N, decay = member
     with pytest.raises(ParameterDomainError, match=word):
         SamplerConfig(seed, N, decay)
+    seeds_as = [[1, seed]] + ([np.array([1, seed])] if type(seed) is int else [])
+    orders_as = [[4, N]] + ([np.array([4, N])] if type(N) is int else [])
     for decays in ([0.5, decay], decay):
-        with pytest.raises(ParameterDomainError, match=word):
+        with pytest.raises(ParameterDomainError, match=word) as given:
             random_series_stack([1, seed], [4, N], decays)
+        for seeds in seeds_as:
+            for orders in orders_as:
+                with pytest.raises(ParameterDomainError) as as_arrays:
+                    random_series_stack(seeds, orders, decays)
+                assert str(as_arrays.value) == str(given.value)
+
+
+@pytest.mark.parametrize("seeds, orders, word", [
+    ([-1, 2], [4, 0], "seed must be"), ([1, -2], [0, 4], "N must be"),
+    ([1, -2], [4, 0], "seed must be"),
+], ids=["first-members-seed", "first-members-order", "seed-before-order"])
+def test_stack_names_the_first_member_refused_seed_before_order(seeds, orders, word):
+    for given in (orders, np.array(orders)):
+        with pytest.raises(ParameterDomainError, match=word):
+            random_series_stack(seeds, given, 0.5)
+
+
+@pytest.mark.parametrize("values", [
+    [], [0, 3], [4096, 1], [True], [np.bool_(True)], [1.0], [np.int64(-1)], [2**70],
+    [-2**70], [np.uint64(2**63)], [None], ["1"], np.array([0, 5]), np.array([4097]),
+    np.array([], dtype=np.int64), np.array([[1]]), np.array([1.0]), np.array([True]),
+    np.array([7], dtype=np.uint8),
+], ids=repr)
+def test_all_ints_accepts_exactly_what_the_integer_rule_accepts(values):
+    """The array test of the sampler rule against its reference, the
+    integer rule entry by entry."""
+    for lowest, highest in ((0, None), (1, MAX_JSON_ORDER)):
+        try:
+            for v in values:
+                _require_int(v, "x", lowest, highest)
+        except ParameterDomainError:
+            accepted = False
+        else:
+            accepted = True
+        assert _all_ints(values, lowest, highest) == accepted
 
 
 @pytest.mark.parametrize("args", [
@@ -241,6 +283,23 @@ def test_conformal_rows_have_the_bits_of_their_generators():
         a[[_index(n, stack.N) for n in modes]] = eps * u[:-1:2] * np.exp(2j * np.pi * u[1::2])
         assert np.array_equal(stack.a[i], a * np.exp(2j * np.pi * u[-1]))
         assert not stack.b[i].any() and stack.a0[i] == 0j and stack.b0[i] == 0j
+
+
+def test_sampler_stacks_are_those_the_checked_constructor_builds():
+    """The sampler's stacks skip the constructor's check; each holds what
+    the checked SeriesStack builds from the same arrays, bit for bit, with
+    its dtype, shape and contiguous layout, read-only."""
+    stacks = [random_series_stack([3, 9, 2**62 - 1], np.array([1, 5, 3]), [0.3, 0.6, 0.9]),
+              random_series_stack([5], [2], 0.6),
+              random_conformal_perturbation([0, 404, 2**64 + 3])]
+    for stack in stacks:
+        checked = SeriesStack(N=stack.N, a=stack.a, b=stack.b, a0=stack.a0, b0=stack.b0)
+        assert type(stack.N) is int
+        for name in ("a", "b", "a0", "b0"):
+            got, want = getattr(stack, name), getattr(checked, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes() and got.flags.c_contiguous, name
+            assert not got.flags.writeable, name
 
 
 def test_stack_of_many_configs_keeps_a_small_traced_peak():
