@@ -43,13 +43,14 @@ afresh: a batched criterion builds U once per chunk and hands it to every
 caller, and 32 kept chunks would hold their coefficient and weight tables
 (up to ~52 KiB each at 64 members) to the end of a run.
 
-At a Python float radius a series' jet skips the array round trip: the
-basis is one 1-d (2K + 3,) row taken straight from the float, one
-matvec with the weight table gives (U, rho U', rho^2 U''), and the last
-two are divided by rho and rho^2 as scalars, the arithmetic of the array
-path on a 0-d radius.  jet returns the three as Python floats, and value,
-deriv1 and deriv2 each return one (a stack's jet at a float radius, and
-every jet at array radii, return arrays as before).
+At one radius (a float, an np.float64 or a 0-d array) a series' jet skips
+the array round trip: the basis is one 1-d (2K + 3,) row taken straight
+from the float, its power laid out as the array path lays out
+np.array([rho]), one matvec with the weight table gives (U, rho U',
+rho^2 U''), and the last two are divided by rho and rho^2 as scalars, with
+the bits of the array path.  jet returns the three as Python floats, and
+value, deriv1 and deriv2 each return one (a stack's jet at a float radius,
+and every jet at array radii, return arrays as before).
 
 Every profile also keeps the jet tables of the last _JET_MEMO_SIZE (4)
 radii it was evaluated at as a Python float (numpy float64 included):
@@ -85,8 +86,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError
-from .series import (HarmonicSeries, SeriesStack, _in_float_range, require_mode,
-                     require_outer, require_radii)
+from .series import (HarmonicSeries, SeriesStack, _in_float_range, _is_scalar,
+                     require_mode, require_outer, require_radii)
 
 CLASS_TOL = 1e-12
 
@@ -140,12 +141,15 @@ def _jet_table(r: np.ndarray | float, two_k: np.ndarray, weights: np.ndarray) ->
     """U, U' and U'' at the radii r: one power table over the basis
     rho^(2k), rho^(-2k), 1, log(rho), log(rho)^2, one (batched) matmul with
     the weight table, whose column d gives rho^d U^(d), and the division
-    by rho^d.  A Python float r (one series) gives the (3,) table of a 0-d
-    radius, without converting r to an array."""
+    by rho^d.  A Python float r (one series) gives the (3,) table, with the
+    bits of r = np.array([rho]), without converting r to an array."""
     K = two_k.shape[-1]
     if type(r) is float:
         basis = np.empty(2 * K + 3)
-        np.power(r, two_k, out=basis[:K])
+        # the layout of np.array([rho])'s table: at K = 1 numpy runs a (1, 1)
+        # out, unlike a (1,) one, with the exponent broadcast, which squares
+        # rho exactly at 2k = 2
+        np.power(r, two_k, out=basis[None, :1] if K == 1 else basis[:K])
         np.divide(1.0, basis[:K], out=basis[K:-3])
         log_r = np.log(r)  # numpy's log, as on an array (math.log may round apart)
         basis[-3] = 1.0
@@ -262,8 +266,8 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         return out
 
     def table(rho) -> np.ndarray:
-        if type(rho) is float and weights.ndim == 2:  # one series, one float radius
-            return _jet_table(rho, two_k, weights)
+        if weights.ndim == 2 and (type(rho) is float or _is_scalar(rho)):  # one radius
+            return _jet_table(float(rho), two_k, weights)
         r = np.asarray(rho, dtype=np.float64)
         shape = None
         if two_k.ndim > 1 and r.ndim < 2:  # exponents per member: radii (B, m)

@@ -4,7 +4,7 @@ A check is one checkable statement of the paper's argument, declared once,
 as the row of CHECKS under its report name: the statement, the tolerance (a
 `DEFAULT_TOLERANCES` key, which a `--tol-*` flag overrides, or a fixed
 number that no flag changes) and the gate, the largest residual/tolerance
-(`gate_ratio`) that the seed sweep of CI accepts.  A criterion, coded once
+(`gate_ratio`) that the seed sweep `sweep` accepts.  A criterion, coded once
 as a function `criterion(plan, tol) -> list[CheckResult]`, draws what it
 needs, runs an independent numerical comparison (closed form against
 quadrature, or a positivity scan over a grid) and hands each of its checks
@@ -133,7 +133,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 class Check(NamedTuple):
     """The declaration of one check: what it states, its tolerance (a
     DEFAULT_TOLERANCES key, or a fixed number that no flag changes) and its
-    gate, the largest gate_ratio that the seed sweep of CI accepts."""
+    gate, the largest gate_ratio that the seed sweep (`sweep`) accepts."""
 
     statement: str
     tolerance: str | float
@@ -288,6 +288,55 @@ def digest(checks) -> str:
         sha.update(repr((c.name, c.statement, c.residual.hex(), c.tolerance,
                          c.passed)).encode())
     return sha.hexdigest()
+
+
+def digest_environment() -> dict:
+    """What sets a digest's bits, as tests/report_digests.json records it:
+    the Python and numpy versions, the machine and the CPU features numpy
+    dispatches its loops on (its AVX-512 exp and log round apart), not the
+    kernel release."""
+    import platform
+
+    from numpy._core import _multiarray_umath as umath
+
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "machine": platform.machine(),
+            "cpu_features": [f for f in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+                             if umath.__cpu_features__.get(f)]}
+
+
+class Sweep(NamedTuple):
+    """The judgement of run_suite("all", seed, trials) over a range of
+    seeds: `worst` maps each check returned to its worst gate_ratio and the
+    first seed at it, `failed` lists the seeds with a failed check,
+    `above_gate` the CHECKS rows above their gate or never returned, and
+    `digests` and `digest` are the per-seed and whole-range digests."""
+
+    worst: dict[str, tuple[float, int]]
+    failed: list[int]
+    above_gate: list[str]
+    digests: list[str]
+    digest: str
+
+
+def sweep(seeds, trials: int) -> Sweep:
+    """One pass of run_suite("all", seed, trials) per seed, judged against
+    the gates of CHECKS (a NaN residual ranks as inf): CI's seed sweep and
+    tier-1's gate and digest tests."""
+    runs = [(seed, run_suite("all", seed, trials)) for seed in seeds]
+    worst: dict[str, tuple[float, int]] = {}
+    for seed, checks in runs:
+        for c in checks:
+            ratio = gate_ratio(c.residual, c.tolerance)
+            if c.name not in worst or ratio > worst[c.name][0]:
+                worst[c.name] = (ratio, seed)
+    return Sweep(
+        worst,
+        [seed for seed, checks in runs if not all(c.passed for c in checks)],
+        [name for name, row in CHECKS.items()
+         if not (name in worst and worst[name][0] <= row.gate)],
+        [digest(checks) for _, checks in runs],
+        digest(c for _, checks in runs for c in checks))
 
 
 @dataclass(frozen=True)

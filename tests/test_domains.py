@@ -123,6 +123,13 @@ CASES = {
     "dirichlet_energy-rho1-array": lambda: dirichlet_energy(H, np.array([1.5, 2.0]), 1.8),
     "dirichlet_energy-rho2-array": lambda: dirichlet_energy(H, 1.2, np.array([1.5])),
     "radial_integrate-inf": lambda: radial_integrate(np.ones_like, 1.0, INF, 1),
+    # a degree is a finite number >= 0, not a bool, and lambda lies in (-1, 1]
+    **{f"radial_integrate-degree-{name}": (
+        lambda degree=degree: radial_integrate(np.ones_like, 1.0, 2.0, degree))
+       for name, degree in [("nan", NAN), ("inf", INF), ("str", "x"), ("huge", HUGE),
+                            ("-1", -1), ("bool", True), ("array--1", np.array([1, -1]))]},
+    "radial_integrate-lambda-2": lambda: radial_integrate(np.ones_like, 1.0, 2.0, 1, 2.0),
+    "radial_integrate-lambda-nan": lambda: radial_integrate(np.ones_like, 1.0, 2.0, 1, NAN),
     "dirichlet_energy-inf": lambda: dirichlet_energy(H, 1.0, INF),
     "dirichlet_energy-rho1-nan": lambda: dirichlet_energy(H, NAN, 2.0),
     "dirichlet_energy-rho1-0": lambda: dirichlet_energy(H, 0.0, 2.0),

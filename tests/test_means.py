@@ -223,36 +223,22 @@ def test_operator_apply_matches_reference_composition(case, lam):
 # evaluation and the closed form, at radii that a sloppy memo key would merge
 # ---------------------------------------------------------------------------
 
-def squares_round_apart() -> bool:
-    """Whether the installed numpy's power (whose loops depend on the CPU)
-    gives rho^2 for a column of radii (m, 1), as the jet's power table
-    takes array radii, other bits than for one broadcast radius, as it
-    takes a float."""
-    radii = np.linspace(0.6, 4.0, 1001).tolist()
-    return any(np.power(np.array([[r]]), [2.0])[0, 0] != np.power(r, [2.0])[0] for r in radii)
-
-
 def float_radius_cases():
     """pytest params (profile, reference terms) of U, V and one U_n of 20
-    series.  Where the only power of the table is rho^2 (N = 1, or n = 1)
-    and squares_round_apart() (numpy squares the column exactly, and rounds
-    pow(rho, 2.0) one ulp apart at about 5% of radii), the bit check of
-    those cases is expected to fail until the two paths agree."""
-    squared = pytest.mark.xfail(squares_round_apart(), strict=True,
-                                reason="rho^2 rounds apart on the float path")
+    series, N = 1 among them: where the only power of the table is rho^2,
+    numpy squares a column of radii exactly and may round pow(rho, 2.0)
+    apart, so the float path must lay its power out as the array path."""
     for i in range(20):
         N = 1 + i % 12
         h = random_series(SamplerConfig(seed=500 + i, N=N, decay=0.5))
         n = (1 + i % N) * (-1) ** i
         a_n, b_n = h.coeff(n)
-        marks = [squared] if N == 1 else []
         yield pytest.param(quadratic_mean_profile(h), (h.mode_numbers, h.a, h.b, h.a0, h.b0),
-                           id=f"U-{i}", marks=marks)
+                           id=f"U-{i}")
         yield pytest.param(variance_profile(h), (h.mode_numbers, h.a, h.b, 0j, 0j),
-                           id=f"V-{i}", marks=marks)
+                           id=f"V-{i}")
         yield pytest.param(quadratic_mean_mode(h, n),
-                           ([n], np.array([a_n]), np.array([b_n]), 0j, 0j),
-                           id=f"U_{n}-{i}", marks=[squared] if n == 1 else [])
+                           ([n], np.array([a_n]), np.array([b_n]), 0j, 0j), id=f"U_{n}-{i}")
 
 
 def float_radii() -> list:
@@ -276,7 +262,8 @@ FLOAT_RADII = float_radii()
 def assert_float_radius_jet(P: RadialProfile, terms, radii) -> None:
     """At each float radius, in turn: jet, value, deriv1 and deriv2 are
     Python floats that match the closed form to 1e-12 of the size of its
-    terms, and np.float64(rho), evaluated afresh, gives the same numbers."""
+    terms, and np.float64(rho) and a 0-d array, evaluated afresh, give the
+    same numbers."""
     refs = reference_jet(*terms, np.array(radii))
     for i, r in enumerate(radii):
         got = [*P.jet(r), P.value(r), P.deriv1(r), P.deriv2(r)]
@@ -284,9 +271,9 @@ def assert_float_radius_jet(P: RadialProfile, terms, radii) -> None:
         for x, (want, magnitude) in zip(got, refs):
             assert abs(x - want[i]) <= 1e-12 * magnitude[i], (r, x, want[i])
         _memo(P).clear()  # np.float64 shares the float's memo entry
-        f = np.float64(r)
-        again = [*P.jet(f), P.value(f), P.deriv1(f), P.deriv2(f)]
-        assert all(type(x) is float for x in again) and again == got, (r, again)
+        for f in (np.float64(r), np.array(r)):
+            again = [*P.jet(f), P.value(f), P.deriv1(f), P.deriv2(f)]
+            assert all(type(x) is float for x in again) and again == got, (r, again)
 
 
 def assert_float_radius_bits(P: RadialProfile, radii) -> None:
@@ -298,7 +285,7 @@ def assert_float_radius_bits(P: RadialProfile, radii) -> None:
         assert [x.hex() for x in got] == fresh * 2, r
 
 
-@pytest.mark.parametrize("P, terms", [pytest.param(*c.values, id=c.id) for c in FLOAT_CASES])
+@pytest.mark.parametrize("P, terms", FLOAT_CASES)
 def test_float_radius_jet_is_a_float_on_the_closed_form(P, terms):
     assert_float_radius_jet(P, terms, FLOAT_RADII)
 

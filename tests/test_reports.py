@@ -1,7 +1,7 @@
 """The one declaration of each check, reports.CHECKS, the one reduction of
-its residuals, reports._check, the report digest, and the draws of the
-randomized criteria: reports._draws, its decode of one raw block and the
-per-trial loop it falls back to."""
+its residuals, reports._check, the report digest, the seed sweep and the
+draws of the randomized criteria: reports._draws, its decode of one raw
+block and the per-trial loop it falls back to."""
 
 import dataclasses
 import hashlib
@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_harmonics import cli, reports
+from annulus_harmonics import reports
 from annulus_harmonics.reports import (
     CHECKS, DEFAULT_TOLERANCES, E, E32, CheckResult, DrawPlan, _check, _draw_config, digest,
-    gate_ratio, run_suite)
+    gate_ratio, run_suite, sweep)
 from annulus_harmonics.sampling import SamplerConfig
 from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack
 
@@ -118,9 +118,9 @@ def test_bool_arrays_reduce_to_zero_or_one():
 # The report digest.
 # ---------------------------------------------------------------------------
 
-# The committed report digests, with the environment they were made on (the
-# report manifest's): reports.digest over run_suite("all", s, trials) for
-# each seed s in turn, per seed and over the ranges given.
+# The committed report digests, with the environment they were made on
+# (reports.digest_environment): reports.digest over run_suite("all", s,
+# trials) for each seed s in turn, per seed and over the ranges given.
 DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
 
 
@@ -146,13 +146,51 @@ def test_digest_hashes_each_check_in_order():
 def test_reports_keep_their_committed_digests():
     """Seeds 0-15 each give their committed digest; a failure names the
     seeds whose reports moved.  The bits may differ on another Python,
-    numpy or platform, where the test skips."""
-    made, here = DIGESTS["environment"], cli._environment()
+    numpy, machine or set of CPU features, where the test skips."""
+    made, here = DIGESTS["environment"], reports.digest_environment()
     if made != here:
         pytest.skip(f"the digests were made on {made}; this is {here}")
     trials, want = DIGESTS["per_seed"]["trials"], DIGESTS["per_seed"]["digests"]
-    moved = [s for s, d in enumerate(want) if digest(run_suite("all", s, trials)) != d]
+    got = sweep(range(len(want)), trials).digests
+    moved = [s for s, d in enumerate(want) if got[s] != d]
     assert moved == []
+
+
+# ---------------------------------------------------------------------------
+# The seed sweep.
+# ---------------------------------------------------------------------------
+
+def test_sweep_names_a_check_above_its_gate_and_a_row_never_returned(monkeypatch):
+    ratio, seed = sweep([0, 1], 1).worst["equality-family"]
+    monkeypatch.setitem(CHECKS, "equality-family",
+                        CHECKS["equality-family"]._replace(gate=ratio / 2))
+    monkeypatch.setitem(CHECKS, "never-returned", reports.Check("unused", 0.0, 1e-2))
+    result = sweep([0, 1], 1)
+    assert result.worst["equality-family"] == (ratio, seed) and "never-returned" not in result.worst
+    assert (result.above_gate, result.failed) == (["equality-family", "never-returned"], [])
+
+
+def test_sweep_fails_the_seed_of_a_nan_residual(monkeypatch):
+    """A NaN residual of one check on seed 1, reduced by _check, fails that
+    seed and ranks as inf there."""
+    real = reports.run_suite
+
+    def nan_on_seed_1(name, seed, trials):
+        return [_check(c.name, [c.residual, math.nan], DEFAULT_TOLERANCES)
+                if seed == 1 and c.name == "mode-form" else c
+                for c in real(name, seed, trials)]
+
+    monkeypatch.setattr(reports, "run_suite", nan_on_seed_1)
+    result = sweep([0, 1, 2], 1)
+    assert (result.failed, result.above_gate) == ([1], ["mode-form"])
+    assert result.worst["mode-form"] == (math.inf, 1)
+
+
+def test_sweep_digests_each_seed_and_the_range():
+    result = sweep([3, 5], 1)
+    runs = [run_suite("all", s, 1) for s in (3, 5)]
+    assert result.digests == [digest(r) for r in runs]
+    assert result.digest == digest(runs[0] + runs[1])
 
 
 # ---------------------------------------------------------------------------
