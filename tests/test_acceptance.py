@@ -185,10 +185,11 @@ def test_c11_oracle_agreement():
            np.max(np.abs(jac - expected[:, None])), 1e-12)
 
 
-def test_verify_all_passes_for_fresh_seeds():
-    """Every check of the full report passes on seeds 40-43, which no other
-    test pins, with its residual/tolerance within its gate (reports.CHECKS)."""
-    result = sweep(range(40, 44), 100)
+@pytest.mark.parametrize("seed", [40, 41, 42, 43])
+def test_verify_all_passes_for_fresh_seeds(seed):
+    """Every check of the full report passes on seeds no other test pins,
+    with its residual/tolerance within its gate (reports.CHECKS)."""
+    result = sweep([seed], 100)
     assert (result.failed, result.above_gate) == ([], []), result.worst
 
 
