@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .means import (
+    CLASS_TOL,
     is_class_D,
     is_class_N,
     mean_outer_radius,
@@ -39,10 +40,12 @@ from .series import (
     SeriesStack,
     _in_float_range,
     _member_orders,
+    _require_int,
     _scalar,
+    _shown,
+    _within,
     circle_grid_fields,
     require_lambda,
-    require_mode,
     require_outer,
     require_radii,
 )
@@ -161,16 +164,6 @@ class ModeFormCoeffs(NamedTuple):
     C: float
 
 
-def _require_modes(n, lowest: int, what: str) -> np.ndarray | int:
-    """n as an int, or an array of ints, after checking that n is a mode
-    number (require_mode) and that every mode is at least `lowest`."""
-    require_mode(n)
-    n = n if isinstance(n, int) else np.asarray(n)
-    if n < lowest if isinstance(n, int) else (n < lowest).any():
-        raise ParameterDomainError(what)
-    return n
-
-
 def _mode_form_coeffs(n, R) -> ModeFormCoeffs:
     cross = (R**2 - 3.0) * (R**2 + 1.0)
     A = 4.0 * R ** (2 * n + 2) + cross - 4.0 * n * (R**4 - 1.0)
@@ -207,7 +200,7 @@ def mode_form_coeffs(n, R) -> ModeFormCoeffs:
     NumericOverflowError if a coefficient is not finite (R^(2n+2) past the
     float range).
     """
-    n = _require_modes(n, 1, "mode index n must be >= 1")
+    n = _require_int(n, "mode index n", 1, many=True)
     require_outer(R)
     return _in_float_range("the per-mode form at R", R, _mode_form_coeffs, n, R)
 
@@ -220,7 +213,7 @@ def mode_form_certificate(n, R):
     n and R may be arrays (broadcast against each other).  Raises
     NumericOverflowError if a value is not finite.
     """
-    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
+    n = _require_int(n, "mode index n", 2, many=True)
     require_outer(R)
     return _in_float_range("the per-mode certificate at R", R, _mode_form_certificate, n, R)
 
@@ -234,7 +227,7 @@ def mode_form_certificate_expanded(n, R):
     n and R may be arrays (broadcast against each other).  Raises
     NumericOverflowError if a value is not finite.
     """
-    n = _require_modes(n, 2, "the certificate is defined for n >= 2")
+    n = _require_int(n, "mode index n", 2, many=True)
     require_outer(R)
     return _in_float_range("the expanded per-mode certificate at R", R,
                            _mode_form_certificate_expanded, n, R)
@@ -281,7 +274,7 @@ def mode_quadratic_form_residual(h, n, R):
     the members are integrated together and the result holds one residual
     per member.
     """
-    n = _require_modes(n, 1, "mode index n must be >= 1")
+    n = _require_int(n, "mode index n", 1, many=isinstance(h, SeriesStack))
     a_n, b_n = h.coeff(n)
     lhs = k_functional(quadratic_mean_mode(h, n), 1.0, R)
     lhs -= (R**2 - 1.0) * (n - 1.0) * abs(a_n + b_n) ** 2
@@ -301,8 +294,8 @@ def variance_k_bound(h, R):
     NumericOverflowError if an entry is not finite (V's jet overflows past
     R = 10**(154/N) or so).
     """
-    if not (np.asarray(R) > math.e).all():
-        raise ParameterDomainError("the variance estimate requires R > e")
+    if not _within(R, math.e, math.inf):
+        raise ParameterDomainError(f"the variance estimate requires e < R < inf, got {_shown(R)}")
     return _in_float_range(
         "the variance estimate at R", R,
         lambda h, R: (k_functional(variance_profile(h), 1.0, R),
@@ -443,8 +436,8 @@ def schottky_check(h, R: float):
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
     area_bound = _in_float_range("the area bound pi (R^2 - 1) at R", R,
                                  lambda R: math.pi * (R**2 - 1.0), R)
-    conformal = np.max(np.abs(stack.b), axis=-1, initial=0.0) <= 1e-12
-    pure = (np.abs(stack.a0) <= 1e-12) & (np.abs(stack.b0) <= 1e-12)
+    conformal = np.max(np.abs(stack.b), axis=-1, initial=0.0) <= CLASS_TOL
+    pure = is_class_D(stack) & is_class_N(stack)
     deviation = np.full(len(stack), math.nan)
     screened = conformal & pure
     # T = |f|^2 - 1 on the unit circle, of degree 2N for a member whose

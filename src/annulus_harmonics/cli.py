@@ -41,7 +41,7 @@ from .means import (
 from .operators import lambda_from_speed, speed_bound
 from .reports import DEFAULT_TOLERANCES, MAX_TRIALS, SUITES, run_suite
 from .sampling import SamplerConfig, normalize_inner, random_series
-from .series import _in_float_range, extremal_map, load_series, require_outer, save_series
+from .series import _in_float_range, _within, extremal_map, load_series, require_outer, save_series
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
@@ -73,7 +73,7 @@ def _count(text: str) -> int:
 def _tolerance(text: str) -> float:
     """argparse type of the --tol-* overrides: a finite number >= 0."""
     value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
+    if not _within(value, 0.0, math.inf, lo_closed=True):
         raise argparse.ArgumentTypeError(
             f"must be a finite number >= 0, got {text}")
     return value

@@ -85,9 +85,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateSeriesError
+from .errors import DegenerateSeriesError, ParameterDomainError
 from .series import (HarmonicSeries, SeriesStack, _in_float_range, _is_scalar,
-                     require_mode, require_outer, require_radii)
+                     _require_int, _shown, _within, require_outer, require_radii)
 
 CLASS_TOL = 1e-12
 
@@ -101,7 +101,9 @@ class RadialProfile:
     `degree` is the largest |e| of the powers rho^e in the profile's table
     (2N for U and V, 2|n| for U_n, an array for a stack with one mode per
     member), which sizes the radial rule of k_functional; a profile built
-    from callables alone has none.
+    from callables alone has none.  A degree is a finite number >= 0 or an
+    array of them.  The profiles of this module refuse the radii that
+    require_radii refuses.
     """
 
     label: str
@@ -111,6 +113,11 @@ class RadialProfile:
     degree: int | np.ndarray | None = field(default=None, compare=False)
     _jet: Callable[[np.ndarray | float], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.degree is not None and not _within(self.degree, 0.0, math.inf, lo_closed=True):
+            raise ParameterDomainError(
+                f"degree must be a finite number >= 0, got {_shown(self.degree)}")
 
     def jet(self, rho):
         """(value, deriv1, deriv2) at rho, vectorized over rho: three Python
@@ -248,14 +255,19 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
 
     memo: dict[float, np.ndarray] = {}
 
-    def jet(rho) -> np.ndarray:
+    def jet(rho, check: bool = True) -> np.ndarray:
         """(..., 3) array of U, U', U'' at rho; for a stack the member axis
         leads (rho a scalar, (m,) or (B, m), as in the series module).  A
-        float rho goes through the memo of the module docstring."""
+        float rho goes through the memo of the module docstring.  rho is
+        checked by require_radii, a float on a memo miss only, unless
+        `check` is False (k_functional's integrand)."""
         if not isinstance(rho, float):
+            if check:
+                require_radii(rho)
             return table(rho)
         out = memo.pop(rho, None)
         if out is None:
+            require_radii(rho)
             out = table(rho)
             if not math.isfinite(sum(out.ravel().tolist())):  # a NaN or inf entry
                 return out
@@ -300,7 +312,7 @@ def quadratic_mean_mode(h, n) -> RadialProfile:
     one nonzero mode per member (or one for all), and the profile is that
     of member i's mode n[i].
     """
-    require_mode(n)
+    _require_int(n, "a mode number", -math.inf, many=isinstance(h, SeriesStack))
     if isinstance(h, SeriesStack):
         n = np.broadcast_to(np.asarray(n), (len(h),))
     elif n == 0:  # the profile of the series' zero mode alone

@@ -186,7 +186,7 @@ def lambda_from_speed(speed: float) -> float:
     a speed that is not one number raises ParameterDomainError.
     """
     if not _is_scalar(speed):  # not _scalar: a huge integer is an overflow here
-        raise ParameterDomainError(f"speed must be one number, got shape {np.shape(speed)}")
+        raise ParameterDomainError(f"speed must be one real number, got {_shown(speed)}")
     if speed < 0.0:
         raise SpeedSignError(f"initial speed must be nonnegative, got {_shown(speed)}")
     lam = _in_float_range("the lambda (1 - s)/(1 + s) of the initial speed s", speed,
@@ -333,9 +333,11 @@ def k_functional(P: RadialProfile, lam, R):
         lam_col, R_col = lam[..., None], R[..., None]
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        # the nodes lie in [1, R], inside L_lam's domain: skip its checks
+        # the nodes lie in [1, R], inside the domains of L_lam and of P: skip their checks
         den = r**2 + lam_col
-        return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *P.jet(r))
+        t = P._jet(r, False) if P._jet else np.stack(P.jet(r), axis=-1)
+        jet = t[..., 0], t[..., 1], t[..., 2]
+        return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *jet)
 
     return _in_float_range("K_lam of the profile at R", R,
                            radial_integrate, integrand, 1.0, R, P.degree, lam)
@@ -384,11 +386,11 @@ def variance_subsolution_min(h: HarmonicSeries, lam: float, rho_grid) -> float:
     the result is nonnegative up to rounding; it vanishes identically
     exactly when the only nonzero modes of h besides a0, b0 are the n = 1
     pair proportional to (1, lam) and the n = -1 pair proportional to
-    (lam, 1).  An empty grid raises ParameterDomainError, and a minimum
-    that is not finite (a radius so large that the variance overflows)
-    NumericOverflowError.
+    (lam, 1).  A lam that is not one number in (-1, 1] or an empty grid
+    raises ParameterDomainError, and a minimum that is not finite (a radius
+    so large that the variance overflows) NumericOverflowError.
     """
-    op = LambdaOperator(lam)
+    op = LambdaOperator(_scalar(lam, "lambda"))
     rho = np.asarray(rho_grid)
     if rho.size == 0:
         raise ParameterDomainError("the radius grid is empty")

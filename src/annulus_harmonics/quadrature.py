@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -76,6 +75,7 @@ from .series import (
     _mode_spectrum,
     _scalar,
     _shown,
+    _within,
     circle_grid_fields,
     require_lambda,
     require_radii,
@@ -523,16 +523,6 @@ def _stack_rule(d: np.ndarray, lam, lo: float, hi: np.ndarray) -> tuple:
     return r, weights
 
 
-def _is_degree(degree) -> bool:
-    """Whether degree is a finite number >= 0, not a bool, or an array of them."""
-    if isinstance(degree, np.integer):  # a profile's 2|n|: compared as an int, fast
-        degree = int(degree)
-    if type(degree) is int or isinstance(degree, float):
-        return 0 <= degree <= sys.float_info.max  # NaN, inf and 10**400 fail
-    d = np.asarray(degree)
-    return d.dtype.kind in "iuf" and bool(((d >= 0) & (d < math.inf)).all())
-
-
 def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
                      degree, lam=None):
     """Integral of g over [a, b] by one Gauss-Legendre rule in t = log r,
@@ -567,8 +557,8 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     QuadratureConvergenceError is raised, before g is called, if a
     member's panels would pass 4096 nodes.
 
-    `degree` is a finite number >= 0 (not a bool) and `lam`, when given,
-    lies in (-1, 1], else ParameterDomainError.
+    `a` is one radius, `degree` a finite number >= 0 and `lam`, when
+    given, lies in (-1, 1], else ParameterDomainError.
     `b`, `degree` and `lam` may be arrays, broadcast to one entry per
     member of a stack: each member gets its own rule (_stack_rule), its
     rows padded to the longest with zero-weight nodes inside its interval,
@@ -584,9 +574,10 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     be elementwise in the radii.  The result is a float, or an array over
     the members or those axes.
     """
+    a = _scalar(a, "a")
     require_radii(a)
     require_radii(b)
-    if not _is_degree(degree):
+    if not _within(degree, 0.0, math.inf, lo_closed=True):
         raise ParameterDomainError(f"degree must be a finite number >= 0, got {_shown(degree)}")
     if lam is not None:
         require_lambda(lam)

@@ -68,7 +68,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bnd
-from .errors import ParameterDomainError
 from .means import (
     initial_speed,
     quadratic_mean_profile,
@@ -349,11 +348,7 @@ class DrawPlan:
 
     def __post_init__(self) -> None:
         _require_int(self.seed, "seed")
-        if isinstance(self.trials, bool) or not isinstance(self.trials, (int, np.integer)):
-            raise ParameterDomainError(f"trials must be an integer, got {self.trials!r}")
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ParameterDomainError(
-                f"trials must lie in 1..{MAX_TRIALS}, got {self.trials}")
+        _require_int(self.trials, "trials", 1, MAX_TRIALS)
 
 
 def _check(name: str, residuals, tol: dict[str, float]) -> CheckResult:

@@ -42,13 +42,15 @@ from .series import (
     HarmonicSeries,
     SeriesStack,
     _all_ints,
+    _coeff_array,
     _in_float_range,
     _index,
     _require_int,
     _scalar,
+    _shown,
+    _within,
     circle_grid_fields,
     extremal_map,
-    require_mode,
     require_outer,
     scale_rotate,
 )
@@ -91,20 +93,18 @@ def _require_draws(seeds, orders, decay) -> tuple[np.ndarray, list[float]]:
     arrays (_all_ints); where that fails, the integer rule goes member by
     member and refuses the first member refused, seed before order.
     Returns orders and decays checked."""
-    given, orders, decay = orders, np.asarray(orders), np.asarray(decay)
-    if orders.ndim != 1 or len(seeds) != orders.size or decay.shape not in ((), orders.shape) \
-            or orders.size and orders.dtype.kind not in "iu":
+    given, orders = orders, np.asarray(orders)
+    if orders.ndim != 1 or len(seeds) != orders.size or np.shape(decay) not in ((), orders.shape):
         raise ParameterDomainError(
             "seeds and orders must be one integer per member, and decay one "
             "number or one per member")
-    decays = decay.ravel().tolist()
-    if decay.dtype.kind != "f" or not all(0.0 < d < 1.0 for d in decays):
-        raise ParameterDomainError("decay must lie in (0, 1)")
+    if not _within(decay, 0.0, 1.0):
+        raise ParameterDomainError(f"decay must lie in (0, 1), got {_shown(decay)}")
     if not (_all_ints(seeds) and _all_ints(given, 1, MAX_JSON_ORDER)):
         for seed, N in zip(seeds, given):  # as given: numpy reads a bool among ints as 1
             _require_int(seed, "seed")
             _require_int(N, "truncation order N", 1, MAX_JSON_ORDER)
-    return orders, decays
+    return orders, np.ravel(decay).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,10 @@ def perturb_extremal(
 ) -> HarmonicSeries:
     """h^lam with eps added to the mode-n coefficient a_n (or to the
     constant term when n = 0), optionally re-normalized on the inner
-    circle.  Raises ParameterDomainError unless n is an integer."""
-    require_mode(n)
+    circle.  Raises ParameterDomainError unless n is an integer, |n| <=
+    MAX_JSON_ORDER, and eps one complex number."""
+    _require_int(n, "a mode number", -MAX_JSON_ORDER, MAX_JSON_ORDER)
+    eps = _coeff_array(eps, (), "eps").item()
     h = extremal_map(lam)
     if n == 0:
         h = replace(h, b0=h.b0 + eps)
@@ -343,9 +345,7 @@ def random_conformal_perturbation(seed):
     SeriesStack of their series, each drawn from its own generator.
     """
     seeds = list(seed) if np.ndim(seed) else [seed]
-    if not _all_ints(seeds):
-        for s in seeds:
-            _require_int(s, "seed")
+    _require_int(seeds, "seed", many=True)
     count = len(CONFORMAL_MODES)
     u = np.empty((len(seeds), 2 * count + 1))
     if seeds:

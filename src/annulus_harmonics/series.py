@@ -73,9 +73,9 @@ LAMBDA_MIN = -1.0 + 1e-9
 # No report depends on this size.
 SERIES_PER_CHUNK = 64
 
-# Largest truncation order read from JSON or drawn by the sampler, checked
-# before any array is allocated, so a malformed file cannot ask for an
-# arbitrarily large series.
+# Largest truncation order read from JSON, drawn by the sampler or built by
+# perturb_extremal, checked before any array is allocated, so a malformed
+# argument cannot ask for an arbitrarily large series.
 MAX_JSON_ORDER = 4096
 
 
@@ -111,8 +111,8 @@ class HarmonicSeries:
         a0: coefficient of log|z|.
         b0: constant term.
 
-    The constructor checks N by _require_int, a, b by _coeff_array, and
-    a0, b0 as finite complex numbers.
+    The constructor checks N by _require_int, and a, b and the pair a0, b0
+    by _coeff_array.
     """
 
     N: int
@@ -123,15 +123,10 @@ class HarmonicSeries:
 
     def __post_init__(self) -> None:
         _require_int(self.N, "truncation order N")
-        object.__setattr__(self, "a", _coeff_array(self.a, (2 * self.N,), "a"))
-        object.__setattr__(self, "b", _coeff_array(self.b, (2 * self.N,), "b"))
-        try:
-            a0, b0 = complex(self.a0), complex(self.b0)
-        except (TypeError, ValueError, OverflowError):
-            raise ParameterDomainError("a0 and b0 must be complex numbers") from None
-        if not (math.isfinite(a0.real) and math.isfinite(a0.imag)
-                and math.isfinite(b0.real) and math.isfinite(b0.imag)):
-            raise ParameterDomainError("a0 and b0 must be finite")
+        for name in ("a", "b"):
+            values = np.zeros(2 * self.N) if getattr(self, name) is None else getattr(self, name)
+            object.__setattr__(self, name, _coeff_array(values, (2 * self.N,), name))
+        a0, b0 = _coeff_array((self.a0, self.b0), (2,), "a0 and b0").tolist()
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "b0", b0)
 
@@ -146,14 +141,12 @@ class HarmonicSeries:
     ) -> "HarmonicSeries":
         """Build a series from sparse {mode: coefficient} mappings.
 
-        Each key is one integer mode number (_require_int; require_mode
-        would also take a tuple of them as an array of modes); N defaults
+        Each key is one integer mode number (_require_int); N defaults
         to the largest |n| present in a or b.
         """
         a = dict(a or {})
         b = dict(b or {})
-        for n in (*a, *b):
-            _require_int(n, "a mode number", -math.inf)
+        _require_int([*a, *b], "a mode number", -math.inf, many=True)
         if 0 in a or 0 in b:
             raise ParameterDomainError(
                 "mode 0 lives in a0 (log term) and b0 (constant), not in a/b"
@@ -166,9 +159,8 @@ class HarmonicSeries:
         if inferred > N:
             raise ParameterDomainError(f"mode {inferred} exceeds N={N}")
         arrays = np.zeros((2, 2 * N), dtype=np.complex128)
-        for arr, coeffs in zip(arrays, (a, b)):
-            for n, val in coeffs.items():
-                arr[_index(n, N)] = val
+        arrays[[0] * len(a) + [1] * len(b), [_index(n, N) for n in (*a, *b)]] = _coeff_array(
+            [*a.values(), *b.values()], None, "a and b")
         return cls(N=N, a=arrays[0], b=arrays[1], a0=a0, b0=b0)
 
     @property
@@ -177,7 +169,8 @@ class HarmonicSeries:
         return _kernel_order(self.N)[1:]
 
     def coeff(self, n: int) -> tuple[complex, complex]:
-        """Return (a_n, b_n) for a nonzero mode n with |n| <= N."""
+        """Return (a_n, b_n) for a nonzero integer mode n with |n| <= N."""
+        _require_int(n, "a mode number", -math.inf)
         if n == 0 or abs(n) > self.N:
             raise IndexError(f"mode {n} not stored for a series with N={self.N}")
         i = _index(n, self.N)
@@ -263,7 +256,7 @@ class SeriesStack:
     def coeff(self, n) -> tuple[np.ndarray, np.ndarray]:
         """(a_n, b_n) of every member, for one nonzero mode n with |n| <= N
         per member (an int, or an array of B ints)."""
-        n = np.broadcast_to(np.asarray(n), (len(self),))
+        n = np.broadcast_to(_require_int(n, "a mode number", -math.inf, many=True), (len(self),))
         if ((n == 0) | (np.abs(n) > self.N)).any():
             raise IndexError(f"modes {n} not all stored for a stack with N={self.N}")
         i = np.where(n > 0, n - 1, self.N - n - 1)
@@ -294,17 +287,26 @@ class SeriesStack:
         return h
 
 
-# Input rules, one per kind: an integer (a truncation order or a seed), the
-# coefficients, one number, and R, lambda, rho or a mode number
-# (require_*).  NaN fails every comparison, so each domain test passes only
-# inside the domain.  Likewise every closed form that can leave the float
-# range returns through _in_float_range.
+# Input rules, one per kind and the only code that decides what an argument
+# is: integers, coefficients, and real numbers (_scalar, _within, and R,
+# lambda and rho through require_*).  NaN fails every comparison, so each
+# domain test passes only inside the domain.  Likewise every closed form
+# that can leave the float range returns through _in_float_range.
 
-def _require_int(x, name: str, lowest: float = 0, highest: int | None = None) -> None:
+def _require_int(x, name: str, lowest: float = 0, highest: int | None = None,
+                 many: bool = False):
     """Raise ParameterDomainError unless x is an integer (a Python or numpy
-    int, not a bool) in lowest..highest: a seed, a truncation order N (at
-    most MAX_JSON_ORDER in a series file or a drawn series), or a mode
-    number of from_coeffs (lowest -inf)."""
+    int, not a bool) in lowest..highest: a count (N, trials, angles), a
+    seed or a mode number.  With `many`, x may also be a list, tuple or
+    array of them (a mode per member of a stack), tested by _all_ints and,
+    where that fails, entry by entry, to refuse the first entry refused.
+    Returns x, a list or tuple as an array."""
+    if many and isinstance(x, (list, tuple, np.ndarray)):
+        values = np.ravel(x) if isinstance(x, np.ndarray) else x
+        if not _all_ints(values, lowest, highest):
+            for v in values:
+                _require_int(v, name, lowest, highest)
+        return np.asarray(x)
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ParameterDomainError(
             f"{name} must be an integer, got {type(x).__name__} {_shown(x)}")
@@ -312,6 +314,7 @@ def _require_int(x, name: str, lowest: float = 0, highest: int | None = None) ->
         raise ParameterDomainError(f"{name} must be >= {lowest}, got {_shown(x)}")
     if highest is not None and x > highest:
         raise ParameterDomainError(f"{name}={_shown(x)} exceeds {highest}")
+    return x
 
 
 def _all_ints(values, lowest: float = 0, highest: int | None = None) -> bool:
@@ -332,34 +335,50 @@ def _all_ints(values, lowest: float = 0, highest: int | None = None) -> bool:
     return lo >= lowest and (highest is None or hi <= highest)
 
 
-def _coeff_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+def _numbers(x, kinds: str = "iuf") -> bool:
+    """Whether x is numbers: a Python int or float (or complex, if `kinds`
+    has "c"), not a bool, a numpy scalar or array of a dtype kind in
+    `kinds`, or a list or tuple of such numbers."""
+    if isinstance(x, (list, tuple)):
+        return all(_numbers(v, kinds) for v in x)
+    if isinstance(x, (int, float, complex)):
+        return not isinstance(x, bool) and ("c" in kinds or not isinstance(x, complex))
+    return np.asarray(x).dtype.kind in kinds
+
+
+def _coeff_array(values, shape: tuple[int, ...] | None, name: str) -> np.ndarray:
     """A read-only copy of `values` as complex coefficients of the given
-    shape (None = all zero): (2N,) for a series' a and b, (B, 2N) and (B,)
-    for a stack's; ParameterDomainError unless finite numbers of the shape."""
+    shape (any shape for None): (2N,) for a series' a and b, (B, 2N) and
+    (B,) for a stack's; ParameterDomainError unless finite numbers
+    (_numbers, complex included) of the shape."""
     try:
-        arr = (np.zeros(shape, dtype=np.complex128) if values is None
-               else np.array(values, dtype=np.complex128))
-    except (TypeError, ValueError, OverflowError):
+        if not _numbers(values, "iufc"):
+            raise TypeError
+        arr = np.array(values, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int past the float range
         raise ParameterDomainError(f"{name} must hold complex numbers") from None
-    if arr.shape != shape:
+    if shape is not None and arr.shape != shape:
         raise ParameterDomainError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+    if not np.isfinite(arr).all():
         raise ParameterDomainError(f"{name} contains a non-finite coefficient")
     arr.setflags(write=False)
     return arr
 
 
 def _is_scalar(x) -> bool:
-    """Whether x is one number (a Python or numpy scalar, or a 0-d array)."""
-    return isinstance(x, (float, int)) or np.ndim(x) == 0
+    """Whether x is one real number: a Python int or float, not a bool, or
+    a numpy integer or floating scalar or 0-d array."""
+    if isinstance(x, (float, int)):
+        return not isinstance(x, bool)
+    return np.ndim(x) == 0 and _numbers(x)
 
 
 def _scalar(x, name: str) -> float:
     """x as a Python float, a float passing as is; ParameterDomainError
-    unless x is one number within the float range."""
+    unless x is one real number (_is_scalar) within the float range."""
     if type(x) is not float:
         if not _is_scalar(x):
-            raise ParameterDomainError(f"{name} must be one number, got shape {np.shape(x)}")
+            raise ParameterDomainError(f"{name} must be one real number, got {_shown(x)}")
         try:
             x = float(x)
         except OverflowError:  # an integer too large for a float
@@ -367,29 +386,34 @@ def _scalar(x, name: str) -> float:
     return x
 
 
-def _within(x, lo: float, hi: float, hi_closed: bool = False) -> bool:
-    """Whether x, a scalar or an array, lies in (lo, hi) (or (lo, hi]); a
-    Python number is checked without an array.  An integer past the float
-    range lies in no domain: no float computation can take it."""
+def _within(x, lo: float, hi: float, hi_closed: bool = False, lo_closed: bool = False) -> bool:
+    """Whether x, real numbers (_numbers), lies in (lo, hi), either end
+    closed on request; anything else lies in no domain, and so does an
+    integer past the float range, which no float computation can take.  A
+    Python or numpy integer or float is checked without an array."""
     try:
-        if isinstance(x, (float, int)):
-            x = float(x)
-            return lo < x and (x <= hi if hi_closed else x < hi)
-        r = np.asarray(x, dtype=np.float64)  # min and max propagate NaN
-    except OverflowError:
+        if isinstance(x, (float, int, np.integer)) and not isinstance(x, bool):
+            bottom = top = float(x)
+        else:
+            r = np.asarray(x if _numbers(x) else None)
+            if r.dtype.kind not in "iuf":  # not numbers, or a list holding a huge int
+                return False
+            if r.size == 0:
+                return True
+            bottom, top = r.min(), r.max()  # min and max propagate NaN
+    except (OverflowError, ValueError):  # an int past the float range, a ragged list
         return False
-    if r.size == 0:
-        return True
-    top = r.max()
-    return bool(lo < r.min() and (top <= hi if hi_closed else top < hi))
+    return bool((lo <= bottom if lo_closed else lo < bottom)
+                and (top <= hi if hi_closed else top < hi))
 
 
 def _shown(x) -> str:
-    """x as a domain message prints it: str(x) cut to 80 characters, or its
-    type where str refuses an integer of too many digits (Python's limit,
-    4300 by default), so a message never fails on the value it rejects."""
+    """x as a domain message prints it: str(x) (repr for a string) cut to
+    80 characters, or its type where str refuses an integer of too many
+    digits (Python's limit, 4300 by default), so a message never fails on
+    the value it rejects."""
     try:
-        text = str(x)
+        text = repr(x) if isinstance(x, str) else str(x)
     except ValueError:
         return f"<{type(x).__name__} too long to print>"
     return text if len(text) <= 80 else text[:77] + "..."
@@ -443,15 +467,6 @@ def require_radii(rho) -> None:
     positive and finite."""
     if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
         raise ParameterDomainError(f"rho must be positive and finite, got {_shown(rho)}")
-
-
-def require_mode(n) -> None:
-    """Raise ParameterDomainError unless n is a mode number: a Python or
-    numpy integer, not a bool, or for a stack an array of integers."""
-    if isinstance(n, bool) or not (isinstance(n, (int, np.integer))
-                                   or np.asarray(n).dtype.kind in "iu"):
-        raise ParameterDomainError(
-            f"a mode number must be an integer, got {type(n).__name__} {_shown(n)}")
 
 
 class CircleFields(NamedTuple):
@@ -633,10 +648,9 @@ def circle_grid_fields(h, rhos, M: int,
     SeriesStack the member axis comes first (see the module docstring).
     Only the named `fields` are computed; the others are None.
     """
-    rhos = np.asarray(rhos, dtype=np.float64)
     require_radii(rhos)
-    if M < 1:
-        raise ParameterDomainError("need at least one angle per circle")
+    _require_int(M, "angle count M", 1)
+    rhos = np.asarray(rhos, dtype=np.float64)
     rows = [_FIELD_ROWS.index(name) for name in fields]
     with np.errstate(over="ignore", invalid="ignore"):
         out = _grid_fields(h, rhos, M, rows)
@@ -661,8 +675,8 @@ def extremal_map(lam: float) -> HarmonicSeries:
 
 def scale_rotate(h, alpha):
     """Multiply every coefficient by alpha (h -> alpha * h); for a stack,
-    alpha may hold one factor per member."""
-    alpha = np.asarray(alpha)
+    alpha may hold one factor per member.  alpha is read by _coeff_array."""
+    alpha = _coeff_array(alpha, None, "alpha")
     return type(h)(N=h.N, a=h.a * alpha[..., None], b=h.b * alpha[..., None],
                    a0=h.a0 * alpha, b0=h.b0 * alpha)
 
@@ -680,22 +694,14 @@ def scale_rotate(h, alpha):
 _JSON_KEYS = ("a_pos", "b_pos", "a_neg", "b_neg")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
 def _unpair(v, name: str) -> complex:
-    if (not isinstance(v, (list, tuple))) or len(v) != 2 \
-            or not (_is_number(v[0]) and _is_number(v[1])):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
         raise ParameterDomainError(f"{name} must be a [re, im] pair of numbers")
-    try:
-        re, im = float(v[0]), float(v[1])
-    except OverflowError:  # an integer too large for a float
-        raise ParameterDomainError(f"{name} must be finite") from None
+    re, im = _scalar(v[0], name), _scalar(v[1], name)
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ParameterDomainError(f"{name} must be finite")
     return complex(re, im)

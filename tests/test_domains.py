@@ -7,7 +7,10 @@ grid circle_angles(M), raises ParameterDomainError instead of returning NaN
 or failing inside the arithmetic; finite arguments whose result overflows
 raise NumericOverflowError."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from annulus_harmonics import (
     NumericOverflowError,
     ParameterDomainError,
     RadialProfile,
+    ToolkitError,
     circular_mean,
     conformal_injectivity_margin,
     dirichlet_energy,
@@ -242,6 +246,27 @@ CASES = {
     "run_suite-seed-bool": lambda: run_suite("schottky", True, 1),
     "run_suite-trials-float": lambda: run_suite("all", 0, 2.5),
     "run_suite-trials-bool": lambda: run_suite("all", 0, True),
+    # a profile's radii pass require_radii ('1.5' was parsed and True read as
+    # 1; -2.0 and 0.0 warned in np.log), a count and a mode number are
+    # integers, and the variance estimate's R is a real number (TypeError
+    # from numpy before, for all but the profile rows)
+    "RadialProfile.value-str": lambda: U.value("1.5"),
+    "RadialProfile.value-bool": lambda: U.value(True),
+    "RadialProfile.value--2": lambda: U.value(-2.0),
+    "RadialProfile.deriv1-nan": lambda: U.deriv1(NAN),
+    "RadialProfile.deriv2-array-0": lambda: U.deriv2(np.array([1.0, 0.0])),
+    "RadialProfile.jet-0": lambda: U.jet(0.0),
+    "RadialProfile.jet-stack-str": lambda: quadratic_mean_profile(PAIR).jet("1.5"),
+    "circle_grid_fields-M-float": lambda: circle_grid_fields(H, 1.5, 8.0),
+    "circle_grid_fields-M-0": lambda: circle_grid_fields(H, 1.5, 0),
+    "HarmonicSeries.coeff-str": lambda: H.coeff("1"),
+    "SeriesStack.coeff-floats": lambda: PAIR.coeff(np.array([1.0, 2.0])),
+    "variance_k_bound-str": lambda: variance_k_bound(H, "3.0"),
+    # numpy parsed the strings and read the bools as numbers before
+    "HarmonicSeries-strings-and-bools":
+        lambda: HarmonicSeries(N=1, a=["1", "2"], b=[True, False], a0="1"),
+    "HarmonicSeries-b-bools": lambda: HarmonicSeries(N=1, b=[True, False]),
+    "from_coeffs-value-str": lambda: HarmonicSeries.from_coeffs(a={1: "1"}),
     # the whole Richardson stencil, rho - 2 step .. rho + 2 step, lies in the
     # domain: below 0 (was NaN), across the pole rho^2 = -lambda (was 2.3e7)
     "divergence_form_residual-stencil-below-0": lambda: LambdaOperator(
@@ -448,7 +473,8 @@ def test_divergence_stencil_at_the_domain_edge_is_accepted():
 
 @pytest.mark.parametrize("trials", [0, -3, MAX_TRIALS + 1, 10**18])
 def test_draw_plan_rejects_trials_outside_its_range(trials):
-    with pytest.raises(ParameterDomainError, match=f"trials must lie in 1..{MAX_TRIALS}"):
+    refused = rf"trials must be >= 1|trials=\d+ exceeds {MAX_TRIALS}"
+    with pytest.raises(ParameterDomainError, match=refused):
         DrawPlan(0, trials)
 
 
@@ -456,3 +482,129 @@ def test_draw_plan_accepts_its_range():
     assert MAX_TRIALS == 10_000
     for trials in (1, MAX_TRIALS):
         assert DrawPlan(0, trials).trials == trials
+
+
+# ---------------------------------------------------------------------------
+# One table over __all__: an example call of every exported callable that
+# takes a number, and each malformed value put into each numeric argument
+# in turn.
+# ---------------------------------------------------------------------------
+
+CONFORMAL = extremal_map(0.0)
+EXAMPLES = {
+    "HarmonicSeries": dict(N=1, a=np.array([1.0 + 0j, 0j]), b=np.array([0.5 + 0j, 0j]),
+                           a0=0.5 + 0j, b0=0.25 + 0j),
+    "LambdaOperator": dict(lam=0.5),
+    "RadialProfile": dict(label="U", value=U.value, deriv1=U.deriv1, deriv2=U.deriv2, degree=2),
+    "SamplerConfig": dict(seed=1, N=4, decay=0.6),
+    "circular_mean": dict(h=H, rho=1.5),
+    "conformal_injectivity_margin": dict(h=CONFORMAL, R=2.0),
+    "dirichlet_energy": dict(h=H, rho1=1.2, rho2=1.8),
+    "enclosed_area": dict(h=H, rho=1.5),
+    "evolution_lower_bound": dict(h=H, s=2.0),
+    "extremal_map": dict(lam=0.5),
+    "injectivity_probe": dict(h=H, R=2.0),
+    "k_endpoint": dict(h=H, lam=0.5, R=2.0),
+    "k_functional": dict(P=U, lam=0.5, R=2.0),
+    "k_quadrature": dict(h=H, lam=0.5, R=2.0),
+    "kalaj_bound": dict(R=2.0),
+    "lambda_from_speed": dict(speed=0.5),
+    "mean_outer_radius": dict(h=H, R=2.0),
+    "mode_form_certificate": dict(n=2, R=3.0),
+    "mode_form_coeffs": dict(n=2, R=3.0),
+    "nitsche_bound": dict(R=2.0),
+    "perturb_extremal": dict(lam=0.5, n=2, eps=1e-3 + 0j),
+    "quadratic_mean_mode": dict(h=H, n=1),
+    "quadratic_mean_numeric": dict(h=H, rho=1.5),
+    "radial_integrate": dict(g=np.ones_like, a=1.0, b=2.0, degree=2, lam=0.5),
+    "scale_rotate": dict(h=H, alpha=2.0 + 0j),
+    "schottky_check": dict(h=CONFORMAL, R=2.0),
+    "speed_bound": dict(rho=1.5, lam=0.5),
+    "theorem_gate": dict(h=H, R=2.0),
+    "uniqueness_probe": dict(R=2.0),
+    "variance_subsolution_min": dict(h=H, lam=0.5, rho_grid=np.linspace(1.0, 2.0, 5)),
+    "weitsman_bound": dict(R=2.0),
+    "wide_annulus_certificate": dict(R=3.0),
+    "winding_number": dict(h=H, rho=1.5),
+}
+# The arguments that are not numbers: a series, a profile, an integrand, a
+# config, a path, JSON data, a label, the profile's callables and a flag.
+NOT_NUMBERS = {"h", "P", "g", "config", "path", "data", "label", "value", "deriv1",
+               "deriv2", "_jet", "renormalize"}
+# Result records: the package builds them from checked values, and their
+# fields are outputs, not arguments.
+RECORDS = {"BoundReport", "SchottkyReport", "UniquenessReport"}
+# Values that are not numbers: each is refused with ParameterDomainError
+# (2+0j is a number where the argument takes coefficients).
+MALFORMED = ["2.0", b"2", True, np.True_, 2 + 0j, None, ["1.5"]]
+# Real values: each returns or raises a ToolkitError.
+REALS = [NAN, INF, -INF, -1, 0, 1e308, HUGE, np.array([1.5, 2.0]), np.empty(0)]
+
+
+def _exports() -> dict:
+    """Every callable of __all__ but the error classes, by name."""
+    import annulus_harmonics
+
+    return {name: obj for name in annulus_harmonics.__all__
+            if callable(obj := getattr(annulus_harmonics, name))
+            and not (isinstance(obj, type) and issubclass(obj, BaseException))}
+
+
+def _numeric_parameters(call) -> list[str]:
+    return [p for p in inspect.signature(call).parameters if p not in NOT_NUMBERS]
+
+
+def test_every_export_with_a_numeric_argument_has_an_example():
+    """An export with a numeric argument and no example fails here, and an
+    example names every numeric argument of its export."""
+    exports = _exports()
+    assert {name for name, call in exports.items()
+            if _numeric_parameters(call)} - RECORDS == set(EXAMPLES)
+    for name, example in EXAMPLES.items():
+        assert set(_numeric_parameters(exports[name])) <= set(example), name
+        exports[name](**example)
+
+
+@pytest.mark.parametrize("name, param", [
+    (name, param) for name, example in EXAMPLES.items()
+    for param in _numeric_parameters(_exports()[name])])
+def test_each_numeric_argument_refuses_what_is_not_a_number(name, param):
+    """Values that are not numbers raise ParameterDomainError; real values
+    return or raise a ToolkitError, IndexError only for a mode above the
+    series' order; nothing raises ValueError, TypeError or OverflowError,
+    or warns (RuntimeWarning is an error here)."""
+    call, example = _exports()[name], EXAMPLES[name]
+    default = inspect.signature(call).parameters[param].default
+    coefficients = np.iscomplexobj(example[param])
+    wrong = []
+    for value in MALFORMED + REALS:
+        if value is None and default is None:  # the argument's own default
+            continue
+        number = not any(value is v for v in MALFORMED) or (
+            coefficients and isinstance(value, complex))
+        try:
+            call(**{**example, param: value})
+        except ParameterDomainError:
+            pass
+        except ToolkitError as exc:
+            if not number:
+                wrong.append((value, exc))
+        except IndexError as exc:
+            if not (param == "n" and isinstance(value, int) and abs(value) > example["h"].N):
+                wrong.append((value, exc))
+        except Exception as exc:  # ValueError, TypeError, OverflowError, a warning
+            wrong.append((value, exc))
+        else:
+            if not number:
+                wrong.append((value, "returned"))
+    assert wrong == []
+
+
+def test_the_rules_stay_in_series():
+    """Under src/, only series.py tests a dtype kind or excludes a bool: the
+    other modules reach the number, integer and coefficient rules."""
+    pattern = re.compile(r"\.dtype\.kind|isinstance\([^)]*\bbool\b|\bis (not )?bool\b")
+    package = Path(__file__).resolve().parents[1] / "src" / "annulus_harmonics"
+    found = [f"{path.name}:{i}" for path in sorted(package.glob("*.py")) if path.name != "series.py"
+             for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
+    assert found == []

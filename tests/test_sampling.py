@@ -162,13 +162,17 @@ def test_all_ints_accepts_exactly_what_the_integer_rule_accepts(values):
         assert _all_ints(values, lowest, highest) == accepted
 
 
-@pytest.mark.parametrize("args", [
-    ([1, 2], [4], 0.5), ([1], [4, 4], 0.5), ([1, 2], [4, 4], [0.5]),
-    ([1], [4.0], 0.5), ([1], [[4]], 0.5), ([1], [True], 0.5),
+@pytest.mark.parametrize("args, word", [
+    (([1, 2], [4], 0.5), "one integer per member"),
+    (([1], [4, 4], 0.5), "one integer per member"),
+    (([1, 2], [4, 4], [0.5]), "one integer per member"),
+    (([1], [4.0], 0.5), "N must be an integer"),
+    (([1], [[4]], 0.5), "one integer per member"),
+    (([1], [True], 0.5), "N must be an integer"),
 ], ids=["short-orders", "short-seeds", "short-decay", "float-order", "2-d-orders",
         "bool-order"])
-def test_stack_refuses_arguments_of_other_lengths_or_types(args):
-    with pytest.raises(ParameterDomainError, match="one integer per member"):
+def test_stack_refuses_arguments_of_other_lengths_or_types(args, word):
+    with pytest.raises(ParameterDomainError, match=word):
         random_series_stack(*args)
 
 
