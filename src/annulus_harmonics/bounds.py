@@ -40,6 +40,7 @@ from .series import (
     SeriesStack,
     _in_float_range,
     _member_orders,
+    _per_member,
     _require_int,
     _scalar,
     _shown,
@@ -275,6 +276,8 @@ def mode_quadratic_form_residual(h, n, R):
     per member.
     """
     n = _require_int(n, "mode index n", 1, many=isinstance(h, SeriesStack))
+    if isinstance(h, SeriesStack):
+        _per_member(R, len(h), "R")
     a_n, b_n = h.coeff(n)
     lhs = k_functional(quadratic_mean_mode(h, n), 1.0, R)
     lhs -= (R**2 - 1.0) * (n - 1.0) * abs(a_n + b_n) ** 2
@@ -296,6 +299,8 @@ def variance_k_bound(h, R):
     """
     if not _within(R, math.e, math.inf):
         raise ParameterDomainError(f"the variance estimate requires e < R < inf, got {_shown(R)}")
+    if isinstance(h, SeriesStack):
+        _per_member(R, len(h), "R")
     return _in_float_range(
         "the variance estimate at R", R,
         lambda h, R: (k_functional(variance_profile(h), 1.0, R),

@@ -86,7 +86,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError
-from .series import (HarmonicSeries, SeriesStack, _in_float_range, _is_scalar,
+from .series import (HarmonicSeries, SeriesStack, _in_float_range, _is_scalar, _per_member,
                      _require_int, _shown, _within, require_outer, require_radii)
 
 CLASS_TOL = 1e-12
@@ -314,7 +314,7 @@ def quadratic_mean_mode(h, n) -> RadialProfile:
     """
     _require_int(n, "a mode number", -math.inf, many=isinstance(h, SeriesStack))
     if isinstance(h, SeriesStack):
-        n = np.broadcast_to(np.asarray(n), (len(h),))
+        n = np.broadcast_to(_per_member(n, len(h), "a mode number"), (len(h),))
     elif n == 0:  # the profile of the series' zero mode alone
         return _sum_profile(HarmonicSeries(N=0, a0=h.a0, b0=h.b0), "U_0",
                             include_zero=True)
@@ -410,6 +410,8 @@ def mean_outer_radius(h, R):
     one per member (R a scalar or one per member).  Raises
     NumericOverflowError if a mean radius is not finite."""
     require_outer(R)
+    if isinstance(h, SeriesStack):
+        _per_member(R, len(h), "R")
     R = np.asarray(R, dtype=np.float64)
     out = _in_float_range(
         "the mean radius sqrt(U(R)) at R", R,

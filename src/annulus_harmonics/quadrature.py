@@ -498,28 +498,23 @@ def _stack_rule(d: np.ndarray, lam, lo: float, hi: np.ndarray) -> tuple:
     shape (members, width), each row padded to the longest rule with
     zero-weight nodes inside its member's interval.  One _rule_sizes pass
     sizes every member, and the members of one count get their panels from
-    one exp, with _panel's arithmetic.  Only the members one panel cannot
-    take (count 0) go through _radial_rule, in member order, so the first
-    whose panels would pass the node cap raises before any rule is built."""
+    one _panel call.  Only the members one panel cannot take (count 0) go
+    through _radial_rule, in member order, so the first whose panels would
+    pass the node cap raises before any rule is built.  Every rule, as
+    (rows, radii, weights), is then laid out in its rows the same way."""
     sizes = _rule_sizes(d, lam, lo, hi)
-    split = {row: _radial_rule(d[row].item(), None if lam is None else lam[row].item(),
-                               lo, hi[row].item())
-             for row in np.flatnonzero(sizes == 0).tolist()}
-    width = max([int(sizes.max()), *(nodes.size for nodes, _ in split.values())])
-    r = np.empty((hi.size, width))
-    weights = np.zeros((hi.size, width))
+    rules = [([row], *(x[None] for x in _radial_rule(
+                 d[row].item(), None if lam is None else lam[row].item(), lo, hi[row].item())))
+             for row in np.flatnonzero(sizes == 0).tolist()]
     for n in sorted(set(sizes.tolist()) - {0}):  # np.unique would load numpy.ma
         rows = np.flatnonzero(sizes == n)
-        x, w = _gauss_rule(n)
-        mid, half = 0.5 * (hi[rows, None] + lo), 0.5 * (hi[rows, None] - lo)
-        nodes = np.exp(mid + half * x)
-        r[rows, :n] = nodes
-        r[rows, n:] = nodes[:, :1]
-        weights[rows, :n] = half * w * nodes
-    for row, (nodes, w) in split.items():
-        r[row, :nodes.size] = nodes
-        r[row, nodes.size:] = nodes[0]
-        weights[row, :w.size] = w
+        rules.append((rows, *_panel(n, lo, hi[rows, None])))
+    width = max(nodes.shape[1] for _, nodes, _ in rules)
+    r, weights = np.empty((hi.size, width)), np.zeros((hi.size, width))
+    for rows, nodes, w in rules:
+        r[rows, :nodes.shape[1]] = nodes
+        r[rows, nodes.shape[1]:] = nodes[:, :1]
+        weights[rows, :w.shape[1]] = w
     return r, weights
 
 
@@ -582,7 +577,7 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     if lam is not None:
         require_lambda(lam)
     scalar = _is_scalar(b) and _is_scalar(degree) and (lam is None or _is_scalar(lam))
-    if not (a < b if _is_scalar(b) else np.all(a < b)):
+    if not (a < b if _is_scalar(b) else np.all(np.less(a, b))):
         raise ParameterDomainError("need a < b for a radial integral")
     lo = math.log(a)
     if scalar:
@@ -590,7 +585,10 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
                             lo, math.log(b))
         out = np.sum(np.asarray(g(r), dtype=np.float64) * w, axis=-1)
         return float(out) if out.ndim == 0 else out
-    his, ds, lams = np.broadcast_arrays(np.log(b), degree, np.nan if lam is None else lam)
+    try:
+        his, ds, lams = np.broadcast_arrays(np.log(b), degree, np.nan if lam is None else lam)
+    except ValueError:  # lengths that are neither one nor one per member
+        raise ParameterDomainError("b, degree and lam must broadcast to one shape") from None
     if his.size == 0:  # no members: nothing to size or integrate
         return np.zeros(his.shape)
     r, weights = _stack_rule(ds.ravel(), None if lam is None else lams.ravel(), lo,

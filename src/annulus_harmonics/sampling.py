@@ -1,23 +1,21 @@
-"""Deterministic test-series generation, normalization and probes.
+"""Deterministic test-series generation, normalization and probes, and the
+one decoder of numpy's random streams.
 
-The stream contract: a drawn series (`random_series`, a member of
-`random_series_stack` or of `random_conformal_perturbation`) takes its
-uniforms from np.random.default_rng(seed) of its own seed, in the order its
-docstring gives, so a draw depends on its seed alone and never on the other
-members of its stack.  `random_series` makes that generator; the stacks
-compute the same doubles for all their seeds at once with `_streams`: a
-vectorized copy of numpy's SeedSequence hashing gives every seed's PCG64
-seed words in one array pass, and numpy's own PCG64, seeded from those
-words, draws each stream, bit for bit as the generators do.  The hash is
-the costly part of a generator, so this is cheaper than a generator per
-member; but `_streams` has a fixed cost of roughly a tenth of a
-millisecond, the cost of seven or eight generators (~15 us each), so one-off
-series keep their generator.  A one-off series takes a SamplerConfig; a
-stack takes its members' seeds and orders as arrays and one decay (or one
-per member), so a caller that draws them as arrays builds no config per
-member.  Both are checked by one sampler rule (_require_draws), a config
-as the stack of its one member, and both lay their drawn rows out as a, b,
-a0, b0 by one function (_laid_out).
+The stream contract: every draw has the bits of numpy's Generator making it
+call by call, and only this module reads raw PCG64 words.  A drawn series
+(`random_series`, a member of `random_series_stack` or of
+`random_conformal_perturbation`) takes its uniforms from
+np.random.default_rng(seed) of its own seed, so a draw never depends on the
+other members of its stack.  The stacks compute those doubles for all their
+seeds at once (`_streams`: numpy's SeedSequence hash, vectorized, then
+numpy's PCG64 per member), which costs about a tenth of a millisecond, as
+much as seven or eight generators, so a one-off series keeps its generator.
+The criteria of the reports module draw through `_draws` and `_seed_draws`,
+whose decode of one raw block has the bits of the per-trial loop.  A word
+becomes a double by `_uniforms` and a seed by `_seeds`.  A one-off series
+takes a SamplerConfig, a stack its members' seeds and orders as arrays;
+both are checked by one sampler rule (_require_draws) and laid out as a,
+b, a0, b0 by one function (_laid_out).
 
 The Schottky conformal family (random_conformal_perturbation) perturbs the
 modes CONFORMAL_MODES by at most CONFORMAL_EPS each, and the injectivity
@@ -28,6 +26,7 @@ a size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence
@@ -108,9 +107,8 @@ def _require_draws(seeds, orders, decay) -> tuple[np.ndarray, list[float]]:
 
 
 # ---------------------------------------------------------------------------
-# The stream kernel: the doubles of np.random.default_rng(seed).random(k) for
-# many seeds at once.  default_rng(seed) is PCG64 seeded through
-# SeedSequence(seed); the hash constants are numpy's (bit_generator.pyx).
+# numpy's streams: SeedSequence's hash, with numpy's constants
+# (bit_generator.pyx), and the decoders of raw PCG64 words.
 # ---------------------------------------------------------------------------
 
 _MASK32 = 2**32 - 1
@@ -214,19 +212,117 @@ def _streams(seeds: Sequence[int], counts: Sequence[int]) -> np.ndarray:
 
     default_rng(s) is PCG64 seeded with SeedSequence(s).generate_state(4,
     np.uint64).  Those words are hashed for all seeds at once, by array
-    passes; numpy's PCG64 then draws each seed's k raw words from them, and
-    the doubles are (x >> 11) 2**-53, as in Generator.random.  Every
-    operand of the hash is an ndarray (ndim >= 1): numpy wraps array
-    integer overflow silently where scalar overflow warns.
+    passes; numpy's PCG64 then draws each seed's k raw words from them, as
+    doubles (_uniforms).  Every operand of the hash is an ndarray (ndim >=
+    1): numpy wraps array integer overflow silently where scalar overflow
+    warns.
     """
     # one seed's words per row, each row contiguous: PCG64 reads the 4
     # words through the array's data pointer
     words = _generate_state(_pool(*_seed_words([int(s) for s in seeds]))).T.copy()
     seed_words = _seed_words_class()
-    raw = np.concatenate([np.random.PCG64(seed_words(member)).random_raw(k)
-                          for member, k in zip(words, np.asarray(counts).tolist())])
-    raw >>= np.uint64(11)
-    return raw * 2.0**-53
+    return _uniforms(np.concatenate([np.random.PCG64(seed_words(member)).random_raw(k)
+                                     for member, k in zip(words, np.asarray(counts).tolist())]))
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """Raw PCG64 words as the doubles of Generator.random, (w >> 11) 2**-53."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _seeds(words: np.ndarray) -> np.ndarray:
+    """Raw PCG64 words as the seeds of Generator.integers(2**62), w >> 2: on
+    a power of two Lemire's method takes one word and never redraws."""
+    return words >> np.uint64(2)
+
+
+def _seed_draws(rng: np.random.Generator, count: int) -> list[int]:
+    """`count` draws of rng.integers(2**62), with the bits and the final
+    generator state of that loop."""
+    return _seeds(rng.bit_generator.random_raw(count)).tolist()
+
+
+def _draw_loop(rng: np.random.Generator, trials: int, orders: tuple[int, int],
+               params: tuple) -> tuple:
+    """The seeds, the orders and one array per spec of `params`, drawn per
+    trial: the order rng.integers(lo, hi + 1), the seed rng.integers(2**62),
+    then one rng.uniform(low, high[, shape]) per spec, in that order."""
+    lo, hi = orders
+    seeds, ns, drawn = [], [], [[] for _ in params]
+    for _ in range(trials):
+        ns.append(int(rng.integers(lo, hi + 1)))
+        seeds.append(int(rng.integers(2**62)))
+        for spec, values in zip(params, drawn):
+            values.append(rng.uniform(*spec))
+    return seeds, np.array(ns), [np.array(values) for values in drawn]
+
+
+def _lemire_redraws(halves: np.ndarray, span: int) -> bool:
+    """Whether Lemire's method, drawing one of `span` values from each
+    32-bit word of `halves`, rejects any of them: numpy's integers then
+    draws again, and every later draw moves."""
+    return bool(((halves * np.uint64(span) & _MASK32) < (2**32 - span) % span).any())
+
+
+def _decode(bit_generator, trials: int, orders: tuple[int, int],
+            params: tuple) -> tuple | None:
+    """What _draw_loop draws from a generator on `bit_generator`, decoded
+    from one random_raw block, or None where one block cannot give the
+    loop's bits: a half-word already buffered, or a trial whose order
+    Lemire's method would redraw (the generator then stands past the block).
+
+    The loop's stream, word by word: an order (integers on a range below
+    2**32) takes 32 bits by Lemire's method from PCG64's buffered half-words,
+    the low half of a fresh word on even trials and its buffered high half
+    on odd ones, and nothing from a one-value range; a seed is one word
+    (_seeds); a uniform is low + (high - low) times the word's double
+    (_uniforms), as in Generator.uniform.  The generator is left as the
+    loop leaves it, with numpy's buffer state: its last high half stays in
+    `uinteger` after it is used."""
+    if bit_generator.state["has_uint32"]:
+        return None
+    lo, hi = orders
+    span = hi - lo + 1
+    shapes = [np.broadcast_shapes(*spec[2:]) for spec in params]
+    ends = np.cumsum([1] + [math.prod(shape) for shape in shapes])
+    width = int(ends[-1])  # the seed, then the uniforms
+    fresh = (trials + 1) // 2 if span > 1 else 0
+    raw = bit_generator.random_raw(trials * width + fresh)
+    # the fresh word of trial 2m opens its block, after 2m blocks and m words
+    at = np.arange(fresh) * (2 * width + 1)
+    block = np.delete(raw, at).reshape(trials, width)
+    if span > 1:
+        words = raw[at]
+        halves = np.stack([words & _MASK32, words >> 32], axis=-1).ravel()[:trials]
+        if _lemire_redraws(halves, span):
+            return None
+        ns = (lo + (halves * np.uint64(span) >> 32)).astype(np.int64)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = trials % 2, int(words[-1] >> 32)
+        bit_generator.state = state
+    else:
+        ns = np.full(trials, lo)
+    u = _uniforms(block)
+    arrays = [low + (high - low) * u[:, start:end].reshape(trials, *shape)
+              for (low, high, *_), shape, start, end in zip(params, shapes, ends, ends[1:])]
+    return _seeds(block[:, 0]).tolist(), ns, arrays
+
+
+def _draws(rng: np.random.Generator, trials: int, orders: tuple[int, int],
+           decay: float, *params: tuple):
+    """The draws of _draw_loop, as each chunk of the stack of their series
+    (random_series_stack with `decay`) with its rows of every parameter.
+    They are decoded from one raw block (_decode), with the bits and the
+    final generator state of the loop; where the decode cannot give them,
+    the generator is restored and the loop draws instead."""
+    start = rng.bit_generator.state
+    drawn = _decode(rng.bit_generator, trials, orders, params)
+    if drawn is None:
+        rng.bit_generator.state = start
+        drawn = _draw_loop(rng, trials, orders, params)
+    seeds, ns, arrays = drawn
+    for rows, h in random_series_stack(seeds, ns, decay).chunks():
+        yield (h, *(a[rows] for a in arrays))
 
 
 def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:

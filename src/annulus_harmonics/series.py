@@ -256,7 +256,8 @@ class SeriesStack:
     def coeff(self, n) -> tuple[np.ndarray, np.ndarray]:
         """(a_n, b_n) of every member, for one nonzero mode n with |n| <= N
         per member (an int, or an array of B ints)."""
-        n = np.broadcast_to(_require_int(n, "a mode number", -math.inf, many=True), (len(self),))
+        n = _require_int(n, "a mode number", -math.inf, many=True)
+        n = np.broadcast_to(_per_member(n, len(self), "a mode number"), (len(self),))
         if ((n == 0) | (np.abs(n) > self.N)).any():
             raise IndexError(f"modes {n} not all stored for a stack with N={self.N}")
         i = np.where(n > 0, n - 1, self.N - n - 1)
@@ -314,6 +315,14 @@ def _require_int(x, name: str, lowest: float = 0, highest: int | None = None,
         raise ParameterDomainError(f"{name} must be >= {lowest}, got {_shown(x)}")
     if highest is not None and x > highest:
         raise ParameterDomainError(f"{name}={_shown(x)} exceeds {highest}")
+    return x
+
+
+def _per_member(x, members: int, name: str):
+    """x as given; ParameterDomainError unless x is one value or one per
+    member of a stack of `members`."""
+    if np.ndim(x) and np.shape(x) != (members,):
+        raise ParameterDomainError(f"{name} must be one value or {members}, got {np.shape(x)}")
     return x
 
 

@@ -26,10 +26,10 @@ from annulus_harmonics import (
 )
 from annulus_harmonics import reports
 from annulus_harmonics.quadrature import dirichlet_energy
-from annulus_harmonics.reports import DEFAULT_TOLERANCES, DrawPlan, _draw_config, sweep
+from annulus_harmonics.reports import DEFAULT_TOLERANCES, DrawPlan, sweep
 from annulus_harmonics.sampling import normalize_inner
 from annulus_harmonics.series import circle_grid_fields
-from test_sampling import ensure_nonneg_speed
+from test_sampling import draw_config, ensure_nonneg_speed
 
 E = math.e
 E32 = math.exp(1.5)
@@ -101,7 +101,7 @@ def test_c05_speed_bound_for_normalized_series():
     s_values = np.linspace(1.02, E32, 50)
     violations = []
     for _ in range(100):
-        h = random_series(_draw_config(rng, 2, 8, 0.2))
+        h = random_series(draw_config(rng, 2, 8, 0.2))
         h = ensure_nonneg_speed(normalize_inner(h))
         for s in s_values:
             measured, bound = evolution_lower_bound(h, float(s))
@@ -153,7 +153,7 @@ def test_c11_oracle_agreement():
     rng = np.random.default_rng(11)
     gaps = []
     for _ in range(1000):
-        h = random_series(_draw_config(rng, 8, 8, 0.4))
+        h = random_series(draw_config(rng, 8, 8, 0.4))
         rho = float(rng.uniform(1.0, 2.0))
         closed = float(quadratic_mean_profile(h).value(rho))
         gaps.append(abs(closed - quadratic_mean_numeric(h, rho)))
@@ -161,7 +161,7 @@ def test_c11_oracle_agreement():
 
     energy_gaps = []
     for _ in range(5):
-        h = random_series(_draw_config(rng, 6, 6, 0.3))
+        h = random_series(draw_config(rng, 6, 6, 0.3))
         U = quadratic_mean_profile(h)
         lhs = 1.8 * float(U.deriv1(1.8)) - 1.2 * float(U.deriv1(1.2))
         rhs = dirichlet_energy(h, 1.2, 1.8) / math.pi
@@ -200,7 +200,7 @@ def test_mode_chain_matches_the_per_mode_sum():
     grid = np.linspace(1.01, 5.0, 200)
     gaps = []
     for _ in range(20):
-        h = random_series(_draw_config(rng, 1, 10, 0.5))
+        h = random_series(draw_config(rng, 1, 10, 0.5))
         direct = sum((n * n - 1.0) * quadratic_mean_mode(h, n).value(grid)
                      for n in range(-h.N, h.N + 1) if n != 0) * 2.0 / grid**2
         chain = reports._mode_chain(h, grid, *variance_profile(h).jet(grid))

@@ -6,8 +6,10 @@ import json
 import math
 import os
 import platform
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,3 +650,31 @@ def test_check_rejects_an_initial_speed_too_large_for_its_lambda(tmp_path, capsy
     save_series(HarmonicSeries.from_coeffs(a0=1.0, b0=1e-160), path)
     err = rejected(capsys, "check", "--series", str(path), "--R", "2.0")
     assert "initial speed" in err
+
+
+# ---------------------------------------------------------------------------
+# the README's command-line examples
+# ---------------------------------------------------------------------------
+
+def readme_command_lines() -> list[list[str]]:
+    """The argv of every `annulus-harmonics ...` line of README.md's sh
+    blocks, once each, in the README's order, without its comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [tuple(shlex.split(line, comments=True)[1:])
+             for block in text.split("```sh\n")[1:]
+             for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("annulus-harmonics ")]
+    return [list(argv) for argv in dict.fromkeys(lines)]
+
+
+README_LINES = readme_command_lines()
+
+
+@pytest.mark.parametrize("argv", README_LINES, ids=" ".join)
+def test_readme_command_line_exits_0(tmp_path, monkeypatch, argv):
+    """Each command line of the README exits 0 in a fresh directory, after
+    the README's sample line has written the series file the others read."""
+    [sample] = [line for line in README_LINES if line[0] == "sample"]
+    monkeypatch.chdir(tmp_path)
+    assert main(sample) == 0
+    assert main(argv) == 0

@@ -58,6 +58,7 @@ from annulus_harmonics.bounds import (
     mode_form_certificate,
     mode_form_certificate_expanded,
     mode_form_coeffs,
+    mode_quadratic_form_residual,
     variance_k_bound,
 )
 from annulus_harmonics.means import variance_deriv2_termwise
@@ -262,6 +263,21 @@ CASES = {
     "HarmonicSeries.coeff-str": lambda: H.coeff("1"),
     "SeriesStack.coeff-floats": lambda: PAIR.coeff(np.array([1.0, 2.0])),
     "variance_k_bound-str": lambda: variance_k_bound(H, "3.0"),
+    # a stack's per-member arguments hold one value or one per member (numpy's
+    # broadcast ValueError before, or a TypeError from a list of radii)
+    "SeriesStack.coeff-no-modes": lambda: PAIR.coeff([]),
+    "SeriesStack.coeff-3-modes": lambda: PAIR.coeff([1, 2, 3]),
+    "quadratic_mean_mode-stack-3-modes": lambda: quadratic_mean_mode(PAIR, [1, 2, 3]),
+    "mode_quadratic_form_residual-stack-3-modes":
+        lambda: mode_quadratic_form_residual(PAIR, [1, 2, 3], 2.0),
+    "mode_quadratic_form_residual-stack-3-R":
+        lambda: mode_quadratic_form_residual(PAIR, 2, np.array([2.0, 3.0, 4.0])),
+    "mean_outer_radius-stack-3-R": lambda: mean_outer_radius(PAIR, [2.0, 3.0, 4.0]),
+    "variance_k_bound-stack-3-R": lambda: variance_k_bound(PAIR, [3.0, 3.5, 4.0]),
+    "radial_integrate-2-radii-3-degrees":
+        lambda: radial_integrate(np.ones_like, 1.0, [2.0, 3.0], [2.0, 2.0, 2.0]),
+    "radial_integrate-2-radii-3-lambdas":
+        lambda: radial_integrate(np.ones_like, 1.0, np.array([2.0, 3.0]), 2, [0.5, 0.5, 0.5]),
     # numpy parsed the strings and read the bools as numbers before
     "HarmonicSeries-strings-and-bools":
         lambda: HarmonicSeries(N=1, a=["1", "2"], b=[True, False], a0="1"),

@@ -30,6 +30,7 @@ from annulus_harmonics.series import (
     circle_angles,
     circle_fields,
 )
+from test_sampling import draw_config
 
 E32 = math.exp(1.5)
 CRITICAL = extremal_map(1.0)
@@ -222,7 +223,7 @@ def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
     assert [len(h) for h, *_ in calls] == [SERIES_PER_CHUNK, 3]
     for stack, lams, rhos, (grad, ang) in calls:
         for i in range(len(stack)):
-            h = random_series(reports._draw_config(rng, 4, 16, 0.2))
+            h = random_series(draw_config(rng, 4, 16, 0.2))
             padded = np.zeros((2, 2, stack.N), dtype=np.complex128)
             padded[:, :, :h.N] = np.reshape((h.a, h.b), (2, 2, h.N))
             assert np.array_equal(padded.reshape(2, -1), (stack.a[i], stack.b[i]))

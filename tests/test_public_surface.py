@@ -25,7 +25,7 @@ DEFAULTED = {
     "series.circle_grid_fields": ("fields", "sampling.injectivity_probe"),
     "means.RadialProfile": ("degree _jet", "means._sum_profile"),
     "quadrature.radial_integrate": ("lam", "operators.k_functional"),
-    "sampling.SamplerConfig": ("N decay", "reports._draw_config"),
+    "sampling.SamplerConfig": ("N decay", "cli._cmd_sample"),
     "sampling.perturb_extremal": ("renormalize", "bounds.uniqueness_probe"),
     "reports.run_suite": ("tol", "cli verify, with the --tol-* overrides"),
     **{f"reports.run_{suite}": ("tol", "reports.run_suite")

@@ -1,6 +1,6 @@
 """The one declaration of each check, reports.CHECKS, the one reduction of
 its residuals, reports._check, the report digest, the seed sweep and the
-draws of the randomized criteria: reports._draws, its decode of one raw
+draws of the randomized criteria: sampling._draws, its decode of one raw
 block and the per-trial loop it falls back to."""
 
 import dataclasses
@@ -12,12 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_harmonics import reports
+from annulus_harmonics import reports, sampling
 from annulus_harmonics.reports import (
-    CHECKS, DEFAULT_TOLERANCES, E, E32, CheckResult, DrawPlan, _check, _draw_config, digest,
-    gate_ratio, run_suite, sweep)
+    CHECKS, DEFAULT_TOLERANCES, E, E32, CheckResult, DrawPlan, _check, digest, gate_ratio,
+    run_suite, sweep)
 from annulus_harmonics.sampling import SamplerConfig
 from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack
+from test_sampling import draw_config
 
 
 def reduce(residuals, tol=1.0):
@@ -201,7 +202,7 @@ def circle_identities_loop(rng, trials):
     """The per-trial loop circle_identities wrote out before _draws."""
     configs, rhos, lams = [], [], []
     for _ in range(trials):
-        configs.append(_draw_config(rng, 4, 16, 0.2))
+        configs.append(draw_config(rng, 4, 16, 0.2))
         rhos.append(rng.uniform(1.02, E32, size=3))
         lams.append([rng.uniform(-0.95, 1.0, size=10) for _ in range(3)])
     return configs, [np.array(rhos), np.array(lams)]
@@ -211,7 +212,7 @@ def divergence_form_loop(rng, trials):
     """The per-trial loop divergence_form wrote out before _draws."""
     configs, lams, rhos = [], [], []
     for _ in range(trials):
-        configs.append(_draw_config(rng, 4, 16, 0.2))
+        configs.append(draw_config(rng, 4, 16, 0.2))
         lams.append(rng.uniform(-0.5, 1.0))
         rhos.append(rng.uniform(1.2, 3.0))
     return configs, [np.array(lams), np.array(rhos)]
@@ -221,7 +222,7 @@ def endpoint_identity_loop(rng, trials):
     """The per-trial loop endpoint_identity wrote out before _draws."""
     configs, lams, Rs = [], [], []
     for _ in range(trials):
-        configs.append(_draw_config(rng, 2, 10, 0.2))
+        configs.append(draw_config(rng, 2, 10, 0.2))
         lams.append(rng.uniform(-0.95, 1.0))
         Rs.append(rng.uniform(1.05, E32))
     return configs, [np.array(lams), np.array(Rs)]
@@ -231,7 +232,7 @@ def variance_lower_bound_loop(rng, trials):
     """The per-trial loop variance_lower_bound wrote out before _draws."""
     configs, Rs = [], []
     for _ in range(max(1, trials // 2)):
-        configs.append(_draw_config(rng, 2, 6, 0.2))
+        configs.append(draw_config(rng, 2, 6, 0.2))
         Rs.append(rng.uniform(E + 1e-9, E32))
     return configs, [np.array(Rs)]
 
@@ -249,7 +250,7 @@ def assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials):
     """Run `criterion` and assert that it sees, chunk by chunk, the configs
     and the parameter bytes of its per-trial loop."""
     configs, chunks = [], []
-    stack, draws = reports.random_series_stack, reports._draws
+    stack, draws = sampling.random_series_stack, reports._draws
 
     def recording_stack(seeds, orders, decay):
         configs.extend(SamplerConfig(int(s), int(n), decay) for s, n in zip(seeds, orders))
@@ -260,7 +261,7 @@ def assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials):
             chunks.append(chunk[1:])
             yield chunk
 
-    monkeypatch.setattr(reports, "random_series_stack", recording_stack)
+    monkeypatch.setattr(sampling, "random_series_stack", recording_stack)
     monkeypatch.setattr(reports, "_draws", recording_draws)
     seed = 3
     criterion(DrawPlan(seed, trials), reports.DEFAULT_TOLERANCES)
@@ -292,14 +293,14 @@ def test_draws_that_fall_back_to_the_loop_keep_its_bits(monkeypatch, criterion, 
     """Where a trial would redraw, the whole criterion draws through the
     per-trial loop, from the generator's state before the decode."""
     fallbacks = []
-    loop_of = reports._draw_loop
+    loop_of = sampling._draw_loop
 
     def counted_loop(*args):
         fallbacks.append(args)
         return loop_of(*args)
 
-    monkeypatch.setattr(reports, "_lemire_redraws", lambda halves, span: True)
-    monkeypatch.setattr(reports, "_draw_loop", counted_loop)
+    monkeypatch.setattr(sampling, "_lemire_redraws", lambda halves, span: True)
+    monkeypatch.setattr(sampling, "_draw_loop", counted_loop)
     assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials)
     assert len(fallbacks) == 1
 
@@ -312,7 +313,7 @@ def per_trial_loop(rng, trials, orders, decay, params):
     """Per trial the config, then one rng.uniform per spec, in that order."""
     configs, drawn = [], [[] for _ in params]
     for _ in range(trials):
-        configs.append(_draw_config(rng, *orders, decay))
+        configs.append(draw_config(rng, *orders, decay))
         for spec, values in zip(params, drawn):
             values.append(rng.uniform(*spec))
     return configs, [np.array(values) for values in drawn]
@@ -348,7 +349,7 @@ def test_decode_has_the_bits_and_the_final_state_of_the_loop(draw_specs, trials)
         for seed in range(3):
             decoded = np.random.default_rng((seed, k)).bit_generator
             looped = np.random.default_rng((seed, k))
-            drawn = reports._decode(decoded, trials, orders, params)
+            drawn = sampling._decode(decoded, trials, orders, params)
             configs, arrays = per_trial_loop(looped, trials, orders, decay, params)
             assert drawn is not None
             seeds, ns, got = drawn
@@ -424,16 +425,16 @@ def test_draws_the_decode_cannot_give_come_from_the_loop(monkeypatch, prepare):
     _draws restores the generator and draws with the loop's bits."""
     rng, looped, probe = prepare(), prepare(), prepare()
     args = (17, (4, 16), 0.2, (-0.5, 1.0), (1.2, 3.0, 3))
-    assert reports._decode(probe.bit_generator, *args[:2], args[3:]) is None
+    assert sampling._decode(probe.bit_generator, *args[:2], args[3:]) is None
     seen = []
-    stack = reports.random_series_stack
+    stack = sampling.random_series_stack
 
     def recording_stack(seeds, orders, decay):
         seen.extend(SamplerConfig(int(s), int(n), decay) for s, n in zip(seeds, orders))
         return stack(seeds, orders, decay)
 
-    monkeypatch.setattr(reports, "random_series_stack", recording_stack)
-    chunks = list(reports._draws(rng, *args))
+    monkeypatch.setattr(sampling, "random_series_stack", recording_stack)
+    chunks = list(sampling._draws(rng, *args))
     configs, arrays = per_trial_loop(looped, 17, (4, 16), 0.2, args[3:])
     assert seen == configs
     for i, p in enumerate(arrays):

@@ -1,9 +1,11 @@
 """Sampling determinism, the stream kernel, normalization, perturbations
 and the probe."""
 
+import ast
 import dataclasses
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,6 +52,14 @@ def widened_conformal(seed, eps):
     a = np.array(h.a)
     a[..., 1:] *= eps / CONFORMAL_EPS
     return dataclasses.replace(h, a=a)
+
+
+def draw_config(rng, n_lo, n_hi, decay):
+    """The config of a tame random series drawn per trial, as a criterion
+    draws it by generator calls: the order from n_lo..n_hi, then the seed
+    of the series' own generator."""
+    N = int(rng.integers(n_lo, n_hi + 1))
+    return SamplerConfig(seed=int(rng.integers(2**62)), N=N, decay=decay)
 
 
 def test_same_seed_identical_series():
@@ -115,7 +125,7 @@ REFUSED_MEMBERS = {
 @pytest.mark.parametrize("member, word", REFUSED_MEMBERS.values(), ids=REFUSED_MEMBERS.keys())
 def test_stack_refuses_a_member_sampler_config_refuses(member, word):
     """Also with the seeds as numpy integers and the orders as an int64
-    array, as reports._draws passes its orders, wherever the member's value
+    array, as sampling._draws passes its orders, wherever the member's value
     can be held so (not a bool or a float), with the same message."""
     seed, N, decay = member
     with pytest.raises(ParameterDomainError, match=word):
@@ -239,6 +249,40 @@ def test_streams_of_the_edge_seeds():
     for seed in EDGE_SEEDS:
         assert np.array_equal(sampling._streams([seed], [5]),
                               np.random.default_rng(seed).random(5))
+
+
+# numpy's stream layout: raw words, the bit generator and its half-word
+# buffer, the 32-bit mask of the half-words and the word-to-double scale
+STREAM_NAMES = {"random_raw", "bit_generator", "has_uint32", "uinteger", "_MASK32"}
+
+
+def stream_layout_uses(tree):
+    """The names, attributes, imported names and string keys of `tree` that
+    are in STREAM_NAMES, and each 2.0**-53, by line.  A docstring is no key:
+    it is never one of the names."""
+    for node in ast.walk(tree):
+        word = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, ast.alias) else
+                node.value if isinstance(node, ast.Constant) else None)
+        if word in STREAM_NAMES:
+            yield node.lineno, word
+        if (isinstance(node, ast.Constant) and node.value == 2.0**-53
+                or isinstance(node, ast.BinOp) and ast.unparse(node) == "2.0 ** (-53)"):
+            yield node.lineno, "2.0**-53"
+
+
+def test_numpys_stream_layout_stays_in_sampling():
+    """Under src/, only sampling.py reads numpy's raw words, its bit
+    generator's state and half-word buffer, or turns a word into a double:
+    every other module draws through sampling or public Generator methods."""
+    package = Path(__file__).resolve().parents[1] / "src" / "annulus_harmonics"
+    found = [f"{path.name}:{line} {word}" for path in sorted(package.glob("*.py"))
+             if path.name != "sampling.py"
+             for line, word in stream_layout_uses(ast.parse(path.read_text()))]
+    assert found == []
+    assert {word for _, word in stream_layout_uses(
+        ast.parse((package / "sampling.py").read_text()))} == STREAM_NAMES | {"2.0**-53"}
 
 
 def test_seed_words_are_those_of_seed_sequence():
