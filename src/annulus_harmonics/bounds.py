@@ -62,15 +62,13 @@ MODULUS_LIMIT = 1.5
 def nitsche_bound(R: float) -> float:
     """The sharp bound (R + 1/R)/2 = cosh(log R); like the bounds below, it
     takes one number R in (1, inf) or raises ParameterDomainError."""
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     return 0.5 * (R + 1.0 / R)
 
 
 def weitsman_bound(R: float) -> float:
     """Weitsman's bound 1 + log(R)^2 / (2 R^2); it tends to 1 as R grows."""
-    R = _scalar(R, "R")  # a Python float's ** raises OverflowError, numpy's warns
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))  # a float's ** raises OverflowError, numpy's warns
     try:
         return 1.0 + 0.5 * math.log(R) ** 2 / R**2
     except OverflowError:  # R**2 past the float range: the bound rounds to 1
@@ -79,15 +77,13 @@ def weitsman_bound(R: float) -> float:
 
 def kalaj_bound(R: float) -> float:
     """Kalaj's bound 1 + log(R)^2 / 2."""
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     return 1.0 + 0.5 * math.log(R) ** 2
 
 
 def condition_modulus(R: float) -> bool:
     """Whether the unconditional gate log(R) <= 3/2 holds."""
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     return math.log(R) <= MODULUS_LIMIT + 1e-12
 
 
@@ -103,9 +99,7 @@ def gz_weight(R: float, lam: float, rho):
     Raises NumericOverflowError if a value is not finite (R past about
     1e153).
     """
-    require_outer(R)
-    require_lambda(lam)
-    require_radii(rho)
+    R, lam, rho = require_outer(R), require_lambda(lam), require_radii(rho)
     out = _in_float_range(
         "the conformal-part weight at R", R,
         lambda R, lam, r: (R**2 - lam) * np.log(R / r) + (R**2 - r**2) * lam / r**2,
@@ -123,9 +117,7 @@ def gzbar_gate_margin(R: float, lam: float) -> float:
     numbers with 1 < R < inf and -1 < lam <= 1, and NumericOverflowError if
     the margin is not finite (R past about 1e153).
     """
-    R, lam = _scalar(R, "R"), _scalar(lam, "lambda")
-    require_outer(R)
-    require_lambda(lam)
+    R, lam = require_outer(_scalar(R, "R")), require_lambda(_scalar(lam, "lambda"))
     return _in_float_range("the anticonformal gate margin at R", R,
                            lambda R, lam: R**2 - 1.0 - (R**2 - lam) * math.log(R), R, lam)
 
@@ -201,8 +193,7 @@ def mode_form_coeffs(n, R) -> ModeFormCoeffs:
     NumericOverflowError if a coefficient is not finite (R^(2n+2) past the
     float range).
     """
-    n = _require_int(n, "mode index n", 1, many=True)
-    require_outer(R)
+    n, R = _require_int(n, "mode index n", 1, many=True), require_outer(R)
     return _in_float_range("the per-mode form at R", R, _mode_form_coeffs, n, R)
 
 
@@ -214,8 +205,7 @@ def mode_form_certificate(n, R):
     n and R may be arrays (broadcast against each other).  Raises
     NumericOverflowError if a value is not finite.
     """
-    n = _require_int(n, "mode index n", 2, many=True)
-    require_outer(R)
+    n, R = _require_int(n, "mode index n", 2, many=True), require_outer(R)
     return _in_float_range("the per-mode certificate at R", R, _mode_form_certificate, n, R)
 
 
@@ -228,8 +218,7 @@ def mode_form_certificate_expanded(n, R):
     n and R may be arrays (broadcast against each other).  Raises
     NumericOverflowError if a value is not finite.
     """
-    n = _require_int(n, "mode index n", 2, many=True)
-    require_outer(R)
+    n, R = _require_int(n, "mode index n", 2, many=True), require_outer(R)
     return _in_float_range("the expanded per-mode certificate at R", R,
                            _mode_form_certificate_expanded, n, R)
 
@@ -276,6 +265,7 @@ def mode_quadratic_form_residual(h, n, R):
     per member.
     """
     n = _require_int(n, "mode index n", 1, many=isinstance(h, SeriesStack))
+    R = require_outer(R)
     if isinstance(h, SeriesStack):
         _per_member(R, len(h), "R")
     a_n, b_n = h.coeff(n)
@@ -299,6 +289,7 @@ def variance_k_bound(h, R):
     """
     if not _within(R, math.e, math.inf):
         raise ParameterDomainError(f"the variance estimate requires e < R < inf, got {_shown(R)}")
+    R = require_outer(R)  # one number as given, several as one array
     if isinstance(h, SeriesStack):
         _per_member(R, len(h), "R")
     return _in_float_range(
@@ -356,8 +347,7 @@ def conformal_injectivity_margin(h, R: float):
       is at most its term of L, as |n| >= 1), so by Rouche's theorem
       f = a_1 z (1 + p(z)/z) winds once around 0, as a_1 z does.
     """
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     margin = _injectivity_certificate(h, R)[0]
     return margin if margin.shape else float(margin)
 
@@ -436,8 +426,7 @@ def schottky_check(h, R: float):
     # read from sampling at call time, so a test can substitute the probe
     from .sampling import injectivity_probe
 
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
     area_bound = _in_float_range("the area bound pi (R^2 - 1) at R", R,
                                  lambda R: math.pi * (R**2 - 1.0), R)
@@ -544,8 +533,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
 
     Raises ParameterDomainError unless R is one number with 1 < R < inf.
     """
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     U = quadratic_mean_profile(h)
     u1 = float(U.value(1.0))
     class_d = is_class_D(h)
@@ -625,8 +613,7 @@ def uniqueness_probe(R: float) -> UniquenessReport:
     # so a substitute set on the sampling module is the one called
     from .sampling import perturb_extremal
 
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     eps = np.array(UNIQUENESS_EPSILONS)
     critical = nitsche_bound(R)
     gaps = np.array([

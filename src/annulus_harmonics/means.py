@@ -86,8 +86,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError
-from .series import (HarmonicSeries, SeriesStack, _in_float_range, _is_scalar, _per_member,
-                     _require_int, _shown, _within, require_outer, require_radii)
+from .series import (HarmonicSeries, SeriesStack, _blocks, _in_float_range, _is_scalar,
+                     _per_member, _require_int, _shown, _within, require_outer, require_radii)
 
 CLASS_TOL = 1e-12
 
@@ -288,10 +288,9 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         if weights.ndim < 3 or r.ndim < 2 or r.size * (2 * K + 3) <= _JET_TABLE_ENTRIES:
             out = _jet_table(r, two_k, weights)
         else:  # radii per member: one table per block of members
-            step = max(1, _JET_TABLE_ENTRIES // (r.shape[-1] * (2 * K + 3)))
             out = np.concatenate([
                 _jet_table(r[rows], two_k[rows] if two_k.ndim > 1 else two_k, weights[rows])
-                for rows in (slice(lo, lo + step) for lo in range(0, len(r), step))])
+                for rows in _blocks(len(r), r.shape[-1] * (2 * K + 3), _JET_TABLE_ENTRIES)])
         return out if shape is None else out.reshape(shape)
 
     def column(d: int):
@@ -365,8 +364,7 @@ def variance_deriv2_termwise(h, rho) -> np.ndarray | float:
     every term of which is nonnegative.  Used as a cross-check against the
     generic profile derivative.  `h` may be a stack, with rho as for jet.
     """
-    require_radii(rho)
-    r = np.asarray(rho, dtype=np.float64)
+    r = np.asarray(require_radii(rho), dtype=np.float64)
     ns = h.mode_numbers.astype(np.float64)
     A = np.abs(h.a) ** 2
     B = np.abs(h.b) ** 2
@@ -409,10 +407,9 @@ def mean_outer_radius(h, R):
     """Mean radius sqrt(U(R)) of the image of the outer circle; for a stack,
     one per member (R a scalar or one per member).  Raises
     NumericOverflowError if a mean radius is not finite."""
-    require_outer(R)
+    R = np.asarray(require_outer(R), dtype=np.float64)
     if isinstance(h, SeriesStack):
         _per_member(R, len(h), "R")
-    R = np.asarray(R, dtype=np.float64)
     out = _in_float_range(
         "the mean radius sqrt(U(R)) at R", R,
         lambda: np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R)))

@@ -94,11 +94,10 @@ class LambdaOperator:
     lam: float
 
     def __post_init__(self) -> None:
-        require_lambda(self.lam)
+        object.__setattr__(self, "lam", require_lambda(self.lam))
 
     def _denominator(self, rho):
-        require_radii(rho)
-        r = np.asarray(rho, dtype=np.float64)
+        r = np.asarray(require_radii(rho), dtype=np.float64)
         den = r**2 + self.lam
         if not (den > 0.0).all():
             raise ParameterDomainError(
@@ -169,9 +168,7 @@ def speed_bound(rho: float, lam: float) -> float:
     radius of h^lam itself.  Raises ParameterDomainError unless rho and lam
     are single numbers in their domains, and NumericOverflowError if the
     bound is not finite."""
-    rho, lam = _scalar(rho, "rho"), _scalar(lam, "lambda")
-    require_radii(rho)
-    require_lambda(lam)
+    rho, lam = require_radii(_scalar(rho, "rho")), require_lambda(_scalar(lam, "lambda"))
     return _in_float_range("the speed bound at rho", rho,
                            lambda r, lam: (r**2 + lam) / ((1.0 + lam) * r), rho, lam)
 
@@ -213,8 +210,8 @@ def identity_residuals(h: HarmonicSeries, lam: float, rho: float) -> tuple[float
     The left side is the closed-form profile; the right sides are
     trapezoid means of pointwise fields on the quadrature circle, with the
     radial derivative taken termwise (see _identity_pair).  The four means
-    and U's jet at rho come from _circle_terms, memoised per (series, rho,
-    M), so a circle is evaluated once for every lambda.  Returns
+    and U's jet at rho come from _circle_terms, memoised per (series, rho),
+    so a circle is evaluated once for every lambda.  Returns
     (gradient_residual, angular_residual).  Raises ParameterDomainError
     unless lam and rho are single numbers in their domains, and
     NumericOverflowError if the circle's terms overflow.
@@ -224,7 +221,7 @@ def identity_residuals(h: HarmonicSeries, lam: float, rho: float) -> tuple[float
     # the domain checks run on every call, whether the memo has rho or not
     require_lambda(lam)
     require_radii(rho)
-    terms = _circle_terms(h, rho, angular_count(2 * h.N))
+    terms = _circle_terms(h, rho)
     try:
         return _identity_pair(lam, rho, *terms)
     except OverflowError:  # Python's float ** raises where numpy's gives inf
@@ -287,16 +284,16 @@ def _identity_pair(lam, rho, u, du, d2u, A, B, C, D):
 
 @lru_cache(maxsize=32)
 @np.errstate(over="ignore", invalid="ignore")
-def _circle_terms(h: HarmonicSeries, rho: float, M: int) -> tuple[float, ...]:
+def _circle_terms(h: HarmonicSeries, rho: float) -> tuple[float, ...]:
     """The lambda-free part of identity_residuals, as plain floats:
     U, U', U'' at rho, then the means A, B, C, D of |h|^2,
-    Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 over circle_angles(M)
-    from the circle memo of the quadrature module.  The key holds the
-    series by identity.  Raises NumericOverflowError, and stores nothing,
+    Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 on C_rho from the circle
+    memo of the quadrature module.  The key holds the series by identity
+    and the radius.  Raises NumericOverflowError, and stores nothing,
     if a term is not finite.
     """
     u, du, d2u = quadratic_mean_profile(h).jet(rho)
-    _, A, B, C, D, _ = _circle_means(h, rho, M)
+    _, A, B, C, D, _ = _circle_means(h, rho)
     terms = (float(u), float(du), float(d2u), A, B, C, D)
     if not all(map(math.isfinite, terms)):
         raise NumericOverflowError(f"U's jet at rho={rho} overflows")
@@ -321,8 +318,7 @@ def k_functional(P: RadialProfile, lam, R):
     from callables alone), whose integrand has no bound, and
     NumericOverflowError if a result is not finite.
     """
-    require_outer(R)
-    require_lambda(lam)
+    R, lam = require_outer(R), require_lambda(lam)
     if P.degree is None:
         raise ParameterDomainError(
             f"profile {P.label!r} has no degree: its K integral has no error bound")
@@ -354,19 +350,14 @@ def k_endpoint(h, lam, R):
     the quadratic-mean profile itself, so that a caller which integrates
     it with k_functional too builds it once.  Raises NumericOverflowError
     if a result is not finite."""
-    require_lambda(lam)
-    require_outer(R)
+    lam, R = require_lambda(lam), require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
     return _in_float_range("K_lam of the quadratic mean at R", R, _endpoint_form, U, lam, R)
 
 
 def _endpoint_form(U: RadialProfile, lam, R):
     """K_lam[U] on A(1, R) from U(R), U(1) and U'(1)."""
-    if _is_scalar(R):
-        u_R = U.value(R)
-    else:
-        R = np.asarray(R, dtype=np.float64)
-        u_R = U.value(R[..., None])[..., 0]
+    u_R = U.value(R) if _is_scalar(R) else U.value(R[..., None])[..., 0]
     u_1, du_1, _ = U.jet(1.0)
     return (
         2.0 * R**2 / (R**2 + lam) * u_R
@@ -414,7 +405,6 @@ def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
     u1 = float(quadratic_mean_profile(h).value(1.0))
     if abs(u1 - 1.0) > 1e-9:
         raise ParameterDomainError(f"normalization requires U(1) = 1, got {u1}")
-    s = _scalar(s, "s")
-    require_outer(s)  # the outer radius of A(1, s)
+    s = require_outer(_scalar(s, "s"))  # the outer radius of A(1, s)
     lam = lambda_from_speed(initial_speed(h))
     return mean_outer_radius(h, s), speed_bound(s, lam)

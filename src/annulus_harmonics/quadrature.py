@@ -14,20 +14,19 @@ about 0, is not sampled on a fixed count: it is proved by an argument
 count whose angle count the series' own mode sums pick (winding_counts).
 The fields on the M angles come from the inverse-FFT circle kernel of the
 series module (mode n in bin n mod M, one mode per bin since M >= 2N + 1
-covers the 2N + 1 modes -N..N), and the Dirichlet energy evaluates its
-Gauss nodes' circles in batches of at most _ENERGY_POINTS_PER_BATCH angle
-points.  The means are computed as
-trapezoid sums over the sampled fields, never from the spectrum by
-Parseval, so they stay an independent check of the closed forms in the
-means module.  One reduction (_field_means) takes these means over fields
-of any leading shape: a single circle, or the block of circles a batched
-caller has filled.  The circle means of a series are memoised per
-(series, rho, M) (_circle_means), each read from the (3, M) block of one
-kernel call, and all of them take angular_count(2 N) angles, so the
-quadratic mean, the enclosed area, the circular mean and the scalar
-operator identities of one circle share one evaluation.  A radius that is
-not one number, or circle means that overflow, raise a typed error and
-never enter the memo.
+covers the 2N + 1 modes -N..N).  Every batched request of that kernel, the
+Dirichlet energy's Gauss-node circles, a winding decision's open circles
+and the injectivity probe's grid, holds at most REQUEST_POINTS angle
+points.  The means are computed as trapezoid sums over the sampled fields,
+never from the spectrum by Parseval, so they stay an independent check of
+the closed forms in the means module.  One reduction (_field_means) takes
+these means over fields of any leading shape: a single circle, or the block
+of circles a batched caller has filled.  The circle means of a series are
+memoised per (series, rho) (_circle_means), each read from the (3, M) block
+of one kernel call on angular_count(2 N) angles, so the quadratic mean, the
+enclosed area, the circular mean and the scalar operator identities of one
+circle share one evaluation.  A radius that is not one number, or circle
+means that overflow, raise a typed error and never enter the memo.
 
 Radial integrals are one call of the integrand on one Gauss-Legendre rule
 in t = log r, whose node count a proved error bound picks before the call
@@ -68,6 +67,7 @@ from .errors import (
 from .series import (
     HarmonicSeries,
     SeriesStack,
+    _blocks,
     _grid_fields,
     _in_float_range,
     _member_orders,
@@ -81,19 +81,14 @@ from .series import (
     require_radii,
 )
 
-# Angle points (radii x M) per batched circle evaluation in dirichlet_energy:
-# caps its two (radii, M) field rows at 256 KiB, whatever M, and the kernel's
-# (radii, 2N) mode arrays (2N < M) at 128 KiB each, and takes all of a small
-# series' Gauss nodes in one call.
-_ENERGY_POINTS_PER_BATCH = 2**13
-
 # The quadrature policy: the most angles a winding decision may take; the
 # injectivity probe's grid, PROBE_RADII interior radii x PROBE_ANGLES angles
 # for the Jacobian and PROBE_CIRCLES interior circles for the winding
 # (sampling.injectivity_probe); the most field points (members x radii x
-# angles) one circle_grid_fields call of a winding decision or of the probe
-# requests, the probe's grid of 8 members, whose two complex fields take
-# 576 KiB (see winding_counts); and the error of a radial
+# angles) of one batched circle_grid_fields request, of the Dirichlet
+# energy's rings, of a winding decision or of the probe, the probe's grid of
+# 8 members, whose two complex field rows take 576 KiB, or 68 of the energy's
+# rings at N = 128 (270 angles); and the error of a radial
 # rule relative to the integral S of its integrand's termwise bound (see
 # radial_integrate).  The weighted sum
 # of the rule itself rounds at about u S, u = 2^-53 ~ 1.1e-16 per term, so a
@@ -101,7 +96,7 @@ _ENERGY_POINTS_PER_BATCH = 2**13
 # smaller RADIAL_EPS would add nodes but no accuracy.
 MAX_WINDING_ANGLES = 2**16
 PROBE_RADII, PROBE_ANGLES, PROBE_CIRCLES = 24, 96, 8
-PROBE_BLOCK_POINTS = 8 * PROBE_RADII * PROBE_ANGLES
+REQUEST_POINTS = 8 * PROBE_RADII * PROBE_ANGLES
 RADIAL_EPS = 1e-15
 
 
@@ -143,14 +138,15 @@ def _field_means(fields: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=32)
 @np.errstate(over="ignore", invalid="ignore")  # a decorator costs half a with-block
-def _circle_means(h: HarmonicSeries, rho: float, M: int) -> tuple:
-    """The _field_means of h on C_rho over circle_angles(M), as a complex
-    and five floats, read from the (3, M) block of one _grid_fields call.
-    The key holds the series by identity.  Raises ParameterDomainError
+def _circle_means(h: HarmonicSeries, rho: float) -> tuple:
+    """The _field_means of h on C_rho over circle_angles(M), M =
+    angular_count(2 N), as a complex and five floats, read from the (3, M)
+    block of one _grid_fields call.  The key holds the series by identity
+    and the radius.  Raises ParameterDomainError
     unless rho is positive and finite, and NumericOverflowError if a mean
     is not finite, so neither ever enters the memo."""
     require_radii(rho)
-    mean, *real = _field_means(_grid_fields(h, rho, M))
+    mean, *real = _field_means(_grid_fields(h, rho, angular_count(2 * h.N)))
     means = (complex(mean), *map(float, real))
     if not all(map(cmath.isfinite, means)):
         raise NumericOverflowError(f"the circle means of h on C_{rho} overflow")
@@ -164,13 +160,13 @@ def circular_mean(h: HarmonicSeries, rho: float) -> complex:
     Raises ParameterDomainError unless rho is one positive finite radius,
     and NumericOverflowError if the circle's means overflow; so do
     quadratic_mean_numeric and enclosed_area."""
-    return _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[0]
+    return _circle_means(h, _scalar(rho, "rho"))[0]
 
 
 def quadratic_mean_numeric(h: HarmonicSeries, rho: float) -> float:
     """Mean of |h|^2 over C_rho by angular quadrature (the oracle for the
     closed-form profile in the means module)."""
-    return _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[1]
+    return _circle_means(h, _scalar(rho, "rho"))[1]
 
 
 def winding_number(h: HarmonicSeries, rho: float) -> int:
@@ -184,8 +180,7 @@ def winding_number(h: HarmonicSeries, rho: float) -> int:
     2 pi S / MAX_WINDING_ANGLES or below, as at or near a zero on the
     circle).
     """
-    rho = _scalar(rho, "rho")
-    require_radii(rho)
+    rho = require_radii(_scalar(rho, "rho"))
     finite, min_mod, count = winding_counts(h, np.array([rho]))
     if not finite[0]:
         raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
@@ -227,7 +222,7 @@ def winding_counts(h, rhos: np.ndarray) -> tuple:
     allowance of 0 stops unproved at once, since every finer grid holds
     that sample too, and a circle whose mode sums are not finite is not
     sampled.  The circles still open at each M are evaluated in requests
-    of at most PROBE_BLOCK_POINTS angle points, or of one circle where a
+    of at most REQUEST_POINTS angle points, or of one circle where a
     single circle is larger.  Each circle is transformed on its own, and
     its allowance is sized by its own order, so its decision does not
     depend on the requests or on the other members; only the last-bit
@@ -250,10 +245,9 @@ def winding_counts(h, rhos: np.ndarray) -> tuple:
         # scalar factors first, so that a finite A or S near the float
         # range does not overflow
         allowance = (8.0 * eps * np.log2(M + terms)) * A + (8.0 * eps * terms) * S
-        per_request = max(1, PROBE_BLOCK_POINTS // M)
         keep = []
-        for lo in range(0, pending.size, per_request):
-            circles = pending[lo:lo + per_request]
+        for block in _blocks(pending.size, M, REQUEST_POINTS):
+            circles = pending[block]
             values = circle_grid_fields(stack[circles // radii], rhos[circles % radii, None],
                                         M, ("values",)).values[:, 0, :]
             moduli = np.abs(values)
@@ -278,7 +272,7 @@ def enclosed_area(h: HarmonicSeries, rho: float) -> float:
 
     Equals pi times the circle mean of Im(conj(h) * h_theta).
     """
-    return float(np.pi * _circle_means(h, _scalar(rho, "rho"), angular_count(2 * h.N))[5])
+    return float(np.pi * _circle_means(h, _scalar(rho, "rho"))[5])
 
 
 # The radial rule.  _RADIAL_RHOS are the Bernstein-ellipse parameters tried,
@@ -340,13 +334,6 @@ def _gauss_rules() -> dict:
             array.flags.writeable = False
         rules[size] = rule
     return rules
-
-
-def _gauss_rule(n: int) -> tuple:
-    """The n-point Gauss-Legendre nodes and weights on [-1, 1], for n a
-    multiple of _RULE_STEP up to _RULE_CAP (the only sizes the radial rule
-    takes): the read-only arrays of _gauss_rules, the same on every call."""
-    return _gauss_rules()[n]
 
 
 def _weight_bound(lam: float, R2: float, x0: float, x1: float, y: float) -> float:
@@ -486,7 +473,7 @@ def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
 def _panel(n: int, left: float, right: float) -> tuple:
     """The n-point Gauss-Legendre rule (x, w) on [left, right] in t = log r,
     as radii r = exp(mid + half x) and weights half w r of dr."""
-    x, w = _gauss_rule(n)
+    x, w = _gauss_rules()[n]
     mid, half = 0.5 * (right + left), 0.5 * (right - left)
     r = np.exp(mid + half * x)
     return r, half * w * r  # dr = r dt
@@ -569,13 +556,12 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     be elementwise in the radii.  The result is a float, or an array over
     the members or those axes.
     """
-    a = _scalar(a, "a")
-    require_radii(a)
-    require_radii(b)
+    a = require_radii(_scalar(a, "a"))
+    b = require_radii(b)
     if not _within(degree, 0.0, math.inf, lo_closed=True):
         raise ParameterDomainError(f"degree must be a finite number >= 0, got {_shown(degree)}")
     if lam is not None:
-        require_lambda(lam)
+        lam = require_lambda(lam)
     scalar = _is_scalar(b) and _is_scalar(degree) and (lam is None or _is_scalar(lam))
     if not (a < b if _is_scalar(b) else np.all(np.less(a, b))):
         raise ParameterDomainError("need a < b for a radial integral")
@@ -614,14 +600,13 @@ def dirichlet_energy(h: HarmonicSeries, rho1: float, rho2: float) -> float:
     """
     rho1, rho2 = _scalar(rho1, "rho1"), _scalar(rho2, "rho2")
     M = angular_count(2 * h.N)
-    radii_per_batch = max(1, _ENERGY_POINTS_PER_BATCH // M)
 
     def ring_density(rhos: np.ndarray) -> np.ndarray:
         out = np.empty_like(rhos)
-        for lo in range(0, rhos.size, radii_per_batch):
-            r = rhos[lo:lo + radii_per_batch]
+        for block in _blocks(rhos.size, M, REQUEST_POINTS):
+            r = rhos[block]
             g = circle_grid_fields(h, r, M, ("d_rho", "d_theta")).grad_norm_sq(r)
-            out[lo:lo + r.size] = 2.0 * np.pi * r * np.mean(g, axis=-1)
+            out[block] = 2.0 * np.pi * r * np.mean(g, axis=-1)
         return out
 
     return _in_float_range("the Dirichlet energy on rho1 < |z| < rho2 at (rho1, rho2)",

@@ -35,12 +35,13 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError
 from .means import quadratic_mean_profile
-from .quadrature import PROBE_ANGLES, PROBE_BLOCK_POINTS, PROBE_CIRCLES, PROBE_RADII, winding_counts
+from .quadrature import PROBE_ANGLES, PROBE_CIRCLES, PROBE_RADII, REQUEST_POINTS, winding_counts
 from .series import (
     MAX_JSON_ORDER,
     HarmonicSeries,
     SeriesStack,
     _all_ints,
+    _blocks,
     _coeff_array,
     _in_float_range,
     _index,
@@ -462,13 +463,6 @@ class InjectivityProbe(NamedTuple):
     windings_ok: bool
 
 
-def _radius_blocks(radii: np.ndarray, members: int) -> list[np.ndarray]:
-    """Consecutive runs of `radii` whose members x radii x PROBE_ANGLES grid
-    stays within PROBE_BLOCK_POINTS; a run holds at least one radius."""
-    step = max(1, PROBE_BLOCK_POINTS // max(1, members * PROBE_ANGLES))
-    return [radii[lo:lo + step] for lo in range(0, radii.size, step)]
-
-
 def _block_jacobian(h, block: np.ndarray) -> np.ndarray:
     """f.jacobian(block), formed in the buffer of the fields f."""
     f = circle_grid_fields(h, block, PROBE_ANGLES, ("d_rho", "d_theta"))
@@ -492,22 +486,22 @@ def injectivity_probe(h, R: float) -> InjectivityProbe:
     NumericOverflowError.  For a SeriesStack both fields are arrays with
     one entry per member.
 
-    The grid is evaluated in blocks of radii, each block one
-    circle_grid_fields call of at most PROBE_BLOCK_POINTS (8 x 24 x 96)
+    The grid is evaluated in blocks of radii (series._blocks), each block
+    one circle_grid_fields call of at most REQUEST_POINTS (8 x 24 x 96)
     members x radii x angles, or of one radius where a single circle of
     the stack is larger; a series, and a stack of at most 8 members, takes
-    one block.  winding_counts keeps each of its requests within the same
-    bound, or to one circle where a single circle is larger.  Every circle is transformed on its own, so the result does
+    one block.  winding_counts splits its requests by the same bound, as
+    does every batched request of the circle kernel (see the quadrature
+    module).  Every circle is transformed on its own, so the result does
     not depend on the blocks.  Raises ParameterDomainError unless R is one
     number with 1 < R < inf.
     """
-    R = _scalar(R, "R")
-    require_outer(R)
+    R = require_outer(_scalar(R, "R"))
     members = len(h) if isinstance(h, SeriesStack) else 1
     rhos = np.linspace(1.0, R, PROBE_RADII + 2)[1:-1]
     jac_min = []
-    for block in _radius_blocks(rhos, members):
-        jac = _in_float_range("the Jacobian on A(1, R) at R", R, _block_jacobian, h, block)
+    for block in _blocks(rhos.size, members * PROBE_ANGLES, REQUEST_POINTS):
+        jac = _in_float_range("the Jacobian on A(1, R) at R", R, _block_jacobian, h, rhos[block])
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, PROBE_CIRCLES + 2)[1:-1]

@@ -290,8 +290,8 @@ class SeriesStack:
 
 # Input rules, one per kind and the only code that decides what an argument
 # is: integers, coefficients, and real numbers (_scalar, _within, and R,
-# lambda and rho through require_*).  NaN fails every comparison, so each
-# domain test passes only inside the domain.  Likewise every closed form
+# lambda and rho through require_*, which return them).  NaN fails each
+# comparison, so a domain test passes only inside it.  Every closed form
 # that can leave the float range returns through _in_float_range.
 
 def _require_int(x, name: str, lowest: float = 0, highest: int | None = None,
@@ -456,26 +456,35 @@ def _in_float_range(what: str, at, form, *args):
     return out
 
 
-def require_outer(R) -> None:
-    """Raise ParameterDomainError unless 1 < R < inf (the annulus A(1, R)),
-    for a scalar R or every entry of an array."""
+def _accepted(x):
+    """Real numbers that a domain test has accepted, as their caller
+    computes on them: one number as given, several as one float64 array."""
+    return x if np.ndim(x) == 0 else np.asarray(x, dtype=np.float64)
+
+
+def require_outer(R):
+    """R (see _accepted) if 1 < R < inf (the annulus A(1, R)), for one
+    number or every entry of several; else ParameterDomainError."""
     if not (1.0 < R < math.inf if isinstance(R, float) else _within(R, 1.0, math.inf)):
         raise ParameterDomainError(f"outer radius R must satisfy 1 < R < inf, got {_shown(R)}")
+    return R if isinstance(R, float) else _accepted(R)
 
 
-def require_lambda(lam) -> None:
-    """Raise ParameterDomainError unless LAMBDA_MIN < lam <= 1, for a scalar
-    lam or every entry of an array."""
+def require_lambda(lam):
+    """lam (see _accepted) if LAMBDA_MIN < lam <= 1, for one number or
+    every entry of several; else ParameterDomainError."""
     if not (LAMBDA_MIN < lam <= 1.0 if isinstance(lam, float)
             else _within(lam, LAMBDA_MIN, 1.0, hi_closed=True)):
         raise ParameterDomainError(f"lambda must lie in (-1, 1], got {_shown(lam)}")
+    return lam if isinstance(lam, float) else _accepted(lam)
 
 
-def require_radii(rho) -> None:
-    """Raise ParameterDomainError unless rho, a scalar or an array, is
-    positive and finite."""
+def require_radii(rho):
+    """rho (see _accepted) if positive and finite, for one number or every
+    entry of several; else ParameterDomainError."""
     if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
         raise ParameterDomainError(f"rho must be positive and finite, got {_shown(rho)}")
+    return rho if isinstance(rho, float) else _accepted(rho)
 
 
 class CircleFields(NamedTuple):
@@ -657,14 +666,22 @@ def circle_grid_fields(h, rhos, M: int,
     SeriesStack the member axis comes first (see the module docstring).
     Only the named `fields` are computed; the others are None.
     """
-    require_radii(rhos)
+    rhos = np.asarray(require_radii(rhos), dtype=np.float64)
     _require_int(M, "angle count M", 1)
-    rhos = np.asarray(rhos, dtype=np.float64)
     rows = [_FIELD_ROWS.index(name) for name in fields]
     with np.errstate(over="ignore", invalid="ignore"):
         out = _grid_fields(h, rhos, M, rows)
     picked = dict(zip(fields, out))
     return CircleFields(*(picked.get(name) for name in _FIELD_ROWS))
+
+
+def _blocks(count: int, each: int, cap: int) -> list[slice]:
+    """Consecutive slices of `count` items of `each` entries, at most
+    cap // each items per slice and at least one: the requests of a batched
+    kernel call that stay within `cap` entries, or hold one item where a
+    single item is larger."""
+    step = max(1, cap // max(1, each))
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 def extremal_map(lam: float) -> HarmonicSeries:
@@ -675,8 +692,7 @@ def extremal_map(lam: float) -> HarmonicSeries:
     vanishes on the unit circle.  Raises ParameterDomainError unless lam
     is one number in (-1, 1].
     """
-    lam = _scalar(lam, "lambda")
-    require_lambda(lam)
+    lam = require_lambda(_scalar(lam, "lambda"))
     return HarmonicSeries.from_coeffs(
         N=1, a={1: 1.0 / (1.0 + lam)}, b={1: lam / (1.0 + lam)}
     )
@@ -684,8 +700,11 @@ def extremal_map(lam: float) -> HarmonicSeries:
 
 def scale_rotate(h, alpha):
     """Multiply every coefficient by alpha (h -> alpha * h); for a stack,
-    alpha may hold one factor per member.  alpha is read by _coeff_array."""
+    alpha may hold one factor per member.  alpha is read by _coeff_array,
+    and for a stack by _per_member."""
     alpha = _coeff_array(alpha, None, "alpha")
+    if isinstance(h, SeriesStack):
+        _per_member(alpha, len(h), "alpha")
     return type(h)(N=h.N, a=h.a * alpha[..., None], b=h.b * alpha[..., None],
                    a0=h.a0 * alpha, b0=h.b0 * alpha)
 

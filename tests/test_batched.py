@@ -33,7 +33,7 @@ from annulus_harmonics.sampling import (
     random_series,
     random_series_stack,
 )
-from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack, circle_grid_fields
+from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack, _blocks, circle_grid_fields
 from test_bounds import CRITICAL, report_fields
 from test_sampling import widened_conformal
 
@@ -263,6 +263,18 @@ def test_blocked_probe_equals_each_series_alone(members):
         assert (probe.jacobian_min < 0).any() and not probe.windings_ok.all()
 
 
+@pytest.mark.parametrize("count, each, cap, sizes", [
+    (0, 5, 10, []), (5, 2, 5, [2, 2, 1]), (6, 2, 6, [3, 3]), (3, 20, 10, [1, 1, 1]),
+    (4, 0, 10, [4])])
+def test_blocks_split_the_items_in_order_within_the_cap(count, each, cap, sizes):
+    """The slices cover the items once, in order, each within cap // each
+    items and holding at least one."""
+    items = np.arange(count)
+    parts = [items[block] for block in _blocks(count, each, cap)]
+    assert [part.size for part in parts] == sizes
+    assert [i for part in parts for i in part.tolist()] == items.tolist()
+
+
 @pytest.mark.parametrize("members, grid_calls, winding_calls",
                          [(None, 1, 11), (8, 1, 16), (16, 2, 25), (17, 3, 25)])
 def test_probe_requests_stay_within_the_block_bound(monkeypatch, members, grid_calls,
@@ -285,7 +297,7 @@ def test_probe_requests_stay_within_the_block_bound(monkeypatch, members, grid_c
     injectivity_probe(PROBE_POOL.series(0) if members is None else PROBE_POOL[:members], 2.0)
     assert (len(requests[sampling]), len(requests[quadrature])) == (grid_calls, winding_calls)
     for points, M in requests[sampling] + requests[quadrature]:
-        assert points <= quadrature.PROBE_BLOCK_POINTS == 8 * 24 * 96 or points == M
+        assert points <= quadrature.REQUEST_POINTS == 8 * 24 * 96 or points == M
 
 
 # ---------------------------------------------------------------------------

@@ -86,21 +86,25 @@ def test_bounds_usage_errors(capsys):
     assert run(capsys, "bounds")[0] == 1
 
 
-def loaded_after(argv, *modules) -> list:
-    """Those of `modules` that are loaded after cli.main(argv) exits 0, in
-    a fresh interpreter, since this one has loaded them already."""
+def fresh_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this package."""
     import annulus_harmonics
 
     src = os.path.dirname(os.path.dirname(annulus_harmonics.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def loaded_after(argv, *modules) -> list:
+    """Those of `modules` that are loaded after cli.main(argv) exits 0, in
+    a fresh interpreter, since this one has loaded them already."""
     code = ("import contextlib, io, json, sys\n"
             "import annulus_harmonics\n"
             "from annulus_harmonics import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    assert cli.main({list(argv)!r}) == 0\n"
             f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -218,6 +222,37 @@ def rejected(capsys, *argv):
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1, err
     return err
+
+
+# A malformed order, decay, seed, radius, lambda or trial count, or a
+# missing series file: exit 1, one error line, no traceback.
+REFUSED = {
+    "sample-N-0": ("sample", "--seed", "7", "--N", "0", "--out", "{tmp}/refused.json"),
+    "sample-N-5000": ("sample", "--seed", "7", "--N", "5000", "--out", "{tmp}/refused.json"),
+    "sample-decay-1.5": ("sample", "--seed", "7", "--decay", "1.5", "--out",
+                         "{tmp}/refused.json"),
+    "sample-seed--1": ("sample", "--seed", "-1", "--out", "{tmp}/refused.json"),
+    "bounds-R-1": ("bounds", "--R", "1.0"),
+    "bounds-R-nan": ("bounds", "--R", "nan"),
+    "evolve-lambda-nan": ("evolve", "--lambda", "nan", "--R", "2.0"),
+    "verify-trials-0": ("verify", "all", "--trials", "0"),
+    "check-missing-file": ("check", "--series", "{tmp}/missing.json", "--R", "2.0"),
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED.keys())
+def test_malformed_command_line_is_refused(tmp_path, capsys, argv):
+    rejected(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert not (tmp_path / "refused.json").exists()
+
+
+def test_module_entry_point_refuses_a_malformed_command_line():
+    """python -m annulus_harmonics.cli runs main and exits with its code."""
+    done = subprocess.run([sys.executable, "-m", "annulus_harmonics.cli", "bounds", "--R", "nan"],
+                          env=fresh_env(PYTHONWARNINGS="error::RuntimeWarning"),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_USAGE and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 @pytest.mark.parametrize("text", [

@@ -278,6 +278,15 @@ CASES = {
         lambda: radial_integrate(np.ones_like, 1.0, [2.0, 3.0], [2.0, 2.0, 2.0]),
     "radial_integrate-2-radii-3-lambdas":
         lambda: radial_integrate(np.ones_like, 1.0, np.array([2.0, 3.0]), 2, [0.5, 0.5, 0.5]),
+    "scale_rotate-stack-3-alphas": lambda: scale_rotate(PAIR, [1, 2, 3]),
+    # a list of numbers is refused as its array is, by the domain rules
+    "gz_weight-R-list": lambda: gz_weight([2.0, 1.0], 0.5, 1.5),
+    "gz_weight-lambda-list": lambda: gz_weight(2.0, [0.5, 5.0], 1.5),
+    "mode_form_certificate_expanded-R-list": lambda: mode_form_certificate_expanded(2, [3.0, 1.0]),
+    "variance_k_bound-R-list": lambda: variance_k_bound(H, [3.0, 2.0]),
+    "mode_quadratic_form_residual-R-list": lambda: mode_quadratic_form_residual(H, 1, [2.0, NAN]),
+    "k_endpoint-lambda-list": lambda: k_endpoint(H, [0.5, -1.0], [2.0, 3.0]),
+    "LambdaOperator-lambda-list": lambda: LambdaOperator([0.5, 1.5]),
     # numpy parsed the strings and read the bools as numbers before
     "HarmonicSeries-strings-and-bools":
         lambda: HarmonicSeries(N=1, a=["1", "2"], b=[True, False], a0="1"),
@@ -299,6 +308,31 @@ CASES = {
 def test_out_of_domain_argument_is_rejected(call):
     with pytest.raises(ParameterDomainError):
         call()
+
+
+# several numbers as a list compute as the same numbers in an array (each
+# call raised TypeError from the arithmetic on the list before)
+SEVERAL = {
+    "mode_form_coeffs": lambda many: mode_form_coeffs(2, many([2.0, 3.0])),
+    "mode_form_certificate": lambda many: mode_form_certificate(2, many([3.0, 4.0])),
+    "mode_form_certificate_expanded":
+        lambda many: mode_form_certificate_expanded(2, many([3.0, 4.0])),
+    "gz_weight-R": lambda many: gz_weight(many([2.0, 3.0]), 0.5, 1.5),
+    "gz_weight-lambda": lambda many: gz_weight(2.0, many([0.5, 0.2]), 1.5),
+    "variance_k_bound": lambda many: variance_k_bound(G, many([3.0, 4.0])),
+    "mode_quadratic_form_residual": lambda many: mode_quadratic_form_residual(
+        G, 2, many([2.0, 3.0])),
+    "mode_quadratic_form_residual-stack": lambda many: mode_quadratic_form_residual(
+        PAIR, 2, many([2.0, 3.0])),
+    "k_endpoint": lambda many: k_endpoint(G, many([0.5, 0.2]), many([2.0, 3.0])),
+    "LambdaOperator.apply": lambda many: LambdaOperator(many([0.5, 0.2])).apply(U, 2.0),
+}
+
+
+@pytest.mark.parametrize("call", SEVERAL.values(), ids=SEVERAL.keys())
+def test_a_list_of_numbers_computes_as_its_array(call):
+    got, want = np.asarray(call(list)), np.asarray(call(np.array))
+    assert got.shape[-1] == 2 and got.tobytes() == want.tobytes()
 
 
 # finite arguments whose result overflows: a typed error, never a NaN
@@ -444,6 +478,19 @@ def test_require_radii_accepts(rho):
     require_radii(rho)
 
 
+@pytest.mark.parametrize("rule, value", [(require_outer, 2), (require_lambda, 1),
+                                         (require_radii, 3)], ids=["R", "lambda", "rho"])
+def test_the_domain_rules_return_what_they_accept(rule, value):
+    """One number comes back as given, several as one float64 array."""
+    for one in (value, float(value), np.float64(value), np.int64(value), np.array(value)):
+        assert rule(one) is one
+    for several in ([value, float(value)], (value, value), np.array([value, value])):
+        got = rule(several)
+        assert got.dtype == np.float64 and got.tolist() == [value, value]
+    twice = np.array([float(value)] * 2)
+    assert rule(twice) is twice
+
+
 def test_domain_edges_are_accepted():
     require_outer(1.0 + 1e-15)
     require_lambda(1.0)
@@ -554,7 +601,7 @@ RECORDS = {"BoundReport", "SchottkyReport", "UniquenessReport"}
 # (2+0j is a number where the argument takes coefficients).
 MALFORMED = ["2.0", b"2", True, np.True_, 2 + 0j, None, ["1.5"]]
 # Real values: each returns or raises a ToolkitError.
-REALS = [NAN, INF, -INF, -1, 0, 1e308, HUGE, np.array([1.5, 2.0]), np.empty(0)]
+REALS = [NAN, INF, -INF, -1, 0, 1e308, HUGE, np.array([1.5, 2.0]), [1.5, 2.0], np.empty(0)]
 
 
 def _exports() -> dict:

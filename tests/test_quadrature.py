@@ -23,7 +23,7 @@ from annulus_harmonics import quadrature
 from annulus_harmonics.quadrature import (
     _RADIAL_NODE_CAP,
     RADIAL_EPS,
-    _gauss_rule,
+    _gauss_rules,
     angular_count,
     winding_counts,
 )
@@ -410,10 +410,46 @@ def test_energy_bits_do_not_depend_on_the_ring_batches(N, tame_series, monkeypat
         got = [np.float64(dirichlet_energy(h, 1.2, 1.9)).view(np.uint64)]
         # one radius per batch, then every radius of a call in one batch
         for points in (M, 2**40):
-            monkeypatch.setattr(quadrature, "_ENERGY_POINTS_PER_BATCH", points)
+            monkeypatch.setattr(quadrature, "REQUEST_POINTS", points)
             got.append(np.float64(dirichlet_energy(h, 1.2, 1.9)).view(np.uint64))
         monkeypatch.undo()
         assert got[0] == got[1] == got[2], seed
+
+
+def _energy_requests(h, rho1, rho2, monkeypatch) -> list:
+    """(radii, M) of each circle_grid_fields request of dirichlet_energy."""
+    requests = []
+
+    def record(h, rhos, M, fields, real=quadrature.circle_grid_fields):
+        requests.append((rhos.size, M))
+        return real(h, rhos, M, fields)
+
+    monkeypatch.setattr(quadrature, "circle_grid_fields", record)
+    dirichlet_energy(h, rho1, rho2)
+    monkeypatch.undo()
+    return requests
+
+
+@pytest.mark.parametrize("N", [1, 16, 128, 1024])
+def test_energy_requests_stay_within_the_shared_bound(N, tame_series, monkeypatch):
+    """Each request of the energy's rings holds at most REQUEST_POINTS angle
+    points, the bound of the probe's and the winding's requests, or one
+    radius; at N = 1024 (2160 angles) a rule's rings take 8 per request."""
+    requests = _energy_requests(tame_series(seed=3, N=N), 1.2, 1.9, monkeypatch)
+    assert {M for _, M in requests} == {angular_count(2 * N)}
+    for radii, M in requests:
+        assert radii * M <= quadrature.REQUEST_POINTS == 8 * 24 * 96 or radii == 1
+    assert (N < 1024) == (len(requests) == 1)
+
+
+def test_wide_energy_rings_take_one_request(tame_series, monkeypatch):
+    """An N = 128 energy over a log-width of at most 0.5, as the circle-dense
+    benchmark draws them, has a rule of at most 40 nodes on 270 angles: one
+    request, where a bound of 2**13 points took two."""
+    h = tame_series(seed=3, N=128)
+    for rho1, rho2 in ((1.02, 1.02 * math.exp(0.5)), (1.2, 1.9), (2.0, 2.0 * math.exp(0.2))):
+        [(radii, M)] = _energy_requests(h, rho1, rho2, monkeypatch)
+        assert M == 270 and 2**13 // M < radii <= 40
 
 
 @pytest.mark.parametrize("N", [1, 40, 300])
@@ -731,8 +767,8 @@ def test_cached_gauss_rules_are_read_only_and_correctly_rounded(n):
     and the memoised arrays cannot be written."""
     from mpmath import mp, mpf
 
-    x, w = _gauss_rule(n)
-    assert x is _gauss_rule(n)[0]
+    x, w = _gauss_rules()[n]
+    assert x is _gauss_rules()[n][0]
     with pytest.raises(ValueError):
         x[0] = 0.0
     with pytest.raises(ValueError):
@@ -774,12 +810,12 @@ def test_every_gauss_rule_has_the_bits_of_its_own_newton_pass():
     sizes = range(8, quadrature._RULE_CAP + 1, quadrature._RULE_STEP)
     assert sorted(quadrature._gauss_rules()) == list(sizes)
     for n in sizes:
-        x, w = _gauss_rule(n)
+        x, w = _gauss_rules()[n]
         want_x, want_w = _gauss_rule_alone(n)
         assert x.size == w.size == n
         assert x.tobytes() == want_x.tobytes() and w.tobytes() == want_w.tobytes(), n
         assert not x.flags.writeable and not w.flags.writeable
-        again = _gauss_rule(n)
+        again = _gauss_rules()[n]
         assert again[0] is x and again[1] is w
 
 
