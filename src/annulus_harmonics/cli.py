@@ -203,12 +203,11 @@ def _as_csv(rows: list[dict], manifest: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(rows: list[dict], args: argparse.Namespace, manifest: dict,
-               key: str = "rows") -> None:
+def _emit_rows(rows: list[dict], args: argparse.Namespace, manifest: dict) -> None:
     if args.format == "csv":
         _emit(_as_csv(rows, manifest), args.out)
     else:
-        _emit(_as_json({"manifest": manifest, key: rows}), args.out)
+        _emit(_as_json({"manifest": manifest, "rows": rows}), args.out)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:

@@ -21,7 +21,10 @@ derivatives come from the same powers (RadialProfile.jet).  A profile is
 built through the overflow rule of the series module: a weight table that
 is not finite (a coefficient above ~1e154 squares past the float range)
 raises NumericOverflowError once, when the profile is built, and no jet
-checks the table again.  The termwise second derivative of the variance
+checks the table again.  A mode whose weights are all 0 (a stack's
+padding, or weights that underflowed) takes the exponent 0 in the power
+table: it adds 0 where its rho^(2k) would leave the float range and add
+inf times 0, NaN; the other powers, and every finite jet, keep their bits.  The termwise second derivative of the variance
 keeps its own formula as a cross-check.
 
 The profiles of a SeriesStack (see the series module) are the same code on
@@ -252,6 +255,15 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
     K = two_k.shape[-1]
     weights = _in_float_range(f"the weight table of {label} at N", h.N, _weights,
                               h, exps, shifted, include_zero, only_mode)
+    amp = weights[..., :-3, 0]
+    if not amp.all():
+        # a mode k whose weights are 0 (padding, or weights that underflowed)
+        # takes the exponent 0: its powers are then 1 and it adds 0, where a
+        # rho^(2k) past the float range would add inf times 0, NaN
+        dead = (amp[..., :K] == 0.0) & (amp[..., K:] == 0.0)
+        if dead.ndim > two_k.ndim:  # one exponent row for every member of a stack
+            dead = dead.all(axis=0)
+        two_k = np.where(dead, 0.0, two_k)
 
     memo: dict[float, np.ndarray] = {}
 

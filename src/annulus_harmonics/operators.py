@@ -22,8 +22,9 @@ trapezoid means (|h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2), so the
 circle is evaluated once per (series, rho, angle count) and each lambda
 costs a few operations in one function shared by both paths
 (_identity_pair).  identity_residuals, for one series, rho and lambda,
-keeps those four floats and U's jet at rho in a small LRU memo that keys
-the series by identity and stores only floats.  identity_residuals_stack,
+reads those four floats and U's jet at rho from the one circle memo of the
+quadrature module, which keys the series by identity and stores only
+numbers.  identity_residuals_stack,
 for a chunk of a SeriesStack with c circles per member and L lambdas per
 circle, writes each circle's fields (one circle_fields call per circle, so
 the kernel still sees every (series, rho) on its own) into one block,
@@ -47,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .series import (
     SeriesStack,
     _in_float_range,
     _is_scalar,
+    _per_member,
     _scalar,
     _shown,
     circle_angles,
@@ -106,7 +107,11 @@ class LambdaOperator:
         return r, den
 
     def apply(self, P: RadialProfile, rho):
-        """L_lam[P](rho), vectorized over rho."""
+        """L_lam[P](rho), vectorized over rho.  For the profile of a stack,
+        an array lam holds one lambda per member, shape (B,) or (B, 1), else
+        ParameterDomainError."""
+        if isinstance(self.lam, np.ndarray) and self.lam.ndim:
+            _one_per_member(P, (self.lam.reshape(-1), "lambda"))
         r, den = self._denominator(rho)
         return _on_jet(self.lam, r, den, *P.jet(r))
 
@@ -155,6 +160,19 @@ class LambdaOperator:
         direct = _on_jet(op.lam, r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
         out = np.abs(extrapolated - direct)[..., 0]
         return out if out.shape else float(out)
+
+
+def _one_per_member(P: RadialProfile, *named) -> None:
+    """ParameterDomainError unless each argument x of the pairs (x, name),
+    as the domain rules return it (several numbers as an array), is one
+    value or, if P is the profile of a stack (its jet has one row per
+    member), one per member (series._per_member); the profile of a series
+    takes arrays of any shape."""
+    arrays = [(x, name) for x, name in named if isinstance(x, np.ndarray) and x.ndim]
+    members = np.shape(P.value(1.0)) if arrays else ()
+    if members:  # the profile of a stack
+        for x, name in arrays:
+            _per_member(x, members[0], name)
 
 
 def _on_jet(lam, r, den, value, d1, d2):
@@ -210,20 +228,22 @@ def identity_residuals(h: HarmonicSeries, lam: float, rho: float) -> tuple[float
     The left side is the closed-form profile; the right sides are
     trapezoid means of pointwise fields on the quadrature circle, with the
     radial derivative taken termwise (see _identity_pair).  The four means
-    and U's jet at rho come from _circle_terms, memoised per (series, rho),
+    and U's jet at rho come from the circle memo of the quadrature module,
     so a circle is evaluated once for every lambda.  Returns
     (gradient_residual, angular_residual).  Raises ParameterDomainError
     unless lam and rho are single numbers in their domains, and
-    NumericOverflowError if the circle's terms overflow.
+    NumericOverflowError if the circle's means or U's jet overflow.
     """
     if type(lam) is not float or type(rho) is not float:  # floats skip the calls
         lam, rho = _scalar(lam, "lambda"), _scalar(rho, "rho")
     # the domain checks run on every call, whether the memo has rho or not
     require_lambda(lam)
     require_radii(rho)
-    terms = _circle_terms(h, rho)
+    _, A, B, C, D, _, u, du, d2u = _circle_means(h, rho)
+    if not (math.isfinite(u) and math.isfinite(du) and math.isfinite(d2u)):
+        raise NumericOverflowError(f"U's jet at rho={rho} is not finite")
     try:
-        return _identity_pair(lam, rho, *terms)
+        return _identity_pair(lam, rho, u, du, d2u, A, B, C, D)
     except OverflowError:  # Python's float ** raises where numpy's gives inf
         raise NumericOverflowError(f"the identities overflow at rho={rho}") from None
 
@@ -282,24 +302,6 @@ def _identity_pair(lam, rho, u, du, d2u, A, B, C, D):
     return abs(lhs - rhs_gradient), abs(lhs - rhs_angular)
 
 
-@lru_cache(maxsize=32)
-@np.errstate(over="ignore", invalid="ignore")
-def _circle_terms(h: HarmonicSeries, rho: float) -> tuple[float, ...]:
-    """The lambda-free part of identity_residuals, as plain floats:
-    U, U', U'' at rho, then the means A, B, C, D of |h|^2,
-    Re(conj(h) h_rho), |h_rho|^2 and |h_theta|^2 on C_rho from the circle
-    memo of the quadrature module.  The key holds the series by identity
-    and the radius.  Raises NumericOverflowError, and stores nothing,
-    if a term is not finite.
-    """
-    u, du, d2u = quadratic_mean_profile(h).jet(rho)
-    _, A, B, C, D, _ = _circle_means(h, rho)
-    terms = (float(u), float(du), float(d2u), A, B, C, D)
-    if not all(map(math.isfinite, terms)):
-        raise NumericOverflowError(f"U's jet at rho={rho} overflows")
-    return terms
-
-
 # ---------------------------------------------------------------------------
 # The weighted radial integral K_lam and its endpoint form.
 # ---------------------------------------------------------------------------
@@ -315,8 +317,9 @@ def k_functional(P: RadialProfile, lam, R):
     a stack, lam and R may hold one entry per member, and each member is
     integrated on its own rule; the result holds one entry per member.
     Raises ParameterDomainError for a profile without a degree (one built
-    from callables alone), whose integrand has no bound, and
-    NumericOverflowError if a result is not finite.
+    from callables alone), whose integrand has no bound, or for a stack's
+    lam or R of another length, and NumericOverflowError if a result is
+    not finite.
     """
     R, lam = require_outer(R), require_lambda(lam)
     if P.degree is None:
@@ -326,6 +329,7 @@ def k_functional(P: RadialProfile, lam, R):
     if not (_is_scalar(lam) and _is_scalar(R)):
         # one integrand per member, on radii of shape (members, nodes)
         lam, R = np.asarray(lam, dtype=np.float64), np.asarray(R, dtype=np.float64)
+        _one_per_member(P, (lam, "lambda"), (R, "R"))
         lam_col, R_col = lam[..., None], R[..., None]
 
     def integrand(r: np.ndarray) -> np.ndarray:
@@ -346,12 +350,14 @@ def k_quadrature(h, lam, R):
 
 def k_endpoint(h, lam, R):
     """K_lam applied to the quadratic mean of h, in endpoint closed form;
-    for a stack, lam and R may hold one entry per member.  h may also be
-    the quadratic-mean profile itself, so that a caller which integrates
-    it with k_functional too builds it once.  Raises NumericOverflowError
-    if a result is not finite."""
+    for a stack, lam and R may hold one entry per member (another length
+    raises ParameterDomainError).  h may also be the quadratic-mean
+    profile itself, so that a caller which integrates it with k_functional
+    too builds it once.  Raises NumericOverflowError if a result is not
+    finite."""
     lam, R = require_lambda(lam), require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
+    _one_per_member(U, (lam, "lambda"), (R, "R"))
     return _in_float_range("K_lam of the quadratic mean at R", R, _endpoint_form, U, lam, R)
 
 

@@ -21,12 +21,13 @@ points.  The means are computed as trapezoid sums over the sampled fields,
 never from the spectrum by Parseval, so they stay an independent check of
 the closed forms in the means module.  One reduction (_field_means) takes
 these means over fields of any leading shape: a single circle, or the block
-of circles a batched caller has filled.  The circle means of a series are
-memoised per (series, rho) (_circle_means), each read from the (3, M) block
-of one kernel call on angular_count(2 N) angles, so the quadratic mean, the
-enclosed area, the circular mean and the scalar operator identities of one
-circle share one evaluation.  A radius that is not one number, or circle
-means that overflow, raise a typed error and never enter the memo.
+of circles a batched caller has filled.  One memo per (series, rho)
+(_circle_means) holds what the scalar functions read of a circle: its means,
+from the (3, M) block of one kernel call on angular_count(2 N) angles, and
+U's closed-form jet at rho, so the quadratic mean, the enclosed area, the
+circular mean and the scalar operator identities of one circle share one
+evaluation.  A radius that is not one number, or circle means that
+overflow, raise a typed error and never enter the memo.
 
 Radial integrals are one call of the integrand on one Gauss-Legendre rule
 in t = log r, whose node count a proved error bound picks before the call
@@ -51,7 +52,7 @@ node counts would change results only at rounding level.
 
 from __future__ import annotations
 
-import cmath
+import contextlib
 import math
 from functools import lru_cache
 from typing import Callable
@@ -64,6 +65,7 @@ from .errors import (
     QuadratureConvergenceError,
     ZeroOnCircleError,
 )
+from .means import quadratic_mean_profile
 from .series import (
     HarmonicSeries,
     SeriesStack,
@@ -137,20 +139,27 @@ def _field_means(fields: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=32)
-@np.errstate(over="ignore", invalid="ignore")  # a decorator costs half a with-block
 def _circle_means(h: HarmonicSeries, rho: float) -> tuple:
     """The _field_means of h on C_rho over circle_angles(M), M =
     angular_count(2 N), as a complex and five floats, read from the (3, M)
-    block of one _grid_fields call.  The key holds the series by identity
-    and the radius.  Raises ParameterDomainError
-    unless rho is positive and finite, and NumericOverflowError if a mean
-    is not finite, so neither ever enters the memo."""
+    block of one _grid_fields call, then U, U' and U'' at rho as computed
+    (inf for a weight table past the float range), which identity_residuals
+    tests: the closed form can overflow where the means do not.  The key
+    holds the series by identity and the radius.  Raises
+    ParameterDomainError unless rho is positive and finite, and
+    NumericOverflowError if a mean is not finite, so neither ever enters
+    the memo."""
     require_radii(rho)
-    mean, *real = _field_means(_grid_fields(h, rho, angular_count(2 * h.N)))
-    means = (complex(mean), *map(float, real))
-    if not all(map(cmath.isfinite, means)):
-        raise NumericOverflowError(f"the circle means of h on C_{rho} overflow")
-    return means
+    jet = (math.inf,) * 3
+
+    def means():  # under the overflow rule's errstate, which keeps the jet quiet too
+        nonlocal jet
+        with contextlib.suppress(NumericOverflowError):
+            jet = quadratic_mean_profile(h).jet(rho)
+        mean, *real = _field_means(_grid_fields(h, rho, angular_count(2 * h.N)))
+        return (complex(mean), *map(float, real))
+
+    return _in_float_range("the circle means of h at rho", rho, means) + jet
 
 
 def circular_mean(h: HarmonicSeries, rho: float) -> complex:

@@ -45,6 +45,7 @@ call concurrently.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import operator
@@ -428,30 +429,30 @@ def _shown(x) -> str:
     return text if len(text) <= 80 else text[:77] + "..."
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a decorator costs half a with-block
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # half a with-block's cost
 def _in_float_range(what: str, at, form, *args):
     """form(*args), or NumericOverflowError "{what}={at} is not finite" (what
     names the value and the argument, as "the speed bound at rho") if a value
     it returns, a number, an array or a tuple of them, is not finite.
 
-    One path: the form always runs with numpy's overflow and invalid
-    warnings off, and an OverflowError (Python's float ** and the conversion
-    of a huge int raise one) counts as inf.  Only the test looks at a
-    value's type: math.isfinite for a float (np.isfinite costs it ~2 us),
+    One path: the form always runs with numpy's overflow, divide (1/0 of
+    an underflowed power) and invalid warnings off, and an OverflowError
+    (Python's float ** and the conversion of a huge int raise one) counts
+    as inf.  Only the test looks at a value's type: math.isfinite for a
+    float, cmath.isfinite for a complex (np.isfinite costs either ~2 us),
     else np.isfinite(...).all().
 
-    Kept outside the rule: quadrature._circle_means and
-    operators._circle_terms (identity_residuals) on circle-dense's
-    per-circle path, which test Python scalars themselves (the rule's
-    np.isfinite on their 0-d means read +16% per op, 0.51 -> 0.59 ms);
-    weitsman_bound, where an overflow rounds the bound to 1; and
+    Kept outside the rule: identity_residuals on circle-dense's hot path,
+    which tests the memoised jet of U and catches Python's OverflowError
+    per call; weitsman_bound, where an overflow rounds the bound to 1; and
     winding_number, which raises on a flag of winding_counts, not a value."""
     try:
         out = form(*args)
     except OverflowError:
         out = math.inf
     for v in out if isinstance(out, tuple) else (out,):
-        if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+        if not (math.isfinite(v) if isinstance(v, float) else
+                cmath.isfinite(v) if isinstance(v, complex) else np.isfinite(v).all()):
             raise NumericOverflowError(f"{what}={_shown(at)} is not finite")
     return out
 

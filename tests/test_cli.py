@@ -195,6 +195,17 @@ def test_check_not_applicable(tmp_path, capsys):
     assert json.loads(out)["report"]["verdict"] == "not-applicable"
 
 
+@pytest.mark.parametrize("N", [1, 4096])
+def test_check_the_identity_saved_with_padding(tmp_path, capsys, N):
+    """The identity saved at N = 4096 passes as at N = 1: its 4095 modes of
+    zero weight add 0 to U(R), not 0 times an overflowed R^(2k)."""
+    path = tmp_path / "identity.json"
+    save_series(HarmonicSeries.from_coeffs(N=N, a={1: 1.0}), path)
+    code, out = run(capsys, "check", "--series", str(path), "--R", "1.1")
+    assert code == 0
+    assert json.loads(out)["report"]["verdict"] == "pass"
+
+
 def test_evolve_series_of_negative_speed_is_not_applicable(tmp_path, capsys):
     """z^-1 has U = rho^-2 and initial speed -1: no speed bound applies."""
     path = tmp_path / "inverse.json"

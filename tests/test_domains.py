@@ -7,6 +7,8 @@ grid circle_angles(M), raises ParameterDomainError instead of returning NaN
 or failing inside the arithmetic; finite arguments whose result overflows
 raise NumericOverflowError."""
 
+import ast
+import cmath
 import inspect
 import math
 import re
@@ -274,6 +276,18 @@ CASES = {
         lambda: mode_quadratic_form_residual(PAIR, 2, np.array([2.0, 3.0, 4.0])),
     "mean_outer_radius-stack-3-R": lambda: mean_outer_radius(PAIR, [2.0, 3.0, 4.0]),
     "variance_k_bound-stack-3-R": lambda: variance_k_bound(PAIR, [3.0, 3.5, 4.0]),
+    # and so do those of a stack's profile, its jet one row per member
+    "k_functional-stack-3-R":
+        lambda: k_functional(quadratic_mean_profile(PAIR), 0.5, np.array([2.0, 3.0, 4.0])),
+    "k_functional-stack-3-lambdas":
+        lambda: k_functional(quadratic_mean_profile(PAIR), np.array([0.5, 0.2, 0.1]), 2.0),
+    "k_endpoint-stack-3-R":
+        lambda: k_endpoint(quadratic_mean_profile(PAIR), 0.5, np.array([2.0, 3.0, 4.0])),
+    "k_endpoint-stack-3-lambdas": lambda: k_endpoint(PAIR, np.array([0.5, 0.2, 0.1]), 2.0),
+    "LambdaOperator.apply-stack-3-lambdas":
+        lambda: LambdaOperator(np.array([0.5, 0.2, 0.1])).apply(quadratic_mean_profile(PAIR), 2.0),
+    "LambdaOperator.apply-stack-3x1-lambdas": lambda: LambdaOperator(
+        np.array([[0.5], [0.2], [0.1]])).apply(quadratic_mean_profile(PAIR), np.array([2.0, 3.0])),
     "radial_integrate-2-radii-3-degrees":
         lambda: radial_integrate(np.ones_like, 1.0, [2.0, 3.0], [2.0, 2.0, 2.0]),
     "radial_integrate-2-radii-3-lambdas":
@@ -402,31 +416,89 @@ def test_overflowing_result_is_a_typed_error(call):
 
 def test_overflow_rule_has_one_path():
     """numpy arithmetic on Python floats runs quietly and raises the typed
-    error; Python's OverflowError counts as inf; each value of a tuple is
-    checked; a finite value comes back as it is."""
+    error, a division by 0 too; Python's OverflowError counts as inf; each
+    value of a tuple is checked, a complex one as well; a finite value
+    comes back as it is."""
     with pytest.raises(NumericOverflowError, match=r"R\^2 at R=1e\+200 is not finite"):
         _in_float_range("R^2 at R", 1e200, lambda R: np.float64(R) ** 2, 1e200)
+    with pytest.raises(NumericOverflowError):
+        _in_float_range("R^-2 at R", 1e-200, lambda R: 1.0 / np.float64(R) ** 2, 1e-200)
     with pytest.raises(NumericOverflowError):
         _in_float_range("R^2 at R", 1e200, lambda R: R**2, 1e200)
     with pytest.raises(NumericOverflowError):
         _in_float_range("the pair at R", 2.0, lambda R: (R, np.array([R, np.inf])), 2.0)
+    with pytest.raises(NumericOverflowError):
+        _in_float_range("the means at R", 2.0, lambda R: (complex(R, math.inf), R), 2.0)
     out = _in_float_range("R^2 at R", 3.0, lambda R: R**2, 3.0)
     assert out == 9.0 and type(out) is float
 
 
 def test_overflowing_circles_never_enter_the_memos():
-    """A circle whose means or identity terms overflow raises on every call:
-    the second call misses the memos again, as nothing was stored."""
-    from annulus_harmonics.operators import _circle_terms
+    """A circle whose means overflow raises on every call: the second call
+    misses the memo again, as nothing was stored."""
     from annulus_harmonics.quadrature import _circle_means
 
     h = extremal_map(0.25)
     for call in (lambda: circular_mean(h, 1e300), lambda: identity_residuals(h, 0.5, 1e300)):
-        hits = (_circle_means.cache_info().hits, _circle_terms.cache_info().hits)
+        hits = _circle_means.cache_info().hits
         for _ in range(2):
             with pytest.raises(NumericOverflowError):
                 call()
-        assert (_circle_means.cache_info().hits, _circle_terms.cache_info().hits) == hits
+        assert _circle_means.cache_info().hits == hits
+
+
+def test_a_jet_past_the_float_range_fails_only_the_identities():
+    """On C_rho, rho = 1e40, h = z + 1e-100 z^5 has finite means and U(rho)
+    = rho^2 + 1e-200 rho^10 = 1e200, but the closed form's rho^10 leaves
+    the float range: the three quadrature means return, and
+    identity_residuals raises on every call, from the memoised circle."""
+    from annulus_harmonics.quadrature import _circle_means
+
+    h = HarmonicSeries.from_coeffs(a={1: 1.0, 5: 1e-100})
+    _circle_means.cache_clear()
+    assert quadratic_mean_numeric(h, 1e40) == pytest.approx(1e200, rel=1e-12)
+    assert math.isfinite(enclosed_area(h, 1e40)) and cmath.isfinite(circular_mean(h, 1e40))
+    for _ in range(2):
+        with pytest.raises(NumericOverflowError, match="U's jet at rho=1e"):
+            identity_residuals(h, 0.5, 1e40)
+    assert _circle_means.cache_info()[:2] == (4, 1)  # hits, misses
+    # |a_2|^2 = 1e320 leaves U's weight table past the float range, not the
+    # means at rho = 1e-10, where |a_2 rho^2|^2 = 1e280
+    h = HarmonicSeries.from_coeffs(a={2: 1e160})
+    assert quadratic_mean_numeric(h, 1e-10) == pytest.approx(1e280, rel=1e-12)
+    with pytest.raises(NumericOverflowError, match="U's jet at rho=1e"):
+        identity_residuals(h, 0.5, 1e-10)
+
+
+def overflow_errors_built(tree):
+    """(function, line) of each NumericOverflowError built or raised in
+    `tree`, by the name of the innermost function around it."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "NumericOverflowError"
+                or isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+                and node.exc.id == "NumericOverflowError"):
+            yield where, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+    return visit(tree, None)
+
+
+def test_one_overflow_rule_builds_the_overflow_errors():
+    """Under src/, NumericOverflowError is built by series._in_float_range
+    and by three exceptions: lambda_from_speed's guard band (a finite
+    lambda too near -1), identity_residuals (U's memoised jet, and Python's
+    OverflowError) and winding_number (a flag of winding_counts).  A closed
+    form that tests its own overflow fails here; it returns through the
+    rule instead."""
+    package = Path(__file__).resolve().parents[1] / "src" / "annulus_harmonics"
+    built = sorted(f"{path.stem}.{where}" for path in package.glob("*.py")
+                   for where, _ in overflow_errors_built(ast.parse(path.read_text())))
+    assert built == ["operators.identity_residuals", "operators.identity_residuals",
+                     "operators.lambda_from_speed", "quadrature.winding_number",
+                     "series._in_float_range"]
 
 
 # R = 1e160 overflows Python's float R**2, R = 1e60 only U(R) = O(R^10);

@@ -27,6 +27,7 @@ from annulus_harmonics import (
 from annulus_harmonics import means
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import k_endpoint
+from annulus_harmonics.sampling import random_series_stack
 from annulus_harmonics.series import SeriesStack, circle_angles, circle_fields
 
 CRITICAL = extremal_map(1.0)
@@ -583,6 +584,54 @@ def test_nan_and_overflowing_radii_are_not_memoised():
     assert not _memo(U)
     with pytest.raises(RuntimeWarning):  # warns again: nothing was kept
         U.value(1e200)
+
+
+def test_zero_weight_modes_add_zero():
+    """The identity saved at N = 4096 has 4095 modes of weight 0, whose
+    rho^(2k) leave the float range at 1.1: they add 0, not inf times 0,
+    and U, the mean radius and K's endpoint form are those of N = 1."""
+    padded = HarmonicSeries.from_coeffs(N=4096, a={1: 1.0})
+    plain = HarmonicSeries.from_coeffs(a={1: 1.0})
+    U = quadratic_mean_profile(padded)
+    assert U.value(1.1) == pytest.approx(1.21, rel=1e-15)
+    assert U.value(1.1) == pytest.approx(quadratic_mean_numeric(padded, 1.1), rel=1e-15)
+    r = np.array([1.1, 3.0, 40.0])
+    np.testing.assert_allclose(np.stack(U.jet(r)), np.stack(quadratic_mean_profile(plain).jet(r)),
+                               rtol=1e-15)
+    assert mean_outer_radius(padded, 1.1) == pytest.approx(1.1, rel=1e-15)
+    assert k_endpoint(padded, 0.0, 1.1) == pytest.approx(k_endpoint(plain, 0.0, 1.1), abs=1e-15)
+
+
+def test_zero_weight_modes_of_a_stack_add_zero():
+    """Stacked with a member of order 300, whose weights past about mode 160
+    underflow to 0, a member of order 1 has U(5) finite and equal to that of
+    the same series at N = 1; so has the member of order 300."""
+    stack = random_series_stack([1, 2], [300, 1], 0.1)
+    member = stack.series(1)
+    alone = HarmonicSeries(N=1, a=member.a[[0, 300]], b=member.b[[0, 300]],
+                           a0=member.a0, b0=member.b0)
+    U = quadratic_mean_profile(stack)
+    for rho in (5.0, np.array([5.0])):
+        values = U.value(rho)
+        assert np.isfinite(values).all()
+        assert np.ravel(values)[1] == quadratic_mean_profile(alone).value(5.0)
+
+
+def test_zero_weight_modes_keep_every_finite_bit():
+    """A jet that is finite without the zero-weight rule keeps its bits
+    with it: the modes of weight 0 add 0 either way."""
+    h = HarmonicSeries.from_coeffs(N=200, a={1: 0.5, 3: 0.25 + 0.1j, -2: 0.1},
+                                   b={2: 0.3, -1: 0.2j}, a0=0.1, b0=1.0)
+    two_k, exps, shifted = means._exponents(1, h.N)
+    weights = means._weights(h, exps, shifted, True, None)
+    r = np.geomspace(0.5, 20.0, 41)
+    got = np.stack(quadratic_mean_profile(h).jet(r), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = means._jet_table(r, two_k, weights)
+    finite = np.isfinite(raw)
+    assert finite[r < 5.0].all() and not finite.all()  # rho^400 overflows past 5.9
+    assert np.array_equal(got[finite], raw[finite])
+    assert np.isfinite(got).all()
 
 
 def test_variance_profile_is_memoised_per_series():

@@ -20,10 +20,10 @@ from annulus_harmonics import (
     random_series,
     variance_subsolution_min,
 )
-from annulus_harmonics import operators, reports
-from annulus_harmonics.operators import identity_residuals, speed_bound
+from annulus_harmonics import operators, quadrature, reports
+from annulus_harmonics.operators import identity_residuals, k_functional, speed_bound
 from annulus_harmonics.quadrature import angular_count
-from annulus_harmonics.sampling import normalize_inner, perturb_extremal
+from annulus_harmonics.sampling import normalize_inner, perturb_extremal, random_series_stack
 from annulus_harmonics.series import (
     SERIES_PER_CHUNK,
     SeriesStack,
@@ -166,8 +166,8 @@ def pointwise_identity_residuals(h, lam, rho):
 
 
 def fresh_identity_residuals(h, lam, rho):
-    """identity_residuals on an empty circle-term memo (a cache miss)."""
-    operators._circle_terms.cache_clear()
+    """identity_residuals on an empty circle memo (a cache miss)."""
+    quadrature._circle_means.cache_clear()
     return identity_residuals(h, lam, rho)
 
 
@@ -238,6 +238,22 @@ def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
                     assert abs(ang[i, j, k] - a) <= 1e-13 * scale
 
 
+def test_stack_profile_takes_one_lambda_or_one_per_member():
+    """L_lam, K and its endpoint form on a stack's profile take lam as one
+    number, a 0-d array too, or one per member: each member's value is the
+    one it has with its own lambda alone."""
+    U = quadratic_mean_profile(random_series_stack([1, 2], [4, 4], 0.6))
+    lams, rho = np.array([0.5, -0.2]), np.array([2.0, 3.0])
+    each = np.stack([LambdaOperator(lam).apply(U, rho)[i] for i, lam in enumerate(lams)])
+    assert np.array_equal(LambdaOperator(lams[:, None]).apply(U, rho), each)
+    assert np.array_equal(LambdaOperator(np.array(0.5)).apply(U, rho),
+                          LambdaOperator(0.5).apply(U, rho))
+    for K in (k_endpoint, k_functional):
+        per_member = K(U, lams, 2.5)
+        assert [K(U, lam, 2.5)[i] for i, lam in enumerate(lams)] == pytest.approx(
+            per_member, rel=1e-14)
+
+
 def test_stack_identities_domain_errors():
     stack = SeriesStack.of([IDENTITY, CRITICAL])
     rhos = np.full((2, 1), 2.0)
@@ -253,14 +269,14 @@ def test_memoised_circle_terms_in_both_loop_orders(tame_series):
     rhos = [1.05, 1.7, 2.9, 4.1]
     want = {(lam, rho): fresh_identity_residuals(h, lam, rho)
             for lam in lams for rho in rhos}
-    operators._circle_terms.cache_clear()
+    quadrature._circle_means.cache_clear()
     for lam in lams:
         for rho in rhos:
             assert identity_residuals(h, lam, rho) == want[lam, rho]
     for rho in rhos:
         for lam in lams:
             assert identity_residuals(h, lam, rho) == want[lam, rho]
-    info = operators._circle_terms.cache_info()
+    info = quadrature._circle_means.cache_info()
     assert info.misses == len(rhos)
     assert info.hits == 2 * len(lams) * len(rhos) - len(rhos)
 
@@ -268,11 +284,11 @@ def test_memoised_circle_terms_in_both_loop_orders(tame_series):
 def test_memo_keys_on_series_identity(tame_series):
     h = tame_series(seed=8, N=6)
     twin = tame_series(seed=8, N=6)  # equal coefficients, another object
-    operators._circle_terms.cache_clear()
+    quadrature._circle_means.cache_clear()
     first = identity_residuals(h, 0.5, 2.0)
     assert identity_residuals(twin, 0.5, 2.0) == first
     identity_residuals(h, 0.3, 2.0)
-    info = operators._circle_terms.cache_info()
+    info = quadrature._circle_means.cache_info()
     assert (info.misses, info.hits) == (2, 1)
 
 
@@ -282,22 +298,22 @@ def test_memo_keys_on_series_identity(tame_series):
     (0.5, 0.0), (0.5, -1.5),          # rho not positive
 ])
 def test_identity_domain_errors_on_miss_and_hit(lam, rho):
-    operators._circle_terms.cache_clear()
+    quadrature._circle_means.cache_clear()
     with pytest.raises(ParameterDomainError):  # nothing memoised yet
         identity_residuals(IDENTITY, lam, rho)
     if rho > 0.0:
         identity_residuals(IDENTITY, 0.5, rho)  # memoise this circle
-        assert operators._circle_terms.cache_info().currsize == 1
+        assert quadrature._circle_means.cache_info().currsize == 1
     with pytest.raises(ParameterDomainError):
         identity_residuals(IDENTITY, lam, rho)
 
 
 def test_circle_term_memo_stays_bounded():
     h = HarmonicSeries.from_coeffs(a={1: 1.0}, b={-1: 0.2})
-    operators._circle_terms.cache_clear()
+    quadrature._circle_means.cache_clear()
     for rho in np.linspace(1.01, 3.0, 1000):
         identity_residuals(h, 0.3, float(rho))
-    info = operators._circle_terms.cache_info()
+    info = quadrature._circle_means.cache_info()
     assert info.misses == 1000
     assert info.currsize <= info.maxsize == 32
 

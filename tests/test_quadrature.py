@@ -136,6 +136,31 @@ def test_circle_means_share_one_evaluation_and_keep_their_sums(tame_series, monk
         assert calls == [(h, rho, M)]
 
 
+def test_one_memo_per_scalar_circle(tame_series, monkeypatch):
+    """identity_residuals, circular_mean, quadratic_mean_numeric and
+    enclosed_area at one fresh circle make one miss of the circle memo and
+    then only hits, and the miss's means return through the overflow rule;
+    the operators module keeps no memo of its own."""
+    from annulus_harmonics import operators
+    from annulus_harmonics.operators import identity_residuals
+
+    h = tame_series(seed=32, N=7)
+    rule, ruled = quadrature._in_float_range, []
+    monkeypatch.setattr(quadrature, "_in_float_range",
+                        lambda *args: ruled.append(args[:2]) or rule(*args))
+    quadrature._circle_means.cache_clear()
+    for lam in (0.3, -0.6):
+        identity_residuals(h, lam, 1.4)
+        circular_mean(h, 1.4)
+        quadratic_mean_numeric(h, 1.4)
+        enclosed_area(h, 1.4)
+    info = quadrature._circle_means.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+    assert ruled == [("the circle means of h at rho", 1.4)]
+    assert [f for f in vars(operators).values() if hasattr(f, "cache_info")
+            and f.__module__ == operators.__name__] == []
+
+
 # ---------------------------------------------------------------------------
 # winding number
 # ---------------------------------------------------------------------------
