@@ -35,6 +35,7 @@ from .means import (
 )
 from .operators import k_functional, lambda_from_speed, speed_bound
 from .quadrature import angular_count
+from .sampling import injectivity_probe, perturb_extremal
 from .series import (
     HarmonicSeries,
     SeriesStack,
@@ -42,6 +43,7 @@ from .series import (
     _member_orders,
     _per_member,
     _require_int,
+    _result,
     _scalar,
     _shown,
     _within,
@@ -100,11 +102,10 @@ def gz_weight(R: float, lam: float, rho):
     1e153).
     """
     R, lam, rho = require_outer(R), require_lambda(lam), require_radii(rho)
-    out = _in_float_range(
+    return _in_float_range(
         "the conformal-part weight at R", R,
         lambda R, lam, r: (R**2 - lam) * np.log(R / r) + (R**2 - r**2) * lam / r**2,
         R, lam, np.asarray(rho, dtype=np.float64))
-    return out if out.shape else float(out)
 
 
 def gzbar_gate_margin(R: float, lam: float) -> float:
@@ -144,9 +145,8 @@ def wide_annulus_certificate(R):
             - (r**2 - 1.0) * (r**4 - 1.0)
         )
 
-    out = _in_float_range("the wide-annulus certificate at R", R, certificate,
-                          np.asarray(R, dtype=np.float64))
-    return out if out.shape else float(out)
+    return _in_float_range("the wide-annulus certificate at R", R, certificate,
+                           np.asarray(R, dtype=np.float64))
 
 
 class ModeFormCoeffs(NamedTuple):
@@ -234,8 +234,7 @@ def mode_energy_excess(h):
     (1/i) mean(conj(h) h_theta) - mean(|h|^2) + |mean h|^2 at rho = 1.
     """
     ns = h.mode_numbers.astype(np.float64)
-    out = np.sum((ns - 1.0) * np.abs(h.a + h.b) ** 2, axis=-1)
-    return out if out.shape else float(out)
+    return _result(np.sum((ns - 1.0) * np.abs(h.a + h.b) ** 2, axis=-1))
 
 
 def inner_circle_identity_residual(h):
@@ -250,8 +249,7 @@ def inner_circle_identity_residual(h):
         - np.mean(np.abs(f.values) ** 2, axis=-1)
         + np.abs(np.mean(f.values, axis=-1)) ** 2
     )
-    out = np.abs(lhs - mode_energy_excess(h))
-    return out if out.shape else float(out)
+    return _result(np.abs(lhs - mode_energy_excess(h)))
 
 
 def mode_quadratic_form_residual(h, n, R):
@@ -275,7 +273,7 @@ def mode_quadratic_form_residual(h, n, R):
     rhs = (
         A * abs(a_n) ** 2 + B * abs(b_n) ** 2 + 2.0 * C * (a_n * np.conj(b_n)).real
     ) / (2.0 * (R**2 + 1.0))
-    return abs(lhs - rhs)
+    return _result(abs(lhs - rhs))
 
 
 def variance_k_bound(h, R):
@@ -348,8 +346,7 @@ def conformal_injectivity_margin(h, R: float):
       f = a_1 z (1 + p(z)/z) winds once around 0, as a_1 z does.
     """
     R = require_outer(_scalar(R, "R"))
-    margin = _injectivity_certificate(h, R)[0]
-    return margin if margin.shape else float(margin)
+    return _result(_injectivity_certificate(h, R)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,9 +420,6 @@ def schottky_check(h, R: float):
     and, as the batch is one call, it raises for every member of a stack
     padded to that order.
     """
-    # read from sampling at call time, so a test can substitute the probe
-    from .sampling import injectivity_probe
-
     R = require_outer(_scalar(R, "R"))
     stack = h if isinstance(h, SeriesStack) else SeriesStack.of([h])
     area_bound = _in_float_range("the area bound pi (R^2 - 1) at R", R,
@@ -535,7 +529,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
     """
     R = require_outer(_scalar(R, "R"))
     U = quadratic_mean_profile(h)
-    u1 = float(U.value(1.0))
+    u1 = U.value(1.0)
     class_d = is_class_D(h)
     class_n = is_class_N(h)
     base = nitsche_bound(R)
@@ -549,7 +543,7 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
     # a tiny U(1) can overflow the rescaling
     measured = _in_float_range("the rescaled mean radius at R", R,
                                lambda: mean_outer_radius(h, R) / scale)
-    normalized_speed = float(U.deriv1(1.0)) / (2.0 * u1)
+    normalized_speed = U.deriv1(1.0) / (2.0 * u1)
 
     rule = "none"
     bound = base
@@ -609,10 +603,6 @@ class UniquenessReport:
 def uniqueness_probe(R: float) -> UniquenessReport:
     """The UniquenessReport of the critical map h^1 on A(1, R).  Raises
     ParameterDomainError unless R is one number with 1 < R < inf."""
-    # read from sampling at call time, as schottky_check reads the probe,
-    # so a substitute set on the sampling module is the one called
-    from .sampling import perturb_extremal
-
     R = require_outer(_scalar(R, "R"))
     eps = np.array(UNIQUENESS_EPSILONS)
     critical = nitsche_bound(R)

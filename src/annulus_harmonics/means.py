@@ -375,16 +375,18 @@ def variance_deriv2_termwise(h, rho) -> np.ndarray | float:
 
     every term of which is nonnegative.  Used as a cross-check against the
     generic profile derivative.  `h` may be a stack, with rho as for jet.
+    Raises NumericOverflowError if a value is not finite.
     """
     r = np.asarray(require_radii(rho), dtype=np.float64)
     ns = h.mode_numbers.astype(np.float64)
-    A = np.abs(h.a) ** 2
-    B = np.abs(h.b) ** 2
-    rp = r[..., None] ** (2.0 * ns)
-    terms = rp @ (ns * (2.0 * ns - 1.0) * A)[..., None] \
-        + (1.0 / rp) @ (ns * (2.0 * ns + 1.0) * B)[..., None]
-    out = (2.0 / r**2) * terms[..., 0]
-    return out if out.shape else float(out)
+
+    def termwise():
+        rp = r[..., None] ** (2.0 * ns)
+        terms = rp @ (ns * (2.0 * ns - 1.0) * np.abs(h.a) ** 2)[..., None] \
+            + (1.0 / rp) @ (ns * (2.0 * ns + 1.0) * np.abs(h.b) ** 2)[..., None]
+        return (2.0 / r**2) * terms[..., 0]
+
+    return _in_float_range("the termwise V'' at rho", rho, termwise)
 
 
 def is_class_D(h: HarmonicSeries) -> bool:
@@ -425,6 +427,4 @@ def mean_outer_radius(h, R):
     out = _in_float_range(
         "the mean radius sqrt(U(R)) at R", R,
         lambda: np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R)))
-    if R.ndim:
-        return out[..., 0]
-    return out if np.ndim(out) else float(out)  # one per member of a stack
+    return out[..., 0] if R.ndim else out

@@ -68,6 +68,7 @@ from .series import (
     _in_float_range,
     _is_scalar,
     _per_member,
+    _result,
     _scalar,
     _shown,
     circle_angles,
@@ -113,13 +114,13 @@ class LambdaOperator:
         if isinstance(self.lam, np.ndarray) and self.lam.ndim:
             _one_per_member(P, (self.lam.reshape(-1), "lambda"))
         r, den = self._denominator(rho)
-        return _on_jet(self.lam, r, den, *P.jet(r))
+        return _result(_on_jet(self.lam, r, den, *P.jet(r)))
 
     def apply_jet(self, rho, value, d1, d2):
         """L_lam from a profile's jet (value, d1, d2), already evaluated at
         rho, so a caller that needs the jet itself evaluates it once."""
         r, den = self._denominator(rho)
-        return _on_jet(self.lam, r, den, value, d1, d2)
+        return _result(_on_jet(self.lam, r, den, value, d1, d2))
 
     def divergence_form_residual(self, P: RadialProfile, rho):
         """|divergence form - direct form| at rho.
@@ -158,8 +159,7 @@ class LambdaOperator:
 
         extrapolated = (4.0 * div_form(1) - div_form(0)) / 3.0
         direct = _on_jet(op.lam, r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
-        out = np.abs(extrapolated - direct)[..., 0]
-        return out if out.shape else float(out)
+        return _result(np.abs(extrapolated - direct)[..., 0])
 
 
 def _one_per_member(P: RadialProfile, *named) -> None:
@@ -392,7 +392,7 @@ def variance_subsolution_min(h: HarmonicSeries, lam: float, rho_grid) -> float:
     if rho.size == 0:
         raise ParameterDomainError("the radius grid is empty")
     return _in_float_range("the minimum of L_lam of the variance on rho", rho,
-                           lambda: float(np.min(np.asarray(op.apply(variance_profile(h), rho)))))
+                           lambda: np.min(op.apply(variance_profile(h), rho)))
 
 
 def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
@@ -408,7 +408,7 @@ def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:
     """
     if not is_class_D(h):
         raise ParameterDomainError("normalization requires b0 = 0")
-    u1 = float(quadratic_mean_profile(h).value(1.0))
+    u1 = quadratic_mean_profile(h).value(1.0)
     if abs(u1 - 1.0) > 1e-9:
         raise ParameterDomainError(f"normalization requires U(1) = 1, got {u1}")
     s = require_outer(_scalar(s, "s"))  # the outer radius of A(1, s)

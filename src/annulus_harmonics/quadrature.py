@@ -75,6 +75,7 @@ from .series import (
     _member_orders,
     _is_scalar,
     _mode_spectrum,
+    _result,
     _scalar,
     _shown,
     _within,
@@ -281,7 +282,7 @@ def enclosed_area(h: HarmonicSeries, rho: float) -> float:
 
     Equals pi times the circle mean of Im(conj(h) * h_theta).
     """
-    return float(np.pi * _circle_means(h, _scalar(rho, "rho"))[5])
+    return np.pi * _circle_means(h, _scalar(rho, "rho"))[5]
 
 
 # The radial rule.  _RADIAL_RHOS are the Bernstein-ellipse parameters tried,
@@ -578,8 +579,7 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     if scalar:
         r, w = _radial_rule(float(degree), None if lam is None else float(lam),
                             lo, math.log(b))
-        out = np.sum(np.asarray(g(r), dtype=np.float64) * w, axis=-1)
-        return float(out) if out.ndim == 0 else out
+        return _result(np.sum(np.asarray(g(r), dtype=np.float64) * w, axis=-1))
     try:
         his, ds, lams = np.broadcast_arrays(np.log(b), degree, np.nan if lam is None else lam)
     except ValueError:  # lengths that are neither one nor one per member

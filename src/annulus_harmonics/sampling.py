@@ -46,6 +46,7 @@ from .series import (
     _in_float_range,
     _index,
     _require_int,
+    _result,
     _scalar,
     _shown,
     _within,
@@ -506,7 +507,4 @@ def injectivity_probe(h, R: float) -> InjectivityProbe:
         del jac  # the next block needs the room
     radii = np.linspace(1.0, R, PROBE_CIRCLES + 2)[1:-1]
     ok = np.all(winding_counts(h, radii)[2] == 1, axis=-1)
-    jac_min = np.min(jac_min, axis=0)
-    if jac_min.shape:
-        return InjectivityProbe(jacobian_min=jac_min, windings_ok=ok)
-    return InjectivityProbe(jacobian_min=float(jac_min), windings_ok=bool(ok))
+    return _result(InjectivityProbe(jacobian_min=np.min(jac_min, axis=0), windings_ok=ok))

@@ -24,8 +24,9 @@ Fourier sum whose mode-n coefficient is c_n(rho) = a_n rho^n + b_n rho^-n
 (a0 log(rho) + b0 for n = 0); d_rho and d_theta have the coefficients
 c_n'(rho) and i n c_n(rho).  On the M equally spaced angles 2 pi j / M the
 fields are one inverse FFT of this spectrum, mode n folded into bin n mod M,
-which is exact for every M (circle_fields, and circle_grid_fields for many
-radii at once).  Only the field rows a caller asks for are computed, and
+which is exact for every M (circle_grid_fields, for one radius or many at
+once, and circle_fields, which takes the cached grid circle_angles(M)
+itself).  Only the field rows a caller asks for are computed, and
 their mode coefficients are written straight into the bins of the FFT
 buffer.  No other angles are evaluated.
 
@@ -38,6 +39,11 @@ same m circles) or shape (B, m) (m circles per member); the fields then
 lead with the member axis.  Batched callers evaluate a stack in chunks of
 SERIES_PER_CHUNK members, which bounds the field arrays and the radial
 power tables of one evaluation.
+
+Each input kind has one rule here (see _require_int), and so has each
+result kind: _result returns a numpy scalar or 0-d array as the Python
+number .item() gives, so a series at one radius gets Python numbers and a
+stack arrays.
 
 All types are immutable and all functions are pure; everything is safe to
 call concurrently.
@@ -293,7 +299,8 @@ class SeriesStack:
 # is: integers, coefficients, and real numbers (_scalar, _within, and R,
 # lambda and rho through require_*, which return them).  NaN fails each
 # comparison, so a domain test passes only inside it.  Every closed form
-# that can leave the float range returns through _in_float_range.
+# that can leave the float range returns through _in_float_range, and every
+# result that numpy may leave 0-d through the result rule _result.
 
 def _require_int(x, name: str, lowest: float = 0, highest: int | None = None,
                  many: bool = False):
@@ -431,9 +438,10 @@ def _shown(x) -> str:
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # half a with-block's cost
 def _in_float_range(what: str, at, form, *args):
-    """form(*args), or NumericOverflowError "{what}={at} is not finite" (what
-    names the value and the argument, as "the speed bound at rho") if a value
-    it returns, a number, an array or a tuple of them, is not finite.
+    """_result(form(*args)), or NumericOverflowError "{what}={at} is not
+    finite" (what names the value and the argument, as "the speed bound at
+    rho") if a value it returns, a number, an array or a tuple of them, is
+    not finite.
 
     One path: the form always runs with numpy's overflow, divide (1/0 of
     an underflowed power) and invalid warnings off, and an OverflowError
@@ -454,6 +462,20 @@ def _in_float_range(what: str, at, form, *args):
         if not (math.isfinite(v) if isinstance(v, float) else
                 cmath.isfinite(v) if isinstance(v, complex) else np.isfinite(v).all()):
             raise NumericOverflowError(f"{what}={_shown(at)} is not finite")
+    return _result(out)
+
+
+def _result(out):
+    """out with a numpy scalar or 0-d array as the Python number .item()
+    gives, bit for bit, and a tuple entry by entry (a NamedTuple keeps its
+    type); anything else, a stack's arrays included, as it is."""
+    if isinstance(out, float):  # np.float64 too, whose .item() costs ~15 times float()
+        return float(out)
+    if isinstance(out, (np.ndarray, np.generic)):
+        return out if out.ndim else out.item()
+    if isinstance(out, tuple):
+        items = map(_result, out)
+        return type(out)._make(items) if hasattr(out, "_fields") else tuple(items)
     return out
 
 
@@ -533,13 +555,6 @@ def circle_angles(M: int) -> np.ndarray:
     thetas = 2.0 * np.pi * np.arange(M) / M
     thetas.setflags(write=False)
     return thetas
-
-
-def _is_grid(thetas: np.ndarray) -> bool:
-    """Whether `thetas` is exactly circle_angles(thetas.size)."""
-    if thetas.ndim != 1 or thetas.size == 0 or thetas[0] != 0.0:
-        return False
-    return np.array_equal(thetas, circle_angles(thetas.size))
 
 
 @lru_cache(maxsize=64)
@@ -635,21 +650,17 @@ def _grid_fields(h, rho, M: int, rows=(0, 1, 2)) -> np.ndarray:
 def circle_fields(h: HarmonicSeries, rho: float, thetas: np.ndarray) -> CircleFields:
     """Evaluate h, dh/drho and dh/dtheta at the angles `thetas` on C_rho.
 
-    `thetas` must equal circle_angles(M) for some M >= 1 (a copy or a list
-    of it will do; the cached array itself passes without a comparison);
-    other angles raise ParameterDomainError.  Differentiation is termwise
-    on the series, so the derivatives are exact up to rounding, and the
-    fields come from one inverse FFT of the mode spectrum.
+    `thetas` must be the cached array circle_angles(M) itself, M >= 1;
+    anything else, a copy of it included, raises ParameterDomainError.
+    Differentiation is termwise on the series, so the derivatives are
+    exact up to rounding, and the fields come from one inverse FFT of the
+    mode spectrum.
     """
     require_radii(rho)
-    # the cached grid passes as it is; only a read-only array may be it, so
-    # no grid is built for a writeable array that is not one
+    # a writeable array is never the cached grid: build no grid for it
     if not (isinstance(thetas, np.ndarray) and not thetas.flags.writeable
-            and thetas is circle_angles(thetas.size)):
-        thetas = np.asarray(thetas, dtype=np.float64)
-        if not _is_grid(thetas):
-            raise ParameterDomainError(
-                "thetas must be the grid circle_angles(M) of some M >= 1")
+            and thetas.size and thetas is circle_angles(thetas.size)):
+        raise ParameterDomainError("thetas must be the grid circle_angles(M) of some M >= 1")
     out = _grid_fields(h, rho, thetas.size)
     return CircleFields(out[0], out[1], out[2])
 

@@ -389,7 +389,7 @@ def test_conformal_refinement_probes_only_its_spot_check_draws(monkeypatch):
         probed.append(len(h))
         return real(h, R)
 
-    monkeypatch.setattr(sampling, "injectivity_probe", record)
+    monkeypatch.setattr(bounds, "injectivity_probe", record)
     monkeypatch.setattr(reports, "injectivity_probe", record)
     checks = conformal_checks(reports.DrawPlan(0, SERIES_PER_CHUNK + 8))
     assert probed == [reports.SPOT_CHECK_DRAWS]

@@ -461,7 +461,7 @@ def test_schottky_samples_only_the_members_it_cannot_certify(monkeypatch):
         probed.append(len(h))
         return real(h, R)
 
-    monkeypatch.setattr(sampling, "injectivity_probe", record)
+    monkeypatch.setattr(bounds, "injectivity_probe", record)
     certified = random_conformal_perturbation(7)
     double = HarmonicSeries.from_coeffs(a={2: 1.0})
     stack = SeriesStack.of([certified, double, certified])

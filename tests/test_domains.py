@@ -9,6 +9,7 @@ raise NumericOverflowError."""
 
 import ast
 import cmath
+import dataclasses
 import inspect
 import math
 import re
@@ -57,6 +58,8 @@ from annulus_harmonics.bounds import (
     condition_modulus,
     gz_weight,
     gzbar_gate_margin,
+    inner_circle_identity_residual,
+    mode_energy_excess,
     mode_form_certificate,
     mode_form_certificate_expanded,
     mode_form_coeffs,
@@ -97,6 +100,7 @@ CASES = {
     "circle_fields-inf": lambda: circle_fields(H, INF, circle_angles(8)),
     "circle_fields-off-grid": lambda: circle_fields(H, 1.5, np.array([0.3, 1.1])),
     "circle_fields-empty": lambda: circle_fields(H, 1.5, np.empty(0)),
+    "circle_fields-grid-copy": lambda: circle_fields(H, 1.5, circle_angles(8).copy()),
     "circle_grid_fields-inf": lambda: circle_grid_fields(H, [1.5, INF], 8),
     "lambda_from_radii-R-inf": lambda: lambda_from_radii(INF, 2.0),
     "lambda_from_radii-R_star-nan": lambda: lambda_from_radii(2.0, NAN),
@@ -353,6 +357,9 @@ def test_a_list_of_numbers_computes_as_its_array(call):
 OVERFLOWS = {
     "dirichlet_energy-rho2-1e308": lambda: dirichlet_energy(H, 1.2, 1e308),
     "variance_subsolution_min-1e308": lambda: variance_subsolution_min(H, 0.5, [1e308]),
+    "variance_deriv2_termwise-1e308": lambda: variance_deriv2_termwise(H, 1e308),
+    "variance_deriv2_termwise-stack-member-1e200":
+        lambda: variance_deriv2_termwise(PAIR, np.array([[1.5], [1e200]])),
     "circular_mean-1e308": lambda: circular_mean(H, 1e308),
     "quadratic_mean_numeric-1e308": lambda: quadratic_mean_numeric(H, 1e308),
     "enclosed_area-1e308": lambda: enclosed_area(H, 1e308),
@@ -470,20 +477,27 @@ def test_a_jet_past_the_float_range_fails_only_the_identities():
         identity_residuals(h, 0.5, 1e-10)
 
 
-def overflow_errors_built(tree):
-    """(function, line) of each NumericOverflowError built or raised in
-    `tree`, by the name of the innermost function around it."""
+def found_in_src(found) -> list[str]:
+    """module.function of each node of src/ that found(node) accepts, by
+    the name of the innermost function around it, sorted."""
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "NumericOverflowError"
-                or isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
-                and node.exc.id == "NumericOverflowError"):
-            yield where, node.lineno
+        if found(node):
+            yield where
         for child in ast.iter_child_nodes(node):
             yield from visit(child, where)
-    return visit(tree, None)
+    package = Path(__file__).resolve().parents[1] / "src" / "annulus_harmonics"
+    return sorted(f"{path.stem}.{where}" for path in package.glob("*.py")
+                  for where in visit(ast.parse(path.read_text()), None))
+
+
+def builds_an_overflow_error(node) -> bool:
+    """Whether node builds or raises NumericOverflowError."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "NumericOverflowError"
+            or isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name)
+            and node.exc.id == "NumericOverflowError")
 
 
 def test_one_overflow_rule_builds_the_overflow_errors():
@@ -493,12 +507,35 @@ def test_one_overflow_rule_builds_the_overflow_errors():
     OverflowError) and winding_number (a flag of winding_counts).  A closed
     form that tests its own overflow fails here; it returns through the
     rule instead."""
-    package = Path(__file__).resolve().parents[1] / "src" / "annulus_harmonics"
-    built = sorted(f"{path.stem}.{where}" for path in package.glob("*.py")
-                   for where, _ in overflow_errors_built(ast.parse(path.read_text())))
-    assert built == ["operators.identity_residuals", "operators.identity_residuals",
-                     "operators.lambda_from_speed", "quadrature.winding_number",
-                     "series._in_float_range"]
+    assert found_in_src(builds_an_overflow_error) == [
+        "operators.identity_residuals", "operators.identity_residuals",
+        "operators.lambda_from_speed", "quadrature.winding_number", "series._in_float_range"]
+
+
+def converts_by_shape(node) -> bool:
+    """Whether node is a conditional expression that tests a shape (.shape,
+    .ndim or np.ndim(...)) and converts in a branch (float(...),
+    bool(...) or .item(...))."""
+    if not isinstance(node, ast.IfExp):
+        return False
+    return (any(isinstance(n, ast.Attribute) and n.attr in ("shape", "ndim")
+                for n in ast.walk(node.test))
+            and any(isinstance(n, ast.Call) and (
+                        isinstance(n.func, ast.Name) and n.func.id in ("float", "bool")
+                        or isinstance(n.func, ast.Attribute) and n.func.attr == "item")
+                    for branch in (node.body, node.orelse) for n in ast.walk(branch)))
+
+
+def test_one_result_rule_decides_what_a_result_is():
+    """Under src/, a result that numpy may leave 0-d becomes a Python number
+    through series._result (series.py is not searched), and through one
+    exception: a profile's one-radius jet in means (`at`, inside
+    `column`), which reads one entry of its 1-d table with .item(d) on
+    radial-profile's hot path.  A function that converts by its own shape
+    test fails here; it returns through the rule instead."""
+    found = [where for where in found_in_src(converts_by_shape)
+             if not where.startswith("series.")]
+    assert found == ["means.at"]
 
 
 # R = 1e160 overflows Python's float R**2, R = 1e60 only U(R) = O(R^10);
@@ -620,12 +657,19 @@ def test_draw_plan_accepts_its_range():
 
 
 # ---------------------------------------------------------------------------
-# One table over __all__: an example call of every exported callable that
-# takes a number, and each malformed value put into each numeric argument
-# in turn.
+# One table over __all__ and the functions `verify` calls: an example call of
+# every exported callable that takes a number and of each of those
+# functions, and each malformed value put into each numeric argument in
+# turn.
 # ---------------------------------------------------------------------------
 
 CONFORMAL = extremal_map(0.0)
+# Functions of bounds, means and operators that `verify` calls, with an
+# example whether or not they take a number, so the result-kind table below
+# covers them.
+VERIFIED = {f.__name__: f for f in (
+    gz_weight, initial_speed, inner_circle_identity_residual, mode_energy_excess,
+    mode_quadratic_form_residual, variance_deriv2_termwise, variance_k_bound)}
 EXAMPLES = {
     "HarmonicSeries": dict(N=1, a=np.array([1.0 + 0j, 0j]), b=np.array([0.5 + 0j, 0j]),
                            a0=0.5 + 0j, b0=0.25 + 0j),
@@ -638,15 +682,20 @@ EXAMPLES = {
     "enclosed_area": dict(h=H, rho=1.5),
     "evolution_lower_bound": dict(h=H, s=2.0),
     "extremal_map": dict(lam=0.5),
+    "gz_weight": dict(R=2.0, lam=0.5, rho=1.5),
+    "initial_speed": dict(h=H),
     "injectivity_probe": dict(h=H, R=2.0),
+    "inner_circle_identity_residual": dict(h=G),
     "k_endpoint": dict(h=H, lam=0.5, R=2.0),
     "k_functional": dict(P=U, lam=0.5, R=2.0),
     "k_quadrature": dict(h=H, lam=0.5, R=2.0),
     "kalaj_bound": dict(R=2.0),
     "lambda_from_speed": dict(speed=0.5),
     "mean_outer_radius": dict(h=H, R=2.0),
+    "mode_energy_excess": dict(h=G),
     "mode_form_certificate": dict(n=2, R=3.0),
     "mode_form_coeffs": dict(n=2, R=3.0),
+    "mode_quadratic_form_residual": dict(h=G, n=2, R=3.0),
     "nitsche_bound": dict(R=2.0),
     "perturb_extremal": dict(lam=0.5, n=2, eps=1e-3 + 0j),
     "quadratic_mean_mode": dict(h=H, n=1),
@@ -657,6 +706,8 @@ EXAMPLES = {
     "speed_bound": dict(rho=1.5, lam=0.5),
     "theorem_gate": dict(h=H, R=2.0),
     "uniqueness_probe": dict(R=2.0),
+    "variance_deriv2_termwise": dict(h=G, rho=1.5),
+    "variance_k_bound": dict(h=G, R=3.0),
     "variance_subsolution_min": dict(h=H, lam=0.5, rho_grid=np.linspace(1.0, 2.0, 5)),
     "weitsman_bound": dict(R=2.0),
     "wide_annulus_certificate": dict(R=3.0),
@@ -677,12 +728,13 @@ REALS = [NAN, INF, -INF, -1, 0, 1e308, HUGE, np.array([1.5, 2.0]), [1.5, 2.0], n
 
 
 def _exports() -> dict:
-    """Every callable of __all__ but the error classes, by name."""
+    """Every callable of __all__ but the error classes, and VERIFIED, by
+    name."""
     import annulus_harmonics
 
     return {name: obj for name in annulus_harmonics.__all__
             if callable(obj := getattr(annulus_harmonics, name))
-            and not (isinstance(obj, type) and issubclass(obj, BaseException))}
+            and not (isinstance(obj, type) and issubclass(obj, BaseException))} | VERIFIED
 
 
 def _numeric_parameters(call) -> list[str]:
@@ -694,7 +746,7 @@ def test_every_export_with_a_numeric_argument_has_an_example():
     example names every numeric argument of its export."""
     exports = _exports()
     assert {name for name, call in exports.items()
-            if _numeric_parameters(call)} - RECORDS == set(EXAMPLES)
+            if _numeric_parameters(call) or name in VERIFIED} - RECORDS == set(EXAMPLES)
     for name, example in EXAMPLES.items():
         assert set(_numeric_parameters(exports[name])) <= set(example), name
         exports[name](**example)
@@ -743,3 +795,85 @@ def test_the_rules_stay_in_series():
     found = [f"{path.name}:{i}" for path in sorted(package.glob("*.py")) if path.name != "series.py"
              for i, line in enumerate(path.read_text().splitlines(), 1) if pattern.search(line)]
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# One rule per result kind (series._result): a series at a float radius gets
+# Python numbers, and a stack arrays with the member axis first.
+# ---------------------------------------------------------------------------
+
+# Package objects an example builds: a series, an operator, a profile or a
+# config, not the result of a computation.
+BUILT = (HarmonicSeries, LambdaOperator, RadialProfile, SamplerConfig)
+# The results of the methods that `verify` calls on a series' profile.
+SERIES_METHODS = {
+    "LambdaOperator.apply": lambda: LambdaOperator(0.5).apply(U, 1.5),
+    "LambdaOperator.apply_jet": lambda: LambdaOperator(0.5).apply_jet(1.5, *U.jet(1.5)),
+    "LambdaOperator.divergence_form_residual":
+        lambda: LambdaOperator(0.5).divergence_form_residual(U, 1.5),
+    "RadialProfile.jet": lambda: U.jet(1.5),
+    "RadialProfile.value": lambda: U.value(1.5),
+}
+# The same kinds for the two-member PAIR (for gz_weight, one R per member).
+STACK_RESULTS = {
+    "conformal_injectivity_margin": lambda: conformal_injectivity_margin(PAIR, 2.0),
+    "gz_weight": lambda: gz_weight(np.array([2.0, 3.0]), 0.5, 1.5),
+    "initial_speed": lambda: initial_speed(PAIR),
+    "injectivity_probe": lambda: injectivity_probe(PAIR, 2.0),
+    "inner_circle_identity_residual": lambda: inner_circle_identity_residual(PAIR),
+    "k_endpoint": lambda: k_endpoint(PAIR, 0.5, 2.0),
+    "k_functional": lambda: k_functional(quadratic_mean_profile(PAIR), 0.5, 2.0),
+    "k_quadrature": lambda: k_quadrature(PAIR, 0.5, 2.0),
+    "mean_outer_radius": lambda: mean_outer_radius(PAIR, 2.0),
+    "mode_energy_excess": lambda: mode_energy_excess(PAIR),
+    "mode_quadratic_form_residual": lambda: mode_quadratic_form_residual(PAIR, 2, 3.0),
+    "schottky_check": lambda: schottky_check(PAIR, 2.0),
+    "variance_deriv2_termwise": lambda: variance_deriv2_termwise(PAIR, 1.5),
+    "variance_k_bound": lambda: variance_k_bound(PAIR, 3.0),
+    "LambdaOperator.apply":
+        lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), 1.5),
+    "LambdaOperator.apply_jet":
+        lambda: LambdaOperator(0.5).apply_jet(1.5, *quadratic_mean_profile(PAIR).jet(1.5)),
+    "LambdaOperator.divergence_form_residual":
+        lambda: LambdaOperator(0.5).divergence_form_residual(quadratic_mean_profile(PAIR), 1.5),
+    "RadialProfile.jet": lambda: quadratic_mean_profile(PAIR).jet(1.5),
+}
+# The fields of a stack's SchottkyReport that hold one value for all members.
+ONE_FOR_ALL = {"R", "area_bound"}
+
+
+def _python_numbers(out) -> bool:
+    """Whether out is Python values: a float, complex, bool, int or str, or
+    a tuple, NamedTuple or report of them."""
+    if dataclasses.is_dataclass(out):
+        return all(_python_numbers(getattr(out, f.name)) for f in dataclasses.fields(out))
+    if isinstance(out, tuple):
+        return all(_python_numbers(v) for v in out)
+    return type(out) in (float, complex, bool, int, str)
+
+
+def _member_arrays(out) -> bool:
+    """Whether out is arrays with PAIR's two members first, or a tuple,
+    NamedTuple or report of them (a report's ONE_FOR_ALL fields aside)."""
+    if dataclasses.is_dataclass(out):
+        return all(_member_arrays(getattr(out, f.name)) for f in dataclasses.fields(out)
+                   if f.name not in ONE_FOR_ALL)
+    if isinstance(out, tuple):
+        return all(_member_arrays(v) for v in out)
+    return isinstance(out, np.ndarray) and out.shape[:1] == (len(PAIR),)
+
+
+@pytest.mark.parametrize("name", [*EXAMPLES, *SERIES_METHODS])
+def test_a_series_gets_python_numbers(name):
+    """No example call returns a numpy scalar or 0-d array: each returns a
+    Python number, a tuple, NamedTuple or report of them, or an object of
+    the package."""
+    out = (SERIES_METHODS[name]() if name in SERIES_METHODS
+           else _exports()[name](**EXAMPLES[name]))
+    assert isinstance(out, BUILT) or _python_numbers(out), (name, out)
+
+
+@pytest.mark.parametrize("name", STACK_RESULTS)
+def test_a_stack_gets_member_arrays(name):
+    out = STACK_RESULTS[name]()
+    assert _member_arrays(out), (name, out)

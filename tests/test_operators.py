@@ -27,8 +27,7 @@ from annulus_harmonics.sampling import normalize_inner, perturb_extremal, random
 from annulus_harmonics.series import (
     SERIES_PER_CHUNK,
     SeriesStack,
-    circle_angles,
-    circle_fields,
+    circle_grid_fields,
 )
 from test_sampling import draw_config
 
@@ -148,7 +147,7 @@ def pointwise_identity_residuals(h, lam, rho):
     """The identities as means of the pointwise integrands, with the
     magnitude of the largest term: the reference for identity_residuals."""
     lhs = float(LambdaOperator(lam).apply(quadratic_mean_profile(h), rho))
-    f = circle_fields(h, rho, circle_angles(angular_count(2 * h.N)))
+    f = circle_grid_fields(h, rho, angular_count(2 * h.N))
     habs2 = np.abs(f.values) ** 2
     grad_sq = np.abs(f.d_rho) ** 2 + np.abs(f.d_theta) ** 2 / rho**2
     den = rho**2 + lam

@@ -33,7 +33,7 @@ from annulus_harmonics.sampling import (
     random_series,
 )
 from annulus_harmonics.series import MAX_JSON_ORDER, SeriesStack
-from annulus_harmonics.series import circle_angles, circle_fields, circle_grid_fields
+from annulus_harmonics.series import circle_grid_fields
 
 CRITICAL = extremal_map(1.0)
 IDENTITY = extremal_map(0.0)
@@ -74,9 +74,9 @@ def test_mode_orthogonality_table(rng):
         hn = HarmonicSeries.from_coeffs(a={n: a_n}, b={n: b_n})
         hm = HarmonicSeries.from_coeffs(a={m: a_m}, b={m: b_m})
         rho = rng.uniform(1.0, 2.5)
-        thetas = circle_angles(angular_count(2 * max(abs(n), abs(m))))
-        vn = circle_fields(hn, rho, thetas).values
-        vm = circle_fields(hm, rho, thetas).values
+        M = angular_count(2 * max(abs(n), abs(m)))
+        vn = circle_grid_fields(hn, rho, M).values
+        vm = circle_grid_fields(hm, rho, M).values
         prod = np.mean(vn * np.conj(vm))
         scale = 1.0 + float(np.mean(np.abs(vn) * np.abs(vm)))
         if n != m:
@@ -114,7 +114,7 @@ def test_circle_means_share_one_evaluation_and_keep_their_sums(tame_series, monk
     the enclosed area and the circular mean of that circle read the memo:
     one call of the circle kernel, for all three field rows on the angle
     count of the quadratic mean's degree 2N, and the same trapezoid sums as
-    the public circle_fields to the last bit."""
+    the public circle_grid_fields to the last bit."""
     from annulus_harmonics import quadrature
     from annulus_harmonics.operators import identity_residuals
 
@@ -123,7 +123,7 @@ def test_circle_means_share_one_evaluation_and_keep_their_sums(tame_series, monk
         h = tame_series(seed=31, N=N, decay=0.3)
         rho = 1.73
         M = angular_count(2 * N)
-        f = circle_fields(h, rho, circle_angles(M))
+        f = circle_grid_fields(h, rho, M)
         want = (float(np.mean(np.abs(f.values) ** 2)),
                 float(np.pi * np.mean((np.conj(f.values) * f.d_theta).imag)),
                 complex(np.mean(f.values)))
@@ -315,8 +315,7 @@ def test_area_derivative_matches_jacobian_flux(tame_series):
     h = tame_series(seed=21, N=6, decay=0.4)
     rho, step = 1.6, 1e-4
     fd = (enclosed_area(h, rho + step) - enclosed_area(h, rho - step)) / (2 * step)
-    thetas = circle_angles(256)
-    jac = circle_fields(h, rho, thetas).jacobian(rho)
+    jac = circle_grid_fields(h, rho, 256).jacobian(rho)
     flux = 2 * math.pi * rho * float(np.mean(jac))
     assert fd == pytest.approx(flux, abs=1e-6)
 

@@ -50,7 +50,7 @@ def mp_sum(h, rho, theta):
 
 def on_grid(h, rho, M=8):
     """The kernel's fields of h on the circle_angles(M) of C_rho."""
-    return circle_fields(h, rho, circle_angles(M))
+    return circle_grid_fields(h, rho, M)
 
 
 def wirtinger(fields, rho):
@@ -468,7 +468,7 @@ def test_circle_kernel_matches_direct_sum_on_grids(N):
     h = kernel_series(N)
     for M in kernel_grids(N):
         for rho in (0.8, 1.0, 1.7):
-            fields = circle_fields(h, rho, circle_angles(M))
+            fields = circle_grid_fields(h, rho, M)
             assert fields.values.shape == (M,)
             assert_matches_direct(fields, direct_fields(h, rho, M))
 
@@ -481,7 +481,7 @@ def test_batched_radii_match_per_radius_loop(N):
         batch = circle_grid_fields(h, rhos, M)
         assert batch.values.shape == (rhos.size, M)
         for i, rho in enumerate(rhos):
-            single = circle_fields(h, float(rho), circle_angles(M))
+            single = circle_grid_fields(h, float(rho), M)
             for got, want in zip(batch, single):
                 scale = np.max(np.abs(want), initial=0.0)
                 assert np.max(np.abs(got[i] - want)) <= 1e-13 * scale
@@ -500,7 +500,7 @@ def test_off_grid_angles_match_direct_sum(N):
     for rho in (0.8, 1.7):
         with pytest.raises(ParameterDomainError):
             circle_fields(h, rho, thetas)
-        grid = circle_fields(h, rho, circle_angles(M))
+        grid = circle_grid_fields(h, rho, M)
         fields = [phases @ (np.fft.fft(f) / M) for f in grid]
         assert_matches_direct(fields, direct_fields(h, rho, thetas=thetas))
 
@@ -528,15 +528,6 @@ def test_circle_angles_cached_and_read_only():
     assert np.array_equal(thetas, 2.0 * np.pi * np.arange(64) / 64)
 
 
-def test_grid_copy_takes_the_same_kernel_as_the_cached_grid():
-    h = kernel_series(12)
-    thetas = circle_angles(96)
-    cached = circle_fields(h, 1.4, thetas)
-    for copy in (thetas.copy(), list(thetas)):
-        for got, want in zip(circle_fields(h, 1.4, copy), cached):
-            assert np.array_equal(got, want)
-
-
 def test_series_equality_and_hash_are_by_identity():
     h = kernel_series(4)
     twin = kernel_series(4)
@@ -547,7 +538,7 @@ def test_series_equality_and_hash_are_by_identity():
 
 def test_circle_kernel_overflow_gives_nonfinite_fields():
     big = HarmonicSeries.from_coeffs(a={8: 1e300})
-    fields = circle_fields(big, 100.0, circle_angles(256))
+    fields = circle_grid_fields(big, 100.0, 256)
     for arr in fields:
         assert not np.any(np.isfinite(arr))
     batch = circle_grid_fields(big, np.array([1.0, 100.0]), 256)
