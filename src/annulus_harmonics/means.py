@@ -99,12 +99,11 @@ CLASS_TOL = 1e-12
 class RadialProfile:
     """A scalar function of rho > 0 with closed-form derivatives.
 
-    `jet` returns all three orders from one evaluation; a profile built from
-    the three callables alone (no `_jet`) serves it by calling them in turn.
-    `degree` is the largest |e| of the powers rho^e in the profile's table
-    (2N for U and V, 2|n| for U_n, an array for a stack with one mode per
-    member), which sizes the radial rule of k_functional; a profile built
-    from callables alone has none.  A degree is a finite number >= 0 or an
+    `jet` returns all three orders from one evaluation of `_jet`, the
+    (..., 3) table of value, deriv1 and deriv2 (_sum_profile).  `degree`
+    is the largest |e| of the powers rho^e in the profile's table (2N for
+    U and V, 2|n| for U_n, an array for a stack with one mode per member),
+    which sizes the radial rule of k_functional: a finite number >= 0 or an
     array of them.  The profiles of this module refuse the radii that
     require_radii refuses.
     """
@@ -113,12 +112,11 @@ class RadialProfile:
     value: Callable[[np.ndarray | float], np.ndarray | float]
     deriv1: Callable[[np.ndarray | float], np.ndarray | float]
     deriv2: Callable[[np.ndarray | float], np.ndarray | float]
-    degree: int | np.ndarray | None = field(default=None, compare=False)
-    _jet: Callable[[np.ndarray | float], np.ndarray] | None = field(
-        default=None, repr=False, compare=False)
+    degree: int | np.ndarray = field(compare=False)
+    _jet: Callable[..., np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.degree is not None and not _within(self.degree, 0.0, math.inf, lo_closed=True):
+        if not _within(self.degree, 0.0, math.inf, lo_closed=True):
             raise ParameterDomainError(
                 f"degree must be a finite number >= 0, got {_shown(self.degree)}")
 
@@ -127,8 +125,6 @@ class RadialProfile:
         floats for a series at one radius (a float, np.float64 or 0-d
         array), else three arrays, read-only views of the memoised table
         for a stack at a float radius."""
-        if self._jet is None:
-            return self.value(rho), self.deriv1(rho), self.deriv2(rho)
         table = self._jet(rho)
         if table.ndim == 1:  # one series at one radius
             return tuple(table.tolist())

@@ -21,16 +21,8 @@ right sides are linear combinations, with lambda-dependent weights, of four
 trapezoid means (|h|^2, Re(conj(h) h_rho), |h_rho|^2, |h_theta|^2), so the
 circle is evaluated once per (series, rho, angle count) and each lambda
 costs a few operations in one function shared by both paths
-(_identity_pair).  identity_residuals, for one series, rho and lambda,
-reads those four floats and U's jet at rho from the one circle memo of the
-quadrature module, which keys the series by identity and stores only
-numbers.  identity_residuals_stack,
-for a chunk of a SeriesStack with c circles per member and L lambdas per
-circle, writes each circle's fields (one circle_fields call per circle, so
-the kernel still sees every (series, rho) on its own) into one block,
-reduces the block's means at once, takes U's jet at all radii in one
-matmul and evaluates every (member, circle, lambda) in one broadcast
-expression.
+(_identity_pair): identity_residuals for one series, rho and lambda, and
+identity_residuals_stack for a chunk of a SeriesStack.
 
 The weighted radial integral
 
@@ -42,6 +34,15 @@ collapses, after integration by parts, to endpoint data only:
                - (R^2-1)/(1+lam) P'(1),
 
 which vanishes identically when P is the quadratic mean of h^lam.
+
+One rule, _denominator, pairs a radius rho with a lambda: it returns
+rho^2 + lam, and refuses a rho outside require_radii, shapes that do not
+pair, a stack's per-member lambda of another length and rho^2 + lam <= 0.
+rho and lam of the identities and of a series' profile broadcast; on a
+stack's profile (member axis first) lam is one value or one per member,
+(B,) or (B, 1), paired with the member axis at one radius, (m,) radii and
+(B, m) radii alike.  So the closed-form kernels _on_jet, _identity_pair
+and _endpoint_form are arithmetic only, and take sympy symbols too.
 """
 
 from __future__ import annotations
@@ -86,41 +87,29 @@ DIVERGENCE_STEP = 1e-3
 
 @dataclass(frozen=True)
 class LambdaOperator:
-    """The operator L_lam acting on radial profiles, -1 < lam <= 1.
-
-    `lam` may be an array of lambdas, one operator per entry, broadcast
-    against the radii the way a stack's members are (shape (B, 1) for one
-    lambda per member of a stack evaluated at (B, m) or (m,) radii).
-    """
+    """The operator L_lam acting on radial profiles, -1 < lam <= 1; `lam`
+    may be an array of lambdas, one operator per entry."""
 
     lam: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lam", require_lambda(self.lam))
 
-    def _denominator(self, rho):
-        r = np.asarray(require_radii(rho), dtype=np.float64)
-        den = r**2 + self.lam
-        if not (den > 0.0).all():
-            raise ParameterDomainError(
-                f"rho^2 + lambda must be positive (lambda={self.lam})"
-            )
-        return r, den
-
     def apply(self, P: RadialProfile, rho):
-        """L_lam[P](rho), vectorized over rho.  For the profile of a stack,
-        an array lam holds one lambda per member, shape (B,) or (B, 1), else
-        ParameterDomainError."""
-        if isinstance(self.lam, np.ndarray) and self.lam.ndim:
-            _one_per_member(P, (self.lam.reshape(-1), "lambda"))
-        r, den = self._denominator(rho)
-        return _result(_on_jet(self.lam, r, den, *P.jet(r)))
+        """L_lam[P](rho), vectorized over rho.  On a series' profile rho and
+        lam broadcast; on a stack's, lam is one value or one per member,
+        (B,) or (B, 1), and row i is member i's value with its own lambda,
+        at one radius, (m,) radii or (B, m) radii.  Other shapes, and
+        rho^2 + lam <= 0, raise ParameterDomainError (_denominator)."""
+        r, lam, den = _denominator(rho, self.lam, _members(P))
+        return _result(_on_jet(lam, r, den, *P.jet(r)))
 
     def apply_jet(self, rho, value, d1, d2):
         """L_lam from a profile's jet (value, d1, d2), already evaluated at
-        rho, so a caller that needs the jet itself evaluates it once."""
-        r, den = self._denominator(rho)
-        return _result(_on_jet(self.lam, r, den, value, d1, d2))
+        rho, so a caller that needs the jet itself evaluates it once; rho
+        and lam broadcast, as on a series' profile."""
+        r, lam, den = _denominator(rho, self.lam, ())
+        return _result(_on_jet(lam, r, den, value, d1, d2))
 
     def divergence_form_residual(self, P: RadialProfile, rho):
         """|divergence form - direct form| at rho.
@@ -130,25 +119,21 @@ class LambdaOperator:
         c4 step^4 + ...  Richardson extrapolation over DIVERGENCE_STEP and
         DIVERGENCE_STEP/2 cancels the step^2 term, so the residual is
         O(step^4) plus rounding.
-        For the profile of a stack, rho and lam hold one entry per member
-        and so does the result.  Raises ParameterDomainError unless every
-        radius x of the stencil, rho - 2 step to rho + 2 step, has x > 0
-        and x^2 + lam > 0.
+        rho and lam pair entry by entry; for the profile of a stack, each is
+        one value or one per member, and so is the result.  Raises
+        ParameterDomainError unless _denominator accepts every radius x of
+        the stencil, rho - 2 step to rho + 2 step, with lam.
         """
-        op = LambdaOperator(np.asarray(self.lam, dtype=np.float64)[..., None])
-        r, den = op._denominator(np.asarray(rho, dtype=np.float64)[..., None])
+        r = np.asarray(require_radii(rho), dtype=np.float64)[..., None]  # rho as one column
         # P at the centres r + h, r - h of the outer difference, each taken
         # at +-h again, for h = step and step/2, and its jet at r: one call
         steps = (DIVERGENCE_STEP, 0.5 * DIVERGENCE_STEP)
-        x = np.concatenate([c + sign * h for h in steps for c in (r + h, r - h)
-                            for sign in (1.0, -1.0)], axis=-1)
-        den_x = x * x + op.lam
-        if not ((x > 0.0).all() and (den_x > 0.0).all()):
-            raise ParameterDomainError(
-                f"the divergence stencil rho +- {2 * DIVERGENCE_STEP} leaves the domain "
-                f"rho > 0, rho^2 + lambda > 0 (rho={rho}, lambda={self.lam})")
-        value, d1, d2 = P.jet(np.concatenate((x, r), axis=-1))
-        scaled = value[..., :-1] / den_x
+        x, lam, den = _denominator(
+            np.concatenate([c + sign * h for h in steps for c in (r + h, r - h)
+                            for sign in (1.0, -1.0)] + [r], axis=-1),
+            self.lam[..., None] if np.ndim(self.lam) else self.lam, _members(P))
+        value, d1, d2 = P.jet(x)
+        scaled, den = value[..., :-1] / den[..., :-1], den[..., -1:]
 
         def div_form(k: int) -> np.ndarray:
             h = steps[k]
@@ -158,21 +143,46 @@ class LambdaOperator:
             return den / r**3 * ((flux_plus - flux_minus) / (2.0 * h))
 
         extrapolated = (4.0 * div_form(1) - div_form(0)) / 3.0
-        direct = _on_jet(op.lam, r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
+        direct = _on_jet(lam, r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
         return _result(np.abs(extrapolated - direct)[..., 0])
 
 
+def _denominator(rho, lam, members):
+    """(rho, lam, rho^2 + lam) as they pair by the rule of the module
+    docstring, a stack's per-member lam reshaped (B,) at one radius, else
+    (B, 1).  members is a profile's member shape (_members), or None for the
+    identities, whose two Python floats stay Python floats (identity_residuals,
+    on circle-dense's hot path); any other rho comes back as a float64 array."""
+    if members is None and type(rho) is float and type(lam) is float:
+        den = require_radii(rho) ** 2 + lam
+    else:
+        rho = np.asarray(require_radii(rho), dtype=np.float64)
+        lead = members + (1,) * min(rho.ndim, 1) if members else ()
+        if lead and np.ndim(lam):  # one lambda per member of a stack
+            one_each = lam[..., 0] if np.shape(lam) == members + (1,) else lam
+            lam = _per_member(one_each, members[0], "lambda").reshape(lead)
+        try:
+            np.broadcast_shapes(rho.shape, lead)  # a stack's radii pair with its members
+            den = rho**2 + lam
+        except ValueError:
+            raise ParameterDomainError(f"rho {rho.shape} and lambda {np.shape(lam)} shapes "
+                                       f"do not pair (members {members})") from None
+    if not (den > 0.0 if type(den) is float else (den > 0.0).all()):
+        raise ParameterDomainError(f"rho^2 + lambda must be positive (lambda={_shown(lam)})")
+    return rho, lam, den
+
+
+def _members(P: RadialProfile) -> tuple:
+    """The member shape of P's jet: (B,) for a stack's profile, () for a series'."""
+    return np.shape(P.jet(1.0)[0])
+
+
 def _one_per_member(P: RadialProfile, *named) -> None:
-    """ParameterDomainError unless each argument x of the pairs (x, name),
-    as the domain rules return it (several numbers as an array), is one
-    value or, if P is the profile of a stack (its jet has one row per
-    member), one per member (series._per_member); the profile of a series
-    takes arrays of any shape."""
-    arrays = [(x, name) for x, name in named if isinstance(x, np.ndarray) and x.ndim]
-    members = np.shape(P.value(1.0)) if arrays else ()
-    if members:  # the profile of a stack
-        for x, name in arrays:
-            _per_member(x, members[0], name)
+    """ParameterDomainError unless each argument x of the pairs (x, name)
+    is one value or, if P is the profile of a stack, one per member."""
+    if any(np.ndim(x) for x, _ in named) and (members := _members(P)):
+        for x, name in named:
+            _per_member(x, *members, name)
 
 
 def _on_jet(lam, r, den, value, d1, d2):
@@ -238,12 +248,12 @@ def identity_residuals(h: HarmonicSeries, lam: float, rho: float) -> tuple[float
         lam, rho = _scalar(lam, "lambda"), _scalar(rho, "rho")
     # the domain checks run on every call, whether the memo has rho or not
     require_lambda(lam)
-    require_radii(rho)
-    _, A, B, C, D, _, u, du, d2u = _circle_means(h, rho)
-    if not (math.isfinite(u) and math.isfinite(du) and math.isfinite(d2u)):
-        raise NumericOverflowError(f"U's jet at rho={rho} is not finite")
     try:
-        return _identity_pair(lam, rho, u, du, d2u, A, B, C, D)
+        rho, lam, den = _denominator(rho, lam, None)
+        _, A, B, C, D, _, u, du, d2u = _circle_means(h, rho)
+        if not (math.isfinite(u) and math.isfinite(du) and math.isfinite(d2u)):
+            raise NumericOverflowError(f"U's jet at rho={rho} is not finite")
+        return _identity_pair(lam, rho, den, u, du, d2u, A, B, C, D)
     except OverflowError:  # Python's float ** raises where numpy's gives inf
         raise NumericOverflowError(f"the identities overflow at rho={rho}") from None
 
@@ -257,12 +267,9 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
     means _field_means takes at once; U's jet at the (B, c) radii is one
     matmul, and both identities are one broadcast expression over all
     (B, c, L) lambdas.  Returns (gradient, angular) residuals, each of
-    shape (B, c, L).
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    require_lambda(lam)
-    require_radii(rho)
+    shape (B, c, L).  Each circle's radius pairs with its L lambdas."""
+    rho = np.asarray(require_radii(rho), dtype=np.float64)
+    column, lam, den = _denominator(rho[..., None], require_lambda(lam), None)
     angles = circle_angles(angular_count(2 * h.N))
     block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
     for i, radii in enumerate(rho.tolist()):
@@ -271,14 +278,15 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
             block[i, j] = circle_fields(member, r, angles)
     _, A, B, C, D, _ = _field_means(block)
     u, du, d2u = quadratic_mean_profile(h).jet(rho)
-    return _identity_pair(lam, *(t[..., None] for t in (rho, u, du, d2u, A, B, C, D)))
+    return _identity_pair(lam, column, den, *(t[..., None] for t in (u, du, d2u, A, B, C, D)))
 
 
-def _identity_pair(lam, rho, u, du, d2u, A, B, C, D):
+def _identity_pair(lam, rho, den, u, du, d2u, A, B, C, D):
     """|L_lam[U] - right side| of the gradient and angular identities at
-    rho, from U's jet (u, du, d2u) and the circle means A = mean |h|^2,
-    B = mean Re(conj(h) h_rho), C = mean |h_rho|^2, D = mean |h_theta|^2;
-    numbers or arrays broadcast against each other.
+    rho, den = rho^2 + lam, from U's jet (u, du, d2u) and the circle means
+    A = mean |h|^2, B = mean Re(conj(h) h_rho), C = mean |h_rho|^2,
+    D = mean |h_theta|^2; numbers, arrays or symbols broadcast against
+    each other.
 
     Both right sides are linear in the four means (the stretched field is
     -w h + rho h_rho, and w'/rho = 4 lam/(rho^2 + lam)^2), so
@@ -289,10 +297,6 @@ def _identity_pair(lam, rho, u, du, d2u, A, B, C, D):
     exactly as for the pointwise integrands, the trapezoid rule being
     linear.
     """
-    den = rho**2 + lam
-    if not (den > 0.0 if isinstance(den, float) else (den > 0.0).all()):
-        raise ParameterDomainError(
-            f"rho^2 + lambda must be positive (lambda={lam})")
     lhs = _on_jet(lam, rho, den, u, du, d2u)
     w = (rho**2 - lam) / den
     rhs_gradient = 2.0 * (C + D / rho**2 - 4.0 * lam * A / den**2
@@ -316,15 +320,10 @@ def k_functional(P: RadialProfile, lam, R):
     the integrand's termwise bound (radial_integrate).  For the profile of
     a stack, lam and R may hold one entry per member, and each member is
     integrated on its own rule; the result holds one entry per member.
-    Raises ParameterDomainError for a profile without a degree (one built
-    from callables alone), whose integrand has no bound, or for a stack's
-    lam or R of another length, and NumericOverflowError if a result is
-    not finite.
+    Raises ParameterDomainError for a stack's lam or R of another length,
+    and NumericOverflowError if a result is not finite.
     """
     R, lam = require_outer(R), require_lambda(lam)
-    if P.degree is None:
-        raise ParameterDomainError(
-            f"profile {P.label!r} has no degree: its K integral has no error bound")
     lam_col, R_col = lam, R
     if not (_is_scalar(lam) and _is_scalar(R)):
         # one integrand per member, on radii of shape (members, nodes)
@@ -335,7 +334,7 @@ def k_functional(P: RadialProfile, lam, R):
     def integrand(r: np.ndarray) -> np.ndarray:
         # the nodes lie in [1, R], inside the domains of L_lam and of P: skip their checks
         den = r**2 + lam_col
-        t = P._jet(r, False) if P._jet else np.stack(P.jet(r), axis=-1)
+        t = P._jet(r, False)
         jet = t[..., 0], t[..., 1], t[..., 2]
         return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *jet)
 
@@ -358,13 +357,13 @@ def k_endpoint(h, lam, R):
     lam, R = require_lambda(lam), require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
     _one_per_member(U, (lam, "lambda"), (R, "R"))
-    return _in_float_range("K_lam of the quadratic mean at R", R, _endpoint_form, U, lam, R)
+    # U is evaluated inside the rule, which keeps an overflowing jet quiet
+    return _in_float_range("K_lam of the quadratic mean at R", R, lambda: _endpoint_form(
+        lam, R, U.value(R) if _is_scalar(R) else U.value(R[..., None])[..., 0], *U.jet(1.0)[:2]))
 
 
-def _endpoint_form(U: RadialProfile, lam, R):
+def _endpoint_form(lam, R, u_R, u_1, du_1):
     """K_lam[U] on A(1, R) from U(R), U(1) and U'(1)."""
-    u_R = U.value(R) if _is_scalar(R) else U.value(R[..., None])[..., 0]
-    u_1, du_1, _ = U.jet(1.0)
     return (
         2.0 * R**2 / (R**2 + lam) * u_R
         - 2.0 * (lam * R**2 + 1.0) / (1.0 + lam) ** 2 * u_1

@@ -85,6 +85,9 @@ SERIES_PER_CHUNK = 64
 # argument cannot ask for an arbitrarily large series.
 MAX_JSON_ORDER = 4096
 
+# The types of the Python numbers that the result rule passes as they are.
+_PYTHON_NUMBERS = frozenset((float, complex, bool))
+
 
 @lru_cache(maxsize=64)
 def _kernel_order(N: int) -> np.ndarray:
@@ -468,12 +471,13 @@ def _in_float_range(what: str, at, form, *args):
 def _result(out):
     """out with a numpy scalar or 0-d array as the Python number .item()
     gives, bit for bit, and a tuple entry by entry (a NamedTuple keeps its
-    type); anything else, a stack's arrays included, as it is."""
+    type), one of Python numbers alone as it is; anything else, a stack's
+    arrays included, as it is."""
     if isinstance(out, float):  # np.float64 too, whose .item() costs ~15 times float()
         return float(out)
     if isinstance(out, (np.ndarray, np.generic)):
         return out if out.ndim else out.item()
-    if isinstance(out, tuple):
+    if isinstance(out, tuple) and not _PYTHON_NUMBERS.issuperset(map(type, out)):
         items = map(_result, out)
         return type(out)._make(items) if hasattr(out, "_fields") else tuple(items)
     return out

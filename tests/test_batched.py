@@ -313,12 +313,12 @@ def nan_member(x, member=1):
 
 
 def spoil_profile(profile):
-    def jet(rho):
-        table = np.array(profile._jet(rho))
+    def jet(rho, check=True):
+        table = np.array(profile._jet(rho, check))
         table[1] = math.nan
         return table
     return RadialProfile(profile.label, profile.value, profile.deriv1,
-                         profile.deriv2, _jet=jet)
+                         profile.deriv2, profile.degree, jet)
 
 
 def spoil_pair(pair):

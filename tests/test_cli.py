@@ -492,8 +492,12 @@ def test_nan_floor_fails_the_clamped_check(monkeypatch):
     # max(0.0, -nan) is 0.0 in Python: the clamp must keep the NaN.  The
     # second draw's variance profile reads NaN, so its floor is NaN.
     def nan_value(V):
+        def jet(rho, check=True):
+            table = np.array(V._jet(rho, check))
+            table[..., 0] = math.nan
+            return table
         return RadialProfile(V.label, lambda rho: np.full(np.shape(rho), math.nan),
-                             V.deriv1, V.deriv2)
+                             V.deriv1, V.deriv2, V.degree, jet)
 
     nan_on_call(monkeypatch, "variance_profile", 2, pick=nan_value)
     checks = {c.name: c for c in reports.run_suite("subsolution", 0, 3)}

@@ -69,6 +69,7 @@ from annulus_harmonics.bounds import (
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import (
     identity_residuals,
+    identity_residuals_stack,
     lambda_from_speed,
     speed_bound,
     variance_subsolution_min,
@@ -147,10 +148,6 @@ CASES = {
     "dirichlet_energy-rho1--1": lambda: dirichlet_energy(H, -1.0, 2.0),
     "dirichlet_energy-equal-radii": lambda: dirichlet_energy(H, 1.5, 1.5),
     "dirichlet_energy-reversed-radii": lambda: dirichlet_energy(H, 2.0, 1.5),
-    # a profile from callables alone has no degree, so no bound sizes its rule
-    "k_functional-no-degree": lambda: k_functional(
-        RadialProfile("rho^2", lambda r: r**2, lambda r: 2 * r, lambda r: 2 + 0 * r),
-        0.5, 2.0),
     "injectivity_probe-inf": lambda: injectivity_probe(H, INF),
     "mean_outer_radius-nan": lambda: mean_outer_radius(H, NAN),
     "variance_k_bound-inf": lambda: variance_k_bound(H, INF),
@@ -292,6 +289,25 @@ CASES = {
         lambda: LambdaOperator(np.array([0.5, 0.2, 0.1])).apply(quadratic_mean_profile(PAIR), 2.0),
     "LambdaOperator.apply-stack-3x1-lambdas": lambda: LambdaOperator(
         np.array([[0.5], [0.2], [0.1]])).apply(quadratic_mean_profile(PAIR), np.array([2.0, 3.0])),
+    # rho and lambda pair by one rule (operators._denominator): shapes that
+    # do not broadcast, or radii whose rows are not the stack's members
+    # (numpy's broadcast ValueError before), and for the divergence form a
+    # stack's lambda of shape (B, 1) (a (B, B) array before)
+    "LambdaOperator.apply-3-lambdas-2-radii": lambda: LambdaOperator(
+        np.array([0.5, 0.2, 0.1])).apply(U, np.array([1.5, 2.0])),
+    "LambdaOperator.apply-stack-3-rows-of-radii":
+        lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), np.full((3, 2), 1.5)),
+    "divergence_form_residual-3-lambdas-2-radii": lambda: LambdaOperator(
+        np.array([0.5, 0.2, 0.1])).divergence_form_residual(U, np.array([1.5, 2.0])),
+    "divergence_form_residual-stack-3-radii": lambda: LambdaOperator(
+        0.5).divergence_form_residual(quadratic_mean_profile(PAIR), np.array([1.5, 2.0, 2.5])),
+    "divergence_form_residual-stack-2x1-lambdas": lambda: LambdaOperator(
+        np.full((2, 1), 0.5)).divergence_form_residual(quadratic_mean_profile(PAIR),
+                                                        np.array([1.5, 2.0])),
+    "identity_residuals_stack-3-members-of-lambdas": lambda: identity_residuals_stack(
+        PAIR, np.full((3, 1, 3), 0.5), np.full((2, 1), 2.0)),
+    "identity_residuals_stack-3-circles-of-lambdas": lambda: identity_residuals_stack(
+        PAIR, np.full((2, 3, 3), 0.5), np.full((2, 2), 2.0)),
     "radial_integrate-2-radii-3-degrees":
         lambda: radial_integrate(np.ones_like, 1.0, [2.0, 3.0], [2.0, 2.0, 2.0]),
     "radial_integrate-2-radii-3-lambdas":
@@ -512,6 +528,40 @@ def test_one_overflow_rule_builds_the_overflow_errors():
         "operators.lambda_from_speed", "quadrature.winding_number", "series._in_float_range"]
 
 
+# The closed-form kernels of operators.py, which tests/test_derivations.py
+# calls on sympy symbols.
+PURE_KERNELS = ("_on_jet", "_identity_pair", "_endpoint_form")
+
+
+def decides_or_evaluates(node) -> bool:
+    """Whether node raises, tests a type or a domain (isinstance,
+    _is_scalar, np.asarray, require_*) or evaluates a profile (.jet,
+    .value)."""
+    if isinstance(node, ast.Raise):
+        return True
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(
+        func, ast.Attribute) else ""
+    return (name in ("isinstance", "_is_scalar", "jet", "value") or name.startswith("require_")
+            or name == "asarray" and isinstance(func, ast.Attribute))
+
+
+def test_the_closed_form_kernels_are_arithmetic_only():
+    """_on_jet, _identity_pair and _endpoint_form neither raise, nor test a
+    type or a domain, nor evaluate a profile: the (rho, lambda) rule
+    operators._denominator and their callers do, so the kernels also take
+    sympy symbols."""
+    path = Path(__file__).resolve().parents[1] / "src" / "annulus_harmonics" / "operators.py"
+    kernels = {node.name: node for node in ast.parse(path.read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name in PURE_KERNELS}
+    assert sorted(kernels) == sorted(PURE_KERNELS)
+    found = [(name, ast.unparse(node)) for name, kernel in kernels.items()
+             for node in ast.walk(kernel) if decides_or_evaluates(node)]
+    assert found == []
+
+
 def converts_by_shape(node) -> bool:
     """Whether node is a conditional expression that tests a shape (.shape,
     .ndim or np.ndim(...)) and converts in a branch (float(...),
@@ -674,7 +724,8 @@ EXAMPLES = {
     "HarmonicSeries": dict(N=1, a=np.array([1.0 + 0j, 0j]), b=np.array([0.5 + 0j, 0j]),
                            a0=0.5 + 0j, b0=0.25 + 0j),
     "LambdaOperator": dict(lam=0.5),
-    "RadialProfile": dict(label="U", value=U.value, deriv1=U.deriv1, deriv2=U.deriv2, degree=2),
+    "RadialProfile": dict(label="U", value=U.value, deriv1=U.deriv1, deriv2=U.deriv2, degree=2,
+                          _jet=U._jet),
     "SamplerConfig": dict(seed=1, N=4, decay=0.6),
     "circular_mean": dict(h=H, rho=1.5),
     "conformal_injectivity_margin": dict(h=CONFORMAL, R=2.0),

@@ -319,12 +319,6 @@ def test_float_radius_checks_fail_on_a_memo_keyed_by_rounded_radii(monkeypatch):
             assert_float_radius_bits(P, FLOAT_RADII)
 
 
-def test_profile_from_callables_serves_jet_through_them():
-    P = RadialProfile("rho^3", lambda r: r**3, lambda r: 3 * r**2, lambda r: 6 * r)
-    assert P.jet(2.0) == (8.0, 12.0, 12.0)
-    assert LambdaOperator(0.0).apply(P, 2.0) == pytest.approx(12.0 - 12.0 / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # variance
 # ---------------------------------------------------------------------------

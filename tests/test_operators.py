@@ -239,14 +239,20 @@ def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
 
 def test_stack_profile_takes_one_lambda_or_one_per_member():
     """L_lam, K and its endpoint form on a stack's profile take lam as one
-    number, a 0-d array too, or one per member: each member's value is the
-    one it has with its own lambda alone."""
-    U = quadratic_mean_profile(random_series_stack([1, 2], [4, 4], 0.6))
-    lams, rho = np.array([0.5, -0.2]), np.array([2.0, 3.0])
-    each = np.stack([LambdaOperator(lam).apply(U, rho)[i] for i, lam in enumerate(lams)])
-    assert np.array_equal(LambdaOperator(lams[:, None]).apply(U, rho), each)
-    assert np.array_equal(LambdaOperator(np.array(0.5)).apply(U, rho),
-                          LambdaOperator(0.5).apply(U, rho))
+    number, a 0-d array too, or one per member, shape (B,) or (B, 1), at
+    one float radius, at (m,) radii for m = B and m != B, and at (B, m)
+    radii: each member's value is the one it has with its own lambda
+    alone."""
+    U = quadratic_mean_profile(random_series_stack([1, 2, 3], [4, 4, 4], 0.6))
+    lams = np.array([-0.5, 0.2, 0.9])
+    for rho in (1.5, np.array([1.5, 2.0, 2.5]), np.array([1.5, 2.0]),
+                np.array([[1.5, 2.0], [2.5, 3.0], [1.2, 4.0]])):
+        each = np.stack([LambdaOperator(lam).apply(U, rho)[i] for i, lam in enumerate(lams)])
+        assert each.shape == (3,) + np.shape(rho)[-1:]
+        for per_member in (lams, lams[:, None]):
+            assert np.array_equal(LambdaOperator(per_member).apply(U, rho), each), rho
+        assert np.array_equal(LambdaOperator(np.array(0.5)).apply(U, rho),
+                              LambdaOperator(0.5).apply(U, rho))
     for K in (k_endpoint, k_functional):
         per_member = K(U, lams, 2.5)
         assert [K(U, lam, 2.5)[i] for i, lam in enumerate(lams)] == pytest.approx(

@@ -23,7 +23,6 @@ DEFAULTED = {
     "series.HarmonicSeries.from_coeffs": ("N a b a0 b0",
                                           "the order and coefficients: series.extremal_map"),
     "series.circle_grid_fields": ("fields", "sampling.injectivity_probe"),
-    "means.RadialProfile": ("degree _jet", "means._sum_profile"),
     "quadrature.radial_integrate": ("lam", "operators.k_functional"),
     "sampling.SamplerConfig": ("N decay", "cli._cmd_sample"),
     "sampling.perturb_extremal": ("renormalize", "bounds.uniqueness_probe"),
