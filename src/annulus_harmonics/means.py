@@ -14,65 +14,57 @@ module provides the independent numerical oracle for these formulas.
 
 Each profile is one weight table over the basis rho^(2k), rho^(-2k)
 (k = 1..N, modes n and -n sharing k = |n|), 1, log(rho) and log(rho)^2.
-Column d of the table holds the coefficients of rho^d times the d-th
-derivative, so an evaluation takes one power table rho^(2k), its
-reciprocal and one matmul, and divides column d by rho^d: value and both
-derivatives come from the same powers (RadialProfile.jet).  A profile is
-built through the overflow rule of the series module: a weight table that
-is not finite (a coefficient above ~1e154 squares past the float range)
-raises NumericOverflowError once, when the profile is built, and no jet
-checks the table again.  A mode whose weights are all 0 (a stack's
-padding, or weights that underflowed) takes the exponent 0 in the power
-table: it adds 0 where its rho^(2k) would leave the float range and add
-inf times 0, NaN; the other powers, and every finite jet, keep their bits.  The termwise second derivative of the variance
-keeps its own formula as a cross-check.
+Column d holds the coefficients of rho^d times the d-th derivative, so a
+jet takes one power table rho^(2k), its reciprocal and one matmul, and
+divides column d by rho^d (RadialProfile.jet).  The table is built through
+the overflow rule of the series module: one that is not finite (a
+coefficient above ~1e154 squares past the float range) raises
+NumericOverflowError once, when the profile is built.  A mode whose
+weights are all 0 (a stack's padding, or weights that underflowed) takes
+the exponent 0: it adds 0 where its rho^(2k) would leave the float range
+and add inf times 0, NaN.  The termwise V'' keeps its own formula as a
+cross-check.
 
-The profiles of a SeriesStack (see the series module) are the same code on
-a stack of weight tables, shape (B, 2K + 3, 3), zero rows padding each
-member to the stack's order; the jet is one batched matmul.  For a stack,
-rho is a scalar (every member at one radius, result shape (B,)), shape (m,)
-(every member at the same radii) or shape (B, m) (m radii per member),
-and each column of the jet has shape (B, m).  Batched callers hand in
-chunks of SERIES_PER_CHUNK (64) members, and the jet tabulates per-member
-radii (B, m, 2K + 3) for a block of members at a time once the table would
-pass _JET_TABLE_ENTRIES (512 KiB); the matmul is per member, so the blocks
-give the same bits.
+The jet decides finiteness in one place.  Let E be the largest |exponent|
+left by the zero-weight rule, F = max(E, 2), W the largest |weight|,
+J = 2K + 3 the basis size and t = |log rho|.  Each basis entry is at most
+e^(F t) in size (|log rho| <= e^t, log(rho)^2 <= e^(2t)) and each power at
+least e^(-E t), so each product with a weight, and each sum of J of them,
+is at most J W e^(F t), and dividing by rho^d (rho^2 in [e^(-2t), e^(2t)])
+multiplies that by at most e^(2t).  If (F + 2) t + max(log(J W), 0) < 700,
+every entry is thus below e^700, 5.6e-5 of the largest float (room for
+rounding), and no power or rho^2 is below e^-700, a normal float, so none
+is divided by 0: the table holds no inf and no NaN.  Each profile turns
+the bound into one radius interval: a radius inside it (a float tested
+directly, an array by its min and max) takes the plain table, any other
+the same table through _in_float_range, so a finite value keeps its bits
+and one that is not raises NumericOverflowError.
+
+A SeriesStack's profile is the same code on weight tables of shape
+(B, 2K + 3, 3), zero rows padding each member to the stack's order.  rho
+is a scalar (result (B,)), (m,) (every member at the same radii) or
+(B, m) (m radii per member), each jet column (B, m).  Callers hand in
+chunks of SERIES_PER_CHUNK (64) members, and per-member radii are
+tabulated a block of members at a time past _JET_TABLE_ENTRIES (512 KiB)
+entries; the matmul is per member, so the blocks give the same bits.
 
 quadratic_mean_profile and variance_profile keep the profiles of the last
-32 series they were given, keyed by the series' identity: the operators,
-bounds and sampling modules ask for U and V of the same series many times,
-and each build costs a weight table.  The profile of a stack is built
-afresh: a batched criterion builds U once per chunk and hands it to every
-caller, and 32 kept chunks would hold their coefficient and weight tables
-(up to ~52 KiB each at 64 members) to the end of a run.
+32 series, keyed by identity: the operators, bounds and sampling modules
+ask for U and V of one series many times.  A stack's profile is built
+afresh: a batched criterion builds U once per chunk, and 32 kept chunks
+would hold their tables (up to ~52 KiB each) to the end of a run.  At one
+radius a series' jet skips the array round trip (_jet_table) and returns
+Python floats.  Each profile keeps the read-only jet tables of its last
+_JET_MEMO_SIZE float radii (np.float64 too; least recently used dropped
+first), which value, deriv1 and deriv2 at one radius share; arrays bypass
+it, a table that raises never enters it, and a memoised table is the one
+the evaluation would compute.
 
-At one radius (a float, an np.float64 or a 0-d array) a series' jet skips
-the array round trip: the basis is one 1-d (2K + 3,) row taken straight
-from the float, its power laid out as the array path lays out
-np.array([rho]), one matvec with the weight table gives (U, rho U',
-rho^2 U''), and the last two are divided by rho and rho^2 as scalars, with
-the bits of the array path.  jet returns the three as Python floats, and
-value, deriv1 and deriv2 each return one (a stack's jet at a float radius,
-and every jet at array radii, return arrays as before).
-
-Every profile also keeps the jet tables of the last _JET_MEMO_SIZE (4)
-radii it was evaluated at as a Python float (numpy float64 included):
-the (3,) table of a series, or (B, 3) of a stack, read-only and dropped
-least recently used first.  value, deriv1 and deriv2 at one radius then
-cost one power table, and k_endpoint's U(1), U'(1) stay in the memo while
-R varies.  Arrays, 0-d arrays included, bypass it, and so does a table
-whose entries do not sum to a finite number (any NaN or inf entry), so an
-overflow warns on every call.  A memoised table is the one the evaluation
-would compute, so the memo changes no bit.
-
-The jet of a HarmonicSeries and that of its row stack[i:i+1] in a stack
-may differ by rounding: a 1-d basis times the weight table rounds apart
-from the matching row of a batched matmul, and the stack's padded order
-changes the grouping of the sum (306 of 500 random draws agreed bit for
-bit).  The stack's rows do not depend on each other, so a replay of one
-member of a batched criterion, to give its residual bit for bit, runs
-stack[i:i+1] of the member's chunk (with the chunk's padded order), not
-the member as a HarmonicSeries.
+The jet of a HarmonicSeries and that of its row stack[i:i+1] may differ
+by rounding (a 1-d basis rounds apart from a row of a batched matmul, and
+the padded order regroups the sum; 306 of 500 random draws agreed bit
+for bit).  A replay of one member of a batched criterion, to give its
+residual bit for bit, runs stack[i:i+1] of the member's chunk.
 
 Because a finite series is smooth across the unit circle, the inner-circle
 limits (mean, mean normal derivative, initial speed) are plain evaluations
@@ -90,7 +82,8 @@ import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError
 from .series import (HarmonicSeries, SeriesStack, _blocks, _in_float_range, _is_scalar,
-                     _per_member, _require_int, _shown, _within, require_outer, require_radii)
+                     _per_member, _require_int, _shown, _within, require_outer,
+                     require_radii)
 
 CLASS_TOL = 1e-12
 
@@ -121,34 +114,28 @@ class RadialProfile:
                 f"degree must be a finite number >= 0, got {_shown(self.degree)}")
 
     def jet(self, rho):
-        """(value, deriv1, deriv2) at rho, vectorized over rho: three Python
-        floats for a series at one radius (a float, np.float64 or 0-d
-        array), else three arrays, read-only views of the memoised table
-        for a stack at a float radius."""
+        """(value, deriv1, deriv2) at rho: three Python floats for a series at
+        one radius (a float, np.float64 or 0-d array), else three arrays
+        (read-only views of the memoised table for a stack at a float)."""
         table = self._jet(rho)
         if table.ndim == 1:  # one series at one radius
             return tuple(table.tolist())
         return table[..., 0], table[..., 1], table[..., 2]
 
 
-# Float radii whose jet tables a profile keeps: value, deriv1 and deriv2 at
-# one radius share a table, and k_endpoint reads U at 1 and at R.
+# Float radii whose jet tables a profile keeps (k_endpoint reads U at 1 and R).
 _JET_MEMO_SIZE = 4
 
-# Most entries (radii x basis functions) of one power table that
-# RadialProfile.jet builds for a stack with radii per member, 512 KiB; above
-# it the members are tabulated in blocks.  At 64 members, N = 10 and the 512
-# nodes of a radial rule graded toward the pole of lambda = -0.9999 one table
-# would take 5.8 MiB.
+# Most entries (radii x basis functions) of one power table of a stack with
+# radii per member, 512 KiB (64 members, N = 10 and the 512 nodes of a rule
+# graded toward the pole of lambda = -0.9999 would take 5.8 MiB).
 _JET_TABLE_ENTRIES = 2**16
 
 
 def _jet_table(r: np.ndarray | float, two_k: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """U, U' and U'' at the radii r: one power table over the basis
-    rho^(2k), rho^(-2k), 1, log(rho), log(rho)^2, one (batched) matmul with
-    the weight table, whose column d gives rho^d U^(d), and the division
-    by rho^d.  A Python float r (one series) gives the (3,) table, with the
-    bits of r = np.array([rho]), without converting r to an array."""
+    """U, U', U'' at the radii r: one power table, one (batched) matmul and
+    the division by rho^d; a Python float r (one series) gives the (3,)
+    table of a 1-d basis row, with the bits of r = np.array([rho])."""
     K = two_k.shape[-1]
     if type(r) is float:
         basis = np.empty(2 * K + 3)
@@ -237,9 +224,8 @@ def _weights(h: HarmonicSeries, exps: np.ndarray, shifted: np.ndarray,
 def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
                  only_mode: int | None = None) -> RadialProfile:
     """Profile of a sum of mode means; `only_mode` restricts to one mode.
-    Raises NumericOverflowError if its weight table is not finite (a
-    coefficient above ~1e154 squares past the float range), once per
-    profile, so no jet checks the table again."""
+    Raises NumericOverflowError if its weight table, or a jet, is not
+    finite (module docstring)."""
     if only_mode is None:
         two_k, exps, shifted = _exponents(1, h.N)
         degree = 2 * h.N
@@ -260,25 +246,30 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         if dead.ndim > two_k.ndim:  # one exponent row for every member of a stack
             dead = dead.all(axis=0)
         two_k = np.where(dead, 0.0, two_k)
-
     memo: dict[float, np.ndarray] = {}
+    finite: list[float] = []  # e^-t < rho < e^t of the module docstring, found on first use
+
+    def inside(lowest, highest) -> bool:
+        if not finite:
+            t = 700.0 - math.log(max((2 * K + 3) * float(np.abs(weights).max(initial=0.0)), 1.0))
+            t /= max(float(np.abs(two_k).max(initial=0.0)), 2.0) + 2.0
+            finite.extend((math.exp(-t), math.exp(t)))
+        return finite[0] < lowest and highest < finite[1]
 
     def jet(rho, check: bool = True) -> np.ndarray:
-        """(..., 3) array of U, U', U'' at rho; for a stack the member axis
-        leads (rho a scalar, (m,) or (B, m), as in the series module).  A
-        float rho goes through the memo of the module docstring.  rho is
-        checked by require_radii, a float on a memo miss only, unless
-        `check` is False (k_functional's integrand)."""
+        """(..., 3) U, U', U'' at rho, a float through the memo.  Unless `check`
+        is False (k_functional's integrand, in its own rule), rho is checked
+        (a float inside the interval needs no check) and ruled outside it."""
         if not isinstance(rho, float):
             if check:
-                require_radii(rho)
+                r = np.ravel(require_radii(rho, len(weights) if weights.ndim == 3 else None))
+                if r.size and not inside(r.min(), r.max()):
+                    return _in_float_range(f"{label}'s jet at rho", rho, table, rho)
             return table(rho)
         out = memo.pop(rho, None)
         if out is None:
-            require_radii(rho)
-            out = table(rho)
-            if not math.isfinite(sum(out.ravel().tolist())):  # a NaN or inf entry
-                return out
+            out = table(rho) if inside(rho, rho) else _in_float_range(
+                f"{label}'s jet at rho", require_radii(rho), table, rho)
             out.flags.writeable = False
             if len(memo) >= _JET_MEMO_SIZE:  # drop the least recently used
                 del memo[next(iter(memo))]
@@ -405,8 +396,7 @@ def initial_speed(h):
     DegenerateSeriesError if U(1) = 0, and NumericOverflowError if U's jet
     at 1 or the speed is not finite.
     """
-    u1, du1, _ = _in_float_range("U's jet at rho", 1.0,
-                                 lambda: quadratic_mean_profile(h).jet(1.0))
+    u1, du1, _ = quadratic_mean_profile(h).jet(1.0)
     if (np.asarray(u1) <= 0.0).any():
         raise DegenerateSeriesError("U(1) = 0: inner circle degenerates")
     return _in_float_range("the initial speed at rho", 1.0,

@@ -39,10 +39,11 @@ One rule, _denominator, pairs a radius rho with a lambda: it returns
 rho^2 + lam, and refuses a rho outside require_radii, shapes that do not
 pair, a stack's per-member lambda of another length and rho^2 + lam <= 0.
 rho and lam of the identities and of a series' profile broadcast; on a
-stack's profile (member axis first) lam is one value or one per member,
-(B,) or (B, 1), paired with the member axis at one radius, (m,) radii and
-(B, m) radii alike.  So the closed-form kernels _on_jet, _identity_pair
-and _endpoint_form are arithmetic only, and take sympy symbols too.
+stack's profile lam is one value or one per member, (B,) or (B, 1),
+paired with the member axis at one radius, (m,) and (B, m) radii alike.
+With the overflow rule (series._in_float_range), through which L_lam,
+its divergence form and K return, it leaves the closed-form kernels
+_on_jet, _identity_pair and _endpoint_form arithmetic only (sympy too).
 """
 
 from __future__ import annotations
@@ -99,17 +100,21 @@ class LambdaOperator:
         """L_lam[P](rho), vectorized over rho.  On a series' profile rho and
         lam broadcast; on a stack's, lam is one value or one per member,
         (B,) or (B, 1), and row i is member i's value with its own lambda,
-        at one radius, (m,) radii or (B, m) radii.  Other shapes, and
-        rho^2 + lam <= 0, raise ParameterDomainError (_denominator)."""
-        r, lam, den = _denominator(rho, self.lam, _members(P))
-        return _result(_on_jet(lam, r, den, *P.jet(r)))
+        at one radius, (m,) or (B, m) radii.  Other shapes and rho^2 + lam
+        <= 0 raise ParameterDomainError, a value not finite NumericOverflowError."""
+        return _in_float_range("L_lam of the profile at rho", rho,
+                               self._on, rho, _members(P), P.jet)
 
     def apply_jet(self, rho, value, d1, d2):
         """L_lam from a profile's jet (value, d1, d2), already evaluated at
         rho, so a caller that needs the jet itself evaluates it once; rho
-        and lam broadcast, as on a series' profile."""
-        r, lam, den = _denominator(rho, self.lam, ())
-        return _result(_on_jet(lam, r, den, value, d1, d2))
+        and lam broadcast, as on a series' profile.  Raises as apply."""
+        return _in_float_range("L_lam of the jet at rho", rho, self._on, rho, (),
+                               lambda r: (value, d1, d2))
+
+    def _on(self, rho, members, jet):  # L_lam from jet(r), r paired with lam by _denominator
+        r, lam, den = _denominator(rho, self.lam, members)
+        return _on_jet(lam, r, den, *jet(r))
 
     def divergence_form_residual(self, P: RadialProfile, rho):
         """|divergence form - direct form| at rho.
@@ -118,12 +123,16 @@ class LambdaOperator:
         P/(rho^2 + lam), whose error is even in the step: c2 step^2 +
         c4 step^4 + ...  Richardson extrapolation over DIVERGENCE_STEP and
         DIVERGENCE_STEP/2 cancels the step^2 term, so the residual is
-        O(step^4) plus rounding.
-        rho and lam pair entry by entry; for the profile of a stack, each is
-        one value or one per member, and so is the result.  Raises
-        ParameterDomainError unless _denominator accepts every radius x of
-        the stencil, rho - 2 step to rho + 2 step, with lam.
+        O(step^4) plus rounding.  rho and lam pair entry by entry, each one
+        value or, on a stack's profile, one per member, as is the result.
+        Raises ParameterDomainError unless _denominator accepts every radius
+        of the stencil, rho - 2 step to rho + 2 step, with lam, and
+        NumericOverflowError if a residual is not finite.
         """
+        return _in_float_range("the divergence-form residual at rho", rho,
+                               self._divergence_residual, P, rho)
+
+    def _divergence_residual(self, P: RadialProfile, rho):
         r = np.asarray(require_radii(rho), dtype=np.float64)[..., None]  # rho as one column
         # P at the centres r + h, r - h of the outer difference, each taken
         # at +-h again, for h = step and step/2, and its jet at r: one call
@@ -144,7 +153,7 @@ class LambdaOperator:
 
         extrapolated = (4.0 * div_form(1) - div_form(0)) / 3.0
         direct = _on_jet(lam, r, den, value[..., -1:], d1[..., -1:], d2[..., -1:])
-        return _result(np.abs(extrapolated - direct)[..., 0])
+        return np.abs(extrapolated - direct)[..., 0]
 
 
 def _denominator(rho, lam, members):
@@ -267,9 +276,13 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
     means _field_means takes at once; U's jet at the (B, c) radii is one
     matmul, and both identities are one broadcast expression over all
     (B, c, L) lambdas.  Returns (gradient, angular) residuals, each of
-    shape (B, c, L).  Each circle's radius pairs with its L lambdas."""
-    rho = np.asarray(require_radii(rho), dtype=np.float64)
-    column, lam, den = _denominator(rho[..., None], require_lambda(lam), None)
+    shape (B, c, L).  Each circle's radius pairs with its L lambdas; other
+    shapes raise ParameterDomainError."""
+    rho, lam = np.asarray(require_radii(rho), dtype=np.float64), require_lambda(lam)
+    if rho.shape[:1] != (len(h),) or np.ndim(lam) != 3 or np.shape(lam)[:2] != rho.shape:
+        raise ParameterDomainError(f"a stack of {len(h)} takes (B, c) radii and (B, c, L) "
+                                   f"lambdas, got {rho.shape} and {np.shape(lam)}")
+    column, lam, den = _denominator(rho[..., None], lam, None)
     angles = circle_angles(angular_count(2 * h.N))
     block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
     for i, radii in enumerate(rho.tolist()):
@@ -327,9 +340,8 @@ def k_functional(P: RadialProfile, lam, R):
     lam_col, R_col = lam, R
     if not (_is_scalar(lam) and _is_scalar(R)):
         # one integrand per member, on radii of shape (members, nodes)
-        lam, R = np.asarray(lam, dtype=np.float64), np.asarray(R, dtype=np.float64)
         _one_per_member(P, (lam, "lambda"), (R, "R"))
-        lam_col, R_col = lam[..., None], R[..., None]
+        lam_col, R_col = (x[..., None] if np.ndim(x) else x for x in (lam, R))
 
     def integrand(r: np.ndarray) -> np.ndarray:
         # the nodes lie in [1, R], inside the domains of L_lam and of P: skip their checks
@@ -357,9 +369,9 @@ def k_endpoint(h, lam, R):
     lam, R = require_lambda(lam), require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
     _one_per_member(U, (lam, "lambda"), (R, "R"))
-    # U is evaluated inside the rule, which keeps an overflowing jet quiet
-    return _in_float_range("K_lam of the quadratic mean at R", R, lambda: _endpoint_form(
-        lam, R, U.value(R) if _is_scalar(R) else U.value(R[..., None])[..., 0], *U.jet(1.0)[:2]))
+    u_R = U.value(R) if _is_scalar(R) else U.value(R[..., None])[..., 0]
+    return _in_float_range("K_lam of the quadratic mean at R", R,
+                           _endpoint_form, lam, R, u_R, *U.jet(1.0)[:2])
 
 
 def _endpoint_form(lam, R, u_R, u_1, du_1):
@@ -390,8 +402,7 @@ def variance_subsolution_min(h: HarmonicSeries, lam: float, rho_grid) -> float:
     rho = np.asarray(rho_grid)
     if rho.size == 0:
         raise ParameterDomainError("the radius grid is empty")
-    return _in_float_range("the minimum of L_lam of the variance on rho", rho,
-                           lambda: np.min(op.apply(variance_profile(h), rho)))
+    return _result(np.min(op.apply(variance_profile(h), rho)))
 
 
 def evolution_lower_bound(h: HarmonicSeries, s: float) -> tuple[float, float]:

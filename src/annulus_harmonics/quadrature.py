@@ -107,8 +107,7 @@ RADIAL_EPS = 1e-15
 def angular_count(degree: int) -> int:
     """Angle count on which the trapezoid rule is exact for trigonometric
     polynomials up to `degree`: the smallest 5-smooth integer above the
-    integrand degree.  Memoised, since the scalar identities ask for it on
-    every call."""
+    integrand degree.  Memoised, as its few degrees are asked for often."""
     M = degree + 1
     while True:
         rest = M
@@ -141,22 +140,20 @@ def _field_means(fields: np.ndarray) -> tuple:
 
 @lru_cache(maxsize=32)
 def _circle_means(h: HarmonicSeries, rho: float) -> tuple:
-    """The _field_means of h on C_rho over circle_angles(M), M =
-    angular_count(2 N), as a complex and five floats, read from the (3, M)
-    block of one _grid_fields call, then U, U' and U'' at rho as computed
-    (inf for a weight table past the float range), which identity_residuals
-    tests: the closed form can overflow where the means do not.  The key
-    holds the series by identity and the radius.  Raises
-    ParameterDomainError unless rho is positive and finite, and
-    NumericOverflowError if a mean is not finite, so neither ever enters
-    the memo."""
+    """The _field_means of h on C_rho over circle_angles(angular_count(2 N)),
+    a complex and five floats from the (3, M) block of one _grid_fields
+    call, then U, U' and U'' at rho (inf where U's profile or jet raises
+    NumericOverflowError: the closed form can overflow where the means do
+    not), which identity_residuals tests.  Keyed by the series' identity and
+    the radius.  Raises ParameterDomainError unless rho is positive and
+    finite, and NumericOverflowError if a mean is not finite: neither
+    enters the memo."""
     require_radii(rho)
     jet = (math.inf,) * 3
+    with contextlib.suppress(NumericOverflowError):
+        jet = quadratic_mean_profile(h).jet(rho)
 
-    def means():  # under the overflow rule's errstate, which keeps the jet quiet too
-        nonlocal jet
-        with contextlib.suppress(NumericOverflowError):
-            jet = quadratic_mean_profile(h).jet(rho)
+    def means():
         mean, *real = _field_means(_grid_fields(h, rho, angular_count(2 * h.N)))
         return (complex(mean), *map(float, real))
 

@@ -397,8 +397,7 @@ def normalize_inner(h):
     stripped = (SeriesStack._unchecked(h.N, h.a, h.b, h.a0, np.zeros_like(h.b0))
                 if isinstance(h, SeriesStack) else replace(h, b0=0j))
     # a positive finite U(1) is at least 5e-324, so 1/sqrt(U(1)) is finite
-    u1 = _in_float_range("U after dropping b0, at rho", 1.0,
-                         lambda: quadratic_mean_profile(stripped).value(1.0))
+    u1 = quadratic_mean_profile(stripped).value(1.0)
     if (np.asarray(u1) <= 0.0).any():
         raise DegenerateSeriesError("cannot normalize: U(1) = 0 after dropping b0")
     return scale_rotate(stripped, 1.0 / np.sqrt(u1))

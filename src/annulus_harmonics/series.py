@@ -506,11 +506,14 @@ def require_lambda(lam):
     return lam if isinstance(lam, float) else _accepted(lam)
 
 
-def require_radii(rho):
+def require_radii(rho, members: int | None = None):
     """rho (see _accepted) if positive and finite, for one number or every
-    entry of several; else ParameterDomainError."""
+    entry of several, and for a stack of `members` one radius, (m,) or
+    (members, m), one row each; else ParameterDomainError."""
     if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
         raise ParameterDomainError(f"rho must be positive and finite, got {_shown(rho)}")
+    if members is not None and np.ndim(rho) > 1 and np.shape(rho)[:-1] != (members,):
+        raise ParameterDomainError(f"a stack's radii need {members} rows, got {np.shape(rho)}")
     return rho if isinstance(rho, float) else _accepted(rho)
 
 
@@ -682,7 +685,7 @@ def circle_grid_fields(h, rhos, M: int,
     SeriesStack the member axis comes first (see the module docstring).
     Only the named `fields` are computed; the others are None.
     """
-    rhos = np.asarray(require_radii(rhos), dtype=np.float64)
+    rhos = np.asarray(require_radii(rhos, len(h.a) if h.a.ndim > 1 else None), dtype=np.float64)
     _require_int(M, "angle count M", 1)
     rows = [_FIELD_ROWS.index(name) for name in fields]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from annulus_harmonics import RadialProfile, cli, extremal_map, reports, save_series
+from annulus_harmonics import cli, extremal_map, reports, save_series
 from annulus_harmonics.cli import EXIT_USAGE, main
 from annulus_harmonics.series import (
     MAX_JSON_ORDER,
@@ -22,6 +22,7 @@ from annulus_harmonics.series import (
     HarmonicSeries,
     from_json_dict,
 )
+from test_batched import spoil_operator
 
 
 def run(capsys, *argv):
@@ -489,17 +490,10 @@ def test_nan_after_first_draw_fails_the_check(monkeypatch, capsys):
 
 
 def test_nan_floor_fails_the_clamped_check(monkeypatch):
-    # max(0.0, -nan) is 0.0 in Python: the clamp must keep the NaN.  The
-    # second draw's variance profile reads NaN, so its floor is NaN.
-    def nan_value(V):
-        def jet(rho, check=True):
-            table = np.array(V._jet(rho, check))
-            table[..., 0] = math.nan
-            return table
-        return RadialProfile(V.label, lambda rho: np.full(np.shape(rho), math.nan),
-                             V.deriv1, V.deriv2, V.degree, jet)
-
-    nan_on_call(monkeypatch, "variance_profile", 2, pick=nan_value)
+    # max(0.0, -nan) is 0.0 in Python: the clamp must keep the NaN.  L_lam
+    # of the second draw's variance reads NaN (the operator of the second
+    # criterion, variance_subsolution), so its floor is NaN.
+    nan_on_call(monkeypatch, "LambdaOperator", 2, pick=spoil_operator)
     checks = {c.name: c for c in reports.run_suite("subsolution", 0, 3)}
     assert math.isnan(checks["variance-floor"].residual)
     assert not checks["variance-floor"].passed

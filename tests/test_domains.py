@@ -308,6 +308,21 @@ CASES = {
         PAIR, np.full((3, 1, 3), 0.5), np.full((2, 1), 2.0)),
     "identity_residuals_stack-3-circles-of-lambdas": lambda: identity_residuals_stack(
         PAIR, np.full((2, 3, 3), 0.5), np.full((2, 2), 2.0)),
+    # radii of one row per member, or the residuals of a member never
+    # evaluated (1 row: 2.156) and a bare IndexError (3 rows)
+    "identity_residuals_stack-1-row-of-radii": lambda: identity_residuals_stack(
+        PAIR, np.full((2, 1, 3), 0.5), np.full((1, 1), 2.0)),
+    "identity_residuals_stack-3-rows-of-radii": lambda: identity_residuals_stack(
+        PAIR, np.full((3, 1, 3), 0.5), np.full((3, 1), 2.0)),
+    "identity_residuals_stack-1-d-radii": lambda: identity_residuals_stack(
+        PAIR, np.full((2, 1, 3), 0.5), np.full(2, 2.0)),
+    "identity_residuals_stack-2-d-lambdas": lambda: identity_residuals_stack(
+        PAIR, np.full((2, 1), 0.5), np.full((2, 1), 2.0)),
+    # a stack's 2-d radii hold one row per member (numpy's ValueError before)
+    "circle_grid_fields-stack-3-rows": lambda: circle_grid_fields(PAIR, np.full((3, 1), 2.0), 8),
+    "circle_grid_fields-stack-3-d": lambda: circle_grid_fields(PAIR, np.full((2, 1, 1), 2.0), 8),
+    "RadialProfile.jet-stack-3-rows": lambda: quadratic_mean_profile(PAIR).jet(np.full((3, 1), 2.0)),
+    "RadialProfile.jet-stack-3-d": lambda: quadratic_mean_profile(PAIR).jet(np.full((2, 1, 1), 2.0)),
     "radial_integrate-2-radii-3-degrees":
         lambda: radial_integrate(np.ones_like, 1.0, [2.0, 3.0], [2.0, 2.0, 2.0]),
     "radial_integrate-2-radii-3-lambdas":

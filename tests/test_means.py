@@ -1,6 +1,10 @@
 """Closed-form mean profiles, class flags, speeds and the energy identity."""
 
+import importlib.util
 import inspect
+import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from annulus_harmonics import (
     random_series,
     variance_profile,
 )
-from annulus_harmonics import means
+from annulus_harmonics import means, reports
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import k_endpoint
 from annulus_harmonics.sampling import random_series_stack
@@ -567,16 +571,97 @@ def test_stack_jet_at_a_float_radius_is_read_only():
 
 
 def test_nan_and_overflowing_radii_are_not_memoised():
+    """A NaN radius is refused, and a jet past the float range raises
+    NumericOverflowError without a numpy warning (an error in tier-1), on
+    every call: neither enters the memo."""
     U = quadratic_mean_profile(random_series(SamplerConfig(seed=15, N=8)))
     for _ in range(2):
         with pytest.raises(ParameterDomainError):
             U.jet(float("nan"))
+        with pytest.raises(NumericOverflowError, match=r"U's jet at rho=1e\+200 is not finite"):
+            U.value(1e200)
     assert not _memo(U)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.isfinite(U.value(1e200))
-    assert not _memo(U)
-    with pytest.raises(RuntimeWarning):  # warns again: nothing was kept
-        U.value(1e200)
+
+
+def ruled_jets(monkeypatch) -> list:
+    """The radii of the jet tables that take the ruled branch (outside their
+    profile's finite interval, through _in_float_range) from now on."""
+    seen, real = [], means._in_float_range
+
+    def rule(what, at, form, *args):
+        if what.endswith("'s jet at rho"):
+            seen.append(at)
+        return real(what, at, form, *args)
+
+    monkeypatch.setattr(means, "_in_float_range", rule)
+    return seen
+
+
+def plain_table(h):
+    """The exponents 2k and the weight table of U of h, every mode live."""
+    two_k, exps, shifted = means._exponents(1, h.N)
+    return two_k, means._weights(h, exps, shifted, True, None)
+
+
+def finite_reach(h) -> float:
+    """The bound of the means module, from U's weight table: the plain table
+    is finite where |log rho| < (700 - max(log(J W), 0)) / (max(E, 2) + 2)."""
+    _, weights = plain_table(h)
+    scale = weights.shape[0] * np.abs(weights).max()
+    return (700.0 - max(math.log(scale), 0.0)) / (max(2 * h.N, 2) + 2)
+
+
+def test_weights_near_the_float_limit_keep_a_finite_plain_table_inside_the_interval(
+        monkeypatch):
+    """a_1 = 1e150 weighs rho^2 by 1e300: inside the proved interval, here
+    0.18 < rho < 5.6, the plain table is finite and warns nothing; just
+    outside it the ruled table keeps the plain table's bits; where U leaves
+    the float range it raises NumericOverflowError."""
+    h = HarmonicSeries.from_coeffs(a={1: 1e150})
+    reach = finite_reach(h)
+    assert 1.7 < reach < 1.75
+    U, seen = quadratic_mean_profile(h), ruled_jets(monkeypatch)
+    inside = [math.exp(-reach) * (1 + 1e-9), math.exp(reach) * (1 - 1e-9)]
+    outside = [math.exp(-reach) * 0.99, math.exp(reach) * 1.01]
+    for rho in inside:
+        table = U._jet(rho)
+        assert np.isfinite(table).all() and table[0] == pytest.approx(1e300 * rho**2, rel=1e-14)
+    assert np.isfinite(np.stack(U.jet(np.array(inside)))).all()
+    assert seen == []
+    for rho in outside:
+        assert U._jet(rho).tobytes() == means._jet_table(rho, *plain_table(h)).tobytes()
+    assert seen == outside
+    with pytest.raises(NumericOverflowError):
+        U.value(1e5)
+
+
+def test_an_empty_interval_rules_every_radius(monkeypatch):
+    """a_1 = 1e153 weighs rho^2 by 1e306, past the bound at every radius:
+    each jet takes the ruled branch, and a finite one keeps its bits."""
+    h = HarmonicSeries.from_coeffs(a={1: 1e153})
+    assert finite_reach(h) < 0
+    U, seen = quadratic_mean_profile(h), ruled_jets(monkeypatch)
+    assert U.value(1.0) == 1e306 and U.value(np.array([2.0]))[0] == 4e306
+    assert seen[0] == 1.0 and seen[1].tolist() == [2.0]
+
+
+def test_the_suite_and_the_benchmark_workloads_keep_to_the_plain_table(monkeypatch):
+    """Every jet of verify all (seed 0, 100 trials) and of one block of the
+    circle-dense and radial-profile workloads lies inside its profile's
+    finite interval: none pays the ruled branch's finiteness test."""
+    seen = ruled_jets(monkeypatch)
+    reports.run_suite("all", 0, 100)
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for kind in (workloads.CircleDense, workloads.RadialProfileWorkload):
+        workload = kind(0)
+        for block in workload.blocks(kind.BLOCK_S):
+            for item in block:
+                assert workload.check(item, workload.run(item)).failed is False
+    assert seen == []
 
 
 def test_zero_weight_modes_add_zero():

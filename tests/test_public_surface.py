@@ -23,6 +23,7 @@ DEFAULTED = {
     "series.HarmonicSeries.from_coeffs": ("N a b a0 b0",
                                           "the order and coefficients: series.extremal_map"),
     "series.circle_grid_fields": ("fields", "sampling.injectivity_probe"),
+    "series.require_radii": ("members", "series.circle_grid_fields and a stack's jet"),
     "quadrature.radial_integrate": ("lam", "operators.k_functional"),
     "sampling.SamplerConfig": ("N decay", "cli._cmd_sample"),
     "sampling.perturb_extremal": ("renormalize", "bounds.uniqueness_probe"),
