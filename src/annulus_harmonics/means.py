@@ -258,8 +258,8 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
 
     def jet(rho, check: bool = True) -> np.ndarray:
         """(..., 3) U, U', U'' at rho, a float through the memo.  Unless `check`
-        is False (k_functional's integrand, in its own rule), rho is checked
-        (a float inside the interval needs no check) and ruled outside it."""
+        is False (operators._unchecked_jet, inside its caller's rule), rho is
+        checked (a float inside the interval needs no check) and ruled outside it."""
         if not isinstance(rho, float):
             if check:
                 r = np.ravel(require_radii(rho, len(weights) if weights.ndim == 3 else None))

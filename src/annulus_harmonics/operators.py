@@ -36,13 +36,14 @@ collapses, after integration by parts, to endpoint data only:
 which vanishes identically when P is the quadratic mean of h^lam.
 
 One rule, _denominator, pairs a radius rho with a lambda: it returns
-rho^2 + lam, and refuses a rho outside require_radii, shapes that do not
-pair, a stack's per-member lambda of another length and rho^2 + lam <= 0.
-rho and lam of the identities and of a series' profile broadcast; on a
-stack's profile lam is one value or one per member, (B,) or (B, 1),
-paired with the member axis at one radius, (m,) and (B, m) radii alike.
-With the overflow rule (series._in_float_range), through which L_lam,
-its divergence form and K return, it leaves the closed-form kernels
+rho^2 + lam, and refuses a rho outside require_radii (a stack's 2-d radii
+need one row per member), shapes that do not pair, a stack's per-member
+lambda of another length and rho^2 + lam <= 0.  rho and lam of the
+identities and of a series' profile broadcast; on a stack's profile lam
+is one value or one per member, (B,) or (B, 1), paired with the member
+axis at one radius, (m,) and (B, m) radii alike.  With the overflow rule
+(series._in_float_range), through which L_lam, its divergence form, a
+stack's identities and K return, reading U's jet unchecked, it leaves
 _on_jet, _identity_pair and _endpoint_form arithmetic only (sympy too).
 """
 
@@ -103,7 +104,7 @@ class LambdaOperator:
         at one radius, (m,) or (B, m) radii.  Other shapes and rho^2 + lam
         <= 0 raise ParameterDomainError, a value not finite NumericOverflowError."""
         return _in_float_range("L_lam of the profile at rho", rho,
-                               self._on, rho, _members(P), P.jet)
+                               self._on, rho, _members(P), lambda r: _unchecked_jet(P, r))
 
     def apply_jet(self, rho, value, d1, d2):
         """L_lam from a profile's jet (value, d1, d2), already evaluated at
@@ -141,7 +142,7 @@ class LambdaOperator:
             np.concatenate([c + sign * h for h in steps for c in (r + h, r - h)
                             for sign in (1.0, -1.0)] + [r], axis=-1),
             self.lam[..., None] if np.ndim(self.lam) else self.lam, _members(P))
-        value, d1, d2 = P.jet(x)
+        value, d1, d2 = _unchecked_jet(P, x)
         scaled, den = value[..., :-1] / den[..., :-1], den[..., -1:]
 
         def div_form(k: int) -> np.ndarray:
@@ -165,7 +166,8 @@ def _denominator(rho, lam, members):
     if members is None and type(rho) is float and type(lam) is float:
         den = require_radii(rho) ** 2 + lam
     else:
-        rho = np.asarray(require_radii(rho), dtype=np.float64)
+        rho = np.asarray(require_radii(rho, members[0] if members else None),
+                         dtype=np.float64)
         lead = members + (1,) * min(rho.ndim, 1) if members else ()
         if lead and np.ndim(lam):  # one lambda per member of a stack
             one_each = lam[..., 0] if np.shape(lam) == members + (1,) else lam
@@ -184,6 +186,12 @@ def _denominator(rho, lam, members):
 def _members(P: RadialProfile) -> tuple:
     """The member shape of P's jet: (B,) for a stack's profile, () for a series'."""
     return np.shape(P.jet(1.0)[0])
+
+
+def _unchecked_jet(P: RadialProfile, r: np.ndarray) -> tuple:
+    """P's jet at radii r checked by its caller, which reads it in its rule."""
+    t = P._jet(r, False)
+    return t[..., 0], t[..., 1], t[..., 2]
 
 
 def _one_per_member(P: RadialProfile, *named) -> None:
@@ -277,12 +285,11 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
     matmul, and both identities are one broadcast expression over all
     (B, c, L) lambdas.  Returns (gradient, angular) residuals, each of
     shape (B, c, L).  Each circle's radius pairs with its L lambdas; other
-    shapes raise ParameterDomainError."""
+    shapes raise ParameterDomainError, a residual not finite NumericOverflowError."""
     rho, lam = np.asarray(require_radii(rho), dtype=np.float64), require_lambda(lam)
     if rho.shape[:1] != (len(h),) or np.ndim(lam) != 3 or np.shape(lam)[:2] != rho.shape:
         raise ParameterDomainError(f"a stack of {len(h)} takes (B, c) radii and (B, c, L) "
                                    f"lambdas, got {rho.shape} and {np.shape(lam)}")
-    column, lam, den = _denominator(rho[..., None], lam, None)
     angles = circle_angles(angular_count(2 * h.N))
     block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
     for i, radii in enumerate(rho.tolist()):
@@ -290,8 +297,13 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
         for j, r in enumerate(radii):
             block[i, j] = circle_fields(member, r, angles)
     _, A, B, C, D, _ = _field_means(block)
-    u, du, d2u = quadratic_mean_profile(h).jet(rho)
-    return _identity_pair(lam, column, den, *(t[..., None] for t in (u, du, d2u, A, B, C, D)))
+
+    def pair():
+        column, lams, den = _denominator(rho[..., None], lam, None)
+        jet = _unchecked_jet(quadratic_mean_profile(h), rho)
+        return _identity_pair(lams, column, den, *(t[..., None] for t in (*jet, A, B, C, D)))
+
+    return _in_float_range("the identities at rho", rho, pair)
 
 
 def _identity_pair(lam, rho, den, u, du, d2u, A, B, C, D):
@@ -346,9 +358,7 @@ def k_functional(P: RadialProfile, lam, R):
     def integrand(r: np.ndarray) -> np.ndarray:
         # the nodes lie in [1, R], inside the domains of L_lam and of P: skip their checks
         den = r**2 + lam_col
-        t = P._jet(r, False)
-        jet = t[..., 0], t[..., 1], t[..., 2]
-        return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *jet)
+        return r * (R_col**2 - r**2) / den * _on_jet(lam_col, r, den, *_unchecked_jet(P, r))
 
     return _in_float_range("K_lam of the profile at R", R,
                            radial_integrate, integrand, 1.0, R, P.degree, lam)

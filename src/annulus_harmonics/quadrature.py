@@ -41,9 +41,9 @@ it can take are built together on first use and kept, read-only.  As
 lambda nears -1 the pole nears the interval, and the interval is split
 into panels graded geometrically toward it, each sized by the same bound;
 past a cap on the nodes the rule raises instead of calling the integrand.
-A stack's members each get their own rule, padded to the longest with
-zero-weight nodes, in one call of the integrand; their counts are sized in
-one array pass, with the same ladder walk as a single rule's.
+A stack's members each get their own rule, sized by the same bound
+(_rule_size, its one statement) and padded to the longest with zero-weight
+nodes, in one call of the integrand.
 
 The policy has no knobs: the angular rule is exact, the radial rule is
 sized by its bound and a winding number is proved or not given, so other
@@ -293,10 +293,6 @@ _RADIAL_RHOS = tuple(
 _RULE_STEP = 8
 _RULE_CAP = 128
 _RADIAL_NODE_CAP = 2**12
-# The ladder as (rungs, 1) columns for _rule_sizes: a, b, log rho, log c and
-# log(1 + 3 a^2), the last by math.log, as _rule_size takes it.
-_RUNGS = np.array([(a, b, log_rho, log_c, math.log(1.0 + 3.0 * a * a))
-                   for a, b, log_rho, log_c in _RADIAL_RHOS]).T[..., None]
 
 
 @lru_cache(maxsize=1)
@@ -360,15 +356,17 @@ def _weight_bound(lam: float, R2: float, x0: float, x1: float, y: float) -> floa
     return (R2 + E1) / D * max(1.0, (3.0 * abs(lam) + E1) / D, 8.0 * abs(lam) * E1 / (D * D))
 
 
-def _rule_size(d: float, lam, R2: float, lo: float, hi: float) -> int:
+def _rule_size(d: float, lam, log_R: float, lo: float, hi: float) -> int:
     """The fewest nodes, a multiple of _RULE_STEP, whose Bernstein bound
-    meets RADIAL_EPS on [lo, hi] in t = log r (see radial_integrate), or 0
-    if more than _RULE_CAP would be needed."""
+    meets RADIAL_EPS on [lo, hi] in t = log r (see radial_integrate) for
+    the K weights of outer radius e^log_R when lam is given, or 0 if more
+    than _RULE_CAP would be needed: the one statement of the bound."""
     mid, w = 0.5 * (hi + lo), 0.5 * (hi - lo)
     dw = d * w
     # e^(e t), |e| <= d: the ellipse's largest |e^(e t)| over the real mean
     # is at most e^(dw (a - 1)) 2 dw/(1 - e^(-2 dw)), increasing in dw
     log_spread = math.log(2.0 * dw / -math.expm1(-2.0 * dw)) if dw > 0.0 else 0.0
+    R2 = math.exp(2.0 * log_R) if log_R < 350.0 else math.inf  # past it: no finite bound
     g1 = 1.0 if lam is None else _weight_bound(lam, R2, lo, hi, 0.0)
     if g1 == math.inf:
         return 0
@@ -395,49 +393,6 @@ def _rule_size(d: float, lam, R2: float, lo: float, hi: float) -> int:
     return math.ceil(best / _RULE_STEP) * _RULE_STEP
 
 
-def _weight_bounds(lam: np.ndarray, R2: np.ndarray, x0, x1, y) -> np.ndarray:
-    """_weight_bound, elementwise over arrays broadcast against each other,
-    with numpy's overflow and invalid warnings off."""
-    m, y2 = np.abs(lam), 2.0 * y
-    E0, E1 = np.exp(2.0 * x0), np.exp(2.0 * x1)
-    D = E0 - m
-    D = np.where((lam >= 0.0) & (y2 < 0.5 * math.pi), np.maximum(D, E0 * np.cos(y2) + lam), D)
-    G = (R2 + E1) / D * np.maximum(np.maximum(1.0, (3.0 * m + E1) / D), 8.0 * m * E1 / (D * D))
-    return np.where((x1 > 350.0) | (D <= 0.0), math.inf, G)
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _rule_sizes(d: np.ndarray, lam, lo: float, hi: np.ndarray) -> np.ndarray:
-    """_rule_size of every member on [lo, hi] at once, with R^2 = e^(2 hi)
-    as _radial_rule takes it: d and hi are 1-d arrays, and lam is None or
-    one more.  Each step of _rule_size runs on a (rungs, members) table,
-    and the ladder walk keeps its rule: a skipped rung (G = inf, NaN in
-    the table) leaves the best count as it was, and the walk stops at the
-    first rung that counts more than the best so far.  The transcendental
-    functions are numpy's, which may differ from the math module's in the
-    last bit, so a count can differ only where a step's decision falls
-    within rounding of its threshold (tests/test_quadrature.py compares
-    both sizers).  Returns int64 counts, 0 where _rule_size gives 0."""
-    a, b, log_rho, log_c, log_poly = _RUNGS
-    mid, w = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    dw = d * w
-    log_spread = np.where(dw > 0.0, np.log(2.0 * dw / -np.expm1(-2.0 * dw)), 0.0)
-    growth = np.maximum(dw * (a - 1.0) + log_spread, log_poly)
-    g1 = 1.0
-    if lam is not None:
-        R2 = np.where(hi < 350.0, np.exp(2.0 * hi), math.inf)
-        g1 = _weight_bounds(lam, R2, lo, hi, 0.0)
-        G = _weight_bounds(lam, R2, mid - w * a, mid + w * a, w * b)
-        growth = np.where(G == math.inf, math.nan, growth + np.log(G / g1))
-    n = 1.0 + (log_c + growth) / (2.0 * log_rho)
-    low = np.fmin.accumulate(n, axis=0)  # the best count so far; NaN until a rung counts
-    rises = n[1:] > low[:-1]
-    stop = np.where(rises.any(axis=0), rises.argmax(axis=0), len(_RADIAL_RHOS) - 1)
-    best = low[stop, np.arange(hi.size)]
-    sizes = np.ceil(best / _RULE_STEP) * _RULE_STEP
-    return np.where((best <= _RULE_CAP) & (g1 != math.inf), sizes, 0.0).astype(np.int64)
-
-
 def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
     """One member's rule on [lo, hi] in t = log r, as radii r and weights
     of dr.  When _rule_size finds one rule for the whole interval, the
@@ -448,8 +403,7 @@ def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
     delta from its left end, so that the edges are lo + delta (2^k - 1);
     any other piece is halved.  Raises QuadratureConvergenceError before
     the panels pass _RADIAL_NODE_CAP nodes."""
-    R2 = math.exp(2.0 * hi) if hi < 350.0 else math.inf  # past it: no finite bound
-    n = _rule_size(d, lam, R2, lo, hi)
+    n = _rule_size(d, lam, hi, lo, hi)
     if n:
         return _panel(n, lo, hi)
     pole = 0.5 * math.log(-lam) if lam is not None and lam < 0.0 else -math.inf
@@ -472,7 +426,7 @@ def _radial_rule(d: float, lam, lo: float, hi: float) -> tuple:
         if not pending:
             break
         left, right = pending.pop()
-        n = _rule_size(d, lam, R2, left, right)
+        n = _rule_size(d, lam, hi, left, right)
     rules = [_panel(n, left, right) for left, right, n in panels]
     return np.concatenate([r for r, _ in rules]), np.concatenate([w for _, w in rules])
 
@@ -490,16 +444,17 @@ def _stack_rule(d: np.ndarray, lam, lo: float, hi: np.ndarray) -> tuple:
     """Each member's _radial_rule on [lo, hi] in t = log r, for 1-d arrays
     d and hi and lam (None or one more), as radii and weights of dr of
     shape (members, width), each row padded to the longest rule with
-    zero-weight nodes inside its member's interval.  One _rule_sizes pass
-    sizes every member, and the members of one count get their panels from
-    one _panel call.  Only the members one panel cannot take (count 0) go
-    through _radial_rule, in member order, so the first whose panels would
-    pass the node cap raises before any rule is built.  Every rule, as
-    (rows, radii, weights), is then laid out in its rows the same way."""
-    sizes = _rule_sizes(d, lam, lo, hi)
-    rules = [([row], *(x[None] for x in _radial_rule(
-                 d[row].item(), None if lam is None else lam[row].item(), lo, hi[row].item())))
-             for row in np.flatnonzero(sizes == 0).tolist()]
+    zero-weight nodes inside its member's interval.  _rule_size sizes each
+    member as _radial_rule does, and the members of one count get their
+    panels from one _panel call.  Only the members one panel cannot take
+    (count 0) go through _radial_rule, in member order, so the first whose
+    panels would pass the node cap raises before any rule is built.  Every
+    rule, as (rows, radii, weights), is laid out in its rows the same way."""
+    members = list(zip(d.tolist(), [None] * hi.size if lam is None else lam.tolist(),
+                       hi.tolist()))
+    sizes = np.array([_rule_size(d_i, lam_i, hi_i, lo, hi_i) for d_i, lam_i, hi_i in members])
+    rules = [([row], *(x[None] for x in _radial_rule(d_i, lam_i, lo, hi_i)))
+             for row, (d_i, lam_i, hi_i) in enumerate(members) if sizes[row] == 0]
     for n in sorted(set(sizes.tolist()) - {0}):  # np.unique would load numpy.ma
         rows = np.flatnonzero(sizes == n)
         rules.append((rows, *_panel(n, lo, hi[rows, None])))
@@ -553,15 +508,14 @@ def radial_integrate(g: Callable[[np.ndarray], np.ndarray], a: float, b,
     rows padded to the longest with zero-weight nodes inside its interval,
     g is called once on radii of shape (members, nodes), and each row is
     summed with its weights; with no members (a zero-member stack) the
-    result is an empty array, no rule is sized and g is not called.  A
-    stack's rules are sized in one array pass (_rule_sizes) and built with
-    one exp per distinct count; only members whose interval must be split
-    go through _radial_rule.  Otherwise, on the scalar path, the one rule
-    is _radial_rule's, sized by _rule_size on Python floats, and g is
-    called once on radii of shape (nodes,); it may return leading axes of
-    its own (one integrand per member of a stack on one interval).  g must
-    be elementwise in the radii.  The result is a float, or an array over
-    the members or those axes.
+    result is an empty array, no rule is sized and g is not called.  Each
+    member's rule is sized by _rule_size, and the rules are built with one
+    exp per distinct count; only members whose interval must be split go
+    through _radial_rule.  Otherwise, on the scalar path, the one rule is
+    _radial_rule's, and g is called once on radii of shape (nodes,); it
+    may return leading axes of its own (one integrand per member of a
+    stack on one interval).  g must be elementwise in the radii.  The
+    result is a float, or an array over the members or those axes.
     """
     a = require_radii(_scalar(a, "a"))
     b = require_radii(b)

@@ -297,6 +297,14 @@ CASES = {
         np.array([0.5, 0.2, 0.1])).apply(U, np.array([1.5, 2.0])),
     "LambdaOperator.apply-stack-3-rows-of-radii":
         lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), np.full((3, 2), 1.5)),
+    # rows that broadcast against the members, which the jet, read unchecked
+    # inside the rule, no longer refuses itself
+    "LambdaOperator.apply-stack-1-row-of-radii":
+        lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), np.full((1, 2), 1.5)),
+    "LambdaOperator.apply-stack-3-d-radii":
+        lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), np.full((2, 1, 1), 1.5)),
+    "divergence_form_residual-stack-1-radius": lambda: LambdaOperator(
+        0.5).divergence_form_residual(quadratic_mean_profile(PAIR), np.array([1.5])),
     "divergence_form_residual-3-lambdas-2-radii": lambda: LambdaOperator(
         np.array([0.5, 0.2, 0.1])).divergence_form_residual(U, np.array([1.5, 2.0])),
     "divergence_form_residual-stack-3-radii": lambda: LambdaOperator(
@@ -400,6 +408,9 @@ OVERFLOWS = {
         HarmonicSeries.from_coeffs(a={1: 1.0, 2: 1e-200}), 0.5, 1e100),
     # finite terms, but Python's float ** overflows in the identities
     "identity_residuals-pair-1e150": lambda: identity_residuals(H, 0.5, 1e150),
+    # rho^2 of the stack's pairing overflows (numpy warned)
+    "identity_residuals_stack-1e200": lambda: identity_residuals_stack(
+        PAIR, np.full((2, 1, 3), 0.5), np.full((2, 1), 1e200)),
     "wide_annulus_certificate-1e200": lambda: wide_annulus_certificate(1e200),
     "wide_annulus_certificate-array-1e200":
         lambda: wide_annulus_certificate(np.array([2.0, 1e200])),
@@ -449,6 +460,17 @@ OVERFLOWS = {
 @pytest.mark.parametrize("call", OVERFLOWS.values(), ids=OVERFLOWS.keys())
 def test_overflowing_result_is_a_typed_error(call):
     with pytest.raises(NumericOverflowError):
+        call()
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: LambdaOperator(0.5).apply(U, 1e200), "L_lam of the profile"),
+    (lambda: LambdaOperator(0.5).divergence_form_residual(U, 1e200),
+     "the divergence-form residual")], ids=["apply", "divergence_form_residual"])
+def test_an_overflow_of_L_lam_names_the_callers_radius(call, what):
+    """The jet is read inside the caller's rule, so the error names the
+    radius passed, not the jet's (the divergence form's nine-point stencil)."""
+    with pytest.raises(NumericOverflowError, match=rf"^{what} at rho=1e\+200 is not finite$"):
         call()
 
 
@@ -541,6 +563,20 @@ def test_one_overflow_rule_builds_the_overflow_errors():
     assert found_in_src(builds_an_overflow_error) == [
         "operators.identity_residuals", "operators.identity_residuals",
         "operators.lambda_from_speed", "quadrature.winding_number", "series._in_float_range"]
+
+
+def reads_the_radial_bound(node) -> bool:
+    """Whether node reads _RADIAL_RHOS or _weight_bound by name."""
+    return (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            and node.id in ("_RADIAL_RHOS", "_weight_bound"))
+
+
+def test_one_sizer_states_the_radial_bound():
+    """Under src/, only quadrature._rule_size reads the Bernstein ladder
+    _RADIAL_RHOS and the weight bound _weight_bound: a single rule, each
+    panel of a split one and each member of a stack are sized there.  A
+    second statement of the bound (an array sizer, say) fails here."""
+    assert set(found_in_src(reads_the_radial_bound)) == {"quadrature._rule_size"}
 
 
 # The closed-form kernels of operators.py, which tests/test_derivations.py

@@ -707,10 +707,9 @@ def test_each_member_of_a_stack_gets_its_own_rule_in_one_call(monkeypatch):
 
 
 def _scalar_sizes(d, lam, lo, hi) -> np.ndarray:
-    """_rule_size of each member, with the R^2 that _radial_rule gives it."""
+    """_rule_size of each member on [lo, hi], as _stack_rule sizes it."""
     lams = [None] * hi.size if lam is None else lam.tolist()
-    return np.array([quadrature._rule_size(x, l, math.exp(2.0 * h) if h < 350.0 else math.inf,
-                                           lo, h)
+    return np.array([quadrature._rule_size(x, l, h, lo, h)
                      for x, l, h in zip(d.tolist(), lams, hi.tolist())])
 
 
@@ -727,22 +726,18 @@ SIZER_EDGES = np.array([
 
 
 @pytest.mark.parametrize("lo", [0.0, 0.3])
-def test_the_array_sizer_counts_as_the_scalar_one(lo):
-    """_rule_sizes walks the ladder as _rule_size does, member by member:
-    on 12,000 seeded (degree, lambda, log R) triples, with lambda and with
-    lam=None, and on the edge rows."""
-    rng = np.random.default_rng(37)
-    d = np.concatenate([rng.integers(0, 65, 12_000), SIZER_EDGES[:, 0].astype(int)])
-    lam = np.concatenate([rng.uniform(-1.0 + 1e-9, 1.0, 12_000), SIZER_EDGES[:, 1]])
-    hi = lo + np.concatenate([rng.uniform(1e-4, 4.0, 12_000), SIZER_EDGES[:, 2]])
-    for lams in (lam, None):
-        want = _scalar_sizes(d, lams, lo, hi)
-        assert np.array_equal(quadrature._rule_sizes(d, lams, lo, hi), want)
-        assert len(set(want.tolist())) >= 8
-    # the edge rows reach count 0: those past log R = 350, and from r = 1
-    # those near the pole at r^2 = -lam
-    reached = slice(-14 if lo == 0.0 else -11, -8)
-    assert (_scalar_sizes(d[reached], lam[reached], lo, hi[reached]) == 0).all()
+def test_the_sizer_finds_no_one_panel_rule_only_at_its_edges(lo):
+    """_rule_size gives count 0 past log R = 350 with lambda, and from
+    r = 1 near the pole at r^2 = -lam; every other edge row, and every row
+    without lambda (no weights, no pole), gets one rule, a multiple of
+    _RULE_STEP up to _RULE_CAP."""
+    d, lam, hi = SIZER_EDGES[:, 0].astype(int), SIZER_EDGES[:, 1], lo + SIZER_EDGES[:, 2]
+    counts = _scalar_sizes(d, lam, lo, hi)
+    first = 0 if lo == 0.0 else 3  # from r = e^0.3 the pole rows keep one panel
+    assert (counts[first:6] == 0).all()
+    for rule in (np.delete(counts, np.s_[first:6]), _scalar_sizes(d, None, lo, hi)):
+        assert ((rule > 0) & (rule <= quadrature._RULE_CAP)
+                & (rule % quadrature._RULE_STEP == 0)).all()
 
 
 @pytest.mark.parametrize("a, splits", [(1.0, 3), (1.2, 0)])
@@ -762,7 +757,7 @@ def test_a_stack_gets_each_members_radial_rule_in_its_bits(monkeypatch, a, split
     monkeypatch.setattr(quadrature, "_radial_rule",
                         lambda *args: split.append(args) or alone(*args))
     r, w = quadrature._stack_rule(d, lam, lo, hi)
-    counts = quadrature._rule_sizes(d, lam, lo, hi)
+    counts = _scalar_sizes(d, lam, lo, hi)
     assert [args[3] for args in split] == hi[counts == 0].tolist() and len(split) == splits
     assert len(set(counts.tolist())) > 4
     rules = [alone(d_i, lam_i, lo, hi_i) for d_i, lam_i, hi_i in members]
