@@ -4,54 +4,44 @@ A check is one checkable statement of the paper's argument, declared once,
 as the row of CHECKS under its report name: the statement, the tolerance (a
 `DEFAULT_TOLERANCES` key, which a `--tol-*` flag overrides, or a fixed
 number that no flag changes) and the gate, the largest residual/tolerance
-(`gate_ratio`) that the seed sweep `sweep` accepts.  A criterion, coded once
-as a function `criterion(plan, tol) -> list[CheckResult]`, draws what it
-needs, runs an independent numerical comparison (closed form against
-quadrature, or a positivity scan over a grid) and hands each of its checks
-the residuals to `_check`, which reads the statement and the tolerance from
-the check's row; `tol` is the full tolerance table (`DEFAULT_TOLERANCES`
+(`gate_ratio`) that the seed sweep `sweep` accepts.
+
+A criterion is a row too, `Criterion(checks, draw, evaluate)`: the names of
+the checks it returns, which share its draws so that no draw is evaluated
+twice; `draw(plan)`, which returns the whole SeriesStack of its draws and
+one per-member array for each parameter, or None on a fixed grid; and
+`evaluate(chunk, *param_rows)`, an independent numerical comparison
+(closed form against quadrature, or a positivity scan over a grid) that
+returns one residual entry per check.  Calling the row, `criterion(plan,
+tol) -> list[CheckResult]`, runs the one runner, Criterion.__call__: it
+draws, evaluates the stack in chunks of SERIES_PER_CHUNK (64) members with
+their parameter rows (a fixed grid once) and hands each check its entries
+to `_check`, which alone reduces them, NaN-keeping, so a NaN in any draw
+fails its check.  `tol` is the full tolerance table (`DEFAULT_TOLERANCES`
 with any overrides).  The quadratures run on the one fixed policy of the
 quadrature module, so the tolerances are the only numbers a caller can
-change.  A criterion returns several checks when they share draws, so no
-draw is evaluated twice.
+change.
 
 `plan` is a `DrawPlan`: the seed and the number of trials (the
 criterion's outer draws, as a rule one series each).  Each criterion draws
-from its own generator,
-`np.random.default_rng((plan.seed, k))` with k fixed per criterion, so no
-criterion's draws depend on another's.  Criteria on fixed grids and closed
-forms ignore the plan.  The draw ranges are constants of each criterion.
-
-A criterion first makes all of its draws, with the bits a draw-by-draw loop
-would give them (sampling._draws and sampling._seed_draws, by the stream
-contract of the sampling module), and then evaluates them in chunks of
-SERIES_PER_CHUNK (64) members of a SeriesStack, with the per-draw
-parameters as arrays.  The circle identities (C02) take a chunk's 3 circles
-per member and 10 lambdas per circle in one identity_residuals_stack call;
-it still evaluates each circle with its own circle_fields call (a single
-batched circle_grid_fields call per chunk would be faster, but the
-benchmark's tracer counts one circle_fields call per circle).  The per-mode
-form (C07a) integrates its 24 single-mode series as a stack, one mode and
-one R per member.  The conformal refinement (C09) proves each draw
-injective from its coefficients (bounds.conformal_injectivity_margin);
-schottky_check samples the draws that proof misses with the injectivity
-probe, and the criterion probes the certified draws among the first
-SPOT_CHECK_DRAWS (16) as well, as a spot check of the proof, so the
-evidence does not depend on the chunk size.  A criterion hands each check
-its residuals (numbers and arrays, one per draw, chunk or grid) and
-`_check` alone reduces them, NaN-keeping, so a NaN in any draw fails its
-check.
+from its own generator, `np.random.default_rng((plan.seed, k))` with k
+fixed per criterion, so no criterion's draws depend on another's, with the
+bits a draw-by-draw loop would give them (sampling._draws and
+sampling._seed_draws, by the stream contract of the sampling module).  The
+draw ranges are constants of each criterion, and no report depends on the
+chunk size.  C02 still evaluates each circle with its own circle_fields
+call: one batched circle_grid_fields call per chunk would be faster, but
+the benchmark's tracer counts one circle_fields call per circle.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
-the acceptance tests call the same criteria with pinned plans of their own,
-so the same functions back both.
+the acceptance tests call the same rows with pinned plans of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -366,57 +356,73 @@ def _rng(plan: DrawPlan, k: int) -> np.random.Generator:
 # Criteria.
 # ---------------------------------------------------------------------------
 
-def extremal_annihilation(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+class Criterion(NamedTuple):
+    """A criterion: the CHECKS rows it returns, in order, its draw (None on
+    a fixed grid) and its per-chunk evaluation.  Calling it runs it."""
+
+    checks: tuple[str, ...]
+    draw: Callable[[DrawPlan], tuple] | None
+    evaluate: Callable[..., tuple]
+
+    def __call__(self, plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+        """The one runner: draw, evaluate each chunk of the stack with its
+        rows of every parameter (a fixed grid once, without arguments) and
+        hand each check its entries, one per chunk, to _check."""
+        if self.draw is None:
+            entries = [self.evaluate()]
+        else:
+            stack, *params = self.draw(plan)
+            entries = [self.evaluate(h, *(p[rows] for p in params))
+                       for rows, h in stack.chunks()]
+        columns = zip(*entries, strict=True)
+        return [_check(name, column, tol)
+                for name, column in zip(self.checks, columns, strict=True)]
+
+
+def _criterion(*checks: str, draw=None):
+    """Decorator: the Criterion of these checks and this draw that
+    evaluates with the decorated function."""
+    return lambda evaluate: Criterion(checks, draw, evaluate)
+
+
+@_criterion("extremal-annihilation")
+def extremal_annihilation():
     grid = np.linspace(1.0, E32, 502)[1:]
-    residuals = [np.abs(LambdaOperator(lam).apply(
-        quadratic_mean_profile(extremal_map(lam)), grid)) for lam in EXTREMAL_LAMS]
-    return [_check("extremal-annihilation", residuals, tol)]
+    return ([np.abs(LambdaOperator(lam).apply(quadratic_mean_profile(extremal_map(lam)), grid))
+             for lam in EXTREMAL_LAMS],)
 
 
-def circle_identities(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("gradient-form-identity", "angular-form-identity",
+            draw=lambda plan: _draws(_rng(plan, 1), plan.trials, (4, 16), 0.2,
+                                     (1.02, E32, 3), (-0.95, 1.0, (3, 10))))
+def circle_identities(h, rhos, lams):
     """Both circle-mean identities on 3 circles per series and 10 lambdas
-    per circle, evaluated per chunk of series: one circle_fields call per
-    circle, then every (series, circle, lambda) of the chunk at once."""
-    grad, ang = [], []
-    for h, rhos, lams in _draws(_rng(plan, 1), plan.trials, (4, 16), 0.2,
-                                (1.02, E32, 3), (-0.95, 1.0, (3, 10))):
-        g, a = identity_residuals_stack(h, lams, rhos)
-        grad.append(g)
-        ang.append(a)
-    return [
-        _check("gradient-form-identity", grad, tol),
-        _check("angular-form-identity", ang, tol),
-    ]
+    per circle: one circle_fields call per circle, then every (series,
+    circle, lambda) of the chunk at once."""
+    return identity_residuals_stack(h, lams, rhos)
 
 
-def divergence_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    residuals = [LambdaOperator(lams).divergence_form_residual(quadratic_mean_profile(h), rhos)
-                 for h, lams, rhos in _draws(_rng(plan, 2), plan.trials, (4, 16), 0.2,
-                                             (-0.5, 1.0), (1.2, 3.0))]
-    return [_check("divergence-form-agreement", residuals, tol)]
+@_criterion("divergence-form-agreement",
+            draw=lambda plan: _draws(_rng(plan, 2), plan.trials, (4, 16), 0.2,
+                                     (-0.5, 1.0), (1.2, 3.0)))
+def divergence_form(h, lams, rhos):
+    return (LambdaOperator(lams).divergence_form_residual(quadratic_mean_profile(h), rhos),)
 
 
-def variance_subsolution(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("variance-floor", "mode-chain", "variance-deriv2-positive",
+            "variance-deriv2-match",
+            draw=lambda plan: _draws(_rng(plan, 3), plan.trials, (2, 10), 0.15, (-0.9, 1.0)))
+def variance_subsolution(h, lams):
     """Floor, mode chain and second-derivative checks of the variance, all
     from one evaluation of V's jet per drawn (series, lambda); the termwise
     second derivative that V'' is checked against has its own formula."""
     grid = np.linspace(1.01, 5.0, 200)
-    floor_deficit, chain_excess, d2_deficit, d2_mismatch = [], [], [], []
-    for h, lams in _draws(_rng(plan, 3), plan.trials, (2, 10), 0.15, (-0.9, 1.0)):
-        v, dv, d2v = variance_profile(h).jet(grid)
-        lv = LambdaOperator(lams[:, None]).apply_jet(grid, v, dv, d2v)
-        floor_deficit.append(-np.min(lv, axis=-1))
-        chain = _mode_chain(h, grid, v, dv, d2v)
-        chain_excess.append(np.max(chain - lv, axis=-1))
-        d2 = variance_deriv2_termwise(h, grid)
-        d2_deficit.append(-np.min(d2, axis=-1))
-        d2_mismatch.append(np.max(np.abs(d2 - d2v), axis=-1))
-    return [
-        _check("variance-floor", floor_deficit, tol),
-        _check("mode-chain", chain_excess, tol),
-        _check("variance-deriv2-positive", d2_deficit, tol),
-        _check("variance-deriv2-match", d2_mismatch, tol),
-    ]
+    v, dv, d2v = variance_profile(h).jet(grid)
+    lv = LambdaOperator(lams[:, None]).apply_jet(grid, v, dv, d2v)
+    chain = _mode_chain(h, grid, v, dv, d2v)
+    d2 = variance_deriv2_termwise(h, grid)
+    return (-np.min(lv, axis=-1), np.max(chain - lv, axis=-1),
+            -np.min(d2, axis=-1), np.max(np.abs(d2 - d2v), axis=-1))
 
 
 def _mode_chain(h, rho, v, dv, d2v):
@@ -432,13 +438,10 @@ def _mode_chain(h, rho, v, dv, d2v):
     return 0.5 * (d2v + dv / rho) + (2.0 / rho**2) * (n2_cross - v)
 
 
-def equality_family(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    """L_lam annihilates the variance of a log term plus a unimodular
-    rotation of the extremal mode pair.  Keeping the rotation unimodular and
-    lam >= -0.8 pins the 1/(1+lam)^2 coefficient scale, so the absolute
-    tolerance is meaningful (the wider-lambda annihilation runs at 1e-9)."""
+def _equality_draw(plan: DrawPlan) -> tuple:
+    """Per trial lambda, the rotation's phase and a0 (real part first): the
+    stack of their series and the lambdas."""
     rng = _rng(plan, 4)
-    grid = np.linspace(1.01, 5.0, 200)
     lams, alphas, a0s = [], [], []
     for _ in range(plan.trials):
         lams.append(rng.uniform(-0.8, 1.0))
@@ -448,32 +451,39 @@ def equality_family(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     a, b = np.zeros((2, plan.trials, 2), dtype=np.complex128)
     a[:, 0] = alpha / (1 + lam)
     b[:, 0] = alpha * lam / (1 + lam)
-    stack = SeriesStack(N=1, a=a, b=b, a0=a0s, b0=np.zeros(plan.trials))
-    residuals = [np.max(np.abs(LambdaOperator(lam[rows, None]).apply(
-        variance_profile(h), grid)), axis=-1) for rows, h in stack.chunks()]
-    return [_check("equality-family", residuals, tol)]
+    return SeriesStack(N=1, a=a, b=b, a0=a0s, b0=np.zeros(plan.trials)), lam
 
 
-def endpoint_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    residuals = []
-    for h, lams, Rs in _draws(_rng(plan, 5), plan.trials, (2, 10), 0.2,
-                              (-0.95, 1.0), (1.05, E32)):
-        U = quadratic_mean_profile(h)
-        ke = k_endpoint(U, lams, Rs)
-        kq = k_functional(U, lams, Rs)
-        residuals.append(np.abs(kq - ke) / (1.0 + np.abs(ke)))
-    return [_check("endpoint-match", residuals, tol)]
+@_criterion("equality-family", draw=_equality_draw)
+def equality_family(h, lam):
+    """L_lam annihilates the variance of a log term plus a unimodular
+    rotation of the extremal mode pair.  Keeping the rotation unimodular and
+    lam >= -0.8 pins the 1/(1+lam)^2 coefficient scale, so the absolute
+    tolerance is meaningful (the wider-lambda annihilation runs at 1e-9)."""
+    grid = np.linspace(1.01, 5.0, 200)
+    return (np.max(np.abs(LambdaOperator(lam[:, None]).apply(variance_profile(h), grid)),
+                   axis=-1),)
 
 
-def extremal_k_zero(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    return [_check("extremal-zero", [abs(k_quadrature(extremal_map(lam), lam, 2.5))
-                                     for lam in EXTREMAL_LAMS], tol)]
+@_criterion("endpoint-match",
+            draw=lambda plan: _draws(_rng(plan, 5), plan.trials, (2, 10), 0.2,
+                                     (-0.95, 1.0), (1.05, E32)))
+def endpoint_identity(h, lams, Rs):
+    U = quadratic_mean_profile(h)
+    ke = k_endpoint(U, lams, Rs)
+    kq = k_functional(U, lams, Rs)
+    return (np.abs(kq - ke) / (1.0 + np.abs(ke)),)
 
 
-def mode_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("extremal-zero")
+def extremal_k_zero():
+    return ([abs(k_quadrature(extremal_map(lam), lam, 2.5)) for lam in EXTREMAL_LAMS],)
+
+
+def _mode_form_draw(plan: DrawPlan) -> tuple:
     """One random single-mode series per (R, n) on a fixed grid, drawn in
-    that order (a_n, then b_n, each real part first) and integrated in
-    chunks of the stack."""
+    that order (a_n, then b_n, each real part first): the stack, one mode
+    and one R per member."""
     rng = _rng(plan, 6)
     N = 8
     ns = np.tile(np.arange(1, N + 1), 3)
@@ -483,35 +493,38 @@ def mode_form(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
     a, b = np.zeros((2, ns.size, 2 * N), dtype=np.complex128)
     a[np.arange(ns.size), ns - 1] = a_n
     b[np.arange(ns.size), ns - 1] = b_n
-    stack = SeriesStack(N=N, a=a, b=b, a0=np.zeros(ns.size), b0=np.zeros(ns.size))
-    residuals = [bnd.mode_quadratic_form_residual(h, ns[rows], Rs[rows])
-                 for rows, h in stack.chunks()]
-    return [_check("mode-form", residuals, tol)]
+    return SeriesStack(N=N, a=a, b=b, a0=np.zeros(ns.size), b0=np.zeros(ns.size)), ns, Rs
 
 
-def variance_lower_bound(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("mode-form", draw=_mode_form_draw)
+def mode_form(h, ns, Rs):
+    return (bnd.mode_quadratic_form_residual(h, ns, Rs),)
+
+
+@_criterion("variance-lower-bound",
+            draw=lambda plan: _draws(_rng(plan, 7), max(1, plan.trials // 2), (2, 6), 0.2,
+                                     (E + 1e-9, E32)))
+def variance_lower_bound(h, Rs):
     """One draw per two trials: each draw is one Gauss-Legendre rule of
     K_1[V], sized by the proved bound of quadrature.radial_integrate."""
-    residuals = []
-    for h, Rs in _draws(_rng(plan, 7), max(1, plan.trials // 2), (2, 6), 0.2,
-                        (E + 1e-9, E32)):
-        lhs, rhs = bnd.variance_k_bound(h, Rs)
-        residuals.append(rhs - lhs)
-    return [_check("variance-lower-bound", residuals, tol)]
+    lhs, rhs = bnd.variance_k_bound(h, Rs)
+    return (rhs - lhs,)
 
 
-def inner_circle_identity(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    return [_check("inner-circle-identity", [
-        bnd.inner_circle_identity_residual(h)
-        for h, in _draws(_rng(plan, 8), plan.trials, (10, 10), 0.4)], tol)]
+@_criterion("inner-circle-identity",
+            draw=lambda plan: _draws(_rng(plan, 8), plan.trials, (10, 10), 0.4))
+def inner_circle_identity(h):
+    return (bnd.inner_circle_identity_residual(h),)
 
 
-def inner_area_limit(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
-    return [_check("inner-area-limit",
-                   [abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5) - math.pi)], tol)]
+@_criterion("inner-area-limit")
+def inner_area_limit():
+    return (abs(enclosed_area(extremal_map(1.0), 1.0 + 1e-5) - math.pi),)
 
 
-def wide_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("wide-certificate-positive", "wide-certificate-endpoints",
+            "wide-certificate-concavity")
+def wide_certificate():
     cert = bnd.wide_annulus_certificate
     # endpoint values recomputed independently at 30 digits
     endpoint_res = [
@@ -524,14 +537,12 @@ def wide_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]
     step = 1e-4
     scaled = lambda r: cert(r) / r**4  # noqa: E731
     fd2 = (scaled(r_grid + step) - 2 * scaled(r_grid) + scaled(r_grid - step)) / step**2
-    return [
-        _check("wide-certificate-positive", [-cert(np.linspace(E, E32, 1000))], tol),
-        _check("wide-certificate-endpoints", endpoint_res, tol),
-        _check("wide-certificate-concavity", [fd2], tol),
-    ]
+    return -cert(np.linspace(E, E32, 1000)), endpoint_res, fd2
 
 
-def mode_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("mode-certificate-positive", "mode-certificate-expansion",
+            "mode-certificate-n2-factored", "mode-certificate-monotone")
+def mode_certificate():
     """Positivity, expansion, n = 2 factorization and monotonicity of the
     per-mode certificate, from one table over n in [2, 50] x 40 radii."""
     ns = np.arange(2, 51)
@@ -542,15 +553,13 @@ def mode_certificate(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]
     diffs = np.diff(vals, axis=-1)
     factored = 4.0 * (R**2 - 1) * (R**8 - 5 * R**6 - 2 * R**4 + 6 * R**2 + 4)
     n2_rel = np.abs(vals[:, 0] - factored) / np.maximum(1.0, np.abs(factored))
-    return [
-        _check("mode-certificate-positive", [-vals], tol),
-        _check("mode-certificate-expansion", [expand_rel], tol),
-        _check("mode-certificate-n2-factored", [n2_rel], tol),
-        _check("mode-certificate-monotone", [-diffs, -np.diff(diffs, axis=-1)], tol),
-    ]
+    # increasing and convex: the first and second differences, side by side
+    return (-vals, expand_rel, n2_rel,
+            np.concatenate([-diffs, -np.diff(diffs, axis=-1)], axis=-1))
 
 
-def conformal_weights(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("gz-weight-positive", "gzbar-gate-samples")
+def conformal_weights():
     # 50 radii on [1, R] for each of 10 R, by 9 lambdas: R x lambda x rho
     Rs = np.linspace(1.05, E32, 10)
     rho = np.linspace(1.0, Rs, 50, axis=-1)
@@ -561,54 +570,44 @@ def conformal_weights(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult
         abs(bnd.gzbar_gate_margin(2.0, 0.0) - (3.0 - 4.0 * math.log(2.0))),
         -bnd.gzbar_gate_margin(1.5, 1.0),
     ]
-    return [
-        _check("gz-weight-positive", [weight_deficit], tol),
-        _check("gzbar-gate-samples", gate_res, tol),
-    ]
+    return weight_deficit, gate_res
 
 
-def bound_ordering(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+@_criterion("bound-ordering")
+def bound_ordering():
     violation = []
     for R in np.linspace(1.001, 20.0, 400).tolist():  # floats skip the number rule
         w, k, n = bnd.weitsman_bound(R), bnd.kalaj_bound(R), bnd.nitsche_bound(R)
         violation.append((w - k, k - n))
-    # one (400, 2) array: _check ravels each entry it is given, one call per entry
-    return [_check("bound-ordering", [np.array(violation)], tol)]
+    return (np.array(violation),)
 
 
-def conformal_refinement(plan: DrawPlan, tol: dict[str, float]) -> list[CheckResult]:
+def _conformal_draw(plan: DrawPlan) -> tuple:
+    """The conformal family of one integers(2**62) seed per trial, and each
+    draw's index."""
+    seeds = _seed_draws(_rng(plan, 9), plan.trials)
+    return random_conformal_perturbation(seeds), np.arange(plan.trials)
+
+
+@_criterion("probes-applicable", "injectivity-certified", "outer-radius-bound",
+            "area-bound", "mode-sum-bound", "unit-initial-speed", draw=_conformal_draw)
+def conformal_refinement(h, index):
     """Schottky's conformal refinement on A(1, 2).  `schottky_check` proves
     injectivity from the coefficients and runs the sampled injectivity
-    probe only on draws it cannot certify; the certified draws among the
-    first SPOT_CHECK_DRAWS are probed here as well, as a spot check of the
-    certificate, so every report carries sampled evidence whatever the
+    probe only on draws it cannot certify; the certified draws whose index
+    is below SPOT_CHECK_DRAWS are probed here as well, as a spot check of
+    the certificate, so every report carries sampled evidence whatever the
     chunk size."""
     R = 2.0
-    stack = random_conformal_perturbation(_seed_draws(_rng(plan, 9), plan.trials))
-    failed, radius_deficit, area_deficit, mode_deficit, speed_dev = [], [], [], [], []
-    certificate_gap = []
-    for rows, h in stack.chunks():
-        report = bnd.schottky_check(h, R)
-        ok = report.applicable & report.windings_ok & (report.jacobian_min > 0.0)
-        spot = ((report.injectivity_margin > 0.0)
-                & (np.arange(rows.start, rows.start + len(h)) < SPOT_CHECK_DRAWS))
-        if spot.any():
-            probe = injectivity_probe(h[spot], R)
-            ok[spot] &= probe.windings_ok & (probe.jacobian_min > 0.0)
-        failed.append(~ok)
-        certificate_gap.append(-report.injectivity_margin[report.applicable])
-        radius_deficit.append(-(report.mean_radius[ok] - R))
-        area_deficit.append(-(report.area[ok] - report.area_bound))
-        mode_deficit.append(-report.mode_sum_margin[ok])
-        speed_dev.append(np.abs(initial_speed(normalize_inner(h[ok])) - 1.0))
-    return [
-        _check("probes-applicable", failed, tol),
-        _check("injectivity-certified", certificate_gap, tol),
-        _check("outer-radius-bound", radius_deficit, tol),
-        _check("area-bound", area_deficit, tol),
-        _check("mode-sum-bound", mode_deficit, tol),
-        _check("unit-initial-speed", speed_dev, tol),
-    ]
+    report = bnd.schottky_check(h, R)
+    ok = report.applicable & report.windings_ok & (report.jacobian_min > 0.0)
+    spot = (report.injectivity_margin > 0.0) & (index < SPOT_CHECK_DRAWS)
+    if spot.any():
+        probe = injectivity_probe(h[spot], R)
+        ok[spot] &= probe.windings_ok & (probe.jacobian_min > 0.0)
+    return (~ok, -report.injectivity_margin[report.applicable],
+            -(report.mean_radius[ok] - R), -(report.area[ok] - report.area_bound),
+            -report.mode_sum_margin[ok], np.abs(initial_speed(normalize_inner(h[ok])) - 1.0))
 
 
 # ---------------------------------------------------------------------------

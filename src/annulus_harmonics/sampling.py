@@ -311,20 +311,19 @@ def _decode(bit_generator, trials: int, orders: tuple[int, int],
 
 
 def _draws(rng: np.random.Generator, trials: int, orders: tuple[int, int],
-           decay: float, *params: tuple):
-    """The draws of _draw_loop, as each chunk of the stack of their series
-    (random_series_stack with `decay`) with its rows of every parameter.
-    They are decoded from one raw block (_decode), with the bits and the
-    final generator state of the loop; where the decode cannot give them,
-    the generator is restored and the loop draws instead."""
+           decay: float, *params: tuple) -> tuple:
+    """The draws of _draw_loop: the stack of their series
+    (random_series_stack with `decay`), then one array per parameter, a row
+    per trial.  They are decoded from one raw block (_decode), with the
+    bits and the final generator state of the loop; where the decode cannot
+    give them, the generator is restored and the loop draws instead."""
     start = rng.bit_generator.state
     drawn = _decode(rng.bit_generator, trials, orders, params)
     if drawn is None:
         rng.bit_generator.state = start
         drawn = _draw_loop(rng, trials, orders, params)
     seeds, ns, arrays = drawn
-    for rows, h in random_series_stack(seeds, ns, decay).chunks():
-        yield (h, *(a[rows] for a in arrays))
+    return (random_series_stack(seeds, ns, decay), *arrays)
 
 
 def _coefficients(scales: np.ndarray, u: np.ndarray) -> np.ndarray:

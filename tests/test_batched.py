@@ -357,7 +357,7 @@ CASES = [
 
 
 @pytest.mark.parametrize("criterion, owner, name, spoil, failing", CASES,
-                         ids=[f"{c[0].__name__}-{c[2]}" for c in CASES])
+                         ids=[f"{c[0].evaluate.__name__}-{c[2]}" for c in CASES])
 def test_nan_in_one_draw_fails_the_batched_check(monkeypatch, criterion, owner, name,
                                                  spoil, failing):
     real = getattr(owner, name)

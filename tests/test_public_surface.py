@@ -7,10 +7,13 @@ import inspect
 import math
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import annulus_harmonics
+from annulus_harmonics.cli import main
 from annulus_harmonics.reports import CHECKS
+from test_cli import readme_command_lines
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -82,6 +85,54 @@ def test_every_exported_name_is_used_by_the_package_the_benchmark_or_the_readme(
         if not (in_package or word.search(elsewhere)):
             unused.append(name)
     assert unused == []
+
+
+# The exported callables that neither `verify all --seed 1 --trials 100` nor
+# a command line of the README enters.  Each is to gain a check or a command
+# that reaches it, or go; the set may only shrink.
+UNREACHED = {"UniquenessReport", "circular_mean", "conformal_injectivity_margin",
+             "dirichlet_energy", "evolution_lower_bound", "perturb_extremal",
+             "quadratic_mean_numeric", "uniqueness_probe", "variance_subsolution_min",
+             "winding_number"}
+
+
+def own_code(obj) -> set:
+    """The code objects a call of `obj` enters: a function's own, or those
+    of every function, method and property a class defines."""
+    if not inspect.isclass(obj):
+        return {inspect.unwrap(obj).__code__}
+    functions = [getattr(v, "__func__", getattr(v, "fget", v)) for v in vars(obj).values()]
+    return {inspect.unwrap(f).__code__ for f in functions if inspect.isfunction(inspect.unwrap(f))}
+
+
+def test_unreached_exports_are_the_known_ones(tmp_path, monkeypatch):
+    """Under sys.setprofile, `verify all --seed 1 --trials 100` and every
+    README command line (the sample line first, which writes the series the
+    others read) enter the code of every exported callable but UNREACHED.
+    The exception types have no code of their own: they are raised, not
+    called."""
+    exports = {name: getattr(annulus_harmonics, name) for name in annulus_harmonics.__all__}
+    callables = {name: own_code(obj) for name, obj in exports.items()
+                 if not (inspect.isclass(obj) and issubclass(obj, BaseException))}
+    assert all(callables.values())
+    lines = readme_command_lines()
+    argvs = [line for line in lines if line[0] == "sample"] + [
+        ["verify", "all", "--seed", "1", "--trials", "100"],
+        *(line for line in lines if line[0] != "sample")]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    monkeypatch.chdir(tmp_path)
+    sys.setprofile(profile)
+    try:
+        codes = [main(argv) for argv in argvs]
+    finally:
+        sys.setprofile(None)
+    assert codes == [0] * len(argvs)
+    assert {name for name, code in callables.items() if not code & entered} == UNREACHED
 
 
 def quick_tour() -> tuple[dict, dict]:

@@ -1,8 +1,10 @@
 """The one declaration of each check, reports.CHECKS, the one reduction of
-its residuals, reports._check, the report digest, the seed sweep and the
-draws of the randomized criteria: sampling._draws, its decode of one raw
-block and the per-trial loop it falls back to."""
+its residuals, reports._check, the report digest, the seed sweep, the draws
+of the randomized criteria (sampling._draws, its decode of one raw block
+and the per-trial loop it falls back to) and the one runner of every
+criterion, Criterion.__call__, with replay through its evaluate."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -17,7 +19,7 @@ from annulus_harmonics.reports import (
     CHECKS, DEFAULT_TOLERANCES, E, E32, CheckResult, DrawPlan, _check, digest, gate_ratio,
     run_suite, sweep)
 from annulus_harmonics.sampling import SamplerConfig
-from annulus_harmonics.series import SERIES_PER_CHUNK, SeriesStack
+from annulus_harmonics.series import SERIES_PER_CHUNK
 from test_sampling import draw_config
 
 
@@ -247,9 +249,10 @@ CRITERIA_LOOPS = pytest.mark.parametrize("criterion, k, loop", [
 
 
 def assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials):
-    """Run `criterion` and assert that it sees, chunk by chunk, the configs
-    and the parameter bytes of its per-trial loop."""
-    configs, chunks = [], []
+    """Run `criterion` and assert that _draws gives it the configs and the
+    parameter bytes of its per-trial loop, and that the runner hands its
+    evaluate consecutive SERIES_PER_CHUNK slices of them."""
+    configs, drawn, chunks = [], [], []
     stack, draws = sampling.random_series_stack, reports._draws
 
     def recording_stack(seeds, orders, decay):
@@ -257,31 +260,38 @@ def assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials):
         return stack(seeds, orders, decay)
 
     def recording_draws(*args):
-        for chunk in draws(*args):
-            chunks.append(chunk[1:])
-            yield chunk
+        drawn.append(draws(*args))
+        return drawn[-1]
+
+    def recording_evaluate(h, *rows):
+        chunks.append((h, rows))
+        return criterion.evaluate(h, *rows)
 
     monkeypatch.setattr(sampling, "random_series_stack", recording_stack)
     monkeypatch.setattr(reports, "_draws", recording_draws)
     seed = 3
-    criterion(DrawPlan(seed, trials), reports.DEFAULT_TOLERANCES)
+    criterion._replace(evaluate=recording_evaluate)(DrawPlan(seed, trials),
+                                                    reports.DEFAULT_TOLERANCES)
 
     want_configs, want_params = loop(np.random.default_rng((seed, k)), trials)
     assert configs == want_configs
+    [(whole, *params)] = drawn
+    assert raw_bytes(params) == raw_bytes(want_params)
     starts = range(0, len(want_configs), SERIES_PER_CHUNK)
     assert len(chunks) == len(starts)
-    for lo, got in zip(starts, chunks):
-        want = [p[lo:lo + SERIES_PER_CHUNK] for p in want_params]
-        assert [(g.dtype, g.shape, g.tobytes()) for g in got] == \
-            [(w.dtype, w.shape, w.tobytes()) for w in want]
+    for lo, (h, rows) in zip(starts, chunks):
+        part = slice(lo, lo + SERIES_PER_CHUNK)
+        assert raw_bytes([h.a, h.b, h.a0, h.b0]) == raw_bytes(
+            [whole.a[part], whole.b[part], whole.a0[part], whole.b0[part]])
+        assert raw_bytes(rows) == raw_bytes([p[part] for p in params])
 
 
 @pytest.mark.parametrize("trials", [1, 17, 100])
 @CRITERIA_LOOPS
 def test_draws_keep_the_per_trial_order(monkeypatch, criterion, k, loop, trials):
-    """A criterion run through _draws sees, chunk by chunk, the configs and
-    the parameter bytes of its per-trial loop: the config first, then each
-    parameter.  Fresh draws in another order would still meet the
+    """A criterion's _draws gives the configs and the parameter bytes of its
+    per-trial loop, the config first, then each parameter, and its evaluate
+    sees them chunk by chunk.  Fresh draws in another order would still meet the
     tolerances, so only this comparison shows a change of order."""
     assert_draws_of_the_loop(monkeypatch, criterion, k, loop, trials)
 
@@ -326,12 +336,12 @@ def raw_bytes(arrays):
 @pytest.fixture(scope="module")
 def draw_specs():
     """(orders, decay, params) of every _draws call of the suites, recorded
-    from one run of all of them in which _draws draws nothing."""
-    specs = []
+    from one run of all of them."""
+    specs, draws = [], reports._draws
 
     def record(rng, trials, orders, decay, *params):
         specs.append((orders, decay, params))
-        return iter(())
+        return draws(rng, trials, orders, decay, *params)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(reports, "_draws", record)
@@ -364,7 +374,7 @@ def test_conformal_seeds_have_the_bits_of_the_per_trial_loop(monkeypatch, trials
     trial, are integers(2**62) per trial, and leave the generator where
     the loop leaves it."""
     generators, drawn = [], []
-    rng_of = reports._rng
+    rng_of, family = reports._rng, reports.random_conformal_perturbation
 
     def recording_rng(plan, k):
         generators.append((k, rng_of(plan, k)))
@@ -372,7 +382,7 @@ def test_conformal_seeds_have_the_bits_of_the_per_trial_loop(monkeypatch, trials
 
     def recording_family(seeds):
         drawn.append(seeds)
-        return SeriesStack.of([])
+        return family(seeds)
 
     monkeypatch.setattr(reports, "_rng", recording_rng)
     monkeypatch.setattr(reports, "random_conformal_perturbation", recording_family)
@@ -434,9 +444,85 @@ def test_draws_the_decode_cannot_give_come_from_the_loop(monkeypatch, prepare):
         return stack(seeds, orders, decay)
 
     monkeypatch.setattr(sampling, "random_series_stack", recording_stack)
-    chunks = list(sampling._draws(rng, *args))
+    _, *got = sampling._draws(rng, *args)
     configs, arrays = per_trial_loop(looped, 17, (4, 16), 0.2, args[3:])
     assert seen == configs
-    for i, p in enumerate(arrays):
-        assert raw_bytes([np.concatenate([c[1 + i] for c in chunks])]) == raw_bytes([p])
+    assert raw_bytes(got) == raw_bytes(arrays)
     assert rng.bit_generator.state == looped.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The one runner, Criterion.__call__, and replay through evaluate.
+# ---------------------------------------------------------------------------
+
+RANDOMIZED = [reports.circle_identities, reports.divergence_form, reports.variance_subsolution,
+              reports.equality_family, reports.endpoint_identity, reports.mode_form,
+              reports.variance_lower_bound, reports.inner_circle_identity,
+              reports.conformal_refinement]
+
+# The checks whose member replay agrees with the chunk only to within
+# rounding, and the largest difference seen on seeds 0-19 at 100 trials.  A
+# one-row stack takes another summation order than the chunk: mode-chain in
+# _mode_chain's matvec (its sum of n^2 c_n differed at 1,196 of 2,000
+# members, its residual at 168, by 2**-56 at most); mode-form somewhere on
+# the one-member path of its K (3 of 480 members, by 2**-52 at most), not in
+# the chunk's padded radial rule: in a stack of two, with any other member
+# of its chunk, each of those 3 gave its chunk residual bit for bit.
+ROUNDED = {"mode-chain": 2.0**-56, "mode-form": 2.0**-52}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("criterion", RANDOMIZED, ids=lambda c: c.evaluate.__name__)
+def test_evaluate_replays_the_entries_the_runner_reduced(monkeypatch, criterion, seed):
+    """Each check's entries, as the runner handed them to _check, come back
+    bit for bit from evaluate on the same chunk of the draw; and each
+    member evaluated alone, as stack[i:i+1] with its parameter rows, gives
+    its part of them (conformal_refinement's masked entries one or none per
+    member): bit for bit, but within ROUNDED for the checks named there."""
+    reduced, check = {}, reports._check
+
+    def record(name, residuals, tol):
+        reduced[name] = residuals
+        return check(name, residuals, tol)
+
+    monkeypatch.setattr(reports, "_check", record)
+    plan = DrawPlan(seed, 100)
+    criterion(plan, DEFAULT_TOLERANCES)
+    stack, *params = criterion.draw(plan)
+    chunks = list(stack.chunks())
+    assert list(reduced) == list(criterion.checks)
+    assert all(len(entries) == len(chunks) for entries in reduced.values())
+    for c, (rows, h) in enumerate(chunks):
+        param_rows = [p[rows] for p in params]
+        members = [criterion.evaluate(h[i:i + 1], *(p[i:i + 1] for p in param_rows))
+                   for i in range(len(h))]
+        entries = criterion.evaluate(h, *param_rows)
+        for name, entry, alone in zip(criterion.checks, entries, zip(*members), strict=True):
+            assert raw_bytes([entry]) == raw_bytes([reduced[name][c]]), name
+            alone = np.concatenate(alone)
+            if name in ROUNDED:
+                assert alone.shape == entry.shape, name
+                assert np.max(np.abs(alone - entry)) <= ROUNDED[name], name
+            else:
+                assert raw_bytes([alone]) == raw_bytes([entry]), name
+
+
+def test_only_the_runner_reduces_and_chunks():
+    """In reports.py only Criterion.__call__ calls _check and .chunks(), so
+    every criterion, a new one too, runs on the one runner."""
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                if isinstance(f, ast.Name) and f.id == "_check":
+                    callers.append((where, "_check"))
+                elif isinstance(f, ast.Attribute) and f.attr == "chunks":
+                    callers.append((where, ".chunks"))
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{where}.{child.name}".lstrip(".") if inner else where)
+
+    visit(ast.parse(Path(reports.__file__).read_text()), "")
+    assert sorted(callers) == [("Criterion.__call__", ".chunks"),
+                               ("Criterion.__call__", "_check")]
