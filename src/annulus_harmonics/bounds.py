@@ -262,10 +262,8 @@ def mode_quadratic_form_residual(h, n, R):
     the members are integrated together and the result holds one residual
     per member.
     """
-    n = _require_int(n, "mode index n", 1, many=isinstance(h, SeriesStack))
-    R = require_outer(R)
-    if isinstance(h, SeriesStack):
-        _per_member(R, len(h), "R")
+    n = _require_int(n, "mode index n", 1, many=bool(h.members))
+    R = _per_member(require_outer(R), h.members, "R")
     a_n, b_n = h.coeff(n)
     lhs = k_functional(quadratic_mean_mode(h, n), 1.0, R)
     lhs -= (R**2 - 1.0) * (n - 1.0) * abs(a_n + b_n) ** 2
@@ -287,9 +285,7 @@ def variance_k_bound(h, R):
     """
     if not _within(R, math.e, math.inf):
         raise ParameterDomainError(f"the variance estimate requires e < R < inf, got {_shown(R)}")
-    R = require_outer(R)  # one number as given, several as one array
-    if isinstance(h, SeriesStack):
-        _per_member(R, len(h), "R")
+    R = _per_member(require_outer(R), h.members, "R")  # several as one array
     return _in_float_range(
         "the variance estimate at R", R,
         lambda h, R: (k_functional(variance_profile(h), 1.0, R),

@@ -81,8 +81,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateSeriesError, ParameterDomainError
-from .series import (HarmonicSeries, SeriesStack, _blocks, _in_float_range, _is_scalar,
-                     _per_member, _require_int, _shown, _within, require_outer,
+from .series import (HarmonicSeries, SeriesStack, _all_ints, _blocks, _in_float_range,
+                     _is_scalar, _per_member, _require_int, _shown, _within, require_outer,
                      require_radii)
 
 CLASS_TOL = 1e-12
@@ -97,8 +97,9 @@ class RadialProfile:
     is the largest |e| of the powers rho^e in the profile's table (2N for
     U and V, 2|n| for U_n, an array for a stack with one mode per member),
     which sizes the radial rule of k_functional: a finite number >= 0 or an
-    array of them.  The profiles of this module refuse the radii that
-    require_radii refuses.
+    array of them.  `members` is its series' member shape, () or (B,) (see
+    the series module); it has no default, so dataclasses.replace keeps it.
+    The profiles of this module refuse the radii that require_radii refuses.
     """
 
     label: str
@@ -106,12 +107,15 @@ class RadialProfile:
     deriv1: Callable[[np.ndarray | float], np.ndarray | float]
     deriv2: Callable[[np.ndarray | float], np.ndarray | float]
     degree: int | np.ndarray = field(compare=False)
+    members: tuple = field(compare=False)
     _jet: Callable[..., np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _within(self.degree, 0.0, math.inf, lo_closed=True):
             raise ParameterDomainError(
                 f"degree must be a finite number >= 0, got {_shown(self.degree)}")
+        if type(self.members) is not tuple or len(self.members) > 1 or not _all_ints(self.members):
+            raise ParameterDomainError(f"members must be () or (B,), got {_shown(self.members)}")
 
     def jet(self, rho):
         """(value, deriv1, deriv2) at rho: three Python floats for a series at
@@ -262,7 +266,7 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         checked (a float inside the interval needs no check) and ruled outside it."""
         if not isinstance(rho, float):
             if check:
-                r = np.ravel(require_radii(rho, len(weights) if weights.ndim == 3 else None))
+                r = np.ravel(require_radii(rho, h.members))
                 if r.size and not inside(r.min(), r.max()):
                     return _in_float_range(f"{label}'s jet at rho", rho, table, rho)
             return table(rho)
@@ -299,7 +303,7 @@ def _sum_profile(h: HarmonicSeries, label: str, include_zero: bool,
         return at
 
     return RadialProfile(label=label, value=column(0), deriv1=column(1),
-                         deriv2=column(2), degree=degree, _jet=jet)
+                         deriv2=column(2), degree=degree, members=h.members, _jet=jet)
 
 
 def quadratic_mean_mode(h, n) -> RadialProfile:
@@ -310,9 +314,9 @@ def quadratic_mean_mode(h, n) -> RadialProfile:
     one nonzero mode per member (or one for all), and the profile is that
     of member i's mode n[i].
     """
-    _require_int(n, "a mode number", -math.inf, many=isinstance(h, SeriesStack))
-    if isinstance(h, SeriesStack):
-        n = np.broadcast_to(_per_member(n, len(h), "a mode number"), (len(h),))
+    _require_int(n, "a mode number", -math.inf, many=bool(h.members))
+    if h.members:
+        n = np.broadcast_to(_per_member(n, h.members, "a mode number"), h.members)
     elif n == 0:  # the profile of the series' zero mode alone
         return _sum_profile(HarmonicSeries(N=0, a0=h.a0, b0=h.b0), "U_0",
                             include_zero=True)
@@ -364,7 +368,7 @@ def variance_deriv2_termwise(h, rho) -> np.ndarray | float:
     generic profile derivative.  `h` may be a stack, with rho as for jet.
     Raises NumericOverflowError if a value is not finite.
     """
-    r = np.asarray(require_radii(rho), dtype=np.float64)
+    r = np.asarray(require_radii(rho, h.members), dtype=np.float64)
     ns = h.mode_numbers.astype(np.float64)
 
     def termwise():
@@ -407,9 +411,7 @@ def mean_outer_radius(h, R):
     """Mean radius sqrt(U(R)) of the image of the outer circle; for a stack,
     one per member (R a scalar or one per member).  Raises
     NumericOverflowError if a mean radius is not finite."""
-    R = np.asarray(require_outer(R), dtype=np.float64)
-    if isinstance(h, SeriesStack):
-        _per_member(R, len(h), "R")
+    R = np.asarray(_per_member(require_outer(R), h.members, "R"), dtype=np.float64)
     out = _in_float_range(
         "the mean radius sqrt(U(R)) at R", R,
         lambda: np.sqrt(quadratic_mean_profile(h).value(R[..., None] if R.ndim else R)))

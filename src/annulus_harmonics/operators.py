@@ -39,12 +39,13 @@ One rule, _denominator, pairs a radius rho with a lambda: it returns
 rho^2 + lam, and refuses a rho outside require_radii (a stack's 2-d radii
 need one row per member), shapes that do not pair, a stack's per-member
 lambda of another length and rho^2 + lam <= 0.  rho and lam of the
-identities and of a series' profile broadcast; on a stack's profile lam
-is one value or one per member, (B,) or (B, 1), paired with the member
-axis at one radius, (m,) and (B, m) radii alike.  With the overflow rule
-(series._in_float_range), through which L_lam, its divergence form, a
-stack's identities and K return, reading U's jet unchecked, it leaves
-_on_jet, _identity_pair and _endpoint_form arithmetic only (sympy too).
+identities and of a series' profile broadcast; on a stack's profile
+(P.members = (B,)) lam is one value or one per member, (B,) or (B, 1),
+paired with the member axis at one radius, (m,) and (B, m) radii alike.
+With the overflow rule (series._in_float_range), through which L_lam,
+its divergence form, a stack's identities and K return, reading U's jet
+unchecked, it leaves _on_jet, _identity_pair and _endpoint_form
+arithmetic only (sympy too).
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class LambdaOperator:
         at one radius, (m,) or (B, m) radii.  Other shapes and rho^2 + lam
         <= 0 raise ParameterDomainError, a value not finite NumericOverflowError."""
         return _in_float_range("L_lam of the profile at rho", rho,
-                               self._on, rho, _members(P), lambda r: _unchecked_jet(P, r))
+                               self._on, rho, P.members, lambda r: _unchecked_jet(P, r))
 
     def apply_jet(self, rho, value, d1, d2):
         """L_lam from a profile's jet (value, d1, d2), already evaluated at
@@ -141,7 +142,7 @@ class LambdaOperator:
         x, lam, den = _denominator(
             np.concatenate([c + sign * h for h in steps for c in (r + h, r - h)
                             for sign in (1.0, -1.0)] + [r], axis=-1),
-            self.lam[..., None] if np.ndim(self.lam) else self.lam, _members(P))
+            self.lam[..., None] if np.ndim(self.lam) else self.lam, P.members)
         value, d1, d2 = _unchecked_jet(P, x)
         scaled, den = value[..., :-1] / den[..., :-1], den[..., -1:]
 
@@ -160,18 +161,18 @@ class LambdaOperator:
 def _denominator(rho, lam, members):
     """(rho, lam, rho^2 + lam) as they pair by the rule of the module
     docstring, a stack's per-member lam reshaped (B,) at one radius, else
-    (B, 1).  members is a profile's member shape (_members), or None for the
-    identities, whose two Python floats stay Python floats (identity_residuals,
-    on circle-dense's hot path); any other rho comes back as a float64 array."""
+    (B, 1).  members is a profile's member shape (RadialProfile.members), or
+    None for the identities, whose two Python floats stay Python floats
+    (identity_residuals, on circle-dense's hot path); any other rho comes
+    back as a float64 array."""
     if members is None and type(rho) is float and type(lam) is float:
         den = require_radii(rho) ** 2 + lam
     else:
-        rho = np.asarray(require_radii(rho, members[0] if members else None),
-                         dtype=np.float64)
+        rho = np.asarray(require_radii(rho, members), dtype=np.float64)
         lead = members + (1,) * min(rho.ndim, 1) if members else ()
         if lead and np.ndim(lam):  # one lambda per member of a stack
             one_each = lam[..., 0] if np.shape(lam) == members + (1,) else lam
-            lam = _per_member(one_each, members[0], "lambda").reshape(lead)
+            lam = _per_member(one_each, members, "lambda").reshape(lead)
         try:
             np.broadcast_shapes(rho.shape, lead)  # a stack's radii pair with its members
             den = rho**2 + lam
@@ -183,23 +184,10 @@ def _denominator(rho, lam, members):
     return rho, lam, den
 
 
-def _members(P: RadialProfile) -> tuple:
-    """The member shape of P's jet: (B,) for a stack's profile, () for a series'."""
-    return np.shape(P.jet(1.0)[0])
-
-
 def _unchecked_jet(P: RadialProfile, r: np.ndarray) -> tuple:
     """P's jet at radii r checked by its caller, which reads it in its rule."""
     t = P._jet(r, False)
     return t[..., 0], t[..., 1], t[..., 2]
-
-
-def _one_per_member(P: RadialProfile, *named) -> None:
-    """ParameterDomainError unless each argument x of the pairs (x, name)
-    is one value or, if P is the profile of a stack, one per member."""
-    if any(np.ndim(x) for x, _ in named) and (members := _members(P)):
-        for x, name in named:
-            _per_member(x, *members, name)
 
 
 def _on_jet(lam, r, den, value, d1, d2):
@@ -286,8 +274,8 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
     (B, c, L) lambdas.  Returns (gradient, angular) residuals, each of
     shape (B, c, L).  Each circle's radius pairs with its L lambdas; other
     shapes raise ParameterDomainError, a residual not finite NumericOverflowError."""
-    rho, lam = np.asarray(require_radii(rho), dtype=np.float64), require_lambda(lam)
-    if rho.shape[:1] != (len(h),) or np.ndim(lam) != 3 or np.shape(lam)[:2] != rho.shape:
+    rho, lam = np.asarray(require_radii(rho, h.members), dtype=np.float64), require_lambda(lam)
+    if rho.shape[:1] != h.members or np.ndim(lam) != 3 or np.shape(lam)[:2] != rho.shape:
         raise ParameterDomainError(f"a stack of {len(h)} takes (B, c) radii and (B, c, L) "
                                    f"lambdas, got {rho.shape} and {np.shape(lam)}")
     angles = circle_angles(angular_count(2 * h.N))
@@ -352,7 +340,8 @@ def k_functional(P: RadialProfile, lam, R):
     lam_col, R_col = lam, R
     if not (_is_scalar(lam) and _is_scalar(R)):
         # one integrand per member, on radii of shape (members, nodes)
-        _one_per_member(P, (lam, "lambda"), (R, "R"))
+        _per_member(lam, P.members, "lambda")
+        _per_member(R, P.members, "R")
         lam_col, R_col = (x[..., None] if np.ndim(x) else x for x in (lam, R))
 
     def integrand(r: np.ndarray) -> np.ndarray:
@@ -378,7 +367,8 @@ def k_endpoint(h, lam, R):
     finite."""
     lam, R = require_lambda(lam), require_outer(R)
     U = h if isinstance(h, RadialProfile) else quadratic_mean_profile(h)
-    _one_per_member(U, (lam, "lambda"), (R, "R"))
+    _per_member(lam, U.members, "lambda")
+    _per_member(R, U.members, "R")
     u_R = U.value(R) if _is_scalar(R) else U.value(R[..., None])[..., 0]
     return _in_float_range("K_lam of the quadratic mean at R", R,
                            _endpoint_form, lam, R, u_R, *U.jet(1.0)[:2])

@@ -270,7 +270,7 @@ def winding_counts(h, rhos: np.ndarray) -> tuple:
             keep.append(circles[~proved & np.all(slack > 0.0, axis=-1)])
         pending = np.concatenate(keep)
         M *= 2
-    shape = (len(stack), radii) if isinstance(h, SeriesStack) else (radii,)
+    shape = h.members + (radii,)
     return finite.reshape(shape), min_mod.reshape(shape), counts.reshape(shape)
 
 

@@ -496,10 +496,9 @@ def injectivity_probe(h, R: float) -> InjectivityProbe:
     number with 1 < R < inf.
     """
     R = require_outer(_scalar(R, "R"))
-    members = len(h) if isinstance(h, SeriesStack) else 1
     rhos = np.linspace(1.0, R, PROBE_RADII + 2)[1:-1]
     jac_min = []
-    for block in _blocks(rhos.size, members * PROBE_ANGLES, REQUEST_POINTS):
+    for block in _blocks(rhos.size, math.prod(h.members) * PROBE_ANGLES, REQUEST_POINTS):
         jac = _in_float_range("the Jacobian on A(1, R) at R", R, _block_jacobian, h, rhos[block])
         jac_min.append(jac.min(axis=(-2, -1)))
         del jac  # the next block needs the room

@@ -33,12 +33,14 @@ buffer.  No other angles are evaluated.
 The kernel, like the closed-form profiles of the means module, also takes a
 SeriesStack: B series zero-padded to one order N, with a and b of shape
 (B, 2N) and a0, b0 of shape (B,).  A HarmonicSeries is the stack of one
-with no member axis, so both run the same code.  For a stack the radii are
-a scalar (every member on one circle), shape (m,) (every member on the
-same m circles) or shape (B, m) (m circles per member); the fields then
-lead with the member axis.  Batched callers evaluate a stack in chunks of
-SERIES_PER_CHUNK members, which bounds the field arrays and the radial
-power tables of one evaluation.
+with no member axis, so both run the same code.  Each has its member shape
+as `.members`, () or (B,), which every check of a per-member argument or
+of a stack's radius rows reads (_per_member, require_radii).  For a stack
+the radii are a scalar (every member on one circle), shape (m,) (every
+member on the same m circles) or shape (B, m) (m circles per member); the
+fields then lead with the member axis.  Batched callers evaluate a stack
+in chunks of SERIES_PER_CHUNK members, which bounds the field arrays and
+the radial power tables of one evaluation.
 
 Each input kind has one rule here (see _require_int), and so has each
 result kind: _result returns a numpy scalar or 0-d array as the Python
@@ -130,6 +132,7 @@ class HarmonicSeries:
     b: np.ndarray = field(default=None)  # type: ignore[assignment]
     a0: complex = 0j
     b0: complex = 0j
+    members = ()  # the member shape (module docstring)
 
     def __post_init__(self) -> None:
         _require_int(self.N, "truncation order N")
@@ -253,6 +256,10 @@ class SeriesStack:
         """Nonzero mode indices in the fixed order 1..N, -1..-N."""
         return _kernel_order(self.N)[1:]
 
+    @property
+    def members(self) -> tuple[int]:  # the member shape (module docstring)
+        return self.a0.shape
+
     def __len__(self) -> int:
         return self.a0.shape[0]
 
@@ -267,7 +274,7 @@ class SeriesStack:
         """(a_n, b_n) of every member, for one nonzero mode n with |n| <= N
         per member (an int, or an array of B ints)."""
         n = _require_int(n, "a mode number", -math.inf, many=True)
-        n = np.broadcast_to(_per_member(n, len(self), "a mode number"), (len(self),))
+        n = np.broadcast_to(_per_member(n, self.members, "a mode number"), self.members)
         if ((n == 0) | (np.abs(n) > self.N)).any():
             raise IndexError(f"modes {n} not all stored for a stack with N={self.N}")
         i = np.where(n > 0, n - 1, self.N - n - 1)
@@ -329,11 +336,12 @@ def _require_int(x, name: str, lowest: float = 0, highest: int | None = None,
     return x
 
 
-def _per_member(x, members: int, name: str):
-    """x as given; ParameterDomainError unless x is one value or one per
-    member of a stack of `members`."""
-    if np.ndim(x) and np.shape(x) != (members,):
-        raise ParameterDomainError(f"{name} must be one value or {members}, got {np.shape(x)}")
+def _per_member(x, members: tuple, name: str):
+    """x as given; ParameterDomainError unless x is one value or, for the
+    member shape (B,) of a stack or its profile (their `.members`), one per
+    member.  A series' shape () takes any x."""
+    if members and np.ndim(x) and np.shape(x) != members:
+        raise ParameterDomainError(f"{name} must be one value or {members[0]}, got {np.shape(x)}")
     return x
 
 
@@ -506,14 +514,15 @@ def require_lambda(lam):
     return lam if isinstance(lam, float) else _accepted(lam)
 
 
-def require_radii(rho, members: int | None = None):
+def require_radii(rho, members: tuple = ()):
     """rho (see _accepted) if positive and finite, for one number or every
-    entry of several, and for a stack of `members` one radius, (m,) or
-    (members, m), one row each; else ParameterDomainError."""
+    entry of several, and for the member shape (B,) of a stack or its
+    profile (their `.members`) one radius, (m,) or (B, m), one row each;
+    else ParameterDomainError."""
     if not (0.0 < rho < math.inf if isinstance(rho, float) else _within(rho, 0.0, math.inf)):
         raise ParameterDomainError(f"rho must be positive and finite, got {_shown(rho)}")
-    if members is not None and np.ndim(rho) > 1 and np.shape(rho)[:-1] != (members,):
-        raise ParameterDomainError(f"a stack's radii need {members} rows, got {np.shape(rho)}")
+    if members and np.ndim(rho) > 1 and np.shape(rho)[:-1] != members:
+        raise ParameterDomainError(f"a stack's radii need {members[0]} rows, got {np.shape(rho)}")
     return rho if isinstance(rho, float) else _accepted(rho)
 
 
@@ -581,7 +590,7 @@ def _coeffs_at(h, r: np.ndarray):
     """a, b, a0, b0 of a series or stack, shaped to broadcast against the
     radii r (see the module docstring): a stack's members get an axis for
     the radii unless r is a scalar."""
-    if h.a.ndim == 1 or r.ndim == 0:
+    if not h.members or r.ndim == 0:
         return h.a, h.b, h.a0, h.b0
     return h.a[:, None, :], h.b[:, None, :], h.a0[:, None], h.b0[:, None]
 
@@ -685,7 +694,7 @@ def circle_grid_fields(h, rhos, M: int,
     SeriesStack the member axis comes first (see the module docstring).
     Only the named `fields` are computed; the others are None.
     """
-    rhos = np.asarray(require_radii(rhos, len(h.a) if h.a.ndim > 1 else None), dtype=np.float64)
+    rhos = np.asarray(require_radii(rhos, h.members), dtype=np.float64)
     _require_int(M, "angle count M", 1)
     rows = [_FIELD_ROWS.index(name) for name in fields]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -720,10 +729,8 @@ def extremal_map(lam: float) -> HarmonicSeries:
 def scale_rotate(h, alpha):
     """Multiply every coefficient by alpha (h -> alpha * h); for a stack,
     alpha may hold one factor per member.  alpha is read by _coeff_array,
-    and for a stack by _per_member."""
-    alpha = _coeff_array(alpha, None, "alpha")
-    if isinstance(h, SeriesStack):
-        _per_member(alpha, len(h), "alpha")
+    and by _per_member."""
+    alpha = _per_member(_coeff_array(alpha, None, "alpha"), h.members, "alpha")
     return type(h)(N=h.N, a=h.a * alpha[..., None], b=h.b * alpha[..., None],
                    a0=h.a0 * alpha, b0=h.b0 * alpha)
 

@@ -714,6 +714,14 @@ def readme_command_lines() -> list[list[str]]:
 README_LINES = readme_command_lines()
 
 
+def test_readme_command_lines_run_top_to_bottom(tmp_path, monkeypatch, capsys):
+    """The README's command lines, run in the order written in one fresh
+    directory, each exit 0: a line that reads a file comes after the line
+    that writes it."""
+    monkeypatch.chdir(tmp_path)
+    assert [main(argv) for argv in README_LINES] == [0] * len(README_LINES)
+
+
 @pytest.mark.parametrize("argv", README_LINES, ids=" ".join)
 def test_readme_command_line_exits_0(tmp_path, monkeypatch, argv):
     """Each command line of the README exits 0 in a fresh directory, after

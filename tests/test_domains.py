@@ -68,6 +68,8 @@ from annulus_harmonics.bounds import (
 )
 from annulus_harmonics.means import variance_deriv2_termwise
 from annulus_harmonics.operators import (
+    _denominator,
+    _on_jet,
     identity_residuals,
     identity_residuals_stack,
     lambda_from_speed,
@@ -367,6 +369,81 @@ def test_out_of_domain_argument_is_rejected(call):
         call()
 
 
+# Every stack entry point that takes a per-member argument or radii with a
+# row per member, given one of three for the two members of PAIR: one rule
+# (series._per_member, series.require_radii, with the stack's or its
+# profile's .members) refuses each, in its own words.
+ONE_OR_B = "must be one value or 2, got \\(3,"
+B_ROWS = "a stack's radii need 2 rows, got \\(3,"
+THREE = np.array([2.0, 3.0, 4.0])
+THREE_ROWS = np.full((3, 1), 2.0)
+MISFITS = {
+    "SeriesStack.coeff-n": (lambda: PAIR.coeff([1, 2, 3]), ONE_OR_B),
+    "quadratic_mean_mode-n": (lambda: quadratic_mean_mode(PAIR, [1, 2, 3]), ONE_OR_B),
+    "mode_quadratic_form_residual-n":
+        (lambda: mode_quadratic_form_residual(PAIR, [1, 2, 3], 2.0), ONE_OR_B),
+    "mode_quadratic_form_residual-R":
+        (lambda: mode_quadratic_form_residual(PAIR, 2, THREE), ONE_OR_B),
+    "mean_outer_radius-R": (lambda: mean_outer_radius(PAIR, THREE), ONE_OR_B),
+    "variance_k_bound-R": (lambda: variance_k_bound(PAIR, THREE + 1.0), ONE_OR_B),
+    "scale_rotate-alpha": (lambda: scale_rotate(PAIR, [1, 2, 3]), ONE_OR_B),
+    "k_functional-lambda":
+        (lambda: k_functional(quadratic_mean_profile(PAIR), THREE / 8.0, 2.0), ONE_OR_B),
+    "k_functional-R": (lambda: k_functional(quadratic_mean_profile(PAIR), 0.5, THREE), ONE_OR_B),
+    "k_quadrature-R": (lambda: k_quadrature(PAIR, 0.5, THREE), ONE_OR_B),
+    "k_endpoint-lambda": (lambda: k_endpoint(PAIR, THREE / 8.0, 2.0), ONE_OR_B),
+    "k_endpoint-R": (lambda: k_endpoint(quadratic_mean_profile(PAIR), 0.5, THREE), ONE_OR_B),
+    "LambdaOperator.apply-lambda": (lambda: LambdaOperator(THREE / 8.0).apply(
+        quadratic_mean_profile(PAIR), 1.5), ONE_OR_B),
+    "LambdaOperator.apply-lambda-column": (lambda: LambdaOperator(THREE[:, None] / 8.0).apply(
+        quadratic_mean_profile(PAIR), np.array([1.5, 2.0])), ONE_OR_B),
+    "divergence_form_residual-lambda": (lambda: LambdaOperator(THREE / 8.0)
+                                        .divergence_form_residual(quadratic_mean_profile(PAIR),
+                                                                  1.5), ONE_OR_B),
+    "circle_grid_fields-rho": (lambda: circle_grid_fields(PAIR, THREE_ROWS, 8), B_ROWS),
+    "RadialProfile.jet-rho": (lambda: quadratic_mean_profile(PAIR).jet(THREE_ROWS), B_ROWS),
+    "RadialProfile.value-rho": (lambda: variance_profile(PAIR).value(THREE_ROWS), B_ROWS),
+    "variance_deriv2_termwise-rho":
+        (lambda: variance_deriv2_termwise(PAIR, THREE_ROWS), B_ROWS),
+    "LambdaOperator.apply-rho":
+        (lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), THREE_ROWS), B_ROWS),
+    "divergence_form_residual-rho": (lambda: LambdaOperator(0.5).divergence_form_residual(
+        quadratic_mean_profile(PAIR), THREE), B_ROWS),
+    "identity_residuals_stack-rho":
+        (lambda: identity_residuals_stack(PAIR, np.full((3, 1, 2), 0.5), THREE_ROWS), B_ROWS),
+}
+
+
+@pytest.mark.parametrize("call, message", MISFITS.values(), ids=MISFITS.keys())
+def test_a_misfit_per_member_argument_gets_one_refusal(call, message):
+    """Before they read the rule, a stack's variance_deriv2_termwise raised
+    numpy's broadcast ValueError on three rows of radii, and
+    identity_residuals_stack refused them in words of its own."""
+    with pytest.raises(ParameterDomainError, match=message):
+        call()
+
+
+def member_shape(node) -> str | None:
+    """The member argument of a call of _per_member, or of require_radii
+    with one, as source text; None for any other node."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("_per_member", "require_radii")):
+        return None
+    shape = node.args[1:2] or [k.value for k in node.keywords if k.arg == "members"]
+    return ast.unparse(shape[0]) if shape else None
+
+
+def test_every_member_check_reads_members():
+    """Under src/, every call of _per_member, and of require_radii with a
+    member argument, passes a `.members` attribute (a series', a stack's
+    or a profile's), or in operators._denominator its own `members`
+    parameter: no function works a member count out of a shape or a type."""
+    assert found_in_src(lambda node: member_shape(node) == "members") == [
+        "operators._denominator", "operators._denominator"]
+    assert found_in_src(lambda node: member_shape(node) not in (None, "members")
+                        and not member_shape(node).endswith(".members")) == []
+
+
 # several numbers as a list compute as the same numbers in an array (each
 # call raised TypeError from the arithmetic on the list before)
 SEVERAL = {
@@ -472,6 +549,29 @@ def test_an_overflow_of_L_lam_names_the_callers_radius(call, what):
     radius passed, not the jet's (the divergence form's nine-point stencil)."""
     with pytest.raises(NumericOverflowError, match=rf"^{what} at rho=1e\+200 is not finite$"):
         call()
+
+
+# U(1) = 3e307 + 1.69e308 leaves the float range; U(0.5) = 1.765e308 does not
+BRINK = HarmonicSeries.from_coeffs(a={1: math.sqrt(3e307)}, b0=1.3e154)
+
+
+def test_L_lam_reads_the_profile_only_at_the_callers_radius():
+    """L_lam at rho = 0.5 is finite, and the divergence form's overflow
+    names 0.5: neither evaluates the profile at rho = 1 to learn how many
+    members it has (each raised "U's jet at rho=1.0 is not finite" before
+    the profile carried its .members)."""
+    U_brink = quadratic_mean_profile(BRINK)
+    with pytest.raises(NumericOverflowError, match=r"at rho=1\.0 is not finite"):
+        U_brink.jet(1.0)
+    rho, lam, den = _denominator(0.5, 1e-9, None)
+    got = LambdaOperator(1e-9).apply(U_brink, 0.5)
+    assert got == _on_jet(lam, rho, den, *U_brink.jet(0.5)) == -2.163199982206247e+301
+    op, tame = LambdaOperator(1e-9), extremal_map(0.5)
+    pair = op.apply(quadratic_mean_profile(SeriesStack.of([BRINK, tame])), 0.5)
+    assert pair == pytest.approx([got, op.apply(quadratic_mean_profile(tame), 0.5)], rel=1e-14)
+    with pytest.raises(NumericOverflowError,
+                       match=r"^the divergence-form residual at rho=0\.5 is not finite$"):
+        LambdaOperator(1e-9).divergence_form_residual(U_brink, 0.5)
 
 
 def test_overflow_rule_has_one_path():
@@ -776,7 +876,7 @@ EXAMPLES = {
                            a0=0.5 + 0j, b0=0.25 + 0j),
     "LambdaOperator": dict(lam=0.5),
     "RadialProfile": dict(label="U", value=U.value, deriv1=U.deriv1, deriv2=U.deriv2, degree=2,
-                          _jet=U._jet),
+                          members=(), _jet=U._jet),
     "SamplerConfig": dict(seed=1, N=4, decay=0.6),
     "circular_mean": dict(h=H, rho=1.5),
     "conformal_injectivity_margin": dict(h=CONFORMAL, R=2.0),

@@ -1,5 +1,6 @@
 """The lambda operators, their integral identities and the sharp bound."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,22 @@ def test_apply_jet_equals_apply():
     grid = np.linspace(1.01, 5.0, 50)
     op = LambdaOperator(-0.4)
     assert np.array_equal(op.apply_jet(grid, *U.jet(grid)), op.apply(U, grid))
+
+
+def test_a_rebuilt_stack_profile_keeps_its_members_and_bits():
+    """The benchmark's tracer rebuilds each profile with dataclasses.replace
+    and wrapped value, deriv1 and deriv2: the members field, which has no
+    default, comes along, and L_lam of the rebuilt profile has the bits of
+    the original's, at one radius, (m,) radii and (B, m) radii."""
+    P = quadratic_mean_profile(random_series_stack([3, 4], [5, 3], 0.6))
+    rebuilt = dataclasses.replace(P, value=lambda r: P.value(r),
+                                  deriv1=lambda r: P.deriv1(r), deriv2=lambda r: P.deriv2(r))
+    assert rebuilt.members == P.members == (2,)
+    op = LambdaOperator(np.array([0.5, -0.3]))
+    for rho in (1.5, np.array([1.2, 1.7, 2.5]), np.array([[1.2, 1.7], [2.5, 3.0]])):
+        assert op.apply(rebuilt, rho).tobytes() == op.apply(P, rho).tobytes()
+    assert (op.divergence_form_residual(rebuilt, 1.5).tobytes()
+            == op.divergence_form_residual(P, 1.5).tobytes())
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.0, 0.3, -0.5, 0.9])

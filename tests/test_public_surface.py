@@ -107,18 +107,15 @@ def own_code(obj) -> set:
 
 def test_unreached_exports_are_the_known_ones(tmp_path, monkeypatch):
     """Under sys.setprofile, `verify all --seed 1 --trials 100` and every
-    README command line (the sample line first, which writes the series the
-    others read) enter the code of every exported callable but UNREACHED.
+    README command line, in the README's order, enter the code of every
+    exported callable but UNREACHED.
     The exception types have no code of their own: they are raised, not
     called."""
     exports = {name: getattr(annulus_harmonics, name) for name in annulus_harmonics.__all__}
     callables = {name: own_code(obj) for name, obj in exports.items()
                  if not (inspect.isclass(obj) and issubclass(obj, BaseException))}
     assert all(callables.values())
-    lines = readme_command_lines()
-    argvs = [line for line in lines if line[0] == "sample"] + [
-        ["verify", "all", "--seed", "1", "--trials", "100"],
-        *(line for line in lines if line[0] != "sample")]
+    argvs = [["verify", "all", "--seed", "1", "--trials", "100"], *readme_command_lines()]
     entered = set()
 
     def profile(frame, event, arg):
