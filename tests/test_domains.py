@@ -377,6 +377,7 @@ ONE_OR_B = "must be one value or 2, got \\(3,"
 B_ROWS = "a stack's radii need 2 rows, got \\(3,"
 THREE = np.array([2.0, 3.0, 4.0])
 THREE_ROWS = np.full((3, 1), 2.0)
+PAIR_U = quadratic_mean_profile(PAIR)
 MISFITS = {
     "SeriesStack.coeff-n": (lambda: PAIR.coeff([1, 2, 3]), ONE_OR_B),
     "quadratic_mean_mode-n": (lambda: quadratic_mean_mode(PAIR, [1, 2, 3]), ONE_OR_B),
@@ -387,28 +388,25 @@ MISFITS = {
     "mean_outer_radius-R": (lambda: mean_outer_radius(PAIR, THREE), ONE_OR_B),
     "variance_k_bound-R": (lambda: variance_k_bound(PAIR, THREE + 1.0), ONE_OR_B),
     "scale_rotate-alpha": (lambda: scale_rotate(PAIR, [1, 2, 3]), ONE_OR_B),
-    "k_functional-lambda":
-        (lambda: k_functional(quadratic_mean_profile(PAIR), THREE / 8.0, 2.0), ONE_OR_B),
-    "k_functional-R": (lambda: k_functional(quadratic_mean_profile(PAIR), 0.5, THREE), ONE_OR_B),
+    "k_functional-lambda": (lambda: k_functional(PAIR_U, THREE / 8.0, 2.0), ONE_OR_B),
+    "k_functional-R": (lambda: k_functional(PAIR_U, 0.5, THREE), ONE_OR_B),
     "k_quadrature-R": (lambda: k_quadrature(PAIR, 0.5, THREE), ONE_OR_B),
     "k_endpoint-lambda": (lambda: k_endpoint(PAIR, THREE / 8.0, 2.0), ONE_OR_B),
-    "k_endpoint-R": (lambda: k_endpoint(quadratic_mean_profile(PAIR), 0.5, THREE), ONE_OR_B),
-    "LambdaOperator.apply-lambda": (lambda: LambdaOperator(THREE / 8.0).apply(
-        quadratic_mean_profile(PAIR), 1.5), ONE_OR_B),
+    "k_endpoint-R": (lambda: k_endpoint(PAIR_U, 0.5, THREE), ONE_OR_B),
+    "LambdaOperator.apply-lambda":
+        (lambda: LambdaOperator(THREE / 8.0).apply(PAIR_U, 1.5), ONE_OR_B),
     "LambdaOperator.apply-lambda-column": (lambda: LambdaOperator(THREE[:, None] / 8.0).apply(
-        quadratic_mean_profile(PAIR), np.array([1.5, 2.0])), ONE_OR_B),
-    "divergence_form_residual-lambda": (lambda: LambdaOperator(THREE / 8.0)
-                                        .divergence_form_residual(quadratic_mean_profile(PAIR),
-                                                                  1.5), ONE_OR_B),
+        PAIR_U, np.array([1.5, 2.0])), ONE_OR_B),
+    "divergence_form_residual-lambda":
+        (lambda: LambdaOperator(THREE / 8.0).divergence_form_residual(PAIR_U, 1.5), ONE_OR_B),
     "circle_grid_fields-rho": (lambda: circle_grid_fields(PAIR, THREE_ROWS, 8), B_ROWS),
-    "RadialProfile.jet-rho": (lambda: quadratic_mean_profile(PAIR).jet(THREE_ROWS), B_ROWS),
+    "RadialProfile.jet-rho": (lambda: PAIR_U.jet(THREE_ROWS), B_ROWS),
     "RadialProfile.value-rho": (lambda: variance_profile(PAIR).value(THREE_ROWS), B_ROWS),
     "variance_deriv2_termwise-rho":
         (lambda: variance_deriv2_termwise(PAIR, THREE_ROWS), B_ROWS),
-    "LambdaOperator.apply-rho":
-        (lambda: LambdaOperator(0.5).apply(quadratic_mean_profile(PAIR), THREE_ROWS), B_ROWS),
-    "divergence_form_residual-rho": (lambda: LambdaOperator(0.5).divergence_form_residual(
-        quadratic_mean_profile(PAIR), THREE), B_ROWS),
+    "LambdaOperator.apply-rho": (lambda: LambdaOperator(0.5).apply(PAIR_U, THREE_ROWS), B_ROWS),
+    "divergence_form_residual-rho":
+        (lambda: LambdaOperator(0.5).divergence_form_residual(PAIR_U, THREE), B_ROWS),
     "identity_residuals_stack-rho":
         (lambda: identity_residuals_stack(PAIR, np.full((3, 1, 2), 0.5), THREE_ROWS), B_ROWS),
 }
