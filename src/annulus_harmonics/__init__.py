@@ -15,7 +15,6 @@ from .errors import (
     QuadratureConvergenceError,
     SpeedSignError,
     ToolkitError,
-    ZeroOnCircleError,
 )
 from .series import (
     HarmonicSeries,
@@ -32,7 +31,6 @@ from .quadrature import (
     enclosed_area,
     quadratic_mean_numeric,
     radial_integrate,
-    winding_number,
 )
 from .means import (
     RadialProfile,
@@ -58,7 +56,6 @@ from .bounds import (
     BoundReport,
     SchottkyReport,
     UniquenessReport,
-    conformal_injectivity_margin,
     kalaj_bound,
     mode_form_certificate,
     mode_form_coeffs,
@@ -93,9 +90,7 @@ __all__ = [
     "SpeedSignError",
     "ToolkitError",
     "UniquenessReport",
-    "ZeroOnCircleError",
     "circular_mean",
-    "conformal_injectivity_margin",
     "dirichlet_energy",
     "enclosed_area",
     "evolution_lower_bound",
@@ -133,5 +128,4 @@ __all__ = [
     "variance_subsolution_min",
     "weitsman_bound",
     "wide_annulus_certificate",
-    "winding_number",
 ]

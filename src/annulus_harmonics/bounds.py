@@ -298,32 +298,18 @@ def variance_k_bound(h, R):
 # ---------------------------------------------------------------------------
 
 def _injectivity_certificate(h, R: float):
-    """The margin of conformal_injectivity_margin and the Jacobian lower
-    bound |a_1|^2 (1 - L)^2, each as an array with one entry per member."""
-    ns = h.mode_numbers.astype(np.float64)
-    # a_1 is 0 for a series of order 0
-    lead = np.abs(h.a[..., 0]) if h.N else np.zeros(h.a.shape[:-1])
-    # an overflowed weight leaves L inf or NaN, and a_1 = 0 leaves it inf or NaN
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        weights = np.where(ns == 1.0, 0.0, np.abs(ns) * np.maximum(1.0, R ** (ns - 1.0)))
-        excess = np.sum(np.abs(h.a) * weights, axis=-1) / lead
-        margin = np.where(lead > 0.0, 1.0 - 0.5 * math.pi * excess, -math.inf)
-        return margin, (lead * (1.0 - excess)) ** 2
+    """(margin, jacobian_min) of a coefficient certificate of injectivity on
+    the closed annulus 1 <= |z| <= R, each an array with one entry per
+    member: a positive margin 1 - (pi/2) L proves the conformal series
+    f = a_1 (z + p(z)) injective there, with p = sum over n != 1 of
+    (a_n / a_1) z^n and L = sum over n != 1 of |n| |a_n / a_1|
+    max(1, R^(n-1)), and jacobian_min is |a_1|^2 (1 - L)^2.
 
-
-def conformal_injectivity_margin(h, R: float):
-    """Margin 1 - (pi/2) L of a coefficient certificate of injectivity on
-    the closed annulus 1 <= |z| <= R: a positive margin proves the
-    conformal series f = a_1 (z + p(z)) injective there, with
-    p = sum over n != 1 of (a_n / a_1) z^n and
-    L = sum over n != 1 of |n| |a_n / a_1| max(1, R^(n-1)).
-
-    One margin per member of a stack; -inf where a_1 = 0.  A NaN margin
-    (from coefficients or R so large that L overflows) never certifies.
-    Only the a coefficients enter: f is taken to be conformal, sum a_n z^n
-    with all b_n = 0 and no log or constant term, as schottky_check admits.
-    The test costs O(N) per series.  Raises ParameterDomainError unless R
-    is one number with 1 < R < inf.
+    The margin is -inf where a_1 = 0.  A NaN margin (from coefficients or R
+    so large that L overflows) never certifies.  Only the a coefficients
+    enter: f is taken to be conformal, sum a_n z^n with all b_n = 0 and no
+    log or constant term, as schottky_check admits, which also checks R.
+    The test costs O(N) per series.
 
     Proof.  On 1 <= |z| <= R, |z|^(n-1) <= max(1, R^(n-1)) for every n, so
     |p'(z)| <= L.  Any two points z, w of the closed annulus are joined
@@ -341,8 +327,15 @@ def conformal_injectivity_margin(h, R: float):
       is at most its term of L, as |n| >= 1), so by Rouche's theorem
       f = a_1 z (1 + p(z)/z) winds once around 0, as a_1 z does.
     """
-    R = require_outer(_scalar(R, "R"))
-    return _result(_injectivity_certificate(h, R)[0])
+    ns = h.mode_numbers.astype(np.float64)
+    # a_1 is 0 for a series of order 0
+    lead = np.abs(h.a[..., 0]) if h.N else np.zeros(h.a.shape[:-1])
+    # an overflowed weight leaves L inf or NaN, and a_1 = 0 leaves it inf or NaN
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weights = np.where(ns == 1.0, 0.0, np.abs(ns) * np.maximum(1.0, R ** (ns - 1.0)))
+        excess = np.sum(np.abs(h.a) * weights, axis=-1) / lead
+        margin = np.where(lead > 0.0, 1.0 - 0.5 * math.pi * excess, -math.inf)
+        return margin, (lead * (1.0 - excess)) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,10 +347,11 @@ class SchottkyReport:
     by identity, as a NaN field never equals itself and an array field has
     no one truth value: compare two reports field by field.
 
-    `injectivity_margin` is conformal_injectivity_margin(h, R).  A member
-    with a positive margin is certified injective: it is not sampled, and
-    reports windings_ok = True and jacobian_min = |a_1|^2 (1 - L)^2, the
-    proven lower bound of the Jacobian on the annulus.  Every other
+    `injectivity_margin` is the margin 1 - (pi/2) L of the coefficient
+    certificate (_injectivity_certificate).  A member with a positive
+    margin is certified injective: it is not sampled, and reports
+    windings_ok = True and jacobian_min = |a_1|^2 (1 - L)^2, the proven
+    lower bound of the Jacobian on the annulus.  Every other
     applicable member is sampled by the injectivity probe, and reports the
     probe's windings and the smallest Jacobian on its grid.  A member that
     is not applicable reports NaN for injectivity_margin and jacobian_min
@@ -399,10 +393,10 @@ def schottky_check(h, R: float):
     |a_n|^2 (R^(2n) - 1) >= R^2 - 1 as intermediate step.  Injectivity is
     reported as evidence of class membership but does not gate
     applicability; failed evidence explains a failed bound.  It is proved
-    from the coefficients where conformal_injectivity_margin is positive,
-    and sampled by the injectivity probe for the other applicable members
-    only; the probe is not called when every applicable member is
-    certified (see SchottkyReport).
+    from the coefficients where the certificate's margin
+    (SchottkyReport.injectivity_margin) is positive, and sampled by the
+    injectivity probe for the other applicable members only; the probe is
+    not called when every applicable member is certified.
 
     A series gives one SchottkyReport of scalars; a SeriesStack, evaluated
     as one batch, gives one whose per-member fields are arrays (NaN or
@@ -528,29 +522,21 @@ def theorem_gate(h: HarmonicSeries, R: float) -> BoundReport:
     u1 = U.value(1.0)
     class_d = is_class_D(h)
     class_n = is_class_N(h)
-    base = nitsche_bound(R)
-    if u1 <= 0.0:
-        return BoundReport(
-            R=R, modulus=math.log(R), class_D=class_d, class_N=class_n,
-            rule="none", bound=base, measured=0.0, margin=-base,
-            verdict="not-applicable", inner_scale=0.0,
-        )
-    scale = math.sqrt(u1)
-    # a tiny U(1) can overflow the rescaling
-    measured = _in_float_range("the rescaled mean radius at R", R,
-                               lambda: mean_outer_radius(h, R) / scale)
-    normalized_speed = U.deriv1(1.0) / (2.0 * u1)
-
-    rule = "none"
-    bound = base
-    if class_d and normalized_speed >= 0.0:
-        lam = lambda_from_speed(normalized_speed)
-        bound = speed_bound(R, lam)
-        rule = "initial-speed"
-    elif class_n:
-        rule = "neumann-mean"
-    elif condition_modulus(R):
-        rule = "modulus"
+    # with U(1) <= 0 there is nothing to rescale: no rule, measured 0
+    rule, bound, measured, scale = "none", nitsche_bound(R), 0.0, 0.0
+    if u1 > 0.0:
+        scale = math.sqrt(u1)
+        # a tiny U(1) can overflow the rescaling
+        measured = _in_float_range("the rescaled mean radius at R", R,
+                                   lambda: mean_outer_radius(h, R) / scale)
+        normalized_speed = U.deriv1(1.0) / (2.0 * u1)
+        if class_d and normalized_speed >= 0.0:
+            bound = speed_bound(R, lambda_from_speed(normalized_speed))
+            rule = "initial-speed"
+        elif class_n:
+            rule = "neumann-mean"
+        elif condition_modulus(R):
+            rule = "modulus"
 
     margin = measured - bound
     if rule == "none":

@@ -140,8 +140,8 @@ def _build_parser() -> _Parser:
 
     p_sample = sub.add_parser("sample", help="write a pseudo-random series")
     p_sample.add_argument("--seed", type=int, required=True)
-    p_sample.add_argument("--N", type=int, default=8)
-    p_sample.add_argument("--decay", type=float, default=0.6)
+    p_sample.add_argument("--N", type=int, default=SamplerConfig.N)
+    p_sample.add_argument("--decay", type=float, default=SamplerConfig.decay)
     p_sample.add_argument("--out", type=Path, required=True)
     return parser
 

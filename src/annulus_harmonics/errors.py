@@ -25,11 +25,6 @@ class NumericOverflowError(ToolkitError, ArithmeticError):
     """A computation produced a non-finite value from finite inputs."""
 
 
-class ZeroOnCircleError(ToolkitError, ValueError):
-    """The function vanishes on or too near the circle for its winding
-    number to be proved."""
-
-
 class QuadratureConvergenceError(ToolkitError, RuntimeError):
     """The radial rule that its error bound asks for would pass its node cap."""
 

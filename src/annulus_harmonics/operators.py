@@ -135,7 +135,9 @@ class LambdaOperator:
                                self._divergence_residual, P, rho)
 
     def _divergence_residual(self, P: RadialProfile, rho):
-        r = np.asarray(require_radii(rho), dtype=np.float64)[..., None]  # rho as one column
+        # rho as one column, checked against the members before the stencil's axis
+        r = np.asarray(_per_member(require_radii(rho), P.members, "rho"), dtype=np.float64)
+        r = r[..., None]
         # P at the centres r + h, r - h of the outer difference, each taken
         # at +-h again, for h = step and step/2, and its jet at r: one call
         steps = (DIVERGENCE_STEP, 0.5 * DIVERGENCE_STEP)

@@ -63,7 +63,6 @@ from .errors import (
     NumericOverflowError,
     ParameterDomainError,
     QuadratureConvergenceError,
-    ZeroOnCircleError,
 )
 from .means import quadratic_mean_profile
 from .series import (
@@ -174,28 +173,6 @@ def quadratic_mean_numeric(h: HarmonicSeries, rho: float) -> float:
     """Mean of |h|^2 over C_rho by angular quadrature (the oracle for the
     closed-form profile in the means module)."""
     return _circle_means(h, _scalar(rho, "rho"))[1]
-
-
-def winding_number(h: HarmonicSeries, rho: float) -> int:
-    """Winding of the image curve h(C_rho) about the origin, proved by the
-    argument count of winding_counts.
-
-    Raises ParameterDomainError unless rho is one positive finite radius,
-    NumericOverflowError if the mode sums of h on C_rho are not finite, and
-    ZeroOnCircleError, with the smallest |h| sampled, if no count up to
-    MAX_WINDING_ANGLES angles proves the winding (|h| falls to about
-    2 pi S / MAX_WINDING_ANGLES or below, as at or near a zero on the
-    circle).
-    """
-    rho = require_radii(_scalar(rho, "rho"))
-    finite, min_mod, count = winding_counts(h, np.array([rho]))
-    if not finite[0]:
-        raise NumericOverflowError(f"fields on C_{rho} overflowed; winding undefined")
-    if math.isnan(count[0]):
-        raise ZeroOnCircleError(
-            f"|h| reaches {min_mod[0]:.3e} on C_{rho}; no count up to "
-            f"{MAX_WINDING_ANGLES} angles proves the winding")
-    return int(count[0])
 
 
 def winding_counts(h, rhos: np.ndarray) -> tuple:

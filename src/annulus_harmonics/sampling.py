@@ -478,12 +478,11 @@ def injectivity_probe(h, R: float) -> InjectivityProbe:
     PROBE_CIRCLES interior circles.  A positive minimum Jacobian together
     with all windings equal to 1 is evidence (not proof) that the series
     restricts to an orientation-preserving homeomorphism.  Each
-    winding is proved by quadrature.winding_counts, the argument count
-    winding_number also uses; a circle it does not prove (a zero on or
-    near it, or mode sums that are not finite) counts as failed evidence,
-    not as an error; a Jacobian that is not finite raises
-    NumericOverflowError.  For a SeriesStack both fields are arrays with
-    one entry per member.
+    winding is proved by the argument count quadrature.winding_counts; a
+    circle it does not prove (a zero on or near it, or mode sums that are
+    not finite) counts as failed evidence, not as an error; a Jacobian
+    that is not finite raises NumericOverflowError.  For a SeriesStack
+    both fields are arrays with one entry per member.
 
     The grid is evaluated in blocks of radii (series._blocks), each block
     one circle_grid_fields call of at most REQUEST_POINTS (8 x 24 x 96)

@@ -463,8 +463,7 @@ def _in_float_range(what: str, at, form, *args):
 
     Kept outside the rule: identity_residuals on circle-dense's hot path,
     which tests the memoised jet of U and catches Python's OverflowError
-    per call; weitsman_bound, where an overflow rounds the bound to 1; and
-    winding_number, which raises on a flag of winding_counts, not a value."""
+    per call, and weitsman_bound, where an overflow rounds the bound to 1."""
     try:
         out = form(*args)
     except OverflowError:

@@ -22,10 +22,9 @@ from annulus_harmonics import (
     theorem_gate,
     uniqueness_probe,
     variance_profile,
-    winding_number,
 )
 from annulus_harmonics import reports
-from annulus_harmonics.quadrature import dirichlet_energy
+from annulus_harmonics.quadrature import dirichlet_energy, winding_counts
 from annulus_harmonics.reports import DEFAULT_TOLERANCES, DrawPlan, sweep
 from annulus_harmonics.sampling import normalize_inner
 from annulus_harmonics.series import circle_grid_fields
@@ -174,8 +173,8 @@ def test_c11_oracle_agreement():
            np.max(energy_gaps), 1e-8)
 
     for lam in (-0.9, -0.3, 0.0, 0.6, 1.0):
-        for rho in (1.2, 2.0, 3.5):
-            assert winding_number(extremal_map(lam), rho) == 1
+        counts = winding_counts(extremal_map(lam), np.array([1.2, 2.0, 3.5]))[2]
+        assert counts.tolist() == [1.0] * 3
     print("[C11c] winding of extremal maps equals 1: PASS (exact)")
 
     rhos = rng.uniform(1.0, E32, size=100)

@@ -27,8 +27,8 @@ from annulus_harmonics import (
 )
 from annulus_harmonics import bounds, sampling
 from annulus_harmonics.bounds import (
+    _injectivity_certificate,
     condition_modulus,
-    conformal_injectivity_margin,
     gz_weight,
     gzbar_gate_margin,
     inner_circle_identity_residual,
@@ -345,7 +345,7 @@ def test_schottky_rejects_nonconformal():
 ], ids=["zero", "b0", "a0"])
 def test_schottky_layer_takes_a_series_of_order_0(h, reason):
     """a_1 is 0 at N = 0: the margin is -inf, and the report not applicable."""
-    assert conformal_injectivity_margin(h, 2.0) == -math.inf
+    assert _injectivity_certificate(h, 2.0)[0] == -math.inf
     report = schottky_check(h, 2.0)
     assert (report.applicable, report.reason, report.passed) == (False, reason, False)
     assert math.isnan(report.mean_radius) and math.isnan(report.injectivity_margin)
@@ -353,7 +353,7 @@ def test_schottky_layer_takes_a_series_of_order_0(h, reason):
 
 def test_schottky_check_of_an_empty_stack_is_empty():
     empty = SeriesStack.of([])
-    assert conformal_injectivity_margin(empty, 2.0).shape == (0,)
+    assert all(x.shape == (0,) for x in _injectivity_certificate(empty, 2.0))
     report = schottky_check(empty, 2.0)
     assert (report.R, report.area_bound) == (2.0, 3.0 * math.pi)
     for name, value in vars(report).items():
@@ -399,15 +399,15 @@ def test_schottky_rejects_a_planted_deviation():
 def test_injectivity_margin_rejects_z_plus_inverse_z():
     # h' vanishes at z = +-1, and the unit circle folds onto [-2, 2]
     h = HarmonicSeries.from_coeffs(a={1: 1.0, -1: 1.0})
-    assert conformal_injectivity_margin(h, 2.0) == 1.0 - 0.5 * math.pi
-    assert conformal_injectivity_margin(h, 2.0) <= 0.0
+    margin = _injectivity_certificate(h, 2.0)[0]
+    assert margin == 1.0 - 0.5 * math.pi and margin <= 0.0
 
 
 def test_injectivity_margin_without_a_leading_term_is_minus_inf():
     h = HarmonicSeries.from_coeffs(a={2: 1.0})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        margin = conformal_injectivity_margin(h, 2.0)
+        margin = _injectivity_certificate(h, 2.0)[0]
         report = schottky_check(h, 2.0)
     assert margin == -math.inf and report.injectivity_margin == -math.inf
 
@@ -415,14 +415,15 @@ def test_injectivity_margin_without_a_leading_term_is_minus_inf():
 def test_injectivity_margin_of_a_series_equals_its_stack_of_one():
     for seed in range(5):
         h = widened_conformal(seed, 0.05)
-        margin = conformal_injectivity_margin(h, 2.0)
-        assert isinstance(margin, float)
-        assert conformal_injectivity_margin(SeriesStack.of([h]), 2.0).tolist() == [margin]
+        margin, jacobian_min = _injectivity_certificate(h, 2.0)
+        assert margin.shape == jacobian_min.shape == ()
+        stacked = _injectivity_certificate(SeriesStack.of([h]), 2.0)
+        assert [x.tolist() for x in stacked] == [[margin.item()], [jacobian_min.item()]]
 
 
 def certified_series(count, seed, R=2.0):
     """Conformal series a_1 (z + p) with random modes -3..6, scaled so that
-    L lies uniformly in [0.3, 2/pi), with L as in conformal_injectivity_margin."""
+    L lies uniformly in [0.3, 2/pi), with L as in bounds._injectivity_certificate."""
     rng = np.random.default_rng(seed)
     ns = np.array([-3, -2, -1, 2, 3, 4, 5, 6])
     weight = np.abs(ns) * np.maximum(1.0, R ** (ns - 1.0))
@@ -438,7 +439,7 @@ def certified_series(count, seed, R=2.0):
 
 def test_certified_series_pass_a_finer_probe():
     stack, targets = certified_series(24, seed=12)
-    margin = conformal_injectivity_margin(stack, 2.0)
+    margin, proven = _injectivity_certificate(stack, 2.0)
     assert (margin > 0.0).all()
     assert np.allclose(1.0 - margin, 0.5 * math.pi * targets, rtol=1e-5)
     probe = injectivity_probe(stack, 2.0)
@@ -449,6 +450,7 @@ def test_certified_series_pass_a_finer_probe():
     fine = circle_grid_fields(stack, rhos, 256, ("d_rho", "d_theta")).jacobian(rhos)
     L = (1.0 - margin) / (0.5 * math.pi)
     bound = (np.abs(stack.a[:, 0]) * (1.0 - L)) ** 2
+    assert np.allclose(proven, bound, rtol=1e-12, atol=0.0)
     for jacobian_min in (probe.jacobian_min, fine.min(axis=(-2, -1))):
         assert (jacobian_min >= bound * (1.0 - 1e-12)).all()
 

@@ -26,7 +26,6 @@ from annulus_harmonics import (
     RadialProfile,
     ToolkitError,
     circular_mean,
-    conformal_injectivity_margin,
     dirichlet_energy,
     enclosed_area,
     evolution_lower_bound,
@@ -52,7 +51,6 @@ from annulus_harmonics import (
     variance_profile,
     weitsman_bound,
     wide_annulus_certificate,
-    winding_number,
 )
 from annulus_harmonics.bounds import (
     condition_modulus,
@@ -118,8 +116,6 @@ CASES = {
     "circular_mean-inf": lambda: circular_mean(H, INF),
     "quadratic_mean_numeric-inf": lambda: quadratic_mean_numeric(H, INF),
     "enclosed_area-inf": lambda: enclosed_area(H, INF),
-    "winding_number-nan": lambda: winding_number(H, NAN),
-    "winding_number-array": lambda: winding_number(H, np.array([1.5, 2.0])),
     # the scalar circle means and identities take one radius, not an array
     "circular_mean-array": lambda: circular_mean(H, np.array([1.5, 2.0])),
     "quadratic_mean_numeric-array": lambda: quadratic_mean_numeric(H, np.array([1.5])),
@@ -129,8 +125,6 @@ CASES = {
     # so do the Schottky entry points and the energy (an array R broadcast
     # against the modes, or failed inside numpy)
     "schottky_check-R-array": lambda: schottky_check(extremal_map(0.0), np.array([1.5, 2.0])),
-    "conformal_injectivity_margin-R-array":
-        lambda: conformal_injectivity_margin(extremal_map(0.0), np.array([1.5, 2.0])),
     "injectivity_probe-R-array": lambda: injectivity_probe(extremal_map(0.0), np.array([2.0])),
     "theorem_gate-R-array": lambda: theorem_gate(H, np.array([3.0, 4.0])),
     "uniqueness_probe-R-array": lambda: uniqueness_probe(np.array([3.0, 4.0])),
@@ -172,7 +166,6 @@ CASES = {
     "circular_mean-int-1e400": lambda: circular_mean(H, HUGE),
     "speed_bound-int-1e400": lambda: speed_bound(HUGE, 0.5),
     "theorem_gate-int-1e400": lambda: theorem_gate(H, HUGE),
-    "winding_number-int-1e400": lambda: winding_number(H, HUGE),
     "require_lambda-list-int-1e400": lambda: require_lambda([0.5, -HUGE]),
     "require_radii-list-int-1e400": lambda: require_radii([1.5, HUGE]),
     # an int too long for str: the message names it without printing it
@@ -372,7 +365,9 @@ def test_out_of_domain_argument_is_rejected(call):
 # Every stack entry point that takes a per-member argument or radii with a
 # row per member, given one of three for the two members of PAIR: one rule
 # (series._per_member, series.require_radii, with the stack's or its
-# profile's .members) refuses each, in its own words.
+# profile's .members) refuses each, in its own words.  The divergence form
+# takes one radius per member, and its refusals name the caller's shape,
+# not that of its nine-point stencil.
 ONE_OR_B = "must be one value or 2, got \\(3,"
 B_ROWS = "a stack's radii need 2 rows, got \\(3,"
 THREE = np.array([2.0, 3.0, 4.0])
@@ -405,8 +400,10 @@ MISFITS = {
     "variance_deriv2_termwise-rho":
         (lambda: variance_deriv2_termwise(PAIR, THREE_ROWS), B_ROWS),
     "LambdaOperator.apply-rho": (lambda: LambdaOperator(0.5).apply(PAIR_U, THREE_ROWS), B_ROWS),
-    "divergence_form_residual-rho":
-        (lambda: LambdaOperator(0.5).divergence_form_residual(PAIR_U, THREE), B_ROWS),
+    "divergence_form_residual-rho": (lambda: LambdaOperator(0.5).divergence_form_residual(
+        PAIR_U, THREE), "rho must be one value or 2, got \\(3,\\)$"),
+    "divergence_form_residual-rho-rows": (lambda: LambdaOperator(0.5).divergence_form_residual(
+        PAIR_U, np.full((2, 2), 2.0)), "rho must be one value or 2, got \\(2, 2\\)$"),
     "identity_residuals_stack-rho":
         (lambda: identity_residuals_stack(PAIR, np.full((3, 1, 2), 0.5), THREE_ROWS), B_ROWS),
 }
@@ -416,7 +413,9 @@ MISFITS = {
 def test_a_misfit_per_member_argument_gets_one_refusal(call, message):
     """Before they read the rule, a stack's variance_deriv2_termwise raised
     numpy's broadcast ValueError on three rows of radii, and
-    identity_residuals_stack refused them in words of its own."""
+    identity_residuals_stack refused them in words of its own;
+    divergence_form_residual named the stencil's shape, (3, 9) or
+    (2, 2, 9)."""
     with pytest.raises(ParameterDomainError, match=message):
         call()
 
@@ -653,14 +652,14 @@ def builds_an_overflow_error(node) -> bool:
 
 def test_one_overflow_rule_builds_the_overflow_errors():
     """Under src/, NumericOverflowError is built by series._in_float_range
-    and by three exceptions: lambda_from_speed's guard band (a finite
-    lambda too near -1), identity_residuals (U's memoised jet, and Python's
-    OverflowError) and winding_number (a flag of winding_counts).  A closed
+    and by two exceptions: lambda_from_speed's guard band (a finite
+    lambda too near -1) and identity_residuals (U's memoised jet, and
+    Python's OverflowError).  A closed
     form that tests its own overflow fails here; it returns through the
     rule instead."""
     assert found_in_src(builds_an_overflow_error) == [
         "operators.identity_residuals", "operators.identity_residuals",
-        "operators.lambda_from_speed", "quadrature.winding_number", "series._in_float_range"]
+        "operators.lambda_from_speed", "series._in_float_range"]
 
 
 def reads_the_radial_bound(node) -> bool:
@@ -877,7 +876,6 @@ EXAMPLES = {
                           members=(), _jet=U._jet),
     "SamplerConfig": dict(seed=1, N=4, decay=0.6),
     "circular_mean": dict(h=H, rho=1.5),
-    "conformal_injectivity_margin": dict(h=CONFORMAL, R=2.0),
     "dirichlet_energy": dict(h=H, rho1=1.2, rho2=1.8),
     "enclosed_area": dict(h=H, rho=1.5),
     "evolution_lower_bound": dict(h=H, s=2.0),
@@ -911,7 +909,6 @@ EXAMPLES = {
     "variance_subsolution_min": dict(h=H, lam=0.5, rho_grid=np.linspace(1.0, 2.0, 5)),
     "weitsman_bound": dict(R=2.0),
     "wide_annulus_certificate": dict(R=3.0),
-    "winding_number": dict(h=H, rho=1.5),
 }
 # The arguments that are not numbers: a series, a profile, an integrand, a
 # config, a path, JSON data, a label, the profile's callables and a flag.
@@ -1016,7 +1013,6 @@ SERIES_METHODS = {
 }
 # The same kinds for the two-member PAIR (for gz_weight, one R per member).
 STACK_RESULTS = {
-    "conformal_injectivity_margin": lambda: conformal_injectivity_margin(PAIR, 2.0),
     "gz_weight": lambda: gz_weight(np.array([2.0, 3.0]), 0.5, 1.5),
     "initial_speed": lambda: initial_speed(PAIR),
     "injectivity_probe": lambda: injectivity_probe(PAIR, 2.0),

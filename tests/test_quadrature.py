@@ -7,9 +7,7 @@ import pytest
 
 from annulus_harmonics import (
     HarmonicSeries,
-    NumericOverflowError,
     ParameterDomainError,
-    ZeroOnCircleError,
     circular_mean,
     dirichlet_energy,
     enclosed_area,
@@ -17,7 +15,6 @@ from annulus_harmonics import (
     quadratic_mean_numeric,
     quadratic_mean_profile,
     radial_integrate,
-    winding_number,
 )
 from annulus_harmonics import quadrature
 from annulus_harmonics.quadrature import (
@@ -165,34 +162,43 @@ def test_one_memo_per_scalar_circle(tame_series, monkeypatch):
 # winding number
 # ---------------------------------------------------------------------------
 
+def winding(h, rho) -> tuple:
+    """winding_counts of h on the one circle C_rho, as Python values:
+    (finite, min_mod, count), count NaN where no count proves it."""
+    finite, min_mod, count = winding_counts(h, np.array([rho]))
+    return bool(finite[0]), float(min_mod[0]), float(count[0])
+
+
 @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.5, 1.0])
 @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
 def test_winding_extremal_is_one(lam, rho):
-    assert winding_number(extremal_map(lam), rho) == 1
+    assert winding(extremal_map(lam), rho)[2] == 1
 
 
 def test_winding_reflection_is_minus_one():
     zbar = HarmonicSeries.from_coeffs(b={-1: 1.0})
-    assert winding_number(zbar, 1.0) == -1
+    assert winding(zbar, 1.0)[2] == -1
 
 
 def test_winding_squared_mode_is_two():
     zsq = HarmonicSeries.from_coeffs(a={2: 1.0})
-    assert winding_number(zsq, 1.0) == 2
+    assert winding(zsq, 1.0)[2] == 2
 
 
 def test_winding_rejects_zero_on_circle():
-    # z - 3/2 vanishes at theta = 0 on the circle of radius 3/2.
+    # z - 3/2 vanishes at theta = 0 on the circle of radius 3/2: the first
+    # 8 angles sample the zero, so no count proves the winding
     h = HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5)
-    with pytest.raises(ZeroOnCircleError):
-        winding_number(h, 1.5)
+    finite, min_mod, count = winding(h, 1.5)
+    assert finite and min_mod == 0.0 and math.isnan(count)
 
 
 def test_winding_of_overflowing_fields_is_a_numeric_fault():
-    # a_1 rho = 1e309 overflows, so the fields on C_10 are not finite
+    # a_1 rho = 1e309 overflows, so the fields on C_10 are not finite and
+    # are not sampled
     h = HarmonicSeries.from_coeffs(a={1: 1e308})
-    with pytest.raises(NumericOverflowError):
-        winding_number(h, 10.0)
+    finite, min_mod, count = winding(h, 10.0)
+    assert not finite and math.isnan(min_mod) and math.isnan(count)
 
 
 def root_count(h, rho):
@@ -212,29 +218,30 @@ PROBE_SERIES = [random_series(SamplerConfig(s, 8, 0.6)) for s in range(20)]
 PROBE_RADII = (1.0, 1.5, 2.0)
 
 
-def test_winding_number_agrees_with_the_root_count():
-    """Wherever winding_number returns, it is the root count; it raises only
-    where a root of P lies within 1e-3 of |w| = 1, and returns on 59 of the
-    60 circles (the 600-circle probe on seeds 0-199 returns on 589)."""
-    returned = 0
+def test_winding_counts_agree_with_the_root_count():
+    """Wherever winding_counts proves a winding, it is the root count; it
+    leaves one open (NaN) only where a root of P lies within 1e-3 of
+    |w| = 1, and proves 59 of the 60 circles (the 600-circle probe on seeds
+    0-199 proves 589)."""
+    proved = 0
     for s, h in enumerate(PROBE_SERIES):
         for rho in PROBE_RADII:
             want, distance = root_count(h, rho)
-            try:
-                got = winding_number(h, rho)
-            except ZeroOnCircleError:
+            finite, _, got = winding(h, rho)
+            assert finite, (s, rho)
+            if math.isnan(got):
                 assert distance < 1e-3, (s, rho)
                 continue
-            returned += 1
+            proved += 1
             assert got == want, (s, rho)
-    assert returned >= 59
+    assert proved >= 59
 
 
-@pytest.mark.parametrize("zero, winding", [(1.5 - 1e-2, 1), (1.5 + 1e-2, 0)])
-def test_winding_about_a_zero_near_the_circle(zero, winding):
+@pytest.mark.parametrize("zero, count", [(1.5 - 1e-2, 1), (1.5 + 1e-2, 0)])
+def test_winding_about_a_zero_near_the_circle(zero, count):
     """z - zero on C_1.5: winding 1 with the zero inside, 0 with it outside,
     once the argument count takes enough angles (2 pi 1.5 / 1e-2 ~ 940)."""
-    assert winding_number(HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-zero), 1.5) == winding
+    assert winding(HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-zero), 1.5)[2] == count
 
 
 def test_winding_decision_does_not_depend_on_the_stack_order():
@@ -245,16 +252,16 @@ def test_winding_decision_does_not_depend_on_the_stack_order():
     delta = 2.0 * math.pi / quadrature.MAX_WINDING_ANGLES + 1e-12
     near = HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-(1.0 + delta))
     padded = SeriesStack.of([near, HarmonicSeries.from_coeffs(a={1: 1.0, 2000: 1e-3})])
-    assert winding_number(near, 1.0) == 0
+    assert winding(near, 1.0)[2] == 0
     assert winding_counts(padded, np.array([1.0]))[2].tolist() == [[0.0], [1.0]]
 
 
-def test_probe_flags_agree_with_winding_number():
-    """winding_counts on one stack proves for each circle what
-    winding_number proves for it alone, and leaves open (NaN) what
-    winding_number raises on; the injectivity probe's flags are
-    winding_number == 1 on each of its 8 circles.  Every error type occurs,
-    and several windings."""
+def test_probe_flags_agree_with_winding_counts():
+    """winding_counts on one stack proves for each circle what it proves
+    for the member alone, leaves open (NaN) what it leaves open alone, and
+    flags the same circles as not finite; the injectivity probe's flags
+    are a proved winding 1 on each of its 8 circles.  Circles not finite,
+    circles left open and several windings all occur."""
     members = [extremal_map(lam) for lam in (-0.5, 0.0, 0.5, 1.0)]
     members += [HarmonicSeries.from_coeffs(b={-1: 1.0}),     # z-bar
                 HarmonicSeries.from_coeffs(a={2: 1.0}),      # z^2
@@ -268,29 +275,22 @@ def test_probe_flags_agree_with_winding_number():
     seen = set()
     for i, h in enumerate(members):
         for j, rho in enumerate(radii):
-            try:
-                n = winding_number(h, rho)
-            except (NumericOverflowError, ZeroOnCircleError) as err:
-                seen.add(type(err))
+            alone_finite, _, n = winding(h, rho)
+            assert finite[i, j] == alone_finite, (i, rho)
+            if math.isnan(n):
+                seen.add("open" if alone_finite else "not finite")
                 assert math.isnan(counts[i, j]), (i, rho)
-                assert finite[i, j] == (type(err) is ZeroOnCircleError), (i, rho)
             else:
                 seen.add(n)
                 assert counts[i, j] == n, (i, rho)
-    assert {NumericOverflowError, ZeroOnCircleError, -1, 0, 1, 2} <= seen
+    assert {"not finite", "open", -1, 0, 1, 2} <= seen
 
     probed = members[:8] + PROBE_SERIES[:4]
     R = 2.0
     flags = injectivity_probe(SeriesStack.of(probed), R).windings_ok
     circles = np.linspace(1.0, R, 10)[1:-1]
 
-    def winds_once(h, rho):
-        try:
-            return winding_number(h, rho) == 1
-        except ZeroOnCircleError:
-            return False
-
-    assert flags.tolist() == [all(winds_once(h, rho) for rho in circles) for h in probed]
+    assert flags.tolist() == [all(winding(h, rho)[2] == 1 for rho in circles) for h in probed]
     assert flags.any() and not flags.all()
 
 
@@ -503,7 +503,7 @@ def test_sampled_integrands_keep_their_angle_counts(N, monkeypatch):
     record(quadrature, "circle_grid_fields", lambda h, rho, M, fields: (("winding",) + fields, M))
     record(sampling, "circle_grid_fields", lambda h, r, M, fields: (("probe",) + fields, M))
     record(bounds, "circle_grid_fields", lambda h, r, M, fields: (("schottky",) + fields, M))
-    assert winding_number(h, 1.5) == 1
+    assert winding(h, 1.5)[2] == 1
     assert injectivity_probe(h, 2.0).windings_ok
     schottky_check(h, 2.0)
     assert angles["winding", "values"] == {8}
@@ -772,11 +772,11 @@ def test_a_stack_gets_each_members_radial_rule_in_its_bits(monkeypatch, a, split
 def test_winding_near_pole_is_not_integer():
     """A zero of h 1e-4 off C_1.5 gives no proved integer: the argument
     count would need 2 pi 1.5 / 1e-4 ~ 94,000 angles, past its 2**16, so it
-    raises with the smallest |h| sampled (at theta = 0) instead of
-    rounding an unproved sum."""
+    leaves the circle open (NaN), with the smallest |h| sampled (at
+    theta = 0), instead of rounding an unproved sum."""
     h = HarmonicSeries.from_coeffs(a={1: 1.0}, b0=-1.5001)
-    with pytest.raises(ZeroOnCircleError, match=r"reaches 1\.000e-04"):
-        winding_number(h, 1.5)
+    finite, min_mod, count = winding(h, 1.5)
+    assert finite and f"{min_mod:.3e}" == "1.000e-04" and math.isnan(count)
 
 
 @pytest.mark.parametrize("n", [8, 48, 128])
