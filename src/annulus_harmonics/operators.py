@@ -64,19 +64,25 @@ from .means import (
     quadratic_mean_profile,
     variance_profile,
 )
-from .quadrature import _circle_means, _field_means, angular_count, radial_integrate
+from .quadrature import (
+    REQUEST_POINTS,
+    _circle_means,
+    _field_means,
+    angular_count,
+    radial_integrate,
+)
 from .series import (
     LAMBDA_MIN,
     HarmonicSeries,
     SeriesStack,
+    _blocks,
+    _grid_fields,
     _in_float_range,
     _is_scalar,
     _per_member,
     _result,
     _scalar,
     _shown,
-    circle_angles,
-    circle_fields,
     require_lambda,
     require_outer,
     require_radii,
@@ -269,26 +275,31 @@ def identity_residuals_stack(h: SeriesStack, lam, rho):
     """identity_residuals for every member, circle and lambda of a stack.
 
     rho has shape (B, c), c circles per member, and lam shape (B, c, L),
-    L lambdas per circle.  Each circle is one circle_fields call on the
-    angles of the stack's order, written into one (B, c, 3, M) block whose
-    means _field_means takes at once; U's jet at the (B, c) radii is one
-    matmul, and both identities are one broadcast expression over all
-    (B, c, L) lambdas.  Returns (gradient, angular) residuals, each of
-    shape (B, c, L).  Each circle's radius pairs with its L lambdas; other
-    shapes raise ParameterDomainError, a residual not finite NumericOverflowError."""
+    L lambdas per circle.  The B c circles, on the angles of the stack's
+    order, are one _grid_fields request whose means _field_means takes at
+    once, or several of at most REQUEST_POINTS angle points each (one
+    circle where a single circle is larger), with the same bits; U's jet
+    at the (B, c) radii is one matmul, and both identities are one
+    broadcast expression over all (B, c, L) lambdas.
+    Returns (gradient, angular) residuals, each of shape (B, c, L).  Each
+    circle's radius pairs with its L lambdas; other shapes raise
+    ParameterDomainError, a residual not finite NumericOverflowError."""
     rho, lam = np.asarray(require_radii(rho, h.members), dtype=np.float64), require_lambda(lam)
     if rho.shape[:1] != h.members or np.ndim(lam) != 3 or np.shape(lam)[:2] != rho.shape:
         raise ParameterDomainError(f"a stack of {len(h)} takes (B, c) radii and (B, c, L) "
                                    f"lambdas, got {rho.shape} and {np.shape(lam)}")
-    angles = circle_angles(angular_count(2 * h.N))
-    block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
-    for i, radii in enumerate(rho.tolist()):
-        member = h.series(i)
-        for j, r in enumerate(radii):
-            block[i, j] = circle_fields(member, r, angles)
-    _, A, B, C, D, _ = _field_means(block)
+    M, (members, c) = angular_count(2 * h.N), rho.shape
+    # whole members' circles per request, or, where one member's circles
+    # pass the bound, one member per request and its circles in blocks
+    rows, circles = _blocks(members, c * M, REQUEST_POINTS), _blocks(c, M, REQUEST_POINTS)
 
     def pair():
+        means = np.empty((4, members, c))
+        for i in rows:
+            for j in circles:
+                fields = _grid_fields(h[i], rho[i, j], M)
+                means[:, i, j] = _field_means(np.moveaxis(fields, 0, -2))[1:5]
+        A, B, C, D = means
         column, lams, den = _denominator(rho[..., None], lam, None)
         jet = _unchecked_jet(quadratic_mean_profile(h), rho)
         return _identity_pair(lams, column, den, *(t[..., None] for t in (*jet, A, B, C, D)))

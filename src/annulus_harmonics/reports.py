@@ -29,9 +29,9 @@ fixed per criterion, so no criterion's draws depend on another's, with the
 bits a draw-by-draw loop would give them (sampling._draws and
 sampling._seed_draws, by the stream contract of the sampling module).  The
 draw ranges are constants of each criterion, and no report depends on the
-chunk size.  C02 still evaluates each circle with its own circle_fields
-call: one batched circle_grid_fields call per chunk would be faster, but
-the benchmark's tracer counts one circle_fields call per circle.
+chunk size.  C02 evaluates a chunk's circles in one request of the circle
+kernel (operators.identity_residuals_stack), and the two criteria on the
+extremal maps (C01 and C03b) evaluate all five as one stack.
 
 The suites behind `verify` call their criteria with DrawPlan(seed, trials);
 the acceptance tests call the same rows with pinned plans of their own.
@@ -385,11 +385,17 @@ def _criterion(*checks: str, draw=None):
     return lambda evaluate: Criterion(checks, draw, evaluate)
 
 
+def _extremal_stack() -> tuple:
+    """The extremal maps h^lam, lam in EXTREMAL_LAMS, as one stack, and
+    their lambdas, one per member."""
+    return SeriesStack.of([extremal_map(lam) for lam in EXTREMAL_LAMS]), np.array(EXTREMAL_LAMS)
+
+
 @_criterion("extremal-annihilation")
 def extremal_annihilation():
+    stack, lams = _extremal_stack()
     grid = np.linspace(1.0, E32, 502)[1:]
-    return ([np.abs(LambdaOperator(lam).apply(quadratic_mean_profile(extremal_map(lam)), grid))
-             for lam in EXTREMAL_LAMS],)
+    return (np.abs(LambdaOperator(lams).apply(quadratic_mean_profile(stack), grid)),)
 
 
 @_criterion("gradient-form-identity", "angular-form-identity",
@@ -397,8 +403,8 @@ def extremal_annihilation():
                                      (1.02, E32, 3), (-0.95, 1.0, (3, 10))))
 def circle_identities(h, rhos, lams):
     """Both circle-mean identities on 3 circles per series and 10 lambdas
-    per circle: one circle_fields call per circle, then every (series,
-    circle, lambda) of the chunk at once."""
+    per circle: the chunk's circles in one circle-kernel request, then
+    every (series, circle, lambda) of the chunk at once."""
     return identity_residuals_stack(h, lams, rhos)
 
 
@@ -477,7 +483,8 @@ def endpoint_identity(h, lams, Rs):
 
 @_criterion("extremal-zero")
 def extremal_k_zero():
-    return ([abs(k_quadrature(extremal_map(lam), lam, 2.5)) for lam in EXTREMAL_LAMS],)
+    stack, lams = _extremal_stack()
+    return (np.abs(k_quadrature(stack, lams, 2.5)),)
 
 
 def _mode_form_draw(plan: DrawPlan) -> tuple:

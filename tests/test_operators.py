@@ -28,6 +28,8 @@ from annulus_harmonics.sampling import normalize_inner, perturb_extremal, random
 from annulus_harmonics.series import (
     SERIES_PER_CHUNK,
     SeriesStack,
+    circle_angles,
+    circle_fields,
     circle_grid_fields,
 )
 from test_sampling import draw_config
@@ -252,6 +254,93 @@ def test_batched_c02_draws_and_residuals_equal_scalar_calls(monkeypatch):
                     *_, scale = pointwise_identity_residuals(h, lam, rho)
                     assert abs(grad[i, j, k] - g) <= 1e-13 * scale
                     assert abs(ang[i, j, k] - a) <= 1e-13 * scale
+
+
+def per_circle_identity_residuals(h, lam, rho):
+    """identity_residuals_stack as one circle_fields call per (member,
+    circle), the loop it once ran, then the same means and closed form."""
+    angles = circle_angles(angular_count(2 * h.N))
+    block = np.empty(rho.shape + (3, angles.size), dtype=np.complex128)
+    for i, radii in enumerate(rho.tolist()):
+        member = h.series(i)
+        for j, r in enumerate(radii):
+            block[i, j] = circle_fields(member, r, angles)
+    _, A, B, C, D, _ = quadrature._field_means(block)
+    column, lams, den = operators._denominator(rho[..., None], lam, None)
+    jet = operators._unchecked_jet(quadratic_mean_profile(h), rho)
+    return operators._identity_pair(lams, column, den,
+                                    *(t[..., None] for t in (*jet, A, B, C, D)))
+
+
+def mixed_identity_draw():
+    """A stack of orders 4, 9 and 16 with 3 circles per member and 10
+    lambdas per circle, as C02 draws them."""
+    rng = np.random.default_rng(54)
+    stack = random_series_stack([5, 6, 7], [4, 9, 16], 0.2)
+    rhos = rng.uniform(1.02, E32, size=(3, 3))
+    return stack, rng.uniform(-0.95, 1.0, size=(3, 3, 10)), rhos
+
+
+def record_grid_requests(monkeypatch) -> list:
+    """(members, radii, M) of each operators._grid_fields request."""
+    requests = []
+
+    def record(h, rho, M, real=operators._grid_fields):
+        requests.append((len(h), np.array(rho), M))
+        return real(h, rho, M)
+
+    monkeypatch.setattr(operators, "_grid_fields", record)
+    return requests
+
+
+def test_stack_identities_keep_the_per_circle_bits():
+    """One batched request gives the bits of one circle_fields call per
+    circle, on members of three orders padded to 16."""
+    stack, lams, rhos = mixed_identity_draw()
+    got = operators.identity_residuals_stack(stack, lams, rhos)
+    want = per_circle_identity_residuals(stack, lams, rhos)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == (3, 3, 10)
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("circles", [0, 1, 2, 3, 7, 2**40])
+def test_stack_identity_requests_stay_within_the_shared_bound(circles, monkeypatch):
+    """Each request holds at most REQUEST_POINTS angle points, or one
+    circle; every circle is evaluated once, and the residuals keep their
+    bits whatever the requests (a bound of 0 points, circles = 0, forces
+    one circle per request)."""
+    stack, lams, rhos = mixed_identity_draw()
+    want = operators.identity_residuals_stack(stack, lams, rhos)
+    M = angular_count(2 * stack.N)
+    monkeypatch.setattr(operators, "REQUEST_POINTS", circles * M)
+    requests = record_grid_requests(monkeypatch)
+    got = operators.identity_residuals_stack(stack, lams, rhos)
+    monkeypatch.undo()
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert {m for *_, m in requests} == {M}
+    for members, radii, _ in requests:
+        assert radii.size * M <= circles * M or radii.size == 1
+        assert radii.shape[0] == members
+    seen = np.sort(np.concatenate([radii.ravel() for _, radii, _ in requests]))
+    assert np.array_equal(seen, np.sort(rhos.ravel()))
+    assert len(requests) == {0: 9, 1: 9, 2: 6, 3: 3, 7: 2, 2**40: 1}[circles]
+
+
+@pytest.mark.parametrize("trials", [4, SERIES_PER_CHUNK])
+def test_c02_evaluates_a_chunks_circles_in_one_request(trials, monkeypatch):
+    """C02 on DrawPlan(0, trials) asks _grid_fields once per chunk, for
+    every drawn circle once: its trials x 3 radii in one (B, 3) request
+    (64 x 3 circles x 36 angles at most, within REQUEST_POINTS)."""
+    plan = reports.DrawPlan(0, trials)
+    _, rhos, _ = reports.circle_identities.draw(plan)
+    requests = record_grid_requests(monkeypatch)
+    reports.circle_identities(plan, reports.DEFAULT_TOLERANCES)
+    monkeypatch.undo()
+    assert len(requests) == 1
+    members, radii, M = requests[0]
+    assert members == trials and np.array_equal(radii, rhos)
+    assert radii.size * M <= quadrature.REQUEST_POINTS
 
 
 def test_stack_profile_takes_one_lambda_or_one_per_member():
